@@ -15,9 +15,7 @@ bracket check failed.  Anything else unexpected exits 1.
 Every simulate/find run drops a JSON manifest next to its outputs
 recording the inputs, the settings actually used, the tool version and
 the wall time, so a run can be reproduced exactly.  All CSV numbers are
-written with 17 significant digits and searches are deterministic (the
-``MAGNETOTRIO_THREADS`` worker cap never changes the output, only the
-wall time).
+written with 17 significant digits and searches are deterministic.
 """
 
 import argparse
@@ -25,7 +23,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,7 +34,7 @@ from .errors import (CollisionError, DegenerateError, DomainError,
                      ValidityError)
 from .invariants import algebra_check, drift_report, write_invariant_csv
 from .jacobi import integrate_jacobi
-from .model import classify_system, load_system, save_system
+from .model import classify_system, load_system, pair_index, save_system
 from .solvers import (ConfigSolution, build_initial_state, pair_distance_min,
                       solve_config_I_identical, solve_config_I_v3zero,
                       solve_config_II, solve_config_III, solve_nbody_II,
@@ -75,14 +72,6 @@ def _write_manifest(path, command, inputs, settings, outputs, wall_time):
     return path
 
 
-def _thread_cap():
-    raw = os.environ.get("MAGNETOTRIO_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -102,7 +91,7 @@ def _cmd_simulate(args):
     if args.mode == "newton":
         traj = integrate(spec, state, settings)
     else:
-        traj = integrate_jacobi(spec, state, settings, mode=args.mode)
+        traj = integrate_jacobi(spec, state, settings)
     wall = time.perf_counter() - t0
 
     traj_path = stem + ".trajectory.csv"
@@ -179,28 +168,14 @@ def _find_worker(spec, config):
 
 
 def _sweep(worker, values):
-    """Run the worker over the grid, serially or thread-pooled.
-
-    Results are merged in grid order whatever the worker count, so the
-    catalog is identical for any MAGNETOTRIO_THREADS setting.
-    """
-    def run(x):
-        try:
-            return worker(float(x)), None
-        except (NoSolution, ValidityError, DomainError, DegenerateError) as ex:
-            return [], str(ex)
-
-    cap = _thread_cap()
-    if cap == 1 or len(values) <= 1:
-        results = [run(x) for x in values]
-    else:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(run, values))
+    """Run the worker over the grid in order; return the solutions found and
+    the reasons of the grid points that gave none."""
     rows, reasons = [], []
-    for found, reason in results:
-        rows.extend(found)
-        if reason is not None:
-            reasons.append(reason)
+    for x in values:
+        try:
+            rows.extend(worker(float(x)))
+        except (NoSolution, ValidityError, DomainError, DegenerateError) as ex:
+            reasons.append(str(ex))
     return rows, reasons
 
 
@@ -251,7 +226,7 @@ def _cmd_find(args):
         {"system": args.system},
         {"config": args.config, "grid_min": float(grid[0]),
          "grid_max": float(grid[-1]), "grid_points": len(grid),
-         "emit_states": bool(args.emit_states), "threads": _thread_cap()},
+         "emit_states": bool(args.emit_states)},
         outputs, wall)
     print(f"  wrote {manifest}")
     return 0
@@ -303,13 +278,10 @@ def _cmd_verify(args):
 def _random_state(rng, n):
     # keep particles clearly separated so the finite-difference brackets
     # stay far from the Coulomb singularities
+    I, J = pair_index(n)
     while True:
         pos = rng.uniform(-2.0, 2.0, (n, 2))
-        if n == 1:
-            break
-        d2min = min(np.sum((pos[i] - pos[j]) ** 2)
-                    for i in range(n) for j in range(i + 1, n))
-        if d2min > 0.25:
+        if np.all(np.sum((pos[I] - pos[J]) ** 2, axis=1) > 0.25):
             break
     vel = rng.uniform(-1.5, 1.5, (n, 2))
     return pos, vel
@@ -367,11 +339,11 @@ def _build_parser():
     p.add_argument("--sample-every", type=float, default=None,
                    metavar="DT", help="fixed output sampling interval "
                    "(default: the integrator's accepted steps)")
-    p.add_argument("--mode", choices=("newton", "derived", "closed-form"),
+    p.add_argument("--mode", choices=("newton", "derived"),
                    default="newton",
                    help="newton: direct integration of the Newton equations "
-                        "(default); derived / closed-form: the two "
-                        "separated-coordinate variants, mapped back to "
+                        "(default); derived: Hamilton's equations of the "
+                        "center-of-mass/relative frame, mapped back to "
                         "Cartesian samples (three-charge systems)")
     p.add_argument("--out-dir", default=None,
                    help="directory for outputs (default: next to the input)")

@@ -12,14 +12,14 @@ is given, otherwise at the solver's natural steps.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import CollisionError, DomainError, SpecParseError, StepUnderflow
-from .model import PhaseState, cross_with_B
+from .model import PhaseState, cross_with_B, pair_index
 
 
 @dataclass
@@ -61,18 +61,13 @@ def accelerations(spec, positions, velocities):
     """Accelerations of all particles, shape (n, 2)."""
     pos = np.asarray(positions, dtype=float).reshape(-1, 2)
     vel = np.asarray(velocities, dtype=float).reshape(-1, 2)
-    e, m = spec.charges, spec.masses
-    acc = cross_with_B(vel, spec.B) * e[:, None]
-    # pairwise Coulomb forces; n stays small so the double loop is fine
-    n = len(pos)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = pos[i] - pos[j]
-            r3 = (d[0] * d[0] + d[1] * d[1]) ** 1.5
-            f = e[i] * e[j] * d / r3
-            acc[i] += f
-            acc[j] -= f
-    return acc / m[:, None]
+    I, J, ee = spec.pairs
+    d = pos[I] - pos[J]
+    f = ee[:, None] * d / ((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) ** 1.5)[:, None]
+    force = cross_with_B(vel, spec.B) * spec.charges[:, None]
+    np.add.at(force, I, f)
+    np.subtract.at(force, J, f)
+    return force / spec.masses[:, None]
 
 
 def _rhs(spec):
@@ -86,43 +81,26 @@ def _rhs(spec):
     return f
 
 
-def _min_pair_distance(pos):
-    n = len(pos)
-    best = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = pos[i] - pos[j]
-            best = min(best, float(np.hypot(d[0], d[1])))
-    return best
-
-
 def _closest_pair(pos):
-    n = len(pos)
-    best, pair = np.inf, (0, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.hypot(*(pos[i] - pos[j])))
-            if d < best:
-                best, pair = d, (i, j)
-    return pair, best
+    d = pair_distances(pos)
+    k = int(np.argmin(d))
+    I, J = pair_index(len(pos))
+    return (int(I[k]), int(J[k])), float(d[k])
 
 
-def integrate(spec, state, settings):
-    """Integrate the Newton equations from ``state`` up to ``settings.t_end``.
+def _solve(spec, rhs, y0, t0, settings, positions_of):
+    """Integrate ``y' = rhs(t, y)`` with DOP853 from ``y0`` at ``t0`` to
+    ``settings.t_end`` on the sampling grid of ``settings``.
 
-    Raises :class:`CollisionError` if a pair distance crosses the collision
-    threshold, and :class:`StepUnderflow` if the stepper cannot proceed.
+    ``positions_of(y)`` maps a solver vector to the (n, 2) positions the
+    collision event watches.  Returns the sample times, the solver vectors
+    at those times as rows, and the solver counters.
     """
-    if state.n != spec.n:
-        raise DomainError("state and spec have different particle counts")
-    n = spec.n
-    y0 = np.concatenate([state.positions.ravel(), state.velocities.ravel()])
-    t0, t1 = state.t, settings.t_end
-
+    t1 = settings.t_end
     t_eval = None
     if settings.sample_interval is not None:
         dt = float(settings.sample_interval)
-        if dt <= 0:
+        if not (math.isfinite(dt) and dt > 0):
             raise DomainError("sample_interval must be positive")
         m = int(np.floor((t1 - t0) / dt + 1e-9))
         t_eval = t0 + dt * np.arange(m + 1)
@@ -132,17 +110,17 @@ def integrate(spec, state, settings):
             t_eval[-1] = t1
 
     events = None
-    if n > 1 and settings.collision_threshold > 0:
+    if spec.n > 1 and settings.collision_threshold > 0:
 
         def collision(t, y):
-            return _min_pair_distance(y[: 2 * n].reshape(n, 2)) - settings.collision_threshold
+            return pair_distances(positions_of(y)).min() - settings.collision_threshold
 
         collision.terminal = True
         collision.direction = -1
         events = [collision]
 
     sol = solve_ivp(
-        _rhs(spec),
+        rhs,
         (t0, t1),
         y0,
         method="DOP853",
@@ -155,30 +133,39 @@ def integrate(spec, state, settings):
     )
 
     if sol.status == 1:  # terminated by the collision event
-        t_hit = float(sol.t_events[0][0])
-        y_hit = sol.y_events[0][0]
-        pair, dist = _closest_pair(y_hit[: 2 * n].reshape(n, 2))
-        raise CollisionError(t_hit, pair, dist)
+        pair, dist = _closest_pair(positions_of(sol.y_events[0][0]))
+        raise CollisionError(float(sol.t_events[0][0]), pair, dist)
     if sol.status < 0:
-        msg = sol.message or "integration failed"
-        if "step size" in msg.lower() or "spacing" in msg.lower():
-            raise StepUnderflow(msg)
-        raise StepUnderflow(msg)
+        raise StepUnderflow(sol.message or "integration failed")
+    return sol.t.copy(), sol.y.T, {"nfev": int(sol.nfev)}
 
-    nt = sol.y.shape[1]
-    pos = sol.y[: 2 * n].T.reshape(nt, n, 2).copy()
-    vel = sol.y[2 * n:].T.reshape(nt, n, 2).copy()
-    stats = {"nfev": int(sol.nfev), "n_steps": nt}
-    return Trajectory(spec, sol.t.copy(), pos, vel, stats)
+
+def integrate(spec, state, settings):
+    """Integrate the Newton equations from ``state`` up to ``settings.t_end``.
+
+    Raises :class:`CollisionError` if a pair distance crosses the collision
+    threshold, and :class:`StepUnderflow` if the stepper cannot proceed.
+    """
+    if state.n != spec.n:
+        raise DomainError("state and spec have different particle counts")
+    n = spec.n
+    y0 = np.concatenate([state.positions.ravel(), state.velocities.ravel()])
+    t, y, stats = _solve(spec, _rhs(spec), y0, state.t, settings,
+                         lambda y: y[: 2 * n].reshape(n, 2))
+    pos = y[:, : 2 * n].reshape(-1, n, 2).copy()
+    vel = y[:, 2 * n:].reshape(-1, n, 2).copy()
+    return Trajectory(spec, t, pos, vel, stats)
 
 
 def pair_distances(positions):
-    """Distances for all pairs (i<j) in index order, shape (n*(n-1)/2,)."""
-    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-    out = []
-    for i, j in itertools.combinations(range(len(pos)), 2):
-        out.append(float(np.hypot(*(pos[i] - pos[j]))))
-    return np.array(out)
+    """Distances of all pairs (i<j) in index order.
+
+    Positions of shape (..., n, 2) give distances of shape (..., n*(n-1)/2).
+    """
+    pos = np.asarray(positions, dtype=float)
+    I, J = pair_index(pos.shape[-2])
+    d = pos[..., I, :] - pos[..., J, :]
+    return np.hypot(d[..., 0], d[..., 1])
 
 
 @dataclass
@@ -200,13 +187,10 @@ def rigidity_report(traj):
     On a rigid (special) trajectory every entry of ``max_deviation`` is zero
     up to integration error; a generic trajectory shows O(1) values.
     """
-    pairs = list(itertools.combinations(range(traj.positions.shape[1]), 2))
-    d0 = pair_distances(traj.positions[0])
-    dev = np.zeros(len(pairs))
-    for k in range(traj.n_samples):
-        d = pair_distances(traj.positions[k])
-        dev = np.maximum(dev, np.abs(d - d0) / d0)
-    return RigidityReport(pairs, d0, dev)
+    I, J = pair_index(traj.positions.shape[1])
+    d = pair_distances(traj.positions)
+    dev = (np.abs(d - d[0]) / d[0]).max(axis=0)
+    return RigidityReport(list(zip(I.tolist(), J.tolist())), d[0], dev)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import pair_distances
 from .errors import DomainError, NumericalInstability
 from .model import canonical_momenta, vector_potential
 
@@ -40,13 +41,9 @@ def kinetic_energies(spec, velocities):
 
 
 def coulomb_energy(spec, positions):
-    pos = np.asarray(positions, float).reshape(-1, 2)
-    e = spec.charges
-    E = 0.0
-    for i in range(spec.n):
-        for j in range(i + 1, spec.n):
-            E += e[i] * e[j] / float(np.hypot(*(pos[i] - pos[j])))
-    return E
+    """Sum of ``e_i e_j / rho_ij`` over all pairs; positions of shape
+    (..., n, 2) give energies of shape (...)."""
+    return (spec.pairs[2] / pair_distances(positions)).sum(axis=-1)
 
 
 def hamiltonian(spec, positions, velocities):

@@ -29,31 +29,21 @@ coupling charges and effective charges are
 
 ``hamiltonian_jacobi`` evaluates the reduced Hamiltonian in the shifted
 variables; it agrees with the Cartesian Hamiltonian to rounding, which the
-test-suite pins down.  Two routes to equations of motion are provided:
-
-* ``derived`` (default, authoritative): Hamilton's equations obtained by
-  numerically differentiating the reduced Hamiltonian (central differences
-  with one Richardson step);
-* ``closed-form``: an explicit second-order system with fixed coefficient
-  expressions for the coupling fields.  For systems with nonzero coupling
-  charges several of its position-proportional coefficients are inconsistent
-  with the Hamiltonian route by a factor of 2; the equivalence tests measure
-  this, and the route is kept for cross-checking only.  When
-  ``e_c1 = e_c2 = 0`` (e.g. equal charge-to-mass ratios) every questionable
-  term vanishes and both routes agree.
+test-suite pins down.  The equations of motion are Hamilton's equations of
+the reduced Hamiltonian, differentiated numerically (central differences
+with one Richardson step).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .dynamics import Trajectory
-from .errors import DomainError, StepUnderflow
-from .model import canonical_momenta, cross_with_B, vector_potential
+from .dynamics import Trajectory, _solve
+from .errors import DomainError
+from .model import canonical_momenta, vector_potential
 
 
 @dataclass
@@ -260,24 +250,23 @@ def pseudomomentum_jacobi(spec, js):
 # equations of motion
 # ---------------------------------------------------------------------------
 
-_MODES = ("derived", "closed-form")
+# relative step of the numerical gradient of the reduced Hamiltonian
+FD_STEP = 1e-4
+
+# The differenced Coulomb terms of a pair at distance r are off by about
+# (FD_STEP / r)^4 relative, 1e-8 at this distance, and inside the stencil
+# the singularity is smoothed away so that a colliding pair bounces off.
+# integrate_jacobi reports any closer approach as a collision.
+COLLISION_FLOOR = 100 * FD_STEP
 
 
-def rhs_jacobi(spec, mode="derived", fd_step=1e-4):
-    """Right-hand side in the Jacobi frame.
+def rhs_jacobi(spec):
+    """Right-hand side ``f(t, z)`` on the flat shifted Jacobi vector ``z``.
 
-    Returns ``(f, pack, unpack)`` where ``f(t, z)`` is the flat RHS and
-    ``pack``/``unpack`` convert between a Cartesian ``(positions, velocities)``
-    pair and the flat vector ``z`` for the chosen mode.
+    Hamilton's equations of the reduced Hamiltonian, with the gradient taken
+    by central differences at steps ``FD_STEP * max(1, |z_k|)`` and half
+    that, combined by one Richardson step.
     """
-    if mode not in _MODES:
-        raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
-    if mode == "derived":
-        return _rhs_derived(spec, fd_step)
-    return _rhs_closed_form(spec)
-
-
-def _rhs_derived(spec, fd_step):
     c = _hc_constants(spec)
 
     def grad(z):
@@ -285,7 +274,7 @@ def _rhs_derived(spec, fd_step):
         zl = list(z)
         for k in range(12):
             base = zl[k]
-            h = fd_step * max(1.0, abs(base))
+            h = FD_STEP * max(1.0, abs(base))
             h2 = 0.5 * h
             zl[k] = base + h
             fp = _hc_flat(c, zl)
@@ -306,102 +295,24 @@ def _rhs_derived(spec, fd_step):
         # q-dot = dH/dp, p-dot = -dH/dq for the three canonical planar pairs
         return np.array(g[6:12] + [-x for x in g[0:6]])
 
-    def pack(positions, velocities):
-        return _flatten(apply_cc(spec, to_jacobi(spec, positions, velocities)))
-
-    def unpack(z):
-        return from_jacobi(spec, invert_cc(spec, _unflatten(z)))
-
-    return f, pack, unpack
+    return f
 
 
-def _rhs_closed_form(spec):
-    w = jacobi_weights(spec)
-    e1, e2, e3 = spec.charges
-    B, M, Q = spec.B, w.M, w.Q
-    mu3 = w.mu[2]
-    nu1, nu2 = w.nu1, w.nu2
-    ec1, ec2 = w.ec1, w.ec2
-    state = {"K": None}  # the constant pseudomomentum, fixed by pack()
-
-    def coulomb_terms(tau1, tau2):
-        d12 = tau1
-        d13 = tau2 + nu2 * tau1
-        d23 = tau2 - nu1 * tau1
-        n12 = np.hypot(*d12) ** 3
-        n13 = np.hypot(*d13) ** 3
-        n23 = np.hypot(*d23) ** 3
-        V1 = e1 * e2 * d12 / n12 - nu1 * e2 * e3 * d23 / n23 + nu2 * e1 * e3 * d13 / n13
-        V2 = e2 * e3 * d23 / n23 + e1 * e3 * d13 / n13
-        return V1, V2
-
-    def f(t, z):
-        R, tau1, tau2 = z[0:2], z[2:4], z[4:6]
-        Rd, t1d, t2d = z[6:8], z[8:10], z[10:12]
-        K = state["K"]
-        ER = ec1 * cross_with_B(t1d, B) + ec2 * cross_with_B(t2d, B)
-        E1 = (ec1 * Q * B ** 2 / (2 * M)) * R - (ec1 / M) * cross_with_B(K, B) \
-            - (ec1 * ec2 * B ** 2 / (2 * M)) * tau2 + mu3 * ec1 * cross_with_B(t2d, B)
-        E2 = (ec2 * Q * B ** 2 / (2 * M)) * R - (ec2 / M) * cross_with_B(K, B) \
-            - (ec1 * ec2 * B ** 2 / (2 * M)) * tau1 + mu3 * ec1 * cross_with_B(t1d, B)
-        V1, V2 = coulomb_terms(tau1, tau2)
-        Rdd = (Q * cross_with_B(Rd, B) - ER) / M
-        t1dd = (w.e1eff * cross_with_B(t1d, B) - (ec1 ** 2 * B ** 2 / (2 * M)) * tau1
-                + E1 + V1) / w.mt1
-        t2dd = (w.e2eff * cross_with_B(t2d, B) - (ec2 ** 2 * B ** 2 / (2 * M)) * tau2
-                + E2 + V2) / w.mt2
-        return np.concatenate([Rd, t1d, t2d, Rdd, t1dd, t2dd])
-
-    def pack(positions, velocities):
-        pos = np.asarray(positions, float).reshape(3, 2)
-        vel = np.asarray(velocities, float).reshape(3, 2)
-        js = to_jacobi(spec, pos, vel)
-        Rd = w.mu[0] * vel[0] + w.mu[1] * vel[1] + w.mu[2] * vel[2]
-        t1d = vel[1] - vel[0]
-        t2d = vel[2] - (nu1 * vel[0] + nu2 * vel[1])
-        state["K"] = (M * Rd - Q * cross_with_B(js.R, B)
-                      + ec1 * cross_with_B(js.tau1, B) + ec2 * cross_with_B(js.tau2, B))
-        return np.concatenate([js.R, js.tau1, js.tau2, Rd, t1d, t2d])
-
-    def unpack(z):
-        R, tau1, tau2 = z[0:2], z[2:4], z[4:6]
-        Rd, t1d, t2d = z[6:8], z[8:10], z[10:12]
-        S = R - mu3 * tau2
-        pos = np.stack([S - nu2 * tau1, S + nu1 * tau1, R + (w.mu[0] + w.mu[1]) * tau2])
-        Sd = Rd - mu3 * t2d
-        vel = np.stack([Sd - nu2 * t1d, Sd + nu1 * t1d, Rd + (w.mu[0] + w.mu[1]) * t2d])
-        return pos, vel
-
-    return f, pack, unpack
-
-
-def integrate_jacobi(spec, state, settings, mode="derived"):
+def integrate_jacobi(spec, state, settings):
     """Integrate in the Jacobi frame; samples are returned in Cartesian form.
 
     This is a validation path: the Cartesian integrator in
-    :mod:`magnetotrio.dynamics` is the authoritative one.  No collision event
-    is monitored here.
+    :mod:`magnetotrio.dynamics` is the authoritative one.  It shares that
+    integrator's sampling grid and collision event, with the collision
+    threshold raised to at least ``COLLISION_FLOOR``.
     """
-    f, pack, unpack = rhs_jacobi(spec, mode)
-    z0 = pack(state.positions, state.velocities)
-    t0, t1 = state.t, settings.t_end
-    t_eval = None
-    if settings.sample_interval is not None:
-        m = int(np.floor((t1 - t0) / settings.sample_interval + 1e-9))
-        t_eval = t0 + settings.sample_interval * np.arange(m + 1)
-        if t_eval[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
-            t_eval = np.append(t_eval, t1)
-        else:
-            t_eval[-1] = t1
-    sol = solve_ivp(f, (t0, t1), z0, method="DOP853",
-                    rtol=settings.rel_tol, atol=settings.abs_tol,
-                    max_step=settings.max_step if settings.max_step is not None else np.inf,
-                    t_eval=t_eval)
-    if sol.status < 0:
-        raise StepUnderflow(sol.message or "Jacobi-frame integration failed")
-    nt = sol.y.shape[1]
-    pos = np.empty((nt, 3, 2))
-    vel = np.empty((nt, 3, 2))
-    for k in range(nt):
-        pos[k], vel[k] = unpack(sol.y[:, k])
-    return Trajectory(spec, sol.t.copy(), pos, vel, {"nfev": int(sol.nfev)})
+    def unpack(z):
+        return from_jacobi(spec, invert_cc(spec, _unflatten(z)))
+
+    z0 = _flatten(apply_cc(spec, to_jacobi(spec, state.positions, state.velocities)))
+    floor = max(settings.collision_threshold, COLLISION_FLOOR)
+    t, z, stats = _solve(spec, rhs_jacobi(spec), z0, state.t,
+                         replace(settings, collision_threshold=floor),
+                         lambda y: unpack(y)[0])
+    pos, vel = zip(*map(unpack, z))
+    return Trajectory(spec, t, np.array(pos), np.array(vel), stats)

@@ -16,6 +16,7 @@ with no extra prefactor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,20 @@ def cross_with_B(v, B):
     return out
 
 
+@functools.cache
+def pair_index(n):
+    """Index arrays ``(I, J)`` of every pair ``I < J`` of n particles.
+
+    Pairs run in index order, (0, 1), (0, 2), ..., (n-2, n-1); every
+    pairwise quantity in the package is laid out in this order.  The
+    arrays are cached per n (building them costs more than one use) and
+    are read-only.
+    """
+    I, J = np.triu_indices(n, 1)
+    I.flags.writeable = J.flags.writeable = False
+    return I, J
+
+
 @dataclass
 class SystemSpec:
     """Charges, masses and the field strength defining a system.
@@ -51,11 +66,14 @@ class SystemSpec:
     ``charges`` and ``masses`` are 1d arrays of equal length n >= 1.  Masses
     must be positive; zero charges are allowed here (the rigid-rotation
     solvers reject them separately, since their algebra divides by charges).
+    ``pairs`` is the pair table ``(I, J, e_I e_J)`` over :func:`pair_index`,
+    built once per spec.
     """
 
     B: float
     charges: np.ndarray
     masses: np.ndarray
+    pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.B = float(self.B)
@@ -69,6 +87,8 @@ class SystemSpec:
             raise DomainError("charges and field must be finite")
         if not np.all(np.isfinite(self.masses)) or np.any(self.masses <= 0.0):
             raise DomainError("masses must be finite and positive")
+        I, J = pair_index(self.n)
+        self.pairs = (I, J, self.charges[I] * self.charges[J])
 
     @property
     def n(self):

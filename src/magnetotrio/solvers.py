@@ -44,6 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .dynamics import accelerations
 from .errors import (DegenerateError, DomainError, NonConvergence,
                      NoSolution, ValidityError)
 from .model import PhaseState, SystemSpec, classify_system
@@ -467,21 +468,6 @@ def build_initial_state(solution, spec):
     return spec_b, PhaseState(np.array(pos, float), np.array(vel, float))
 
 
-def _accelerations(spec, pos, vel):
-    e = spec.charges
-    m = spec.masses
-    acc = np.zeros_like(pos)
-    for i in range(spec.n):
-        acc[i] = e[i] / m[i] * np.array([vel[i, 1] * spec.B,
-                                         -vel[i, 0] * spec.B])
-        for j in range(spec.n):
-            if j == i:
-                continue
-            d = pos[i] - pos[j]
-            acc[i] += e[i] * e[j] / m[i] * d / np.linalg.norm(d)**3
-    return acc
-
-
 def newton_balance(solution, spec):
     """Relative mismatch between the exact Newtonian accelerations of the
     built state and the rigid-rotation kinematics it claims.
@@ -490,7 +476,7 @@ def newton_balance(solution, spec):
     for algebra-only roots whose sign sector does not match.
     """
     spec_b, state = build_initial_state(solution, spec)
-    acc = _accelerations(spec_b, state.positions, state.velocities)
+    acc = accelerations(spec_b, state.positions, state.velocities)
     sigma = _signed(solution)
     w = sigma * solution.omega
     if solution.config == "I" and solution.v[2] != 0.0:

@@ -174,7 +174,7 @@ def test_05_center_of_mass_split_matches_cartesian():
     horizon = 10.0 * 2.0 * math.pi / sol.omega
     settings = _tight(horizon, horizon / 300.0)
     cartesian = integrate(spec_b, state, settings)
-    transformed = integrate_jacobi(spec_b, state, settings, mode="derived")
+    transformed = integrate_jacobi(spec_b, state, settings)
     deviation = np.max(np.abs(cartesian.positions - transformed.positions))
     assert deviation < 1e-6
 

@@ -22,6 +22,12 @@ def _orbit_system(tmp_path):
                   format_system(spec, PhaseState(pos, vel)))
 
 
+# an attracting pair at rest next to a distant third charge, B = 0: the
+# pair falls straight into itself at t ~ 0.8
+_TRIO = ("B 0\nparticle 1 1\nposition -0.5 0\nparticle -1 1\nposition 0.5 0\n"
+         "particle 1 1\nposition 5 0\n")
+
+
 def _spec4_system(tmp_path):
     return _write(tmp_path, "mixed.system",
                   "B 1\nparticle 3 1\nparticle -1 1\nparticle 1 3\n")
@@ -57,13 +63,26 @@ class TestSimulate:
         assert rc == 3
         assert "initial state" in capsys.readouterr().err
 
-    def test_collision_exit_code(self, tmp_path, capsys):
-        sys_path = _write(tmp_path, "pair.system",
-                          "B 0.1\nparticle 1 1\nposition -0.5 0\n"
-                          "particle -1 1\nposition 0.5 0\n")
-        rc = main(["simulate", sys_path, "--t-end", "5"])
+    @pytest.mark.parametrize("text, mode, t_end", [
+        ("B 0.1\nparticle 1 1\nposition -0.5 0\n"
+         "particle -1 1\nposition 0.5 0\n", "newton", "5"),
+        (_TRIO, "newton", "2"),
+        (_TRIO, "derived", "2"),
+    ], ids=["pair-newton", "trio-newton", "trio-derived"])
+    def test_collision_exit_code(self, tmp_path, capsys, text, mode, t_end):
+        sys_path = _write(tmp_path, "pair.system", text)
+        rc = main(["simulate", sys_path, "--t-end", t_end, "--mode", mode])
         assert rc == 2
         assert "collision" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["newton", "derived"])
+    @pytest.mark.parametrize("dt", ["0", "-1", "nan"])
+    def test_sample_interval_must_be_positive(self, tmp_path, capsys, mode, dt):
+        sys_path = _orbit_system(tmp_path)
+        rc = main(["simulate", sys_path, "--t-end", "1", "--mode", mode,
+                   "--sample-every", dt])
+        assert rc == 1
+        assert "sample_interval must be positive" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["simulate", str(tmp_path / "nope.system")])
@@ -161,17 +180,6 @@ class TestFindAndVerify:
         rc = main(["verify", str(traj), sys_path])
         assert rc == 3
         assert "truncated" in capsys.readouterr().err
-
-    def test_grid_order_independent_of_thread_count(self, tmp_path, monkeypatch):
-        sys_path = _spec4_system(tmp_path)
-        texts = []
-        for threads, sub in (("1", "t1"), ("4", "t4")):
-            monkeypatch.setenv("MAGNETOTRIO_THREADS", threads)
-            rc = main(["find", sys_path, "--config", "II", "--grid-points", "3",
-                       "--out-dir", str(tmp_path / sub)])
-            assert rc == 0
-            texts.append((tmp_path / sub / "mixed.II.catalog.csv").read_bytes())
-        assert texts[0] == texts[1]
 
 
 class TestBrackets:

@@ -5,6 +5,7 @@ from magnetotrio import (CollisionError, IntegratorSettings, PhaseState,
                          SpecParseError, SystemSpec, Trajectory, accelerations,
                          integrate, pair_distances, read_trajectory_csv,
                          rigidity_report, write_trajectory_csv)
+from magnetotrio.invariants import coulomb_energy
 
 
 def larmor_spec():
@@ -89,6 +90,47 @@ class TestSampling:
 def test_pair_distances_index_order():
     pos = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
     assert np.allclose(pair_distances(pos), [3.0, 4.0, 5.0])
+
+
+def _double_loop(spec, pos, vel):
+    """Reference for the pair table: accelerations, pair distances and
+    Coulomb energy of one state by a brute-force loop over the pairs."""
+    e, m, n = spec.charges, spec.masses, spec.n
+    acc = np.array([[v[1] * spec.B, -v[0] * spec.B] for v in vel]) * e[:, None]
+    dist, energy = [], 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = pos[i] - pos[j]
+            r = float(np.hypot(d[0], d[1]))
+            acc[i] += e[i] * e[j] * d / r ** 3
+            acc[j] -= e[i] * e[j] * d / r ** 3
+            dist.append(r)
+            energy += e[i] * e[j] / r
+    return acc / m[:, None], np.array(dist), energy
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_pair_table_matches_double_loop(n):
+    rng = np.random.default_rng(100 + n)
+    spec = SystemSpec(B=rng.uniform(-2.0, 2.0), charges=rng.uniform(-2.0, 2.0, n),
+                      masses=rng.uniform(0.5, 2.0, n))
+    positions = rng.uniform(-3.0, 3.0, (6, n, 2))
+    velocities = rng.uniform(-1.0, 1.0, (6, n, 2))
+    refs = [_double_loop(spec, p, v) for p, v in zip(positions, velocities)]
+    for p, v, (acc, dist, energy) in zip(positions, velocities, refs):
+        np.testing.assert_allclose(accelerations(spec, p, v), acc, rtol=1e-13)
+        np.testing.assert_allclose(pair_distances(p), dist, rtol=1e-13)
+        assert coulomb_energy(spec, p) == pytest.approx(energy, rel=1e-13)
+    # the same tables over a leading sample axis
+    np.testing.assert_allclose(pair_distances(positions),
+                               [dist for _, dist, _ in refs], rtol=1e-13)
+    np.testing.assert_allclose(coulomb_energy(spec, positions),
+                               [energy for _, _, energy in refs], rtol=1e-13)
+    d0 = refs[0][1]
+    dev = np.max([np.abs(dist - d0) / d0 for _, dist, _ in refs], axis=0)
+    rep = rigidity_report(Trajectory(spec, np.arange(6.0), positions, velocities))
+    np.testing.assert_allclose(rep.max_deviation, dev, rtol=1e-13)
+    assert len(rep.pairs) == n * (n - 1) // 2
 
 
 class TestRigidity:

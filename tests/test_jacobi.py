@@ -76,19 +76,9 @@ class TestIntegration:
         settings = IntegratorSettings(t_end=2.0, rel_tol=1e-12, abs_tol=1e-12,
                                       sample_interval=0.25)
         ref = integrate(spec, state, settings)
-        jac = integrate_jacobi(spec, state.copy(), settings, mode="derived")
+        jac = integrate_jacobi(spec, state.copy(), settings)
         assert np.allclose(jac.t, ref.t)
         assert np.max(np.abs(jac.positions - ref.positions)) < 1e-7
-
-    def test_modes_agree_when_couplings_vanish(self):
-        # with e_c1 = e_c2 = 0 the fixed-coefficient route has no suspect
-        # terms left, so both must produce the same flow
-        spec, pos, vel = electron_orbit()
-        settings = IntegratorSettings(t_end=2.0, rel_tol=1e-12, abs_tol=1e-12,
-                                      sample_interval=0.5)
-        a = integrate_jacobi(spec, PhaseState(pos, vel), settings, mode="derived")
-        b = integrate_jacobi(spec, PhaseState(pos, vel), settings, mode="closed-form")
-        assert np.max(np.abs(a.positions - b.positions)) < 1e-8
 
     def test_returns_cartesian_samples(self, spec4, rng):
         pos, vel = separated_state(rng, 3, min_sep=1.0)
@@ -97,8 +87,3 @@ class TestIntegration:
         assert traj.positions.shape == (3, 3, 2)
         assert traj.velocities.shape == (3, 3, 2)
 
-    def test_unknown_mode_rejected(self, spec4, rng):
-        pos, vel = separated_state(rng, 3)
-        with pytest.raises(DomainError):
-            integrate_jacobi(spec4, PhaseState(pos, vel),
-                             IntegratorSettings(t_end=0.1), mode="exact")
