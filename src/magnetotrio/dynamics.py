@@ -204,25 +204,26 @@ def trajectory_header(n):
     return cols
 
 
-def write_trajectory_csv(traj, path):
-    n = traj.positions.shape[1]
+def _write_csv(path, header, data):
+    """Write the columns ``header`` and the rows of the 2-D array ``data``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(trajectory_header(n)) + "\n")
-        for k in range(traj.n_samples):
-            row = [f"{traj.t[k]:.17g}"]
-            for i in range(n):
-                row.append(f"{traj.positions[k, i, 0]:.17g}")
-                row.append(f"{traj.positions[k, i, 1]:.17g}")
-                row.append(f"{traj.velocities[k, i, 0]:.17g}")
-                row.append(f"{traj.velocities[k, i, 1]:.17g}")
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in data.tolist():
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
+def write_trajectory_csv(traj, path):
+    nt, n = traj.positions.shape[:2]
+    state = np.concatenate([traj.positions, traj.velocities], axis=-1)
+    _write_csv(path, trajectory_header(n),
+               np.column_stack([traj.t, state.reshape(nt, 4 * n)]))
 
 
 def read_trajectory_csv(path, spec):
     """Read a trajectory written by :func:`write_trajectory_csv`.
 
-    Raises :class:`SpecParseError` (with the line number) on malformed or
-    truncated rows.
+    Raises :class:`SpecParseError` (with the line number) on malformed,
+    truncated or non-finite rows and on times that do not increase.
     """
     n = spec.n
     expected = 1 + 4 * n
@@ -235,7 +236,7 @@ def read_trajectory_csv(path, spec):
         raise SpecParseError(
             f"unexpected header for an n={n} system: {lines[0]!r}", line=1
         )
-    t, pos, vel = [], [], []
+    rows = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -249,10 +250,13 @@ def read_trajectory_csv(path, spec):
             vals = [float(p) for p in parts]
         except ValueError:
             raise SpecParseError(f"non-numeric value in row", line=line_no) from None
-        t.append(vals[0])
-        rows = np.array(vals[1:]).reshape(n, 4)
-        pos.append(rows[:, 0:2])
-        vel.append(rows[:, 2:4])
-    if not t:
+        if not all(map(math.isfinite, vals)):
+            raise SpecParseError("non-finite value in row", line=line_no)
+        if rows and vals[0] <= rows[-1][0]:
+            raise SpecParseError(f"t = {vals[0]!r} does not increase", line=line_no)
+        rows.append(vals)
+    if not rows:
         raise SpecParseError("trajectory file has a header but no rows")
-    return Trajectory(spec, np.array(t), np.array(pos), np.array(vel))
+    data = np.array(rows)
+    state = data[:, 1:].reshape(-1, n, 4)
+    return Trajectory(spec, data[:, 0], state[..., 0:2], state[..., 2:4])

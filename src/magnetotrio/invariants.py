@@ -14,6 +14,10 @@ kinetic energies, one pseudomomentum component of particle 3, and the radial
 pairing ``tau1 . p_tau1``) are constants only along the special rigid-rotation
 trajectories; along generic trajectories they drift at O(1).
 
+Every quantity takes positions and velocities of shape (..., n, 2) and
+returns one value per leading index (per particle where it is per-particle),
+so one state gives a scalar and a stack of samples is evaluated in one pass.
+
 Poisson brackets are evaluated numerically in canonical coordinates
 ``(rho, p)`` with central differences plus one step of Richardson
 extrapolation.  The two-step estimates are compared and a disagreement beyond
@@ -26,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import pair_distances
+from .dynamics import _write_csv, pair_distances
 from .errors import DomainError, NumericalInstability
-from .model import canonical_momenta, vector_potential
+from .model import _velocities_from_momenta, canonical_momenta, vector_potential
 
 
 # ---------------------------------------------------------------------------
@@ -36,46 +40,45 @@ from .model import canonical_momenta, vector_potential
 # ---------------------------------------------------------------------------
 
 def kinetic_energies(spec, velocities):
-    v = np.asarray(velocities, float).reshape(-1, 2)
-    return 0.5 * spec.masses * np.einsum("ij,ij->i", v, v)
+    v = np.asarray(velocities, float)
+    return 0.5 * spec.masses * np.einsum("...ij,...ij->...i", v, v)
 
 
 def coulomb_energy(spec, positions):
-    """Sum of ``e_i e_j / rho_ij`` over all pairs; positions of shape
-    (..., n, 2) give energies of shape (...)."""
+    """Sum of ``e_i e_j / rho_ij`` over all pairs."""
     return (spec.pairs[2] / pair_distances(positions)).sum(axis=-1)
 
 
 def hamiltonian(spec, positions, velocities):
-    return float(kinetic_energies(spec, velocities).sum() + coulomb_energy(spec, positions))
+    return kinetic_energies(spec, velocities).sum(axis=-1) + coulomb_energy(spec, positions)
 
 
 def particle_pseudomomenta(spec, positions, velocities):
-    """Individual ``k_i = p_i + e_i A(rho_i) = m_i v_i + 2 e_i A(rho_i)``, (n, 2)."""
+    """Individual ``k_i = p_i + e_i A(rho_i) = m_i v_i + 2 e_i A(rho_i)``."""
     A = vector_potential(positions, spec.B)
-    v = np.asarray(velocities, float).reshape(-1, 2)
+    v = np.asarray(velocities, float)
     return spec.masses[:, None] * v + 2.0 * spec.charges[:, None] * A
 
 
 def pseudomomentum(spec, positions, velocities):
-    return particle_pseudomomenta(spec, positions, velocities).sum(axis=0)
+    return particle_pseudomomenta(spec, positions, velocities).sum(axis=-2)
 
 
 def individual_angular_momenta(spec, positions, velocities):
     """Canonical ``l_zi = (rho_i x p_i)_z`` per particle."""
-    pos = np.asarray(positions, float).reshape(-1, 2)
+    pos = np.asarray(positions, float)
     p = canonical_momenta(spec, pos, velocities)
-    return pos[:, 0] * p[:, 1] - pos[:, 1] * p[:, 0]
+    return pos[..., 0] * p[..., 1] - pos[..., 1] * p[..., 0]
 
 
 def angular_momentum(spec, positions, velocities):
-    return float(individual_angular_momenta(spec, positions, velocities).sum())
+    return individual_angular_momenta(spec, positions, velocities).sum(axis=-1)
 
 
 def casimir(spec, positions, velocities):
     K = pseudomomentum(spec, positions, velocities)
     Lz = angular_momentum(spec, positions, velocities)
-    return float(K[0] ** 2 + K[1] ** 2 - 2.0 * spec.total_charge * spec.B * Lz)
+    return K[..., 0] ** 2 + K[..., 1] ** 2 - 2.0 * spec.total_charge * spec.B * Lz
 
 
 def pair_virial(spec, positions, velocities):
@@ -87,20 +90,21 @@ def pair_virial(spec, positions, velocities):
     """
     if spec.n < 2:
         raise DomainError("pair_virial needs at least two particles")
-    pos = np.asarray(positions, float).reshape(-1, 2)
+    pos = np.asarray(positions, float)
     p = canonical_momenta(spec, pos, velocities)
     m1, m2 = spec.masses[0], spec.masses[1]
     nu1, nu2 = m1 / (m1 + m2), m2 / (m1 + m2)
-    tau1 = pos[1] - pos[0]
-    ptau1 = nu1 * p[1] - nu2 * p[0]
-    return float(tau1 @ ptau1)
+    tau1 = pos[..., 1, :] - pos[..., 0, :]
+    ptau1 = nu1 * p[..., 1, :] - nu2 * p[..., 0, :]
+    return (tau1 * ptau1).sum(axis=-1)
 
 
 def third_pseudomomentum_x(spec, positions, velocities):
     """x-component of particle 3's individual pseudomomentum."""
     if spec.n < 3:
         raise DomainError("third_pseudomomentum_x needs three particles")
-    return float(particle_pseudomomenta(spec, positions, velocities)[2, 0])
+    # [()] turns the 0-d array of a single state into a scalar
+    return particle_pseudomomenta(spec, positions, velocities)[..., 2, 0][()]
 
 
 @dataclass
@@ -136,35 +140,19 @@ def invariant_columns(n):
 
 def invariant_samples(traj):
     """Evaluate all reported quantities at every sample, shape (nt, ncols)."""
-    spec = traj.spec
-    n = spec.n
-    rows = np.empty((traj.n_samples, len(invariant_columns(n))))
-    for k in range(traj.n_samples):
-        pos, vel = traj.positions[k], traj.velocities[k]
-        K = pseudomomentum(spec, pos, vel)
-        row = [
-            traj.t[k],
-            hamiltonian(spec, pos, vel),
-            K[0],
-            K[1],
-            angular_momentum(spec, pos, vel),
-            casimir(spec, pos, vel),
-        ]
-        row += list(individual_angular_momenta(spec, pos, vel))
-        row += list(kinetic_energies(spec, vel))
-        if n == 3:
-            row += [third_pseudomomentum_x(spec, pos, vel), pair_virial(spec, pos, vel)]
-        rows[k] = row
-    return rows
+    spec, pos, vel = traj.spec, traj.positions, traj.velocities
+    K = pseudomomentum(spec, pos, vel)
+    cols = [traj.t, hamiltonian(spec, pos, vel), K[:, 0], K[:, 1],
+            angular_momentum(spec, pos, vel), casimir(spec, pos, vel),
+            individual_angular_momenta(spec, pos, vel), kinetic_energies(spec, vel)]
+    if spec.n == 3:
+        cols += [third_pseudomomentum_x(spec, pos, vel), pair_virial(spec, pos, vel)]
+    return np.column_stack(cols)
 
 
 def write_invariant_csv(traj, path):
-    cols = invariant_columns(traj.spec.n)
     data = invariant_samples(traj)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in data:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    _write_csv(path, invariant_columns(traj.spec.n), data)
     return data
 
 
@@ -188,8 +176,7 @@ def _pack(spec, positions, velocities):
 def _eval_on_z(func, spec, z):
     n = spec.n
     pos = z[: 2 * n].reshape(n, 2)
-    p = z[2 * n:].reshape(n, 2)
-    vel = (p - spec.charges[:, None] * vector_potential(pos, spec.B)) / spec.masses[:, None]
+    vel = _velocities_from_momenta(spec, pos, z[2 * n:].reshape(n, 2))
     return func(spec, pos, vel)
 
 

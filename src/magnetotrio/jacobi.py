@@ -43,7 +43,7 @@ import numpy as np
 
 from .dynamics import Trajectory, _solve
 from .errors import DomainError
-from .model import canonical_momenta, vector_potential
+from .model import _velocities_from_momenta, canonical_momenta, vector_potential
 
 
 @dataclass
@@ -126,23 +126,26 @@ def to_jacobi(spec, positions, velocities):
 
 
 def from_jacobi(spec, js):
-    """Inverse of :func:`to_jacobi`: returns ``(positions, velocities)``."""
+    """Inverse of :func:`to_jacobi`: returns ``(positions, velocities)``.
+
+    The fields of ``js`` may carry a leading sample axis, shape (..., 2);
+    the results then have shape (..., 3, 2).
+    """
     w = jacobi_weights(spec)
     S = js.R - w.mu[2] * js.tau2
     pos = np.stack([
         S - w.nu2 * js.tau1,
         S + w.nu1 * js.tau1,
         js.R + (w.mu[0] + w.mu[1]) * js.tau2,
-    ])
+    ], axis=-2)
     p3 = w.mu[2] * js.P + js.ptau2
     p12 = js.P - p3
     p = np.stack([
         w.nu1 * p12 - js.ptau1,
         w.nu2 * p12 + js.ptau1,
         p3,
-    ])
-    vel = (p - spec.charges[:, None] * vector_potential(pos, spec.B)) / spec.masses[:, None]
-    return pos, vel
+    ], axis=-2)
+    return pos, _velocities_from_momenta(spec, pos, p)
 
 
 def apply_cc(spec, js):
@@ -232,7 +235,8 @@ def _flatten(js):
 
 def _unflatten(z):
     z = np.asarray(z, float)
-    return JacobiState(z[0:2], z[2:4], z[4:6], z[6:8], z[8:10], z[10:12])
+    return JacobiState(z[..., 0:2], z[..., 2:4], z[..., 4:6],
+                       z[..., 6:8], z[..., 8:10], z[..., 10:12])
 
 
 def hamiltonian_jacobi(spec, js):
@@ -314,5 +318,4 @@ def integrate_jacobi(spec, state, settings):
     t, z, stats = _solve(spec, rhs_jacobi(spec), z0, state.t,
                          replace(settings, collision_threshold=floor),
                          lambda y: unpack(y)[0])
-    pos, vel = zip(*map(unpack, z))
-    return Trajectory(spec, t, np.array(pos), np.array(vel), stats)
+    return Trajectory(spec, t, *unpack(z), stats)

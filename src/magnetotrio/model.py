@@ -127,9 +127,15 @@ class PhaseState:
 
 
 def canonical_momenta(spec, positions, velocities):
-    """Canonical momenta ``p_i = m_i v_i + e_i A(rho_i)``, shape (n, 2)."""
+    """Canonical momenta ``p_i = m_i v_i + e_i A(rho_i)``, shape (..., n, 2)."""
     A = vector_potential(positions, spec.B)
     return spec.masses[:, None] * np.asarray(velocities, float) + spec.charges[:, None] * A
+
+
+def _velocities_from_momenta(spec, positions, momenta):
+    """Inverse of :func:`canonical_momenta`: ``v_i = (p_i - e_i A(rho_i)) / m_i``."""
+    A = vector_potential(positions, spec.B)
+    return (momenta - spec.charges[:, None] * A) / spec.masses[:, None]
 
 
 @dataclass
@@ -225,9 +231,12 @@ def _parse_floats(parts, count, line_no):
     if len(parts) != count:
         raise SpecParseError(f"expected {count} numeric value(s), got {len(parts)}", line_no)
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError:
         raise SpecParseError(f"could not parse number in {parts!r}", line_no) from None
+    if not np.all(np.isfinite(vals)):
+        raise SpecParseError(f"non-finite number in {parts!r}", line_no)
+    return vals
 
 
 def parse_system(text):

@@ -44,7 +44,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import accelerations
+from . import dynamics
+from .dynamics import IntegratorSettings, accelerations, rigidity_report
 from .errors import (DegenerateError, DomainError, NonConvergence,
                      NoSolution, ValidityError)
 from .model import PhaseState, SystemSpec, classify_system
@@ -135,7 +136,9 @@ def residuals_config_I(spec, v1, v2, v3, omega, omega3):
                      _config_I_terms(spec, v1, v2, v3, omega, omega3)])
 
 
-def _collinear_terms(charges, masses, v, omega, B, signs):
+def _collinear_terms(charges, masses, v, omega, B, s=1):
+    # balance rows at signed speeds v; the (i, j) Coulomb term carries the
+    # sign s for j > i and -s for j < i (s = 1: the ordering v1 < ... < vn)
     n = len(v)
     rows = []
     for i in range(n):
@@ -143,16 +146,10 @@ def _collinear_terms(charges, masses, v, omega, B, signs):
         for j in range(n):
             if j == i:
                 continue
-            row.append(signs[i][j] * charges[i] * charges[j] * omega**2
+            row.append((s if j > i else -s) * charges[i] * charges[j] * omega**2
                        / (v[i] - v[j])**2)
         rows.append(row)
     return rows
-
-
-def _signs_nbody(n):
-    # attraction/repulsion bookkeeping for the ordering v1 < v2 < ... < vn
-    return [[0 if i == j else (1 if j > i else -1) for j in range(n)]
-            for i in range(n)]
 
 
 def residuals_nbody_II(spec, v, omega, B):
@@ -167,8 +164,7 @@ def residuals_nbody_II(spec, v, omega, B):
         raise DomainError("speed vector length must equal the particle count")
     if spec.n < 3:
         raise DomainError("collinear rigid rotations need at least 3 charges")
-    rows = _collinear_terms(spec.charges, spec.masses, v, omega, B,
-                            _signs_nbody(spec.n))
+    rows = _collinear_terms(spec.charges, spec.masses, v, omega, B)
     return np.array([math.fsum(r) for r in rows])
 
 
@@ -179,28 +175,15 @@ def residuals_config_II(spec, v, omega, B):
     return residuals_nbody_II(spec, v, omega, B)
 
 
-def _config_III_terms(spec, v, omega, B):
-    e1, e2, e3 = spec.charges
-    m1, m2, m3 = spec.masses
-    v1, v2, v3 = v
-    return [
-        [B * e1 * v1, -m1 * v1 * omega,
-         -e1 * e2 * omega**2 / (v1 - v2)**2,
-         -e1 * e3 * omega**2 / (v1 + v3)**2],
-        [B * e2 * v2, -m2 * v2 * omega,
-         -e2 * e3 * omega**2 / (v2 + v3)**2,
-         e2 * e1 * omega**2 / (v1 - v2)**2],
-        [-B * e3 * v3, m3 * v3 * omega,
-         e3 * e1 * omega**2 / (v1 + v3)**2,
-         e3 * e2 * omega**2 / (v2 + v3)**2],
-    ]
-
-
 def residuals_config_III(spec, v, omega, B):
-    """Raw residuals (length 3) of the Configuration-III (anti-phase) system."""
+    """Raw residuals (length 3) of the Configuration-III (anti-phase) system:
+    the collinear rows at signed speeds (v1, v2, -v3) with the Coulomb signs
+    reversed."""
     if spec.n != 3:
         raise DomainError("Configuration III is a three-charge system")
-    return np.array([math.fsum(t) for t in _config_III_terms(spec, v, omega, B)])
+    v1, v2, v3 = v
+    rows = _collinear_terms(spec.charges, spec.masses, (v1, v2, -v3), omega, B, -1)
+    return np.array([math.fsum(r) for r in rows])
 
 
 def _relative_norm(term_rows):
@@ -495,10 +478,10 @@ def newton_balance(solution, spec):
 
 
 def _rigidity_of(spec_b, state, t_end, **kw):
-    from .dynamics import IntegratorSettings, integrate, rigidity_report
     settings = IntegratorSettings(t_end=t_end, rel_tol=1e-10, abs_tol=1e-10,
                                   sample_interval=t_end / 200.0, **kw)
-    traj = integrate(spec_b, state, settings)
+    # looked up at call time, so bench/spans.py traces these integrations
+    traj = dynamics.integrate(spec_b, state, settings)
     return rigidity_report(traj).worst
 
 
@@ -693,9 +676,9 @@ def _p6_roots_v1(spec, v2, v3, points_per_decade, decades, polish_tol,
 def _collinear_solution(spec, v, config, branch):
     """Assemble + certify one collinear root (positive speed tuple ``v``)."""
     if config == "III":
-        vs = (v[0], v[1], -v[2])   # map to the common signed form
+        vs, s = (v[0], v[1], -v[2]), -1   # map to the common signed form
     else:
-        vs = tuple(v)
+        vs, s = tuple(v), 1
     kap = collinear_kappa(spec, vs)
     if config == "II":
         B = closed_form_B_II(spec, *vs)
@@ -708,14 +691,7 @@ def _collinear_solution(spec, v, config, branch):
         raise DegenerateError("frequency closed form degenerates")
     if B == 0.0 or not math.isfinite(B):
         raise DegenerateError("field closed form degenerates")
-    if config == "II":
-        terms = _collinear_terms(spec.charges, spec.masses, v, omega_signed,
-                                 B, _signs_nbody(3))
-    elif config == "III":
-        terms = _config_III_terms(spec, v, omega_signed, B)
-    else:
-        terms = _collinear_terms(spec.charges, spec.masses, v, omega_signed,
-                                 B, _signs_nbody(len(v)))
+    terms = _collinear_terms(spec.charges, spec.masses, vs, omega_signed, B, s)
     sense = "cw" if omega_signed > 0 else "ccw"
     sol = ConfigSolution(
         config=config, branch=branch, v=tuple(abs(x) for x in v),

@@ -95,6 +95,18 @@ class TestSimulate:
         assert rc == 3
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, line", [
+        ("B 1\nparticle 1 1\nposition nan 0\n", 3),
+        ("B inf\nparticle 1 1\nposition 0 0\n", 1),
+        ("B 1\nparticle nan 1\nposition 0 0\n", 2),
+        ("B 1\nparticle 1 1\nposition 0 0\nvelocity 0 -inf\n", 4),
+    ], ids=["position-nan", "field-inf", "charge-nan", "velocity-inf"])
+    def test_non_finite_number_reports_line(self, tmp_path, capsys, text, line):
+        sys_path = _write(tmp_path, "bad.system", text)
+        rc = main(["simulate", sys_path])
+        assert rc == 3
+        assert f"line {line}: non-finite" in capsys.readouterr().err
+
     def test_transformed_frame_mode(self, tmp_path):
         sys_path = _orbit_system(tmp_path)
         rc = main(["simulate", sys_path, "--t-end", "1", "--mode", "derived",
@@ -180,6 +192,23 @@ class TestFindAndVerify:
         rc = main(["verify", str(traj), sys_path])
         assert rc == 3
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda lines: lines.__setitem__(2, "nan" + lines[2][lines[2].index(","):]),
+         "line 3: non-finite"),
+        (lambda lines: lines.__setitem__(3, lines[2]), "line 4: t ="),
+    ], ids=["nan-cell", "repeated-t"])
+    def test_verify_rejects_bad_rows(self, tmp_path, capsys, tamper, message):
+        sys_path = _orbit_system(tmp_path)
+        assert main(["simulate", sys_path, "--t-end", "2",
+                     "--sample-every", "0.5"]) == 0
+        traj = tmp_path / "orbit.trajectory.csv"
+        lines = traj.read_text().splitlines()
+        tamper(lines)
+        traj.write_text("\n".join(lines) + "\n")
+        rc = main(["verify", str(traj), sys_path])
+        assert rc == 3
+        assert message in capsys.readouterr().err
 
 
 class TestBrackets:

@@ -193,6 +193,32 @@ class TestTrajectoryCsv:
         assert err.value.line == 4
         assert "truncated" in str(err.value)
 
+    def test_non_finite_cell_reports_line(self, tmp_path):
+        spec, traj = self._short_trajectory()
+        path = tmp_path / "orbit.csv"
+        write_trajectory_csv(traj, path)
+        lines = path.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[3] = "nan"
+        lines[2] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpecParseError) as err:
+            read_trajectory_csv(path, spec)
+        assert err.value.line == 3
+        assert "non-finite" in str(err.value)
+
+    def test_non_increasing_time_reports_line(self, tmp_path):
+        spec, traj = self._short_trajectory()
+        path = tmp_path / "orbit.csv"
+        write_trajectory_csv(traj, path)
+        lines = path.read_text().splitlines()
+        lines[3], lines[4] = lines[4], lines[3]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpecParseError) as err:
+            read_trajectory_csv(path, spec)
+        assert err.value.line == 5
+        assert "does not increase" in str(err.value)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "orbit.csv"
         path.write_text("")

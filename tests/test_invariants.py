@@ -8,8 +8,10 @@ from magnetotrio import (DomainError, IntegratorSettings, PhaseState,
                          involution_check, pair_virial, poisson_bracket,
                          pseudomomentum, special_trajectory_quantities,
                          standard_quantities, third_pseudomomentum_x)
-from magnetotrio.invariants import (coulomb_energy, invariant_columns,
-                                    kinetic_energies, write_invariant_csv)
+from magnetotrio.invariants import (coulomb_energy, individual_angular_momenta,
+                                    invariant_columns, invariant_samples,
+                                    kinetic_energies, particle_pseudomomenta,
+                                    write_invariant_csv)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +47,71 @@ class TestDefinitions:
             pair_virial(one, np.zeros((1, 2)), np.zeros((1, 2)))
         with pytest.raises(DomainError):
             third_pseudomomentum_x(two, np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+# (quantity, smallest n it is defined for, returns one scalar per state)
+_QUANTITIES = [
+    (lambda s, q, v: kinetic_energies(s, v), 1, False),
+    (lambda s, q, v: coulomb_energy(s, q), 1, True),
+    (hamiltonian, 1, True),
+    (particle_pseudomomenta, 1, False),
+    (pseudomomentum, 1, False),
+    (individual_angular_momenta, 1, False),
+    (angular_momentum, 1, True),
+    (casimir, 1, True),
+    (pair_virial, 2, True),
+    (third_pseudomomentum_x, 3, True),
+]
+
+
+def _rows_one_by_one(traj):
+    """Invariant rows assembled sample by sample, one state per call."""
+    spec, rows = traj.spec, []
+    for k in range(traj.n_samples):
+        pos, vel = traj.positions[k], traj.velocities[k]
+        K = pseudomomentum(spec, pos, vel)
+        row = [traj.t[k], hamiltonian(spec, pos, vel), K[0], K[1],
+               angular_momentum(spec, pos, vel), casimir(spec, pos, vel)]
+        row += list(individual_angular_momenta(spec, pos, vel))
+        row += list(kinetic_energies(spec, vel))
+        if spec.n == 3:
+            row += [third_pseudomomentum_x(spec, pos, vel), pair_virial(spec, pos, vel)]
+        rows.append(row)
+    return np.array(rows)
+
+
+def _close(a, b):
+    return np.all(np.abs(a - b) <= 1e-14 * np.maximum(1.0, np.abs(b)))
+
+
+class TestBatchEvaluation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_stack_matches_per_state_loop(self, n, rng):
+        spec = SystemSpec(B=1.3, charges=rng.uniform(-2.0, 2.0, n),
+                          masses=rng.uniform(0.5, 2.0, n))
+        states = [separated_state(rng, n) for _ in range(7)]
+        pos = np.array([q for q, _ in states])
+        vel = np.array([v for _, v in states])
+        for func, n_min, scalar in _QUANTITIES:
+            if n < n_min:
+                continue
+            one = [func(spec, q, v) for q, v in states]
+            if scalar:
+                assert all(isinstance(x, float) for x in one)
+            batch = func(spec, pos, vel)
+            assert batch.shape == np.shape(one)
+            assert _close(batch, np.array(one))
+
+    def test_invariant_samples_match_row_by_row(self, orbit_trajectory):
+        _, traj = orbit_trajectory
+        assert _close(invariant_samples(traj), _rows_one_by_one(traj))
+
+    def test_invariant_samples_four_charges(self, rng):
+        spec = SystemSpec(B=0.7, charges=(1.0, 1.2, 0.9, 1.1), masses=(1.0, 2.0, 1.5, 0.8))
+        pos, vel = separated_state(rng, 4, min_sep=1.0)
+        traj = integrate(spec, PhaseState(pos, vel),
+                         IntegratorSettings(t_end=2.0, sample_interval=0.25))
+        assert _close(invariant_samples(traj), _rows_one_by_one(traj))
 
 
 class TestConservation:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from conftest import electron_orbit, separated_state
 
-from magnetotrio import (DomainError, IntegratorSettings, PhaseState,
-                         SystemSpec, apply_cc, charge_coefficients,
+from magnetotrio import (DomainError, IntegratorSettings, JacobiState,
+                         PhaseState, SystemSpec, apply_cc, charge_coefficients,
                          from_jacobi, hamiltonian, hamiltonian_jacobi,
                          integrate, integrate_jacobi, invert_cc,
                          jacobi_weights, pseudomomentum, pseudomomentum_jacobi,
@@ -50,6 +50,19 @@ class TestRoundTrips:
         for field in ("R", "tau1", "tau2", "P", "ptau1", "ptau2"):
             assert np.allclose(getattr(back, field), getattr(js, field),
                                rtol=0, atol=1e-14)
+
+
+    def test_stack_matches_rows_bit_for_bit(self, spec4, rng):
+        rows = [to_jacobi(spec4, *separated_state(rng, 3)) for _ in range(6)]
+        fields = ("R", "tau1", "tau2", "P", "ptau1", "ptau2")
+        stack = JacobiState(*(np.array([getattr(js, f) for js in rows])
+                              for f in fields))
+        pos, vel = from_jacobi(spec4, stack)
+        assert pos.shape == vel.shape == (6, 3, 2)
+        for k, js in enumerate(rows):
+            pos_k, vel_k = from_jacobi(spec4, js)
+            assert np.array_equal(pos[k], pos_k)
+            assert np.array_equal(vel[k], vel_k)
 
 
 class TestReducedHamiltonian:
