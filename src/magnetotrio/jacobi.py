@@ -30,14 +30,14 @@ coupling charges and effective charges are
 ``hamiltonian_jacobi`` evaluates the reduced Hamiltonian in the shifted
 variables; it agrees with the Cartesian Hamiltonian to rounding, which the
 test-suite pins down.  The equations of motion are Hamilton's equations of
-the reduced Hamiltonian, differentiated numerically (central differences
-with one Richardson step).
+the reduced Hamiltonian with its exact gradient: the momentum and field part
+is a quadratic form whose matrix is read off once per system, and the three
+Coulomb forces are written out.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,19 +187,26 @@ def _hc_constants(spec):
     return (
         float(spec.B), w.M, w.Q, w.mt1, w.mt2, w.nu1, w.nu2, mu3,
         w.ec1, w.ec2, w.e1eff, w.e2eff,
-        m12, cross_tt, e1, e2, e3,
+        m12, cross_tt,
     )
 
 
-def _hc_flat(c, z):
-    """Reduced Hamiltonian on the flat shifted phase vector.
+def _coulomb_pairs(spec):
+    """Pair table of the Coulomb terms: row p of ``D`` maps ``(tau1, tau2)``
+    to the displacement of pair p = (1,2), (1,3), (2,3), and ``ee`` holds the
+    charge products of those pairs (``spec.pairs`` order)."""
+    w = jacobi_weights(spec)
+    return np.array([[1.0, 0.0], [w.nu2, 1.0], [-w.nu1, 1.0]]), spec.pairs[2]
 
-    ``z = (Rx, Ry, t1x, t1y, t2x, t2y, Px, Py, q1x, q1y, q2x, q2y)`` where the
-    q's are the shifted internal momenta.  Pure scalar arithmetic: this sits
-    in the inner loop of the derived-mode integrator.
+
+def _hc_quadratic(c, z):
+    """Momentum and field part of the reduced Hamiltonian on the flat shifted
+    phase vector ``z = (Rx, Ry, t1x, t1y, t2x, t2y, Px, Py, q1x, q1y, q2x, q2y)``,
+    where the q's are the shifted internal momenta.  It is a homogeneous
+    quadratic form in ``z``.
     """
     (B, M, Q, mt1, mt2, nu1, nu2, mu3,
-     ec1, ec2, e1eff, e2eff, m12, cross_tt, e1, e2, e3) = c
+     ec1, ec2, e1eff, e2eff, m12, cross_tt) = c
     Rx, Ry, t1x, t1y, t2x, t2y, Px, Py, q1x, q1y, q2x, q2y = z
     half_B = 0.5 * B
     # A(r) = half_B * (-ry, rx)
@@ -221,12 +228,14 @@ def _hc_flat(c, z):
     H -= (ec1 / m12) * (a1x * q2x + a1y * q2y)
     H -= (ec1 * mu3 / (nu1 * nu2 * m12)) * (a2x * q1x + a2y * q1y)
     H += cross_tt * (a1x * a2x + a1y * a2y)
-
-    r12 = math.hypot(t1x, t1y)
-    r13 = math.hypot(t2x + nu2 * t1x, t2y + nu2 * t1y)
-    r23 = math.hypot(t2x - nu1 * t1x, t2y - nu1 * t1y)
-    H += e1 * e2 / r12 + e1 * e3 / r13 + e2 * e3 / r23
     return H
+
+
+def _hc_flat(spec, z):
+    """Reduced Hamiltonian on the flat shifted phase vector ``z``."""
+    D, ee = _coulomb_pairs(spec)
+    d = D @ z[2:6].reshape(2, 2)
+    return _hc_quadratic(_hc_constants(spec), z) + ee @ (1.0 / np.hypot(d[:, 0], d[:, 1]))
 
 
 def _flatten(js):
@@ -241,7 +250,7 @@ def _unflatten(z):
 
 def hamiltonian_jacobi(spec, js):
     """Reduced Hamiltonian evaluated on a shifted-momentum Jacobi state."""
-    return float(_hc_flat(_hc_constants(spec), _flatten(js)))
+    return float(_hc_flat(spec, _flatten(js)))
 
 
 def pseudomomentum_jacobi(spec, js):
@@ -254,50 +263,29 @@ def pseudomomentum_jacobi(spec, js):
 # equations of motion
 # ---------------------------------------------------------------------------
 
-# relative step of the numerical gradient of the reduced Hamiltonian
-FD_STEP = 1e-4
-
-# The differenced Coulomb terms of a pair at distance r are off by about
-# (FD_STEP / r)^4 relative, 1e-8 at this distance, and inside the stencil
-# the singularity is smoothed away so that a colliding pair bounces off.
-# integrate_jacobi reports any closer approach as a collision.
-COLLISION_FLOOR = 100 * FD_STEP
-
-
 def rhs_jacobi(spec):
     """Right-hand side ``f(t, z)`` on the flat shifted Jacobi vector ``z``.
 
-    Hamilton's equations of the reduced Hamiltonian, with the gradient taken
-    by central differences at steps ``FD_STEP * max(1, |z_k|)`` and half
-    that, combined by one Richardson step.
+    Hamilton's equations of the reduced Hamiltonian with its exact gradient.
+    The Hessian ``A`` of :func:`_hc_quadratic` is read off once by
+    polarization, ``A_ij = [q(e_i + e_j) - q(e_i - e_j)] / 2``, which is exact
+    to rounding for a quadratic form; the Coulomb forces act on the
+    ``(tau1, tau2)`` momenta through the pair table.
     """
     c = _hc_constants(spec)
-
-    def grad(z):
-        g = [0.0] * 12
-        zl = list(z)
-        for k in range(12):
-            base = zl[k]
-            h = FD_STEP * max(1.0, abs(base))
-            h2 = 0.5 * h
-            zl[k] = base + h
-            fp = _hc_flat(c, zl)
-            zl[k] = base - h
-            fm = _hc_flat(c, zl)
-            zl[k] = base + h2
-            fp2 = _hc_flat(c, zl)
-            zl[k] = base - h2
-            fm2 = _hc_flat(c, zl)
-            zl[k] = base
-            d_h = (fp - fm) / (2.0 * h)
-            d_h2 = (fp2 - fm2) / h
-            g[k] = (4.0 * d_h2 - d_h) / 3.0
-        return g
+    D, ee = _coulomb_pairs(spec)
+    E = np.eye(12)
+    A = np.array([[_hc_quadratic(c, E[i] + E[j]) - _hc_quadratic(c, E[i] - E[j])
+                   for j in range(12)] for i in range(12)]) / 2.0
+    # q-dot = dH/dp, p-dot = -dH/dq for the three canonical planar pairs
+    SA = np.vstack([A[6:], -A[:6]])
 
     def f(t, z):
-        g = grad(z)
-        # q-dot = dH/dp, p-dot = -dH/dq for the three canonical planar pairs
-        return np.array(g[6:12] + [-x for x in g[0:6]])
+        dz = SA @ z
+        d = D @ z[2:6].reshape(2, 2)
+        r = np.hypot(d[:, 0], d[:, 1])
+        dz[8:12] += (D.T @ ((ee / r**3)[:, None] * d)).ravel()
+        return dz
 
     return f
 
@@ -307,15 +295,12 @@ def integrate_jacobi(spec, state, settings):
 
     This is a validation path: the Cartesian integrator in
     :mod:`magnetotrio.dynamics` is the authoritative one.  It shares that
-    integrator's sampling grid and collision event, with the collision
-    threshold raised to at least ``COLLISION_FLOOR``.
+    integrator's sampling grid and collision event, at the same threshold.
     """
     def unpack(z):
         return from_jacobi(spec, invert_cc(spec, _unflatten(z)))
 
     z0 = _flatten(apply_cc(spec, to_jacobi(spec, state.positions, state.velocities)))
-    floor = max(settings.collision_threshold, COLLISION_FLOOR)
-    t, z, stats = _solve(spec, rhs_jacobi(spec), z0, state.t,
-                         replace(settings, collision_threshold=floor),
+    t, z, stats = _solve(spec, rhs_jacobi(spec), z0, state.t, settings,
                          lambda y: unpack(y)[0])
     return Trajectory(spec, t, *unpack(z), stats)

@@ -117,6 +117,9 @@ class PhaseState:
         if self.positions.shape != self.velocities.shape:
             raise DomainError("positions and velocities must have matching shapes")
         self.t = float(self.t)
+        if not (np.all(np.isfinite(self.positions)) and np.all(np.isfinite(self.velocities))
+                and np.isfinite(self.t)):
+            raise DomainError("positions, velocities and t must be finite")
 
     @property
     def n(self):

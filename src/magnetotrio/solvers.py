@@ -352,15 +352,7 @@ def helium_cubic_root(v2=1.0):
         return x**3 - 117*v2*x**2 - 81*v2**2*x - 27*v2**3
 
     lo, hi = 100.0 * v2, 200.0 * v2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(lo) * f(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-15 * hi:
-            break
-    x = 0.5 * (lo + hi)
+    x = _bisect(f, lo, hi, f(lo), f(hi))
     for _ in range(4):  # Newton cleanup
         x -= f(x) / (3*x**2 - 234*v2*x - 81*v2**2)
     return x

@@ -155,7 +155,7 @@ def test_04_drift_bounds_on_generic_trajectories():
 def test_05_center_of_mass_split_matches_cartesian():
     """The transformed Hamiltonian equals the Cartesian one at 100 mapped
     random states (1e-10 relative), and integrating in the transformed
-    frame with finite-difference gradients tracks the Cartesian flow of
+    frame with the exact gradient tracks the Cartesian flow of
     a certified rotation within 1e-6 through ten rotation periods."""
     rng = np.random.default_rng(20260805)
     for spec in (SPEC4, _electrons(2.0), WORKED, HELIUM):

@@ -158,3 +158,16 @@ def test_phase_state_copy_is_independent():
     clone = state.copy()
     clone.positions[0, 0] = 7.0
     assert state.positions[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("field", ["positions", "velocities", "t"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_phase_state_rejects_non_finite(field, bad):
+    from magnetotrio import DomainError
+    values = {"positions": np.eye(3, 2), "velocities": np.zeros((3, 2)), "t": 0.0}
+    if field == "t":
+        values["t"] = bad
+    else:
+        values[field][1, 0] = bad
+    with pytest.raises(DomainError, match="finite"):
+        PhaseState(**values)
