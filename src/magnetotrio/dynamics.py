@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import CollisionError, DomainError, SpecParseError, StepUnderflow
 from .model import PhaseState, cross_with_B, pair_index
@@ -96,6 +95,9 @@ def _solve(spec, rhs, y0, t0, settings, positions_of):
     collision event watches.  Returns the sample times, the solver vectors
     at those times as rows, and the solver counters.
     """
+    # imported here: scipy.integrate takes most of the package's import
+    # time, and verify and brackets never integrate
+    from scipy.integrate import solve_ivp
     t1 = settings.t_end
     t_eval = None
     if settings.sample_interval is not None:

@@ -20,8 +20,10 @@ so one state gives a scalar and a stack of samples is evaluated in one pass.
 
 Poisson brackets are evaluated numerically in canonical coordinates
 ``(rho, p)`` with central differences plus one step of Richardson
-extrapolation.  The two-step estimates are compared and a disagreement beyond
-tolerance raises :class:`NumericalInstability` instead of returning noise.
+extrapolation; a gradient is one call of the quantity on the stack of the
+8n perturbed points, once per state and step.  The two-step estimates are
+compared and a disagreement beyond tolerance raises
+:class:`NumericalInstability` instead of returning noise.
 """
 
 from __future__ import annotations
@@ -174,49 +176,56 @@ def _pack(spec, positions, velocities):
 
 
 def _eval_on_z(func, spec, z):
-    n = spec.n
-    pos = z[: 2 * n].reshape(n, 2)
-    vel = _velocities_from_momenta(spec, pos, z[2 * n:].reshape(n, 2))
+    """``func`` at canonical points ``z = (rho, p)`` of shape (..., 4n)."""
+    pos = z[..., : 2 * spec.n].reshape(*z.shape[:-1], spec.n, 2)
+    vel = _velocities_from_momenta(spec, pos, z[..., 2 * spec.n:].reshape(pos.shape))
     return func(spec, pos, vel)
 
 
 def _gradient(func, spec, z0, h):
-    g = np.empty_like(z0)
-    for k in range(len(z0)):
-        hk = h * max(1.0, abs(z0[k]))
-        zp = z0.copy(); zp[k] += hk
-        zm = z0.copy(); zm[k] -= hk
-        g[k] = (_eval_on_z(func, spec, zp) - _eval_on_z(func, spec, zm)) / (2.0 * hk)
-    return g
+    """Central differences with steps ``h * max(1, |z_k|)``, one stacked call."""
+    m = len(z0)
+    hk = h * np.maximum(1.0, np.abs(z0))
+    k = np.arange(m)
+    z = np.tile(z0, (2 * m, 1))
+    z[k, k] += hk
+    z[m + k, k] -= hk
+    f = _eval_on_z(func, spec, z)
+    return (f[:m] - f[m:]) / (2.0 * hk)
 
 
-def _assemble(spec, gf, gg):
+def _gradients(func, spec, z0, h):
+    """The gradients at steps ``h`` and ``h/2`` that :func:`_bracket` takes."""
+    return _gradient(func, spec, z0, h), _gradient(func, spec, z0, h / 2)
+
+
+def _bracket(spec, gf, gg, instability_tol=1e-3):
+    """Richardson-extrapolated bracket from the :func:`_gradients` of f and g."""
     n2 = 2 * spec.n
-    dq_f, dp_f = gf[:n2], gf[n2:]
-    dq_g, dp_g = gg[:n2], gg[n2:]
-    return float(dq_f @ dp_g - dp_f @ dq_g)
-
-
-def poisson_bracket(f, g, spec, positions, velocities, h=1e-5,
-                    instability_tol=1e-3):
-    """Canonical Poisson bracket {f, g} at one phase point.
-
-    ``f`` and ``g`` are callables ``(spec, positions, velocities) -> float``;
-    differentiation happens in canonical coordinates with per-coordinate step
-    ``h * max(1, |z_k|)``.  The bracket is formed at steps ``h`` and ``h/2``
-    and Richardson-extrapolated; if the two estimates disagree beyond
-    ``instability_tol`` (relative to the extrapolated value, floored at 1),
-    :class:`NumericalInstability` is raised.
-    """
-    z0 = _pack(spec, positions, velocities)
-    b_h = _assemble(spec, _gradient(f, spec, z0, h), _gradient(g, spec, z0, h))
-    b_h2 = _assemble(spec, _gradient(f, spec, z0, h / 2), _gradient(g, spec, z0, h / 2))
+    b_h, b_h2 = (float(f[:n2] @ g[n2:] - f[n2:] @ g[:n2]) for f, g in zip(gf, gg))
     extrap = (4.0 * b_h2 - b_h) / 3.0
     if abs(b_h - b_h2) > instability_tol * max(1.0, abs(extrap)):
         raise NumericalInstability(
             f"bracket estimates at h and h/2 differ by {abs(b_h - b_h2):.3e}"
         )
     return extrap
+
+
+def poisson_bracket(f, g, spec, positions, velocities, h=1e-5,
+                    instability_tol=1e-3):
+    """Canonical Poisson bracket {f, g} at one phase point.
+
+    ``f`` and ``g`` are callables ``(spec, positions, velocities)`` that take
+    (..., n, 2) stacks and return one value per leading index; differentiation
+    happens in canonical coordinates with per-coordinate step
+    ``h * max(1, |z_k|)``.  The bracket is formed at steps ``h`` and ``h/2``
+    and Richardson-extrapolated; if the two estimates disagree beyond
+    ``instability_tol`` (relative to the extrapolated value, floored at 1),
+    :class:`NumericalInstability` is raised.
+    """
+    z0 = _pack(spec, positions, velocities)
+    return _bracket(spec, _gradients(f, spec, z0, h), _gradients(g, spec, z0, h),
+                    instability_tol)
 
 
 def _named(func, name):
@@ -228,8 +237,8 @@ def standard_quantities(spec):
     """The global integrals as named callables: H, Kx, Ky, Lz, Casimir."""
     return [
         _named(lambda s, q, v: hamiltonian(s, q, v), "H"),
-        _named(lambda s, q, v: float(pseudomomentum(s, q, v)[0]), "Kx"),
-        _named(lambda s, q, v: float(pseudomomentum(s, q, v)[1]), "Ky"),
+        _named(lambda s, q, v: pseudomomentum(s, q, v)[..., 0], "Kx"),
+        _named(lambda s, q, v: pseudomomentum(s, q, v)[..., 1], "Ky"),
         _named(lambda s, q, v: angular_momentum(s, q, v), "Lz"),
         _named(lambda s, q, v: casimir(s, q, v), "Casimir"),
     ]
@@ -244,11 +253,11 @@ def algebra_check(spec, positions, velocities, h=1e-5):
         {H,Kx} = {H,Ky} = {H,Lz} = 0,
         {Casimir, each of H,Kx,Ky,Lz} = 0.
     """
-    H, Kx, Ky, Lz, C = standard_quantities(spec)
+    z0 = _pack(spec, positions, velocities)
+    H, Kx, Ky, Lz, C = (_gradients(q, spec, z0, h) for q in standard_quantities(spec))
     QB = spec.total_charge * spec.B
-    kx = Kx(spec, positions, velocities)
-    ky = Ky(spec, positions, velocities)
-    pb = lambda a, b: poisson_bracket(a, b, spec, positions, velocities, h=h)
+    kx, ky = pseudomomentum(spec, positions, velocities)
+    pb = lambda a, b: _bracket(spec, a, b)
     return {
         "{Kx,Ky}+QB": pb(Kx, Ky) + QB,
         "{Lz,Kx}-Ky": pb(Lz, Kx) - ky,
@@ -279,15 +288,15 @@ def special_trajectory_quantities(spec, variant="I-rest"):
 
     def K2(s, q, v):
         K = pseudomomentum(s, q, v)
-        return float(K @ K)
+        return (K * K).sum(axis=-1)
 
     def l_i(i):
         return _named(
-            lambda s, q, v: float(individual_angular_momenta(s, q, v)[i]),
+            lambda s, q, v: individual_angular_momenta(s, q, v)[..., i],
             f"l{i + 1}")
 
     def T_i(i):
-        return _named(lambda s, q, v: float(kinetic_energies(s, v)[i]),
+        return _named(lambda s, q, v: kinetic_energies(s, v)[..., i],
                       f"T{i + 1}")
 
     base = [
@@ -316,9 +325,11 @@ def involution_check(quantities, spec, states, h=1e-5):
     table = {}
     worst = 0.0
     for pos, vel in states:
+        z0 = _pack(spec, pos, vel)
+        grads = [_gradients(q, spec, z0, h) for q in quantities]
         for a in range(len(quantities)):
             for b in range(a + 1, len(quantities)):
-                val = abs(poisson_bracket(quantities[a], quantities[b], spec, pos, vel, h=h))
+                val = abs(_bracket(spec, grads[a], grads[b]))
                 key = (quantities[a].__name__, quantities[b].__name__)
                 table[key] = max(table.get(key, 0.0), val)
                 worst = max(worst, val)

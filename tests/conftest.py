@@ -34,6 +34,12 @@ def helium():
 
 
 @pytest.fixture
+def four():
+    """Four-charge species with certified collinear (n-body II) rotations."""
+    return SystemSpec(B=1.0, charges=(3.0, -1.0, 1.0, 2.0), masses=(1.0, 1.0, 3.0, 2.0))
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(1234)
 

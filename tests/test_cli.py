@@ -1,6 +1,8 @@
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -229,6 +231,30 @@ class TestBrackets:
         assert main(["brackets", sys_path, "--samples", "5", "--seed", "4"]) == 0
         b = capsys.readouterr().out
         assert a != b
+
+    def test_instability_exits_1(self, tmp_path, capsys):
+        # charges of 1e3 make the central differences of H disagree
+        # between the steps h and h/2
+        sys_path = _write(tmp_path, "big.system",
+                          "B 1\nparticle 1e3 1\nparticle -1e3 1\nparticle 1e3 3\n")
+        rc = main(["brackets", sys_path, "--samples", "3", "--seed", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("magnetotrio: error: bracket estimates at h and h/2 differ by")
+        assert "Traceback" not in err
+
+    def test_does_not_import_the_integrator(self, tmp_path):
+        sys_path = _spec4_system(tmp_path)
+        code = ("import sys\n"
+                "import magnetotrio.cli\n"
+                f"assert magnetotrio.cli.main(['brackets', {sys_path!r}, '--samples', '1']) == 0\n"
+                "print('scipy.integrate' in sys.modules)\n")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines()[-1] == "False"
 
 
 class TestParser:

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 from conftest import electron_orbit, separated_state
 
-from magnetotrio import (DomainError, IntegratorSettings, PhaseState,
-                         SystemSpec, algebra_check, angular_momentum, casimir,
-                         classify_system, drift_report, hamiltonian, integrate,
+from magnetotrio import (DomainError, IntegratorSettings, NumericalInstability,
+                         PhaseState, SystemSpec, algebra_check,
+                         angular_momentum, casimir, classify_system,
+                         drift_report, hamiltonian, integrate,
                          involution_check, pair_virial, poisson_bracket,
                          pseudomomentum, special_trajectory_quantities,
                          standard_quantities, third_pseudomomentum_x)
-from magnetotrio.invariants import (coulomb_energy, individual_angular_momenta,
+from magnetotrio.invariants import (_eval_on_z, _gradient, _pack,
+                                    coulomb_energy, individual_angular_momenta,
                                     invariant_columns, invariant_samples,
                                     kinetic_energies, particle_pseudomomenta,
                                     write_invariant_csv)
+from magnetotrio.model import canonical_momenta
 
 
 @pytest.fixture(scope="module")
@@ -143,21 +146,36 @@ class TestConservation:
         assert kinetic_energies(spec_b, st.velocities)[1] == pytest.approx(10.0, rel=1e-12)
 
 
+def _px1(s, q, v):
+    return canonical_momenta(s, q, v)[..., 0, 0]
+
+
 class TestBracketEngine:
     def test_fundamental_bracket(self, spec4):
         # {x1, p_x1} = 1
         def x1(s, q, v):
-            return float(np.asarray(q).reshape(-1, 2)[0, 0])
-
-        def px1(s, q, v):
-            from magnetotrio.model import canonical_momenta
-            return float(canonical_momenta(s, np.asarray(q).reshape(-1, 2),
-                                           np.asarray(v).reshape(-1, 2))[0, 0])
+            return q[..., 0, 0]
 
         pos = np.array([[1.0, 0.5], [-1.0, 0.2], [0.3, -1.1]])
         vel = np.array([[0.1, 0.2], [0.0, -0.4], [0.5, 0.0]])
-        val = poisson_bracket(x1, px1, spec4, pos, vel)
+        val = poisson_bracket(x1, _px1, spec4, pos, vel)
         assert val == pytest.approx(1.0, abs=1e-8)
+
+    def test_kink_between_stencils_is_unstable(self, spec4):
+        # |x1 - a| with its kink between the h/2 and h stencil points of
+        # x1 = 1: the h-step slope is -0.75, the h/2-step slope is -1
+        a = 1.0 + 0.75e-5
+
+        def kinked(s, q, v):
+            return np.abs(q[..., 0, 0] - a)
+
+        pos = np.array([[1.0, 0.5], [-1.0, 0.2], [0.3, -1.1]])
+        vel = np.zeros((3, 2))
+        with pytest.raises(NumericalInstability,
+                           match="bracket estimates at h and h/2 differ by 2.500e-01"):
+            poisson_bracket(kinked, _px1, spec4, pos, vel, h=1e-5)
+        # a step whose stencils both stay left of the kink is stable
+        assert poisson_bracket(kinked, _px1, spec4, pos, vel, h=1e-6) == pytest.approx(-1.0)
 
     def test_algebra_on_random_states(self, spec4, electrons_b2, rng):
         for spec in (spec4, electrons_b2):
@@ -172,6 +190,68 @@ class TestBracketEngine:
         _, Kx, Ky, _, _ = standard_quantities(helium)
         pos, vel = separated_state(rng, 3)
         assert abs(poisson_bracket(Kx, Ky, helium, pos, vel)) < 1e-6
+
+
+def _loop_gradient(func, spec, z0, h):
+    """The per-coordinate central difference, one scalar call per point."""
+    g = np.empty_like(z0)
+    for k in range(len(z0)):
+        hk = h * max(1.0, abs(z0[k]))
+        zp = z0.copy(); zp[k] += hk
+        zm = z0.copy(); zm[k] -= hk
+        g[k] = (_eval_on_z(func, spec, zp) - _eval_on_z(func, spec, zm)) / (2.0 * hk)
+    return g
+
+
+def _all_quantities(spec):
+    quantities = standard_quantities(spec)
+    if spec.n == 3:
+        for variant in ("I-rest", "I-orbit", "II"):
+            quantities += special_trajectory_quantities(spec, variant)
+    return quantities
+
+
+class TestBatchedGradient:
+    @pytest.mark.parametrize("name", ["spec4", "helium", "electrons", "four"])
+    def test_bit_identical_to_loop(self, name, request, rng):
+        spec = request.getfixturevalue(name)
+        for _ in range(3):
+            z0 = _pack(spec, *separated_state(rng, spec.n))
+            for q in _all_quantities(spec):
+                for h in (1e-5, 0.5e-5):
+                    assert np.array_equal(_gradient(q, spec, z0, h),
+                                          _loop_gradient(q, spec, z0, h)), q.__name__
+
+    @pytest.mark.parametrize("name", ["spec4", "four"])
+    def test_algebra_check_equals_pairwise_brackets(self, name, request, rng):
+        spec = request.getfixturevalue(name)
+        H, Kx, Ky, Lz, C = standard_quantities(spec)
+        QB = spec.total_charge * spec.B
+        for _ in range(3):
+            pos, vel = separated_state(rng, spec.n)
+            kx, ky = pseudomomentum(spec, pos, vel)
+            pb = lambda a, b: poisson_bracket(a, b, spec, pos, vel)
+            expected = {
+                "{Kx,Ky}+QB": pb(Kx, Ky) + QB, "{Lz,Kx}-Ky": pb(Lz, Kx) - ky,
+                "{Lz,Ky}+Kx": pb(Lz, Ky) + kx, "{H,Kx}": pb(H, Kx),
+                "{H,Ky}": pb(H, Ky), "{H,Lz}": pb(H, Lz), "{C,H}": pb(C, H),
+                "{C,Kx}": pb(C, Kx), "{C,Ky}": pb(C, Ky), "{C,Lz}": pb(C, Lz),
+            }
+            assert algebra_check(spec, pos, vel) == expected
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_close_to_loop_when_pair_sums_reorder(self, n, rng):
+        # numpy sums eight or more pair terms in a different order on a
+        # stack than on one state, so the Coulomb energy moves at rounding
+        spec = SystemSpec(B=0.9, charges=rng.uniform(-2.0, 2.0, n),
+                          masses=rng.uniform(0.5, 2.0, n))
+        for _ in range(3):
+            z0 = _pack(spec, *separated_state(rng, n))
+            for q in standard_quantities(spec):
+                for h in (1e-5, 0.5e-5):
+                    g = _loop_gradient(q, spec, z0, h)
+                    assert np.all(np.abs(_gradient(q, spec, z0, h) - g)
+                                  <= 1e-8 * np.maximum(1.0, np.abs(g))), q.__name__
 
 
 class TestInvolutionSets:
