@@ -24,7 +24,7 @@ from .dynamics import (IntegratorSettings, RigidityReport, Trajectory,
                        write_trajectory_csv)
 from .invariants import (algebra_check, angular_momentum, casimir,
                          drift_report, hamiltonian, involution_check,
-                         pair_virial, particular_constants, poisson_bracket,
+                         pair_virial, poisson_bracket,
                          pseudomomentum, special_trajectory_quantities,
                          standard_quantities, third_pseudomomentum_x,
                          write_invariant_csv)

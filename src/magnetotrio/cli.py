@@ -35,7 +35,8 @@ from .errors import (CollisionError, DegenerateError, DomainError,
 from .invariants import algebra_check, drift_report, write_invariant_csv
 from .jacobi import integrate_jacobi
 from .model import classify_system, load_system, pair_index, save_system
-from .solvers import (ConfigSolution, build_initial_state, pair_distance_min,
+from .solvers import (DEFAULT_GRID_POINTS, DEFAULT_GRIDS, ConfigSolution,
+                      build_initial_state, pair_distance_min,
                       solve_config_I_identical, solve_config_I_v3zero,
                       solve_config_II, solve_config_III, solve_nbody_II,
                       write_catalog)
@@ -131,9 +132,7 @@ def _default_grid_bounds(spec, config):
             rmin = pair_distance_min(spec)
             return (rmin, 4 * rmin) if rmin else (0.5, 4.0)
         return (0.5, 2.0)
-    if config == "III":
-        return (0.05, 0.8)
-    return (1.5, 20.0)          # II and nbody-II
+    return DEFAULT_GRIDS[config]
 
 
 def _grid(args, spec):
@@ -142,8 +141,8 @@ def _grid(args, spec):
         lo = args.grid_min
     if args.grid_max is not None:
         hi = args.grid_max
-    if lo <= 0 or hi <= 0 or hi < lo:
-        raise DomainError(f"grid bounds must satisfy 0 < min <= max, "
+    if not 0 < lo <= hi < np.inf:
+        raise DomainError(f"grid bounds must satisfy 0 < min <= max < inf, "
                           f"got [{lo:g}, {hi:g}]")
     return np.geomspace(lo, hi, args.grid_points)
 
@@ -314,6 +313,14 @@ def _cmd_brackets(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def count(text):
+    """argparse type of a count flag: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors, which this tool reserves for
     # collisions; remap to the generic failure code
@@ -360,7 +367,7 @@ def _build_parser():
                         "for an identical-pair config I, otherwise the "
                         "swept speed)")
     p.add_argument("--grid-max", type=float, default=None)
-    p.add_argument("--grid-points", type=int, default=12)
+    p.add_argument("--grid-points", type=count, default=DEFAULT_GRID_POINTS)
     p.add_argument("--emit-states", action="store_true",
                    help="also write one ready-to-simulate system file per "
                         "catalog row")
@@ -381,7 +388,7 @@ def _build_parser():
                             "of the integral algebra on seeded random "
                             "states")
     p.add_argument("system", help="system file (only field and charges used)")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_brackets)
     return parser

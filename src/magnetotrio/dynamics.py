@@ -99,6 +99,8 @@ def _solve(spec, rhs, y0, t0, settings, positions_of):
     # time, and verify and brackets never integrate
     from scipy.integrate import solve_ivp
     t1 = settings.t_end
+    if not math.isfinite(t1):
+        raise DomainError("t_end must be finite")
     t_eval = None
     if settings.sample_interval is not None:
         dt = float(settings.sample_interval)

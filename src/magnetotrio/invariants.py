@@ -26,10 +26,6 @@ compared and a disagreement beyond tolerance raises
 :class:`NumericalInstability` instead of returning noise.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import _write_csv, pair_distances
@@ -107,24 +103,6 @@ def third_pseudomomentum_x(spec, positions, velocities):
         raise DomainError("third_pseudomomentum_x needs three particles")
     # [()] turns the 0-d array of a single state into a scalar
     return particle_pseudomomenta(spec, positions, velocities)[..., 2, 0][()]
-
-
-@dataclass
-class ParticularConstants:
-    """Per-particle quantities that are constant only on special trajectories."""
-
-    angular_momenta: np.ndarray   # (n,)
-    kinetic_energies: np.ndarray  # (n,)
-    k3x: float | None
-    pair_virial: float | None
-
-
-def particular_constants(spec, positions, velocities):
-    l = individual_angular_momenta(spec, positions, velocities)
-    T = kinetic_energies(spec, velocities)
-    k3 = third_pseudomomentum_x(spec, positions, velocities) if spec.n >= 3 else None
-    I = pair_virial(spec, positions, velocities) if spec.n >= 2 else None
-    return ParticularConstants(l, T, k3, I)
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,25 @@ III : as II but charge 3 sits on the opposite side of the center
 
 The collinear equations generalize to n charges (solve_nbody_II).
 
+Configuration III is Configuration II with the third speed reflected, and
+n-body II generalizes both, so the three collinear solvers share one
+sweep: each supplies only the candidate speeds at a swept value of the
+last speed (the elimination sextic, the neutral-pair quartic, or damped
+Newton from seeds), and one routine assembles the field
+(closed_form_B_nbody), the frequency omega = kappa*B and the
+certification.  The second speed is fixed at 1 (the systems are
+scale-covariant) and the default sweeps are ``DEFAULT_GRIDS``.
+
 Sign conventions and certification
 ----------------------------------
 The force-balance equations below hard-code the sign pattern of the
 Coulomb terms for their nominal speed ordering and rotation sense
 (omega > 0).  A root of the equations is therefore only a genuine
 Newtonian motion inside that sector; every solver here re-checks the
-instantaneous Newton balance of the built state and, where the contract
-asks for it, integrates the state and measures rigidity.  Solutions
-carry ``certified`` accordingly — uncertified roots are algebra, not
+instantaneous Newton balance of the built state, and the n-body solver
+also integrates the state over a quarter period and measures rigidity.
+Solutions carry ``certified`` accordingly, and ``notes`` name each gate
+an uncertified root failed -- uncertified roots are algebra, not
 trajectories.
 
 Speeds and frequencies are reported positive; ``sense`` records the
@@ -59,12 +69,31 @@ __all__ = [
     "solve_config_I_v3zero", "solve_config_I_identical", "solve_config_II",
     "solve_config_III", "solve_nbody_II", "build_initial_state",
     "newton_balance", "conserved_closed_forms", "pair_distance_min",
-    "write_catalog", "catalog_header",
+    "write_catalog", "catalog_header", "DEFAULT_GRIDS", "DEFAULT_GRID_POINTS",
 ]
 
 _RESIDUAL_TOL = 1e-10     # relative residual gate for certification
 _BALANCE_TOL = 1e-6       # Newton-balance gate (relative)
+_RIGIDITY_TOL = 1e-6      # integrated pair-distance gate (relative)
 _DEDUP_TOL = 1e-9
+
+# The collinear systems are scale-covariant, so the second speed fixes the
+# scale (_V2).  The elimination sextic is scanned in v1 on a log grid of
+# _POINTS_PER_DECADE points per decade, _DECADES decades each side of _V2.
+_V2 = 1.0
+_POINTS_PER_DECADE = 40
+_DECADES = 1.5
+_POLISH_TOL = 1e-12
+# n > 3 Newton seeds: v1 at these multiples of _V2
+_SEEDS_V1 = (0.25, 0.5, 0.8)
+# horizon of the n-body rigidity check, in rotation periods (the reason
+# for a quarter period is in solve_nbody_II)
+_RIGIDITY_PERIODS = 0.25
+
+# Default swept range (lo, hi) of the last speed, per configuration; the
+# solvers and the ``find`` command share it.
+DEFAULT_GRIDS = {"II": (1.5, 20.0), "III": (0.05, 0.8), "nbody-II": (1.5, 20.0)}
+DEFAULT_GRID_POINTS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +338,12 @@ def p6_coefficients(spec):
     }
 
 
-def evaluate_p6(spec, v1, v2, v3, _coeffs=None):
-    c = _coeffs if _coeffs is not None else p6_coefficients(spec)
+def evaluate_p6(spec, v1, v2, v3):
+    """Value of the elimination sextic at (v1, v2, v3)."""
+    return _evaluate_p6(p6_coefficients(spec), v1, v2, v3)
+
+
+def _evaluate_p6(c, v1, v2, v3):
     return math.fsum(a * v1**i * v2**j * v3**k for (i, j, k), a in c.items())
 
 
@@ -469,14 +502,6 @@ def newton_balance(solution, spec):
     return float(np.abs(acc - expected).max()) / scale
 
 
-def _rigidity_of(spec_b, state, t_end, **kw):
-    settings = IntegratorSettings(t_end=t_end, rel_tol=1e-10, abs_tol=1e-10,
-                                  sample_interval=t_end / 200.0, **kw)
-    # looked up at call time, so bench/spans.py traces these integrations
-    traj = dynamics.integrate(spec_b, state, settings)
-    return rigidity_report(traj).worst
-
-
 # ---------------------------------------------------------------------------
 # Configuration I
 # ---------------------------------------------------------------------------
@@ -631,31 +656,36 @@ def _bisect(f, a, b, fa, fb, iters=80):
     return 0.5 * (a + b)
 
 
-def _p6_roots_v1(spec, v2, v3, points_per_decade, decades, polish_tol,
-                 coeffs=None):
-    """Sign-change roots of the elimination sextic in v1 on a log grid
-    around v2, bisected then Newton-polished."""
-    c = coeffs if coeffs is not None else p6_coefficients(spec)
+def _polish(f, df, x):
+    """Newton-polish an approximate root ``x`` of ``f``."""
+    for _ in range(40):
+        d = df(x)
+        if d == 0:
+            break
+        step = f(x) / d
+        x -= step
+        if abs(step) <= _POLISH_TOL * max(1.0, abs(x)):
+            break
+    return x
 
+
+def _p6_roots_v1(c, v2, v3):
+    """Sign-change roots of the elimination sextic (coefficients ``c``) in
+    v1 on a log grid around v2, bisected then Newton-polished."""
     def f(x):
-        return evaluate_p6(spec, x, v2, v3, _coeffs=c)
+        return _evaluate_p6(c, x, v2, v3)
 
-    npts = int(2 * decades * points_per_decade) + 1
-    xs = np.geomspace(v2 * 10.0**(-decades), v2 * 10.0**decades, npts)
+    def df(x):
+        return _evaluate_p6_dv1(c, x, v2, v3)
+
+    npts = int(2 * _DECADES * _POINTS_PER_DECADE) + 1
+    xs = np.geomspace(v2 * 10.0**(-_DECADES), v2 * 10.0**_DECADES, npts)
     fv = np.array([f(x) for x in xs])
     roots = []
     for a, b, fa, fb in zip(xs, xs[1:], fv, fv[1:]):
         if not (np.isfinite(fa) and np.isfinite(fb)) or fa * fb >= 0:
             continue
-        x = _bisect(f, a, b, fa, fb)
-        for _ in range(40):  # Newton polish on the polynomial
-            dfx = _evaluate_p6_dv1(c, x, v2, v3)
-            if dfx == 0.0:
-                break
-            step = f(x) / dfx
-            x -= step
-            if abs(step) <= polish_tol * max(1.0, abs(x)):
-                break
+        x = _polish(f, df, _bisect(f, a, b, fa, fb))
         # spurious factor zeros of the elimination (coincident speeds)
         if min(abs(x - v2), abs(x - v3)) < 1e-9 * max(1.0, abs(v2), abs(v3)):
             continue
@@ -666,38 +696,48 @@ def _p6_roots_v1(spec, v2, v3, points_per_decade, decades, polish_tol,
 
 
 def _collinear_solution(spec, v, config, branch):
-    """Assemble + certify one collinear root (positive speed tuple ``v``)."""
+    """Assemble + certify one collinear root (positive speed tuple ``v``).
+
+    Each failed gate leaves a note; a root is certified when none failed.
+    """
     if config == "III":
         vs, s = (v[0], v[1], -v[2]), -1   # map to the common signed form
     else:
         vs, s = tuple(v), 1
     kap = collinear_kappa(spec, vs)
-    if config == "II":
-        B = closed_form_B_II(spec, *vs)
-    elif config == "III":
-        B = closed_form_B_III(spec, v[0], v[1], v[2])
-    else:
-        B = closed_form_B_nbody(spec, vs)
+    # the second balance row solved for B; s = -1 flips its Coulomb terms
+    B = s * closed_form_B_nbody(spec, vs)
     omega_signed = kap * B
     if omega_signed == 0.0 or not math.isfinite(omega_signed):
         raise DegenerateError("frequency closed form degenerates")
     if B == 0.0 or not math.isfinite(B):
         raise DegenerateError("field closed form degenerates")
     terms = _collinear_terms(spec.charges, spec.masses, vs, omega_signed, B, s)
-    sense = "cw" if omega_signed > 0 else "ccw"
     sol = ConfigSolution(
         config=config, branch=branch, v=tuple(abs(x) for x in v),
         omega=abs(omega_signed), B=B, residual_norm=_relative_norm(terms),
-        sense=sense, kappa=kap)
+        sense="cw" if omega_signed > 0 else "ccw", kappa=kap)
     sol.newton_balance = newton_balance(sol, spec)
-    ordered = _ordering_ok(config, v)
-    sol.certified = (ordered and omega_signed > 0
-                     and sol.residual_norm < _RESIDUAL_TOL
-                     and sol.newton_balance < _BALANCE_TOL)
-    if not ordered:
-        sol.notes += ("speed ordering outside the sector",)
-    if omega_signed < 0:
-        sol.notes += ("mirror rotation sense",)
+    gates = ((_ordering_ok(config, v), "speed ordering outside the sector"),
+             (omega_signed > 0, "mirror rotation sense"),
+             (sol.residual_norm < _RESIDUAL_TOL,
+              f"relative residual {sol.residual_norm:.3g}"),
+             (sol.newton_balance < _BALANCE_TOL,
+              f"Newton imbalance {sol.newton_balance:.3g}"))
+    sol.notes = tuple(note for ok, note in gates if not ok)
+    sol.certified = not sol.notes
+    if sol.certified and config == "nbody-II":
+        spec_b, state = build_initial_state(sol, spec)
+        t_end = _RIGIDITY_PERIODS * (2 * math.pi / sol.omega)
+        settings = IntegratorSettings(t_end=t_end, rel_tol=1e-10, abs_tol=1e-10,
+                                      sample_interval=t_end / 200.0)
+        # looked up at call time, so bench/spans.py traces these integrations
+        sol.rigidity = rigidity_report(
+            dynamics.integrate(spec_b, state, settings)).worst
+        if not sol.rigidity < _RIGIDITY_TOL:
+            sol.notes += (f"pair distances drift {sol.rigidity:.3g} within "
+                          f"{_RIGIDITY_PERIODS:g} period",)
+            sol.certified = False
     return sol
 
 
@@ -707,130 +747,116 @@ def _ordering_ok(config, v):
     return all(a < b for a, b in zip(v, v[1:])) and v[0] > 0
 
 
-def _equal_larmor_guard(spec):
+_SWEEP_NAMES = {"II": "Configuration-II rotation",
+                "III": "Configuration-III rotation",
+                "nbody-II": "collinear rigid rotation"}
+
+
+def _sweep(spec, config, values, speeds_at, require_certified):
+    """The collinear search shared by Configurations II, III and n-body II.
+
+    ``speeds_at(x)`` returns the candidate positive speed tuples whose last
+    speed is the swept value ``x``; each is assembled and certified by
+    :func:`_collinear_solution`.  Raises NoSolution when no (certified)
+    solution exists, naming up to four roots that failed certification.
+    """
     cls = classify_system(spec)
     if cls.equal_larmor:
         raise NoSolution(
             "equal charge-to-mass ratios (alpha = "
             f"{cls.alpha:.6g}): the elimination polynomial vanishes "
             "identically, so no collinear rigid rotation exists")
-
-
-def solve_config_II(spec, v3_values=None, v2=1.0, points_per_decade=40,
-                    decades=1.5, polish_tol=1e-12, require_certified=True):
-    """Sweep the third speed and solve for Configuration-II rotations.
-
-    v2 fixes the overall speed scale (the system is scale-covariant); for
-    each v3 the elimination sextic is root-solved in v1 on a log grid of
-    ``points_per_decade`` points per decade spanning ``decades`` decades
-    each side of v2.  The field and frequency follow from the closed
-    forms; roots are certified against ordering, rotation sense, and the
-    Newtonian balance of the built state.
-
-    The neutral identical-pair pattern short-circuits to its quartic
-    (restricted to the admissible window v3 >= helium_cubic_root(v2));
-    those roots never satisfy the speed ordering, so they are returned —
-    with residuals — only when ``require_certified`` is False.
-
-    Raises NoSolution when no (certified) solution exists, including the
-    equal charge-to-mass no-go.
-    """
-    if spec.n != 3:
-        raise DomainError("Configuration II is a three-charge system")
-    _equal_larmor_guard(spec)
-    if v3_values is None:
-        v3_values = v2 * np.geomspace(1.5, 20.0, 12)
-    pat = helium_pattern(spec)
-    coeffs = p6_coefficients(spec)
-    out = []
-    uncertified_info = []
-    for v3 in np.atleast_1d(np.asarray(v3_values, float)):
-        if v3 <= 0:
+    if values is None:
+        values = np.geomspace(*DEFAULT_GRIDS[config], DEFAULT_GRID_POINTS)
+    out, rejected = [], []
+    for x in np.atleast_1d(np.asarray(values, float)):
+        if not 0.0 < x < math.inf:
             continue
-        found = []
-        if pat is not None and v3 >= helium_cubic_root(v2):
-            q = helium_quartic_coefficients(v2, v3)
-            rts = [r.real for r in np.roots(q)
-                   if abs(r.imag) <= 1e-9 * max(1.0, abs(r))]
-            dq = np.polyder(np.poly1d(q))
-            for x in sorted(rts):
-                for _ in range(40):
-                    d = dq(x)
-                    if d == 0:
-                        break
-                    step = np.poly1d(q)(x) / d
-                    x -= step
-                    if abs(step) <= polish_tol * max(1.0, abs(x)):
-                        break
-                if x > 0:
-                    found.append(x)
-        else:
-            found = _p6_roots_v1(spec, v2, v3, points_per_decade, decades,
-                                 polish_tol, coeffs=coeffs)
-        for k, v1 in enumerate(found):
+        for k, v in enumerate(speeds_at(float(x))):
             try:
-                sol = _collinear_solution(spec, (v1, v2, float(v3)), "II",
-                                          branch=str(k))
+                sol = _collinear_solution(spec, v, config, branch=str(k))
             except DegenerateError:
                 continue
             if sol.certified or not require_certified:
                 out.append(sol)
-            elif pat is not None:
-                uncertified_info.append((float(v3), v1, sol.notes))
+            else:
+                rejected.append(sol)
     if not out:
-        msg = "no Configuration-II rotation on the sampled grid"
-        if uncertified_info:
-            pts = "; ".join(f"v3={a:.6g}: v1={b:.10g} ({', '.join(n)})"
-                            for a, b, n in uncertified_info[:4])
-            msg += (". Algebraic quartic roots exist but fail certification: "
-                    + pts)
+        msg = f"no {_SWEEP_NAMES[config]} on the sampled grid"
+        if rejected:
+            msg += ". Algebraic roots exist but fail certification: " + "; ".join(
+                f"v{len(s.v)}={s.v[-1]:.6g}: v1={s.v[0]:.10g} ({', '.join(s.notes)})"
+                for s in rejected[:4])
         raise NoSolution(msg)
     out.sort(key=ConfigSolution.sort_key)
     return out
 
 
-def solve_config_III(spec, v3_values=None, v2=1.0, points_per_decade=40,
-                     decades=1.5, polish_tol=1e-12, require_certified=True):
+def solve_config_II(spec, v3_values=None, require_certified=True):
+    """Sweep the third speed and solve for Configuration-II rotations.
+
+    The second speed is fixed at 1 (the system is scale-covariant); for
+    each v3 the elimination sextic is root-solved in v1 on a log grid of
+    40 points per decade spanning 1.5 decades each side of v2.  The field
+    and frequency follow from the closed forms; roots are certified
+    against ordering, rotation sense, and the Newtonian balance of the
+    built state.  ``v3_values`` defaults to ``DEFAULT_GRIDS["II"]``.
+
+    The neutral identical-pair pattern short-circuits to its quartic
+    inside the admissible window v3 >= helium_cubic_root(1), whose roots
+    (v1 ~ v3) lie outside the sextic's grid; those roots never satisfy
+    the speed ordering, so they are returned -- with residuals -- only
+    when ``require_certified`` is False.
+
+    Raises NoSolution when no (certified) solution exists, including the
+    equal charge-to-mass no-go; the message names up to four roots that
+    failed certification, with the reasons.
+    """
+    if spec.n != 3:
+        raise DomainError("Configuration II is a three-charge system")
+    c = p6_coefficients(spec)
+    window = helium_cubic_root(_V2) if helium_pattern(spec) is not None else None
+
+    def speeds_at(v3):
+        if window is None or v3 < window:
+            found = _p6_roots_v1(c, _V2, v3)
+        else:
+            q = np.poly1d(helium_quartic_coefficients(_V2, v3))
+            real = sorted(r.real for r in q.roots
+                          if abs(r.imag) <= 1e-9 * max(1.0, abs(r)))
+            found = [x for x in (_polish(q, q.deriv(), r) for r in real) if x > 0]
+        return [(v1, _V2, v3) for v1 in found]
+
+    return _sweep(spec, "II", v3_values, speeds_at, require_certified)
+
+
+def solve_config_III(spec, v3_values=None, require_certified=True):
     """Sweep the third speed for anti-phase collinear rotations.
 
     Works through the sign map v3 -> -v3 of the Configuration-II algebra:
-    roots of the sextic at (v1, v2, -v3), field -B_II(v1, v2, -v3),
+    roots of the sextic at (v1, 1, -v3), field -B_II(v1, 1, -v3),
     frequency from the signed speed sum.  Ordering sector: v1 > v2 > v3.
+    ``v3_values`` defaults to ``DEFAULT_GRIDS["III"]``; certification and
+    NoSolution as for :func:`solve_config_II`.
     """
     if spec.n != 3:
         raise DomainError("Configuration III is a three-charge system")
-    _equal_larmor_guard(spec)
-    if v3_values is None:
-        v3_values = v2 * np.geomspace(0.05, 0.8, 12)
-    coeffs = p6_coefficients(spec)
-    out = []
-    for v3 in np.atleast_1d(np.asarray(v3_values, float)):
-        if v3 <= 0:
-            continue
-        found = _p6_roots_v1(spec, v2, -float(v3), points_per_decade, decades,
-                             polish_tol, coeffs=coeffs)
-        for k, v1 in enumerate(found):
-            try:
-                sol = _collinear_solution(spec, (v1, v2, float(v3)), "III",
-                                          branch=str(k))
-            except DegenerateError:
-                continue
-            if sol.certified or not require_certified:
-                out.append(sol)
-    if not out:
-        raise NoSolution("no Configuration-III rotation on the sampled grid")
-    out.sort(key=ConfigSolution.sort_key)
-    return out
+    c = p6_coefficients(spec)
+
+    def speeds_at(v3):
+        return [(v1, _V2, v3) for v1 in _p6_roots_v1(c, _V2, -v3)]
+
+    return _sweep(spec, "III", v3_values, speeds_at, require_certified)
 
 
 # ---------------------------------------------------------------------------
 # n-body collinear solver
 # ---------------------------------------------------------------------------
 
-def _nbody_system(spec, v2, vn):
+def _nbody_system(spec, vn):
     """Residual map F(u) for the reduced collinear system.
 
-    Unknowns u = (v1, v3, ..., v_{n-1}); v2 and vn are fixed.  With
+    Unknowns u = (v1, v3, ..., v_{n-1}); v2 = _V2 and vn are fixed.  With
     omega = kappa*B and B from the second balance equation, the equation
     sum vanishes identically, leaving equations {1, 3, ..., n-1}.
     """
@@ -839,7 +865,7 @@ def _nbody_system(spec, v2, vn):
     def assemble(u):
         v = np.empty(n)
         v[0] = u[0]
-        v[1] = v2
+        v[1] = _V2
         v[2:n - 1] = u[1:]
         v[n - 1] = vn
         return v
@@ -888,72 +914,48 @@ def _damped_newton(F, u0, tol=1e-12, max_iter=60):
     return u
 
 
-def solve_nbody_II(spec, vn_values=None, v2=1.0, seeds_v1=None,
-                   require_certified=True, rigidity_periods=0.25):
+def solve_nbody_II(spec, vn_values=None, require_certified=True):
     """Collinear rigid rotations for n >= 3 charges.
 
-    Fixes v2 = ``v2`` (scale) and sweeps the outermost speed vn; the
-    remaining speeds solve the reduced balance system by damped Newton
-    iteration from deterministic seeds (for n = 3 the seeds are the
-    elimination-sextic roots themselves, so the root set provably
-    coincides with solve_config_II's; for n > 3, v1 runs over
-    ``seeds_v1`` times v2 — default (0.25, 0.5, 0.8) — with interior
-    speeds geometrically interpolated between v2 and vn).
+    Fixes v2 = 1 (scale) and sweeps the outermost speed vn, by default
+    over ``DEFAULT_GRIDS["nbody-II"]``; the remaining speeds solve the
+    reduced balance system by damped Newton iteration from deterministic
+    seeds (for n = 3 the seeds are the elimination-sextic roots
+    themselves, so the root set provably coincides with
+    solve_config_II's; for n > 3, v1 runs over 0.25, 0.5 and 0.8 times v2
+    with interior speeds geometrically interpolated between v2 and vn).
     Certification = relative residuals, ordering, rotation sense, Newton
-    balance, and an integration over ``rigidity_periods`` rotation
-    periods with relative pair-distance deviation < 1e-6.  The default
-    quarter-period horizon keeps round-off seeds below the gate even for
-    configurations whose rigid rotation is linearly unstable (mixed-sign
-    charges can amplify perturbations by ~e^25 per full period).
+    balance, and an integration over a quarter rotation period with
+    relative pair-distance deviation < 1e-6.  The quarter-period horizon
+    keeps round-off seeds below the gate even for configurations whose
+    rigid rotation is linearly unstable (mixed-sign charges can amplify
+    perturbations by ~e^25 per full period).  NoSolution as for
+    :func:`solve_config_II`.
     """
     n = spec.n
     if n < 3:
         raise DomainError("collinear rigid rotations need at least 3 charges")
-    _equal_larmor_guard(spec)
-    if vn_values is None:
-        vn_values = v2 * np.geomspace(1.5, 20.0, 12)
-    out = []
-    for vn in np.atleast_1d(np.asarray(vn_values, float)):
-        if vn <= v2:
-            continue
-        F, assemble = _nbody_system(spec, v2, float(vn))
+
+    def speeds_at(vn):
+        if vn <= _V2:
+            return []
+        F, assemble = _nbody_system(spec, vn)
         if n == 3:
-            seeds = [(s,) for s in _p6_roots_v1(spec, v2, float(vn),
-                                                40, 1.5, 1e-12)]
+            seeds = [(s,) for s in _p6_roots_v1(p6_coefficients(spec), _V2, vn)]
         else:
-            seeds = []
-            for s1 in (seeds_v1 or (0.25, 0.5, 0.8)):
-                u0 = np.empty(n - 2)
-                u0[0] = s1 * v2
-                u0[1:] = np.geomspace(v2, vn, n)[2:n - 1]
-                seeds.append(u0)
+            interior = np.geomspace(_V2, vn, n)[2:n - 1]
+            seeds = [np.concatenate(([s1 * _V2], interior)) for s1 in _SEEDS_V1]
         roots = []
         for u0 in seeds:
             try:
-                u = _damped_newton(F, np.asarray(u0, float))
+                u = _damped_newton(F, u0)
             except NonConvergence:
                 continue
             if not any(np.allclose(u, r, rtol=1e-8, atol=0) for r in roots):
                 roots.append(u)
-        for k, u in enumerate(sorted(roots, key=lambda x: x[0])):
-            v = assemble(u)
-            try:
-                sol = _collinear_solution(spec, tuple(v), "nbody-II",
-                                          branch=str(k))
-            except DegenerateError:
-                continue
-            if sol.certified:
-                spec_b, state = build_initial_state(sol, spec)
-                period = 2 * math.pi / sol.omega
-                sol.rigidity = _rigidity_of(spec_b, state,
-                                            rigidity_periods * period)
-                sol.certified = sol.rigidity < 1e-6
-            if sol.certified or not require_certified:
-                out.append(sol)
-    if not out:
-        raise NoSolution("no collinear rigid rotation on the sampled grid")
-    out.sort(key=ConfigSolution.sort_key)
-    return out
+        return [tuple(assemble(u)) for u in sorted(roots, key=lambda x: x[0])]
+
+    return _sweep(spec, "nbody-II", vn_values, speeds_at, require_certified)
 
 
 # ---------------------------------------------------------------------------

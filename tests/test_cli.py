@@ -18,6 +18,13 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _env_with_src():
+    """The environment of a subprocess that imports this checkout."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _orbit_system(tmp_path):
     spec, pos, vel = electron_orbit()
     return _write(tmp_path, "orbit.system",
@@ -85,6 +92,20 @@ class TestSimulate:
                    "--sample-every", dt])
         assert rc == 1
         assert "sample_interval must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["newton", "derived"])
+    @pytest.mark.parametrize("t_end", ["nan", "inf"])
+    def test_t_end_must_be_finite(self, tmp_path, mode, t_end):
+        # in a subprocess with a timeout: an unchecked infinite horizon
+        # integrates forever
+        sys_path = _orbit_system(tmp_path)
+        done = subprocess.run(
+            [sys.executable, "-m", "magnetotrio.cli", "simulate", sys_path,
+             "--t-end", t_end, "--mode", mode],
+            env=_env_with_src(), timeout=20, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert "t_end must be finite" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["simulate", str(tmp_path / "nope.system")])
@@ -160,6 +181,30 @@ class TestFindAndVerify:
         rc = main(["find", sys_path, "--config", "II"])
         assert rc == 4
         assert "no solution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["find", "--config", "II", "--grid-points", "-1"],
+         "argument --grid-points: must be at least 1"),
+        (["find", "--config", "II", "--grid-points", "0"],
+         "argument --grid-points: must be at least 1"),
+        (["find", "--config", "II", "--grid-min", "nan"],
+         "grid bounds must satisfy"),
+        (["find", "--config", "II", "--grid-max", "inf"],
+         "grid bounds must satisfy"),
+        (["brackets", "--samples", "0"], "argument --samples: must be at least 1"),
+        (["brackets", "--samples", "-2"], "argument --samples: must be at least 1"),
+    ], ids=["points-negative", "points-zero", "min-nan", "max-inf",
+            "samples-zero", "samples-negative"])
+    def test_flag_out_of_domain_exits_1(self, tmp_path, capsys, argv, message):
+        argv = argv[:1] + [_spec4_system(tmp_path)] + argv[1:]
+        try:
+            rc = main(argv)
+        except SystemExit as ex:    # argparse usage errors
+            rc = ex.code
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_identical_pair_catalog(self, tmp_path):
         sys_path = _write(tmp_path, "pair.system",
@@ -249,11 +294,9 @@ class TestBrackets:
                 "import magnetotrio.cli\n"
                 f"assert magnetotrio.cli.main(['brackets', {sys_path!r}, '--samples', '1']) == 0\n"
                 "print('scipy.integrate' in sys.modules)\n")
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
-                             capture_output=True, text=True, check=True).stdout
+        out = subprocess.run([sys.executable, "-c", code], env=_env_with_src(),
+                             timeout=60, capture_output=True, text=True,
+                             check=True).stdout
         assert out.splitlines()[-1] == "False"
 
 

@@ -19,6 +19,7 @@ from magnetotrio import (ConfigSolution, DegenerateError, DomainError,
                          solve_config_I_v3zero, solve_config_II,
                          solve_config_III, solve_nbody_II,
                          third_pseudomomentum_x, write_catalog)
+from magnetotrio import solvers
 from magnetotrio.invariants import (angular_momentum,
                                     individual_angular_momenta,
                                     kinetic_energies)
@@ -65,6 +66,22 @@ class TestClosedFormFields:
         # e1 v1 + e2 v2 + e3 v3 = 0 kills the field expression
         with pytest.raises(DegenerateError):
             closed_form_B_II(spec4, 1.0, 4.0, 1.0)  # 3 - 4 + 1 = 0
+
+    @pytest.mark.parametrize("species", ["spec4", "worked"])
+    def test_solver_fields_match_the_dedicated_forms(self, request, species):
+        # the sweep takes B from the n-charge form (sign-flipped for III);
+        # the written-out three-charge forms are the reference
+        spec = request.getfixturevalue(species)
+        rows = []
+        for solve in (solve_config_II, solve_config_III):
+            try:
+                rows += solve(spec)
+            except NoSolution:
+                pass
+        assert rows
+        for row in rows:
+            form = closed_form_B_II if row.config == "II" else closed_form_B_III
+            assert row.B == pytest.approx(form(spec, *row.v), rel=1e-13, abs=0)
 
     def test_kappa(self, spec4):
         v = (1.0, 2.0, 3.0)
@@ -432,6 +449,23 @@ class TestConservedForms:
 
 
 class TestCertification:
+    @pytest.mark.parametrize("solve", [solve_config_III, solve_nbody_II])
+    def test_no_solution_names_failed_roots(self, helium, solve):
+        with pytest.raises(NoSolution, match=r"fail certification: v3=\S+: "
+                                             r"v1=\S+ \((speed ordering|mirror)"):
+            solve(helium)
+
+    def test_rigidity_rejection_is_noted(self, four, monkeypatch):
+        monkeypatch.setattr(solvers, "_RIGIDITY_TOL", 0.0)
+        with pytest.raises(NoSolution, match="pair distances drift"):
+            solve_nbody_II(four, vn_values=[3.0])
+        rows = solve_nbody_II(four, vn_values=[3.0], require_certified=False)
+        # only a root that passed every other gate is integrated
+        [row] = [r for r in rows if not math.isnan(r.rigidity)]
+        assert not row.certified
+        assert row.notes == (f"pair distances drift {row.rigidity:.3g} "
+                             "within 0.25 period",)
+
     def test_newton_balance_flat_on_true_solution(self, spec4):
         sol = solve_config_II(spec4, v3_values=[1.5])[0]
         assert newton_balance(sol, spec4) < 1e-10
