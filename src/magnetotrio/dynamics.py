@@ -18,22 +18,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionError, DomainError, SpecParseError, StepUnderflow
-from .model import PhaseState, cross_with_B, pair_index
+from .model import cross_with_B, pair_index
+
+# Largest sampling grid :func:`integrate` accepts; each sample of an
+# n-charge run holds 4n + 1 floats in several copies.
+MAX_SAMPLES = 10**6
 
 
 @dataclass
 class IntegratorSettings:
     """Knobs for :func:`integrate`.
 
-    ``sample_interval=None`` keeps the solver's own accepted steps.  The
-    collision threshold terminates integration when any pair distance drops
-    below it.
+    ``sample_interval=None`` keeps the solver's own accepted steps; a
+    sampling grid may hold at most ``MAX_SAMPLES`` points.  The collision
+    threshold terminates integration when any pair distance drops below it.
     """
 
     t_end: float
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
-    max_step: float | None = None
     sample_interval: float | None = None
     collision_threshold: float = 1e-9
 
@@ -51,9 +54,6 @@ class Trajectory:
     @property
     def n_samples(self):
         return len(self.t)
-
-    def state_at(self, k):
-        return PhaseState(self.positions[k], self.velocities[k], self.t[k])
 
 
 def accelerations(spec, positions, velocities):
@@ -101,12 +101,22 @@ def _solve(spec, rhs, y0, t0, settings, positions_of):
     t1 = settings.t_end
     if not math.isfinite(t1):
         raise DomainError("t_end must be finite")
+    if t1 <= t0:
+        raise DomainError(f"t_end = {t1:g} must come after the start time {t0:g}")
+    for name in ("rel_tol", "abs_tol"):
+        tol = getattr(settings, name)
+        if not (math.isfinite(tol) and tol > 0):
+            raise DomainError(f"{name} must be finite and positive, got {tol!r}")
     t_eval = None
     if settings.sample_interval is not None:
         dt = float(settings.sample_interval)
         if not (math.isfinite(dt) and dt > 0):
             raise DomainError("sample_interval must be positive")
-        m = int(np.floor((t1 - t0) / dt + 1e-9))
+        steps = (t1 - t0) / dt
+        if not steps < MAX_SAMPLES:
+            raise DomainError(f"sample_interval {dt:g} over [{t0:g}, {t1:g}] "
+                              f"exceeds {MAX_SAMPLES} samples")
+        m = int(np.floor(steps + 1e-9))
         t_eval = t0 + dt * np.arange(m + 1)
         if t_eval[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
             t_eval = np.append(t_eval, t1)
@@ -130,7 +140,6 @@ def _solve(spec, rhs, y0, t0, settings, positions_of):
         method="DOP853",
         rtol=settings.rel_tol,
         atol=settings.abs_tol,
-        max_step=settings.max_step if settings.max_step is not None else np.inf,
         t_eval=t_eval,
         events=events,
         dense_output=False,

@@ -148,8 +148,6 @@ class Classification:
     neutral: bool
     equal_larmor: bool
     alpha: float | None
-    identical_tail_pair: bool
-    tags: list = field(default_factory=list)
 
 
 def classify_system(spec, tol=1e-12):
@@ -161,9 +159,6 @@ def classify_system(spec, tol=1e-12):
     * ``equal_larmor``       -- all charge-to-mass ratios agree (within ``tol``
                                 relative spread); the center of mass separates
                                 exactly and circles with frequency ``alpha B``.
-    * ``identical_tail_pair``-- n = 3, neutral, with particles 2 and 3
-                                identical; several coupling terms of the
-                                relative dynamics can then be removed.
     """
     e, m = spec.charges, spec.masses
     Q = spec.total_charge
@@ -173,23 +168,7 @@ def classify_system(spec, tol=1e-12):
     spread = ratios.max() - ratios.min()
     equal_larmor = spread <= tol * max(1.0, np.abs(ratios).max())
     alpha = float(ratios.mean()) if equal_larmor else None
-
-    identical_tail_pair = False
-    if spec.n == 3 and neutral:
-        scale_e = max(1.0, np.abs(e).max())
-        scale_m = max(1.0, np.abs(m).max())
-        identical_tail_pair = (
-            abs(e[1] - e[2]) <= tol * scale_e and abs(m[1] - m[2]) <= tol * scale_m
-        )
-
-    tags = []
-    if neutral:
-        tags.append("neutral")
-    if equal_larmor:
-        tags.append("equal-larmor")
-    if identical_tail_pair:
-        tags.append("identical-tail-pair")
-    return Classification(neutral, equal_larmor, alpha, identical_tail_pair, tags)
+    return Classification(neutral, equal_larmor, alpha)
 
 
 def apply_symmetry(spec, state, operation):

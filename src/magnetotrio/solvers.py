@@ -23,11 +23,13 @@ The collinear equations generalize to n charges (solve_nbody_II).
 Configuration III is Configuration II with the third speed reflected, and
 n-body II generalizes both, so the three collinear solvers share one
 sweep: each supplies only the candidate speeds at a swept value of the
-last speed (the elimination sextic, the neutral-pair quartic, or damped
-Newton from seeds), and one routine assembles the field
-(closed_form_B_nbody), the frequency omega = kappa*B and the
-certification.  The second speed is fixed at 1 (the systems are
-scale-covariant) and the default sweeps are ``DEFAULT_GRIDS``.
+last speed (the real roots of the elimination sextic, or damped Newton
+from seeds), and one routine assembles the field (closed_form_B_nbody),
+the frequency omega = kappa*B and the certification.  The second speed is
+fixed at 1 (the systems are scale-covariant) and the default sweeps are
+``DEFAULT_GRIDS``.  The sextic is rooted in v1 by the eigenvalues of its
+companion matrix, so every positive real root is found, at any distance
+from the second speed.
 
 Sign conventions and certification
 ----------------------------------
@@ -78,11 +80,8 @@ _RIGIDITY_TOL = 1e-6      # integrated pair-distance gate (relative)
 _DEDUP_TOL = 1e-9
 
 # The collinear systems are scale-covariant, so the second speed fixes the
-# scale (_V2).  The elimination sextic is scanned in v1 on a log grid of
-# _POINTS_PER_DECADE points per decade, _DECADES decades each side of _V2.
+# scale (_V2).
 _V2 = 1.0
-_POINTS_PER_DECADE = 40
-_DECADES = 1.5
 _POLISH_TOL = 1e-12
 # n > 3 Newton seeds: v1 at these multiples of _V2
 _SEEDS_V1 = (0.25, 0.5, 0.8)
@@ -384,8 +383,8 @@ def helium_cubic_root(v2=1.0):
     def f(x):
         return x**3 - 117*v2*x**2 - 81*v2**2*x - 27*v2**3
 
-    lo, hi = 100.0 * v2, 200.0 * v2
-    x = _bisect(f, lo, hi, f(lo), f(hi))
+    x = float(max(r.real for r in np.roots([1.0, -117*v2, -81*v2**2, -27*v2**3])
+                  if r.imag == 0))
     for _ in range(4):  # Newton cleanup
         x -= f(x) / (3*x**2 - 234*v2*x - 81*v2**2)
     return x
@@ -641,21 +640,6 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
 # collinear root search (Configurations II/III share the machinery)
 # ---------------------------------------------------------------------------
 
-def _bisect(f, a, b, fa, fb, iters=80):
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-        if b - a <= 1e-15 * b:
-            break
-    return 0.5 * (a + b)
-
-
 def _polish(f, df, x):
     """Newton-polish an approximate root ``x`` of ``f``."""
     for _ in range(40):
@@ -670,29 +654,30 @@ def _polish(f, df, x):
 
 
 def _p6_roots_v1(c, v2, v3):
-    """Sign-change roots of the elimination sextic (coefficients ``c``) in
-    v1 on a log grid around v2, bisected then Newton-polished."""
+    """Positive real roots in v1 of the elimination sextic (coefficients
+    ``c``) at (v2, v3): the eigenvalues of its companion matrix, each
+    Newton-polished on the exact sum."""
+    coeffs = [math.fsum(a * v2**j * v3**k for (i, j, k), a in c.items() if i == d)
+              for d in range(6, -1, -1)]
+
     def f(x):
         return _evaluate_p6(c, x, v2, v3)
 
     def df(x):
         return _evaluate_p6_dv1(c, x, v2, v3)
 
-    npts = int(2 * _DECADES * _POINTS_PER_DECADE) + 1
-    xs = np.geomspace(v2 * 10.0**(-_DECADES), v2 * 10.0**_DECADES, npts)
-    fv = np.array([f(x) for x in xs])
     roots = []
-    for a, b, fa, fb in zip(xs, xs[1:], fv, fv[1:]):
-        if not (np.isfinite(fa) and np.isfinite(fb)) or fa * fb >= 0:
+    for r in np.roots(coeffs):
+        if abs(r.imag) > 1e-9 * max(1.0, abs(r)):
             continue
-        x = _polish(f, df, _bisect(f, a, b, fa, fb))
+        x = _polish(f, df, float(r.real))
         # spurious factor zeros of the elimination (coincident speeds)
         if min(abs(x - v2), abs(x - v3)) < 1e-9 * max(1.0, abs(v2), abs(v3)):
             continue
         if x > 0 and not any(abs(x - rr) < _DEDUP_TOL * max(1.0, rr)
                              for rr in roots):
             roots.append(x)
-    return roots
+    return sorted(roots)
 
 
 def _collinear_solution(spec, v, config, branch):
@@ -796,17 +781,16 @@ def solve_config_II(spec, v3_values=None, require_certified=True):
     """Sweep the third speed and solve for Configuration-II rotations.
 
     The second speed is fixed at 1 (the system is scale-covariant); for
-    each v3 the elimination sextic is root-solved in v1 on a log grid of
-    40 points per decade spanning 1.5 decades each side of v2.  The field
-    and frequency follow from the closed forms; roots are certified
-    against ordering, rotation sense, and the Newtonian balance of the
-    built state.  ``v3_values`` defaults to ``DEFAULT_GRIDS["II"]``.
+    each v3 the candidate v1 are all positive real roots of the
+    elimination sextic (companion-matrix eigenvalues, Newton-polished).
+    The field and frequency follow from the closed forms; roots are
+    certified against ordering, rotation sense, and the Newtonian balance
+    of the built state.  ``v3_values`` defaults to ``DEFAULT_GRIDS["II"]``.
 
-    The neutral identical-pair pattern short-circuits to its quartic
-    inside the admissible window v3 >= helium_cubic_root(1), whose roots
-    (v1 ~ v3) lie outside the sextic's grid; those roots never satisfy
-    the speed ordering, so they are returned -- with residuals -- only
-    when ``require_certified`` is False.
+    For the neutral identical-pair pattern the sextic is
+    e^3 (2m + m1) v1 times helium_quartic_coefficients, so its roots
+    (v1 ~ v3, never in the speed ordering) come back -- with residuals --
+    only when ``require_certified`` is False.
 
     Raises NoSolution when no (certified) solution exists, including the
     equal charge-to-mass no-go; the message names up to four roots that
@@ -815,17 +799,9 @@ def solve_config_II(spec, v3_values=None, require_certified=True):
     if spec.n != 3:
         raise DomainError("Configuration II is a three-charge system")
     c = p6_coefficients(spec)
-    window = helium_cubic_root(_V2) if helium_pattern(spec) is not None else None
 
     def speeds_at(v3):
-        if window is None or v3 < window:
-            found = _p6_roots_v1(c, _V2, v3)
-        else:
-            q = np.poly1d(helium_quartic_coefficients(_V2, v3))
-            real = sorted(r.real for r in q.roots
-                          if abs(r.imag) <= 1e-9 * max(1.0, abs(r)))
-            found = [x for x in (_polish(q, q.deriv(), r) for r in real) if x > 0]
-        return [(v1, _V2, v3) for v1 in found]
+        return [(v1, _V2, v3) for v1 in _p6_roots_v1(c, _V2, v3)]
 
     return _sweep(spec, "II", v3_values, speeds_at, require_certified)
 
@@ -920,9 +896,9 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
     Fixes v2 = 1 (scale) and sweeps the outermost speed vn, by default
     over ``DEFAULT_GRIDS["nbody-II"]``; the remaining speeds solve the
     reduced balance system by damped Newton iteration from deterministic
-    seeds (for n = 3 the seeds are the elimination-sextic roots
-    themselves, so the root set provably coincides with
-    solve_config_II's; for n > 3, v1 runs over 0.25, 0.5 and 0.8 times v2
+    seeds (for n = 3 the seeds are the real roots of the elimination
+    sextic, so the root set provably coincides with solve_config_II's;
+    for n > 3, v1 runs over 0.25, 0.5 and 0.8 times v2
     with interior speeds geometrically interpolated between v2 and vn).
     Certification = relative residuals, ordering, rotation sense, Newton
     balance, and an integration over a quarter rotation period with

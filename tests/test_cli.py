@@ -107,6 +107,39 @@ class TestSimulate:
         assert "t_end must be finite" in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("flag, value, mode", [
+        ("--rel-tol", "nan", "newton"), ("--rel-tol", "-1", "newton"),
+        ("--abs-tol", "0", "newton"), ("--abs-tol", "inf", "derived")])
+    def test_tolerances_must_be_finite_and_positive(self, tmp_path, flag, value,
+                                                    mode):
+        # in a subprocess with a timeout: a NaN tolerance never ends a step
+        sys_path = _orbit_system(tmp_path)
+        done = subprocess.run(
+            [sys.executable, "-m", "magnetotrio.cli", "simulate", sys_path,
+             "--t-end", "1", "--mode", mode, flag, value],
+            env=_env_with_src(), timeout=20, capture_output=True, text=True)
+        assert done.returncode == 1
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be finite and positive" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("sampling", [[], ["--sample-every", "0.5"]],
+                             ids=["unsampled", "sampled"])
+    @pytest.mark.parametrize("t_end", ["-1", "0"])
+    def test_t_end_must_come_after_the_start(self, tmp_path, capsys, sampling,
+                                             t_end):
+        sys_path = _orbit_system(tmp_path)
+        rc = main(["simulate", sys_path, f"--t-end={t_end}"] + sampling)
+        assert rc == 1
+        assert "must come after the start time" in capsys.readouterr().err
+
+    def test_sampling_grid_ceiling(self, tmp_path, capsys):
+        sys_path = _orbit_system(tmp_path)
+        rc = main(["simulate", sys_path, "--t-end", "1",
+                   "--sample-every", "1e-300"])
+        assert rc == 1
+        assert "exceeds" in capsys.readouterr().err
+
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["simulate", str(tmp_path / "nope.system")])
         assert rc == 1
@@ -158,6 +191,17 @@ class TestFindAndVerify:
             traj = state_file[:-len(".system")] + ".trajectory.csv"
             rc = main(["verify", traj, state_file])
             assert rc == 0
+
+    def test_root_far_below_the_scale_speed(self, tmp_path):
+        # the certified rotation at v1 ~ 0.0076 of the solver tests
+        sys_path = _write(tmp_path, "far.system",
+                          "B 1\nparticle 2.75 1.18\nparticle -0.36 0.67\n"
+                          "particle 2.09 0.68\n")
+        rc = main(["find", sys_path, "--config", "II", "--grid-min", "2.4",
+                   "--grid-max", "2.4", "--grid-points", "1"])
+        assert rc == 0
+        rows = (tmp_path / "far.II.catalog.csv").read_text().splitlines()
+        assert len(rows) == 2 and float(rows[1].split(",")[2]) < 10**-1.5
 
     def test_catalog_matches_library_call(self, tmp_path):
         from io import StringIO

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from magnetotrio import (CollisionError, IntegratorSettings, PhaseState,
-                         SpecParseError, SystemSpec, Trajectory, accelerations,
-                         integrate, pair_distances, read_trajectory_csv,
-                         rigidity_report, write_trajectory_csv)
+from magnetotrio import (CollisionError, DomainError, IntegratorSettings,
+                         PhaseState, SpecParseError, SystemSpec, Trajectory,
+                         accelerations, integrate, pair_distances,
+                         read_trajectory_csv, rigidity_report,
+                         write_trajectory_csv)
+from magnetotrio.dynamics import MAX_SAMPLES
 from magnetotrio.invariants import coulomb_energy
 
 
@@ -85,6 +87,13 @@ class TestSampling:
         state = PhaseState(np.zeros((1, 2)), np.array([[1.0, 0.0]]))
         traj = integrate(spec, state, IntegratorSettings(t_end=1.0, sample_interval=0.3))
         assert traj.t[-1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_grid_above_the_ceiling_is_rejected(self):
+        spec = larmor_spec()
+        state = PhaseState(np.zeros((1, 2)), np.array([[1.0, 0.0]]))
+        dt = 1.0 / (2 * MAX_SAMPLES)
+        with pytest.raises(DomainError, match="exceeds"):
+            integrate(spec, state, IntegratorSettings(t_end=1.0, sample_interval=dt))
 
 
 def test_pair_distances_index_order():

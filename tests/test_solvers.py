@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import findroot, mp, mpf
 
 from magnetotrio import (ConfigSolution, DegenerateError, DomainError,
                          NoSolution, SystemSpec, ValidityError,
@@ -204,8 +205,9 @@ class TestNeutralPairWindow:
     def test_certified_search_reports_why(self, helium):
         with pytest.raises(NoSolution, match="fail certification"):
             solve_config_II(helium, v3_values=[150.0])
-        # below the window the quartic shortcut does not even apply
-        with pytest.raises(NoSolution) as err:
+        # below the window edge the quartic still has the pair of roots
+        # around v3, and they fail certification the same way
+        with pytest.raises(NoSolution, match="speed ordering outside") as err:
             solve_config_II(helium, v3_values=[100.0])
         assert "quartic" not in str(err.value)
 
@@ -318,6 +320,17 @@ class TestConfigII:
     def test_equal_ratio_no_go(self, electrons):
         with pytest.raises(NoSolution, match="charge-to-mass"):
             solve_config_II(electrons)
+
+    def test_root_far_below_v2(self):
+        # a certified rotation at v1 ~ 0.0076, more than 1.5 decades below
+        # the scale speed v2 = 1
+        spec = SystemSpec(1.0, (2.75, -0.36, 2.09), (1.18, 0.67, 0.68))
+        sols = solve_config_II(spec, v3_values=[2.4])
+        assert len(sols) == 1
+        sol = sols[0]
+        assert sol.certified and sol.v[0] < 10**-1.5
+        assert sol.v[0] == pytest.approx(0.0075566, rel=1e-4)
+        assert sol.newton_balance < 1e-12
 
 
 class TestConfigIII:
@@ -483,7 +496,15 @@ class TestCatalog:
         write_catalog([sol], buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == catalog_header()
-        assert lines[1].startswith("II,0,0.54568864134101336,1,1.5,")
+        assert lines[1].startswith("II,0,0.54568864134100992,1,1.5,")
+        # the pinned digits are the sextic's root to within its evaluation
+        # noise: compare with its root at (v2, v3) = (1, 1.5) in 50 digits
+        c = p6_coefficients(spec4)
+        with mp.workdps(50):
+            root = findroot(lambda x: mp.fsum(
+                a * x**i * mpf(1.5)**k for (i, j, k), a in c.items()),
+                mpf("0.5456886413410"))
+            assert abs(float(lines[1].split(",")[2]) - root) < 1e-14 * root
 
     def test_mirror_sense_suffix(self, electrons_b2):
         sols = solve_config_I_identical(electrons_b2, 2 * CBRT_10)
