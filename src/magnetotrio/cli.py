@@ -14,8 +14,10 @@ bracket check failed.  Anything else unexpected exits 1.
 
 Every simulate/find run drops a JSON manifest next to its outputs
 recording the inputs, the settings actually used, the tool version and
-the wall time, so a run can be reproduced exactly.  All CSV numbers are
-written with 17 significant digits and searches are deterministic.
+the wall time, so a run can be reproduced exactly; a simulate manifest
+also carries the solver stats (``nfev``, ``min_pair_distance``).  All CSV
+numbers are written with 17 significant digits and searches are
+deterministic.
 """
 
 import argparse
@@ -57,7 +59,8 @@ def _stem(input_path, out_dir):
     return os.path.join(out_dir or os.path.dirname(input_path) or ".", base)
 
 
-def _write_manifest(path, command, inputs, settings, outputs, wall_time):
+def _write_manifest(path, command, inputs, settings, outputs, wall_time,
+                    stats=None):
     doc = {
         "tool": "magnetotrio",
         "version": __version__,
@@ -67,6 +70,8 @@ def _write_manifest(path, command, inputs, settings, outputs, wall_time):
         "outputs": {k: os.path.abspath(v) for k, v in outputs.items()},
         "wall_time_s": round(wall_time, 6),
     }
+    if stats is not None:
+        doc["stats"] = stats
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -115,7 +120,7 @@ def _cmd_simulate(args):
         {"t_end": args.t_end, "rel_tol": args.rel_tol,
          "abs_tol": args.abs_tol, "sample_every": args.sample_every,
          "mode": args.mode},
-        {"trajectory": traj_path, "invariants": inv_path}, wall)
+        {"trajectory": traj_path, "invariants": inv_path}, wall, traj.stats)
     print(f"  wrote {manifest}")
     return 0
 

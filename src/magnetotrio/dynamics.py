@@ -4,10 +4,15 @@ The Newton equations integrated here are
 
     m_i a_i = e_i v_i x B + sum_{j != i} e_i e_j (rho_i - rho_j) / |rho_i - rho_j|^3 ,
 
-i.e. the magnetic force in the plane plus pairwise Coulomb forces.  Integration
-uses an adaptive high-order Runge-Kutta scheme (DOP853) with tight default
-tolerances; trajectories are sampled on a uniform grid when a sample interval
-is given, otherwise at the solver's natural steps.
+i.e. the magnetic force in the plane plus pairwise Coulomb forces.  One scalar
+walk over the pair table ``SystemSpec.pairs`` evaluates them; it is the
+right-hand side the integrator calls, and :func:`accelerations` is a view of
+it.  Integration uses an adaptive high-order Runge-Kutta scheme (DOP853) with
+tight default tolerances; trajectories are sampled on a uniform grid when a
+sample interval is given, otherwise at the solver's natural steps.  A
+collision watch walks the same pairs at every accepted step: it stops the run
+when a pair comes closer than the threshold and records the closest approach
+in ``Trajectory.stats``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionError, DomainError, SpecParseError, StepUnderflow
-from .model import cross_with_B, pair_index
+from .model import pair_index
 
 # Largest sampling grid :func:`integrate` accepts; each sample of an
 # n-charge run holds 4n + 1 floats in several copies.
@@ -31,7 +36,8 @@ class IntegratorSettings:
 
     ``sample_interval=None`` keeps the solver's own accepted steps; a
     sampling grid may hold at most ``MAX_SAMPLES`` points.  The collision
-    threshold terminates integration when any pair distance drops below it.
+    threshold terminates integration when any pair distance drops below it;
+    it must be finite and non-negative, and 0 switches the watch off.
     """
 
     t_end: float
@@ -43,7 +49,11 @@ class IntegratorSettings:
 
 @dataclass
 class Trajectory:
-    """Sampled solution of the Newton equations."""
+    """Sampled solution of the Newton equations.
+
+    ``stats`` holds the solver counters of :func:`integrate`: ``nfev``, and
+    ``min_pair_distance`` for n >= 2 while the collision watch is on.
+    """
 
     spec: object
     t: np.ndarray            # (nt,)
@@ -56,28 +66,55 @@ class Trajectory:
         return len(self.t)
 
 
-def accelerations(spec, positions, velocities):
-    """Accelerations of all particles, shape (n, 2)."""
-    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-    vel = np.asarray(velocities, dtype=float).reshape(-1, 2)
-    I, J, ee = spec.pairs
-    d = pos[I] - pos[J]
-    f = ee[:, None] * d / ((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) ** 1.5)[:, None]
-    force = cross_with_B(vel, spec.B) * spec.charges[:, None]
-    np.add.at(force, I, f)
-    np.subtract.at(force, J, f)
-    return force / spec.masses[:, None]
-
-
 def _rhs(spec):
-    n = spec.n
+    """The Newton right-hand side ``f(t, y)`` for ``y`` = (positions,
+    velocities), each flattened row by row, as one scalar pair walk.
+
+    The charges, masses and pair table become Python lists once per spec;
+    each call converts ``y`` once.  For a handful of charges numpy's
+    per-call overhead costs more than the arithmetic.  Forces accumulate
+    as the magnetic term, then each pair's Coulomb force added onto its
+    first charge in pair order, then subtracted from its second, then the
+    division by the mass.
+    """
+    n2, B = 2 * spec.n, spec.B
+    e, m = spec.charges.tolist(), spec.masses.tolist()
+    I, J, ee = spec.pairs
+    walk = list(zip(I.tolist(), J.tolist(), ee.tolist()))
 
     def f(t, y):
-        pos = y[: 2 * n].reshape(n, 2)
-        vel = y[2 * n:].reshape(n, 2)
-        return np.concatenate([vel.ravel(), accelerations(spec, pos, vel).ravel()])
+        s = y.tolist()
+        xs, ys = s[0:n2:2], s[1:n2:2]
+        out = s[n2:]   # the velocities; the accelerations are appended
+        fx = [vy * B * q for vy, q in zip(out[1::2], e)]
+        fy = [-vx * B * q for vx, q in zip(out[0::2], e)]
+        onto_second = []
+        for i, j, c in walk:
+            dx, dy = xs[i] - xs[j], ys[i] - ys[j]
+            r3 = (dx * dx + dy * dy) ** 1.5
+            cx, cy = c * dx / r3, c * dy / r3
+            fx[i] += cx
+            fy[i] += cy
+            onto_second.append((j, cx, cy))
+        for j, cx, cy in onto_second:
+            fx[j] -= cx
+            fy[j] -= cy
+        for ax, ay, mk in zip(fx, fy, m):
+            out.append(ax / mk)
+            out.append(ay / mk)
+        return np.array(out)
 
     return f
+
+
+def accelerations(spec, positions, velocities):
+    """Accelerations of all particles, shape (n, 2): the acceleration half
+    of the Newton right-hand side, from the same pair walk."""
+    pos, vel = (np.asarray(a, dtype=float).ravel() for a in (positions, velocities))
+    if not pos.size == vel.size == 2 * spec.n:
+        raise DomainError(f"positions and velocities must hold {spec.n} "
+                          "planar vectors each")
+    return _rhs(spec)(0.0, np.concatenate([pos, vel]))[2 * spec.n:].reshape(spec.n, 2)
 
 
 def _closest_pair(pos):
@@ -93,7 +130,9 @@ def _solve(spec, rhs, y0, t0, settings, positions_of):
 
     ``positions_of(y)`` maps a solver vector to the (n, 2) positions the
     collision event watches.  Returns the sample times, the solver vectors
-    at those times as rows, and the solver counters.
+    at those times as rows, and the solver counters: ``nfev`` and, while
+    the watch is on, ``min_pair_distance``, the closest approach over the
+    start and every accepted step.
     """
     # imported here: scipy.integrate takes most of the package's import
     # time, and verify and brackets never integrate
@@ -107,6 +146,10 @@ def _solve(spec, rhs, y0, t0, settings, positions_of):
         tol = getattr(settings, name)
         if not (math.isfinite(tol) and tol > 0):
             raise DomainError(f"{name} must be finite and positive, got {tol!r}")
+    threshold = settings.collision_threshold
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise DomainError("collision_threshold must be finite and non-negative "
+                          f"(0 switches the watch off), got {threshold!r}")
     t_eval = None
     if settings.sample_interval is not None:
         dt = float(settings.sample_interval)
@@ -124,10 +167,22 @@ def _solve(spec, rhs, y0, t0, settings, positions_of):
             t_eval[-1] = t1
 
     events = None
-    if spec.n > 1 and settings.collision_threshold > 0:
+    closest = [math.inf]   # running minimum of the squared pair distance
+    if spec.n > 1 and threshold > 0:
+        I, J, _ = spec.pairs
+        watched = list(zip(I.tolist(), J.tolist()))
 
         def collision(t, y):
-            return pair_distances(positions_of(y)).min() - settings.collision_threshold
+            p = positions_of(y).tolist()
+            d2 = math.inf
+            for i, j in watched:
+                dx, dy = p[i][0] - p[j][0], p[i][1] - p[j][1]
+                r2 = dx * dx + dy * dy
+                if r2 < d2:
+                    d2 = r2
+            if d2 < closest[0]:
+                closest[0] = d2
+            return math.sqrt(d2) - threshold
 
         collision.terminal = True
         collision.direction = -1
@@ -150,7 +205,10 @@ def _solve(spec, rhs, y0, t0, settings, positions_of):
         raise CollisionError(float(sol.t_events[0][0]), pair, dist)
     if sol.status < 0:
         raise StepUnderflow(sol.message or "integration failed")
-    return sol.t.copy(), sol.y.T, {"nfev": int(sol.nfev)}
+    stats = {"nfev": int(sol.nfev)}
+    if events:
+        stats["min_pair_distance"] = math.sqrt(closest[0])
+    return sol.t.copy(), sol.y.T, stats
 
 
 def integrate(spec, state, settings):
@@ -219,10 +277,10 @@ def trajectory_header(n):
 
 def _write_csv(path, header, data):
     """Write the columns ``header`` and the rows of the 2-D array ``data``."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in data.tolist():
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write("".join([line % tuple(row) for row in data.tolist()]))
 
 
 def write_trajectory_csv(traj, path):

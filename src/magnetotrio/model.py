@@ -36,15 +36,6 @@ def vector_potential(r, B):
     return A
 
 
-def cross_with_B(v, B):
-    """In-plane part of ``v x (B zhat)`` for planar vector(s) ``v``."""
-    v = np.asarray(v, dtype=float)
-    out = np.empty_like(v)
-    out[..., 0] = v[..., 1] * B
-    out[..., 1] = -v[..., 0] * B
-    return out
-
-
 @functools.cache
 def pair_index(n):
     """Index arrays ``(I, J)`` of every pair ``I < J`` of n particles.

@@ -59,6 +59,17 @@ class TestSimulate:
         assert doc["settings"]["t_end"] == 5.0
         assert set(doc["outputs"]) == {"trajectory", "invariants"}
 
+    @pytest.mark.parametrize("mode", ["newton", "derived"])
+    def test_manifest_carries_the_solver_stats(self, tmp_path, mode):
+        sys_path = _orbit_system(tmp_path)
+        assert main(["simulate", sys_path, "--t-end", "2", "--mode", mode]) == 0
+        with open(tmp_path / "orbit.manifest.json") as fh:
+            stats = json.load(fh)["stats"]
+        assert set(stats) == {"nfev", "min_pair_distance"}
+        assert stats["nfev"] > 0
+        # the electron orbit is rigid: its closest pair stays at 1.0772...
+        assert stats["min_pair_distance"] == pytest.approx(1.0772173450159419, rel=1e-9)
+
     def test_out_dir_is_created(self, tmp_path):
         sys_path = _orbit_system(tmp_path)
         rc = main(["simulate", sys_path, "--t-end", "1",

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from conftest import electron_orbit, separated_state
 
 from magnetotrio import (CollisionError, DomainError, IntegratorSettings,
                          PhaseState, SpecParseError, SystemSpec, Trajectory,
-                         accelerations, integrate, pair_distances,
-                         read_trajectory_csv, rigidity_report,
-                         write_trajectory_csv)
-from magnetotrio.dynamics import MAX_SAMPLES
-from magnetotrio.invariants import coulomb_energy
+                         accelerations, build_initial_state, dynamics,
+                         integrate, invariants, pair_distances,
+                         read_trajectory_csv, rigidity_report, solve_config_II,
+                         write_invariant_csv, write_trajectory_csv)
+from magnetotrio.dynamics import MAX_SAMPLES, _rhs
+from magnetotrio.invariants import coulomb_energy, invariant_columns
 
 
 def larmor_spec():
@@ -57,8 +59,33 @@ class TestAccelerations:
         # a = (e/m) (vy B, -vx B)
         assert np.allclose(acc, [[0.5 * 3.0 * 2.0 / 4.0, -1.0 * 3.0 * 2.0 / 4.0]])
 
+    @pytest.mark.parametrize("n_pos, n_vel", [(4, 4), (2, 2), (3, 2)])
+    def test_state_of_another_size_is_rejected(self, n_pos, n_vel):
+        spec = SystemSpec(B=1.0, charges=(1.0, -1.0, 2.0), masses=(1.0, 1.0, 1.0))
+        pos = np.arange(2.0 * n_pos).reshape(n_pos, 2)
+        with pytest.raises(DomainError, match="3 planar vectors"):
+            accelerations(spec, pos, np.ones((n_vel, 2)))
+
 
 class TestCollision:
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
+    def test_bad_threshold_is_rejected(self, threshold):
+        # an attracting pair from rest: without the watch the run would end
+        # in StepUnderflow at the collision instead of a CollisionError
+        spec = SystemSpec(B=0.1, charges=(1.0, -1.0), masses=(1.0, 1.0))
+        state = PhaseState(np.array([[-0.5, 0.0], [0.5, 0.0]]), np.zeros((2, 2)))
+        with pytest.raises(DomainError, match="collision_threshold"):
+            integrate(spec, state, IntegratorSettings(
+                t_end=5.0, collision_threshold=threshold))
+
+    def test_zero_threshold_switches_the_watch_off(self):
+        spec = SystemSpec(B=0.1, charges=(1.0, 1.0), masses=(1.0, 1.0))
+        state = PhaseState(np.array([[-0.5, 0.0], [0.5, 0.0]]), np.zeros((2, 2)))
+        traj = integrate(spec, state, IntegratorSettings(
+            t_end=2.0, collision_threshold=0.0))
+        assert traj.t[-1] == pytest.approx(2.0)
+        assert set(traj.stats) == {"nfev"}
+
     def test_attracting_pair_terminates(self):
         spec = SystemSpec(B=0.1, charges=(1.0, -1.0), masses=(1.0, 1.0))
         state = PhaseState(np.array([[-0.5, 0.0], [0.5, 0.0]]), np.zeros((2, 2)))
@@ -234,3 +261,155 @@ class TestTrajectoryCsv:
         spec = SystemSpec(B=1.0, charges=(1.0,), masses=(1.0,))
         with pytest.raises(SpecParseError):
             read_trajectory_csv(path, spec)
+
+
+def _oracle_accelerations(spec, positions, velocities):
+    """The numpy pair kernel the scalar pair walk replaced, kept as a
+    reference: scatter-add of the pair forces onto I, scatter-subtract
+    onto J."""
+    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
+    vel = np.asarray(velocities, dtype=float).reshape(-1, 2)
+    I, J, ee = spec.pairs
+    d = pos[I] - pos[J]
+    f = ee[:, None] * d / ((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) ** 1.5)[:, None]
+    lorentz = np.column_stack([vel[:, 1] * spec.B, -vel[:, 0] * spec.B])
+    force = lorentz * spec.charges[:, None]
+    np.add.at(force, I, f)
+    np.subtract.at(force, J, f)
+    return force / spec.masses[:, None]
+
+
+def _oracle_rhs(spec):
+    n = spec.n
+
+    def f(t, y):
+        pos = y[: 2 * n].reshape(n, 2)
+        vel = y[2 * n:].reshape(n, 2)
+        return np.concatenate([vel.ravel(),
+                               _oracle_accelerations(spec, pos, vel).ravel()])
+
+    return f
+
+
+def _spec4_state():
+    """The first certified Configuration II rotation of the SPEC4 species."""
+    spec = SystemSpec(B=1.0, charges=(3.0, -1.0, 1.0), masses=(1.0, 1.0, 3.0))
+    spec_b, state = build_initial_state(solve_config_II(spec)[0], spec)
+    return spec_b, state.positions, state.velocities
+
+
+def _six_charge_state():
+    rng = np.random.default_rng(6)
+    spec = SystemSpec(B=1.5, charges=rng.uniform(0.5, 2.0, 6),
+                      masses=rng.uniform(0.5, 2.0, 6))
+    return spec, *separated_state(rng, 6, box=3.0, min_sep=1.0)
+
+
+class TestPairWalk:
+    """The scalar pair walk against the numpy kernel it replaced and the
+    brute-force double loop."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_rhs_and_accelerations_match_the_oracles(self, n):
+        rng = np.random.default_rng(200 + n)
+        spec = SystemSpec(B=rng.uniform(-2.0, 2.0), charges=rng.uniform(-2.0, 2.0, n),
+                          masses=rng.uniform(0.5, 2.0, n))
+        f = _rhs(spec)
+        for _ in range(6):
+            pos, vel = separated_state(rng, n)
+            out = f(0.0, np.concatenate([pos.ravel(), vel.ravel()]))
+            assert out.shape == (4 * n,)
+            assert np.array_equal(out[: 2 * n], vel.ravel())
+            want = _oracle_accelerations(spec, pos, vel)
+            loop = _double_loop(spec, pos, vel)[0]
+            for acc in (out[2 * n:].reshape(n, 2), accelerations(spec, pos, vel)):
+                np.testing.assert_allclose(acc, want, rtol=1e-13)
+                np.testing.assert_allclose(acc, loop, rtol=1e-13)
+
+    @pytest.mark.parametrize("case", [_spec4_state, electron_orbit, _six_charge_state])
+    def test_integration_matches_the_oracle_kernel(self, case, monkeypatch):
+        spec, pos, vel = case()
+        state = PhaseState(pos, vel)
+        settings = IntegratorSettings(t_end=3.0, rel_tol=1e-12, abs_tol=1e-12,
+                                      sample_interval=0.25)
+        traj = integrate(spec, state, settings)
+        monkeypatch.setattr(dynamics, "_rhs", _oracle_rhs)
+        ref = integrate(spec, state, settings)
+        assert np.array_equal(traj.t, ref.t)
+        np.testing.assert_allclose(traj.positions, ref.positions, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.velocities, ref.velocities, rtol=0, atol=1e-12)
+
+
+class TestClosestApproach:
+    def test_matches_the_accepted_steps(self):
+        spec, pos, vel = electron_orbit()
+        # a generic orbit of the three electrons, not the rotation
+        vel = vel + np.array([[0.3, 0.0], [-0.4, 0.2], [0.0, 0.5]])
+        traj = integrate(spec, PhaseState(pos, vel),
+                         IntegratorSettings(t_end=6.0, sample_interval=None))
+        want = pair_distances(traj.positions).min()
+        assert traj.stats["min_pair_distance"] == pytest.approx(want, rel=1e-15)
+        assert want < pair_distances(pos).min()
+
+    def test_one_charge_has_no_pairs(self):
+        state = PhaseState(np.zeros((1, 2)), np.array([[1.0, 0.0]]))
+        traj = integrate(larmor_spec(), state, IntegratorSettings(t_end=1.0))
+        assert set(traj.stats) == {"nfev"}
+
+
+def _old_write_csv(path, header, data):
+    """The per-value CSV writer, kept as the byte-level reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in data.tolist():
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
+def _awkward_floats(rng, shape):
+    """Random floats of many magnitudes mixed with signed zeros,
+    subnormals, values near 1e+-300 and non-finite values."""
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1e-310, -3.5e-315, 1e300, -1e300, 1e-300, -1e-300,
+                     1.7976931348623157e308, 0.1, 1.0, -2.5, np.inf, -np.inf,
+                     np.nan])
+    data = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    mask = rng.random(shape) < 0.4
+    data[mask] = rng.choice(pool, int(mask.sum()))
+    return data
+
+
+class TestCsvWriterBytes:
+    """The row-format writer gives the bytes of the per-value writer."""
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_trajectory_csv(self, n, tmp_path):
+        rng = np.random.default_rng(300 + n)
+        nt = 81
+        traj = Trajectory(None, _awkward_floats(rng, nt),
+                          _awkward_floats(rng, (nt, n, 2)),
+                          _awkward_floats(rng, (nt, n, 2)))
+        write_trajectory_csv(traj, tmp_path / "new.csv")
+        state = np.concatenate([traj.positions, traj.velocities], axis=-1)
+        _old_write_csv(tmp_path / "old.csv", dynamics.trajectory_header(n),
+                       np.column_stack([traj.t, state.reshape(nt, 4 * n)]))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_invariant_csv(self, n, tmp_path, monkeypatch):
+        rng = np.random.default_rng(400 + n)
+        cols = invariant_columns(n)
+        data = _awkward_floats(rng, (81, len(cols)))
+        monkeypatch.setattr(invariants, "invariant_samples", lambda traj: data)
+        spec = SystemSpec(B=1.0, charges=np.ones(n), masses=np.ones(n))
+        traj = Trajectory(spec, data[:, 0], np.zeros((81, n, 2)), np.zeros((81, n, 2)))
+        write_invariant_csv(traj, tmp_path / "new.csv")
+        _old_write_csv(tmp_path / "old.csv", cols, data)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_integrated_run(self, tmp_path):
+        spec, pos, vel = electron_orbit()
+        traj = integrate(spec, PhaseState(pos, vel),
+                         IntegratorSettings(t_end=2.0, sample_interval=0.1))
+        data = write_invariant_csv(traj, tmp_path / "new.csv")
+        _old_write_csv(tmp_path / "old.csv", invariant_columns(3), data)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

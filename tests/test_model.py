@@ -4,21 +4,13 @@ import pytest
 from magnetotrio import (PhaseState, SpecParseError, SystemSpec,
                          classify_system, format_system, parse_system)
 from magnetotrio.model import (apply_symmetry, canonical_momenta,
-                               cross_with_B, vector_potential)
+                               vector_potential)
 
 
 def test_vector_potential_symmetric_gauge():
     # A(r) = B/2 * (-y, x)
     A = vector_potential(np.array([[2.0, 3.0]]), B=4.0)
     assert np.allclose(A, [[-6.0, 4.0]])
-
-
-def test_cross_with_B_orientation():
-    # v x (B zhat), projected on the plane: (vy*B, -vx*B)
-    out = cross_with_B(np.array([[1.0, 0.0]]), B=2.0)
-    assert np.allclose(out, [[0.0, -2.0]])
-    out = cross_with_B(np.array([[0.0, 1.0]]), B=2.0)
-    assert np.allclose(out, [[2.0, 0.0]])
 
 
 def test_canonical_momenta():
