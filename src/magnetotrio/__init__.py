@@ -28,10 +28,9 @@ from .invariants import (algebra_check, angular_momentum, casimir,
                          pseudomomentum, special_trajectory_quantities,
                          standard_quantities, third_pseudomomentum_x,
                          write_invariant_csv)
-from .jacobi import (JacobiState, JacobiWeights, apply_cc, charge_coefficients,
-                     from_jacobi, hamiltonian_jacobi, integrate_jacobi,
-                     invert_cc, jacobi_weights, pseudomomentum_jacobi,
-                     to_jacobi)
+from .jacobi import (JacobiState, JacobiWeights, apply_cc, from_jacobi,
+                     hamiltonian_jacobi, integrate_jacobi, invert_cc,
+                     jacobi_weights, pseudomomentum_jacobi, to_jacobi)
 from .solvers import (ConfigSolution, build_initial_state,
                       closed_form_B_II, closed_form_B_III,
                       conserved_closed_forms, evaluate_p6,

@@ -27,17 +27,22 @@ coupling charges and effective charges are
     e_1eff = e_2 nu_1^2 + e_1 nu_2^2
     e_2eff = e_3 (mu_1 + mu_2)^2 + (e_1 + e_2) mu_3^2 .
 
+``apply_cc`` and ``invert_cc`` are the two signs of one map, ``_shift``.
+It moves no coordinate, so ``_positions``, the position half of the inverse
+map, serves the collision watch of ``integrate_jacobi`` on shifted data.
+
 ``hamiltonian_jacobi`` evaluates the reduced Hamiltonian in the shifted
 variables; it agrees with the Cartesian Hamiltonian to rounding, which the
 test-suite pins down.  The equations of motion are Hamilton's equations of
 the reduced Hamiltonian with its exact gradient: the momentum and field part
-is a quadratic form whose matrix is read off once per system, and the three
-Coulomb forces are written out.
+is a quadratic form whose constants are fields of ``JacobiWeights`` and
+whose matrix is read off once per system, and the three Coulomb forces are
+written out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,6 +64,8 @@ class JacobiWeights:
     ec2: float
     e1eff: float
     e2eff: float
+    m12: float       # m_1 + m_2
+    cross_tt: float  # coefficient of the A(tau1).A(tau2) term of the Hamiltonian
 
 
 def jacobi_weights(spec):
@@ -70,6 +77,7 @@ def jacobi_weights(spec):
     m12 = m1 + m2
     mu = (m1 / M, m2 / M, m3 / M)
     nu1, nu2 = m1 / m12, m2 / m12
+    ec1 = (m2 * e1 - m1 * e2) / m12
     return JacobiWeights(
         M=M,
         Q=e1 + e2 + e3,
@@ -78,17 +86,15 @@ def jacobi_weights(spec):
         nu2=nu2,
         mt1=m1 * m2 / m12,
         mt2=m12 * m3 / M,
-        ec1=(m2 * e1 - m1 * e2) / m12,
+        ec1=ec1,
         ec2=(m3 * (e1 + e2) - m12 * e3) / M,
         e1eff=e2 * nu1 ** 2 + e1 * nu2 ** 2,
         e2eff=e3 * (mu[0] + mu[1]) ** 2 + (e1 + e2) * mu[2] ** 2,
+        m12=m12,
+        cross_tt=(ec1 / (m1 * m2)) * (e3 * mu[0] * mu[1] * m12
+                                      + e2 * mu[0] * mu[2] * (m1 + m3)
+                                      + e1 * mu[1] * mu[2] * (m2 + m3)),
     )
-
-
-def charge_coefficients(spec):
-    """(e_c1, e_c2, e_1eff, e_2eff) for a three-particle spec."""
-    w = jacobi_weights(spec)
-    return w.ec1, w.ec2, w.e1eff, w.e2eff
 
 
 @dataclass
@@ -106,10 +112,6 @@ class JacobiState:
     ptau1: np.ndarray
     ptau2: np.ndarray
 
-    def copy(self):
-        return JacobiState(*(np.array(getattr(self, f)) for f in
-                             ("R", "tau1", "tau2", "P", "ptau1", "ptau2")))
-
 
 def to_jacobi(spec, positions, velocities):
     """Map Cartesian phase data to Jacobi coordinates (unshifted momenta)."""
@@ -125,6 +127,18 @@ def to_jacobi(spec, positions, velocities):
     return JacobiState(R, tau1, tau2, P, ptau1, ptau2)
 
 
+def _positions(w, js):
+    """Cartesian positions, shape (..., 3, 2), of the Jacobi coordinates of
+    ``js`` (weights ``w``).  The momenta are not read, so the state may be
+    shifted or not."""
+    S = js.R - w.mu[2] * js.tau2
+    return np.stack([
+        S - w.nu2 * js.tau1,
+        S + w.nu1 * js.tau1,
+        js.R + (w.mu[0] + w.mu[1]) * js.tau2,
+    ], axis=-2)
+
+
 def from_jacobi(spec, js):
     """Inverse of :func:`to_jacobi`: returns ``(positions, velocities)``.
 
@@ -132,12 +146,7 @@ def from_jacobi(spec, js):
     the results then have shape (..., 3, 2).
     """
     w = jacobi_weights(spec)
-    S = js.R - w.mu[2] * js.tau2
-    pos = np.stack([
-        S - w.nu2 * js.tau1,
-        S + w.nu1 * js.tau1,
-        js.R + (w.mu[0] + w.mu[1]) * js.tau2,
-    ], axis=-2)
+    pos = _positions(w, js)
     p3 = w.mu[2] * js.P + js.ptau2
     p12 = js.P - p3
     p = np.stack([
@@ -148,65 +157,48 @@ def from_jacobi(spec, js):
     return pos, _velocities_from_momenta(spec, pos, p)
 
 
-def apply_cc(spec, js):
-    """Shift momenta: (P, ptau1, ptau2) -> (P', ptau1', ptau2')."""
+def _shift(spec, js, sign):
+    """The momentum shift (``sign = 1``) or its inverse (``sign = -1``)."""
     w = jacobi_weights(spec)
     B = spec.B
-    out = js.copy()
-    out.P = js.P - w.ec1 * vector_potential(js.tau1, B) - w.ec2 * vector_potential(js.tau2, B)
-    out.ptau1 = js.ptau1 + w.ec1 * vector_potential(js.R, B)
-    out.ptau2 = js.ptau2 + w.ec2 * vector_potential(js.R, B)
-    return out
+    c1, c2 = sign * w.ec1, sign * w.ec2
+    AR = vector_potential(js.R, B)
+    return replace(js,
+                   P=js.P - c1 * vector_potential(js.tau1, B) - c2 * vector_potential(js.tau2, B),
+                   ptau1=js.ptau1 + c1 * AR,
+                   ptau2=js.ptau2 + c2 * AR)
+
+
+def apply_cc(spec, js):
+    """Shift momenta: (P, ptau1, ptau2) -> (P', ptau1', ptau2').  The
+    coordinate arrays of the result are those of ``js``, not copies."""
+    return _shift(spec, js, 1.0)
 
 
 def invert_cc(spec, js):
     """Undo :func:`apply_cc`."""
-    w = jacobi_weights(spec)
-    B = spec.B
-    out = js.copy()
-    out.P = js.P + w.ec1 * vector_potential(js.tau1, B) + w.ec2 * vector_potential(js.tau2, B)
-    out.ptau1 = js.ptau1 - w.ec1 * vector_potential(js.R, B)
-    out.ptau2 = js.ptau2 - w.ec2 * vector_potential(js.R, B)
-    return out
+    return _shift(spec, js, -1.0)
 
 
 # ---------------------------------------------------------------------------
 # reduced Hamiltonian (shifted momenta)
 # ---------------------------------------------------------------------------
 
-def _hc_constants(spec):
-    e1, e2, e3 = (float(c) for c in spec.charges)
-    m1, m2, m3 = (float(m) for m in spec.masses)
-    w = jacobi_weights(spec)
-    m12 = m1 + m2
-    mu1, mu2, mu3 = w.mu
-    # coefficient of the A(tau1).A(tau2) cross term
-    cross_tt = (w.ec1 / (m1 * m2)) * (
-        e3 * mu1 * mu2 * m12 + e2 * mu1 * mu3 * (m1 + m3) + e1 * mu2 * mu3 * (m2 + m3)
-    )
-    return (
-        float(spec.B), w.M, w.Q, w.mt1, w.mt2, w.nu1, w.nu2, mu3,
-        w.ec1, w.ec2, w.e1eff, w.e2eff,
-        m12, cross_tt,
-    )
-
-
-def _coulomb_pairs(spec):
+def _coulomb_pairs(spec, w):
     """Pair table of the Coulomb terms: row p of ``D`` maps ``(tau1, tau2)``
     to the displacement of pair p = (1,2), (1,3), (2,3), and ``ee`` holds the
     charge products of those pairs (``spec.pairs`` order)."""
-    w = jacobi_weights(spec)
     return np.array([[1.0, 0.0], [w.nu2, 1.0], [-w.nu1, 1.0]]), spec.pairs[2]
 
 
-def _hc_quadratic(c, z):
+def _hc_quadratic(w, B, z):
     """Momentum and field part of the reduced Hamiltonian on the flat shifted
     phase vector ``z = (Rx, Ry, t1x, t1y, t2x, t2y, Px, Py, q1x, q1y, q2x, q2y)``,
-    where the q's are the shifted internal momenta.  It is a homogeneous
-    quadratic form in ``z``.
+    where the q's are the shifted internal momenta: a homogeneous quadratic
+    form in ``z``, evaluated elementwise on ``z`` of shape (12, ...).
     """
-    (B, M, Q, mt1, mt2, nu1, nu2, mu3,
-     ec1, ec2, e1eff, e2eff, m12, cross_tt) = c
+    M, Q, mt1, mt2, nu1, nu2, mu3 = w.M, w.Q, w.mt1, w.mt2, w.nu1, w.nu2, w.mu[2]
+    ec1, ec2, e1eff, e2eff, m12, cross_tt = w.ec1, w.ec2, w.e1eff, w.e2eff, w.m12, w.cross_tt
     Rx, Ry, t1x, t1y, t2x, t2y, Px, Py, q1x, q1y, q2x, q2y = z
     half_B = 0.5 * B
     # A(r) = half_B * (-ry, rx)
@@ -231,13 +223,6 @@ def _hc_quadratic(c, z):
     return H
 
 
-def _hc_flat(spec, z):
-    """Reduced Hamiltonian on the flat shifted phase vector ``z``."""
-    D, ee = _coulomb_pairs(spec)
-    d = D @ z[2:6].reshape(2, 2)
-    return _hc_quadratic(_hc_constants(spec), z) + ee @ (1.0 / np.hypot(d[:, 0], d[:, 1]))
-
-
 def _flatten(js):
     return np.concatenate([js.R, js.tau1, js.tau2, js.P, js.ptau1, js.ptau2])
 
@@ -250,7 +235,11 @@ def _unflatten(z):
 
 def hamiltonian_jacobi(spec, js):
     """Reduced Hamiltonian evaluated on a shifted-momentum Jacobi state."""
-    return float(_hc_flat(spec, _flatten(js)))
+    w = jacobi_weights(spec)
+    z = _flatten(js)
+    D, ee = _coulomb_pairs(spec, w)
+    d = D @ z[2:6].reshape(2, 2)
+    return float(_hc_quadratic(w, spec.B, z) + ee @ (1.0 / np.hypot(d[:, 0], d[:, 1])))
 
 
 def pseudomomentum_jacobi(spec, js):
@@ -263,20 +252,28 @@ def pseudomomentum_jacobi(spec, js):
 # equations of motion
 # ---------------------------------------------------------------------------
 
+def _hessian(w, B):
+    """Hessian of :func:`_hc_quadratic` by polarization,
+    ``A_ij = [q(e_i + e_j) - q(e_i - e_j)] / 2``, exact to rounding for a
+    quadratic form.  Evaluated elementwise on the stacked points ``e_i + e_j``
+    and ``e_i - e_j``, each entry is rounded as a scalar evaluation rounds it."""
+    E = np.eye(12)
+    # E[k, i] + E[k, j] is coordinate k of the point e_i + e_j
+    return (_hc_quadratic(w, B, E[:, :, None] + E[:, None, :])
+            - _hc_quadratic(w, B, E[:, :, None] - E[:, None, :])) / 2.0
+
+
 def rhs_jacobi(spec):
     """Right-hand side ``f(t, z)`` on the flat shifted Jacobi vector ``z``.
 
-    Hamilton's equations of the reduced Hamiltonian with its exact gradient.
-    The Hessian ``A`` of :func:`_hc_quadratic` is read off once by
-    polarization, ``A_ij = [q(e_i + e_j) - q(e_i - e_j)] / 2``, which is exact
-    to rounding for a quadratic form; the Coulomb forces act on the
-    ``(tau1, tau2)`` momenta through the pair table.
+    Hamilton's equations of the reduced Hamiltonian with its exact gradient:
+    the Hessian of the momentum and field part is read off once per system
+    (:func:`_hessian`), and the Coulomb forces act on the ``(tau1, tau2)``
+    momenta through the pair table.
     """
-    c = _hc_constants(spec)
-    D, ee = _coulomb_pairs(spec)
-    E = np.eye(12)
-    A = np.array([[_hc_quadratic(c, E[i] + E[j]) - _hc_quadratic(c, E[i] - E[j])
-                   for j in range(12)] for i in range(12)]) / 2.0
+    w = jacobi_weights(spec)
+    D, ee = _coulomb_pairs(spec, w)
+    A = _hessian(w, spec.B)
     # q-dot = dH/dp, p-dot = -dH/dq for the three canonical planar pairs
     SA = np.vstack([A[6:], -A[:6]])
 
@@ -295,12 +292,12 @@ def integrate_jacobi(spec, state, settings):
 
     This is a validation path: the Cartesian integrator in
     :mod:`magnetotrio.dynamics` is the authoritative one.  It shares that
-    integrator's sampling grid and collision event, at the same threshold.
+    integrator's sampling grid and collision event, at the same threshold;
+    the event reads the positions alone, which the momentum shift leaves as
+    they are.
     """
-    def unpack(z):
-        return from_jacobi(spec, invert_cc(spec, _unflatten(z)))
-
+    w = jacobi_weights(spec)
     z0 = _flatten(apply_cc(spec, to_jacobi(spec, state.positions, state.velocities)))
     t, z, stats = _solve(spec, rhs_jacobi(spec), z0, state.t, settings,
-                         lambda y: unpack(y)[0])
-    return Trajectory(spec, t, *unpack(z), stats)
+                         lambda y: _positions(w, _unflatten(y)))
+    return Trajectory(spec, t, *from_jacobi(spec, invert_cc(spec, _unflatten(z))), stats)

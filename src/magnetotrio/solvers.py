@@ -203,14 +203,20 @@ def residuals_config_II(spec, v, omega, B):
     return residuals_nbody_II(spec, v, omega, B)
 
 
+def _signed_speeds(config, v):
+    """Collinear speeds with signs: Configuration III puts charge 3 on the
+    other side of the center, which reflects its speed."""
+    return (v[0], v[1], -v[2]) if config == "III" else tuple(v)
+
+
 def residuals_config_III(spec, v, omega, B):
     """Raw residuals (length 3) of the Configuration-III (anti-phase) system:
     the collinear rows at signed speeds (v1, v2, -v3) with the Coulomb signs
     reversed."""
     if spec.n != 3:
         raise DomainError("Configuration III is a three-charge system")
-    v1, v2, v3 = v
-    rows = _collinear_terms(spec.charges, spec.masses, (v1, v2, -v3), omega, B, -1)
+    rows = _collinear_terms(spec.charges, spec.masses, _signed_speeds("III", v),
+                            omega, B, -1)
     return np.array([math.fsum(r) for r in rows])
 
 
@@ -375,19 +381,17 @@ def helium_pattern(spec, tol=1e-12):
 
 
 def helium_cubic_root(v2=1.0):
-    """The positive root of L^3 - 117 v2 L^2 - 81 v2^2 L - 27 v2^3 = 0,
-    the lower edge of the third speed's admissible window."""
+    """The positive root, about 117.69 v2, of L^3 - 117 v2 L^2 - 81 v2^2 L - 27 v2^3.
+
+    It is not where the neutral pattern's quartic roots begin: at v2 = 1 the
+    quartic has two real, uncertified roots at v3 = 5, 20, 60 and 110 alike.
+    What the cubic bounds is not established."""
     if v2 <= 0:
         raise DomainError("v2 must be positive")
-
-    def f(x):
-        return x**3 - 117*v2*x**2 - 81*v2**2*x - 27*v2**3
-
     x = float(max(r.real for r in np.roots([1.0, -117*v2, -81*v2**2, -27*v2**3])
                   if r.imag == 0))
-    for _ in range(4):  # Newton cleanup
-        x -= f(x) / (3*x**2 - 234*v2*x - 81*v2**2)
-    return x
+    return _polish(lambda L: L**3 - 117*v2*L**2 - 81*v2**2*L - 27*v2**3,
+                   lambda L: 3*L**2 - 234*v2*L - 81*v2**2, x)
 
 
 def helium_quartic_coefficients(v2, v3):
@@ -447,14 +451,11 @@ def build_initial_state(solution, spec):
         raise DomainError("solution and spec have different particle counts")
     sigma = _signed(solution)
     w = sigma * solution.omega
-    v = [sigma * vi for vi in solution.v]
     cfg = solution.config
-    if cfg in ("II", "nbody-II"):
+    v = [sigma * vi for vi in _signed_speeds(cfg, solution.v)]
+    if cfg in ("II", "III", "nbody-II"):
         pos = [[vi / w, 0.0] for vi in v]
         vel = [[0.0, -vi] for vi in v]
-    elif cfg == "III":
-        pos = [[v[0] / w, 0.0], [v[1] / w, 0.0], [-v[2] / w, 0.0]]
-        vel = [[0.0, -v[0]], [0.0, -v[1]], [0.0, v[2]]]
     elif cfg == "I":
         if solution.v[2] == 0.0:
             center = np.zeros(2)
@@ -685,10 +686,8 @@ def _collinear_solution(spec, v, config, branch):
 
     Each failed gate leaves a note; a root is certified when none failed.
     """
-    if config == "III":
-        vs, s = (v[0], v[1], -v[2]), -1   # map to the common signed form
-    else:
-        vs, s = tuple(v), 1
+    vs = _signed_speeds(config, v)
+    s = -1 if config == "III" else 1
     kap = collinear_kappa(spec, vs)
     # the second balance row solved for B; s = -1 flips its Coulomb terms
     B = s * closed_form_B_nbody(spec, vs)
@@ -730,6 +729,18 @@ def _ordering_ok(config, v):
     if config == "III":
         return v[0] > v[1] > v[2] > 0
     return all(a < b for a, b in zip(v, v[1:])) and v[0] > 0
+
+
+def _sextic_speeds(spec, config):
+    """``speeds_at`` of the three-charge sweeps: the positive speeds
+    (v1, 1, v3) whose signed form roots the elimination sextic."""
+    c = p6_coefficients(spec)
+
+    def speeds_at(v3):
+        s3 = _signed_speeds(config, (_V2, _V2, v3))[2]
+        return [(v1, _V2, v3) for v1 in _p6_roots_v1(c, _V2, s3)]
+
+    return speeds_at
 
 
 _SWEEP_NAMES = {"II": "Configuration-II rotation",
@@ -798,12 +809,8 @@ def solve_config_II(spec, v3_values=None, require_certified=True):
     """
     if spec.n != 3:
         raise DomainError("Configuration II is a three-charge system")
-    c = p6_coefficients(spec)
-
-    def speeds_at(v3):
-        return [(v1, _V2, v3) for v1 in _p6_roots_v1(c, _V2, v3)]
-
-    return _sweep(spec, "II", v3_values, speeds_at, require_certified)
+    return _sweep(spec, "II", v3_values, _sextic_speeds(spec, "II"),
+                  require_certified)
 
 
 def solve_config_III(spec, v3_values=None, require_certified=True):
@@ -817,12 +824,8 @@ def solve_config_III(spec, v3_values=None, require_certified=True):
     """
     if spec.n != 3:
         raise DomainError("Configuration III is a three-charge system")
-    c = p6_coefficients(spec)
-
-    def speeds_at(v3):
-        return [(v1, _V2, v3) for v1 in _p6_roots_v1(c, _V2, -v3)]
-
-    return _sweep(spec, "III", v3_values, speeds_at, require_certified)
+    return _sweep(spec, "III", v3_values, _sextic_speeds(spec, "III"),
+                  require_certified)
 
 
 # ---------------------------------------------------------------------------
@@ -894,12 +897,12 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
     """Collinear rigid rotations for n >= 3 charges.
 
     Fixes v2 = 1 (scale) and sweeps the outermost speed vn, by default
-    over ``DEFAULT_GRIDS["nbody-II"]``; the remaining speeds solve the
-    reduced balance system by damped Newton iteration from deterministic
-    seeds (for n = 3 the seeds are the real roots of the elimination
-    sextic, so the root set provably coincides with solve_config_II's;
-    for n > 3, v1 runs over 0.25, 0.5 and 0.8 times v2
-    with interior speeds geometrically interpolated between v2 and vn).
+    over ``DEFAULT_GRIDS["nbody-II"]``.  For n = 3 the candidates are the
+    real roots of the elimination sextic, as in solve_config_II, so the two
+    return the same roots.  For n > 3 the remaining speeds solve the reduced
+    balance system by damped Newton iteration from deterministic seeds: v1
+    runs over 0.25, 0.5 and 0.8 times v2, with interior speeds geometrically
+    interpolated between v2 and vn.
     Certification = relative residuals, ordering, rotation sense, Newton
     balance, and an integration over a quarter rotation period with
     relative pair-distance deviation < 1e-6.  The quarter-period horizon
@@ -911,16 +914,16 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
     n = spec.n
     if n < 3:
         raise DomainError("collinear rigid rotations need at least 3 charges")
+    if n == 3:
+        return _sweep(spec, "nbody-II", vn_values, _sextic_speeds(spec, "nbody-II"),
+                      require_certified)
 
     def speeds_at(vn):
         if vn <= _V2:
             return []
         F, assemble = _nbody_system(spec, vn)
-        if n == 3:
-            seeds = [(s,) for s in _p6_roots_v1(p6_coefficients(spec), _V2, vn)]
-        else:
-            interior = np.geomspace(_V2, vn, n)[2:n - 1]
-            seeds = [np.concatenate(([s1 * _V2], interior)) for s1 in _SEEDS_V1]
+        interior = np.geomspace(_V2, vn, n)[2:n - 1]
+        seeds = [np.concatenate(([s1 * _V2], interior)) for s1 in _SEEDS_V1]
         roots = []
         for u0 in seeds:
             try:
@@ -991,9 +994,7 @@ def conserved_closed_forms(spec, solution):
             out["k3x"] = 0.0
         return out
     if cfg in ("II", "III", "nbody-II"):
-        v = np.array(solution.v, float) * sigma
-        if cfg == "III":
-            v[2] = -v[2]
+        v = np.array(_signed_speeds(cfg, solution.v), float) * sigma
         e = spec.charges
         m = spec.masses
         B = solution.B

@@ -5,9 +5,10 @@ from conftest import electron_orbit, separated_state
 from magnetotrio import (CollisionError, DomainError, IntegratorSettings,
                          PhaseState, SpecParseError, SystemSpec, Trajectory,
                          accelerations, build_initial_state, dynamics,
-                         integrate, invariants, pair_distances,
-                         read_trajectory_csv, rigidity_report, solve_config_II,
-                         write_invariant_csv, write_trajectory_csv)
+                         integrate, integrate_jacobi, invariants,
+                         pair_distances, read_trajectory_csv, rigidity_report,
+                         solve_config_II, write_invariant_csv,
+                         write_trajectory_csv)
 from magnetotrio.dynamics import MAX_SAMPLES, _rhs
 from magnetotrio.invariants import coulomb_energy, invariant_columns
 
@@ -341,12 +342,13 @@ class TestPairWalk:
 
 
 class TestClosestApproach:
-    def test_matches_the_accepted_steps(self):
+    @pytest.mark.parametrize("run", [integrate, integrate_jacobi])
+    def test_matches_the_accepted_steps(self, run):
         spec, pos, vel = electron_orbit()
         # a generic orbit of the three electrons, not the rotation
         vel = vel + np.array([[0.3, 0.0], [-0.4, 0.2], [0.0, 0.5]])
-        traj = integrate(spec, PhaseState(pos, vel),
-                         IntegratorSettings(t_end=6.0, sample_interval=None))
+        traj = run(spec, PhaseState(pos, vel),
+                   IntegratorSettings(t_end=6.0, sample_interval=None))
         want = pair_distances(traj.positions).min()
         assert traj.stats["min_pair_distance"] == pytest.approx(want, rel=1e-15)
         assert want < pair_distances(pos).min()

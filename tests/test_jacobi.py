@@ -4,13 +4,19 @@ from conftest import electron_orbit, separated_state
 
 from magnetotrio import (CollisionError, DomainError, IntegratorSettings,
                          JacobiState, PhaseState, SystemSpec, apply_cc,
-                         charge_coefficients, from_jacobi, hamiltonian,
-                         hamiltonian_jacobi, integrate, integrate_jacobi,
-                         invert_cc, jacobi_weights, pseudomomentum,
+                         from_jacobi, hamiltonian, hamiltonian_jacobi,
+                         integrate, integrate_jacobi, invert_cc,
+                         jacobi_weights, pseudomomentum,
                          pseudomomentum_jacobi, to_jacobi)
-from magnetotrio.jacobi import rhs_jacobi
+from magnetotrio.jacobi import _hc_quadratic, _hessian, _positions, rhs_jacobi
 
 FIELDS = ("R", "tau1", "tau2", "P", "ptau1", "ptau2")
+
+SPECIES = pytest.mark.parametrize("spec", [
+    SystemSpec(B=1.0, charges=(3.0, -1.0, 1.0), masses=(1.0, 1.0, 3.0)),
+    SystemSpec(B=-1.3, charges=(-2.0, 1.0, 1.0), masses=(4.0, 1.0, 1.0)),
+    SystemSpec(B=0.7, charges=(1.0, 4.0, 1.0), masses=(1.0, 5.0, 1.0)),
+], ids=["spec4", "helium-B-1.3", "worked-B0.7"])
 
 
 def _shifted_vector(spec, pos, vel):
@@ -35,6 +41,14 @@ def _richardson_gradient(spec, z, step=1e-4):
     return g
 
 
+def _hessian_by_entries(w, B):
+    """The polarized Hessian one scalar evaluation per entry, kept as the
+    reference for the stacked evaluation."""
+    E = np.eye(12)
+    return np.array([[_hc_quadratic(w, B, E[i] + E[j]) - _hc_quadratic(w, B, E[i] - E[j])
+                      for j in range(12)] for i in range(12)]) / 2.0
+
+
 class TestWeights:
     def test_basic_identities(self, spec4):
         w = jacobi_weights(spec4)
@@ -45,15 +59,15 @@ class TestWeights:
 
     def test_coupling_charges(self, spec4):
         # (m2 e1 - m1 e2)/m12 etc., worked out by hand for (3,-1,1)/(1,1,3)
-        ec1, ec2, e1eff, e2eff = charge_coefficients(spec4)
-        assert ec1 == pytest.approx(2.0)
-        assert ec2 == pytest.approx(0.8)
-        assert e1eff == pytest.approx(0.5)
-        assert e2eff == pytest.approx(0.88)
+        w = jacobi_weights(spec4)
+        assert w.ec1 == pytest.approx(2.0)
+        assert w.ec2 == pytest.approx(0.8)
+        assert w.e1eff == pytest.approx(0.5)
+        assert w.e2eff == pytest.approx(0.88)
 
     def test_equal_ratio_species_decouple(self, electrons):
-        ec1, ec2, _, _ = charge_coefficients(electrons)
-        assert ec1 == 0.0 and ec2 == 0.0
+        w = jacobi_weights(electrons)
+        assert w.ec1 == 0.0 and w.ec2 == 0.0
 
     def test_three_particles_only(self):
         with pytest.raises(DomainError):
@@ -61,12 +75,14 @@ class TestWeights:
 
 
 class TestRoundTrips:
-    def test_coordinates(self, spec4, rng):
-        for _ in range(5):
-            pos, vel = separated_state(rng, 3)
-            back_pos, back_vel = from_jacobi(spec4, to_jacobi(spec4, pos, vel))
-            assert np.allclose(back_pos, pos, rtol=0, atol=1e-13)
-            assert np.allclose(back_vel, vel, rtol=0, atol=1e-13)
+    def test_coordinates(self, spec4, helium, rng):
+        # helium's m1 != m2 tells nu1 from nu2
+        for spec in (spec4, helium):
+            for _ in range(5):
+                pos, vel = separated_state(rng, 3)
+                back_pos, back_vel = from_jacobi(spec, to_jacobi(spec, pos, vel))
+                assert np.allclose(back_pos, pos, rtol=0, atol=1e-13)
+                assert np.allclose(back_vel, vel, rtol=0, atol=1e-13)
 
     def test_momentum_shift_inverse(self, spec4, rng):
         pos, vel = separated_state(rng, 3)
@@ -76,6 +92,13 @@ class TestRoundTrips:
             assert np.allclose(getattr(back, field), getattr(js, field),
                                rtol=0, atol=1e-14)
 
+    def test_positions_ignore_the_shift(self, spec4, rng):
+        w = jacobi_weights(spec4)
+        for _ in range(3):
+            js = to_jacobi(spec4, *separated_state(rng, 3))
+            pos = from_jacobi(spec4, js)[0]
+            assert np.array_equal(_positions(w, js), pos)
+            assert np.array_equal(_positions(w, apply_cc(spec4, js)), pos)
 
     def test_stack_matches_rows_bit_for_bit(self, spec4, rng):
         rows = [to_jacobi(spec4, *separated_state(rng, 3)) for _ in range(6)]
@@ -107,11 +130,12 @@ class TestReducedHamiltonian:
 
 
 class TestExactGradient:
-    @pytest.mark.parametrize("spec", [
-        SystemSpec(B=1.0, charges=(3.0, -1.0, 1.0), masses=(1.0, 1.0, 3.0)),
-        SystemSpec(B=-1.3, charges=(-2.0, 1.0, 1.0), masses=(4.0, 1.0, 1.0)),
-        SystemSpec(B=0.7, charges=(1.0, 4.0, 1.0), masses=(1.0, 5.0, 1.0)),
-    ], ids=["spec4", "helium-B-1.3", "worked-B0.7"])
+    @SPECIES
+    def test_stacked_hessian_matches_entries_bit_for_bit(self, spec):
+        w = jacobi_weights(spec)
+        assert np.array_equal(_hessian(w, spec.B), _hessian_by_entries(w, spec.B))
+
+    @SPECIES
     def test_matches_finite_difference_oracle(self, spec):
         rng = np.random.default_rng(20261018)
         f = rhs_jacobi(spec)

@@ -375,6 +375,12 @@ class TestNbodyCollinear:
             assert sa.B == pytest.approx(sb.B, rel=1e-10)
             assert sa.omega == pytest.approx(sb.omega, rel=1e-10)
 
+    def test_three_charges_keep_every_sextic_root(self, spec4):
+        # uncertified roots included: none is lost to a Newton pass
+        a = solve_config_II(spec4, require_certified=False)
+        b = solve_nbody_II(spec4, require_certified=False)
+        assert [(s.v, s.B, s.omega) for s in b] == [(s.v, s.B, s.omega) for s in a]
+
     def test_four_charge_row(self):
         spec = SystemSpec(1.0, (3.0, -1.0, 1.0, 2.0), (1.0, 1.0, 3.0, 2.0))
         sols = solve_nbody_II(spec, vn_values=[3.0])
