@@ -7,12 +7,15 @@ The Newton equations integrated here are
 i.e. the magnetic force in the plane plus pairwise Coulomb forces.  One scalar
 walk over the pair table ``SystemSpec.pairs`` evaluates them; it is the
 right-hand side the integrator calls, and :func:`accelerations` is a view of
-it.  Integration uses an adaptive high-order Runge-Kutta scheme (DOP853) with
-tight default tolerances; trajectories are sampled on a uniform grid when a
-sample interval is given, otherwise at the solver's natural steps.  A
-collision watch walks the same pairs at every accepted step: it stops the run
-when a pair comes closer than the threshold and records the closest approach
-in ``Trajectory.stats``.
+it.  Integration uses DOP853, the adaptive 8(5,3) Dormand-Prince pair of the
+in-package stepper ``_dop853``, with tight default tolerances; it takes the
+steps and returns the floats of ``scipy.integrate.solve_ivp`` without
+importing scipy.  Trajectories are sampled on a uniform grid, through the
+stepper's dense output, when a sample interval is given, otherwise at the
+solver's natural steps.  A collision watch walks the same pairs at every
+accepted step: when a pair comes closer than the threshold it stops the run
+at the crossing, located on the dense output, and it records the closest
+approach in ``Trajectory.stats``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollisionError, DomainError, SpecParseError, StepUnderflow
+from ._dop853 import DOP853, EPS
+from .errors import CollisionError, DomainError, SpecParseError
 from .model import pair_index
 
 # Largest sampling grid :func:`integrate` accepts; each sample of an
@@ -37,7 +41,8 @@ class IntegratorSettings:
     ``sample_interval=None`` keeps the solver's own accepted steps; a
     sampling grid may hold at most ``MAX_SAMPLES`` points.  The collision
     threshold terminates integration when any pair distance drops below it;
-    it must be finite and non-negative, and 0 switches the watch off.
+    it must be finite and non-negative, and 0 switches the watch off.  A
+    ``rel_tol`` below 100 eps is raised to 100 eps with a warning.
     """
 
     t_end: float
@@ -124,19 +129,13 @@ def _closest_pair(pos):
     return (int(I[k]), int(J[k])), float(d[k])
 
 
-def _solve(spec, rhs, y0, t0, settings, positions_of):
-    """Integrate ``y' = rhs(t, y)`` with DOP853 from ``y0`` at ``t0`` to
-    ``settings.t_end`` on the sampling grid of ``settings``.
+def _checked_grid(settings, t0):
+    """Validate ``settings`` for a run that starts at ``t0`` and return its
+    sampling grid, or None to sample at the solver's accepted steps.
 
-    ``positions_of(y)`` maps a solver vector to the (n, 2) positions the
-    collision event watches.  Returns the sample times, the solver vectors
-    at those times as rows, and the solver counters: ``nfev`` and, while
-    the watch is on, ``min_pair_distance``, the closest approach over the
-    start and every accepted step.
+    Both integration routes call this before they build anything, so a bad
+    setting costs no work.
     """
-    # imported here: scipy.integrate takes most of the package's import
-    # time, and verify and brackets never integrate
-    from scipy.integrate import solve_ivp
     t1 = settings.t_end
     if not math.isfinite(t1):
         raise DomainError("t_end must be finite")
@@ -150,65 +149,106 @@ def _solve(spec, rhs, y0, t0, settings, positions_of):
     if not (math.isfinite(threshold) and threshold >= 0):
         raise DomainError("collision_threshold must be finite and non-negative "
                           f"(0 switches the watch off), got {threshold!r}")
-    t_eval = None
-    if settings.sample_interval is not None:
-        dt = float(settings.sample_interval)
-        if not (math.isfinite(dt) and dt > 0):
-            raise DomainError("sample_interval must be positive")
-        steps = (t1 - t0) / dt
-        if not steps < MAX_SAMPLES:
-            raise DomainError(f"sample_interval {dt:g} over [{t0:g}, {t1:g}] "
-                              f"exceeds {MAX_SAMPLES} samples")
-        m = int(np.floor(steps + 1e-9))
-        t_eval = t0 + dt * np.arange(m + 1)
-        if t_eval[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
-            t_eval = np.append(t_eval, t1)
-        else:
-            t_eval[-1] = t1
+    if settings.sample_interval is None:
+        return None
+    dt = float(settings.sample_interval)
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError("sample_interval must be positive")
+    steps = (t1 - t0) / dt
+    if not steps < MAX_SAMPLES:
+        raise DomainError(f"sample_interval {dt:g} over [{t0:g}, {t1:g}] "
+                          f"exceeds {MAX_SAMPLES} samples")
+    m = int(np.floor(steps + 1e-9))
+    t_eval = t0 + dt * np.arange(m + 1)
+    if t_eval[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
+        t_eval = np.append(t_eval, t1)
+    else:
+        t_eval[-1] = t1
+    return t_eval
 
-    events = None
-    closest = [math.inf]   # running minimum of the squared pair distance
+
+def _crossing(g, a, b):
+    """A zero of ``g`` between ``a`` and ``b``, where g(a) >= 0 >= g(b):
+    the right end of the bisection bracket once it is 4 eps wide,
+    relative to the time."""
+    while b - a > 4 * EPS * (1.0 + abs(b)):
+        mid = 0.5 * (a + b)
+        if g(mid) > 0:
+            a = mid
+        else:
+            b = mid
+    return b
+
+
+def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
+    """Integrate ``y' = rhs(t, y)`` with DOP853 from ``y0`` at ``t0`` to
+    ``settings.t_end``, sampled on ``t_eval``, the grid that
+    :func:`_checked_grid` returned for ``settings``.
+
+    ``positions_of(y)`` maps a solver vector to the (n, 2) positions the
+    collision watch reads.  The watch checks every accepted step; when the
+    closest pair distance falls to the threshold, the crossing is located
+    on the step's dense output.  Returns the sample times, the solver
+    vectors at those times as rows, and the solver counters: ``nfev`` and,
+    while the watch is on, ``min_pair_distance``, the closest approach over
+    the start and every accepted step.
+    """
+    t1, threshold = settings.t_end, settings.collision_threshold
+    stepper = DOP853(rhs, t0, y0, t1, settings.rel_tol, settings.abs_tol)
+    watched = []
     if spec.n > 1 and threshold > 0:
         I, J, _ = spec.pairs
         watched = list(zip(I.tolist(), J.tolist()))
 
-        def collision(t, y):
-            p = positions_of(y).tolist()
-            d2 = math.inf
-            for i, j in watched:
-                dx, dy = p[i][0] - p[j][0], p[i][1] - p[j][1]
-                r2 = dx * dx + dy * dy
-                if r2 < d2:
-                    d2 = r2
-            if d2 < closest[0]:
-                closest[0] = d2
-            return math.sqrt(d2) - threshold
+    def nearest(y):
+        """Squared distance of the closest watched pair."""
+        p = positions_of(y).tolist()
+        d2 = math.inf
+        for i, j in watched:
+            dx, dy = p[i][0] - p[j][0], p[i][1] - p[j][1]
+            r2 = dx * dx + dy * dy
+            if r2 < d2:
+                d2 = r2
+        return d2
 
-        collision.terminal = True
-        collision.direction = -1
-        events = [collision]
+    if watched:
+        closest = nearest(y0)
+        gap = math.sqrt(closest) - threshold
+    ts, rows = ([t0], [y0]) if t_eval is None else ([], [])
+    sampled = 0   # grid points written so far
+    while stepper.t < t1:
+        stepper.step()
+        t, y, dense = stepper.t, stepper.y, None
+        if watched:
+            d2 = nearest(y)
+            closest = min(closest, d2)
+            new_gap = math.sqrt(d2) - threshold
+            if gap >= 0 >= new_gap:
+                dense = stepper.dense_output()
 
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        y0,
-        method="DOP853",
-        rtol=settings.rel_tol,
-        atol=settings.abs_tol,
-        t_eval=t_eval,
-        events=events,
-        dense_output=False,
-    )
+                def at(s):
+                    return dense(np.array([s]))[0]
 
-    if sol.status == 1:  # terminated by the collision event
-        pair, dist = _closest_pair(positions_of(sol.y_events[0][0]))
-        raise CollisionError(float(sol.t_events[0][0]), pair, dist)
-    if sol.status < 0:
-        raise StepUnderflow(sol.message or "integration failed")
-    stats = {"nfev": int(sol.nfev)}
-    if events:
-        stats["min_pair_distance"] = math.sqrt(closest[0])
-    return sol.t.copy(), sol.y.T, stats
+                tc = _crossing(lambda s: math.sqrt(nearest(at(s))) - threshold,
+                               stepper.t_old, t)
+                pair, dist = _closest_pair(positions_of(at(tc)))
+                raise CollisionError(float(tc), pair, dist)
+            gap = new_gap
+        if t_eval is None:
+            ts.append(t)
+            rows.append(y)
+            continue
+        due = int(np.searchsorted(t_eval, t, side="right"))
+        if due > sampled:
+            if dense is None:
+                dense = stepper.dense_output()
+            rows.append(dense(t_eval[sampled:due]))
+            sampled = due
+
+    stats = {"nfev": stepper.nfev}
+    if watched:
+        stats["min_pair_distance"] = math.sqrt(closest)
+    return (np.array(ts) if t_eval is None else t_eval), np.vstack(rows), stats
 
 
 def integrate(spec, state, settings):
@@ -217,11 +257,12 @@ def integrate(spec, state, settings):
     Raises :class:`CollisionError` if a pair distance crosses the collision
     threshold, and :class:`StepUnderflow` if the stepper cannot proceed.
     """
+    t_eval = _checked_grid(settings, state.t)
     if state.n != spec.n:
         raise DomainError("state and spec have different particle counts")
     n = spec.n
     y0 = np.concatenate([state.positions.ravel(), state.velocities.ravel()])
-    t, y, stats = _solve(spec, _rhs(spec), y0, state.t, settings,
+    t, y, stats = _solve(spec, _rhs(spec), y0, state.t, t_eval, settings,
                          lambda y: y[: 2 * n].reshape(n, 2))
     pos = y[:, : 2 * n].reshape(-1, n, 2).copy()
     vel = y[:, 2 * n:].reshape(-1, n, 2).copy()

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Trajectory, _solve
+from .dynamics import Trajectory, _checked_grid, _solve
 from .errors import DomainError
 from .model import _velocities_from_momenta, canonical_momenta, vector_potential
 
@@ -296,8 +296,9 @@ def integrate_jacobi(spec, state, settings):
     the event reads the positions alone, which the momentum shift leaves as
     they are.
     """
+    t_eval = _checked_grid(settings, state.t)
     w = jacobi_weights(spec)
     z0 = _flatten(apply_cc(spec, to_jacobi(spec, state.positions, state.velocities)))
-    t, z, stats = _solve(spec, rhs_jacobi(spec), z0, state.t, settings,
+    t, z, stats = _solve(spec, rhs_jacobi(spec), z0, state.t, t_eval, settings,
                          lambda y: _positions(w, _unflatten(y)))
     return Trajectory(spec, t, *from_jacobi(spec, invert_cc(spec, _unflatten(z))), stats)

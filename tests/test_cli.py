@@ -1,3 +1,4 @@
+import functools
 import glob
 import json
 import os
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from conftest import electron_orbit
 
-from magnetotrio import PhaseState, SystemSpec, format_system
+from magnetotrio import (IntegratorSettings, PhaseState, SystemSpec, cli,
+                         format_system)
 from magnetotrio.cli import main
 
 
@@ -94,6 +96,19 @@ class TestSimulate:
         rc = main(["simulate", sys_path, "--t-end", t_end, "--mode", mode])
         assert rc == 2
         assert "collision" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["newton", "derived"])
+    def test_step_underflow_exits_1(self, tmp_path, capsys, monkeypatch, mode):
+        # with the collision watch off the pair of the trio falls into
+        # itself, and the stepper cannot shrink its step any further
+        monkeypatch.setattr(cli, "IntegratorSettings", functools.partial(
+            IntegratorSettings, collision_threshold=0.0))
+        sys_path = _write(tmp_path, "trio.system", _TRIO)
+        rc = main(["simulate", sys_path, "--t-end", "2", "--mode", mode])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "magnetotrio: error: Required step size is less than spacing "
+            "between numbers.\n")
 
     @pytest.mark.parametrize("mode", ["newton", "derived"])
     @pytest.mark.parametrize("dt", ["0", "-1", "nan"])
@@ -343,17 +358,6 @@ class TestBrackets:
         assert err.startswith("magnetotrio: error: bracket estimates at h and h/2 differ by")
         assert "Traceback" not in err
 
-    def test_does_not_import_the_integrator(self, tmp_path):
-        sys_path = _spec4_system(tmp_path)
-        code = ("import sys\n"
-                "import magnetotrio.cli\n"
-                f"assert magnetotrio.cli.main(['brackets', {sys_path!r}, '--samples', '1']) == 0\n"
-                "print('scipy.integrate' in sys.modules)\n")
-        out = subprocess.run([sys.executable, "-c", code], env=_env_with_src(),
-                             timeout=60, capture_output=True, text=True,
-                             check=True).stdout
-        assert out.splitlines()[-1] == "False"
-
 
 class TestParser:
     def test_version_flag(self, capsys):
@@ -372,3 +376,25 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main(["explode"])
         assert err.value.code == 1
+
+
+def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
+    # a None entry in sys.modules makes every import of scipy fail
+    orbit, mixed = _orbit_system(tmp_path), _spec4_system(tmp_path)
+    out, derived = str(tmp_path / "out"), str(tmp_path / "derived")
+    runs = [
+        ["simulate", orbit, "--t-end", "2", "--sample-every", "0.25", "--out-dir", out],
+        ["simulate", orbit, "--t-end", "2", "--mode", "derived", "--out-dir", derived],
+        # exit 0 needs a root that passed the integrated rigidity gate
+        ["find", mixed, "--config", "nbody-II", "--grid-points", "1", "--out-dir", out],
+        ["verify", os.path.join(out, "orbit.trajectory.csv"), orbit],
+        ["brackets", mixed, "--samples", "1"],
+    ]
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from magnetotrio.cli import main\n"
+            f"print([main(argv) for argv in {runs!r}])\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_env_with_src(),
+                          timeout=120, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]"

@@ -5,7 +5,7 @@ from conftest import electron_orbit, separated_state
 from magnetotrio import (CollisionError, DomainError, IntegratorSettings,
                          PhaseState, SpecParseError, SystemSpec, Trajectory,
                          accelerations, build_initial_state, dynamics,
-                         integrate, integrate_jacobi, invariants,
+                         integrate, integrate_jacobi, invariants, jacobi,
                          pair_distances, read_trajectory_csv, rigidity_report,
                          solve_config_II, write_invariant_csv,
                          write_trajectory_csv)
@@ -122,6 +122,25 @@ class TestSampling:
         dt = 1.0 / (2 * MAX_SAMPLES)
         with pytest.raises(DomainError, match="exceeds"):
             integrate(spec, state, IntegratorSettings(t_end=1.0, sample_interval=dt))
+
+
+class TestSettingsFirst:
+    @pytest.mark.parametrize("bad", [
+        {"t_end": np.nan}, {"t_end": -1.0}, {"rel_tol": 0.0}, {"abs_tol": np.inf},
+        {"collision_threshold": -1.0}, {"sample_interval": 0.0},
+    ], ids=["t_end-nan", "t_end-before-start", "rel_tol-zero", "abs_tol-inf",
+            "threshold-negative", "interval-zero"])
+    def test_rejected_before_either_route_builds_anything(self, bad, monkeypatch):
+        def build(*args):
+            raise AssertionError("built before the settings were checked")
+
+        monkeypatch.setattr(dynamics, "_rhs", build)
+        monkeypatch.setattr(jacobi, "jacobi_weights", build)
+        spec, pos, vel = electron_orbit()
+        settings = IntegratorSettings(**{"t_end": 1.0, **bad})
+        for run in (integrate, integrate_jacobi):
+            with pytest.raises(DomainError):
+                run(spec, PhaseState(pos, vel), settings)
 
 
 def test_pair_distances_index_order():
