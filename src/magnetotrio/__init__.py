@@ -4,7 +4,7 @@ The package integrates the exact Newton equations for n charges moving in
 a plane under their mutual Coulomb forces and a uniform magnetic field
 perpendicular to that plane, checks the conserved quantities (energy,
 pseudomomentum, angular momentum, and the quadratic Casimir built from
-them) with a finite-difference Poisson-bracket engine, transforms the
+them) with a complex-step Poisson-bracket engine, transforms the
 three-charge problem to center-of-mass plus relative coordinates, and
 solves the algebraic systems whose roots are the special rigidly-rotating
 configurations, certifying each root against the Newton flow.
@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 from .errors import (CollisionError, DegenerateError, DomainError,
                      MagnetotrioError, NonConvergence, NoSolution,
-                     NumericalInstability, SpecParseError, StepUnderflow,
-                     ValidityError)
+                     SpecParseError, StepUnderflow, ValidityError)
 from .model import (Classification, PhaseState, SystemSpec, classify_system,
                     format_system, load_system, parse_system, save_system)
 from .dynamics import (IntegratorSettings, RigidityReport, Trajectory,

@@ -280,8 +280,8 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def _random_state(rng, n):
-    # keep particles clearly separated so the finite-difference brackets
-    # stay far from the Coulomb singularities
+    # keep particles clearly separated: near a Coulomb singularity H grows
+    # without bound, and so does the rounding that BRACKET_TOL gates
     I, J = pair_index(n)
     while True:
         pos = rng.uniform(-2.0, 2.0, (n, 2))
@@ -326,6 +326,20 @@ def count(text):
     return value
 
 
+def seed(text):
+    """argparse type of a seed flag: an integer of at least 0."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def tolerance(text):
+    """argparse type of a tolerance flag: a finite number above 0."""
+    if not (np.isfinite(value := float(text)) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors, which this tool reserves for
     # collisions; remap to the generic failure code
@@ -345,9 +359,12 @@ def _build_parser():
                        help="integrate a system file; write trajectory and "
                             "invariant CSVs plus a manifest")
     p.add_argument("system", help="system file with full initial state")
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-10)
+    p.add_argument("--t-end", type=float, default=10.0,
+                   help="end time, after the start time (default: 10)")
+    p.add_argument("--rel-tol", type=float, default=1e-10,
+                   help="relative step tolerance, > 0 (default: 1e-10)")
+    p.add_argument("--abs-tol", type=float, default=1e-10,
+                   help="absolute step tolerance, > 0 (default: 1e-10)")
     p.add_argument("--sample-every", type=float, default=None,
                    metavar="DT", help="fixed output sampling interval "
                    "(default: the integrator's accepted steps)")
@@ -385,16 +402,18 @@ def _build_parser():
                             "per-particle quantities are reported")
     p.add_argument("trajectory", help="trajectory CSV from simulate")
     p.add_argument("system", help="matching system file")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=tolerance, default=1e-6,
+                   help="gate of the global drifts and rigidity (default: 1e-6)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("brackets",
-                       help="finite-difference Poisson-bracket spot check "
+                       help="complex-step Poisson-bracket spot check "
                             "of the integral algebra on seeded random "
                             "states")
     p.add_argument("system", help="system file (only field and charges used)")
     p.add_argument("--samples", type=count, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0,
+                   help="seed of the random states, >= 0 (default: 0)")
     p.set_defaults(func=_cmd_brackets)
     return parser
 

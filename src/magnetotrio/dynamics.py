@@ -186,15 +186,15 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
     :func:`_checked_grid` returned for ``settings``.
 
     ``positions_of(y)`` maps a solver vector to the (n, 2) positions the
-    collision watch reads.  The watch checks every accepted step; when the
-    closest pair distance falls to the threshold, the crossing is located
-    on the step's dense output.  Returns the sample times, the solver
-    vectors at those times as rows, and the solver counters: ``nfev`` and,
-    while the watch is on, ``min_pair_distance``, the closest approach over
-    the start and every accepted step.
+    collision watch reads.  The watch checks the start state, which raises
+    at ``t0`` before any RHS call, and every accepted step; when the closest
+    pair distance falls to the threshold, the crossing is located on the
+    step's dense output.  Returns the sample times, the solver vectors at
+    those times as rows, and the solver counters: ``nfev`` and, while the
+    watch is on, ``min_pair_distance``, the closest approach over the start
+    and every accepted step.
     """
     t1, threshold = settings.t_end, settings.collision_threshold
-    stepper = DOP853(rhs, t0, y0, t1, settings.rel_tol, settings.abs_tol)
     watched = []
     if spec.n > 1 and threshold > 0:
         I, J, _ = spec.pairs
@@ -214,6 +214,9 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
     if watched:
         closest = nearest(y0)
         gap = math.sqrt(closest) - threshold
+        if gap <= 0:
+            raise CollisionError(float(t0), *_closest_pair(positions_of(y0)))
+    stepper = DOP853(rhs, t0, y0, t1, settings.rel_tol, settings.abs_tol)
     ts, rows = ([t0], [y0]) if t_eval is None else ([], [])
     sampled = 0   # grid points written so far
     while stepper.t < t1:

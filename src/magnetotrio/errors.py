@@ -57,8 +57,3 @@ class NoSolution(MagnetotrioError):
 
 class NonConvergence(MagnetotrioError):
     """An iterative method failed to converge within its iteration budget."""
-
-
-class NumericalInstability(MagnetotrioError):
-    """A finite-difference estimate failed its internal consistency check, so
-    the returned value would not be trustworthy."""

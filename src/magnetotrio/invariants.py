@@ -18,18 +18,18 @@ Every quantity takes positions and velocities of shape (..., n, 2) and
 returns one value per leading index (per particle where it is per-particle),
 so one state gives a scalar and a stack of samples is evaluated in one pass.
 
-Poisson brackets are evaluated numerically in canonical coordinates
-``(rho, p)`` with central differences plus one step of Richardson
-extrapolation; a gradient is one call of the quantity on the stack of the
-8n perturbed points, once per state and step.  The two-step estimates are
-compared and a disagreement beyond tolerance raises
-:class:`NumericalInstability` instead of returning noise.
+Poisson brackets are evaluated in canonical coordinates ``(rho, p)`` from
+complex-step gradients ``df/dz_k = Im f(z + i h e_k) / h``, for which every
+quantity accepts complex input.  With no difference taken, one call on the
+stack of the 4n perturbed points gives a gradient exact to rounding.  A
+quantity that is not complex-analytic (``abs``, ``hypot``, ``float()``)
+raises :class:`TypeError` instead of returning a wrong derivative.
 """
 
 import numpy as np
 
-from .dynamics import _write_csv, pair_distances
-from .errors import DomainError, NumericalInstability
+from .dynamics import _write_csv
+from .errors import DomainError
 from .model import _velocities_from_momenta, canonical_momenta, vector_potential
 
 
@@ -38,13 +38,17 @@ from .model import _velocities_from_momenta, canonical_momenta, vector_potential
 # ---------------------------------------------------------------------------
 
 def kinetic_energies(spec, velocities):
-    v = np.asarray(velocities, float)
+    v = np.asarray(velocities)
     return 0.5 * spec.masses * np.einsum("...ij,...ij->...i", v, v)
 
 
 def coulomb_energy(spec, positions):
-    """Sum of ``e_i e_j / rho_ij`` over all pairs."""
-    return (spec.pairs[2] / pair_distances(positions)).sum(axis=-1)
+    """Sum of ``e_i e_j / rho_ij`` over all pairs (``sqrt``, not the
+    complex-rejecting ``np.hypot``)."""
+    I, J, ee = spec.pairs
+    q = np.asarray(positions)
+    dx, dy = q[..., I, 0] - q[..., J, 0], q[..., I, 1] - q[..., J, 1]
+    return (ee / np.sqrt(dx * dx + dy * dy)).sum(axis=-1)
 
 
 def hamiltonian(spec, positions, velocities):
@@ -54,7 +58,7 @@ def hamiltonian(spec, positions, velocities):
 def particle_pseudomomenta(spec, positions, velocities):
     """Individual ``k_i = p_i + e_i A(rho_i) = m_i v_i + 2 e_i A(rho_i)``."""
     A = vector_potential(positions, spec.B)
-    v = np.asarray(velocities, float)
+    v = np.asarray(velocities)
     return spec.masses[:, None] * v + 2.0 * spec.charges[:, None] * A
 
 
@@ -64,7 +68,7 @@ def pseudomomentum(spec, positions, velocities):
 
 def individual_angular_momenta(spec, positions, velocities):
     """Canonical ``l_zi = (rho_i x p_i)_z`` per particle."""
-    pos = np.asarray(positions, float)
+    pos = np.asarray(positions)
     p = canonical_momenta(spec, pos, velocities)
     return pos[..., 0] * p[..., 1] - pos[..., 1] * p[..., 0]
 
@@ -88,7 +92,7 @@ def pair_virial(spec, positions, velocities):
     """
     if spec.n < 2:
         raise DomainError("pair_virial needs at least two particles")
-    pos = np.asarray(positions, float)
+    pos = np.asarray(positions)
     p = canonical_momenta(spec, pos, velocities)
     m1, m2 = spec.masses[0], spec.masses[1]
     nu1, nu2 = m1 / (m1 + m2), m2 / (m1 + m2)
@@ -153,6 +157,9 @@ def _pack(spec, positions, velocities):
     return np.concatenate([np.asarray(positions, float).ravel(), p.ravel()])
 
 
+STEP = 1e-100   # the imaginary step of :func:`_gradient`; it loses no digits
+
+
 def _eval_on_z(func, spec, z):
     """``func`` at canonical points ``z = (rho, p)`` of shape (..., 4n)."""
     pos = z[..., : 2 * spec.n].reshape(*z.shape[:-1], spec.n, 2)
@@ -160,50 +167,28 @@ def _eval_on_z(func, spec, z):
     return func(spec, pos, vel)
 
 
-def _gradient(func, spec, z0, h):
-    """Central differences with steps ``h * max(1, |z_k|)``, one stacked call."""
-    m = len(z0)
-    hk = h * np.maximum(1.0, np.abs(z0))
-    k = np.arange(m)
-    z = np.tile(z0, (2 * m, 1))
-    z[k, k] += hk
-    z[m + k, k] -= hk
-    f = _eval_on_z(func, spec, z)
-    return (f[:m] - f[m:]) / (2.0 * hk)
+def _gradient(func, spec, z0):
+    """Complex-step gradient of ``func`` at ``z0``, one call on the 4n points
+    ``z0 + i STEP e_k``; a real value (a non-analytic ``func``) raises."""
+    f = _eval_on_z(func, spec, z0 + 1j * STEP * np.eye(len(z0)))
+    if not np.iscomplexobj(f):
+        raise TypeError(f"quantity {getattr(func, '__name__', func)} is not "
+                        "complex-analytic: it returned a real value")
+    return f.imag / STEP
 
 
-def _gradients(func, spec, z0, h):
-    """The gradients at steps ``h`` and ``h/2`` that :func:`_bracket` takes."""
-    return _gradient(func, spec, z0, h), _gradient(func, spec, z0, h / 2)
-
-
-def _bracket(spec, gf, gg, instability_tol=1e-3):
-    """Richardson-extrapolated bracket from the :func:`_gradients` of f and g."""
+def _bracket(spec, gf, gg):
+    """The bracket of two quantities from their :func:`_gradient`."""
     n2 = 2 * spec.n
-    b_h, b_h2 = (float(f[:n2] @ g[n2:] - f[n2:] @ g[:n2]) for f, g in zip(gf, gg))
-    extrap = (4.0 * b_h2 - b_h) / 3.0
-    if abs(b_h - b_h2) > instability_tol * max(1.0, abs(extrap)):
-        raise NumericalInstability(
-            f"bracket estimates at h and h/2 differ by {abs(b_h - b_h2):.3e}"
-        )
-    return extrap
+    return float(gf[:n2] @ gg[n2:] - gf[n2:] @ gg[:n2])
 
 
-def poisson_bracket(f, g, spec, positions, velocities, h=1e-5,
-                    instability_tol=1e-3):
-    """Canonical Poisson bracket {f, g} at one phase point.
-
-    ``f`` and ``g`` are callables ``(spec, positions, velocities)`` that take
-    (..., n, 2) stacks and return one value per leading index; differentiation
-    happens in canonical coordinates with per-coordinate step
-    ``h * max(1, |z_k|)``.  The bracket is formed at steps ``h`` and ``h/2``
-    and Richardson-extrapolated; if the two estimates disagree beyond
-    ``instability_tol`` (relative to the extrapolated value, floored at 1),
-    :class:`NumericalInstability` is raised.
-    """
+def poisson_bracket(f, g, spec, positions, velocities):
+    """Canonical Poisson bracket {f, g} at one phase point, of complex-analytic
+    callables ``(spec, positions, velocities)`` that take (..., n, 2) stacks
+    and return one value per leading index."""
     z0 = _pack(spec, positions, velocities)
-    return _bracket(spec, _gradients(f, spec, z0, h), _gradients(g, spec, z0, h),
-                    instability_tol)
+    return _bracket(spec, _gradient(f, spec, z0), _gradient(g, spec, z0))
 
 
 def _named(func, name):
@@ -222,7 +207,7 @@ def standard_quantities(spec):
     ]
 
 
-def algebra_check(spec, positions, velocities, h=1e-5):
+def algebra_check(spec, positions, velocities):
     """Errors of the expected bracket table at one state.
 
     Returns a dict mapping a label to the *error* (computed minus expected):
@@ -232,7 +217,7 @@ def algebra_check(spec, positions, velocities, h=1e-5):
         {Casimir, each of H,Kx,Ky,Lz} = 0.
     """
     z0 = _pack(spec, positions, velocities)
-    H, Kx, Ky, Lz, C = (_gradients(q, spec, z0, h) for q in standard_quantities(spec))
+    H, Kx, Ky, Lz, C = (_gradient(q, spec, z0) for q in standard_quantities(spec))
     QB = spec.total_charge * spec.B
     kx, ky = pseudomomentum(spec, positions, velocities)
     pb = lambda a, b: _bracket(spec, a, b)
@@ -293,7 +278,7 @@ def special_trajectory_quantities(spec, variant="I-rest"):
     return base
 
 
-def involution_check(quantities, spec, states, h=1e-5):
+def involution_check(quantities, spec, states):
     """Max |{q_a, q_b}| over all pairs and all supplied states.
 
     ``states`` is an iterable of (positions, velocities) pairs.  Returns
@@ -304,7 +289,7 @@ def involution_check(quantities, spec, states, h=1e-5):
     worst = 0.0
     for pos, vel in states:
         z0 = _pack(spec, pos, vel)
-        grads = [_gradients(q, spec, z0, h) for q in quantities]
+        grads = [_gradient(q, spec, z0) for q in quantities]
         for a in range(len(quantities)):
             for b in range(a + 1, len(quantities)):
                 val = abs(_bracket(spec, grads[a], grads[b]))

@@ -27,13 +27,10 @@ from .errors import DomainError, SpecParseError
 def vector_potential(r, B):
     """Symmetric-gauge vector potential at point(s) ``r``.
 
-    ``r`` has shape (..., 2); the result has the same shape.
+    ``r`` has shape (..., 2), real or complex; the result has the same shape.
     """
-    r = np.asarray(r, dtype=float)
-    A = np.empty_like(r)
-    A[..., 0] = -0.5 * B * r[..., 1]
-    A[..., 1] = 0.5 * B * r[..., 0]
-    return A
+    r = np.asarray(r)
+    return 0.5 * B * np.stack([-r[..., 1], r[..., 0]], -1)
 
 
 @functools.cache
@@ -123,7 +120,7 @@ class PhaseState:
 def canonical_momenta(spec, positions, velocities):
     """Canonical momenta ``p_i = m_i v_i + e_i A(rho_i)``, shape (..., n, 2)."""
     A = vector_potential(positions, spec.B)
-    return spec.masses[:, None] * np.asarray(velocities, float) + spec.charges[:, None] * A
+    return spec.masses[:, None] * np.asarray(velocities) + spec.charges[:, None] * A
 
 
 def _velocities_from_momenta(spec, positions, momenta):
