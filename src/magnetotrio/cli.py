@@ -21,6 +21,7 @@ deterministic.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -36,7 +37,7 @@ from .errors import (CollisionError, DegenerateError, DomainError,
                      ValidityError)
 from .invariants import algebra_check, drift_report, write_invariant_csv
 from .jacobi import integrate_jacobi
-from .model import classify_system, load_system, pair_index, save_system
+from .model import classify_system, load_system, save_system
 from .solvers import (DEFAULT_GRID_POINTS, DEFAULT_GRIDS, ConfigSolution,
                       build_initial_state, pair_distance_min,
                       solve_config_I_identical, solve_config_I_v3zero,
@@ -279,16 +280,23 @@ def _cmd_verify(args):
 # brackets
 # ---------------------------------------------------------------------------
 
+# A brackets state is drawn whole until every pair is more than 0.5 apart.
+# The chance of that falls fast with n (about 1e-2 at 14 charges, 4e-5 at
+# 20), so the draws per state are bounded, and each draw's pair test stops
+# at its first close pair.
+_MAX_DRAWS = 100_000
+
+
 def _random_state(rng, n):
     # keep particles clearly separated: near a Coulomb singularity H grows
     # without bound, and so does the rounding that BRACKET_TOL gates
-    I, J = pair_index(n)
-    while True:
+    for _ in range(_MAX_DRAWS):
         pos = rng.uniform(-2.0, 2.0, (n, 2))
-        if np.all(np.sum((pos[I] - pos[J]) ** 2, axis=1) > 0.25):
-            break
-    vel = rng.uniform(-1.5, 1.5, (n, 2))
-    return pos, vel
+        if all((a - c) * (a - c) + (b - d) * (b - d) > 0.25
+               for (a, b), (c, d) in itertools.combinations(pos.tolist(), 2)):
+            return pos, rng.uniform(-1.5, 1.5, (n, 2))
+    raise DomainError(f"no state of {n} charges with every pair more than 0.5 "
+                      f"apart in [-2, 2]^2 after {_MAX_DRAWS} draws")
 
 
 def _cmd_brackets(args):

@@ -41,7 +41,8 @@ class IntegratorSettings:
     ``sample_interval=None`` keeps the solver's own accepted steps; a
     sampling grid may hold at most ``MAX_SAMPLES`` points.  The collision
     threshold terminates integration when any pair distance drops below it;
-    it must be finite and non-negative, and 0 switches the watch off.  A
+    it must be finite and non-negative, and 0 switches the watch off (a
+    start state with two charges on one point is still a collision).  A
     ``rel_tol`` below 100 eps is raised to 100 eps with a warning.
     """
 
@@ -189,10 +190,11 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
     collision watch reads.  The watch checks the start state, which raises
     at ``t0`` before any RHS call, and every accepted step; when the closest
     pair distance falls to the threshold, the crossing is located on the
-    step's dense output.  Returns the sample times, the solver vectors at
-    those times as rows, and the solver counters: ``nfev`` and, while the
-    watch is on, ``min_pair_distance``, the closest approach over the start
-    and every accepted step.
+    step's dense output.  With the watch off, a start state with two
+    charges on one point still raises at ``t0``.  Returns the sample times,
+    the solver vectors at those times as rows, and the solver counters:
+    ``nfev`` and, while the watch is on, ``min_pair_distance``, the closest
+    approach over the start and every accepted step.
     """
     t1, threshold = settings.t_end, settings.collision_threshold
     watched = []
@@ -216,6 +218,9 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
         gap = math.sqrt(closest) - threshold
         if gap <= 0:
             raise CollisionError(float(t0), *_closest_pair(positions_of(y0)))
+    elif spec.n > 1 and not pair_distances(positions_of(y0)).all():
+        # watch or no watch, the first RHS call would divide by zero
+        raise CollisionError(float(t0), *_closest_pair(positions_of(y0)))
     stepper = DOP853(rhs, t0, y0, t1, settings.rel_tol, settings.abs_tol)
     ts, rows = ([t0], [y0]) if t_eval is None else ([], [])
     sampled = 0   # grid points written so far

@@ -275,8 +275,10 @@ def closed_form_B_III(spec, v1, v2, v3):
     return -num / den
 
 
-def closed_form_B_nbody(spec, v):
-    """Solve the second collinear balance equation for B (any n >= 3)."""
+def _collinear_field(spec, v):
+    """(kappa, C, B) at speeds ``v``: B = v2 (m2 kappa - e2) / (e2 kappa^2 C)
+    solves the second collinear balance row, where C = sum_j s_2j e_j /
+    (v2 - v_j)^2 is its Coulomb bracket."""
     v = np.asarray(v, float)
     e = spec.charges
     m = spec.masses
@@ -288,7 +290,12 @@ def closed_form_B_nbody(spec, v):
         for j in range(spec.n) if j != 1)
     if bracket == 0.0:
         raise DegenerateError("collinear field closed form: Coulomb bracket vanishes")
-    return v[1] * (m[1] * kap - e[1]) / (e[1] * kap**2 * bracket)
+    return kap, bracket, v[1] * (m[1] * kap - e[1]) / (e[1] * kap**2 * bracket)
+
+
+def closed_form_B_nbody(spec, v):
+    """Solve the second collinear balance equation for B (any n >= 3)."""
+    return _collinear_field(spec, v)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -833,13 +840,20 @@ def solve_config_III(spec, v3_values=None, require_certified=True):
 # ---------------------------------------------------------------------------
 
 def _nbody_system(spec, vn):
-    """Residual map F(u) for the reduced collinear system.
+    """The reduced collinear system, differentiated exactly.
 
     Unknowns u = (v1, v3, ..., v_{n-1}); v2 = _V2 and vn are fixed.  With
     omega = kappa*B and B from the second balance equation, the equation
     sum vanishes identically, leaving equations {1, 3, ..., n-1}.
+    ``system(u)`` returns, from one evaluation, the residuals F(u), their
+    Jacobian dF/du and each row's scale, the largest |term| of its balance
+    row.  The Jacobian is the chain rule through kappa, B (by d ln B) and
+    the Coulomb sums T_i = sum_j s_ij e_i e_j / (v_i - v_j)^2, whose
+    derivatives are dT_i/dv_k = 2 s_ik e_i e_k / (v_i - v_k)^3 for k != i.
     """
     n = spec.n
+    e, m = spec.charges.tolist(), spec.masses.tolist()
+    free = [0, *range(2, n - 1)]   # the unknown speeds, and the rows kept
 
     def assemble(u):
         v = np.empty(n)
@@ -849,29 +863,60 @@ def _nbody_system(spec, vn):
         v[n - 1] = vn
         return v
 
-    def F(u):
+    def system(u):
         v = assemble(u)
-        kap = collinear_kappa(spec, v)
-        B = closed_form_B_nbody(spec, v)
-        res = residuals_nbody_II(spec, v, kap * B, B)
-        return np.concatenate(([res[0]], res[2:n - 1]))
+        kap, C, B = _collinear_field(spec, v)
+        w = kap * B
+        x = v.tolist()
+        rows = _collinear_terms(e, m, x, w, B)
+        F = np.array([math.fsum(rows[i]) for i in free])
+        scale = [max(map(abs, rows[i])) for i in free]
+        J = np.full((n - 2, n - 2), math.nan)
+        if not np.isfinite(F).all():
+            # two speeds coincide: no derivative, and no iterate either
+            return F, J, scale
+        # d kappa, dB and d omega along each free speed; dB is B d ln B
+        # written without the factor 1 / (m2 kappa - e2)
+        smv = math.fsum(mi * xi for mi, xi in zip(m, x))
+        dkap = [(e[k] - kap * m[k]) / smv for k in free]
+        dC = [2 * (1 if k > 1 else -1) * e[k] / (x[1] - x[k])**3 for k in free]
+        dB = [x[1] * m[1] * dk / (e[1] * kap**2 * C) - B * (2 * dk / kap + dc / C)
+              for dk, dc in zip(dkap, dC)]
+        dw = [dk * B + kap * db for dk, db in zip(dkap, dB)]
+        for a, i in enumerate(free):
+            q = [(1 if j > i else -1) * e[i] * e[j] / (x[i] - x[j])**2 if j != i
+                 else 0.0 for j in range(n)]
+            dT = [2 * q[j] / (x[i] - x[j]) if j != i else 0.0 for j in range(n)]
+            dT[i] = -sum(dT)
+            T = sum(q)
+            for b, k in enumerate(free):
+                J[a, b] = (dB[b] * e[i] * x[i] - m[i] * x[i] * dw[b]
+                           + 2 * w * dw[b] * T + w * w * dT[k])
+            J[a, a] += B * e[i] - m[i] * w
+        return F, J, scale
 
-    return F, assemble
+    return system, assemble
 
 
-def _damped_newton(F, u0, tol=1e-12, max_iter=60):
+def _damped_newton(system, u0, max_iter=60):
+    """Damped Newton iteration on ``system(u) -> (F, J, scale)`` from ``u0``.
+
+    The step solves J step = -F with the exact Jacobian and is halved until
+    |F| decreases (or the stop holds) at a point with positive speeds.  The
+    iteration stops when every row satisfies |F_i| <= 1e-12 max(1, scale_i):
+    a root to round-off relative to the row's largest term, or to 1e-12
+    absolute where all of a row's terms are below 1 (as where the field
+    vanishes with a speed meeting v2).  Raises NonConvergence otherwise.
+    """
+    def converged(f, scale):
+        return all(abs(fi) <= _POLISH_TOL * max(1.0, si) for fi, si in zip(f, scale))
+
     u = np.asarray(u0, float).copy()
-    fu = F(u)
+    fu, J, scale = system(u)
     norm = np.linalg.norm(fu)
     for _ in range(max_iter):
-        if norm < tol:
+        if converged(fu, scale):
             return u
-        J = np.empty((len(fu), len(u)))
-        for k in range(len(u)):
-            h = 1e-7 * max(1.0, abs(u[k]))
-            up = u.copy(); up[k] += h
-            um = u.copy(); um[k] -= h
-            J[:, k] = (F(up) - F(um)) / (2 * h)
         try:
             step = np.linalg.solve(J, -fu)
         except np.linalg.LinAlgError:
@@ -880,15 +925,15 @@ def _damped_newton(F, u0, tol=1e-12, max_iter=60):
         for _ in range(30):
             trial = u + lam * step
             if np.all(trial > 0):
-                ft = F(trial)
+                ft, Jt, st = system(trial)
                 nt = np.linalg.norm(ft)
-                if nt < norm * (1 - 1e-4 * lam) or nt < tol:
-                    u, fu, norm = trial, ft, nt
+                if nt < norm * (1 - 1e-4 * lam) or converged(ft, st):
+                    u, fu, J, scale, norm = trial, ft, Jt, st, nt
                     break
             lam *= 0.5
         else:
             raise NonConvergence("backtracking stalled in the collinear solver")
-    if norm >= tol:
+    if not converged(fu, scale):
         raise NonConvergence(f"no convergence (|F| = {norm:.3g})")
     return u
 
@@ -902,7 +947,13 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
     return the same roots.  For n > 3 the remaining speeds solve the reduced
     balance system by damped Newton iteration from deterministic seeds: v1
     runs over 0.25, 0.5 and 0.8 times v2, with interior speeds geometrically
-    interpolated between v2 and vn.
+    interpolated between v2 and vn.  Newton steps with the exact Jacobian of
+    the balance rows and stops once every row satisfies
+    |F_i| <= 1e-12 max(1, scale_i), scale_i being the row's largest |term|:
+    it admits roots to round-off of their terms.  Where the terms are all
+    below 1, as near the spurious zeros at which a speed meets v2 and B
+    vanishes, the stop is the absolute 1e-12, and certification rejects
+    what it admits there.
     Certification = relative residuals, ordering, rotation sense, Newton
     balance, and an integration over a quarter rotation period with
     relative pair-distance deviation < 1e-6.  The quarter-period horizon
@@ -921,13 +972,13 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
     def speeds_at(vn):
         if vn <= _V2:
             return []
-        F, assemble = _nbody_system(spec, vn)
+        system, assemble = _nbody_system(spec, vn)
         interior = np.geomspace(_V2, vn, n)[2:n - 1]
         seeds = [np.concatenate(([s1 * _V2], interior)) for s1 in _SEEDS_V1]
         roots = []
         for u0 in seeds:
             try:
-                u = _damped_newton(F, u0)
+                u = _damped_newton(system, u0)
             except NonConvergence:
                 continue
             if not any(np.allclose(u, r, rtol=1e-8, atol=0) for r in roots):

@@ -40,6 +40,14 @@ def four():
 
 
 @pytest.fixture
+def five():
+    """``four`` with a unit charge of unit mass added: a five-charge species
+    with certified collinear rotations."""
+    return SystemSpec(B=1.0, charges=(3.0, -1.0, 1.0, 2.0, 1.0),
+                      masses=(1.0, 1.0, 3.0, 2.0, 1.0))
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(1234)
 

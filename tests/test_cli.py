@@ -378,6 +378,17 @@ class TestBrackets:
         assert rc == 0
         assert "algebra satisfied" in capsys.readouterr().out
 
+    def test_crowded_system_exits_1(self, tmp_path):
+        # thirty charges 0.5 apart in [-2, 2]^2 are never drawn at once, so
+        # the bounded draws give up with an error naming n
+        sys_path = _write(tmp_path, "crowd.system", "B 1\n" + "particle 1 1\n" * 30)
+        done = subprocess.run(
+            [sys.executable, "-m", "magnetotrio.cli", "brackets", sys_path,
+             "--samples", "1"],
+            env=_env_with_src(), timeout=5, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert "no state of 30 charges" in done.stderr
+
 
 class TestParser:
     def test_version_flag(self, capsys):

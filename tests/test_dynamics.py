@@ -87,6 +87,16 @@ class TestCollision:
         assert traj.t[-1] == pytest.approx(2.0)
         assert set(traj.stats) == {"nfev"}
 
+    @pytest.mark.parametrize("route", [integrate, integrate_jacobi])
+    def test_coincident_start_collides_with_the_watch_off(self, route):
+        # the first RHS call would divide by the zero pair distance
+        spec = SystemSpec(1.0, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+        state = PhaseState(np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0]]),
+                           np.zeros((3, 2)))
+        with pytest.raises(CollisionError) as err:
+            route(spec, state, IntegratorSettings(t_end=1.0, collision_threshold=0.0))
+        assert (err.value.t, err.value.pair, err.value.distance) == (0.0, (0, 1), 0.0)
+
     def test_attracting_pair_terminates(self):
         spec = SystemSpec(B=0.1, charges=(1.0, -1.0), masses=(1.0, 1.0))
         state = PhaseState(np.array([[-0.5, 0.0], [0.5, 0.0]]), np.zeros((2, 2)))

@@ -364,6 +364,18 @@ class TestConfigIII:
             solve_config_III(spec4, v3_values=[1.5])
 
 
+def _central_jacobian(system, u, h=1e-7):
+    """The per-coordinate central difference of the n-body residuals, the
+    Jacobian the damped Newton built before it was differentiated exactly."""
+    J = np.empty((len(u), len(u)))
+    for k in range(len(u)):
+        hk = h * max(1.0, abs(u[k]))
+        up = u.copy(); up[k] += hk
+        um = u.copy(); um[k] -= hk
+        J[:, k] = (system(up)[0] - system(um)[0]) / (2.0 * hk)
+    return J
+
+
 class TestNbodyCollinear:
     def test_three_charge_catalog_matches_dedicated_solver(self, spec4):
         grid = [1.5, 4.0]
@@ -398,6 +410,68 @@ class TestNbodyCollinear:
         sol = solve_nbody_II(spec, vn_values=[3.0])[0]
         res = residuals_nbody_II(spec, sol.v, sol.omega, sol.B)
         assert np.abs(res).max() < 1e-10
+
+    @pytest.mark.parametrize("name", ["four", "five"])
+    def test_exact_jacobian_matches_central_difference(self, name, request, rng):
+        spec = request.getfixturevalue(name)
+        n = spec.n
+        for _ in range(5):
+            vn = rng.uniform(1.5, 20.0)
+            system, assemble = solvers._nbody_system(spec, vn)
+            # ordered speeds v1 < v2 = 1 < v3 < ... < vn, as from the seeds
+            u = np.concatenate(([rng.uniform(0.1, 0.9)],
+                                np.sort(rng.uniform(1.1, 0.95 * vn, n - 3))))
+            F, J, scale = system(u)
+            oracle = _central_jacobian(system, u)
+            assert np.abs(J - oracle).max() <= 1e-7 * np.abs(oracle).max()
+            # the residual rows {1, 3, ..., n-1} of the full system, unchanged
+            v = assemble(u)
+            B = solvers.closed_form_B_nbody(spec, v)
+            kept = [0, *range(2, n - 1)]
+            assert F.tolist() == residuals_nbody_II(
+                spec, v, collinear_kappa(spec, v) * B, B)[kept].tolist()
+            assert np.all(scale >= np.abs(F))
+
+    @pytest.mark.parametrize("name, rows", [
+        ("four", [((0.6305976741664734, 1.0, 1.4953226950863252, 1.8982718911615246),
+                   0.16870221724834977, 0.270448843365876),
+                  ((0.6247581055259501, 1.0, 2.0985685370173393, 2.4022907818493007),
+                   0.13546402922675513, 0.22163968600275658),
+                  ((0.6467995612351296, 1.0, 2.7968267973561356, 3.040134043720646),
+                   0.11358445262815765, 0.18647354939853772)]),
+        ("five", [((0.659969300189254, 1.0, 1.460363132771728, 1.8177558573069532,
+                    2.4022907818493007), 0.13676469581858108, 0.19485107924076447),
+                  ((0.6858044030431588, 1.0, 2.4366232454646917, 2.6556822873640114,
+                    3.040134043720646), 0.08517200148856088, 0.12472998601129871),
+                  ((0.7040193988173459, 1.0, 3.360041003659567, 3.5345834275452086,
+                    3.8473340003720824), 0.07359844683225446, 0.10856946573323469)]),
+    ])
+    def test_default_grid_rows_and_residual_count(self, name, rows, request,
+                                                  monkeypatch):
+        # rows frozen from the central-difference Newton solve, which made
+        # 6066 (four) and 4949 (five) residual evaluations on this grid
+        spec = request.getfixturevalue(name)
+        calls = 0
+        factory = solvers._nbody_system
+
+        def counted(spec, vn):
+            system, assemble = factory(spec, vn)
+
+            def count(u):
+                nonlocal calls
+                calls += 1
+                return system(u)
+
+            return count, assemble
+
+        monkeypatch.setattr(solvers, "_nbody_system", counted)
+        sols = solve_nbody_II(spec)
+        assert calls <= 1000
+        assert len(sols) == len(rows)
+        for sol, (v, omega, B) in zip(sols, rows):
+            np.testing.assert_allclose(sol.v, v, rtol=1e-12)
+            assert sol.omega == pytest.approx(omega, rel=1e-12)
+            assert sol.B == pytest.approx(B, rel=1e-12)
 
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
