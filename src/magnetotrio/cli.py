@@ -35,7 +35,8 @@ from .dynamics import (IntegratorSettings, integrate, read_trajectory_csv,
 from .errors import (CollisionError, DegenerateError, DomainError,
                      MagnetotrioError, NoSolution, SpecParseError,
                      ValidityError)
-from .invariants import algebra_check, drift_report, write_invariant_csv
+from .invariants import (algebra_check, drift_report, table_drifts,
+                         write_invariant_csv)
 from .jacobi import integrate_jacobi
 from .model import classify_system, load_system, save_system
 from .solvers import (DEFAULT_GRID_POINTS, DEFAULT_GRIDS, ConfigSolution,
@@ -104,9 +105,7 @@ def _cmd_simulate(args):
     traj_path = stem + ".trajectory.csv"
     inv_path = stem + ".invariants.csv"
     write_trajectory_csv(traj, traj_path)
-    write_invariant_csv(traj, inv_path)
-
-    drifts = drift_report(traj)
+    drifts = table_drifts(write_invariant_csv(traj, inv_path), spec.n)
     print(f"integrated n={spec.n} system to t={args.t_end:g} "
           f"({traj.n_samples} samples, {wall:.2f} s)")
     print(f"  H drift {drifts['H']:.3e}, Lz drift {drifts['Lz']:.3e}")

@@ -4,22 +4,25 @@ The Newton equations integrated here are
 
     m_i a_i = e_i v_i x B + sum_{j != i} e_i e_j (rho_i - rho_j) / |rho_i - rho_j|^3 ,
 
-i.e. the magnetic force in the plane plus pairwise Coulomb forces.  One scalar
-walk over the pair table ``SystemSpec.pairs`` evaluates them; it is the
-right-hand side the integrator calls, and :func:`accelerations` is a view of
-it.  Integration uses DOP853, the adaptive 8(5,3) Dormand-Prince pair of the
-in-package stepper ``_dop853``, with tight default tolerances; it takes the
-steps and returns the floats of ``scipy.integrate.solve_ivp`` without
-importing scipy.  Trajectories are sampled on a uniform grid, through the
-stepper's dense output, when a sample interval is given, otherwise at the
-solver's natural steps.  A collision watch walks the same pairs at every
-accepted step: when a pair comes closer than the threshold it stops the run
-at the crossing, located on the dense output, and it records the closest
-approach in ``Trajectory.stats``.
+i.e. the magnetic force in the plane plus pairwise Coulomb forces.  Their
+right-hand side is straight-line code compiled once per particle count n
+(:func:`_rhs_factory`) and bound to a spec's constants; every pair is
+spelled out, and the floats are those of a scalar walk over the pair table
+``SystemSpec.pairs``.  :func:`accelerations` is a view of it.  Integration
+uses DOP853, the adaptive 8(5,3) Dormand-Prince pair of the in-package
+stepper ``_dop853``, with tight default tolerances; it takes the steps and
+returns the floats of ``scipy.integrate.solve_ivp`` without importing
+scipy.  Trajectories are sampled on a uniform grid, through the stepper's
+dense output, when a sample interval is given, otherwise at the solver's
+natural steps.  A collision watch keeps its own walk over the pairs and
+runs it at every accepted step: when a pair comes closer than the
+threshold it stops the run at the crossing, located on the dense output,
+and it records the closest approach in ``Trajectory.stats``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,50 +75,69 @@ class Trajectory:
         return len(self.t)
 
 
+@functools.cache
+def _rhs_factory(n):
+    """Compile the Newton right-hand side of n charges; once per n.
+
+    Returns ``make(B, e0.., m0.., c0..)``, which binds a field, the n
+    charges and masses and the pair products ``c_k = e_I e_J`` of
+    :func:`pair_index` order, and returns ``f(t, y)``.  The generated
+    ``f`` unpacks ``y`` into locals and spells out every pair, so a call
+    pays no list indexing or loop overhead.  The source is built from n
+    alone: integer indices in fixed templates, never a value of a spec.
+    """
+    pairs = list(zip(*(a.tolist() for a in pair_index(n))))
+    e, m = [f"e{i}" for i in range(n)], [f"m{i}" for i in range(n)]
+    c = [f"c{k}" for k in range(len(pairs))]
+    state = ([f"{v}{i}" for i in range(n) for v in ("x", "y")]
+             + [f"{v}{i}" for i in range(n) for v in ("vx", "vy")])
+    lines = [f"def make(B, {', '.join(e + m + c)}):",
+             "    def f(t, y):",
+             f"        {', '.join(state)} = y.tolist()"]
+    for k, (i, j) in enumerate(pairs):
+        lines += [f"        dx = x{i} - x{j}",
+                  f"        dy = y{i} - y{j}",
+                  "        r3 = (dx * dx + dy * dy) ** 1.5",
+                  f"        cx{k} = c{k} * dx / r3",
+                  f"        cy{k} = c{k} * dy / r3"]
+    acc = []
+    for i in range(n):
+        # ``+`` and ``-`` chain left to right, so each sum takes the walk's
+        # order: the magnetic term, the pairs led by i, the pairs trailed
+        # by i, each in pair order
+        onto = [k for k, p in enumerate(pairs) if p[0] == i]
+        off = [k for k, p in enumerate(pairs) if p[1] == i]
+        for axis, lorentz in (("x", f"vy{i} * B"), ("y", f"-vx{i} * B")):
+            terms = "".join([f" + c{axis}{k}" for k in onto]
+                            + [f" - c{axis}{k}" for k in off])
+            acc.append(f"({lorentz} * e{i}{terms}) / m{i}")
+    lines += [f"        return array([{', '.join(state[2 * n:] + acc)}])",
+              "    return f"]
+    scope = {"array": np.array}
+    exec(compile("\n".join(lines), f"<newton rhs, n = {n}>", "exec"), scope)
+    return scope["make"]
+
+
 def _rhs(spec):
     """The Newton right-hand side ``f(t, y)`` for ``y`` = (positions,
-    velocities), each flattened row by row, as one scalar pair walk.
+    velocities), each flattened row by row: the kernel that
+    :func:`_rhs_factory` compiled for ``spec.n``, bound to the spec's field,
+    charges, masses and pair products.
 
-    The charges, masses and pair table become Python lists once per spec;
-    each call converts ``y`` once.  For a handful of charges numpy's
-    per-call overhead costs more than the arithmetic.  Forces accumulate
-    as the magnetic term, then each pair's Coulomb force added onto its
-    first charge in pair order, then subtracted from its second, then the
-    division by the mass.
+    It does the floating-point operations of a scalar walk over the pair
+    table, in its order: the magnetic force ``(vy B) e``, ``((-vx) B) e``;
+    then each pair's Coulomb force ``c d / r^3`` added onto its first
+    charge in pair order; then subtracted from its second charge in pair
+    order; then the division by the mass.
     """
-    n2, B = 2 * spec.n, spec.B
-    e, m = spec.charges.tolist(), spec.masses.tolist()
-    I, J, ee = spec.pairs
-    walk = list(zip(I.tolist(), J.tolist(), ee.tolist()))
-
-    def f(t, y):
-        s = y.tolist()
-        xs, ys = s[0:n2:2], s[1:n2:2]
-        out = s[n2:]   # the velocities; the accelerations are appended
-        fx = [vy * B * q for vy, q in zip(out[1::2], e)]
-        fy = [-vx * B * q for vx, q in zip(out[0::2], e)]
-        onto_second = []
-        for i, j, c in walk:
-            dx, dy = xs[i] - xs[j], ys[i] - ys[j]
-            r3 = (dx * dx + dy * dy) ** 1.5
-            cx, cy = c * dx / r3, c * dy / r3
-            fx[i] += cx
-            fy[i] += cy
-            onto_second.append((j, cx, cy))
-        for j, cx, cy in onto_second:
-            fx[j] -= cx
-            fy[j] -= cy
-        for ax, ay, mk in zip(fx, fy, m):
-            out.append(ax / mk)
-            out.append(ay / mk)
-        return np.array(out)
-
-    return f
+    make = _rhs_factory(spec.n)
+    return make(spec.B, *spec.charges.tolist(), *spec.masses.tolist(),
+                *spec.pairs[2].tolist())
 
 
 def accelerations(spec, positions, velocities):
     """Accelerations of all particles, shape (n, 2): the acceleration half
-    of the Newton right-hand side, from the same pair walk."""
+    of the Newton right-hand side :func:`_rhs`."""
     pos, vel = (np.asarray(a, dtype=float).ravel() for a in (positions, velocities))
     if not pos.size == vel.size == 2 * spec.n:
         raise DomainError(f"positions and velocities must hold {spec.n} "
@@ -194,7 +216,9 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
     charges on one point still raises at ``t0``.  Returns the sample times,
     the solver vectors at those times as rows, and the solver counters:
     ``nfev`` and, while the watch is on, ``min_pair_distance``, the closest
-    approach over the start and every accepted step.
+    approach over the start and every accepted step.  A pair distance whose
+    cube overflows the float range raises :class:`DomainError`, naming the
+    last accepted time.
     """
     t1, threshold = settings.t_end, settings.collision_threshold
     watched = []
@@ -221,37 +245,43 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
     elif spec.n > 1 and not pair_distances(positions_of(y0)).all():
         # watch or no watch, the first RHS call would divide by zero
         raise CollisionError(float(t0), *_closest_pair(positions_of(y0)))
-    stepper = DOP853(rhs, t0, y0, t1, settings.rel_tol, settings.abs_tol)
     ts, rows = ([t0], [y0]) if t_eval is None else ([], [])
     sampled = 0   # grid points written so far
-    while stepper.t < t1:
-        stepper.step()
-        t, y, dense = stepper.t, stepper.y, None
-        if watched:
-            d2 = nearest(y)
-            closest = min(closest, d2)
-            new_gap = math.sqrt(d2) - threshold
-            if gap >= 0 >= new_gap:
-                dense = stepper.dense_output()
+    t = t0        # the last accepted time
+    try:
+        stepper = DOP853(rhs, t0, y0, t1, settings.rel_tol, settings.abs_tol)
+        while stepper.t < t1:
+            stepper.step()
+            t, y, dense = stepper.t, stepper.y, None
+            if watched:
+                d2 = nearest(y)
+                closest = min(closest, d2)
+                new_gap = math.sqrt(d2) - threshold
+                if gap >= 0 >= new_gap:
+                    dense = stepper.dense_output()
 
-                def at(s):
-                    return dense(np.array([s]))[0]
+                    def at(s):
+                        return dense(np.array([s]))[0]
 
-                tc = _crossing(lambda s: math.sqrt(nearest(at(s))) - threshold,
-                               stepper.t_old, t)
-                pair, dist = _closest_pair(positions_of(at(tc)))
-                raise CollisionError(float(tc), pair, dist)
-            gap = new_gap
-        if t_eval is None:
-            ts.append(t)
-            rows.append(y)
-            continue
-        due = int(np.searchsorted(t_eval, t, side="right"))
-        if due > sampled:
-            if dense is None:
-                dense = stepper.dense_output()
-            rows.append(dense(t_eval[sampled:due]))
-            sampled = due
+                    tc = _crossing(lambda s: math.sqrt(nearest(at(s))) - threshold,
+                                   stepper.t_old, t)
+                    pair, dist = _closest_pair(positions_of(at(tc)))
+                    raise CollisionError(float(tc), pair, dist)
+                gap = new_gap
+            if t_eval is None:
+                ts.append(t)
+                rows.append(y)
+                continue
+            due = int(np.searchsorted(t_eval, t, side="right"))
+            if due > sampled:
+                if dense is None:
+                    dense = stepper.dense_output()
+                rows.append(dense(t_eval[sampled:due]))
+                sampled = due
+    except OverflowError:
+        # a float ``** 1.5`` past 1.8e308 raises instead of giving inf
+        raise DomainError("the cube of a pair distance overflows the float "
+                          f"range in the step after t = {t:.6g}") from None
 
     stats = {"nfev": stepper.nfev}
     if watched:
@@ -263,7 +293,8 @@ def integrate(spec, state, settings):
     """Integrate the Newton equations from ``state`` up to ``settings.t_end``.
 
     Raises :class:`CollisionError` if a pair distance crosses the collision
-    threshold, and :class:`StepUnderflow` if the stepper cannot proceed.
+    threshold, :class:`StepUnderflow` if the stepper cannot proceed, and
+    :class:`DomainError` if a pair distance outgrows the float range.
     """
     t_eval = _checked_grid(settings, state.t)
     if state.n != spec.n:

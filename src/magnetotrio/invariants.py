@@ -140,12 +140,17 @@ def write_invariant_csv(traj, path):
     return data
 
 
+def table_drifts(data, n):
+    """max_t |q(t) - q(0)| for every quantity of an n-charge invariant
+    table ``data`` (the rows of :func:`invariant_samples`): absolute drifts
+    by column name."""
+    drifts = np.abs(data - data[0]).max(axis=0)
+    return {name: float(d) for name, d in zip(invariant_columns(n)[1:], drifts[1:])}
+
+
 def drift_report(traj):
     """max_t |q(t) - q(0)| for every reported quantity (absolute drifts)."""
-    cols = invariant_columns(traj.spec.n)
-    data = invariant_samples(traj)
-    drifts = np.abs(data - data[0]).max(axis=0)
-    return {name: float(d) for name, d in zip(cols[1:], drifts[1:])}
+    return table_drifts(invariant_samples(traj), traj.spec.n)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,21 @@ class TestSimulate:
             "magnetotrio: error: Required step size is less than spacing "
             "between numbers.\n")
 
+    def test_overflowing_pair_distance_exits_1(self, tmp_path, capsys):
+        # a charge of mass 1e-300 flies off until the cube of its distance
+        # overflows the float range; that is a usage error, not a traceback
+        sys_path = _write(tmp_path, "light.system",
+                          "B 0\nparticle 1 1e-300\nposition 0 0\n"
+                          "particle 1 1\nposition 1 0\n")
+        with np.errstate(all="ignore"):
+            rc = main(["simulate", sys_path, "--t-end", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        head, _, t = err.partition(" after t = ")
+        assert head == ("magnetotrio: error: the cube of a pair distance "
+                        "overflows the float range in the step")
+        assert t.endswith("\n") and 0.0 <= float(t) < 1.0
+
     @pytest.mark.parametrize("mode", ["newton", "derived"])
     @pytest.mark.parametrize("dt", ["0", "-1", "nan"])
     def test_sample_interval_must_be_positive(self, tmp_path, capsys, mode, dt):

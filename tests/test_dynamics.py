@@ -293,6 +293,39 @@ class TestTrajectoryCsv:
             read_trajectory_csv(path, spec)
 
 
+def _walk_rhs(spec):
+    """The scalar pair walk that the compiled kernel replaced, kept as the
+    bit-level reference: the same floats in the same order."""
+    n2, B = 2 * spec.n, spec.B
+    e, m = spec.charges.tolist(), spec.masses.tolist()
+    I, J, ee = spec.pairs
+    walk = list(zip(I.tolist(), J.tolist(), ee.tolist()))
+
+    def f(t, y):
+        s = y.tolist()
+        xs, ys = s[0:n2:2], s[1:n2:2]
+        out = s[n2:]   # the velocities; the accelerations are appended
+        fx = [vy * B * q for vy, q in zip(out[1::2], e)]
+        fy = [-vx * B * q for vx, q in zip(out[0::2], e)]
+        onto_second = []
+        for i, j, c in walk:
+            dx, dy = xs[i] - xs[j], ys[i] - ys[j]
+            r3 = (dx * dx + dy * dy) ** 1.5
+            cx, cy = c * dx / r3, c * dy / r3
+            fx[i] += cx
+            fy[i] += cy
+            onto_second.append((j, cx, cy))
+        for j, cx, cy in onto_second:
+            fx[j] -= cx
+            fy[j] -= cy
+        for ax, ay, mk in zip(fx, fy, m):
+            out.append(ax / mk)
+            out.append(ay / mk)
+        return np.array(out)
+
+    return f
+
+
 def _oracle_accelerations(spec, positions, velocities):
     """The numpy pair kernel the scalar pair walk replaced, kept as a
     reference: scatter-add of the pair forces onto I, scatter-subtract
@@ -335,20 +368,36 @@ def _six_charge_state():
     return spec, *separated_state(rng, 6, box=3.0, min_sep=1.0)
 
 
-class TestPairWalk:
-    """The scalar pair walk against the numpy kernel it replaced and the
-    brute-force double loop."""
+def _random_spec(rng, n):
+    return SystemSpec(B=rng.uniform(-2.0, 2.0), charges=rng.uniform(-2.0, 2.0, n),
+                      masses=rng.uniform(0.5, 2.0, n))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
-    def test_rhs_and_accelerations_match_the_oracles(self, n):
+
+def _bits(a):
+    """The bytes of a float array: equal bits, signed zeros included."""
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestPairWalk:
+    """The compiled kernel against the scalar pair walk it replaced (bit for
+    bit), the numpy kernel before that and the brute-force double loop."""
+
+    @pytest.mark.parametrize("n, neutral", [
+        *(pytest.param(n, False, id=str(n)) for n in (1, 2, 3, 4, 6, 7)),
+        pytest.param(4, True, id="zero-charge-B0")])
+    def test_rhs_and_accelerations_match_the_oracles(self, n, neutral):
         rng = np.random.default_rng(200 + n)
-        spec = SystemSpec(B=rng.uniform(-2.0, 2.0), charges=rng.uniform(-2.0, 2.0, n),
-                          masses=rng.uniform(0.5, 2.0, n))
-        f = _rhs(spec)
+        spec = _random_spec(rng, n)
+        if neutral:
+            spec = SystemSpec(0.0, np.where(np.arange(n) == 1, 0.0, spec.charges),
+                              spec.masses)
+        f, walk = _rhs(spec), _walk_rhs(spec)
         for _ in range(6):
             pos, vel = separated_state(rng, n)
-            out = f(0.0, np.concatenate([pos.ravel(), vel.ravel()]))
+            y = np.concatenate([pos.ravel(), vel.ravel()])
+            out = f(0.0, y)
             assert out.shape == (4 * n,)
+            assert _bits(out) == _bits(walk(0.0, y))
             assert np.array_equal(out[: 2 * n], vel.ravel())
             want = _oracle_accelerations(spec, pos, vel)
             loop = _double_loop(spec, pos, vel)[0]
@@ -363,11 +412,45 @@ class TestPairWalk:
         settings = IntegratorSettings(t_end=3.0, rel_tol=1e-12, abs_tol=1e-12,
                                       sample_interval=0.25)
         traj = integrate(spec, state, settings)
+        monkeypatch.setattr(dynamics, "_rhs", _walk_rhs)
+        walked = integrate(spec, state, settings)
+        assert _bits(traj.t) == _bits(walked.t)
+        assert _bits(traj.positions) == _bits(walked.positions)
+        assert _bits(traj.velocities) == _bits(walked.velocities)
+        assert traj.stats == walked.stats
+        assert set(traj.stats) == {"nfev", "min_pair_distance"}
         monkeypatch.setattr(dynamics, "_rhs", _oracle_rhs)
         ref = integrate(spec, state, settings)
         assert np.array_equal(traj.t, ref.t)
         np.testing.assert_allclose(traj.positions, ref.positions, rtol=0, atol=1e-12)
         np.testing.assert_allclose(traj.velocities, ref.velocities, rtol=0, atol=1e-12)
+
+
+class TestCompiledKernel:
+    """One code object per particle count, bound to each spec's constants."""
+
+    def test_one_code_object_per_particle_count(self):
+        rng = np.random.default_rng(500)
+        a, b = _random_spec(rng, 4), _random_spec(rng, 4)
+        assert (a.B, a.charges[0], a.masses[0]) != (b.B, b.charges[0], b.masses[0])
+        fa, fb = _rhs(a), _rhs(b)
+        assert fa.__code__ is fb.__code__
+        pos, vel = separated_state(rng, 4)
+        y = np.concatenate([pos.ravel(), vel.ravel()])
+        assert _bits(fa(0.0, y)) == _bits(_walk_rhs(a)(0.0, y))
+        assert _bits(fb(0.0, y)) == _bits(_walk_rhs(b)(0.0, y))
+
+    def test_another_particle_count_has_its_own_code(self):
+        rng = np.random.default_rng(501)
+        three, four = _rhs(_random_spec(rng, 3)), _rhs(_random_spec(rng, 4))
+        assert three.__code__ is not four.__code__
+
+    def test_thirty_charges_match_the_walk(self):
+        rng = np.random.default_rng(530)
+        spec = _random_spec(rng, 30)
+        pos, vel = separated_state(rng, 30, box=6.0)
+        y = np.concatenate([pos.ravel(), vel.ravel()])
+        assert _bits(_rhs(spec)(0.0, y)) == _bits(_walk_rhs(spec)(0.0, y))
 
 
 class TestClosestApproach:

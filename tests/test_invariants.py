@@ -13,7 +13,7 @@ from magnetotrio.invariants import (_eval_on_z, _gradient, _pack,
                                     coulomb_energy, individual_angular_momenta,
                                     invariant_columns, invariant_samples,
                                     kinetic_energies, particle_pseudomomenta,
-                                    write_invariant_csv)
+                                    table_drifts, write_invariant_csv)
 from magnetotrio.model import canonical_momenta
 
 
@@ -285,3 +285,5 @@ def test_invariant_csv(tmp_path, orbit_trajectory):
     assert lines[0].split(",") == invariant_columns(3)
     assert len(lines) == 1 + traj.n_samples
     assert data.shape == (traj.n_samples, len(invariant_columns(3)))
+    # the drifts of the written table are those of a fresh evaluation
+    assert table_drifts(data, 3) == drift_report(traj)
