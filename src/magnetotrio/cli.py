@@ -129,23 +129,9 @@ def _cmd_simulate(args):
 # find
 # ---------------------------------------------------------------------------
 
-def _default_grid_bounds(spec, config):
-    if config == "I":
-        e1, e2, _ = spec.charges
-        m1, m2, _ = spec.masses
-        if e1 == e2 and m1 == m2:
-            rmin = pair_distance_min(spec)
-            return (rmin, 4 * rmin) if rmin else (0.5, 4.0)
-        return (0.5, 2.0)
-    return DEFAULT_GRIDS[config]
-
-
-def _grid(args, spec):
-    lo, hi = _default_grid_bounds(spec, args.config)
-    if args.grid_min is not None:
-        lo = args.grid_min
-    if args.grid_max is not None:
-        hi = args.grid_max
+def _grid(args, bounds):
+    lo = bounds[0] if args.grid_min is None else args.grid_min
+    hi = bounds[1] if args.grid_max is None else args.grid_max
     if not 0 < lo <= hi < np.inf:
         raise DomainError(f"grid bounds must satisfy 0 < min <= max < inf, "
                           f"got [{lo:g}, {hi:g}]")
@@ -153,22 +139,22 @@ def _grid(args, spec):
 
 
 def _find_worker(spec, config):
-    """Return a callable mapping one grid value to a list of solutions."""
-    if config == "II":
-        return lambda x: solve_config_II(spec, v3_values=[x])
-    if config == "III":
-        return lambda x: solve_config_III(spec, v3_values=[x])
-    if config == "nbody-II":
-        return lambda x: solve_nbody_II(spec, vn_values=[x])
+    """Return a callable mapping one grid value to a list of solutions, and
+    the default bounds of the grid it sweeps."""
+    collinear = {"II": lambda x: solve_config_II(spec, v3_values=[x]),
+                 "III": lambda x: solve_config_III(spec, v3_values=[x]),
+                 "nbody-II": lambda x: solve_nbody_II(spec, vn_values=[x])}
+    if config in collinear:
+        return collinear[config], DEFAULT_GRIDS[config]
     # Configuration I: the grid sweeps the pair separation when the pair
     # is identical (the spec's own field is used), else the free speed v1
     # (the field is then an output of the closed form).
-    e1, e2, _ = spec.charges
-    m1, m2, _ = spec.masses
-    if e1 == e2 and m1 == m2:
+    if spec.charges[0] == spec.charges[1] and spec.masses[0] == spec.masses[1]:
+        rmin = pair_distance_min(spec)   # DomainError at B = 0 or e1 = 0
         v3 = 1.0 if classify_system(spec).equal_larmor else 0.0
-        return lambda x: solve_config_I_identical(spec, x, v3=v3)
-    return lambda x: solve_config_I_v3zero(spec, v1=x)
+        return ((lambda x: solve_config_I_identical(spec, x, v3=v3)),
+                (rmin, 4 * rmin) if rmin else (0.5, 4.0))
+    return (lambda x: solve_config_I_v3zero(spec, v1=x)), (0.5, 2.0)
 
 
 def _sweep(worker, values):
@@ -191,10 +177,11 @@ def _cmd_find(args):
     elif spec.n != 3:
         raise DomainError(f"--config {args.config} needs a three-charge "
                           f"system, got n={spec.n}")
-    grid = _grid(args, spec)
+    worker, bounds = _find_worker(spec, args.config)
+    grid = _grid(args, bounds)
 
     t0 = time.perf_counter()
-    rows, reasons = _sweep(_find_worker(spec, args.config), grid)
+    rows, reasons = _sweep(worker, grid)
     wall = time.perf_counter() - t0
     if not rows:
         distinct = list(dict.fromkeys(reasons))

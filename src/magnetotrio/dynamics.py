@@ -249,35 +249,38 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
     sampled = 0   # grid points written so far
     t = t0        # the last accepted time
     try:
-        stepper = DOP853(rhs, t0, y0, t1, settings.rel_tol, settings.abs_tol)
-        while stepper.t < t1:
-            stepper.step()
-            t, y, dense = stepper.t, stepper.y, None
-            if watched:
-                d2 = nearest(y)
-                closest = min(closest, d2)
-                new_gap = math.sqrt(d2) - threshold
-                if gap >= 0 >= new_gap:
-                    dense = stepper.dense_output()
+        # a runaway charge overflows the stepper's numpy arithmetic
+        # first; its warnings give way to the DomainError below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            stepper = DOP853(rhs, t0, y0, t1, settings.rel_tol, settings.abs_tol)
+            while stepper.t < t1:
+                stepper.step()
+                t, y, dense = stepper.t, stepper.y, None
+                if watched:
+                    d2 = nearest(y)
+                    closest = min(closest, d2)
+                    new_gap = math.sqrt(d2) - threshold
+                    if gap >= 0 >= new_gap:
+                        dense = stepper.dense_output()
 
-                    def at(s):
-                        return dense(np.array([s]))[0]
+                        def at(s):
+                            return dense(np.array([s]))[0]
 
-                    tc = _crossing(lambda s: math.sqrt(nearest(at(s))) - threshold,
-                                   stepper.t_old, t)
-                    pair, dist = _closest_pair(positions_of(at(tc)))
-                    raise CollisionError(float(tc), pair, dist)
-                gap = new_gap
-            if t_eval is None:
-                ts.append(t)
-                rows.append(y)
-                continue
-            due = int(np.searchsorted(t_eval, t, side="right"))
-            if due > sampled:
-                if dense is None:
-                    dense = stepper.dense_output()
-                rows.append(dense(t_eval[sampled:due]))
-                sampled = due
+                        tc = _crossing(lambda s: math.sqrt(nearest(at(s))) - threshold,
+                                       stepper.t_old, t)
+                        pair, dist = _closest_pair(positions_of(at(tc)))
+                        raise CollisionError(float(tc), pair, dist)
+                    gap = new_gap
+                if t_eval is None:
+                    ts.append(t)
+                    rows.append(y)
+                    continue
+                due = int(np.searchsorted(t_eval, t, side="right"))
+                if due > sampled:
+                    if dense is None:
+                        dense = stepper.dense_output()
+                    rows.append(dense(t_eval[sampled:due]))
+                    sampled = due
     except OverflowError:
         # a float ``** 1.5`` past 1.8e308 raises instead of giving inf
         raise DomainError("the cube of a pair distance overflows the float "

@@ -78,6 +78,9 @@ _RESIDUAL_TOL = 1e-10     # relative residual gate for certification
 _BALANCE_TOL = 1e-6       # Newton-balance gate (relative)
 _RIGIDITY_TOL = 1e-6      # integrated pair-distance gate (relative)
 _DEDUP_TOL = 1e-9
+_DISC_CLAMP = 1e-12       # identical-pair discriminants below this are 0
+_PATTERN_TOL = 1e-12      # relative tolerance of helium_pattern's matches
+_NEWTON_MAX_ITER = 60     # damped-Newton iterations per seed
 
 # The collinear systems are scale-covariant, so the second speed fixes the
 # scale (_V2).
@@ -368,21 +371,21 @@ def _evaluate_p6_dv1(c, v1, v2, v3):
 # two-identical-particles neutral pattern and its closed forms
 # ---------------------------------------------------------------------------
 
-def helium_pattern(spec, tol=1e-12):
+def helium_pattern(spec):
     """Detect the neutral two-identical-particles pattern
-    e2 = e3 = e, m2 = m3 = m, e1 = -2e, e1/m1 != e/m.
-    Returns (e, m1, m) or None."""
+    e2 = e3 = e, m2 = m3 = m, e1 = -2e, e1/m1 != e/m (each to 1e-12
+    relative).  Returns (e, m1, m) or None."""
     if spec.n != 3:
         return None
     e1, e2, e3 = spec.charges
     m1, m2, m3 = spec.masses
-    if e2 == 0.0 or abs(e2 - e3) > tol * abs(e2):
+    if e2 == 0.0 or abs(e2 - e3) > _PATTERN_TOL * abs(e2):
         return None
-    if abs(m2 - m3) > tol * abs(m2):
+    if abs(m2 - m3) > _PATTERN_TOL * abs(m2):
         return None
-    if abs(e1 + 2*e2) > tol * max(abs(e1), abs(e2)):
+    if abs(e1 + 2*e2) > _PATTERN_TOL * max(abs(e1), abs(e2)):
         return None
-    if abs(e1/m1 - e2/m2) <= tol * max(abs(e1/m1), abs(e2/m2)):
+    if abs(e1/m1 - e2/m2) <= _PATTERN_TOL * max(abs(e1/m1), abs(e2/m2)):
         return None
     return e2, m1, m2
 
@@ -441,11 +444,6 @@ def helium_closed_forms(spec, v1, v2, v3):
 # state construction and Newtonian certification
 # ---------------------------------------------------------------------------
 
-def _signed(sol):
-    sigma = 1.0 if sol.sense == "cw" else -1.0
-    return sigma
-
-
 def build_initial_state(solution, spec):
     """Phase-space snapshot of a solution at t = 0.
 
@@ -456,7 +454,7 @@ def build_initial_state(solution, spec):
     """
     if tuple(spec.charges.shape) != (len(solution.v),):
         raise DomainError("solution and spec have different particle counts")
-    sigma = _signed(solution)
+    sigma = 1.0 if solution.sense == "cw" else -1.0
     w = sigma * solution.omega
     cfg = solution.config
     v = [sigma * vi for vi in _signed_speeds(cfg, solution.v)]
@@ -487,26 +485,48 @@ def newton_balance(solution, spec):
     """Relative mismatch between the exact Newtonian accelerations of the
     built state and the rigid-rotation kinematics it claims.
 
-    Zero (to rounding) iff the solution is a genuine trajectory; far
-    above the 1e-6 gate for algebra-only roots whose sign sector does
-    not match.
+    Each charge turns at omega about a center c (the third charge in
+    Configuration I, else the origin) that turns at omega3, so it should
+    accelerate at -omega^2 (x - c) - omega3^2 c.  Zero (to rounding) iff the
+    solution is a genuine trajectory; far above the 1e-6 gate for
+    algebra-only roots whose sign sector does not match.
     """
     spec_b, state = build_initial_state(solution, spec)
     acc = accelerations(spec_b, state.positions, state.velocities)
-    sigma = _signed(solution)
-    w = sigma * solution.omega
-    if solution.config == "I" and solution.v[2] != 0.0:
-        w3 = sigma * solution.omega3
-        center = np.array([sigma * solution.v[2] / w3, 0.0])
-        expected = np.empty_like(acc)
-        expected[2] = -w3**2 * state.positions[2]
-        for i in (0, 1):
-            expected[i] = (-w**2 * (state.positions[i] - center)
-                           - w3**2 * center)
-    else:
-        expected = -w**2 * state.positions
+    c = state.positions[2] if solution.config == "I" else 0.0
+    expected = (-solution.omega**2 * (state.positions - c)
+                - solution.omega3**2 * c)
     scale = max(1.0, float(np.abs(acc).max()))
     return float(np.abs(acc - expected).max()) / scale
+
+
+def _certify(sol, spec, terms, gates=()):
+    """Certify ``sol``: the caller's ``(ok, note)`` gates, then the relative
+    residual of its balance ``terms`` and its Newton balance; an n-body root
+    that passed them all must also stay rigid over a quarter period.  Each
+    failed gate leaves a note; ``sol`` is certified when none failed."""
+    sol.residual_norm = _relative_norm(terms)
+    sol.newton_balance = newton_balance(sol, spec)
+    gates = (*gates,
+             (sol.residual_norm < _RESIDUAL_TOL,
+              f"relative residual {sol.residual_norm:.3g}"),
+             (sol.newton_balance < _BALANCE_TOL,
+              f"Newton imbalance {sol.newton_balance:.3g}"))
+    notes = tuple(note for ok, note in gates if not ok)
+    if not notes and sol.config == "nbody-II":
+        spec_b, state = build_initial_state(sol, spec)
+        t_end = _RIGIDITY_PERIODS * (2 * math.pi / sol.omega)
+        settings = IntegratorSettings(t_end=t_end, rel_tol=1e-10, abs_tol=1e-10,
+                                      sample_interval=t_end / 200.0)
+        # looked up at call time, so bench/spans.py traces these integrations
+        sol.rigidity = rigidity_report(
+            dynamics.integrate(spec_b, state, settings)).worst
+        if not sol.rigidity < _RIGIDITY_TOL:
+            notes = (f"pair distances drift {sol.rigidity:.3g} within "
+                     f"{_RIGIDITY_PERIODS:g} period",)
+    sol.notes = notes
+    sol.certified = not notes
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -548,30 +568,38 @@ def solve_config_I_v3zero(spec, v1=1.0):
                             "no rigid rotation in this sector")
     if B == 0.0 or not math.isfinite(B):
         raise ValidityError(f"closed-form field B = {B:.6g} is degenerate")
-    spec_b = replace(spec, B=B)
-    terms = _config_I_terms(spec_b, v1, v2, 0.0, omega, 0.0)
-    sol = ConfigSolution(
-        config="I", branch="v3=0", v=(v1, v2, 0.0), omega=omega, B=B,
-        omega3=0.0, residual_norm=_relative_norm(terms), sense="cw",
-        kappa=math.nan)
-    bal = newton_balance(sol, spec)
-    sol.newton_balance = bal
-    sol.certified = (sol.residual_norm < _RESIDUAL_TOL and bal < _BALANCE_TOL)
-    return [sol]
+    terms = _config_I_terms(replace(spec, B=B), v1, v2, 0.0, omega, 0.0)
+    sol = ConfigSolution(config="I", branch="v3=0", v=(v1, v2, 0.0),
+                         omega=omega, B=B)
+    return [_certify(sol, spec, terms)]
+
+
+def _pair_quadratic(spec, B):
+    """(a, b) = (8 m (e + 4 e3), e B^2): an identical pair (e, m) at field B
+    and separation rho has the speed discriminant 1 - a / (b rho^3)."""
+    e, e3, m = spec.charges[0], spec.charges[2], spec.masses[0]
+    if e == 0.0:
+        raise DomainError("Configuration I needs a charged pair")
+    if B == 0.0:
+        raise DomainError("Configuration I of an identical pair needs a "
+                          "nonzero field")
+    return 8 * m * (e + 4*e3), e * B**2
+
+
+def _pair_discriminant(spec, B, rho):
+    """The identical-pair discriminant at ``rho``, clamped to 0 within 1e-12."""
+    a, b = _pair_quadratic(spec, B)
+    disc = 1.0 - a / (b * rho**3)
+    return 0.0 if abs(disc) < _DISC_CLAMP else disc
 
 
 def pair_distance_min(spec):
     """Smallest pair separation admitting the identical-pair rotation at
-    the spec's field, or None when every separation works."""
-    e1, e2, e3 = spec.charges
-    m = spec.masses[0]
-    arg = 8 * m * (e1 + 4*e3) / (e1 * spec.B**2)
-    if arg <= 0:
-        return None
-    return arg ** (1.0 / 3.0)
-
-
-_DISC_CLAMP = 1e-12
+    the spec's field, or None when every separation works.  Raises
+    DomainError for a zero field or an uncharged pair."""
+    a, b = _pair_quadratic(spec, spec.B)
+    cube = a / b
+    return cube ** (1.0 / 3.0) if cube > 0 else None
 
 
 def solve_config_I_identical(spec, rho12, v3=0.0):
@@ -581,10 +609,11 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
     Returns the two quadratic branches ("+" and "-"); at the critical
     separation they coincide (the discriminant is clamped to zero when
     |disc| < 1e-12 to keep the coincidence exact in floats).  Raises
-    NoSolution below the critical separation.  A nonzero third speed
-    requires a common charge-to-mass ratio alpha; the third charge then
-    runs its own circle at omega3 = alpha*B and any v3 > 0 works (the
-    returned row is the representative for the requested v3).
+    DomainError for a zero field or an uncharged pair, NoSolution below the
+    critical separation.  A nonzero third speed requires a common
+    charge-to-mass ratio alpha; the third charge then runs its own circle at
+    omega3 = alpha*B and any v3 > 0 works (the returned row is the
+    representative for the requested v3).
     """
     if spec.n != 3:
         raise DomainError("Configuration I is a three-charge system")
@@ -594,21 +623,16 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
         raise DomainError("identical-pair branch needs e1 = e2 and m1 = m2")
     if rho12 <= 0:
         raise DomainError("pair separation must be positive")
-    if spec.B == 0.0:
-        raise DomainError("needs a nonzero field")
-    e, m = e1, m1
-    cls = classify_system(spec)
+    disc = _pair_discriminant(spec, spec.B, rho12)
     omega3_signed = 0.0
     if v3 != 0.0:
+        cls = classify_system(spec)
         if v3 < 0:
             raise DomainError("v3 must be nonnegative")
         if not cls.equal_larmor:
             raise ValidityError(
                 "a moving third charge needs a common charge-to-mass ratio")
         omega3_signed = cls.alpha * spec.B
-    disc = 1.0 - 8*m*(e + 4*e3) / (e * spec.B**2 * rho12**3)
-    if abs(disc) < _DISC_CLAMP:
-        disc = 0.0
     if disc < 0:
         rmin = pair_distance_min(spec)
         raise NoSolution(
@@ -616,15 +640,11 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
             f"{rmin:.6g} at B = {spec.B:.6g}: speed branches are complex")
     out = []
     for tag, s in (("+", 1.0), ("-", -1.0)):
-        v_signed = e * spec.B * rho12 / (4*m) * (1.0 + s * math.sqrt(disc))
+        v_signed = e1 * spec.B * rho12 / (4*m1) * (1.0 + s * math.sqrt(disc))
         if v_signed == 0.0:
             continue
         omega_signed = 2.0 * v_signed / rho12
-        sense = "cw" if omega_signed > 0 else "ccw"
-        v1 = abs(v_signed)
-        w = abs(omega_signed)
-        w3 = abs(omega3_signed)
-        if v3 != 0.0 and omega3_signed * omega_signed < 0:
+        if omega3_signed * omega_signed < 0:
             # opposite senses cannot share the rigid frame
             continue
         # the printed balance equations hold at the signed speeds
@@ -632,12 +652,10 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
                                 math.copysign(v3, omega_signed) if v3 else 0.0,
                                 omega_signed, omega3_signed)
         sol = ConfigSolution(
-            config="I", branch=tag, v=(v1, v1, float(v3)), omega=w, B=spec.B,
-            omega3=w3, residual_norm=_relative_norm(terms), sense=sense)
-        sol.newton_balance = newton_balance(sol, spec)
-        sol.certified = (sol.residual_norm < _RESIDUAL_TOL
-                         and sol.newton_balance < _BALANCE_TOL)
-        out.append(sol)
+            config="I", branch=tag, v=(abs(v_signed),) * 2 + (float(v3),),
+            omega=abs(omega_signed), B=spec.B, omega3=abs(omega3_signed),
+            sense="cw" if omega_signed > 0 else "ccw")
+        out.append(_certify(sol, spec, terms))
     if not out:
         raise NoSolution("both speed branches degenerate")
     out.sort(key=ConfigSolution.sort_key)
@@ -689,47 +707,25 @@ def _p6_roots_v1(c, v2, v3):
 
 
 def _collinear_solution(spec, v, config, branch):
-    """Assemble + certify one collinear root (positive speed tuple ``v``).
-
-    Each failed gate leaves a note; a root is certified when none failed.
-    """
+    """Assemble + certify one collinear root (positive speed tuple ``v``);
+    its own gates are the speed ordering and the rotation sense."""
     vs = _signed_speeds(config, v)
     s = -1 if config == "III" else 1
-    kap = collinear_kappa(spec, vs)
     # the second balance row solved for B; s = -1 flips its Coulomb terms
-    B = s * closed_form_B_nbody(spec, vs)
+    kap, _, B = _collinear_field(spec, vs)
+    B *= s
     omega_signed = kap * B
+    # with kappa != 0, a zero or non-finite B makes omega so as well
     if omega_signed == 0.0 or not math.isfinite(omega_signed):
-        raise DegenerateError("frequency closed form degenerates")
-    if B == 0.0 or not math.isfinite(B):
-        raise DegenerateError("field closed form degenerates")
+        raise DegenerateError("frequency or field closed form degenerates")
     terms = _collinear_terms(spec.charges, spec.masses, vs, omega_signed, B, s)
     sol = ConfigSolution(
         config=config, branch=branch, v=tuple(abs(x) for x in v),
-        omega=abs(omega_signed), B=B, residual_norm=_relative_norm(terms),
+        omega=abs(omega_signed), B=B,
         sense="cw" if omega_signed > 0 else "ccw", kappa=kap)
-    sol.newton_balance = newton_balance(sol, spec)
-    gates = ((_ordering_ok(config, v), "speed ordering outside the sector"),
-             (omega_signed > 0, "mirror rotation sense"),
-             (sol.residual_norm < _RESIDUAL_TOL,
-              f"relative residual {sol.residual_norm:.3g}"),
-             (sol.newton_balance < _BALANCE_TOL,
-              f"Newton imbalance {sol.newton_balance:.3g}"))
-    sol.notes = tuple(note for ok, note in gates if not ok)
-    sol.certified = not sol.notes
-    if sol.certified and config == "nbody-II":
-        spec_b, state = build_initial_state(sol, spec)
-        t_end = _RIGIDITY_PERIODS * (2 * math.pi / sol.omega)
-        settings = IntegratorSettings(t_end=t_end, rel_tol=1e-10, abs_tol=1e-10,
-                                      sample_interval=t_end / 200.0)
-        # looked up at call time, so bench/spans.py traces these integrations
-        sol.rigidity = rigidity_report(
-            dynamics.integrate(spec_b, state, settings)).worst
-        if not sol.rigidity < _RIGIDITY_TOL:
-            sol.notes += (f"pair distances drift {sol.rigidity:.3g} within "
-                          f"{_RIGIDITY_PERIODS:g} period",)
-            sol.certified = False
-    return sol
+    return _certify(sol, spec, terms, (
+        (_ordering_ok(config, v), "speed ordering outside the sector"),
+        (omega_signed > 0, "mirror rotation sense")))
 
 
 def _ordering_ok(config, v):
@@ -898,7 +894,7 @@ def _nbody_system(spec, vn):
     return system, assemble
 
 
-def _damped_newton(system, u0, max_iter=60):
+def _damped_newton(system, u0):
     """Damped Newton iteration on ``system(u) -> (F, J, scale)`` from ``u0``.
 
     The step solves J step = -F with the exact Jacobian and is halved until
@@ -914,7 +910,7 @@ def _damped_newton(system, u0, max_iter=60):
     u = np.asarray(u0, float).copy()
     fu, J, scale = system(u)
     norm = np.linalg.norm(fu)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if converged(fu, scale):
             return u
         try:
@@ -1003,7 +999,7 @@ def conserved_closed_forms(spec, solution):
     e1, e2, e3 = spec.charges
     m1, m2, m3 = spec.masses
     cfg = solution.config
-    sigma = _signed(solution)
+    sigma = 1.0 if solution.sense == "cw" else -1.0
     if cfg == "I" and solution.v[2] == 0.0 and solution.branch == "v3=0":
         r = solution.v[1] / solution.v[0]
         v1 = solution.v[0] * sigma
@@ -1030,10 +1026,7 @@ def conserved_closed_forms(spec, solution):
         rho = 2 * solution.v[0] / solution.omega
         v3 = solution.v[2] * sigma
         s = 1.0 if solution.branch == "+" else -1.0
-        disc = 1.0 - 8*m*(e + 4*e3) / (e * B**2 * rho**3)
-        if abs(disc) < _DISC_CLAMP:
-            disc = 0.0
-        root = 1.0 + s * math.sqrt(disc)
+        root = 1.0 + s * math.sqrt(_pair_discriminant(spec, B, rho))
         H = (0.5*m3*v3**2 + e**2*B**2*rho**2/(16*m) * root**2
              + e*(e + 4*e3)/(4*rho))
         out = {"H": H, "K2": 0.0,

@@ -197,12 +197,14 @@ def test_06_equal_larmor_no_go():
 
 def test_07a_neutral_pair_window_closed_forms():
     """For the neutral identical-pair pattern (charges -2e, e, e with the
-    heavy charge off-ratio), the admissible window of the third speed
-    opens at the cubic root near 117.689 v2 (checked against an
-    independent bisection to 1e-9).  At sampled v3 inside the window,
-    the quartic roots with the frequency/field closed forms drive all
-    three balance rows below 1e-10 in 50-digit arithmetic, and the
-    package's float pipeline lands on the same roots and fields."""
+    heavy charge off-ratio), helium_cubic_root returns the positive root
+    near 117.689 v2 of L^3 - 117 v2 L^2 - 81 v2^2 L - 27 v2^3 (checked
+    against an independent bisection to 1e-9).  That root does not bound
+    where the quartic has real roots: it has two at v3 = 20, 40 and 100
+    too.  At v3 = 117.690197, 150 and 300 the quartic roots with the
+    frequency/field closed forms drive all three balance rows below
+    1e-10 in 50-digit arithmetic, and at v3 = 150 the package's float
+    pipeline lands on the same roots and fields."""
     lam = helium_cubic_root(1.0)
 
     def cubic(x):

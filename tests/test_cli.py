@@ -131,8 +131,7 @@ class TestSimulate:
         sys_path = _write(tmp_path, "light.system",
                           "B 0\nparticle 1 1e-300\nposition 0 0\n"
                           "particle 1 1\nposition 1 0\n")
-        with np.errstate(all="ignore"):
-            rc = main(["simulate", sys_path, "--t-end", "1"])
+        rc = main(["simulate", sys_path, "--t-end", "1"])
         assert rc == 1
         err = capsys.readouterr().err
         head, _, t = err.partition(" after t = ")
@@ -312,6 +311,22 @@ class TestFindAndVerify:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("B 0\nparticle -1 1\nparticle -1 1\nparticle -1 1\n",
+         "Configuration I of an identical pair needs a nonzero field"),
+        ("B 1\nparticle 0 1\nparticle 0 1\nparticle 1 1\n",
+         "Configuration I needs a charged pair"),
+    ], ids=["no-field", "uncharged-pair"])
+    @pytest.mark.parametrize("bounds", [[], ["--grid-min", "1", "--grid-max", "2"]],
+                             ids=["default-grid", "explicit-grid"])
+    def test_identical_pair_usage_errors(self, tmp_path, capsys, text, message,
+                                         bounds):
+        # refused before any division, whatever grid was asked for
+        sys_path = _write(tmp_path, "pair.system", text)
+        rc = main(["find", sys_path, "--config", "I", *bounds])
+        assert rc == 1
+        assert capsys.readouterr().err == f"magnetotrio: error: {message}\n"
 
     def test_identical_pair_catalog(self, tmp_path):
         sys_path = _write(tmp_path, "pair.system",

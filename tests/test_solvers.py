@@ -559,6 +559,42 @@ class TestCertification:
         assert row.notes == (f"pair distances drift {row.rigidity:.3g} "
                              "within 0.25 period",)
 
+    @pytest.mark.parametrize("name, solve", [
+        ("electrons_b2", lambda spec: solve_config_I_identical(spec, 2 * CBRT_10)),
+        ("worked", solve_config_I_v3zero),
+    ], ids=["identical-pair", "third-at-rest"])
+    def test_config_I_rows_name_failed_gates(self, name, solve, request,
+                                             monkeypatch):
+        monkeypatch.setattr(solvers, "_BALANCE_TOL", 0.0)
+        rows = solve(request.getfixturevalue(name))
+        assert rows
+        for row in rows:
+            assert not row.certified
+            assert row.notes == (f"Newton imbalance {row.newton_balance:.3g}",)
+
+    @pytest.mark.parametrize("name", ["spec4", "worked", "helium", "electrons",
+                                      "electrons_b2", "four"])
+    def test_certified_exactly_when_no_gate_failed(self, name, request):
+        spec = request.getfixturevalue(name)
+        solves = [lambda: solve_nbody_II(spec, [1.5, 2.4, 3.0],
+                                         require_certified=False)]
+        if spec.n == 3:
+            solves += [
+                lambda: solve_config_II(spec, require_certified=False),
+                lambda: solve_config_III(spec, require_certified=False),
+                lambda: solve_config_I_v3zero(spec, 0.7),
+                lambda: solve_config_I_identical(spec, 3.0),
+                lambda: solve_config_I_identical(spec, 3.0, v3=1.0)]
+        rows = []
+        for solve in solves:
+            try:
+                rows += solve()
+            except (DomainError, DegenerateError, NoSolution, ValidityError):
+                pass
+        assert rows
+        for row in rows:
+            assert row.certified == (not row.notes), row
+
     def test_newton_balance_flat_on_true_solution(self, spec4):
         sol = solve_config_II(spec4, v3_values=[1.5])[0]
         assert newton_balance(sol, spec4) < 1e-10
