@@ -38,6 +38,6 @@ from .solvers import (ConfigSolution, build_initial_state,
                       p6_coefficients, pair_distance_min,
                       residuals_config_I, residuals_config_II,
                       residuals_config_III, residuals_nbody_II,
-                      solve_config_I_identical, solve_config_I_v3zero,
-                      solve_config_II, solve_config_III, solve_nbody_II,
-                      write_catalog)
+                      solve_config_I, solve_config_I_identical,
+                      solve_config_I_v3zero, solve_config_II,
+                      solve_config_III, solve_nbody_II, write_catalog)

@@ -145,13 +145,6 @@ def accelerations(spec, positions, velocities):
     return _rhs(spec)(0.0, np.concatenate([pos, vel]))[2 * spec.n:].reshape(spec.n, 2)
 
 
-def _closest_pair(pos):
-    d = pair_distances(pos)
-    k = int(np.argmin(d))
-    I, J = pair_index(len(pos))
-    return (int(I[k]), int(J[k])), float(d[k])
-
-
 def _checked_grid(settings, t0):
     """Validate ``settings`` for a run that starts at ``t0`` and return its
     sampling grid, or None to sample at the solver's accepted steps.
@@ -221,30 +214,26 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
     last accepted time.
     """
     t1, threshold = settings.t_end, settings.collision_threshold
-    watched = []
-    if spec.n > 1 and threshold > 0:
-        I, J, _ = spec.pairs
-        watched = list(zip(I.tolist(), J.tolist()))
+    I, J, _ = spec.pairs
+    pairs = list(zip(I.tolist(), J.tolist()))
+    watched = bool(pairs) and threshold > 0
 
     def nearest(y):
-        """Squared distance of the closest watched pair."""
+        """The closest pair and its squared distance."""
         p = positions_of(y).tolist()
-        d2 = math.inf
-        for i, j in watched:
+        pair, d2 = None, math.inf
+        for i, j in pairs:
             dx, dy = p[i][0] - p[j][0], p[i][1] - p[j][1]
             r2 = dx * dx + dy * dy
             if r2 < d2:
-                d2 = r2
-        return d2
+                pair, d2 = (i, j), r2
+        return pair, d2
 
-    if watched:
-        closest = nearest(y0)
+    if pairs:
+        pair, closest = nearest(y0)
         gap = math.sqrt(closest) - threshold
         if gap <= 0:
-            raise CollisionError(float(t0), *_closest_pair(positions_of(y0)))
-    elif spec.n > 1 and not pair_distances(positions_of(y0)).all():
-        # watch or no watch, the first RHS call would divide by zero
-        raise CollisionError(float(t0), *_closest_pair(positions_of(y0)))
+            raise CollisionError(float(t0), pair, math.sqrt(closest))
     ts, rows = ([t0], [y0]) if t_eval is None else ([], [])
     sampled = 0   # grid points written so far
     t = t0        # the last accepted time
@@ -257,7 +246,7 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
                 stepper.step()
                 t, y, dense = stepper.t, stepper.y, None
                 if watched:
-                    d2 = nearest(y)
+                    d2 = nearest(y)[1]
                     closest = min(closest, d2)
                     new_gap = math.sqrt(d2) - threshold
                     if gap >= 0 >= new_gap:
@@ -266,10 +255,10 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
                         def at(s):
                             return dense(np.array([s]))[0]
 
-                        tc = _crossing(lambda s: math.sqrt(nearest(at(s))) - threshold,
+                        tc = _crossing(lambda s: math.sqrt(nearest(at(s))[1]) - threshold,
                                        stepper.t_old, t)
-                        pair, dist = _closest_pair(positions_of(at(tc)))
-                        raise CollisionError(float(tc), pair, dist)
+                        pair, d2 = nearest(at(tc))
+                        raise CollisionError(float(tc), pair, math.sqrt(d2))
                     gap = new_gap
                 if t_eval is None:
                     ts.append(t)

@@ -26,10 +26,10 @@ sweep: each supplies only the candidate speeds at a swept value of the
 last speed (the real roots of the elimination sextic, or damped Newton
 from seeds), and one routine assembles the field (closed_form_B_nbody),
 the frequency omega = kappa*B and the certification.  The second speed is
-fixed at 1 (the systems are scale-covariant) and the default sweeps are
-``DEFAULT_GRIDS``.  The sextic is rooted in v1 by the eigenvalues of its
-companion matrix, so every positive real root is found, at any distance
-from the second speed.
+fixed at 1 (the systems are scale-covariant).  Every search, Configuration
+I's included, runs one sweep over the values :func:`sweep_grid` decides.
+The sextic is rooted in v1 by the eigenvalues of its companion matrix, so
+every positive real root is found, at any distance from the second speed.
 
 Sign conventions and certification
 ----------------------------------
@@ -53,6 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from . import dynamics
 from .dynamics import IntegratorSettings, accelerations, rigidity_report
 from .errors import (DegenerateError, DomainError, NonConvergence,
                      NoSolution, ValidityError)
-from .model import PhaseState, SystemSpec, classify_system
+from .model import PhaseState, classify_system
 
 __all__ = [
     "ConfigSolution", "residuals_config_I", "residuals_config_II",
@@ -68,10 +69,11 @@ __all__ = [
     "closed_form_B_II", "closed_form_B_III", "closed_form_B_nbody",
     "p6_coefficients", "evaluate_p6", "helium_pattern", "helium_cubic_root",
     "helium_quartic_coefficients", "helium_closed_forms",
-    "solve_config_I_v3zero", "solve_config_I_identical", "solve_config_II",
-    "solve_config_III", "solve_nbody_II", "build_initial_state",
-    "newton_balance", "conserved_closed_forms", "pair_distance_min",
-    "write_catalog", "catalog_header", "DEFAULT_GRIDS", "DEFAULT_GRID_POINTS",
+    "solve_config_I_v3zero", "solve_config_I_identical", "solve_config_I",
+    "solve_config_II", "solve_config_III", "solve_nbody_II",
+    "build_initial_state", "newton_balance", "conserved_closed_forms",
+    "pair_distance_min", "write_catalog", "catalog_header", "sweep_grid",
+    "DEFAULT_GRID_POINTS",
 ]
 
 _RESIDUAL_TOL = 1e-10     # relative residual gate for certification
@@ -92,9 +94,7 @@ _SEEDS_V1 = (0.25, 0.5, 0.8)
 # for a quarter period is in solve_nbody_II)
 _RIGIDITY_PERIODS = 0.25
 
-# Default swept range (lo, hi) of the last speed, per configuration; the
-# solvers and the ``find`` command share it.
-DEFAULT_GRIDS = {"II": (1.5, 20.0), "III": (0.05, 0.8), "nbody-II": (1.5, 20.0)}
+_COLLINEAR_BOUNDS = {"II": (1.5, 20.0), "III": (0.05, 0.8), "nbody-II": (1.5, 20.0)}
 DEFAULT_GRID_POINTS = 12
 
 
@@ -530,8 +530,80 @@ def _certify(sol, spec, terms, gates=()):
 
 
 # ---------------------------------------------------------------------------
+# the sweep every search runs
+# ---------------------------------------------------------------------------
+
+def sweep_grid(spec, config, grid_min=None, grid_max=None,
+               points=DEFAULT_GRID_POINTS):
+    """``points`` values from ``grid_min`` to ``grid_max`` in geometric steps,
+    by default over the last speed's [1.5, 20] (II, n-body II) or [0.05, 0.8]
+    (III), over an identical pair's [rho_min, 4 rho_min] or [0.5, 4], or else
+    v1's [0.5, 2] (I).  DomainError unless 0 < min <= max < inf."""
+    if config != "I":
+        bounds = _COLLINEAR_BOUNDS[config]
+    elif spec.n == 3 and _identical_pair(spec):
+        rmin = pair_distance_min(spec)
+        bounds = (rmin, 4 * rmin) if rmin else (0.5, 4.0)
+    else:
+        bounds = (0.5, 2.0)
+    lo = bounds[0] if grid_min is None else grid_min
+    hi = bounds[1] if grid_max is None else grid_max
+    if not 0 < lo <= hi < math.inf:
+        raise DomainError(f"grid bounds must satisfy 0 < min <= max < inf, "
+                          f"got [{lo:g}, {hi:g}]")
+    return np.geomspace(lo, hi, points)
+
+
+def _sweep(spec, config, values, point, require_certified):
+    """The sorted solutions ``point(x)`` over the positive finite ``values``
+    (default :func:`sweep_grid`); a point may raise only NoSolution,
+    ValidityError or DegenerateError.  NoSolution, naming the first such
+    error and up to four uncertified roots, when none is (certified)."""
+    if values is None:
+        values = sweep_grid(spec, config)
+    out, rejected, reason = [], [], None
+    for x in np.atleast_1d(np.asarray(values, float)):
+        if not 0.0 < x < math.inf:
+            continue
+        try:
+            sols = point(float(x))
+        except (NoSolution, ValidityError, DegenerateError) as ex:
+            reason = reason or str(ex)
+            continue
+        for sol in sols:
+            (out if sol.certified or not require_certified else rejected).append(sol)
+    if not out:
+        name = "collinear rigid" if config == "nbody-II" else f"Configuration-{config}"
+        msg = f"no {name} rotation on the sampled grid"
+        if reason:
+            msg += f": {reason}"
+        if rejected:
+            msg += ". Algebraic roots exist but fail certification: " + "; ".join(
+                f"v{len(s.v)}={s.v[-1]:.6g}: v1={s.v[0]:.10g} ({', '.join(s.notes)})"
+                for s in rejected[:4])
+        raise NoSolution(msg)
+    out.sort(key=ConfigSolution.sort_key)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Configuration I
 # ---------------------------------------------------------------------------
+
+def _identical_pair(spec):
+    e1, e2, _ = spec.charges
+    m1, m2, _ = spec.masses
+    return e1 == e2 and m1 == m2
+
+
+def _pair_ratio(spec):
+    """v2/v1 = sqrt(e2/e1) of a pair rotating about a resting third charge."""
+    e1, e2, _ = spec.charges
+    if e1 * e2 <= 0:
+        raise DomainError("the rotating pair needs same-sign charges "
+                          "(v2^2 = v1^2 e2/e1)")
+    return math.sqrt(e2 / e1)
+
 
 def solve_config_I_v3zero(spec, v1=1.0):
     """Closed-form Configuration-I solution with the third charge at rest.
@@ -548,17 +620,15 @@ def solve_config_I_v3zero(spec, v1=1.0):
     m1, m2, m3 = spec.masses
     if v1 <= 0:
         raise DomainError("v1 must be positive")
-    if e1 * e2 <= 0:
-        raise DomainError("the rotating pair needs same-sign charges "
-                          "(v2^2 = v1^2 e2/e1)")
-    r = math.sqrt(e2 / e1)
+    r = _pair_ratio(spec)
     v2 = r * v1
     d1 = e1 - r * e2
     d2 = e2 + e3 * (1 + r)**2
     if d1 == 0.0:
         raise DegenerateError(
-            "identical pair (e1 = e2): frequency closed form degenerates; "
-            "use solve_config_I_identical")
+            "a pair of equal charges (e1 = e2) rotates about a resting third "
+            "charge only as an identical pair, with equal masses; the "
+            "frequency closed form degenerates")
     if d2 == 0.0:
         raise DegenerateError("charge combination e2 + e3(1+r)^2 vanishes")
     omega = (e2*m1 - e1*m2) * r * (1 + r)**2 * v1**3 / (e1 * d1 * d2)
@@ -617,10 +687,9 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
     """
     if spec.n != 3:
         raise DomainError("Configuration I is a three-charge system")
-    e1, e2, e3 = spec.charges
-    m1, m2, m3 = spec.masses
-    if e1 != e2 or m1 != m2:
+    if not _identical_pair(spec):
         raise DomainError("identical-pair branch needs e1 = e2 and m1 = m2")
+    e1, m1 = spec.charges[0], spec.masses[0]
     if rho12 <= 0:
         raise DomainError("pair separation must be positive")
     disc = _pair_discriminant(spec, spec.B, rho12)
@@ -658,8 +727,24 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
         out.append(_certify(sol, spec, terms))
     if not out:
         raise NoSolution("both speed branches degenerate")
-    out.sort(key=ConfigSolution.sort_key)
     return out
+
+
+def solve_config_I(spec, values=None, require_certified=True):
+    """Sweep an identical pair's separation (:func:`solve_config_I_identical`,
+    v3 = 1 when every charge-to-mass ratio agrees, else 0) or else v1
+    (:func:`solve_config_I_v3zero`).  A spec the branch refuses raises
+    DomainError before the sweep; NoSolution as for :func:`solve_config_II`."""
+    if spec.n != 3:
+        raise DomainError("Configuration I is a three-charge system")
+    if _identical_pair(spec):
+        _pair_quadratic(spec, spec.B)     # refuses a zero field, an uncharged pair
+        v3 = 1.0 if classify_system(spec).equal_larmor else 0.0
+        point = partial(solve_config_I_identical, spec, v3=v3)
+    else:
+        _pair_ratio(spec)                 # refuses a pair not of one sign
+        point = partial(solve_config_I_v3zero, spec)
+    return _sweep(spec, "I", values, point, require_certified)
 
 
 # ---------------------------------------------------------------------------
@@ -746,49 +831,29 @@ def _sextic_speeds(spec, config):
     return speeds_at
 
 
-_SWEEP_NAMES = {"II": "Configuration-II rotation",
-                "III": "Configuration-III rotation",
-                "nbody-II": "collinear rigid rotation"}
-
-
-def _sweep(spec, config, values, speeds_at, require_certified):
-    """The collinear search shared by Configurations II, III and n-body II.
-
-    ``speeds_at(x)`` returns the candidate positive speed tuples whose last
-    speed is the swept value ``x``; each is assembled and certified by
-    :func:`_collinear_solution`.  Raises NoSolution when no (certified)
-    solution exists, naming up to four roots that failed certification.
-    """
+def _collinear_sweep(spec, config, values, speeds_at, require_certified):
+    """Sweep II, III or n-body II: ``speeds_at(x)`` gives the speed tuples
+    ending in ``x``; each is certified unless its closed forms degenerate."""
+    if spec.charges[1] == 0.0:
+        raise DomainError("collinear rotations need a charged second particle "
+                          "(the field closed form divides by e2)")
     cls = classify_system(spec)
     if cls.equal_larmor:
         raise NoSolution(
             "equal charge-to-mass ratios (alpha = "
             f"{cls.alpha:.6g}): the elimination polynomial vanishes "
             "identically, so no collinear rigid rotation exists")
-    if values is None:
-        values = np.geomspace(*DEFAULT_GRIDS[config], DEFAULT_GRID_POINTS)
-    out, rejected = [], []
-    for x in np.atleast_1d(np.asarray(values, float)):
-        if not 0.0 < x < math.inf:
-            continue
-        for k, v in enumerate(speeds_at(float(x))):
+
+    def point(x):
+        sols = []
+        for k, v in enumerate(speeds_at(x)):
             try:
-                sol = _collinear_solution(spec, v, config, branch=str(k))
+                sols.append(_collinear_solution(spec, v, config, branch=str(k)))
             except DegenerateError:
                 continue
-            if sol.certified or not require_certified:
-                out.append(sol)
-            else:
-                rejected.append(sol)
-    if not out:
-        msg = f"no {_SWEEP_NAMES[config]} on the sampled grid"
-        if rejected:
-            msg += ". Algebraic roots exist but fail certification: " + "; ".join(
-                f"v{len(s.v)}={s.v[-1]:.6g}: v1={s.v[0]:.10g} ({', '.join(s.notes)})"
-                for s in rejected[:4])
-        raise NoSolution(msg)
-    out.sort(key=ConfigSolution.sort_key)
-    return out
+        return sols
+
+    return _sweep(spec, config, values, point, require_certified)
 
 
 def solve_config_II(spec, v3_values=None, require_certified=True):
@@ -799,7 +864,7 @@ def solve_config_II(spec, v3_values=None, require_certified=True):
     elimination sextic (companion-matrix eigenvalues, Newton-polished).
     The field and frequency follow from the closed forms; roots are
     certified against ordering, rotation sense, and the Newtonian balance
-    of the built state.  ``v3_values`` defaults to ``DEFAULT_GRIDS["II"]``.
+    of the built state.  ``v3_values`` defaults to :func:`sweep_grid`.
 
     For the neutral identical-pair pattern the sextic is
     e^3 (2m + m1) v1 times helium_quartic_coefficients, so its roots
@@ -812,8 +877,8 @@ def solve_config_II(spec, v3_values=None, require_certified=True):
     """
     if spec.n != 3:
         raise DomainError("Configuration II is a three-charge system")
-    return _sweep(spec, "II", v3_values, _sextic_speeds(spec, "II"),
-                  require_certified)
+    return _collinear_sweep(spec, "II", v3_values, _sextic_speeds(spec, "II"),
+                            require_certified)
 
 
 def solve_config_III(spec, v3_values=None, require_certified=True):
@@ -822,13 +887,13 @@ def solve_config_III(spec, v3_values=None, require_certified=True):
     Works through the sign map v3 -> -v3 of the Configuration-II algebra:
     roots of the sextic at (v1, 1, -v3), field -B_II(v1, 1, -v3),
     frequency from the signed speed sum.  Ordering sector: v1 > v2 > v3.
-    ``v3_values`` defaults to ``DEFAULT_GRIDS["III"]``; certification and
+    ``v3_values`` defaults to :func:`sweep_grid`; certification and
     NoSolution as for :func:`solve_config_II`.
     """
     if spec.n != 3:
         raise DomainError("Configuration III is a three-charge system")
-    return _sweep(spec, "III", v3_values, _sextic_speeds(spec, "III"),
-                  require_certified)
+    return _collinear_sweep(spec, "III", v3_values, _sextic_speeds(spec, "III"),
+                            require_certified)
 
 
 # ---------------------------------------------------------------------------
@@ -899,10 +964,9 @@ def _damped_newton(system, u0):
 
     The step solves J step = -F with the exact Jacobian and is halved until
     |F| decreases (or the stop holds) at a point with positive speeds.  The
-    iteration stops when every row satisfies |F_i| <= 1e-12 max(1, scale_i):
-    a root to round-off relative to the row's largest term, or to 1e-12
-    absolute where all of a row's terms are below 1 (as where the field
-    vanishes with a speed meeting v2).  Raises NonConvergence otherwise.
+    iteration stops when every row satisfies |F_i| <= 1e-12 max(1, scale_i),
+    a root when also |F_i| <= 1e-12 scale_i.  Raises NonConvergence
+    otherwise, as where the field vanishes with a speed meeting v2.
     """
     def converged(f, scale):
         return all(abs(fi) <= _POLISH_TOL * max(1.0, si) for fi, si in zip(f, scale))
@@ -912,7 +976,7 @@ def _damped_newton(system, u0):
     norm = np.linalg.norm(fu)
     for _ in range(_NEWTON_MAX_ITER):
         if converged(fu, scale):
-            return u
+            break
         try:
             step = np.linalg.solve(J, -fu)
         except np.linalg.LinAlgError:
@@ -931,6 +995,9 @@ def _damped_newton(system, u0):
             raise NonConvergence("backtracking stalled in the collinear solver")
     if not converged(fu, scale):
         raise NonConvergence(f"no convergence (|F| = {norm:.3g})")
+    if any(abs(fi) > _POLISH_TOL * si for fi, si in zip(fu, scale)):
+        raise NonConvergence(f"stopped on the absolute floor (|F| = {norm:.3g}): "
+                             "not a root")
     return u
 
 
@@ -938,18 +1005,14 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
     """Collinear rigid rotations for n >= 3 charges.
 
     Fixes v2 = 1 (scale) and sweeps the outermost speed vn, by default
-    over ``DEFAULT_GRIDS["nbody-II"]``.  For n = 3 the candidates are the
+    over :func:`sweep_grid`.  For n = 3 the candidates are the
     real roots of the elimination sextic, as in solve_config_II, so the two
     return the same roots.  For n > 3 the remaining speeds solve the reduced
     balance system by damped Newton iteration from deterministic seeds: v1
     runs over 0.25, 0.5 and 0.8 times v2, with interior speeds geometrically
     interpolated between v2 and vn.  Newton steps with the exact Jacobian of
-    the balance rows and stops once every row satisfies
-    |F_i| <= 1e-12 max(1, scale_i), scale_i being the row's largest |term|:
-    it admits roots to round-off of their terms.  Where the terms are all
-    below 1, as near the spurious zeros at which a speed meets v2 and B
-    vanishes, the stop is the absolute 1e-12, and certification rejects
-    what it admits there.
+    the balance rows and admits a root to round-off of each row's largest
+    |term|.
     Certification = relative residuals, ordering, rotation sense, Newton
     balance, and an integration over a quarter rotation period with
     relative pair-distance deviation < 1e-6.  The quarter-period horizon
@@ -962,8 +1025,8 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
     if n < 3:
         raise DomainError("collinear rigid rotations need at least 3 charges")
     if n == 3:
-        return _sweep(spec, "nbody-II", vn_values, _sextic_speeds(spec, "nbody-II"),
-                      require_certified)
+        return _collinear_sweep(spec, "nbody-II", vn_values,
+                                _sextic_speeds(spec, "nbody-II"), require_certified)
 
     def speeds_at(vn):
         if vn <= _V2:
@@ -981,7 +1044,8 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
                 roots.append(u)
         return [tuple(assemble(u)) for u in sorted(roots, key=lambda x: x[0])]
 
-    return _sweep(spec, "nbody-II", vn_values, speeds_at, require_certified)
+    return _collinear_sweep(spec, "nbody-II", vn_values, speeds_at,
+                            require_certified)
 
 
 # ---------------------------------------------------------------------------

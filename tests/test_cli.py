@@ -1,16 +1,23 @@
+import contextlib
 import functools
 import glob
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from conftest import electron_orbit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magnetotrio import (IntegratorSettings, PhaseState, SystemSpec, cli,
-                         format_system)
+from magnetotrio import (IntegratorSettings, PhaseState, cli, format_system,
+                         load_system, pair_distance_min, solve_config_I,
+                         solve_config_II, solve_config_III, solve_nbody_II,
+                         write_catalog)
 from magnetotrio.cli import main
 
 
@@ -39,9 +46,16 @@ _TRIO = ("B 0\nparticle 1 1\nposition -0.5 0\nparticle -1 1\nposition 0.5 0\n"
          "particle 1 1\nposition 5 0\n")
 
 
+_SPEC4 = "B 1\nparticle 3 1\nparticle -1 1\nparticle 1 3\n"
+_FOUR = "B 1\nparticle 3 1\nparticle -1 1\nparticle 1 3\nparticle 2 2\n"
+_WORKED = "B 1\nparticle 1 1\nparticle 4 5\nparticle 1 1\n"
+_ELECTRONS_B2 = "B 2\nparticle -1 1\nparticle -1 1\nparticle -1 1\n"
+_SOLVERS = {"I": solve_config_I, "II": solve_config_II, "III": solve_config_III,
+            "nbody-II": solve_nbody_II}
+
+
 def _spec4_system(tmp_path):
-    return _write(tmp_path, "mixed.system",
-                  "B 1\nparticle 3 1\nparticle -1 1\nparticle 1 3\n")
+    return _write(tmp_path, "mixed.system", _SPEC4)
 
 
 class TestSimulate:
@@ -258,20 +272,30 @@ class TestFindAndVerify:
         rows = (tmp_path / "far.II.catalog.csv").read_text().splitlines()
         assert len(rows) == 2 and float(rows[1].split(",")[2]) < 10**-1.5
 
-    def test_catalog_matches_library_call(self, tmp_path):
-        from io import StringIO
-
-        from magnetotrio import solve_config_II, write_catalog
-        sys_path = _spec4_system(tmp_path)
-        rc = main(["find", sys_path, "--config", "II",
-                   "--grid-min", "1.5", "--grid-max", "4.0",
-                   "--grid-points", "2"])
+    @pytest.mark.parametrize("text, config, flags, grid", [
+        # Configuration I's default grids: an identical pair's separation
+        # from its minimum to four times that, else v1 over [0.5, 2]
+        (_ELECTRONS_B2, "I", [], lambda spec: np.geomspace(
+            pair_distance_min(spec), 4 * pair_distance_min(spec), 12)),
+        (_WORKED, "I", [], lambda spec: np.geomspace(0.5, 2.0, 12)),
+        (_SPEC4, "II", ["--grid-min", "1.5", "--grid-max", "4.0",
+                        "--grid-points", "2"],
+         lambda spec: np.geomspace(1.5, 4.0, 2)),
+        (_SPEC4, "III", ["--grid-min", "0.3", "--grid-max", "0.8",
+                         "--grid-points", "3"],
+         lambda spec: np.geomspace(0.3, 0.8, 3)),
+        (_FOUR, "nbody-II", ["--grid-min", "1.5", "--grid-max", "6",
+                             "--grid-points", "4"],
+         lambda spec: np.geomspace(1.5, 6.0, 4)),
+    ], ids=["I-electrons", "I-worked", "II", "III", "nbody-II"])
+    def test_catalog_matches_library_call(self, tmp_path, text, config, flags, grid):
+        sys_path = _write(tmp_path, "species.system", text)
+        rc = main(["find", sys_path, "--config", config, *flags])
         assert rc == 0
-        catalog = (tmp_path / "mixed.II.catalog.csv").read_text()
-        buf = StringIO()
-        spec = SystemSpec(1.0, (3.0, -1.0, 1.0), (1.0, 1.0, 3.0))
-        write_catalog(solve_config_II(spec, v3_values=np.geomspace(1.5, 4.0, 2)),
-                      buf)
+        catalog = (tmp_path / f"species.{config}.catalog.csv").read_text()
+        spec, _ = load_system(sys_path)
+        buf = io.StringIO()
+        write_catalog(_SOLVERS[config](spec, grid(spec)), buf)
         assert catalog == buf.getvalue()
 
     def test_no_solution_exit_code(self, tmp_path, capsys):
@@ -327,6 +351,53 @@ class TestFindAndVerify:
         rc = main(["find", sys_path, "--config", "I", *bounds])
         assert rc == 1
         assert capsys.readouterr().err == f"magnetotrio: error: {message}\n"
+
+    @pytest.mark.parametrize("text, config, message", [
+        ("B 1\nparticle 1 1\nparticle 0 1\nparticle 1 3\n", config,
+         "collinear rotations need a charged second particle "
+         "(the field closed form divides by e2)")
+        for config in ("II", "III", "nbody-II")
+    ] + [
+        (text, "I", "the rotating pair needs same-sign charges (v2^2 = v1^2 e2/e1)")
+        for text in ("B 1\nparticle 0 1\nparticle 1 1\nparticle 1 1\n",
+                     "B 1\nparticle 1 1\nparticle -1 1\nparticle 1 1\n")
+    ], ids=["II-uncharged-second", "III-uncharged-second",
+            "nbody-II-uncharged-second", "I-uncharged-first", "I-opposite-pair"])
+    def test_spec_no_grid_point_serves_exits_1(self, tmp_path, capsys, text,
+                                               config, message):
+        # refused before the sweep, not reported as "no solution" (exit 4)
+        sys_path = _write(tmp_path, "refused.system", text)
+        assert main(["find", sys_path, "--config", config]) == 1
+        assert capsys.readouterr().err == f"magnetotrio: error: {message}\n"
+
+    def test_equal_charges_of_unequal_masses(self, tmp_path, capsys):
+        sys_path = _write(tmp_path, "pair.system",
+                          "B 1\nparticle 1 1\nparticle 1 2\nparticle 1 1\n")
+        assert main(["find", sys_path, "--config", "I"]) == 4
+        err = capsys.readouterr().err
+        assert "rotates about a resting third charge only as an identical pair" in err
+        assert "solve_config_I" not in err
+
+    @given(particles=st.lists(st.tuples(st.integers(-2, 3), st.integers(1, 3)),
+                              min_size=3, max_size=4),
+           B=st.sampled_from([-1, 0, 1, 2]),
+           config=st.sampled_from(["I", "II", "III", "nbody-II"]))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_find_exits_with_a_code_on_small_species(self, particles, B, config):
+        # uncharged particles, a zero field, wrong particle counts and the
+        # equal charge-to-mass no-go each end in a usage error (1) or "no
+        # solution" (4), never in a traceback
+        text = f"B {B}\n" + "".join(f"particle {e} {m}\n" for e, m in particles)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out:
+            path = os.path.join(out, "species.system")
+            with open(path, "w") as fh:
+                fh.write(text)
+            with (contextlib.redirect_stdout(io.StringIO()),
+                  contextlib.redirect_stderr(err)):
+                rc = main(["find", path, "--config", config, "--grid-points", "2"])
+        assert rc in (0, 1, 4)
+        assert err.getvalue().count("\n") == (rc != 0)
 
     def test_identical_pair_catalog(self, tmp_path):
         sys_path = _write(tmp_path, "pair.system",

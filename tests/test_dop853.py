@@ -2,7 +2,8 @@
 
 ``_scipy_solve`` is the body of ``dynamics._solve`` before the stepper moved
 into the package: the same sampling grid, collision event and counters,
-integrated by ``solve_ivp(method="DOP853")``.
+integrated by ``solve_ivp(method="DOP853")``; ``_closest_pair`` is the
+collision report of that body.
 """
 
 import math
@@ -16,8 +17,15 @@ from scipy.integrate._ivp import dop853_coefficients
 
 from magnetotrio import (CollisionError, IntegratorSettings, PhaseState,
                          StepUnderflow, SystemSpec, _dop853, dynamics,
-                         integrate, integrate_jacobi, jacobi)
-from magnetotrio.dynamics import _closest_pair
+                         integrate, integrate_jacobi, jacobi, pair_distances)
+from magnetotrio.model import pair_index
+
+
+def _closest_pair(pos):
+    d = pair_distances(pos)
+    k = int(np.argmin(d))
+    I, J = pair_index(len(pos))
+    return (int(I[k]), int(J[k])), float(d[k])
 
 
 def _scipy_solve(spec, rhs, y0, t0, t_eval, settings, positions_of):

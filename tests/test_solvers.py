@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import findroot, mp, mpf
 
 from magnetotrio import (ConfigSolution, DegenerateError, DomainError,
-                         NoSolution, SystemSpec, ValidityError,
+                         NonConvergence, NoSolution, SystemSpec, ValidityError,
                          build_initial_state, closed_form_B_II,
                          closed_form_B_III, conserved_closed_forms,
                          evaluate_p6, hamiltonian, helium_closed_forms,
@@ -472,6 +472,21 @@ class TestNbodyCollinear:
             np.testing.assert_allclose(sol.v, v, rtol=1e-12)
             assert sol.omega == pytest.approx(omega, rel=1e-12)
             assert sol.B == pytest.approx(B, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["four", "five"])
+    def test_uncertified_rows_are_roots(self, name, request):
+        # where a speed meets v2 the field and every balance term tend to 0;
+        # Newton stops there on its absolute floor, which is not a root
+        sols = solve_nbody_II(request.getfixturevalue(name), require_certified=False)
+        assert max(s.residual_norm for s in sols) < 1e-10
+
+    def test_stop_on_the_absolute_floor_alone_is_no_root(self):
+        # |F| = 1e-13 meets the floor 1e-12 but equals the row's largest term
+        def system(u):
+            return np.array([1e-13]), np.eye(1), [1e-13]
+
+        with pytest.raises(NonConvergence, match="absolute floor"):
+            solvers._damped_newton(system, [1.0])
 
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
