@@ -21,12 +21,11 @@ from .dynamics import (IntegratorSettings, RigidityReport, Trajectory,
                        accelerations, integrate, pair_distances,
                        read_trajectory_csv, rigidity_report,
                        write_trajectory_csv)
-from .invariants import (algebra_check, angular_momentum, casimir,
-                         drift_report, hamiltonian, involution_check,
-                         pair_virial, poisson_bracket,
-                         pseudomomentum, special_trajectory_quantities,
-                         standard_quantities, third_pseudomomentum_x,
-                         write_invariant_csv)
+from .invariants import (GLOBAL_INVARIANTS, SPECIAL_SETS, algebra_check,
+                         angular_momentum, casimir, drift_report, hamiltonian,
+                         invariant_table, involution_check, pair_virial,
+                         poisson_bracket, pseudomomentum,
+                         third_pseudomomentum_x, write_invariant_csv)
 from .jacobi import (JacobiState, JacobiWeights, apply_cc, from_jacobi,
                      hamiltonian_jacobi, integrate_jacobi, invert_cc,
                      jacobi_weights, pseudomomentum_jacobi, to_jacobi)

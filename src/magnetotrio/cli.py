@@ -35,15 +35,14 @@ from .dynamics import (IntegratorSettings, integrate, read_trajectory_csv,
                        rigidity_report, write_trajectory_csv)
 from .errors import (CollisionError, DomainError, MagnetotrioError,
                      NoSolution, SpecParseError)
-from .invariants import (algebra_check, drift_report, table_drifts,
-                         write_invariant_csv)
+from .invariants import (GLOBAL_INVARIANTS, algebra_check, drift_report,
+                         table_drifts, write_invariant_csv)
 from .jacobi import integrate_jacobi
 from .model import load_system, save_system
 from .solvers import (DEFAULT_GRID_POINTS, build_initial_state, solve_config_I,
                       solve_config_II, solve_config_III, solve_nbody_II,
                       sweep_grid, write_catalog)
 
-GLOBAL_INVARIANTS = ("H", "Kx", "Ky", "Lz", "Casimir")
 BRACKET_TOL = 1e-6
 
 

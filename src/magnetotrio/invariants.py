@@ -17,14 +17,18 @@ trajectories; along generic trajectories they drift at O(1).
 Every quantity takes positions and velocities of shape (..., n, 2) and
 returns one value per leading index (per particle where it is per-particle),
 so one state gives a scalar and a stack of samples is evaluated in one pass.
+:func:`invariant_table` evaluates every column of :func:`invariant_columns`;
+the sampled reports, the bracket algebra and ``SPECIAL_SETS`` read it by name.
 
 Poisson brackets are evaluated in canonical coordinates ``(rho, p)`` from
 complex-step gradients ``df/dz_k = Im f(z + i h e_k) / h``, for which every
-quantity accepts complex input.  With no difference taken, one call on the
-stack of the 4n perturbed points gives a gradient exact to rounding.  A
-quantity that is not complex-analytic (``abs``, ``hypot``, ``float()``)
-raises :class:`TypeError` instead of returning a wrong derivative.
+quantity accepts complex input.  With no difference taken, one table call on
+the stack of the 4n perturbed points gives every named gradient exact to
+rounding.  A quantity that is not complex-analytic (``abs``, ``hypot``,
+``float()``) raises :class:`TypeError` instead of returning a wrong derivative.
 """
+
+import itertools
 
 import numpy as np
 
@@ -110,11 +114,22 @@ def third_pseudomomentum_x(spec, positions, velocities):
 
 
 # ---------------------------------------------------------------------------
-# sampled reports along a trajectory
+# the named quantities: one table per state or stack of states
 # ---------------------------------------------------------------------------
 
+GLOBAL_INVARIANTS = ("H", "Kx", "Ky", "Lz", "Casimir")
+
+# The six quantities in involution along each special trajectory (n = 3).
+# K2 = Kx^2 + Ky^2 is the one name that is not a table column.
+SPECIAL_SETS = {
+    "I-rest": ("H", "K2", "Lz", "l3", "T1", "T2"),    # third charge at rest
+    "I-orbit": ("H", "K2", "Lz", "l3", "T3", "k3x"),  # third charge on its circle
+    "II": ("H", "K2", "Lz", "l2", "T1", "T2"),        # collinear II, also III
+}
+
+
 def invariant_columns(n):
-    cols = ["t", "H", "Kx", "Ky", "Lz", "Casimir"]
+    cols = ["t", *GLOBAL_INVARIANTS]
     cols += [f"l{i}" for i in range(1, n + 1)]
     cols += [f"T{i}" for i in range(1, n + 1)]
     if n == 3:
@@ -122,16 +137,24 @@ def invariant_columns(n):
     return cols
 
 
+def invariant_table(spec, positions, velocities):
+    """The quantities of :func:`invariant_columns` after ``t``, in its
+    order, at a real or complex (..., n, 2) stack: shape (..., ncols)."""
+    q, v = positions, velocities
+    K = pseudomomentum(spec, q, v)
+    cols = [hamiltonian(spec, q, v), K[..., 0], K[..., 1],
+            angular_momentum(spec, q, v), casimir(spec, q, v),
+            *np.moveaxis(individual_angular_momenta(spec, q, v), -1, 0),
+            *np.moveaxis(kinetic_energies(spec, v), -1, 0)]
+    if spec.n == 3:
+        cols += [third_pseudomomentum_x(spec, q, v), pair_virial(spec, q, v)]
+    return np.stack(cols, axis=-1)
+
+
 def invariant_samples(traj):
     """Evaluate all reported quantities at every sample, shape (nt, ncols)."""
-    spec, pos, vel = traj.spec, traj.positions, traj.velocities
-    K = pseudomomentum(spec, pos, vel)
-    cols = [traj.t, hamiltonian(spec, pos, vel), K[:, 0], K[:, 1],
-            angular_momentum(spec, pos, vel), casimir(spec, pos, vel),
-            individual_angular_momenta(spec, pos, vel), kinetic_energies(spec, vel)]
-    if spec.n == 3:
-        cols += [third_pseudomomentum_x(spec, pos, vel), pair_virial(spec, pos, vel)]
-    return np.column_stack(cols)
+    return np.column_stack([traj.t, invariant_table(traj.spec, traj.positions,
+                                                    traj.velocities)])
 
 
 def write_invariant_csv(traj, path):
@@ -196,20 +219,17 @@ def poisson_bracket(f, g, spec, positions, velocities):
     return _bracket(spec, _gradient(f, spec, z0), _gradient(g, spec, z0))
 
 
-def _named(func, name):
-    func.__name__ = name
-    return func
-
-
-def standard_quantities(spec):
-    """The global integrals as named callables: H, Kx, Ky, Lz, Casimir."""
-    return [
-        _named(lambda s, q, v: hamiltonian(s, q, v), "H"),
-        _named(lambda s, q, v: pseudomomentum(s, q, v)[..., 0], "Kx"),
-        _named(lambda s, q, v: pseudomomentum(s, q, v)[..., 1], "Ky"),
-        _named(lambda s, q, v: angular_momentum(s, q, v), "Lz"),
-        _named(lambda s, q, v: casimir(s, q, v), "Casimir"),
-    ]
+def _gradients(spec, positions, velocities, names):
+    """Complex-step gradients of the named quantities at one state, from one
+    :func:`_gradient` call of :func:`invariant_table`: one contiguous row
+    per name (a strided row would change how ``@`` rounds in
+    :func:`_bracket`).  ``K2`` is the row 2 Kx grad Kx + 2 Ky grad Ky."""
+    g = _gradient(invariant_table, spec, _pack(spec, positions, velocities))
+    rows = dict(zip(invariant_columns(spec.n)[1:], g.T))
+    if "K2" in names:
+        kx, ky = pseudomomentum(spec, positions, velocities)
+        rows["K2"] = 2.0 * kx * rows["Kx"] + 2.0 * ky * rows["Ky"]
+    return np.array([rows[name] for name in names])
 
 
 def algebra_check(spec, positions, velocities):
@@ -221,8 +241,7 @@ def algebra_check(spec, positions, velocities):
         {H,Kx} = {H,Ky} = {H,Lz} = 0,
         {Casimir, each of H,Kx,Ky,Lz} = 0.
     """
-    z0 = _pack(spec, positions, velocities)
-    H, Kx, Ky, Lz, C = (_gradient(q, spec, z0) for q in standard_quantities(spec))
+    H, Kx, Ky, Lz, C = _gradients(spec, positions, velocities, GLOBAL_INVARIANTS)
     QB = spec.total_charge * spec.B
     kx, ky = pseudomomentum(spec, positions, velocities)
     pb = lambda a, b: _bracket(spec, a, b)
@@ -240,65 +259,22 @@ def algebra_check(spec, positions, velocities):
     }
 
 
-def special_trajectory_quantities(spec, variant="I-rest"):
-    """The six quantities that are in involution along special trajectories.
-
-    variant selects the set appropriate to the rigid configuration:
-
-    * ``"I-rest"``  — third charge at rest:        (H, K^2, Lz, l3, T1, T2)
-    * ``"I-orbit"`` — third charge on its circle:  (H, K^2, Lz, l3, T3, k3x)
-    * ``"II"``      — collinear rotation (also III): (H, K^2, Lz, l2, T1, T2)
-    """
-    if spec.n != 3:
-        raise DomainError("special-trajectory sets are defined for n = 3")
-    if variant not in ("I-rest", "I-orbit", "II"):
-        raise DomainError(f"unknown involution-set variant {variant!r}")
-
-    def K2(s, q, v):
-        K = pseudomomentum(s, q, v)
-        return (K * K).sum(axis=-1)
-
-    def l_i(i):
-        return _named(
-            lambda s, q, v: individual_angular_momenta(s, q, v)[..., i],
-            f"l{i + 1}")
-
-    def T_i(i):
-        return _named(lambda s, q, v: kinetic_energies(s, v)[..., i],
-                      f"T{i + 1}")
-
-    base = [
-        _named(lambda s, q, v: hamiltonian(s, q, v), "H"),
-        _named(K2, "K2"),
-        _named(lambda s, q, v: angular_momentum(s, q, v), "Lz"),
-        l_i(1) if variant == "II" else l_i(2),
-    ]
-    if variant == "I-orbit":
-        base += [
-            T_i(2),
-            _named(lambda s, q, v: third_pseudomomentum_x(s, q, v), "k3x"),
-        ]
-    else:
-        base += [T_i(0), T_i(1)]
-    return base
-
-
-def involution_check(quantities, spec, states):
-    """Max |{q_a, q_b}| over all pairs and all supplied states.
+def involution_check(spec, states, variant):
+    """Max |{q_a, q_b}| over the pairs of ``SPECIAL_SETS[variant]`` and all
+    supplied states, for a three-charge ``spec``.
 
     ``states`` is an iterable of (positions, velocities) pairs.  Returns
     ``(worst, table)`` where ``table[(name_a, name_b)]`` is the worst bracket
     magnitude for that pair.
     """
+    if spec.n != 3:
+        raise DomainError("special-trajectory sets are defined for n = 3")
+    if variant not in SPECIAL_SETS:
+        raise DomainError(f"unknown involution-set variant {variant!r}")
+    names = SPECIAL_SETS[variant]
     table = {}
-    worst = 0.0
     for pos, vel in states:
-        z0 = _pack(spec, pos, vel)
-        grads = [_gradient(q, spec, z0) for q in quantities]
-        for a in range(len(quantities)):
-            for b in range(a + 1, len(quantities)):
-                val = abs(_bracket(spec, grads[a], grads[b]))
-                key = (quantities[a].__name__, quantities[b].__name__)
-                table[key] = max(table.get(key, 0.0), val)
-                worst = max(worst, val)
-    return worst, table
+        grads = _gradients(spec, pos, vel, names)
+        for (a, ga), (b, gb) in itertools.combinations(zip(names, grads), 2):
+            table[a, b] = max(table.get((a, b), 0.0), abs(_bracket(spec, ga, gb)))
+    return max(table.values(), default=0.0), table

@@ -125,7 +125,6 @@ class ConfigSolution:
     sense: str = "cw"
     certified: bool = False
     newton_balance: float = math.nan
-    kappa: float = math.nan
     rigidity: float = math.nan
     notes: tuple = field(default_factory=tuple)
 
@@ -807,7 +806,7 @@ def _collinear_solution(spec, v, config, branch):
     sol = ConfigSolution(
         config=config, branch=branch, v=tuple(abs(x) for x in v),
         omega=abs(omega_signed), B=B,
-        sense="cw" if omega_signed > 0 else "ccw", kappa=kap)
+        sense="cw" if omega_signed > 0 else "ccw")
     return _certify(sol, spec, terms, (
         (_ordering_ok(config, v), "speed ordering outside the sector"),
         (omega_signed > 0, "mirror rotation sense")))
@@ -926,15 +925,17 @@ def _nbody_system(spec, vn):
 
     def system(u):
         v = assemble(u)
+        x = v.tolist()
+        J = np.full((n - 2, n - 2), math.nan)
+        if len(set(x)) < n:
+            # two speeds coincide: no residual, no derivative, no iterate
+            return np.full(n - 2, math.nan), J, [math.nan] * (n - 2)
         kap, C, B = _collinear_field(spec, v)
         w = kap * B
-        x = v.tolist()
         rows = _collinear_terms(e, m, x, w, B)
         F = np.array([math.fsum(rows[i]) for i in free])
         scale = [max(map(abs, rows[i])) for i in free]
-        J = np.full((n - 2, n - 2), math.nan)
         if not np.isfinite(F).all():
-            # two speeds coincide: no derivative, and no iterate either
             return F, J, scale
         # d kappa, dB and d omega along each free speed; dB is B d ln B
         # written without the factor 1 / (m2 kappa - e2)
@@ -1082,7 +1083,7 @@ def conserved_closed_forms(spec, solution):
               / (2*r**2*(1 + r)**4*v1**4*(m2 - m1*r**2)**2))
         return {"H": H, "K2": 0.0, "Lz": Lz, "l3": 0.0,
                 "T1": 0.5*m1*v1**2, "T2": 0.5*m2*r**2*v1**2,
-                "pair_virial": 0.0, "B_check": BI}
+                "I": 0.0, "B_check": BI}
     if cfg == "I":
         # identical pair at separation rho12 = 2 v1 / omega
         e, m = e1, m1
@@ -1095,7 +1096,7 @@ def conserved_closed_forms(spec, solution):
              + e*(e + 4*e3)/(4*rho))
         out = {"H": H, "K2": 0.0,
                "l3": (-m3**2*v3**2/(2*e3*B)) if v3 != 0.0 else 0.0,
-               "T3": 0.5*m3*v3**2, "pair_virial": 0.0}
+               "T3": 0.5*m3*v3**2, "I": 0.0}
         if v3 != 0.0:
             out["Lz"] = (e*B*rho**2/4 - (2*m + m3)*m3*v3**2/(2*e3*B)
                          - e*B*rho**2/4 * root)
@@ -1111,7 +1112,7 @@ def conserved_closed_forms(spec, solution):
         X = math.fsum(e[i]*e[j]/(v[i] - v[j])
                       for i, j in itertools.combinations(range(spec.n), 2))
         H = 0.5 * (2*B*X*Sev/Smv + float(np.dot(m, v**2)))
-        out = {"H": H, "K2": 0.0, "pair_virial": 0.0}
+        out = {"H": H, "K2": 0.0, "I": 0.0}
         if spec.n == 3:
             out["Lz"] = (Smv**2/(2*B*Sev**2)
                          * (float(np.dot(e, v**2))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from magnetotrio import SystemSpec
+from magnetotrio import SystemSpec, invariant_table
+from magnetotrio.invariants import invariant_columns
 
 
 @pytest.fixture
@@ -80,3 +81,13 @@ def separated_state(rng, n, box=2.0, min_sep=0.5):
             break
     vel = rng.uniform(-1.0, 1.0, (n, 2))
     return pos, vel
+
+
+def table_value(spec, state, name):
+    """The named quantity at ``state``, read from one invariant table by
+    its column name; K2 = Kx^2 + Ky^2 is built from the Kx and Ky columns."""
+    row = invariant_table(spec, state.positions, state.velocities).tolist()
+    value = dict(zip(invariant_columns(spec.n)[1:], row))
+    if name == "K2":
+        return value["Kx"] ** 2 + value["Ky"] ** 2
+    return value[name]

@@ -16,19 +16,17 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf, polyval
 
-from conftest import electron_orbit, separated_state
+from conftest import electron_orbit, separated_state, table_value
 from magnetotrio import (DegenerateError, IntegratorSettings, NoSolution,
-                         PhaseState, SystemSpec, algebra_check,
-                         angular_momentum, apply_cc, build_initial_state,
-                         closed_form_B_II, closed_form_B_III,
-                         conserved_closed_forms, drift_report, evaluate_p6,
-                         hamiltonian, hamiltonian_jacobi, helium_cubic_root,
-                         integrate, integrate_jacobi, p6_coefficients,
-                         pair_distance_min, pair_virial, pseudomomentum,
+                         PhaseState, SystemSpec, algebra_check, apply_cc,
+                         build_initial_state, closed_form_B_II,
+                         closed_form_B_III, conserved_closed_forms,
+                         drift_report, evaluate_p6, hamiltonian,
+                         hamiltonian_jacobi, helium_cubic_root, integrate,
+                         integrate_jacobi, p6_coefficients, pair_distance_min,
                          residuals_config_I, rigidity_report,
                          solve_config_I_identical, solve_config_I_v3zero,
                          solve_config_II, solve_nbody_II, to_jacobi)
-from magnetotrio.invariants import individual_angular_momenta, kinetic_energies
 
 SPEC4 = SystemSpec(B=1.0, charges=(3.0, -1.0, 1.0), masses=(1.0, 1.0, 3.0))
 WORKED = SystemSpec(B=1.0, charges=(1.0, 4.0, 1.0), masses=(1.0, 5.0, 1.0))
@@ -42,24 +40,6 @@ def _electrons(B):
 def _tight(t_end, dt):
     return IntegratorSettings(t_end=t_end, rel_tol=1e-12, abs_tol=1e-12,
                               sample_interval=dt)
-
-
-def _direct(spec_b, state, name):
-    q, v = state.positions, state.velocities
-    if name == "H":
-        return hamiltonian(spec_b, q, v)
-    if name == "Lz":
-        return angular_momentum(spec_b, q, v)
-    if name == "K2":
-        K = pseudomomentum(spec_b, q, v)
-        return float(K @ K)
-    if name == "pair_virial":
-        return pair_virial(spec_b, q, v)
-    if name.startswith("l"):
-        return float(individual_angular_momenta(spec_b, q, v)[int(name[1:]) - 1])
-    if name.startswith("T"):
-        return float(kinetic_energies(spec_b, v)[int(name[1:]) - 1])
-    raise KeyError(name)
 
 
 def test_01_identical_charge_rotation_reproduced():
@@ -331,7 +311,7 @@ def test_08_worked_rotation_closed_forms():
     forms = conserved_closed_forms(WORKED, sol)
     assert forms.pop("B_check") == pytest.approx(sol.B, rel=1e-12)
     for name, value in sorted(forms.items()):
-        direct = _direct(spec_b, state, name)
+        direct = table_value(spec_b, state, name)
         print(f"{name}: closed form {value:.12g}  direct {direct:.12g}  "
               f"|diff| {abs(value - direct):.2e}")
         assert value == pytest.approx(direct, abs=1e-8), name

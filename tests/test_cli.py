@@ -399,6 +399,18 @@ class TestFindAndVerify:
         assert rc in (0, 1, 4)
         assert err.getvalue().count("\n") == (rc != 0)
 
+    def test_coincident_trial_speeds_warn_nothing(self, tmp_path, capsys):
+        # on the default grid a Newton trial point of this species puts two
+        # speeds on one value; it is rejected as a non-root without a
+        # numpy division by zero (warnings are errors under pytest)
+        sys_path = _write(tmp_path, "mixed4.system",
+                          "B 2\nparticle -1 1\nparticle 3 3\nparticle -2 1\n"
+                          "particle 0 3\n")
+        assert main(["find", sys_path, "--config", "nbody-II"]) == 4
+        assert capsys.readouterr().err == (
+            "magnetotrio: no solution: no collinear rigid rotation on the "
+            "sampled grid\n")
+
     def test_identical_pair_catalog(self, tmp_path):
         sys_path = _write(tmp_path, "pair.system",
                           "B 2\nparticle -1 1\nparticle -1 1\nparticle -1 1\n")
@@ -511,7 +523,8 @@ class TestParser:
 
 
 def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
-    # a None entry in sys.modules makes every import of scipy fail
+    # a None entry in sys.modules makes every import of scipy fail, and
+    # -W error turns any warning on a subcommand's stderr into a failure
     orbit, mixed = _orbit_system(tmp_path), _spec4_system(tmp_path)
     out, derived = str(tmp_path / "out"), str(tmp_path / "derived")
     runs = [
@@ -526,7 +539,8 @@ def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
             "sys.modules['scipy'] = None\n"
             "from magnetotrio.cli import main\n"
             f"print([main(argv) for argv in {runs!r}])\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=_env_with_src(),
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          env=_env_with_src(),
                           timeout=120, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]"

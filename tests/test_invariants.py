@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from conftest import electron_orbit, separated_state
 
-from magnetotrio import (DomainError, IntegratorSettings, PhaseState,
-                         SystemSpec, algebra_check,
-                         angular_momentum, casimir, classify_system,
-                         drift_report, hamiltonian, integrate,
-                         involution_check, pair_virial, poisson_bracket,
-                         pseudomomentum, special_trajectory_quantities,
-                         standard_quantities, third_pseudomomentum_x)
-from magnetotrio.invariants import (_eval_on_z, _gradient, _pack,
+from magnetotrio import (GLOBAL_INVARIANTS, SPECIAL_SETS, DomainError,
+                         IntegratorSettings, PhaseState, SystemSpec,
+                         algebra_check, angular_momentum, casimir,
+                         classify_system, drift_report, hamiltonian, integrate,
+                         invariant_table, involution_check, pair_virial,
+                         poisson_bracket, pseudomomentum,
+                         third_pseudomomentum_x)
+from magnetotrio import invariants
+from magnetotrio.invariants import (_eval_on_z, _gradients, _pack,
                                     coulomb_energy, individual_angular_momenta,
                                     invariant_columns, invariant_samples,
                                     kinetic_energies, particle_pseudomomenta,
@@ -64,6 +65,7 @@ _QUANTITIES = [
     (casimir, 1, True),
     (pair_virial, 2, True),
     (third_pseudomomentum_x, 3, True),
+    (invariant_table, 1, False),
 ]
 
 
@@ -150,6 +152,15 @@ def _px1(s, q, v):
     return canonical_momenta(s, q, v)[..., 0, 0]
 
 
+# the pseudomomentum components as callables, independently of the table
+def _Kx(s, q, v):
+    return pseudomomentum(s, q, v)[..., 0]
+
+
+def _Ky(s, q, v):
+    return pseudomomentum(s, q, v)[..., 1]
+
+
 class TestBracketEngine:
     def test_fundamental_bracket(self, spec4):
         # {x1, p_x1} = 1
@@ -184,9 +195,8 @@ class TestBracketEngine:
 
     def test_neutral_pseudomomenta_commute(self, helium, rng):
         assert classify_system(helium).neutral
-        _, Kx, Ky, _, _ = standard_quantities(helium)
         pos, vel = separated_state(rng, 3)
-        assert abs(poisson_bracket(Kx, Ky, helium, pos, vel)) < 1e-6
+        assert abs(poisson_bracket(_Kx, _Ky, helium, pos, vel)) < 1e-6
 
 
 def _loop_gradient(func, spec, z0, h):
@@ -200,12 +210,15 @@ def _loop_gradient(func, spec, z0, h):
     return g
 
 
-def _all_quantities(spec):
-    quantities = standard_quantities(spec)
-    if spec.n == 3:
-        for variant in ("I-rest", "I-orbit", "II"):
-            quantities += special_trajectory_quantities(spec, variant)
-    return quantities
+def _table_column(name):
+    """The named quantity as a callable on the invariant table; K2 is
+    Kx^2 + Ky^2 of its columns."""
+    def column(s, q, v):
+        t = invariant_table(s, q, v)
+        if name == "K2":
+            return t[..., 1] ** 2 + t[..., 2] ** 2
+        return t[..., invariant_columns(s.n).index(name) - 1]
+    return column
 
 
 class TestBatchedGradient:
@@ -218,17 +231,19 @@ class TestBatchedGradient:
                               masses=rng.uniform(0.5, 2.0, n))
         else:
             spec = request.getfixturevalue(name)
+        names = invariant_columns(spec.n)[1:] + ["K2"]
         for _ in range(3):
-            z0 = _pack(spec, *separated_state(rng, spec.n))
-            for q in _all_quantities(spec):
-                g = _loop_gradient(q, spec, z0, 1e-5)
-                assert np.all(np.abs(_gradient(q, spec, z0) - g)
-                              <= 1e-8 * np.maximum(1.0, np.abs(g))), q.__name__
+            pos, vel = separated_state(rng, spec.n)
+            z0 = _pack(spec, pos, vel)
+            for name, row in zip(names, _gradients(spec, pos, vel, names)):
+                g = _loop_gradient(_table_column(name), spec, z0, 1e-5)
+                assert np.all(np.abs(row - g)
+                              <= 1e-8 * np.maximum(1.0, np.abs(g))), name
 
     @pytest.mark.parametrize("name", ["spec4", "four"])
     def test_algebra_check_equals_pairwise_brackets(self, name, request, rng):
         spec = request.getfixturevalue(name)
-        H, Kx, Ky, Lz, C = standard_quantities(spec)
+        H, Kx, Ky, Lz, C = hamiltonian, _Kx, _Ky, angular_momentum, casimir
         QB = spec.total_charge * spec.B
         for _ in range(3):
             pos, vel = separated_state(rng, spec.n)
@@ -245,36 +260,55 @@ class TestBatchedGradient:
 
 class TestInvolutionSets:
     def test_variant_selection(self, electrons):
-        names = [q.__name__ for q in special_trajectory_quantities(electrons, "I-rest")]
-        assert names == ["H", "K2", "Lz", "l3", "T1", "T2"]
-        names = [q.__name__ for q in special_trajectory_quantities(electrons, "I-orbit")]
-        assert names == ["H", "K2", "Lz", "l3", "T3", "k3x"]
-        names = [q.__name__ for q in special_trajectory_quantities(electrons, "II")]
-        assert names == ["H", "K2", "Lz", "l2", "T1", "T2"]
+        assert GLOBAL_INVARIANTS == ("H", "Kx", "Ky", "Lz", "Casimir")
+        assert SPECIAL_SETS == {
+            "I-rest": ("H", "K2", "Lz", "l3", "T1", "T2"),
+            "I-orbit": ("H", "K2", "Lz", "l3", "T3", "k3x"),
+            "II": ("H", "K2", "Lz", "l2", "T1", "T2"),
+        }
+        state = separated_state(np.random.default_rng(0), 3)
+        for variant, names in SPECIAL_SETS.items():
+            _, table = involution_check(electrons, [state], variant)
+            assert list(table) == [(a, b) for k, a in enumerate(names)
+                                   for b in names[k + 1:]]
 
     def test_rejects_unknown_variant(self, electrons):
         with pytest.raises(DomainError):
-            special_trajectory_quantities(electrons, "IV")
+            involution_check(electrons, [], "IV")
+        two = SystemSpec(B=1.0, charges=(1.0, 1.0), masses=(1.0, 1.0))
         with pytest.raises(DomainError):
-            special_trajectory_quantities(
-                SystemSpec(B=1.0, charges=(1.0, 1.0), masses=(1.0, 1.0)))
+            involution_check(two, [], "I-rest")
 
     def test_orbit_set_in_involution_along_orbit(self, orbit_trajectory):
         spec, traj = orbit_trajectory
-        quantities = special_trajectory_quantities(spec, "I-orbit")
         states = [(traj.positions[k], traj.velocities[k])
                   for k in range(0, traj.n_samples, 5)]
-        worst, _ = involution_check(quantities, spec, states)
+        worst, _ = involution_check(spec, states, "I-orbit")
         assert worst < 1e-8
 
     def test_rest_set_in_involution(self, worked):
         from magnetotrio import build_initial_state
         from magnetotrio.solvers import solve_config_I_v3zero
         spec_b, st = build_initial_state(solve_config_I_v3zero(worked)[0], worked)
-        quantities = special_trajectory_quantities(spec_b, "I-rest")
-        worst, _ = involution_check(quantities, spec_b,
-                                    [(st.positions, st.velocities)])
+        worst, _ = involution_check(spec_b, [(st.positions, st.velocities)],
+                                    "I-rest")
         assert worst < 1e-10
+
+    def test_one_table_evaluation_per_state(self, electrons, monkeypatch, rng):
+        calls, table = [], invariants.invariant_table
+
+        def counted(*args):
+            calls.append(1)
+            return table(*args)
+
+        monkeypatch.setattr(invariants, "invariant_table", counted)
+        states = [separated_state(rng, 3) for _ in range(4)]
+        for pos, vel in states:
+            algebra_check(electrons, pos, vel)
+        assert len(calls) == len(states)
+        calls.clear()
+        involution_check(electrons, states, "I-orbit")
+        assert len(calls) == len(states)
 
 
 def test_invariant_csv(tmp_path, orbit_trajectory):

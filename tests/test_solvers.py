@@ -7,48 +7,25 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import findroot, mp, mpf
 
+from conftest import table_value
 from magnetotrio import (ConfigSolution, DegenerateError, DomainError,
                          NonConvergence, NoSolution, SystemSpec, ValidityError,
                          build_initial_state, closed_form_B_II,
                          closed_form_B_III, conserved_closed_forms,
-                         evaluate_p6, hamiltonian, helium_closed_forms,
+                         evaluate_p6, helium_closed_forms,
                          helium_cubic_root, helium_quartic_coefficients,
                          newton_balance, p6_coefficients, pair_distance_min,
-                         pair_virial, pseudomomentum, residuals_config_I,
-                         residuals_config_II, residuals_config_III,
-                         residuals_nbody_II, solve_config_I_identical,
-                         solve_config_I_v3zero, solve_config_II,
-                         solve_config_III, solve_nbody_II,
-                         third_pseudomomentum_x, write_catalog)
+                         residuals_config_I, residuals_config_II,
+                         residuals_config_III, residuals_nbody_II,
+                         solve_config_I_identical, solve_config_I_v3zero,
+                         solve_config_II, solve_config_III, solve_nbody_II,
+                         write_catalog)
 from magnetotrio import solvers
-from magnetotrio.invariants import (angular_momentum,
-                                    individual_angular_momenta,
-                                    kinetic_energies)
 from magnetotrio.solvers import (catalog_header, collinear_kappa,
                                  helium_pattern)
 
 CBRT_5_4 = (5.0 / 4.0) ** (1.0 / 3.0)       # 1.0772173450159419
 CBRT_10 = 10.0 ** (1.0 / 3.0)               # 2.1544346900318838
-
-
-def _direct_value(spec_b, state, name):
-    q, v = state.positions, state.velocities
-    if name == "H":
-        return hamiltonian(spec_b, q, v)
-    if name == "Lz":
-        return angular_momentum(spec_b, q, v)
-    if name == "K2":
-        K = pseudomomentum(spec_b, q, v)
-        return float(K @ K)
-    if name == "pair_virial":
-        return pair_virial(spec_b, q, v)
-    if name == "k3x":
-        return third_pseudomomentum_x(spec_b, q, v)
-    if name.startswith("l"):
-        return float(individual_angular_momenta(spec_b, q, v)[int(name[1:]) - 1])
-    if name.startswith("T"):
-        return float(kinetic_energies(spec_b, v)[int(name[1:]) - 1])
-    raise KeyError(name)
 
 
 class TestClosedFormFields:
@@ -505,7 +482,7 @@ class TestConservedForms:
         forms = conserved_closed_forms(worked, sol)
         assert forms.pop("B_check") == pytest.approx(sol.B, rel=1e-12)
         for name, value in forms.items():
-            direct = _direct_value(spec_b, state, name)
+            direct = table_value(spec_b, state, name)
             assert value == pytest.approx(direct, abs=1e-8), name
 
     def test_identical_pair_table(self, electrons):
@@ -516,14 +493,14 @@ class TestConservedForms:
         for name, value in forms.items():
             if name == "H":
                 continue
-            direct = _direct_value(spec_b, state, name)
+            direct = table_value(spec_b, state, name)
             assert value == pytest.approx(direct, abs=1e-10), name
         # the tabulated H drops the guiding-center kinetic term and scales
         # the Coulomb part by 1/4; the deviation closes exactly
         rho = 2 * sol.v[0] / sol.omega
         e, e3 = electrons.charges[0], electrons.charges[2]
         E_C = e * (e + 4 * e3) / rho
-        H_direct = _direct_value(spec_b, state, "H")
+        H_direct = table_value(spec_b, state, "H")
         v3 = sol.v[2]
         assert H_direct - forms["H"] == pytest.approx(
             electrons.masses[2] * v3 ** 2 + 0.75 * E_C, rel=1e-12)
@@ -532,21 +509,21 @@ class TestConservedForms:
         sol = solve_config_II(spec4, v3_values=[1.5])[0]
         spec_b, state = build_initial_state(sol, spec4)
         forms = conserved_closed_forms(spec4, sol)
-        for name in ("Lz", "l2", "K2", "pair_virial"):
-            direct = _direct_value(spec_b, state, name)
+        for name in ("Lz", "l2", "K2", "I"):
+            direct = table_value(spec_b, state, name)
             assert forms[name] == pytest.approx(direct, abs=1e-8), name
         # the tabulated H carries signed inverse separations, which in this
         # sector flips the Coulomb part: form = 2T - H
         T = 0.5 * float(np.dot(spec4.masses, np.asarray(sol.v) ** 2))
         assert forms["H"] == pytest.approx(
-            2 * T - _direct_value(spec_b, state, "H"), rel=1e-10)
+            2 * T - table_value(spec_b, state, "H"), rel=1e-10)
 
     def test_anti_phase_collinear_table(self, spec4):
         sol = solve_config_III(spec4, v3_values=[0.6])[0]
         spec_b, state = build_initial_state(sol, spec4)
         forms = conserved_closed_forms(spec4, sol)
         for name, value in forms.items():
-            direct = _direct_value(spec_b, state, name)
+            direct = table_value(spec_b, state, name)
             assert value == pytest.approx(direct, abs=1e-8), name
 
     def test_unknown_configuration(self, spec4):
