@@ -9,11 +9,14 @@ blends the 5th- and 3rd-order estimators, the factors SAFETY, MIN_FACTOR and
 MAX_FACTOR with the exponent -1/8, no growth on the step after a rejection,
 and a minimum step of 10 ulp(t).  The stage sums are written as numpy dot
 products in the same order, so a run takes the same steps, makes the same
-number of right-hand-side calls and returns the same floats.  The
-coefficients are the published ones, each written as the shortest decimal
-that rounds to the same double.
+number of right-hand-side calls and returns the same floats.  Stage
+operands are sliced once per stepper; stage points share one buffer, which
+``fun`` must not keep; its array or list goes straight into its row of ``K``;
+``nfev`` is counted per batch of stages.  The coefficients are the published
+ones, each written as the shortest decimal that rounds to the same double.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -140,17 +143,18 @@ class DOP853:
                           f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
                           stacklevel=4)
             rtol = np.maximum(rtol, 100 * EPS)
-        self._fun, self.rtol, self.atol = fun, rtol, atol
-        self.nfev = 0
+        self.fun, self.rtol, self.atol = fun, rtol, atol
         self.t, self.y, self.t_bound = t0, y0, t_bound
         self.t_old = self.y_old = self.h = None
-        self.f = self.fun(t0, y0)
-        self.h_abs = self._initial_step()
-        self.K = np.empty((N_STAGES_EXTENDED, y0.size))
-
-    def fun(self, t, y):
-        self.nfev += 1
-        return self._fun(t, y)
+        self.f = np.asarray(fun(t0, y0), float)
+        self.h_abs = float(self._initial_step())   # steps run in floats
+        self.nfev = 2   # f at t0 and the heuristic's trial point
+        K = self.K = np.empty((N_STAGES_EXTENDED, y0.size))
+        self._buf = np.empty(y0.size)
+        plan = [(K[:s].T, A[s, :s], C[s].item(), K[s])
+                for s in range(1, N_STAGES_EXTENDED)]
+        self._step_plan, self._dense_plan = plan[:N_STAGES], plan[N_STAGES:]
+        self._KE = K[:N_STAGES + 1].T
 
     def _initial_step(self):
         """Hairer's starting-step heuristic for an estimator of order 7."""
@@ -168,32 +172,35 @@ class DOP853:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
         return min(100 * h0, h1, interval)
 
-    def _stages(self, first, stop, t, y, h):
-        """Fill the stages ``first`` to ``stop - 1`` of ``K`` at ``(t, y)``
-        with step ``h``."""
-        K = self.K
-        for s in range(first, stop):
-            dy = np.dot(K[:s].T, A[s, :s]) * h
-            K[s] = self.fun(t + C[s] * h, y + dy)
+    def _stages(self, plan, t, y, h):
+        """Fill the stages of ``plan`` at ``(t, y)`` with step ``h``."""
+        fun, buf = self.fun, self._buf
+        for KT, a, c, row in plan:
+            KT.dot(a, out=buf)
+            buf *= h
+            buf += y
+            row[:] = fun(t + c * h, buf)
+        self.nfev += len(plan)
 
     def _error_norm(self, h, scale):
-        K = self.K[:N_STAGES + 1]
-        err5 = np.dot(K.T, E5) / scale
-        err3 = np.dot(K.T, E3) / scale
-        err5_norm_2 = np.linalg.norm(err5)**2
-        err3_norm_2 = np.linalg.norm(err3)**2
+        err5 = self._KE.dot(E5) / scale
+        err3 = self._KE.dot(E3) / scale
+        # numpy scalars: a runaway overflows to inf, where floats would raise
+        err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
+        err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+        return float(abs(h) * err5_norm_2 / np.sqrt(denom * len(scale)))
 
     def step(self):
         """Take one accepted step; raise :class:`StepUnderflow` when the step
         the error allows falls below 10 ulp(t)."""
         t, y, K = self.t, self.y, self.K
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
         rejected = False
+        K[0] = self.f
         while True:
             # written so that a NaN step fails it too, where scipy would
             # retry the NaN step forever
@@ -201,13 +208,10 @@ class DOP853:
                 raise StepUnderflow(TOO_SMALL_STEP)
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
-            K[0] = self.f
-            self._stages(1, N_STAGES, t, y, h)
-            y_new = y + h * np.dot(K[:N_STAGES].T, B)
-            f_new = self.fun(t + h, y_new)
-            K[N_STAGES] = f_new
+            self._stages(self._step_plan, t, y, h)
+            y_new = self._buf.copy()   # stage 12's point: A[12, :12] is B
 
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
             error_norm = self._error_norm(h, scale)
@@ -225,7 +229,7 @@ class DOP853:
 
         self.h, self.h_abs = h, h_abs
         self.t_old, self.y_old = t, y
-        self.t, self.y, self.f = t_new, y_new, f_new
+        self.t, self.y, self.f = t_new, y_new, K[N_STAGES].copy()
 
     def dense_output(self):
         """The 7th-order interpolant over the last step, as a function of a
@@ -234,25 +238,23 @@ class DOP853:
         Evaluates the three extra stages, so it costs three calls of ``fun``.
         """
         K, h, t_old, y_old = self.K, self.h, self.t_old, self.y_old
-        self._stages(N_STAGES + 1, N_STAGES_EXTENDED, t_old, y_old, h)
+        self._stages(self._dense_plan, t_old, y_old, h)
         F = np.empty((7, y_old.size))
         f_old = K[0]
         delta_y = self.y - y_old
         F[0] = delta_y
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(D, K)
+        F[3:] = h * D.dot(K)
         span = self.t - t_old
 
         def interpolate(t):
             x = ((t - t_old) / span)[:, None]
+            factors = (x, 1 - x)
             y = np.zeros((len(x), len(y_old)))
             for i, f in enumerate(reversed(F)):
                 y += f
-                if i % 2 == 0:
-                    y *= x
-                else:
-                    y *= 1 - x
+                y *= factors[i % 2]
             y += y_old
             return y
 

@@ -22,6 +22,7 @@ deterministic.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -287,6 +288,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache   # once per process: parse_args keeps nothing between calls
 def _build_parser():
     parser = _Parser(prog="magnetotrio",
                      description=__doc__.splitlines()[0])

@@ -8,22 +8,24 @@ i.e. the magnetic force in the plane plus pairwise Coulomb forces.  Their
 right-hand side is straight-line code compiled once per particle count n
 (:func:`_rhs_factory`) and bound to a spec's constants; every pair is
 spelled out, and the floats are those of a scalar walk over the pair table
-``SystemSpec.pairs``.  :func:`accelerations` is a view of it.  Integration
-uses DOP853, the adaptive 8(5,3) Dormand-Prince pair of the in-package
-stepper ``_dop853``, with tight default tolerances; it takes the steps and
-returns the floats of ``scipy.integrate.solve_ivp`` without importing
-scipy.  Trajectories are sampled on a uniform grid, through the stepper's
-dense output, when a sample interval is given, otherwise at the solver's
-natural steps.  A collision watch keeps its own walk over the pairs and
-runs it at every accepted step: when a pair comes closer than the
-threshold it stops the run at the crossing, located on the dense output,
-and it records the closest approach in ``Trajectory.stats``.
+``SystemSpec.pairs``.  :func:`accelerations` is a view of it; the stepper
+stores the list of the kernel's twin ``rows`` straight into a stage row.
+Integration uses DOP853, the adaptive 8(5,3) Dormand-Prince pair of the
+in-package stepper ``_dop853``, with tight default tolerances; it takes
+the steps and returns the floats of ``scipy.integrate.solve_ivp`` without
+importing scipy.  Trajectories are sampled on a uniform grid, through the
+stepper's dense output, when a sample interval is given, otherwise at the
+solver's natural steps.  A collision watch keeps its own walk over the
+pairs and runs it at every accepted step: when a pair comes closer than
+the threshold it stops the run at the crossing, located on the dense
+output, and it records the closest approach in ``Trajectory.stats``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,10 +83,10 @@ def _rhs_factory(n):
 
     Returns ``make(B, e0.., m0.., c0..)``, which binds a field, the n
     charges and masses and the pair products ``c_k = e_I e_J`` of
-    :func:`pair_index` order, and returns ``f(t, y)``.  The generated
-    ``f`` unpacks ``y`` into locals and spells out every pair, so a call
-    pays no list indexing or loop overhead.  The source is built from n
-    alone: integer indices in fixed templates, never a value of a spec.
+    :func:`pair_index` order, and returns ``f(t, y)``, the array of the
+    list ``f.rows(t, y)``.  ``rows`` unpacks ``y`` into locals and spells
+    out every pair, with no list indexing or loop overhead.  The source is
+    built from n alone (fixed templates), never from a value of a spec.
     """
     pairs = list(zip(*(a.tolist() for a in pair_index(n))))
     e, m = [f"e{i}" for i in range(n)], [f"m{i}" for i in range(n)]
@@ -92,7 +94,7 @@ def _rhs_factory(n):
     state = ([f"{v}{i}" for i in range(n) for v in ("x", "y")]
              + [f"{v}{i}" for i in range(n) for v in ("vx", "vy")])
     lines = [f"def make(B, {', '.join(e + m + c)}):",
-             "    def f(t, y):",
+             "    def rows(t, y):",
              f"        {', '.join(state)} = y.tolist()"]
     for k, (i, j) in enumerate(pairs):
         lines += [f"        dx = x{i} - x{j}",
@@ -111,8 +113,9 @@ def _rhs_factory(n):
             terms = "".join([f" + c{axis}{k}" for k in onto]
                             + [f" - c{axis}{k}" for k in off])
             acc.append(f"({lorentz} * e{i}{terms}) / m{i}")
-    lines += [f"        return array([{', '.join(state[2 * n:] + acc)}])",
-              "    return f"]
+    lines += [f"        return [{', '.join(state[2 * n:] + acc)}]",
+              "    def f(t, y):", "        return array(rows(t, y))",
+              "    f.rows = rows", "    return f"]
     scope = {"array": np.array}
     exec(compile("\n".join(lines), f"<newton rhs, n = {n}>", "exec"), scope)
     return scope["make"]
@@ -235,6 +238,7 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
         if gap <= 0:
             raise CollisionError(float(t0), pair, math.sqrt(closest))
     ts, rows = ([t0], [y0]) if t_eval is None else ([], [])
+    grid = None if t_eval is None else t_eval.tolist()
     sampled = 0   # grid points written so far
     t = t0        # the last accepted time
     try:
@@ -264,7 +268,7 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
                     ts.append(t)
                     rows.append(y)
                     continue
-                due = int(np.searchsorted(t_eval, t, side="right"))
+                due = bisect_right(grid, t)
                 if due > sampled:
                     if dense is None:
                         dense = stepper.dense_output()
@@ -293,8 +297,9 @@ def integrate(spec, state, settings):
         raise DomainError("state and spec have different particle counts")
     n = spec.n
     y0 = np.concatenate([state.positions.ravel(), state.velocities.ravel()])
-    t, y, stats = _solve(spec, _rhs(spec), y0, state.t, t_eval, settings,
-                         lambda y: y[: 2 * n].reshape(n, 2))
+    rhs = _rhs(spec)   # a stand-in for _rhs has no list twin
+    t, y, stats = _solve(spec, getattr(rhs, "rows", rhs), y0, state.t, t_eval,
+                         settings, lambda y: y[: 2 * n].reshape(n, 2))
     pos = y[:, : 2 * n].reshape(-1, n, 2).copy()
     vel = y[:, 2 * n:].reshape(-1, n, 2).copy()
     return Trajectory(spec, t, pos, vel, stats)
@@ -352,7 +357,7 @@ def _write_csv(path, header, data):
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join([line % tuple(row) for row in data.tolist()]))
+        fh.write((line * len(data)) % tuple(data.ravel().tolist()))
 
 
 def write_trajectory_csv(traj, path):

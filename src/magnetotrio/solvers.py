@@ -1061,9 +1061,9 @@ def conserved_closed_forms(spec, solution):
     (no state evaluation); tests compare them against direct evaluation
     on the built state.
     """
-    e1, e2, e3 = spec.charges
-    m1, m2, m3 = spec.masses
     cfg = solution.config
+    if cfg == "I":   # a three-charge configuration
+        (e1, _, e3), (m1, m2, m3) = spec.charges, spec.masses
     sigma = 1.0 if solution.sense == "cw" else -1.0
     if cfg == "I" and solution.v[2] == 0.0 and solution.branch == "v3=0":
         r = solution.v[1] / solution.v[0]
@@ -1112,8 +1112,9 @@ def conserved_closed_forms(spec, solution):
         X = math.fsum(e[i]*e[j]/(v[i] - v[j])
                       for i, j in itertools.combinations(range(spec.n), 2))
         H = 0.5 * (2*B*X*Sev/Smv + float(np.dot(m, v**2)))
-        out = {"H": H, "K2": 0.0, "I": 0.0}
+        out = {"H": H, "K2": 0.0}
         if spec.n == 3:
+            out["I"] = 0.0
             out["Lz"] = (Smv**2/(2*B*Sev**2)
                          * (float(np.dot(e, v**2))
                             - 2*Sev*float(np.dot(m, v**2))/Smv))

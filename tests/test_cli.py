@@ -4,6 +4,7 @@ import glob
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -520,6 +521,53 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main(["explode"])
         assert err.value.code == 1
+
+    def test_help_exits_0(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(["simulate", "--help"])
+            assert err.value.code == 0
+            assert "--sample-every" in capsys.readouterr().out
+
+    def test_one_parser_per_process_carries_no_flag_over(self, tmp_path, capsys):
+        # each call must equal a run with a parser of its own: the derived
+        # mode and --out-dir of the first run must not reach the second
+        def runs(root):
+            os.makedirs(root)
+            orbit, mixed = _orbit_system(root), _spec4_system(root)
+            return [["simulate", orbit, "--t-end", "1", "--mode", "derived",
+                     "--out-dir", str(root / "x")],
+                    ["simulate", orbit, "--t-end", "1"],
+                    ["brackets", mixed, "--samples", "1"],
+                    ["find", mixed, "--config", "nbody-II", "--grid-points", "1"]]
+
+        def outputs(root, fresh):
+            report = []
+            for argv in runs(root):
+                if fresh:
+                    cli._build_parser.cache_clear()
+                with pytest.raises(SystemExit):   # a usage error in between
+                    main(["simulate"])
+                assert main(argv) == 0
+                out = capsys.readouterr().out.replace(str(root), "ROOT")
+                report.append(re.sub(r"[\d.]+ s\)", "s)", out))
+            for path in sorted(glob.glob(str(root / "**" / "*.*"), recursive=True)):
+                with open(path) as fh:
+                    text = fh.read()
+                if path.endswith(".manifest.json"):
+                    doc = json.loads(text)
+                    text = (doc["settings"], doc.get("stats"), sorted(doc["outputs"]))
+                report.append((os.path.relpath(path, root), text))
+            return report
+
+        cli._build_parser.cache_clear()
+        shared = outputs(tmp_path / "shared", fresh=False)
+        assert cli._build_parser.cache_info().misses == 1
+        assert shared == outputs(tmp_path / "fresh", fresh=True)
+        # the second simulate ran in newton mode, next to its input
+        files = dict(shared[4:])
+        assert files["x/orbit.manifest.json"][0]["mode"] == "derived"
+        assert files["orbit.manifest.json"][0]["mode"] == "newton"
 
 
 def test_every_subcommand_runs_with_scipy_blocked(tmp_path):

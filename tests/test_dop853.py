@@ -122,8 +122,38 @@ def test_matches_solve_ivp(run, case, settings, oracle):
     ref = run(spec, state, settings)
     assert ours.stats == ref.stats   # nfev and min_pair_distance
     assert np.array_equal(ours.t, ref.t)
-    np.testing.assert_allclose(ours.positions, ref.positions, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(ours.velocities, ref.velocities, rtol=1e-12, atol=0)
+    assert np.array_equal(ours.positions, ref.positions)
+    assert np.array_equal(ours.velocities, ref.velocities)
+
+
+def test_rejections_and_dense_output_count_every_call():
+    # an eccentric attracting pair: its close passes force step rejections
+    spec = SystemSpec(B=0.1, charges=(1.0, -1.0), masses=(1.0, 1.0))
+    y0 = np.array([-0.5, 0.0, 0.5, 0.0, 0.0, -0.3, 0.0, 0.3])
+    f, t_end = dynamics._rhs(spec), 5.0
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        return f.rows(t, y)
+
+    stepper = _dop853.DOP853(counted, 0.0, y0, t_end, 1e-10, 1e-10)
+    ts = [0.0]
+    while stepper.t < t_end:
+        stepper.step()
+        stepper.dense_output()
+        ts.append(stepper.t)
+    assert calls == stepper.nfev
+    # two calls pick the first step, each try costs 12, each dense output 3
+    steps = len(ts) - 1
+    tries, left = divmod(calls - 2 - 3 * steps, 12)
+    assert left == 0 and tries > steps
+    ref = solve_ivp(f, (0.0, t_end), y0, method="DOP853", rtol=1e-10,
+                    atol=1e-10, dense_output=True)
+    assert ref.nfev == stepper.nfev
+    assert np.array_equal(ref.t, ts)
+    assert np.array_equal(ref.y[:, -1], stepper.y)
 
 
 @pytest.mark.parametrize("run, case, t_end", [

@@ -435,6 +435,7 @@ class TestCompiledKernel:
         assert (a.B, a.charges[0], a.masses[0]) != (b.B, b.charges[0], b.masses[0])
         fa, fb = _rhs(a), _rhs(b)
         assert fa.__code__ is fb.__code__
+        assert fa.rows.__code__ is fb.rows.__code__
         pos, vel = separated_state(rng, 4)
         y = np.concatenate([pos.ravel(), vel.ravel()])
         assert _bits(fa(0.0, y)) == _bits(_walk_rhs(a)(0.0, y))
@@ -444,6 +445,8 @@ class TestCompiledKernel:
         rng = np.random.default_rng(501)
         three, four = _rhs(_random_spec(rng, 3)), _rhs(_random_spec(rng, 4))
         assert three.__code__ is not four.__code__
+        # the list twin the stepper calls
+        assert three.rows.__code__ is not four.rows.__code__
 
     def test_thirty_charges_match_the_walk(self):
         rng = np.random.default_rng(530)

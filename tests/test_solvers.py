@@ -526,6 +526,19 @@ class TestConservedForms:
             direct = table_value(spec_b, state, name)
             assert value == pytest.approx(direct, abs=1e-8), name
 
+    @pytest.mark.parametrize("vn", [1.5 * math.sqrt(2.0), 3.0])
+    def test_nbody_table_beyond_three_charges(self, four, vn):
+        [sol] = solve_nbody_II(four, vn_values=[vn])
+        spec_b, state = build_initial_state(sol, four)
+        forms = conserved_closed_forms(four, sol)
+        # Lz, l2 and I are table columns only at n = 3
+        assert set(forms) == {"H", "K2"}
+        assert forms["K2"] == pytest.approx(table_value(spec_b, state, "K2"), abs=1e-8)
+        # form = 2T - H, as in the three-charge in-phase sector
+        T = 0.5 * float(np.dot(four.masses, np.asarray(sol.v) ** 2))
+        assert forms["H"] == pytest.approx(
+            2 * T - table_value(spec_b, state, "H"), rel=1e-10)
+
     def test_unknown_configuration(self, spec4):
         bogus = ConfigSolution(config="spiral", branch="0", v=(1.0, 1.0, 1.0),
                                omega=1.0, B=1.0)
