@@ -204,32 +204,34 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
     ``settings.t_end``, sampled on ``t_eval``, the grid that
     :func:`_checked_grid` returned for ``settings``.
 
-    ``positions_of(y)`` maps a solver vector to the (n, 2) positions the
-    collision watch reads.  The watch checks the start state, which raises
-    at ``t0`` before any RHS call, and every accepted step; when the closest
-    pair distance falls to the threshold, the crossing is located on the
-    step's dense output.  With the watch off, a start state with two
-    charges on one point still raises at ``t0``.  Returns the sample times,
-    the solver vectors at those times as rows, and the solver counters:
-    ``nfev`` and, while the watch is on, ``min_pair_distance``, the closest
-    approach over the start and every accepted step.  A pair distance whose
-    cube overflows the float range raises :class:`DomainError`, naming the
-    last accepted time.
+    The stepper calls the list twin ``rhs.rows`` where ``rhs`` has one.
+    ``positions_of(y)`` maps a solver vector to the flat list ``x0, y0, x1,
+    y1, ...`` of the positions the collision watch reads.  The watch checks
+    the start state, which raises at ``t0`` before any RHS call, and every
+    accepted step; when the closest pair distance falls to the threshold,
+    the crossing is located on the step's dense output.  With the watch off,
+    a start state with two charges on one point still raises at ``t0``.
+    Returns the sample times, the solver vectors at those times as rows, and
+    the solver counters: ``nfev`` and, while the watch is on,
+    ``min_pair_distance``, the closest approach over the start and every
+    accepted step.  A pair distance whose cube overflows the float range
+    raises :class:`DomainError`, naming the last accepted time.
     """
     t1, threshold = settings.t_end, settings.collision_threshold
     I, J, _ = spec.pairs
-    pairs = list(zip(I.tolist(), J.tolist()))
+    # each pair with the offsets of its x coordinates in positions_of(y)
+    pairs = [((i, j), 2 * i, 2 * j) for i, j in zip(I.tolist(), J.tolist())]
     watched = bool(pairs) and threshold > 0
 
     def nearest(y):
         """The closest pair and its squared distance."""
-        p = positions_of(y).tolist()
+        p = positions_of(y)
         pair, d2 = None, math.inf
-        for i, j in pairs:
-            dx, dy = p[i][0] - p[j][0], p[i][1] - p[j][1]
+        for ij, a, b in pairs:
+            dx, dy = p[a] - p[b], p[a + 1] - p[b + 1]
             r2 = dx * dx + dy * dy
             if r2 < d2:
-                pair, d2 = (i, j), r2
+                pair, d2 = ij, r2
         return pair, d2
 
     if pairs:
@@ -245,7 +247,9 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
         # a runaway charge overflows the stepper's numpy arithmetic
         # first; its warnings give way to the DomainError below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            stepper = DOP853(rhs, t0, y0, t1, settings.rel_tol, settings.abs_tol)
+            # a stand-in for a compiled RHS has no list twin
+            stepper = DOP853(getattr(rhs, "rows", rhs), t0, y0, t1,
+                             settings.rel_tol, settings.abs_tol)
             while stepper.t < t1:
                 stepper.step()
                 t, y, dense = stepper.t, stepper.y, None
@@ -297,9 +301,8 @@ def integrate(spec, state, settings):
         raise DomainError("state and spec have different particle counts")
     n = spec.n
     y0 = np.concatenate([state.positions.ravel(), state.velocities.ravel()])
-    rhs = _rhs(spec)   # a stand-in for _rhs has no list twin
-    t, y, stats = _solve(spec, getattr(rhs, "rows", rhs), y0, state.t, t_eval,
-                         settings, lambda y: y[: 2 * n].reshape(n, 2))
+    t, y, stats = _solve(spec, _rhs(spec), y0, state.t, t_eval, settings,
+                         lambda y: y[: 2 * n].tolist())
     pos = y[:, : 2 * n].reshape(-1, n, 2).copy()
     vel = y[:, 2 * n:].reshape(-1, n, 2).copy()
     return Trajectory(spec, t, pos, vel, stats)

@@ -29,15 +29,16 @@ coupling charges and effective charges are
 
 ``apply_cc`` and ``invert_cc`` are the two signs of one map, ``_shift``.
 It moves no coordinate, so ``_positions``, the position half of the inverse
-map, serves the collision watch of ``integrate_jacobi`` on shifted data.
+map, and its float twin ``_flat_positions``, the collision watch of
+``integrate_jacobi``, read shifted data as well.
 
 ``hamiltonian_jacobi`` evaluates the reduced Hamiltonian in the shifted
 variables; it agrees with the Cartesian Hamiltonian to rounding, which the
 test-suite pins down.  The equations of motion are Hamilton's equations of
-the reduced Hamiltonian with its exact gradient: the momentum and field part
-is a quadratic form whose constants are fields of ``JacobiWeights`` and
-whose matrix is read off once per system, and the three Coulomb forces are
-written out.
+the reduced Hamiltonian with its exact gradient, straight-line code in
+Python floats (``rhs_jacobi``): the chain rule through the momentum and
+field part, a quadratic form whose constants are fields of
+``JacobiWeights``, and the three Coulomb forces, each written out.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Trajectory, _checked_grid, _solve
+from .dynamics import Trajectory, _checked_grid, _solve, pair_distances
 from .errors import DomainError
 from .model import _velocities_from_momenta, canonical_momenta, vector_potential
 
@@ -71,8 +72,9 @@ class JacobiWeights:
 def jacobi_weights(spec):
     if spec.n != 3:
         raise DomainError("the Jacobi frame here is specific to three particles")
-    m1, m2, m3 = spec.masses
-    e1, e2, e3 = spec.charges
+    # Python floats: numpy scalars would cost the RHS kernel half its speed
+    m1, m2, m3 = spec.masses.tolist()
+    e1, e2, e3 = spec.charges.tolist()
     M = m1 + m2 + m3
     m12 = m1 + m2
     mu = (m1 / M, m2 / M, m3 / M)
@@ -139,6 +141,20 @@ def _positions(w, js):
     ], axis=-2)
 
 
+def _flat_positions(w):
+    """The float twin of :func:`_positions` for the collision watch: a map
+    from a flat Jacobi vector to the list ``x1, y1, x2, y2, x3, y3``."""
+    nu1, nu2, mu3, mu12 = w.nu1, w.nu2, w.mu[2], w.mu[0] + w.mu[1]
+
+    def positions_of(z):
+        Rx, Ry, t1x, t1y, t2x, t2y = z[:6].tolist()
+        Sx, Sy = Rx - mu3 * t2x, Ry - mu3 * t2y
+        return [Sx - nu2 * t1x, Sy - nu2 * t1y, Sx + nu1 * t1x, Sy + nu1 * t1y,
+                Rx + mu12 * t2x, Ry + mu12 * t2y]
+
+    return positions_of
+
+
 def from_jacobi(spec, js):
     """Inverse of :func:`to_jacobi`: returns ``(positions, velocities)``.
 
@@ -184,13 +200,6 @@ def invert_cc(spec, js):
 # reduced Hamiltonian (shifted momenta)
 # ---------------------------------------------------------------------------
 
-def _coulomb_pairs(spec, w):
-    """Pair table of the Coulomb terms: row p of ``D`` maps ``(tau1, tau2)``
-    to the displacement of pair p = (1,2), (1,3), (2,3), and ``ee`` holds the
-    charge products of those pairs (``spec.pairs`` order)."""
-    return np.array([[1.0, 0.0], [w.nu2, 1.0], [-w.nu1, 1.0]]), spec.pairs[2]
-
-
 def _hc_quadratic(w, B, z):
     """Momentum and field part of the reduced Hamiltonian on the flat shifted
     phase vector ``z = (Rx, Ry, t1x, t1y, t2x, t2y, Px, Py, q1x, q1y, q2x, q2y)``,
@@ -227,19 +236,11 @@ def _flatten(js):
     return np.concatenate([js.R, js.tau1, js.tau2, js.P, js.ptau1, js.ptau2])
 
 
-def _unflatten(z):
-    z = np.asarray(z, float)
-    return JacobiState(z[..., 0:2], z[..., 2:4], z[..., 4:6],
-                       z[..., 6:8], z[..., 8:10], z[..., 10:12])
-
-
 def hamiltonian_jacobi(spec, js):
     """Reduced Hamiltonian evaluated on a shifted-momentum Jacobi state."""
     w = jacobi_weights(spec)
-    z = _flatten(js)
-    D, ee = _coulomb_pairs(spec, w)
-    d = D @ z[2:6].reshape(2, 2)
-    return float(_hc_quadratic(w, spec.B, z) + ee @ (1.0 / np.hypot(d[:, 0], d[:, 1])))
+    coulomb = spec.pairs[2] @ (1.0 / pair_distances(_positions(w, js)))
+    return float(_hc_quadratic(w, spec.B, _flatten(js)) + coulomb)
 
 
 def pseudomomentum_jacobi(spec, js):
@@ -252,38 +253,57 @@ def pseudomomentum_jacobi(spec, js):
 # equations of motion
 # ---------------------------------------------------------------------------
 
-def _hessian(w, B):
-    """Hessian of :func:`_hc_quadratic` by polarization,
-    ``A_ij = [q(e_i + e_j) - q(e_i - e_j)] / 2``, exact to rounding for a
-    quadratic form.  Evaluated elementwise on the stacked points ``e_i + e_j``
-    and ``e_i - e_j``, each entry is rounded as a scalar evaluation rounds it."""
-    E = np.eye(12)
-    # E[k, i] + E[k, j] is coordinate k of the point e_i + e_j
-    return (_hc_quadratic(w, B, E[:, :, None] + E[:, None, :])
-            - _hc_quadratic(w, B, E[:, :, None] - E[:, None, :])) / 2.0
-
-
 def rhs_jacobi(spec):
     """Right-hand side ``f(t, z)`` on the flat shifted Jacobi vector ``z``.
 
-    Hamilton's equations of the reduced Hamiltonian with its exact gradient:
-    the Hessian of the momentum and field part is read off once per system
-    (:func:`_hessian`), and the Coulomb forces act on the ``(tau1, tau2)``
-    momenta through the pair table.
+    Hamilton's equations of the reduced Hamiltonian in floats: ``u``, ``v1``,
+    ``v2`` are the velocities of the squared terms of :func:`_hc_quadratic`,
+    ``g1``, ``g2`` its gradients in ``A(tau1)``, ``A(tau2)``, which
+    ``A(r) = B/2 (-r_y, r_x)`` maps back to ``tau1``, ``tau2``, and the
+    Coulomb pairs (1,2), (1,3), (2,3) lie along ``tau1``, ``nu2 tau1 + tau2``
+    and ``tau2 - nu1 tau1``.  ``f`` is the array of the list ``f.rows(t, z)``,
+    which the stepper stores straight into a stage row.
     """
     w = jacobi_weights(spec)
-    D, ee = _coulomb_pairs(spec, w)
-    A = _hessian(w, spec.B)
-    # q-dot = dH/dp, p-dot = -dH/dq for the three canonical planar pairs
-    SA = np.vstack([A[6:], -A[:6]])
+    hB = 0.5 * spec.B
+    M, mt1, mt2, nu1, nu2, mu3 = w.M, w.mt1, w.mt2, w.nu1, w.nu2, w.mu[2]
+    ec1, e1eff, e2eff, cross_tt = w.ec1, w.e1eff, w.e2eff, w.cross_tt
+    two_ec1, two_ec2, hBQ = 2.0 * ec1, 2.0 * w.ec2, hB * w.Q
+    k1q2 = ec1 / w.m12                        # coefficient of A(tau1).q2
+    k2q1 = ec1 * mu3 / (nu1 * nu2 * w.m12)    # coefficient of A(tau2).q1
+    k11 = ec1 * ec1 * mu3 / w.m12             # twice that of |A(tau1)|^2
+    k22 = k2q1 * ec1 * mu3                    # twice that of |A(tau2)|^2
+    c12, c13, c23 = spec.pairs[2].tolist()
+
+    def rows(t, z):
+        Rx, Ry, t1x, t1y, t2x, t2y, Px, Py, q1x, q1y, q2x, q2y = z.tolist()
+        a1x, a1y = -hB * t1y, hB * t1x
+        a2x, a2y = -hB * t2y, hB * t2x
+        ux = (Px + hBQ * Ry + two_ec1 * a1x + two_ec2 * a2x) / M
+        uy = (Py - hBQ * Rx + two_ec1 * a1y + two_ec2 * a2y) / M
+        v1x, v1y = (q1x - e1eff * a1x) / mt1, (q1y - e1eff * a1y) / mt1
+        v2x, v2y = (q2x - e2eff * a2x) / mt2, (q2y - e2eff * a2y) / mt2
+        g1x = two_ec1 * ux - e1eff * v1x + k11 * a1x - k1q2 * q2x + cross_tt * a2x
+        g1y = two_ec1 * uy - e1eff * v1y + k11 * a1y - k1q2 * q2y + cross_tt * a2y
+        g2x = two_ec2 * ux - e2eff * v2x + k22 * a2x - k2q1 * q1x + cross_tt * a1x
+        g2y = two_ec2 * uy - e2eff * v2y + k22 * a2y - k2q1 * q1y + cross_tt * a1y
+        d13x, d13y = nu2 * t1x + t2x, nu2 * t1y + t2y
+        d23x, d23y = t2x - nu1 * t1x, t2y - nu1 * t1y
+        s12 = c12 / (t1x * t1x + t1y * t1y) ** 1.5
+        s13 = c13 / (d13x * d13x + d13y * d13y) ** 1.5
+        s23 = c23 / (d23x * d23x + d23y * d23y) ** 1.5
+        # q-dot = dH/dp, p-dot = -dH/dq for the three canonical planar pairs
+        return [ux, uy, v1x - k2q1 * a2x, v1y - k2q1 * a2y,
+                v2x - k1q2 * a1x, v2y - k1q2 * a1y, hBQ * uy, -hBQ * ux,
+                s12 * t1x + nu2 * s13 * d13x - nu1 * s23 * d23x - hB * g1y,
+                s12 * t1y + nu2 * s13 * d13y - nu1 * s23 * d23y + hB * g1x,
+                s13 * d13x + s23 * d23x - hB * g2y,
+                s13 * d13y + s23 * d23y + hB * g2x]
 
     def f(t, z):
-        dz = SA @ z
-        d = D @ z[2:6].reshape(2, 2)
-        r = np.hypot(d[:, 0], d[:, 1])
-        dz[8:12] += (D.T @ ((ee / r**3)[:, None] * d)).ravel()
-        return dz
+        return np.array(rows(t, z))
 
+    f.rows = rows
     return f
 
 
@@ -297,8 +317,8 @@ def integrate_jacobi(spec, state, settings):
     they are.
     """
     t_eval = _checked_grid(settings, state.t)
-    w = jacobi_weights(spec)
     z0 = _flatten(apply_cc(spec, to_jacobi(spec, state.positions, state.velocities)))
     t, z, stats = _solve(spec, rhs_jacobi(spec), z0, state.t, t_eval, settings,
-                         lambda y: _positions(w, _unflatten(y)))
-    return Trajectory(spec, t, *from_jacobi(spec, invert_cc(spec, _unflatten(z))), stats)
+                         _flat_positions(jacobi_weights(spec)))
+    js = invert_cc(spec, JacobiState(*np.split(z, 6, axis=-1)))
+    return Trajectory(spec, t, *from_jacobi(spec, js), stats)

@@ -154,6 +154,19 @@ class TestSimulate:
                         "overflows the float range in the step")
         assert t.endswith("\n") and 0.0 <= float(t) < 1.0
 
+    def test_overflowing_pair_distance_exits_1_derived(self, tmp_path, capsys):
+        # the same runaway with a third charge: the Jacobi route refuses it
+        # as the Newton route does, not with samples 1e150 away
+        sys_path = _write(tmp_path, "light.system",
+                          "B 0\nparticle 1 1e-300\nposition 0 0\n"
+                          "particle 1 1\nposition 1 0\n"
+                          "particle 1 1\nposition 0 1\n")
+        rc = main(["simulate", sys_path, "--t-end", "1", "--mode", "derived"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "magnetotrio: error: the cube of a pair distance overflows the "
+            "float range in the step after t = ")
+
     @pytest.mark.parametrize("mode", ["newton", "derived"])
     @pytest.mark.parametrize("dt", ["0", "-1", "nan"])
     def test_sample_interval_must_be_positive(self, tmp_path, capsys, mode, dt):

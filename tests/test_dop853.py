@@ -36,7 +36,7 @@ def _scipy_solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
         I, J, _ = spec.pairs
 
         def collision(t, y):
-            p = positions_of(y)
+            p = np.reshape(positions_of(y), (-1, 2))
             d = p[I] - p[J]
             d2 = float(np.min(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]))
             closest[0] = min(closest[0], d2)
@@ -49,7 +49,7 @@ def _scipy_solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
                     rtol=settings.rel_tol, atol=settings.abs_tol,
                     t_eval=t_eval, events=events)
     if sol.status == 1:
-        pair, dist = _closest_pair(positions_of(sol.y_events[0][0]))
+        pair, dist = _closest_pair(np.reshape(positions_of(sol.y_events[0][0]), (-1, 2)))
         raise CollisionError(float(sol.t_events[0][0]), pair, dist)
     if sol.status < 0:
         raise StepUnderflow(sol.message)

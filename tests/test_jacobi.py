@@ -1,3 +1,6 @@
+from dataclasses import fields
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from conftest import electron_orbit, separated_state
@@ -8,15 +11,21 @@ from magnetotrio import (CollisionError, DomainError, IntegratorSettings,
                          integrate, integrate_jacobi, invert_cc,
                          jacobi_weights, pseudomomentum,
                          pseudomomentum_jacobi, to_jacobi)
-from magnetotrio.jacobi import _hc_quadratic, _hessian, _positions, rhs_jacobi
+from magnetotrio.jacobi import _flat_positions, _hc_quadratic, _positions, rhs_jacobi
 
 FIELDS = ("R", "tau1", "tau2", "P", "ptau1", "ptau2")
 
-SPECIES = pytest.mark.parametrize("spec", [
-    SystemSpec(B=1.0, charges=(3.0, -1.0, 1.0), masses=(1.0, 1.0, 3.0)),
-    SystemSpec(B=-1.3, charges=(-2.0, 1.0, 1.0), masses=(4.0, 1.0, 1.0)),
-    SystemSpec(B=0.7, charges=(1.0, 4.0, 1.0), masses=(1.0, 5.0, 1.0)),
-], ids=["spec4", "helium-B-1.3", "worked-B0.7"])
+_COUPLED = {
+    "spec4": SystemSpec(B=1.0, charges=(3.0, -1.0, 1.0), masses=(1.0, 1.0, 3.0)),
+    "helium-B-1.3": SystemSpec(B=-1.3, charges=(-2.0, 1.0, 1.0), masses=(4.0, 1.0, 1.0)),
+    "worked-B0.7": SystemSpec(B=0.7, charges=(1.0, 4.0, 1.0), masses=(1.0, 5.0, 1.0)),
+}
+# ec1 = ec2 = 0: no coupling term of the reduced Hamiltonian is live
+_ELECTRONS = SystemSpec(B=-2.0, charges=(-1.0, -1.0, -1.0), masses=(1.0, 1.0, 1.0))
+
+SPECIES = pytest.mark.parametrize("spec", list(_COUPLED.values()), ids=list(_COUPLED))
+SPECIES_AND_ELECTRONS = pytest.mark.parametrize(
+    "spec", [*_COUPLED.values(), _ELECTRONS], ids=[*_COUPLED, "electrons"])
 
 
 def _shifted_vector(spec, pos, vel):
@@ -39,6 +48,55 @@ def _richardson_gradient(spec, z, step=1e-4):
         d_h2 = (H(z + e / 2) - H(z - e / 2)) / h
         g[k] = (4.0 * d_h2 - d_h) / 3.0
     return g
+
+
+def _hessian(w, B):
+    """Hessian of :func:`_hc_quadratic` by polarization,
+    ``A_ij = [q(e_i + e_j) - q(e_i - e_j)] / 2``, exact to rounding for a
+    quadratic form.  Evaluated elementwise on the stacked points ``e_i + e_j``
+    and ``e_i - e_j``, each entry is rounded as a scalar evaluation rounds it."""
+    E = np.eye(12)
+    # E[k, i] + E[k, j] is coordinate k of the point e_i + e_j
+    return (_hc_quadratic(w, B, E[:, :, None] + E[:, None, :])
+            - _hc_quadratic(w, B, E[:, :, None] - E[:, None, :])) / 2.0
+
+
+def _hamilton(g):
+    """Hamilton's map of a gradient: (dH/dp, -dH/dq)."""
+    return np.concatenate([g[6:], -g[:6]], axis=0)
+
+
+def _matrix_rhs(spec, z):
+    """The right-hand side through the Hessian: ``SA @ z`` plus the Coulomb
+    forces of the pair table, and the scale of each row, ``|SA| |z|``."""
+    w = jacobi_weights(spec)
+    SA = _hamilton(_hessian(w, spec.B))
+    # row p of D maps (tau1, tau2) to the displacement of pair p = (1,2),
+    # (1,3), (2,3), the order of the charge products ee
+    D, ee = np.array([[1.0, 0.0], [w.nu2, 1.0], [-w.nu1, 1.0]]), spec.pairs[2]
+    d = D @ z[2:6].reshape(2, 2)
+    r = np.hypot(d[:, 0], d[:, 1])
+    dz = SA @ z
+    dz[8:12] += (D.T @ ((ee / r**3)[:, None] * d)).ravel()
+    return dz, np.abs(SA) @ np.abs(z)
+
+
+def _complex_step_rhs(spec, z, h=1e-20):
+    """The right-hand side by complex steps of the reduced Hamiltonian, term
+    by term: :func:`_hc_quadratic`, then one Coulomb term per pair of
+    ``spec.pairs``, whose distance is read off the Cartesian positions.
+    Returns the sum and the summed magnitudes of the Coulomb terms."""
+    w = jacobi_weights(spec)
+    I, J, c = spec.pairs
+
+    def terms(x):
+        pos = _positions(w, JacobiState(*x.reshape(6, 2)))
+        d = pos[I] - pos[J]
+        return np.concatenate([[_hc_quadratic(w, spec.B, x)],
+                               c / np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])])
+
+    G = _hamilton(np.array([terms(z + 1j * h * e).imag / h for e in np.eye(12)]))
+    return G.sum(axis=1), np.abs(G[:, 1:]).sum(axis=1)
 
 
 def _hessian_by_entries(w, B):
@@ -68,6 +126,21 @@ class TestWeights:
     def test_equal_ratio_species_decouple(self, electrons):
         w = jacobi_weights(electrons)
         assert w.ec1 == 0.0 and w.ec2 == 0.0
+
+    @SPECIES_AND_ELECTRONS
+    def test_floats_equal_the_numpy_scalar_weights(self, spec):
+        w = jacobi_weights(spec)
+        # unpacking the arrays, as the weights were once built, gives numpy scalars
+        arrays = SimpleNamespace(
+            n=3, masses=SimpleNamespace(tolist=lambda: list(spec.masses)),
+            charges=SimpleNamespace(tolist=lambda: list(spec.charges)))
+        ref = jacobi_weights(arrays)
+        assert type(ref.M) is np.float64
+        for field in fields(w):
+            ours, theirs = getattr(w, field.name), getattr(ref, field.name)
+            assert ours == theirs, field.name
+            assert all(type(x) is float
+                       for x in (ours if field.name == "mu" else (ours,))), field.name
 
     def test_three_particles_only(self):
         with pytest.raises(DomainError):
@@ -99,6 +172,9 @@ class TestRoundTrips:
             pos = from_jacobi(spec4, js)[0]
             assert np.array_equal(_positions(w, js), pos)
             assert np.array_equal(_positions(w, apply_cc(spec4, js)), pos)
+            # the collision watch's float twin, on the flat shifted vector
+            z = np.concatenate([getattr(apply_cc(spec4, js), f) for f in FIELDS])
+            assert _flat_positions(w)(z) == pos.ravel().tolist()
 
     def test_stack_matches_rows_bit_for_bit(self, spec4, rng):
         rows = [to_jacobi(spec4, *separated_state(rng, 3)) for _ in range(6)]
@@ -135,6 +211,21 @@ class TestExactGradient:
         w = jacobi_weights(spec)
         assert np.array_equal(_hessian(w, spec.B), _hessian_by_entries(w, spec.B))
 
+    @SPECIES_AND_ELECTRONS
+    def test_matches_complex_step_and_hessian_oracles(self, spec):
+        rng = np.random.default_rng(20261019)
+        f = rhs_jacobi(spec)
+        for _ in range(20):
+            z = _shifted_vector(spec, *separated_state(rng, 3))
+            rows = f.rows(0.0, z)
+            assert all(type(x) is float for x in rows)
+            assert np.array_equal(f(0.0, z), rows)
+            by_steps, coulomb_scale = _complex_step_rhs(spec, z)
+            by_matrix, quadratic_scale = _matrix_rhs(spec, z)
+            scale = quadratic_scale + coulomb_scale
+            assert np.all(np.abs(np.array(rows) - by_steps) <= 1e-13 * scale)
+            assert np.all(np.abs(np.array(rows) - by_matrix) <= 1e-13 * scale)
+
     @SPECIES
     def test_matches_finite_difference_oracle(self, spec):
         rng = np.random.default_rng(20261018)
@@ -157,6 +248,20 @@ class TestIntegration:
         jac = integrate_jacobi(spec, state.copy(), settings)
         assert np.allclose(jac.t, ref.t)
         assert np.max(np.abs(jac.positions - ref.positions)) < 1e-7
+
+    def test_coupled_species_track_cartesian(self, spec4, helium, rng):
+        # ec1, ec2 != 0: every coupling term of the reduced RHS is live
+        settings = IntegratorSettings(t_end=2.0, rel_tol=1e-12, abs_tol=1e-12,
+                                      sample_interval=0.25)
+        for spec in (spec4, helium):
+            assert jacobi_weights(spec).ec1 != 0.0 and jacobi_weights(spec).ec2 != 0.0
+            for _ in range(2):
+                state = PhaseState(*separated_state(rng, 3, min_sep=1.0))
+                ref = integrate(spec, state, settings)
+                jac = integrate_jacobi(spec, state.copy(), settings)
+                assert np.array_equal(jac.t, ref.t)
+                assert np.max(np.abs(jac.positions - ref.positions)) < 1e-7
+                assert np.max(np.abs(jac.velocities - ref.velocities)) < 1e-7
 
     def test_returns_cartesian_samples(self, spec4, rng):
         pos, vel = separated_state(rng, 3, min_sep=1.0)
