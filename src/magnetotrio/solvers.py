@@ -166,10 +166,10 @@ def residuals_config_I(spec, v1, v2, v3, omega, omega3):
                      _config_I_terms(spec, v1, v2, v3, omega, omega3)])
 
 
-def _collinear_terms(charges, masses, v, omega, B, s=1):
+def _collinear_terms(spec, v, omega, B, s=1):
     # balance rows at signed speeds v; the (i, j) Coulomb term carries the
     # sign s for j > i and -s for j < i (s = 1: the ordering v1 < ... < vn)
-    n = len(v)
+    n, charges, masses = len(v), spec.charges.tolist(), spec.masses.tolist()
     rows = []
     for i in range(n):
         row = [B * charges[i] * v[i], -masses[i] * v[i] * omega]
@@ -194,7 +194,7 @@ def residuals_nbody_II(spec, v, omega, B):
         raise DomainError("speed vector length must equal the particle count")
     if spec.n < 3:
         raise DomainError("collinear rigid rotations need at least 3 charges")
-    rows = _collinear_terms(spec.charges, spec.masses, v, omega, B)
+    rows = _collinear_terms(spec, v, omega, B)
     return np.array([math.fsum(r) for r in rows])
 
 
@@ -217,8 +217,7 @@ def residuals_config_III(spec, v, omega, B):
     reversed."""
     if spec.n != 3:
         raise DomainError("Configuration III is a three-charge system")
-    rows = _collinear_terms(spec.charges, spec.masses, _signed_speeds("III", v),
-                            omega, B, -1)
+    rows = _collinear_terms(spec, _signed_speeds("III", v), omega, B, -1)
     return np.array([math.fsum(r) for r in rows])
 
 
@@ -278,13 +277,12 @@ def closed_form_B_III(spec, v1, v2, v3):
 
 
 def _collinear_field(spec, v):
-    """(kappa, C, B) at speeds ``v``: B = v2 (m2 kappa - e2) / (e2 kappa^2 C)
-    solves the second collinear balance row, where C = sum_j s_2j e_j /
-    (v2 - v_j)^2 is its Coulomb bracket."""
+    """(kappa, C, B) at speeds ``v``, as Python floats: B = v2 (m2 kappa -
+    e2) / (e2 kappa^2 C) solves the second collinear balance row, where
+    C = sum_j s_2j e_j / (v2 - v_j)^2 is its Coulomb bracket."""
     v = np.asarray(v, float)
-    e = spec.charges
-    m = spec.masses
     kap = collinear_kappa(spec, v)
+    e, m, v = spec.charges.tolist(), spec.masses.tolist(), v.tolist()
     if e[1] == 0.0 or kap == 0.0:
         raise DegenerateError("collinear field closed form needs e2 != 0, kappa != 0")
     bracket = math.fsum(
@@ -311,8 +309,8 @@ def p6_coefficients(spec):
     coincide (the collinear no-go)."""
     if spec.n != 3:
         raise DomainError("the elimination sextic is a three-charge object")
-    e1, e2, e3 = spec.charges
-    m1, m2, m3 = spec.masses
+    e1, e2, e3 = spec.charges.tolist()
+    m1, m2, m3 = spec.masses.tolist()
     return {
         (5, 1, 0): e2*e3*(e2*m1 - e1*m2),
         (5, 0, 1): e2*e3*(e3*m1 - e1*m3),
@@ -490,7 +488,11 @@ def newton_balance(solution, spec):
     solution is a genuine trajectory; far above the 1e-6 gate for
     algebra-only roots whose sign sector does not match.
     """
-    spec_b, state = build_initial_state(solution, spec)
+    return _newton_balance(solution, *build_initial_state(solution, spec))
+
+
+def _newton_balance(solution, spec_b, state):
+    """:func:`newton_balance` of the state built from ``solution``."""
     acc = accelerations(spec_b, state.positions, state.velocities)
     c = state.positions[2] if solution.config == "I" else 0.0
     expected = (-solution.omega**2 * (state.positions - c)
@@ -505,7 +507,8 @@ def _certify(sol, spec, terms, gates=()):
     that passed them all must also stay rigid over a quarter period.  Each
     failed gate leaves a note; ``sol`` is certified when none failed."""
     sol.residual_norm = _relative_norm(terms)
-    sol.newton_balance = newton_balance(sol, spec)
+    spec_b, state = build_initial_state(sol, spec)
+    sol.newton_balance = _newton_balance(sol, spec_b, state)
     gates = (*gates,
              (sol.residual_norm < _RESIDUAL_TOL,
               f"relative residual {sol.residual_norm:.3g}"),
@@ -513,7 +516,6 @@ def _certify(sol, spec, terms, gates=()):
               f"Newton imbalance {sol.newton_balance:.3g}"))
     notes = tuple(note for ok, note in gates if not ok)
     if not notes and sol.config == "nbody-II":
-        spec_b, state = build_initial_state(sol, spec)
         t_end = _RIGIDITY_PERIODS * (2 * math.pi / sol.omega)
         settings = IntegratorSettings(t_end=t_end, rel_tol=1e-10, abs_tol=1e-10,
                                       sample_interval=t_end / 200.0)
@@ -537,7 +539,8 @@ def sweep_grid(spec, config, grid_min=None, grid_max=None,
     """``points`` values from ``grid_min`` to ``grid_max`` in geometric steps,
     by default over the last speed's [1.5, 20] (II, n-body II) or [0.05, 0.8]
     (III), over an identical pair's [rho_min, 4 rho_min] or [0.5, 4], or else
-    v1's [0.5, 2] (I).  DomainError unless 0 < min <= max < inf."""
+    v1's [0.5, 2] (I), each distinct value once, ascending.  DomainError
+    unless 0 < min <= max < inf."""
     if config != "I":
         bounds = _COLLINEAR_BOUNDS[config]
     elif spec.n == 3 and _identical_pair(spec):
@@ -550,7 +553,7 @@ def sweep_grid(spec, config, grid_min=None, grid_max=None,
     if not 0 < lo <= hi < math.inf:
         raise DomainError(f"grid bounds must satisfy 0 < min <= max < inf, "
                           f"got [{lo:g}, {hi:g}]")
-    return np.geomspace(lo, hi, points)
+    return np.array(sorted(set(np.geomspace(lo, hi, points).tolist())))
 
 
 def _sweep(spec, config, values, point, require_certified):
@@ -769,13 +772,8 @@ def _p6_roots_v1(c, v2, v3):
     Newton-polished on the exact sum."""
     coeffs = [math.fsum(a * v2**j * v3**k for (i, j, k), a in c.items() if i == d)
               for d in range(6, -1, -1)]
-
-    def f(x):
-        return _evaluate_p6(c, x, v2, v3)
-
-    def df(x):
-        return _evaluate_p6_dv1(c, x, v2, v3)
-
+    f = partial(_evaluate_p6, c, v2=v2, v3=v3)
+    df = partial(_evaluate_p6_dv1, c, v2=v2, v3=v3)
     roots = []
     for r in np.roots(coeffs):
         if abs(r.imag) > 1e-9 * max(1.0, abs(r)):
@@ -802,7 +800,7 @@ def _collinear_solution(spec, v, config, branch):
     # with kappa != 0, a zero or non-finite B makes omega so as well
     if omega_signed == 0.0 or not math.isfinite(omega_signed):
         raise DegenerateError("frequency or field closed form degenerates")
-    terms = _collinear_terms(spec.charges, spec.masses, vs, omega_signed, B, s)
+    terms = _collinear_terms(spec, vs, omega_signed, B, s)
     sol = ConfigSolution(
         config=config, branch=branch, v=tuple(abs(x) for x in v),
         omega=abs(omega_signed), B=B,
@@ -900,43 +898,35 @@ def solve_config_III(spec, v3_values=None, require_certified=True):
 # ---------------------------------------------------------------------------
 
 def _nbody_system(spec, vn):
-    """The reduced collinear system, differentiated exactly.
+    """The reduced collinear system, differentiated exactly, in Python floats.
 
     Unknowns u = (v1, v3, ..., v_{n-1}); v2 = _V2 and vn are fixed.  With
     omega = kappa*B and B from the second balance equation, the equation
-    sum vanishes identically, leaving equations {1, 3, ..., n-1}.
-    ``system(u)`` returns, from one evaluation, the residuals F(u), their
-    Jacobian dF/du and each row's scale, the largest |term| of its balance
-    row.  The Jacobian is the chain rule through kappa, B (by d ln B) and
-    the Coulomb sums T_i = sum_j s_ij e_i e_j / (v_i - v_j)^2, whose
-    derivatives are dT_i/dv_k = 2 s_ik e_i e_k / (v_i - v_k)^3 for k != i.
+    sum vanishes identically; only the kept rows {1, 3, ..., n-1} are
+    evaluated.  ``system(u)`` returns, from one evaluation, the residuals
+    F(u), their Jacobian dF/du and each row's scale (its largest |term|).
+    The Jacobian is the chain rule through kappa, B (by d ln B) and the
+    Coulomb sums T_i = sum_j s_ij e_i e_j / (v_i - v_j)^2, whose derivatives
+    are dT_i/dv_k = 2 s_ik e_i e_k / (v_i - v_k)^3 for k != i.
     """
     n = spec.n
     e, m = spec.charges.tolist(), spec.masses.tolist()
     free = [0, *range(2, n - 1)]   # the unknown speeds, and the rows kept
+    # s_ij e_i e_j of each kept row i
+    pairs = [[(1 if j > i else -1) * e[i] * e[j] for j in range(n)] for i in free]
+    nan = (math.nan,) * (n - 2)
 
     def assemble(u):
-        v = np.empty(n)
-        v[0] = u[0]
-        v[1] = _V2
-        v[2:n - 1] = u[1:]
-        v[n - 1] = vn
-        return v
+        v1, *inner = map(float, u)
+        return [v1, _V2, *inner, vn]
 
     def system(u):
-        v = assemble(u)
-        x = v.tolist()
-        J = np.full((n - 2, n - 2), math.nan)
+        x = assemble(u)
         if len(set(x)) < n:
             # two speeds coincide: no residual, no derivative, no iterate
-            return np.full(n - 2, math.nan), J, [math.nan] * (n - 2)
-        kap, C, B = _collinear_field(spec, v)
+            return nan, (nan,) * (n - 2), nan
+        kap, C, B = _collinear_field(spec, x)
         w = kap * B
-        rows = _collinear_terms(e, m, x, w, B)
-        F = np.array([math.fsum(rows[i]) for i in free])
-        scale = [max(map(abs, rows[i])) for i in free]
-        if not np.isfinite(F).all():
-            return F, J, scale
         # d kappa, dB and d omega along each free speed; dB is B d ln B
         # written without the factor 1 / (m2 kappa - e2)
         smv = math.fsum(mi * xi for mi, xi in zip(m, x))
@@ -945,16 +935,23 @@ def _nbody_system(spec, vn):
         dB = [x[1] * m[1] * dk / (e[1] * kap**2 * C) - B * (2 * dk / kap + dc / C)
               for dk, dc in zip(dkap, dC)]
         dw = [dk * B + kap * db for dk, db in zip(dkap, dB)]
-        for a, i in enumerate(free):
-            q = [(1 if j > i else -1) * e[i] * e[j] / (x[i] - x[j])**2 if j != i
-                 else 0.0 for j in range(n)]
-            dT = [2 * q[j] / (x[i] - x[j]) if j != i else 0.0 for j in range(n)]
+        F, J, scale = [], [], []
+        for a, (i, p) in enumerate(zip(free, pairs)):
+            d = [x[i] - xj for xj in x]
+            d2 = [dj**2 for dj in d]
+            row = [B * e[i] * x[i], -m[i] * x[i] * w,
+                   *[p[j] * w**2 / d2[j] for j in range(n) if j != i]]
+            F.append(math.fsum(row))
+            scale.append(max(map(abs, row)))
+            q = [p[j] / d2[j] if j != i else 0.0 for j in range(n)]
+            dT = [2 * q[j] / d[j] if j != i else 0.0 for j in range(n)]
             dT[i] = -sum(dT)
             T = sum(q)
-            for b, k in enumerate(free):
-                J[a, b] = (dB[b] * e[i] * x[i] - m[i] * x[i] * dw[b]
-                           + 2 * w * dw[b] * T + w * w * dT[k])
-            J[a, a] += B * e[i] - m[i] * w
+            J.append([dB[b] * e[i] * x[i] - m[i] * x[i] * dw[b]
+                      + 2 * w * dw[b] * T + w * w * dT[k] for b, k in enumerate(free)])
+            J[a][a] += B * e[i] - m[i] * w
+        if not all(map(math.isfinite, F)):
+            return F, (nan,) * (n - 2), scale
         return F, J, scale
 
     return system, assemble
@@ -972,20 +969,20 @@ def _damped_newton(system, u0):
     def converged(f, scale):
         return all(abs(fi) <= _POLISH_TOL * max(1.0, si) for fi, si in zip(f, scale))
 
-    u = np.asarray(u0, float).copy()
+    u = np.asarray(u0, float).tolist()
     fu, J, scale = system(u)
     norm = np.linalg.norm(fu)
     for _ in range(_NEWTON_MAX_ITER):
         if converged(fu, scale):
             break
         try:
-            step = np.linalg.solve(J, -fu)
+            step = np.linalg.solve(J, np.negative(fu)).tolist()
         except np.linalg.LinAlgError:
             raise NonConvergence("singular Jacobian in the collinear solver")
         lam = 1.0
         for _ in range(30):
-            trial = u + lam * step
-            if np.all(trial > 0):
+            trial = [ui + lam * si for ui, si in zip(u, step)]
+            if all(t > 0 for t in trial):
                 ft, Jt, st = system(trial)
                 nt = np.linalg.norm(ft)
                 if nt < norm * (1 - 1e-4 * lam) or converged(ft, st):

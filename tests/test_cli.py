@@ -53,6 +53,40 @@ _WORKED = "B 1\nparticle 1 1\nparticle 4 5\nparticle 1 1\n"
 _ELECTRONS_B2 = "B 2\nparticle -1 1\nparticle -1 1\nparticle -1 1\n"
 _SOLVERS = {"I": solve_config_I, "II": solve_config_II, "III": solve_config_III,
             "nbody-II": solve_nbody_II}
+_HEADER = "config,branch,v1,v2,v3,omega,omega3,B,residual_norm\n"
+
+# find catalogs frozen to the byte: (system text, config, flags, catalog)
+_FROZEN_CATALOGS = [
+    (_SPEC4, "II", ["--grid-points", "6"], _HEADER
+     + "II,0,0.54568864134100992,1,1.5,0.36345312416590236,0,1.0281968374158683,"
+       "4.276513616555778e-15\n"
+     "II,0,0.48397928186079453,1,2.5181349824561625,0.37324080040993129,0,"
+     "1.1358286343294526,4.1234001675444121e-16\n"
+     "II,0,0.4942749026566825,1,4.2273358599129987,0.34466053171955596,0,"
+     "1.0373330139751706,1.172885402734905e-16\n"
+     "II,0,0.4981088502656304,1,7.0966682076255516,0.33678777819565131,0,"
+     "1.0110345679496875,9.9127375254815557e-17\n"
+     "II,0,0.49936276867989499,1,11.913578981670913,0.33445242972789119,0,"
+     "1.0034946590040965,3.6877342942207508e-16\n"
+     "II,0,0.49978112412923015,1,20,0.33370945711432465,0,1.001156876040586,"
+     "2.1710426780330091e-16\n"),
+    (_SPEC4, "III", ["--grid-points", "6"], _HEADER
+     + "III,2,5.0969599085607893,1,0.80000000000000004,9.8069135480102467,0,"
+       "2.687427873565281,2.4876237134216187e-16\n"),
+    (_SPEC4, "nbody-II", ["--grid-points", "4"], _HEADER
+     + "nbody-II,0,0.54568864134100992,1,1.5,0.36345312416590236,0,"
+       "1.0281968374158683,4.276513616555778e-15\n"
+     "nbody-II,0,0.49173863441035642,1,3.556893304490063,0.35046702452160072,0,"
+     "1.0571456326876418,2.8031116159390939e-16\n"
+     "nbody-II,0,0.49868731961518237,1,8.4343266530174912,0.33569318978372659,0,"
+     "1.0074743184575832,3.2948240235626332e-16\n"
+     "nbody-II,0,0.49978112412923015,1,20,0.33370945711432465,0,"
+     "1.001156876040586,2.1710426780330091e-16\n"),
+    (_FOUR, "nbody-II",
+     ["--grid-points", "4", "--grid-min", "1.5", "--grid-max", "6"], _HEADER
+     + "nbody-II,0;v4=2.381101577952299,0.62365873196861055,1,2.0742469567831643,"
+       "0.1368129732875201,0,0.22381277008517336,3.0923673258729039e-16\n"),
+]
 
 
 def _spec4_system(tmp_path):
@@ -311,6 +345,24 @@ class TestFindAndVerify:
         buf = io.StringIO()
         write_catalog(_SOLVERS[config](spec, grid(spec)), buf)
         assert catalog == buf.getvalue()
+
+    @pytest.mark.parametrize("text, config, flags, catalog", _FROZEN_CATALOGS,
+                             ids=["II", "III", "nbody-II-3", "nbody-II-4"])
+    def test_catalog_bytes_frozen(self, tmp_path, text, config, flags, catalog):
+        sys_path = _write(tmp_path, "species.system", text)
+        assert main(["find", sys_path, "--config", config, *flags]) == 0
+        assert (tmp_path / f"species.{config}.catalog.csv").read_text() == catalog
+
+    def test_degenerate_grid_solves_each_value_once(self, tmp_path, capsys):
+        sys_path = _spec4_system(tmp_path)
+        rc = main(["find", sys_path, "--config", "II", "--grid-min", "2",
+                   "--grid-max", "2", "--grid-points", "3", "--emit-states"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith(
+            "found 1 solution(s) on 1 grid point(s)")
+        rows = (tmp_path / "mixed.II.catalog.csv").read_text().splitlines()
+        assert len(rows) == 2
+        assert len(glob.glob(str(tmp_path / "mixed.II-*.system"))) == 1
 
     def test_no_solution_exit_code(self, tmp_path, capsys):
         sys_path = _write(tmp_path, "equal.system",

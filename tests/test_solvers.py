@@ -349,7 +349,7 @@ def _central_jacobian(system, u, h=1e-7):
         hk = h * max(1.0, abs(u[k]))
         up = u.copy(); up[k] += hk
         um = u.copy(); um[k] -= hk
-        J[:, k] = (system(up)[0] - system(um)[0]) / (2.0 * hk)
+        J[:, k] = (np.asarray(system(up)[0]) - system(um)[0]) / (2.0 * hk)
     return J
 
 
@@ -398,7 +398,7 @@ class TestNbodyCollinear:
             # ordered speeds v1 < v2 = 1 < v3 < ... < vn, as from the seeds
             u = np.concatenate(([rng.uniform(0.1, 0.9)],
                                 np.sort(rng.uniform(1.1, 0.95 * vn, n - 3))))
-            F, J, scale = system(u)
+            F, J, scale = map(np.asarray, system(u))
             oracle = _central_jacobian(system, u)
             assert np.abs(J - oracle).max() <= 1e-7 * np.abs(oracle).max()
             # the residual rows {1, 3, ..., n-1} of the full system, unchanged
@@ -600,6 +600,23 @@ class TestCertification:
         for row in rows:
             assert row.certified == (not row.notes), row
 
+    @pytest.mark.parametrize("name", ["spec4", "four"])
+    def test_one_state_build_per_root(self, name, request, monkeypatch):
+        # the Newton balance and the rigidity integration share one state
+        spec = request.getfixturevalue(name)
+        builds = 0
+        build = solvers.build_initial_state
+
+        def counted(sol, spec):
+            nonlocal builds
+            builds += 1
+            return build(sol, spec)
+
+        monkeypatch.setattr(solvers, "build_initial_state", counted)
+        rows = solve_nbody_II(spec, require_certified=False)
+        assert any(r.certified and r.rigidity < 1e-6 for r in rows)
+        assert builds == len(rows)
+
     def test_newton_balance_flat_on_true_solution(self, spec4):
         sol = solve_config_II(spec4, v3_values=[1.5])[0]
         assert newton_balance(sol, spec4) < 1e-10
@@ -608,6 +625,32 @@ class TestCertification:
         sol = solve_config_II(helium, v3_values=[150.0],
                               require_certified=False)[0]
         assert newton_balance(sol, helium) > 0.01
+
+
+class TestPythonFloats:
+    """The collinear searches compute in Python floats, not numpy scalars."""
+
+    def test_sextic_coefficients(self, spec4):
+        assert all(type(c) is float for c in p6_coefficients(spec4).values())
+
+    @pytest.mark.parametrize("name", ["four", "five"])
+    def test_nbody_system_entries(self, name, request):
+        spec = request.getfixturevalue(name)
+        system, _ = solvers._nbody_system(spec, 3.0)
+        F, J, scale = system(np.array([0.6, *np.geomspace(1.0, 3.0, spec.n)[2:-1]]))
+        entries = [*F, *scale, *(x for row in J for x in row)]
+        assert len(entries) == (spec.n - 2) * spec.n
+        assert all(type(x) is float and math.isfinite(x) for x in entries)
+
+    @pytest.mark.parametrize("name, solve", [
+        ("spec4", solve_config_II), ("spec4", solve_config_III),
+        ("spec4", solve_nbody_II), ("four", solve_nbody_II)],
+        ids=["II", "III", "nbody-II-3", "nbody-II-4"])
+    def test_rows(self, name, solve, request):
+        rows = solve(request.getfixturevalue(name), require_certified=False)
+        assert rows
+        for row in rows:
+            assert all(type(x) is float for x in (*row.v, row.omega, row.B)), row
 
 
 class TestCatalog:
