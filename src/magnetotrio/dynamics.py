@@ -10,6 +10,9 @@ right-hand side is straight-line code compiled once per particle count n
 spelled out, and the floats are those of a scalar walk over the pair table
 ``SystemSpec.pairs``.  :func:`accelerations` is a view of it; the stepper
 stores the list of the kernel's twin ``rows`` straight into a stage row.
+:func:`integrate` can also run in a frame that turns at a given frequency,
+where a rigid rotation at that frequency is a constant solution; its
+kernel is the same template plus the frame term.
 Integration uses DOP853, the adaptive 8(5,3) Dormand-Prince pair of the
 in-package stepper ``_dop853``, with tight default tolerances; it takes
 the steps and returns the floats of ``scipy.integrate.solve_ivp`` without
@@ -78,8 +81,8 @@ class Trajectory:
 
 
 @functools.cache
-def _rhs_factory(n):
-    """Compile the Newton right-hand side of n charges; once per n.
+def _rhs_factory(n, rotating=False):
+    """Compile the Newton right-hand side of n charges; once per n and frame.
 
     Returns ``make(B, e0.., m0.., c0..)``, which binds a field, the n
     charges and masses and the pair products ``c_k = e_I e_J`` of
@@ -87,13 +90,19 @@ def _rhs_factory(n):
     list ``f.rows(t, y)``.  ``rows`` unpacks ``y`` into locals and spells
     out every pair, with no list indexing or loop overhead.  The source is
     built from n alone (fixed templates), never from a value of a spec.
+
+    With ``rotating``, ``make`` takes one more argument, the frame
+    frequency w, and ``rows`` adds w (I_2n x J) y to each derivative, with
+    J = [[0, -1], [1, 0]]: per charge, x' = vx - w y, y' = vy + w x,
+    vx' = ax - w vy and vy' = ay + w vx.  That is the field of
+    :func:`integrate`'s rotating frame; the inertial source is unchanged.
     """
     pairs = list(zip(*(a.tolist() for a in pair_index(n))))
     e, m = [f"e{i}" for i in range(n)], [f"m{i}" for i in range(n)]
     c = [f"c{k}" for k in range(len(pairs))]
     state = ([f"{v}{i}" for i in range(n) for v in ("x", "y")]
              + [f"{v}{i}" for i in range(n) for v in ("vx", "vy")])
-    lines = [f"def make(B, {', '.join(e + m + c)}):",
+    lines = [f"def make(B, {', '.join(e + m + c + ['w'] * rotating)}):",
              "    def rows(t, y):",
              f"        {', '.join(state)} = y.tolist()"]
     for k, (i, j) in enumerate(pairs):
@@ -113,11 +122,18 @@ def _rhs_factory(n):
             terms = "".join([f" + c{axis}{k}" for k in onto]
                             + [f" - c{axis}{k}" for k in off])
             acc.append(f"({lorentz} * e{i}{terms}) / m{i}")
-    lines += [f"        return [{', '.join(state[2 * n:] + acc)}]",
+    out = state[2 * n:] + acc
+    if rotating:
+        # w J y: -w times the y-like partner of an x-like entry, +w times
+        # the x-like partner of a y-like one
+        out = [f"{d} - w * {state[k + 1]}" if k % 2 == 0
+               else f"{d} + w * {state[k - 1]}" for k, d in enumerate(out)]
+    lines += [f"        return [{', '.join(out)}]",
               "    def f(t, y):", "        return array(rows(t, y))",
               "    f.rows = rows", "    return f"]
     scope = {"array": np.array}
-    exec(compile("\n".join(lines), f"<newton rhs, n = {n}>", "exec"), scope)
+    name = "rotating" if rotating else "newton"
+    exec(compile("\n".join(lines), f"<{name} rhs, n = {n}>", "exec"), scope)
     return scope["make"]
 
 
@@ -136,6 +152,15 @@ def _rhs(spec):
     make = _rhs_factory(spec.n)
     return make(spec.B, *spec.charges.tolist(), *spec.masses.tolist(),
                 *spec.pairs[2].tolist())
+
+
+def _rotating_rhs(spec, w):
+    """The field ``g(t, y) = f(t, y) + w (I_2n x J) y`` of the frame that
+    turns at ``w`` (see :func:`integrate`): :func:`_rhs`'s constants bound
+    to the rotating kernel of :func:`_rhs_factory`, plus ``w``."""
+    make = _rhs_factory(spec.n, rotating=True)
+    return make(spec.B, *spec.charges.tolist(), *spec.masses.tolist(),
+                *spec.pairs[2].tolist(), float(w))
 
 
 def accelerations(spec, positions, velocities):
@@ -289,19 +314,35 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
     return (np.array(ts) if t_eval is None else t_eval), np.vstack(rows), stats
 
 
-def integrate(spec, state, settings):
+def integrate(spec, state, settings, *, frame_omega=0.0):
     """Integrate the Newton equations from ``state`` up to ``settings.t_end``.
+
+    A nonzero ``frame_omega`` = w integrates in the frame that turns at w
+    in the sense of the solvers' parametrization rho(t) = r (cos wt,
+    -sin wt) (clockwise for w > 0).  The variables are R(wt) rho and
+    R(wt) rho', with R(a) the counterclockwise rotation by a, and their
+    field is f(y) + w (I_2n x J) y with J = [[0, -1], [1, 0]], because the
+    Coulomb and magnetic forces commute with rotations.  Positions and
+    velocities come back in that rotating basis: the inertial vectors
+    turned by R(wt), so the velocities are not those relative to the
+    frame.  Pair distances, and so the collision watch and
+    :func:`rigidity_report`, are the same in both frames, and a rigid
+    rotation at w is a constant solution there.
 
     Raises :class:`CollisionError` if a pair distance crosses the collision
     threshold, :class:`StepUnderflow` if the stepper cannot proceed, and
-    :class:`DomainError` if a pair distance outgrows the float range.
+    :class:`DomainError` if a pair distance outgrows the float range or
+    ``frame_omega`` is not finite.
     """
     t_eval = _checked_grid(settings, state.t)
     if state.n != spec.n:
         raise DomainError("state and spec have different particle counts")
+    if not math.isfinite(frame_omega):
+        raise DomainError(f"frame_omega must be finite, got {frame_omega!r}")
     n = spec.n
     y0 = np.concatenate([state.positions.ravel(), state.velocities.ravel()])
-    t, y, stats = _solve(spec, _rhs(spec), y0, state.t, t_eval, settings,
+    rhs = _rotating_rhs(spec, frame_omega) if frame_omega else _rhs(spec)
+    t, y, stats = _solve(spec, rhs, y0, state.t, t_eval, settings,
                          lambda y: y[: 2 * n].tolist())
     pos = y[:, : 2 * n].reshape(-1, n, 2).copy()
     vel = y[:, 2 * n:].reshape(-1, n, 2).copy()

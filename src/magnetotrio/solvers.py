@@ -39,6 +39,11 @@ Coulomb terms for their nominal speed ordering and rotation sense
 Newtonian motion inside that sector; every solver here re-checks the
 instantaneous Newton balance of the built state, and the n-body solver
 also integrates the state over a quarter period and measures rigidity.
+That integration runs in the frame turning at the rotation's own signed
+frequency, where a rigid rotation is an equilibrium (a relative
+equilibrium; Meyer, Hall and Offin, Introduction to Hamiltonian Dynamical
+Systems and the N-Body Problem, 2nd ed., 2009): pair distances are the
+same in both frames, and a constant solution costs the stepper few steps.
 Solutions carry ``certified`` accordingly, and ``notes`` name each gate
 an uncertified root failed -- uncertified roots are algebra, not
 trajectories.
@@ -279,12 +284,15 @@ def closed_form_B_III(spec, v1, v2, v3):
 def _collinear_field(spec, v):
     """(kappa, C, B) at speeds ``v``, as Python floats: B = v2 (m2 kappa -
     e2) / (e2 kappa^2 C) solves the second collinear balance row, where
-    C = sum_j s_2j e_j / (v2 - v_j)^2 is its Coulomb bracket."""
+    C = sum_j s_2j e_j / (v2 - v_j)^2 is its Coulomb bracket.  Two equal
+    speeds put two charges on one point, which is DegenerateError."""
     v = np.asarray(v, float)
     kap = collinear_kappa(spec, v)
     e, m, v = spec.charges.tolist(), spec.masses.tolist(), v.tolist()
     if e[1] == 0.0 or kap == 0.0:
         raise DegenerateError("collinear field closed form needs e2 != 0, kappa != 0")
+    if len(set(v)) < len(v):
+        raise DegenerateError("collinear field closed form: two speeds coincide")
     bracket = math.fsum(
         (1 if j > 1 else -1) * e[j] / (v[1] - v[j])**2
         for j in range(spec.n) if j != 1)
@@ -441,6 +449,13 @@ def helium_closed_forms(spec, v1, v2, v3):
 # state construction and Newtonian certification
 # ---------------------------------------------------------------------------
 
+def _frame_omega(sol):
+    """The signed frequency w of ``sol``'s rotation: each collinear charge
+    runs rho(t) = r (cos wt, -sin wt), as :func:`build_initial_state`
+    builds it."""
+    return sol.omega if sol.sense == "cw" else -sol.omega
+
+
 def build_initial_state(solution, spec):
     """Phase-space snapshot of a solution at t = 0.
 
@@ -452,7 +467,7 @@ def build_initial_state(solution, spec):
     if tuple(spec.charges.shape) != (len(solution.v),):
         raise DomainError("solution and spec have different particle counts")
     sigma = 1.0 if solution.sense == "cw" else -1.0
-    w = sigma * solution.omega
+    w = _frame_omega(solution)
     cfg = solution.config
     v = [sigma * vi for vi in _signed_speeds(cfg, solution.v)]
     if cfg in ("II", "III", "nbody-II"):
@@ -505,7 +520,13 @@ def _certify(sol, spec, terms, gates=()):
     """Certify ``sol``: the caller's ``(ok, note)`` gates, then the relative
     residual of its balance ``terms`` and its Newton balance; an n-body root
     that passed them all must also stay rigid over a quarter period.  Each
-    failed gate leaves a note; ``sol`` is certified when none failed."""
+    failed gate leaves a note; ``sol`` is certified when none failed.
+
+    The rigidity integration runs in the frame that turns with the
+    rotation (``dynamics.integrate``'s ``frame_omega``), where the rotation
+    is an equilibrium: pair distances are the same in either frame, so the
+    gate measures the same flow, but DOP853 takes few steps on a constant
+    solution and its truncation error no longer grows with the rotation."""
     sol.residual_norm = _relative_norm(terms)
     spec_b, state = build_initial_state(sol, spec)
     sol.newton_balance = _newton_balance(sol, spec_b, state)
@@ -520,8 +541,8 @@ def _certify(sol, spec, terms, gates=()):
         settings = IntegratorSettings(t_end=t_end, rel_tol=1e-10, abs_tol=1e-10,
                                       sample_interval=t_end / 200.0)
         # looked up at call time, so bench/spans.py traces these integrations
-        sol.rigidity = rigidity_report(
-            dynamics.integrate(spec_b, state, settings)).worst
+        sol.rigidity = rigidity_report(dynamics.integrate(
+            spec_b, state, settings, frame_omega=_frame_omega(sol))).worst
         if not sol.rigidity < _RIGIDITY_TOL:
             notes = (f"pair distances drift {sol.rigidity:.3g} within "
                      f"{_RIGIDITY_PERIODS:g} period",)
@@ -1013,11 +1034,13 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
     |term|.
     Certification = relative residuals, ordering, rotation sense, Newton
     balance, and an integration over a quarter rotation period with
-    relative pair-distance deviation < 1e-6.  The quarter-period horizon
-    keeps round-off seeds below the gate even for configurations whose
-    rigid rotation is linearly unstable (mixed-sign charges can amplify
-    perturbations by ~e^25 per full period).  NoSolution as for
-    :func:`solve_config_II`.
+    relative pair-distance deviation < 1e-6.  The integration runs in the
+    co-rotating frame, where the rotation is an equilibrium, so only
+    round-off and the stepper's small error on a near-constant solution
+    seed a deviation.  A linearly unstable rotation amplifies such seeds
+    in either frame (mixed-sign charges can amplify perturbations by ~e^25
+    per full period), and the quarter-period horizon keeps them below the
+    gate.  NoSolution as for :func:`solve_config_II`.
     """
     n = spec.n
     if n < 3:

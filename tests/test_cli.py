@@ -477,6 +477,19 @@ class TestFindAndVerify:
             "magnetotrio: no solution: no collinear rigid rotation on the "
             "sampled grid\n")
 
+    @pytest.mark.parametrize("config", ["II", "nbody-II"])
+    def test_grid_value_equal_to_v2_is_no_solution(self, tmp_path, config):
+        # v3 = v2 = 1 puts two charges on one point; in a subprocess, so a
+        # traceback would reach stderr
+        sys_path = _spec4_system(tmp_path)
+        done = subprocess.run(
+            [sys.executable, "-m", "magnetotrio.cli", "find", sys_path,
+             "--config", config, "--grid-min", "1", "--grid-max", "1"],
+            env=_env_with_src(), timeout=60, capture_output=True, text=True)
+        assert done.returncode == 4
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("magnetotrio: no solution: no ")
+
     def test_identical_pair_catalog(self, tmp_path):
         sys_path = _write(tmp_path, "pair.system",
                           "B 2\nparticle -1 1\nparticle -1 1\nparticle -1 1\n")

@@ -9,7 +9,7 @@ from magnetotrio import (CollisionError, DomainError, IntegratorSettings,
                          pair_distances, read_trajectory_csv, rigidity_report,
                          solve_config_II, write_invariant_csv,
                          write_trajectory_csv)
-from magnetotrio.dynamics import MAX_SAMPLES, _rhs
+from magnetotrio.dynamics import MAX_SAMPLES, _rhs, _rotating_rhs
 from magnetotrio.invariants import coulomb_energy, invariant_columns
 
 
@@ -454,6 +454,92 @@ class TestCompiledKernel:
         pos, vel = separated_state(rng, 30, box=6.0)
         y = np.concatenate([pos.ravel(), vel.ravel()])
         assert _bits(_rhs(spec)(0.0, y)) == _bits(_walk_rhs(spec)(0.0, y))
+
+
+def _turned(a, angle):
+    """Planar vectors ``a`` of shape (nt, n, 2) turned counterclockwise by
+    ``angle`` (nt,): R(angle) a."""
+    c, s = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    return np.stack([c * a[..., 0] - s * a[..., 1], s * a[..., 0] + c * a[..., 1]],
+                    axis=-1)
+
+
+class TestRotatingFrame:
+    """``integrate(..., frame_omega=w)``: the field f(y) + w (I x J) y and
+    its samples, against the inertial run turned into the frame."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_kernel_is_the_inertial_one_plus_the_frame_term(self, n):
+        rng = np.random.default_rng(700 + n)
+        spec = _random_spec(rng, n)
+        for w in (0.37, -2.5):
+            g = _rotating_rhs(spec, w)
+            pos, vel = separated_state(rng, n)
+            y = np.concatenate([pos.ravel(), vel.ravel()])
+            # J (x, y) = (-y, x) on each planar pair; exact in floats
+            Jy = (y.reshape(-1, 2)[:, ::-1] * [-1.0, 1.0]).ravel()
+            assert _bits(g(0.0, y)) == _bits(_rhs(spec)(0.0, y) + w * Jy)
+            assert g.rows(0.0, y) == g(0.0, y).tolist()
+
+    def test_one_code_object_per_particle_count_and_frame(self):
+        rng = np.random.default_rng(702)
+        a, b = _random_spec(rng, 3), _random_spec(rng, 3)
+        ga, gb = _rotating_rhs(a, 0.5), _rotating_rhs(b, -1.0)
+        assert ga.rows.__code__ is gb.rows.__code__
+        assert ga.rows.__code__ is not _rhs(a).rows.__code__
+
+    @pytest.mark.parametrize("case", [_spec4_state, _six_charge_state])
+    def test_samples_are_the_inertial_ones_turned(self, case):
+        spec, pos, vel = case()
+        state = PhaseState(pos, vel)
+        settings = IntegratorSettings(t_end=3.0, rel_tol=1e-12, abs_tol=1e-12,
+                                      sample_interval=0.25)
+        w = 0.8
+        inertial = integrate(spec, state, settings)
+        rotating = integrate(spec, state, settings, frame_omega=w)
+        assert np.array_equal(rotating.t, inertial.t)
+        for a, b in ((rotating.positions, inertial.positions),
+                     (rotating.velocities, inertial.velocities)):
+            np.testing.assert_allclose(a, _turned(b, w * inertial.t), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(pair_distances(rotating.positions),
+                                   pair_distances(inertial.positions), rtol=1e-9)
+        assert set(rotating.stats) == {"nfev", "min_pair_distance"}
+
+    def test_a_rigid_rotation_is_constant_in_its_frame(self):
+        # the first certified Configuration II rotation of SPEC4, clockwise,
+        # so its frame turns at w = +omega
+        spec = SystemSpec(B=1.0, charges=(3.0, -1.0, 1.0), masses=(1.0, 1.0, 3.0))
+        sol = solve_config_II(spec)[0]
+        assert sol.sense == "cw"
+        spec_b, state = build_initial_state(sol, spec)
+        period = 2.0 * np.pi / sol.omega
+        settings = IntegratorSettings(t_end=0.25 * period,
+                                      sample_interval=period / 800.0)
+        traj = integrate(spec_b, state, settings, frame_omega=sol.omega)
+        assert np.abs(traj.positions - state.positions).max() < 1e-8
+        assert np.abs(traj.velocities - state.velocities).max() < 1e-8
+        assert rigidity_report(traj).worst < 1e-9
+        inertial = integrate(spec_b, state, settings)
+        assert traj.stats["nfev"] < inertial.stats["nfev"] / 3
+
+    def test_collision_watch_runs_in_the_frame(self):
+        # an attracting pair at rest falls into itself in either frame
+        spec = SystemSpec(B=0.0, charges=(1.0, -1.0), masses=(1.0, 1.0))
+        state = PhaseState(np.array([[-0.5, 0.0], [0.5, 0.0]]), np.zeros((2, 2)))
+        settings = IntegratorSettings(t_end=5.0, collision_threshold=1e-3)
+        times = []
+        for w in (0.0, 1.5):
+            with pytest.raises(CollisionError) as info:
+                integrate(spec, state, settings, frame_omega=w)
+            times.append(info.value.t)
+        assert times[1] == pytest.approx(times[0], rel=1e-8)
+
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf")])
+    def test_frame_frequency_must_be_finite(self, w):
+        spec, pos, vel = _spec4_state()
+        with pytest.raises(DomainError, match="frame_omega must be finite"):
+            integrate(spec, PhaseState(pos, vel), IntegratorSettings(t_end=1.0),
+                      frame_omega=w)
 
 
 class TestClosestApproach:

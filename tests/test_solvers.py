@@ -20,9 +20,10 @@ from magnetotrio import (ConfigSolution, DegenerateError, DomainError,
                          solve_config_I_identical, solve_config_I_v3zero,
                          solve_config_II, solve_config_III, solve_nbody_II,
                          write_catalog)
-from magnetotrio import solvers
+from magnetotrio import IntegratorSettings, PhaseState, dynamics, solvers
+from magnetotrio.dynamics import rigidity_report
 from magnetotrio.solvers import (catalog_header, collinear_kappa,
-                                 helium_pattern)
+                                 helium_pattern, sweep_grid)
 
 CBRT_5_4 = (5.0 / 4.0) ** (1.0 / 3.0)       # 1.0772173450159419
 CBRT_10 = 10.0 ** (1.0 / 3.0)               # 2.1544346900318838
@@ -44,6 +45,21 @@ class TestClosedFormFields:
         # e1 v1 + e2 v2 + e3 v3 = 0 kills the field expression
         with pytest.raises(DegenerateError):
             closed_form_B_II(spec4, 1.0, 4.0, 1.0)  # 3 - 4 + 1 = 0
+
+    @pytest.mark.parametrize("v", [(0.5, 1.0, 1.0), (1.0, 1.0, 2.0),
+                                   (0.5, 1.0, 2.0, 1.0)])
+    def test_coincident_speeds_are_degenerate(self, spec4, four, v):
+        # a speed equal to v2 puts two charges on one point: the Coulomb
+        # bracket divides by zero, which is DegenerateError, not a float error
+        with pytest.raises(DegenerateError, match="two speeds coincide"):
+            solvers.closed_form_B_nbody(spec4 if len(v) == 3 else four, v)
+
+    @pytest.mark.parametrize("solve", [solve_config_II, solve_nbody_II])
+    @pytest.mark.parametrize("require_certified", [True, False])
+    def test_last_speed_equal_to_v2_is_no_solution(self, spec4, solve,
+                                                   require_certified):
+        with pytest.raises(NoSolution, match=r"rotation on the sampled grid$"):
+            solve(spec4, [1.0], require_certified=require_certified)
 
     @pytest.mark.parametrize("species", ["spec4", "worked"])
     def test_solver_fields_match_the_dedicated_forms(self, request, species):
@@ -625,6 +641,78 @@ class TestCertification:
         sol = solve_config_II(helium, v3_values=[150.0],
                               require_certified=False)[0]
         assert newton_balance(sol, helium) > 0.01
+
+
+def _gate_drifts(sol, spec_b, state):
+    """The worst relative pair-distance drift of ``state`` over the
+    certification's quarter period and 200 samples, integrated in the
+    inertial frame (the oracle) and in the rotation's own frame (the gate)."""
+    t_end = 0.25 * 2.0 * math.pi / sol.omega
+    settings = IntegratorSettings(t_end=t_end, rel_tol=1e-10, abs_tol=1e-10,
+                                  sample_interval=t_end / 200.0)
+    return tuple(rigidity_report(dynamics.integrate(spec_b, state, settings,
+                                                    frame_omega=w)).worst
+                 for w in (0.0, solvers._frame_omega(sol)))
+
+
+class TestCoRotatingCertification:
+    """The rigidity gate integrates each rotation in its own frame, where it
+    is an equilibrium of g(y) = f(y) + w (I x J) y."""
+
+    @pytest.mark.parametrize("name, solve", [
+        ("spec4", solve_config_II), ("spec4", solve_config_III),
+        ("spec4", solve_nbody_II), ("worked", solve_config_III),
+        ("four", solve_nbody_II)],
+        ids=["spec4-II", "spec4-III", "spec4-nbody-II", "worked-III",
+             "four-nbody-II"])
+    def test_certified_rows_are_equilibria_of_the_frame(self, name, solve,
+                                                        request):
+        spec = request.getfixturevalue(name)
+        rows = solve(spec)
+        assert rows
+        for row in rows:
+            spec_b, state = build_initial_state(row, spec)
+            y = np.concatenate([state.positions.ravel(), state.velocities.ravel()])
+            # the kernel the gate integrates, and the inertial one for scale
+            g = dynamics._rotating_rhs(spec_b, solvers._frame_omega(row))(0.0, y)
+            f = dynamics._rhs(spec_b)(0.0, y)
+            assert np.abs(g).max() / max(1.0, np.abs(f).max()) < 1e-6, row
+
+    @pytest.mark.parametrize("name, vn", [("spec4", 1.5), ("four", 3.0)])
+    def test_both_frames_agree_on_rigid_and_kicked_states(self, name, vn,
+                                                          request):
+        spec = request.getfixturevalue(name)
+        [sol] = solve_nbody_II(spec, [vn])
+        spec_b, state = build_initial_state(sol, spec)
+        inertial, rotating = _gate_drifts(sol, spec_b, state)
+        assert rotating == sol.rigidity
+        assert max(inertial, rotating) < solvers._RIGIDITY_TOL
+        # v1 kicked by 1e-3 along its own direction: no longer a rotation
+        vel = state.velocities.copy()
+        vel[0] *= 1.0 + 1e-3 / sol.v[0]
+        kicked = PhaseState(state.positions, vel)
+        assert min(_gate_drifts(sol, spec_b, kicked)) > solvers._RIGIDITY_TOL
+
+    def test_certification_integrates_in_the_frame(self, spec4, monkeypatch):
+        # the inertial runs took 422-467 nfev per root on this grid; a
+        # return to the inertial frame would show here
+        runs = []
+        integrate = dynamics.integrate
+
+        def recorded(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            runs.append((kwargs.get("frame_omega", 0.0), traj.stats["nfev"]))
+            return traj
+
+        monkeypatch.setattr(dynamics, "integrate", recorded)
+        rows = solve_nbody_II(spec4, sweep_grid(spec4, "nbody-II", points=4),
+                              require_certified=False)
+        integrated = [r for r in rows if not math.isnan(r.rigidity)]
+        assert len(integrated) == len(runs) == 4
+        assert all(r.certified for r in integrated)
+        assert (sorted(w for w, _ in runs)
+                == sorted(solvers._frame_omega(r) for r in integrated))
+        assert all(w != 0.0 and nfev <= 150 for w, nfev in runs), runs
 
 
 class TestPythonFloats:
