@@ -28,15 +28,12 @@ from .invariants import (GLOBAL_INVARIANTS, SPECIAL_SETS, algebra_check,
                          third_pseudomomentum_x, write_invariant_csv)
 from .jacobi import (JacobiState, JacobiWeights, apply_cc, from_jacobi,
                      hamiltonian_jacobi, integrate_jacobi, invert_cc,
-                     jacobi_weights, pseudomomentum_jacobi, to_jacobi)
+                     jacobi_weights, to_jacobi)
 from .solvers import (ConfigSolution, build_initial_state,
-                      closed_form_B_II, closed_form_B_III,
-                      conserved_closed_forms, evaluate_p6,
-                      helium_closed_forms, helium_cubic_root,
-                      helium_quartic_coefficients, newton_balance,
-                      p6_coefficients, pair_distance_min,
-                      residuals_config_I, residuals_config_II,
-                      residuals_config_III, residuals_nbody_II,
-                      solve_config_I, solve_config_I_identical,
-                      solve_config_I_v3zero, solve_config_II,
-                      solve_config_III, solve_nbody_II, write_catalog)
+                      conserved_closed_forms, helium_closed_forms,
+                      helium_cubic_root, helium_quartic_coefficients,
+                      newton_balance, p6_coefficients, pair_distance_min,
+                      residuals_config_I, residuals_nbody_II, solve_config_I,
+                      solve_config_I_identical, solve_config_I_v3zero,
+                      solve_config_II, solve_config_III, solve_nbody_II,
+                      write_catalog)

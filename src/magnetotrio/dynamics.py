@@ -137,11 +137,13 @@ def _rhs_factory(n, rotating=False):
     return scope["make"]
 
 
-def _rhs(spec):
+def _rhs(spec, w=0.0):
     """The Newton right-hand side ``f(t, y)`` for ``y`` = (positions,
     velocities), each flattened row by row: the kernel that
     :func:`_rhs_factory` compiled for ``spec.n``, bound to the spec's field,
-    charges, masses and pair products.
+    charges, masses and pair products.  A nonzero ``w`` binds the rotating
+    kernel instead, the field ``g(t, y) = f(t, y) + w (I_2n x J) y`` of the
+    frame that turns at ``w`` (see :func:`integrate`).
 
     It does the floating-point operations of a scalar walk over the pair
     table, in its order: the magnetic force ``(vy B) e``, ``((-vx) B) e``;
@@ -149,18 +151,9 @@ def _rhs(spec):
     charge in pair order; then subtracted from its second charge in pair
     order; then the division by the mass.
     """
-    make = _rhs_factory(spec.n)
+    make = _rhs_factory(spec.n, rotating=bool(w))
     return make(spec.B, *spec.charges.tolist(), *spec.masses.tolist(),
-                *spec.pairs[2].tolist())
-
-
-def _rotating_rhs(spec, w):
-    """The field ``g(t, y) = f(t, y) + w (I_2n x J) y`` of the frame that
-    turns at ``w`` (see :func:`integrate`): :func:`_rhs`'s constants bound
-    to the rotating kernel of :func:`_rhs_factory`, plus ``w``."""
-    make = _rhs_factory(spec.n, rotating=True)
-    return make(spec.B, *spec.charges.tolist(), *spec.masses.tolist(),
-                *spec.pairs[2].tolist(), float(w))
+                *spec.pairs[2].tolist(), *((float(w),) if w else ()))
 
 
 def accelerations(spec, positions, velocities):
@@ -341,7 +334,7 @@ def integrate(spec, state, settings, *, frame_omega=0.0):
         raise DomainError(f"frame_omega must be finite, got {frame_omega!r}")
     n = spec.n
     y0 = np.concatenate([state.positions.ravel(), state.velocities.ravel()])
-    rhs = _rotating_rhs(spec, frame_omega) if frame_omega else _rhs(spec)
+    rhs = _rhs(spec, frame_omega)
     t, y, stats = _solve(spec, rhs, y0, state.t, t_eval, settings,
                          lambda y: y[: 2 * n].tolist())
     pos = y[:, : 2 * n].reshape(-1, n, 2).copy()

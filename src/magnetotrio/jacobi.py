@@ -47,8 +47,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Trajectory, _checked_grid, _solve, pair_distances
+from .dynamics import Trajectory, _checked_grid, _solve
 from .errors import DomainError
+from .invariants import coulomb_energy
 from .model import _velocities_from_momenta, canonical_momenta, vector_potential
 
 
@@ -239,14 +240,8 @@ def _flatten(js):
 def hamiltonian_jacobi(spec, js):
     """Reduced Hamiltonian evaluated on a shifted-momentum Jacobi state."""
     w = jacobi_weights(spec)
-    coulomb = spec.pairs[2] @ (1.0 / pair_distances(_positions(w, js)))
-    return float(_hc_quadratic(w, spec.B, _flatten(js)) + coulomb)
-
-
-def pseudomomentum_jacobi(spec, js):
-    """Pseudomomentum from shifted Jacobi data: ``K = P' + Q A(R)``."""
-    w = jacobi_weights(spec)
-    return js.P + w.Q * vector_potential(js.R, spec.B)
+    return float(_hc_quadratic(w, spec.B, _flatten(js))
+                 + coulomb_energy(spec, _positions(w, js)))
 
 
 # ---------------------------------------------------------------------------

@@ -162,31 +162,6 @@ def classify_system(spec):
     return Classification(neutral, equal_larmor, alpha)
 
 
-def apply_symmetry(spec, state, operation):
-    """Map (spec, state) under one of the exact symmetries of the dynamics.
-
-    ``operation``:
-      * ``"charge-field-flip"``: B -> -B and e_i -> -e_i with the phase state
-        untouched.  The equations of motion are invariant, so the original and
-        mapped systems share every trajectory.
-      * ``"reflection"``: rho_i -> -rho_i, v_i -> -v_i with the spec untouched.
-
-    Returns a new ``(spec, state)`` pair; ``state`` may be None.
-    """
-    if operation == "charge-field-flip":
-        new_spec = SystemSpec(-spec.B, -spec.charges, spec.masses.copy())
-        new_state = state.copy() if state is not None else None
-    elif operation == "reflection":
-        new_spec = SystemSpec(spec.B, spec.charges.copy(), spec.masses.copy())
-        if state is not None:
-            new_state = PhaseState(-state.positions, -state.velocities, state.t)
-        else:
-            new_state = None
-    else:
-        raise DomainError(f"unknown symmetry operation: {operation!r}")
-    return new_spec, new_state
-
-
 # ---------------------------------------------------------------------------
 # system-spec files
 #

@@ -24,7 +24,7 @@ Configuration III is Configuration II with the third speed reflected, and
 n-body II generalizes both, so the three collinear solvers share one
 sweep: each supplies only the candidate speeds at a swept value of the
 last speed (the real roots of the elimination sextic, or damped Newton
-from seeds), and one routine assembles the field (closed_form_B_nbody),
+from seeds), and one routine assembles the field (_collinear_field),
 the frequency omega = kappa*B and the certification.  The second speed is
 fixed at 1 (the systems are scale-covariant).  Every search, Configuration
 I's included, runs one sweep over the values :func:`sweep_grid` decides.
@@ -69,10 +69,8 @@ from .errors import (DegenerateError, DomainError, NonConvergence,
 from .model import PhaseState, classify_system
 
 __all__ = [
-    "ConfigSolution", "residuals_config_I", "residuals_config_II",
-    "residuals_config_III", "residuals_nbody_II", "collinear_kappa",
-    "closed_form_B_II", "closed_form_B_III", "closed_form_B_nbody",
-    "p6_coefficients", "evaluate_p6", "helium_pattern", "helium_cubic_root",
+    "ConfigSolution", "residuals_config_I", "residuals_nbody_II",
+    "collinear_kappa", "p6_coefficients", "helium_pattern", "helium_cubic_root",
     "helium_quartic_coefficients", "helium_closed_forms",
     "solve_config_I_v3zero", "solve_config_I_identical", "solve_config_I",
     "solve_config_II", "solve_config_III", "solve_nbody_II",
@@ -163,10 +161,14 @@ def residuals_config_I(spec, v1, v2, v3, omega, omega3):
 
     Rows: the three third-charge frequency conditions v3*(B e_i - m_i w3),
     the radius-compatibility condition e3*(e1/v1^2 - e2/v2^2)*w^2, and the
-    two pair force balances.  ``spec.B`` supplies the field.
+    two pair force balances.  ``spec.B`` supplies the field.  A zero v1 or
+    v2 puts a pair charge on the third, v1 + v2 = 0 the pair on one point:
+    DegenerateError.
     """
     if spec.n != 3:
         raise DomainError("Configuration I is a three-charge system")
+    if v1 == 0.0 or v2 == 0.0 or v1 + v2 == 0.0:
+        raise DegenerateError("Configuration-I residuals: two charges coincide")
     return np.array([math.fsum(t) for t in
                      _config_I_terms(spec, v1, v2, v3, omega, omega3)])
 
@@ -192,38 +194,26 @@ def residuals_nbody_II(spec, v, omega, B):
 
     The sign in front of the (i, j) Coulomb term is +1 for j > i and -1
     for j < i, matching the nominal speed ordering v1 < ... < vn.  For
-    n = 3 this is exactly the Configuration-II system.
+    n = 3 this is exactly the Configuration-II system; Configuration III's
+    rows are those of ``_collinear_terms`` at (v1, v2, -v3) with the
+    Coulomb signs reversed.  Two equal speeds put two charges on one point,
+    which is DegenerateError.
     """
-    v = np.asarray(v, float)
+    v = list(map(float, v))
     if spec.n != len(v):
         raise DomainError("speed vector length must equal the particle count")
     if spec.n < 3:
         raise DomainError("collinear rigid rotations need at least 3 charges")
+    if len(set(v)) < len(v):
+        raise DegenerateError("collinear residuals: two speeds coincide")
     rows = _collinear_terms(spec, v, omega, B)
     return np.array([math.fsum(r) for r in rows])
-
-
-def residuals_config_II(spec, v, omega, B):
-    """Raw residuals (length 3) of the Configuration-II system."""
-    if spec.n != 3:
-        raise DomainError("Configuration II is a three-charge system")
-    return residuals_nbody_II(spec, v, omega, B)
 
 
 def _signed_speeds(config, v):
     """Collinear speeds with signs: Configuration III puts charge 3 on the
     other side of the center, which reflects its speed."""
     return (v[0], v[1], -v[2]) if config == "III" else tuple(v)
-
-
-def residuals_config_III(spec, v, omega, B):
-    """Raw residuals (length 3) of the Configuration-III (anti-phase) system:
-    the collinear rows at signed speeds (v1, v2, -v3) with the Coulomb signs
-    reversed."""
-    if spec.n != 3:
-        raise DomainError("Configuration III is a three-charge system")
-    rows = _collinear_terms(spec, _signed_speeds("III", v), omega, B, -1)
-    return np.array([math.fsum(r) for r in rows])
 
 
 def _relative_norm(term_rows):
@@ -250,37 +240,6 @@ def collinear_kappa(spec, v):
     return num / den
 
 
-def closed_form_B_II(spec, v1, v2, v3):
-    """Field strength that makes (v1, v2, v3) a Configuration-II root."""
-    e1, e2, e3 = spec.charges
-    m1, m2, m3 = spec.masses
-    num = ((v1 - v2)**2 * v2 * (v2 - v3)**2 * (m1*v1 + m2*v2 + m3*v3)
-           * (e2*(m1*v1 + m3*v3) - m2*(e1*v1 + e3*v3)))
-    den = (e2 * (e1*(v2 - v3)**2 - e3*(v1 - v2)**2)
-           * (e1*v1 + e2*v2 + e3*v3)**2)
-    if den == 0.0:
-        raise DegenerateError("Configuration-II field denominator vanishes")
-    return num / den
-
-
-def closed_form_B_III(spec, v1, v2, v3):
-    """Field strength that makes (v1, v2, v3) a Configuration-III root.
-
-    Written out independently of :func:`closed_form_B_II`; the two are
-    related by B_III(v1, v2, v3) = -B_II(v1, v2, -v3), which makes a useful
-    consistency check.
-    """
-    e1, e2, e3 = spec.charges
-    m1, m2, m3 = spec.masses
-    num = ((v1 - v2)**2 * v2 * (v2 + v3)**2 * (m1*v1 + m2*v2 - m3*v3)
-           * (e2*(m1*v1 - m3*v3) + m2*(e3*v3 - e1*v1)))
-    den = (e2 * (e1*(v2 + v3)**2 - e3*(v1 - v2)**2)
-           * (e1*v1 + e2*v2 - e3*v3)**2)
-    if den == 0.0:
-        raise DegenerateError("Configuration-III field denominator vanishes")
-    return -num / den
-
-
 def _collinear_field(spec, v):
     """(kappa, C, B) at speeds ``v``, as Python floats: B = v2 (m2 kappa -
     e2) / (e2 kappa^2 C) solves the second collinear balance row, where
@@ -299,11 +258,6 @@ def _collinear_field(spec, v):
     if bracket == 0.0:
         raise DegenerateError("collinear field closed form: Coulomb bracket vanishes")
     return kap, bracket, v[1] * (m[1] * kap - e[1]) / (e[1] * kap**2 * bracket)
-
-
-def closed_form_B_nbody(spec, v):
-    """Solve the second collinear balance equation for B (any n >= 3)."""
-    return _collinear_field(spec, v)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +310,6 @@ def p6_coefficients(spec):
         (0, 4, 2): 2*e1*e3*(e3*m2 - e2*m3),
         (0, 5, 1): e1*e3*(e2*m3 - e3*m2),
     }
-
-
-def evaluate_p6(spec, v1, v2, v3):
-    """Value of the elimination sextic at (v1, v2, v3)."""
-    return _evaluate_p6(p6_coefficients(spec), v1, v2, v3)
 
 
 def _evaluate_p6(c, v1, v2, v3):
@@ -427,7 +376,7 @@ def helium_closed_forms(spec, v1, v2, v3):
     quartic root.
 
     The B returned here carries the sign required by omega = kappa * B
-    (it equals the general closed_form_B_II restricted to the pattern);
+    (it equals the general Configuration-II field restricted to the pattern);
     the magnitude-matching expression with the opposite overall sign is
     not consistent with the frequency relation and is rejected.
     """

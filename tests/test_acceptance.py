@@ -19,14 +19,15 @@ from mpmath import mp, mpf, polyval
 from conftest import electron_orbit, separated_state, table_value
 from magnetotrio import (DegenerateError, IntegratorSettings, NoSolution,
                          PhaseState, SystemSpec, algebra_check, apply_cc,
-                         build_initial_state, closed_form_B_II,
-                         closed_form_B_III, conserved_closed_forms,
-                         drift_report, evaluate_p6, hamiltonian,
-                         hamiltonian_jacobi, helium_cubic_root, integrate,
-                         integrate_jacobi, p6_coefficients, pair_distance_min,
+                         build_initial_state, conserved_closed_forms,
+                         drift_report, hamiltonian, hamiltonian_jacobi,
+                         helium_cubic_root, integrate, integrate_jacobi,
+                         p6_coefficients, pair_distance_min,
                          residuals_config_I, rigidity_report,
                          solve_config_I_identical, solve_config_I_v3zero,
                          solve_config_II, solve_nbody_II, to_jacobi)
+from magnetotrio.solvers import _evaluate_p6
+from oracles import closed_form_B_II, closed_form_B_III
 
 SPEC4 = SystemSpec(B=1.0, charges=(3.0, -1.0, 1.0), masses=(1.0, 1.0, 3.0))
 WORKED = SystemSpec(B=1.0, charges=(1.0, 4.0, 1.0), masses=(1.0, 5.0, 1.0))
@@ -169,8 +170,9 @@ def test_06_equal_larmor_no_go():
     for spec in (_electrons(2.0), mixed):
         with pytest.raises(NoSolution, match="vanishes identically"):
             solve_config_II(spec)
-        scale = max(abs(a) for a in p6_coefficients(spec).values())
-        worst = max(abs(evaluate_p6(spec, a, b, c))
+        coeffs = p6_coefficients(spec)
+        scale = max(abs(a) for a in coeffs.values())
+        worst = max(abs(_evaluate_p6(coeffs, a, b, c))
                     for a in grid for b in grid for c in grid)
         assert worst <= 1e-14 * scale
 

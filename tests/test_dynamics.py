@@ -9,7 +9,7 @@ from magnetotrio import (CollisionError, DomainError, IntegratorSettings,
                          pair_distances, read_trajectory_csv, rigidity_report,
                          solve_config_II, write_invariant_csv,
                          write_trajectory_csv)
-from magnetotrio.dynamics import MAX_SAMPLES, _rhs, _rotating_rhs
+from magnetotrio.dynamics import MAX_SAMPLES, _rhs
 from magnetotrio.invariants import coulomb_energy, invariant_columns
 
 
@@ -293,9 +293,11 @@ class TestTrajectoryCsv:
             read_trajectory_csv(path, spec)
 
 
-def _walk_rhs(spec):
+def _walk_rhs(spec, w=0.0):
     """The scalar pair walk that the compiled kernel replaced, kept as the
-    bit-level reference: the same floats in the same order."""
+    bit-level reference: the same floats in the same order.  Inertial
+    frame only (``w`` = 0)."""
+    assert w == 0.0
     n2, B = 2 * spec.n, spec.B
     e, m = spec.charges.tolist(), spec.masses.tolist()
     I, J, ee = spec.pairs
@@ -342,7 +344,8 @@ def _oracle_accelerations(spec, positions, velocities):
     return force / spec.masses[:, None]
 
 
-def _oracle_rhs(spec):
+def _oracle_rhs(spec, w=0.0):
+    assert w == 0.0
     n = spec.n
 
     def f(t, y):
@@ -473,7 +476,7 @@ class TestRotatingFrame:
         rng = np.random.default_rng(700 + n)
         spec = _random_spec(rng, n)
         for w in (0.37, -2.5):
-            g = _rotating_rhs(spec, w)
+            g = _rhs(spec, w)
             pos, vel = separated_state(rng, n)
             y = np.concatenate([pos.ravel(), vel.ravel()])
             # J (x, y) = (-y, x) on each planar pair; exact in floats
@@ -484,9 +487,11 @@ class TestRotatingFrame:
     def test_one_code_object_per_particle_count_and_frame(self):
         rng = np.random.default_rng(702)
         a, b = _random_spec(rng, 3), _random_spec(rng, 3)
-        ga, gb = _rotating_rhs(a, 0.5), _rotating_rhs(b, -1.0)
+        ga, gb = _rhs(a, 0.5), _rhs(b, -1.0)
         assert ga.rows.__code__ is gb.rows.__code__
         assert ga.rows.__code__ is not _rhs(a).rows.__code__
+        # w = 0 binds the inertial kernel, not the rotating one at zero
+        assert _rhs(a, 0.0).rows.__code__ is _rhs(a).rows.__code__
 
     @pytest.mark.parametrize("case", [_spec4_state, _six_charge_state])
     def test_samples_are_the_inertial_ones_turned(self, case):

@@ -3,8 +3,7 @@ import pytest
 
 from magnetotrio import (PhaseState, SpecParseError, SystemSpec,
                          classify_system, format_system, parse_system)
-from magnetotrio.model import (apply_symmetry, canonical_momenta,
-                               vector_potential)
+from magnetotrio.model import canonical_momenta, vector_potential
 
 
 def test_vector_potential_symmetric_gauge():
@@ -103,46 +102,15 @@ class TestParsing:
 
 
 class TestSymmetry:
-    def test_charge_field_flip(self, spec4, rng):
-        pos, vel = rng.standard_normal((2, 3, 2))
-        state = PhaseState(pos.copy(), vel.copy())
-        spec_f, state_f = apply_symmetry(spec4, state, "charge-field-flip")
-        assert spec_f.B == -spec4.B
-        assert np.array_equal(spec_f.charges, -spec4.charges)
-        assert np.allclose(state_f.positions, pos)
-
     def test_flip_preserves_accelerations(self, spec4, rng):
         # e -> -e, B -> -B leaves every force term unchanged
         from conftest import separated_state
 
         from magnetotrio import accelerations
         pos, vel = separated_state(rng, 3)
-        spec_f, _ = apply_symmetry(spec4, None, "charge-field-flip")
+        spec_f = SystemSpec(-spec4.B, -spec4.charges, spec4.masses)
         assert np.allclose(accelerations(spec4, pos, vel),
                            accelerations(spec_f, pos, vel), rtol=0, atol=1e-15)
-
-    def test_reflection_negates_state_only(self, spec4, rng):
-        pos, vel = rng.standard_normal((2, 3, 2))
-        state = PhaseState(pos.copy(), vel.copy())
-        spec_r, state_r = apply_symmetry(spec4, state, "reflection")
-        assert spec_r.B == spec4.B
-        assert np.array_equal(spec_r.charges, spec4.charges)
-        assert np.array_equal(state_r.positions, -pos)
-        assert np.array_equal(state_r.velocities, -vel)
-
-    def test_reflection_involution(self, spec4, rng):
-        pos, vel = rng.standard_normal((2, 3, 2))
-        state = PhaseState(pos.copy(), vel.copy())
-        spec_r, state_r = apply_symmetry(*apply_symmetry(spec4, state, "reflection"),
-                                         "reflection")
-        assert spec_r.B == spec4.B
-        assert np.allclose(state_r.positions, pos)
-        assert np.allclose(state_r.velocities, vel)
-
-    def test_unknown_operation(self, spec4):
-        from magnetotrio import DomainError
-        with pytest.raises(DomainError):
-            apply_symmetry(spec4, None, "time-reversal")
 
 
 def test_phase_state_copy_is_independent():

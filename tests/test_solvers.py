@@ -10,20 +10,20 @@ from mpmath import findroot, mp, mpf
 from conftest import table_value
 from magnetotrio import (ConfigSolution, DegenerateError, DomainError,
                          NonConvergence, NoSolution, SystemSpec, ValidityError,
-                         build_initial_state, closed_form_B_II,
-                         closed_form_B_III, conserved_closed_forms,
-                         evaluate_p6, helium_closed_forms,
-                         helium_cubic_root, helium_quartic_coefficients,
-                         newton_balance, p6_coefficients, pair_distance_min,
-                         residuals_config_I, residuals_config_II,
-                         residuals_config_III, residuals_nbody_II,
+                         build_initial_state, conserved_closed_forms,
+                         helium_closed_forms, helium_cubic_root,
+                         helium_quartic_coefficients, newton_balance,
+                         p6_coefficients, pair_distance_min,
+                         residuals_config_I, residuals_nbody_II,
                          solve_config_I_identical, solve_config_I_v3zero,
                          solve_config_II, solve_config_III, solve_nbody_II,
                          write_catalog)
 from magnetotrio import IntegratorSettings, PhaseState, dynamics, solvers
 from magnetotrio.dynamics import rigidity_report
-from magnetotrio.solvers import (catalog_header, collinear_kappa,
+from magnetotrio.solvers import (_collinear_field, _collinear_terms,
+                                 _evaluate_p6, catalog_header, collinear_kappa,
                                  helium_pattern, sweep_grid)
+from oracles import closed_form_B_II, closed_form_B_III
 
 CBRT_5_4 = (5.0 / 4.0) ** (1.0 / 3.0)       # 1.0772173450159419
 CBRT_10 = 10.0 ** (1.0 / 3.0)               # 2.1544346900318838
@@ -52,7 +52,7 @@ class TestClosedFormFields:
         # a speed equal to v2 puts two charges on one point: the Coulomb
         # bracket divides by zero, which is DegenerateError, not a float error
         with pytest.raises(DegenerateError, match="two speeds coincide"):
-            solvers.closed_form_B_nbody(spec4 if len(v) == 3 else four, v)
+            _collinear_field(spec4 if len(v) == 3 else four, v)
 
     @pytest.mark.parametrize("solve", [solve_config_II, solve_nbody_II])
     @pytest.mark.parametrize("require_certified", [True, False])
@@ -97,48 +97,57 @@ class TestEliminationSextic:
 
     def test_neutral_pair_factorization(self, helium, rng):
         # P6 = e^3 (2m + m1) * v1 * quartic = 6 v1 q(v1) for (-2,1,1)/(4,1,1)
+        c = p6_coefficients(helium)
         for _ in range(10):
             v1, v2, v3 = rng.uniform(0.5, 5.0, 3)
             q = np.polyval(helium_quartic_coefficients(v2, v3), v1)
-            assert evaluate_p6(helium, v1, v2, v3) == pytest.approx(6.0 * v1 * q,
-                                                                    rel=1e-9)
+            assert _evaluate_p6(c, v1, v2, v3) == pytest.approx(6.0 * v1 * q, rel=1e-9)
 
     @given(s=st.floats(0.25, 4.0), v1=st.floats(0.2, 5.0),
            v2=st.floats(0.2, 5.0), v3=st.floats(0.2, 5.0))
     @settings(max_examples=50, deadline=None)
     def test_degree_six_homogeneity(self, s, v1, v2, v3):
-        spec = SystemSpec(1.0, (3.0, -1.0, 1.0), (1.0, 1.0, 3.0))
-        base = evaluate_p6(spec, v1, v2, v3)
-        scaled = evaluate_p6(spec, s * v1, s * v2, s * v3)
+        c = p6_coefficients(SystemSpec(1.0, (3.0, -1.0, 1.0), (1.0, 1.0, 3.0)))
+        base = _evaluate_p6(c, v1, v2, v3)
+        scaled = _evaluate_p6(c, s * v1, s * v2, s * v3)
         # round-off floor from the summed-term magnitude at the scaled point
-        floor = (sum(abs(a) for a in p6_coefficients(spec).values())
+        floor = (sum(abs(a) for a in c.values())
                  * (s * max(v1, v2, v3)) ** 6 * 1e-12)
         assert scaled == pytest.approx(s ** 6 * base, rel=1e-9, abs=floor)
 
 
 class TestResidualSystems:
-    def test_config_II_is_nbody_specialization(self, spec4, rng):
-        v = tuple(rng.uniform(0.5, 3.0, 3))
-        a = residuals_config_II(spec4, v, 0.7, 1.3)
-        b = residuals_nbody_II(spec4, v, 0.7, 1.3)
-        assert np.array_equal(a, b)
-
     @given(s=st.floats(0.25, 4.0))
     @settings(max_examples=50, deadline=None)
     def test_collinear_scaling_covariance(self, s):
         # (v, omega, B) -> (s v, s^3 omega, s^3 B) scales every term by s^4
         spec = SystemSpec(1.0, (3.0, -1.0, 1.0), (1.0, 1.0, 3.0))
         v = np.array([0.5, 1.1, 2.3])
-        base = residuals_config_II(spec, v, 0.7, 1.3)
-        scaled = residuals_config_II(spec, s * v, s ** 3 * 0.7, s ** 3 * 1.3)
+        base = residuals_nbody_II(spec, v, 0.7, 1.3)
+        scaled = residuals_nbody_II(spec, s * v, s ** 3 * 0.7, s ** 3 * 1.3)
         assert np.allclose(scaled, s ** 4 * base, rtol=1e-9)
 
     def test_wrong_sizes(self, spec4):
         with pytest.raises(DomainError):
             residuals_nbody_II(spec4, (1.0, 2.0), 1.0, 1.0)
-        with pytest.raises(DomainError):
-            residuals_config_III(SystemSpec(1.0, (1.0, 1.0), (1.0, 1.0)),
-                                 (1.0, 2.0), 1.0, 1.0)
+        with pytest.raises(DomainError, match="at least 3 charges"):
+            residuals_nbody_II(SystemSpec(1.0, (1.0, 1.0), (1.0, 1.0)),
+                               (1.0, 2.0), 1.0, 1.0)
+
+    @pytest.mark.parametrize("v", [(0.5, 1.0, 1.0), (1.0, 1.0, 2.0),
+                                   (0.5, 1.0, 2.0, 1.0)])
+    def test_coincident_speeds_are_degenerate(self, spec4, four, v):
+        # two charges on one point: DegenerateError, not numpy's
+        # divide-by-zero warning
+        with pytest.raises(DegenerateError, match="two speeds coincide"):
+            residuals_nbody_II(spec4 if len(v) == 3 else four, v, 1.0, 1.0)
+
+    @pytest.mark.parametrize("v1, v2", [(0.0, 1.0), (1.0, 0.0), (1.0, -1.0)])
+    def test_config_I_coincident_charges_are_degenerate(self, spec4, v1, v2):
+        # v1 = 0 or v2 = 0 puts a pair charge on the third, v1 + v2 = 0 the
+        # pair on one point
+        with pytest.raises(DegenerateError, match="two charges coincide"):
+            residuals_config_I(spec4, v1, v2, 0.0, 1.0, 0.0)
 
 
 class TestNeutralPairWindow:
@@ -182,7 +191,7 @@ class TestNeutralPairWindow:
         omega, B = helium_closed_forms(helium, v1, 1.0, 150.0)
         assert B == pytest.approx(closed_form_B_II(helium, v1, 1.0, 150.0),
                                   rel=1e-12)
-        res = residuals_config_II(helium, (v1, 1.0, 150.0), omega, B)
+        res = residuals_nbody_II(helium, (v1, 1.0, 150.0), omega, B)
         # raw residuals, gated relative to the huge term scale ~ B e v1
         assert np.abs(res).max() < 1e-10 * abs(B) * v1
 
@@ -348,7 +357,10 @@ class TestConfigIII:
     def test_raw_residuals_at_reference_row(self, spec4):
         sol = solve_config_III(spec4, v3_values=[0.6])[0]
         sigma = 1.0 if sol.sense == "cw" else -1.0
-        res = residuals_config_III(spec4, sol.v, sigma * sol.omega, sol.B)
+        # the anti-phase rows: third speed reflected, Coulomb signs reversed
+        v1, v2, v3 = sol.v
+        res = np.array([math.fsum(row) for row in _collinear_terms(
+            spec4, (v1, v2, -v3), sigma * sol.omega, sol.B, -1)])
         scale = abs(sol.B) * max(sol.v)
         assert np.abs(res).max() < 1e-10 * scale
 
@@ -419,7 +431,7 @@ class TestNbodyCollinear:
             assert np.abs(J - oracle).max() <= 1e-7 * np.abs(oracle).max()
             # the residual rows {1, 3, ..., n-1} of the full system, unchanged
             v = assemble(u)
-            B = solvers.closed_form_B_nbody(spec, v)
+            B = _collinear_field(spec, v)[2]
             kept = [0, *range(2, n - 1)]
             assert F.tolist() == residuals_nbody_II(
                 spec, v, collinear_kappa(spec, v) * B, B)[kept].tolist()
@@ -674,7 +686,7 @@ class TestCoRotatingCertification:
             spec_b, state = build_initial_state(row, spec)
             y = np.concatenate([state.positions.ravel(), state.velocities.ravel()])
             # the kernel the gate integrates, and the inertial one for scale
-            g = dynamics._rotating_rhs(spec_b, solvers._frame_omega(row))(0.0, y)
+            g = dynamics._rhs(spec_b, solvers._frame_omega(row))(0.0, y)
             f = dynamics._rhs(spec_b)(0.0, y)
             assert np.abs(g).max() / max(1.0, np.abs(f).max()) < 1e-6, row
 
