@@ -58,7 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -867,6 +867,124 @@ def solve_config_III(spec, v3_values=None, require_certified=True):
 # n-body collinear solver
 # ---------------------------------------------------------------------------
 
+@cache
+def _nbody_factory(n):
+    """Compile the reduced collinear system of n charges; once per n.
+
+    Returns ``make(E, M, vn, e0.., m0..)``, which binds the charge and mass
+    arrays (kappa is their ``np.dot`` with the speeds), the fixed last
+    speed and the n charges and masses, and returns ``(system, assemble)``
+    of :func:`_nbody_system`.  The source is built from n alone; every
+    float operation is spelled out, in the order of a walk over the kept
+    rows and their pairs: kappa by ``np.dot``, every row sum by
+    ``math.fsum``, the Coulomb sums T_i and dT_i/dv_i left to right, and
+    ``**2`` and ``**3`` as powers.  Where two speeds coincide, or where
+    those floats fail at a far Newton trial point (a power or ``fsum``
+    overflows, a squared distance underflows to 0, a row holds +inf and
+    -inf), ``system`` returns the non-finite triple.
+    """
+    free = [0, *range(2, n - 1)]
+    x = [f"x{i}" for i in range(n)]
+    e, m = [f"e{i}" for i in range(n)], [f"m{i}" for i in range(n)]
+    others = [j for j in range(n) if j != 1]
+
+    def sign(i, j):
+        return "1" if j > i else "-1"
+
+    def tup(items):
+        items = list(items)
+        return f"({', '.join(items)}{',' * (len(items) == 1)})"
+
+    lines = [f"def make(E, M, vn, {', '.join(e + m)}):",
+             f"    x1, {x[-1]} = V2, vn",
+             f"    mx1, mxl = m1 * x1, m{n - 1} * {x[-1]}"]
+    # the signed charges and pair products of the bracket, dC and the rows
+    lines += [f"    b{j} = {sign(1, j)} * e{j}" for j in others]
+    lines += [f"    g{k} = 2 * {sign(1, k)} * e{k}" for k in free]
+    lines += [f"    p{i}_{j} = {sign(i, j)} * e{i} * e{j}"
+              for i in free for j in range(n) if j != i]
+    lines += ["    def assemble(u):",
+              "        v1, *inner = map(float, u)",
+              f"        return [v1, x1, *inner, {x[-1]}]",
+              "    def system(u):",
+              f"        {', '.join(x[k] for k in free)}, = map(float, u)",
+              f"        if len({{{', '.join(x)}}}) < {n}:",
+              "            return NAN",
+              "        try:",
+              f"            xa = array({tup(x)})",
+              "            num, den = float(dot(E, xa)), float(dot(M, xa))",
+              "            if den == 0.0:",
+              "                raise DegenerateError('sum(m_i v_i) = 0: "
+              "kappa undefined')",
+              "            kap = num / den",
+              "            if e1 == 0.0 or kap == 0.0:",
+              "                raise DegenerateError('collinear field closed form needs "
+              "e2 != 0, kappa != 0')"]
+    lines += [f"            d1_{j} = x1 - x{j}" for j in others]
+    lines += [f"            C = fsum({tup(f'b{j} / d1_{j}**2' for j in others)})",
+              "            if C == 0.0:",
+              "                raise DegenerateError('collinear field closed form: "
+              "Coulomb bracket vanishes')",
+              "            eC = e1 * kap**2 * C",
+              "            B = x1 * (m1 * kap - e1) / eC",
+              "            w = kap * B",
+              "            w2, ww, tw = w**2, w * w, 2.0 * w"]
+    # m_i x_i, shared by smv and the rows: the walk's x_2 m_2 and
+    # (-m_i) x_i are m_2 x_2 and -(m_i x_i) to the bit
+    lines += [f"            mx{i} = m{i} * x{i}" for i in free]
+    mx = [f"mx{i}" for i in range(n - 1)] + ["mxl"]
+    lines += [f"            smv = fsum({tup(mx)})"]
+    for k in free:
+        # d kappa, dB and d omega along each free speed; dB is B d ln B
+        # written without the factor 1 / (m2 kappa - e2)
+        lines += [f"            dk{k} = (e{k} - kap * m{k}) / smv",
+                  f"            dB{k} = mx1 * dk{k} / eC - B * (2.0 * dk{k} / kap "
+                  f"+ g{k} / d1_{k}**3 / C)",
+                  f"            dw{k} = dk{k} * B + kap * dB{k}"]
+    F, S, J = [], [], []
+    for i in free:
+        js = [j for j in range(n) if j != i]
+        row = [f"ra{i}", f"rb{i}", *(f"r{i}_{j}" for j in js)]
+        lines += [f"            d{i}_{j} = x{i} - x{j}" for j in js]
+        lines += [f"            s{i}_{j} = d{i}_{j}**2" for j in js]
+        lines += [f"            Be{i} = B * e{i}",
+                  f"            ra{i}, rb{i} = Be{i} * x{i}, -mx{i} * w"]
+        lines += [f"            r{i}_{j} = p{i}_{j} * w2 / s{i}_{j}" for j in js]
+        lines += [f"            F{i} = fsum({tup(row)})",
+                  f"            S{i} = max({', '.join(f'abs({r})' for r in row)})"]
+        lines += [f"            q{i}_{j} = p{i}_{j} / s{i}_{j}" for j in js]
+        lines += [f"            t{i}_{j} = 2.0 * q{i}_{j} / d{i}_{j}" for j in js]
+        # sum() of the walk's lists, which start from the integer 0 and
+        # hold 0.0 at j = i: adding +0.0 to a partial sum that is not -0.0
+        # changes nothing
+        lines += [f"            T{i} = 0.0{''.join(f' + q{i}_{j}' for j in js)}",
+                  f"            t{i}_{i} = -(0.0{''.join(f' + t{i}_{j}' for j in js)})"]
+        entries = []
+        for k in free:
+            entry = (f"dB{k} * e{i} * x{i} - mx{i} * dw{k} + tw * dw{k} * T{i} "
+                     f"+ ww * t{i}_{k}")
+            if k == i:
+                entry = f"({entry}) + (Be{i} - m{i} * w)"
+            entries.append(entry)
+        F.append(f"F{i}")
+        S.append(f"S{i}")
+        J.append(tup(entries))
+    lines += [f"            if {' and '.join(f'isfinite({f})' for f in F)}:",
+              f"                return {tup(F)}, {tup(J)}, {tup(S)}",
+              f"            return {tup(F)}, NAN[1], {tup(S)}",
+              # OverflowError, ZeroDivisionError, and fsum's ValueError
+              # on +inf and -inf
+              "        except (ArithmeticError, ValueError):",
+              "            return NAN",
+              "    return system, assemble"]
+    nan = (math.nan,) * (n - 2)
+    scope = {"V2": _V2, "NAN": (nan, (nan,) * (n - 2), nan), "array": np.array,
+             "dot": np.dot, "fsum": math.fsum, "isfinite": math.isfinite,
+             "DegenerateError": DegenerateError}
+    exec(compile("\n".join(lines), f"<collinear system, n = {n}>", "exec"), scope)
+    return scope["make"]
+
+
 def _nbody_system(spec, vn):
     """The reduced collinear system, differentiated exactly, in Python floats.
 
@@ -878,53 +996,18 @@ def _nbody_system(spec, vn):
     The Jacobian is the chain rule through kappa, B (by d ln B) and the
     Coulomb sums T_i = sum_j s_ij e_i e_j / (v_i - v_j)^2, whose derivatives
     are dT_i/dv_k = 2 s_ik e_i e_k / (v_i - v_k)^3 for k != i.
+
+    ``system`` is the straight-line code :func:`_nbody_factory` compiled
+    for ``spec.n``, bound to the spec's charges, masses and pair products
+    s_ij e_i e_j and to ``vn``.  Two coincident speeds, or a point where
+    the floats overflow, give NaN residuals, Jacobian and scales, which
+    Newton's backtracking treats as no decrease, so it halves the step;
+    non-finite residuals give a NaN Jacobian.  DegenerateError where
+    kappa = 0, e2 = 0 or the Coulomb bracket of the field vanishes (see
+    :func:`_collinear_field`).
     """
-    n = spec.n
     e, m = spec.charges.tolist(), spec.masses.tolist()
-    free = [0, *range(2, n - 1)]   # the unknown speeds, and the rows kept
-    # s_ij e_i e_j of each kept row i
-    pairs = [[(1 if j > i else -1) * e[i] * e[j] for j in range(n)] for i in free]
-    nan = (math.nan,) * (n - 2)
-
-    def assemble(u):
-        v1, *inner = map(float, u)
-        return [v1, _V2, *inner, vn]
-
-    def system(u):
-        x = assemble(u)
-        if len(set(x)) < n:
-            # two speeds coincide: no residual, no derivative, no iterate
-            return nan, (nan,) * (n - 2), nan
-        kap, C, B = _collinear_field(spec, x)
-        w = kap * B
-        # d kappa, dB and d omega along each free speed; dB is B d ln B
-        # written without the factor 1 / (m2 kappa - e2)
-        smv = math.fsum(mi * xi for mi, xi in zip(m, x))
-        dkap = [(e[k] - kap * m[k]) / smv for k in free]
-        dC = [2 * (1 if k > 1 else -1) * e[k] / (x[1] - x[k])**3 for k in free]
-        dB = [x[1] * m[1] * dk / (e[1] * kap**2 * C) - B * (2 * dk / kap + dc / C)
-              for dk, dc in zip(dkap, dC)]
-        dw = [dk * B + kap * db for dk, db in zip(dkap, dB)]
-        F, J, scale = [], [], []
-        for a, (i, p) in enumerate(zip(free, pairs)):
-            d = [x[i] - xj for xj in x]
-            d2 = [dj**2 for dj in d]
-            row = [B * e[i] * x[i], -m[i] * x[i] * w,
-                   *[p[j] * w**2 / d2[j] for j in range(n) if j != i]]
-            F.append(math.fsum(row))
-            scale.append(max(map(abs, row)))
-            q = [p[j] / d2[j] if j != i else 0.0 for j in range(n)]
-            dT = [2 * q[j] / d[j] if j != i else 0.0 for j in range(n)]
-            dT[i] = -sum(dT)
-            T = sum(q)
-            J.append([dB[b] * e[i] * x[i] - m[i] * x[i] * dw[b]
-                      + 2 * w * dw[b] * T + w * w * dT[k] for b, k in enumerate(free)])
-            J[a][a] += B * e[i] - m[i] * w
-        if not all(map(math.isfinite, F)):
-            return F, (nan,) * (n - 2), scale
-        return F, J, scale
-
-    return system, assemble
+    return _nbody_factory(spec.n)(spec.charges, spec.masses, float(vn), *e, *m)
 
 
 def _damped_newton(system, u0):

@@ -1,13 +1,23 @@
-"""Closed-form fields of the three-charge collinear rotations, written out.
+"""Reference forms the tests compare the solvers against.
+
+Closed-form fields of the three-charge collinear rotations, written out.
 
 The solvers take the field of every collinear root from one n-charge form
 (``solvers._collinear_field``: the second balance row solved for B, sign
 flipped for Configuration III).  These two expressions are independent of
 it and of each other, so the tests compare the sweep's fields and the sign
 map B_III(v1, v2, v3) = -B_II(v1, v2, -v3) against them.
+
+``walk_nbody_system`` is the reduced n-body collinear system as a walk
+over lists, the form :func:`magnetotrio.solvers._nbody_system` compiles
+to straight-line code; the compiled kernel must return its floats to the
+bit.
 """
 
+import math
+
 from magnetotrio import DegenerateError
+from magnetotrio.solvers import _V2, _collinear_field
 
 
 def closed_form_B_II(spec, v1, v2, v3):
@@ -35,3 +45,63 @@ def closed_form_B_III(spec, v1, v2, v3):
     if den == 0.0:
         raise DegenerateError("Configuration-III field denominator vanishes")
     return -num / den
+
+
+def walk_nbody_system(spec, vn):
+    """The reduced collinear system, differentiated exactly, in Python floats.
+
+    Unknowns u = (v1, v3, ..., v_{n-1}); v2 = _V2 and vn are fixed.  With
+    omega = kappa*B and B from the second balance equation, the equation
+    sum vanishes identically; only the kept rows {1, 3, ..., n-1} are
+    evaluated.  ``system(u)`` returns, from one evaluation, the residuals
+    F(u), their Jacobian dF/du and each row's scale (its largest |term|).
+    The Jacobian is the chain rule through kappa, B (by d ln B) and the
+    Coulomb sums T_i = sum_j s_ij e_i e_j / (v_i - v_j)^2, whose derivatives
+    are dT_i/dv_k = 2 s_ik e_i e_k / (v_i - v_k)^3 for k != i.
+    """
+    n = spec.n
+    e, m = spec.charges.tolist(), spec.masses.tolist()
+    free = [0, *range(2, n - 1)]   # the unknown speeds, and the rows kept
+    # s_ij e_i e_j of each kept row i
+    pairs = [[(1 if j > i else -1) * e[i] * e[j] for j in range(n)] for i in free]
+    nan = (math.nan,) * (n - 2)
+
+    def assemble(u):
+        v1, *inner = map(float, u)
+        return [v1, _V2, *inner, vn]
+
+    def system(u):
+        x = assemble(u)
+        if len(set(x)) < n:
+            # two speeds coincide: no residual, no derivative, no iterate
+            return nan, (nan,) * (n - 2), nan
+        kap, C, B = _collinear_field(spec, x)
+        w = kap * B
+        # d kappa, dB and d omega along each free speed; dB is B d ln B
+        # written without the factor 1 / (m2 kappa - e2)
+        smv = math.fsum(mi * xi for mi, xi in zip(m, x))
+        dkap = [(e[k] - kap * m[k]) / smv for k in free]
+        dC = [2 * (1 if k > 1 else -1) * e[k] / (x[1] - x[k])**3 for k in free]
+        dB = [x[1] * m[1] * dk / (e[1] * kap**2 * C) - B * (2 * dk / kap + dc / C)
+              for dk, dc in zip(dkap, dC)]
+        dw = [dk * B + kap * db for dk, db in zip(dkap, dB)]
+        F, J, scale = [], [], []
+        for a, (i, p) in enumerate(zip(free, pairs)):
+            d = [x[i] - xj for xj in x]
+            d2 = [dj**2 for dj in d]
+            row = [B * e[i] * x[i], -m[i] * x[i] * w,
+                   *[p[j] * w**2 / d2[j] for j in range(n) if j != i]]
+            F.append(math.fsum(row))
+            scale.append(max(map(abs, row)))
+            q = [p[j] / d2[j] if j != i else 0.0 for j in range(n)]
+            dT = [2 * q[j] / d[j] if j != i else 0.0 for j in range(n)]
+            dT[i] = -sum(dT)
+            T = sum(q)
+            J.append([dB[b] * e[i] * x[i] - m[i] * x[i] * dw[b]
+                      + 2 * w * dw[b] * T + w * w * dT[k] for b, k in enumerate(free)])
+            J[a][a] += B * e[i] - m[i] * w
+        if not all(map(math.isfinite, F)):
+            return F, (nan,) * (n - 2), scale
+        return F, J, scale
+
+    return system, assemble

@@ -490,6 +490,23 @@ class TestFindAndVerify:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("magnetotrio: no solution: no ")
 
+    def test_overflowing_newton_trial_is_no_traceback(self, tmp_path):
+        # a damped-Newton step on this species tries v4 ~ 1e152, where
+        # (v2 - v4)^3 overflows; backtracking halves such a step
+        sys_path = _write(tmp_path, "far.system",
+                          "B 0.9460724511932017\n"
+                          "particle 0.49642769234506934 1.504749966827686\n"
+                          "particle -0.22299819532769366 1.6376868244332188\n"
+                          "particle 2.4233129008102505 2.6327128534887874\n"
+                          "particle -1.2631391977133124 1.3649988752255569\n"
+                          "particle -2.106210409495327 0.5746180706011068\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "magnetotrio.cli", "find", sys_path,
+             "--config", "nbody-II"],
+            env=_env_with_src(), timeout=120, capture_output=True, text=True)
+        assert done.returncode in (0, 4), done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_identical_pair_catalog(self, tmp_path):
         sys_path = _write(tmp_path, "pair.system",
                           "B 2\nparticle -1 1\nparticle -1 1\nparticle -1 1\n")

@@ -1,5 +1,8 @@
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from magnetotrio.dynamics import rigidity_report
 from magnetotrio.solvers import (_collinear_field, _collinear_terms,
                                  _evaluate_p6, catalog_header, collinear_kappa,
                                  helium_pattern, sweep_grid)
-from oracles import closed_form_B_II, closed_form_B_III
+from oracles import closed_form_B_II, closed_form_B_III, walk_nbody_system
 
 CBRT_5_4 = (5.0 / 4.0) ** (1.0 / 3.0)       # 1.0772173450159419
 CBRT_10 = 10.0 ** (1.0 / 3.0)               # 2.1544346900318838
@@ -454,7 +457,9 @@ class TestNbodyCollinear:
     def test_default_grid_rows_and_residual_count(self, name, rows, request,
                                                   monkeypatch):
         # rows frozen from the central-difference Newton solve, which made
-        # 6066 (four) and 4949 (five) residual evaluations on this grid
+        # 6066 (four) and 4949 (five) residual evaluations on this grid; the
+        # exact count of the exact-Jacobian solve pins Newton's path, so a
+        # kernel whose floats move it fails here
         spec = request.getfixturevalue(name)
         calls = 0
         factory = solvers._nbody_system
@@ -472,6 +477,7 @@ class TestNbodyCollinear:
         monkeypatch.setattr(solvers, "_nbody_system", counted)
         sols = solve_nbody_II(spec)
         assert calls <= 1000
+        assert calls == {"four": 735, "five": 748}[name]
         assert len(sols) == len(rows)
         for sol, (v, omega, B) in zip(sols, rows):
             np.testing.assert_allclose(sol.v, v, rtol=1e-12)
@@ -501,6 +507,158 @@ class TestNbodyCollinear:
         spec = SystemSpec(2.0, (1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0))
         with pytest.raises(NoSolution, match="charge-to-mass"):
             solve_nbody_II(spec)
+
+
+def _same_floats(a, b):
+    """Bit equality of nested float sequences, NaN equal to NaN."""
+    if isinstance(a, (tuple, list)):
+        return (isinstance(b, (tuple, list)) and len(a) == len(b)
+                and all(map(_same_floats, a, b)))
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _outcome(system, u):
+    try:
+        return system(u)
+    except (DegenerateError, ArithmeticError, ValueError) as ex:
+        return type(ex)
+
+
+def _assert_kernel_is_walk(spec, vn, u):
+    """The compiled system and the list walk agree to the bit at ``u``:
+    equal floats, or the same DegenerateError; where the walk's floats
+    fail (an ArithmeticError, or fsum's ValueError on +inf and -inf), the
+    kernel gives the non-finite triple."""
+    got = _outcome(solvers._nbody_system(spec, vn)[0], u)
+    want = _outcome(walk_nbody_system(spec, vn)[0], u)
+    if want is DegenerateError:
+        assert got is DegenerateError, (spec, vn, u)
+        return
+    if isinstance(want, type):
+        nan = (math.nan,) * (spec.n - 2)
+        want = (nan, (nan,) * (spec.n - 2), nan)
+    assert not isinstance(got, type), (spec, vn, u, got)
+    assert _same_floats(got, want), (spec, vn, u)
+
+
+# a five-charge species whose damped Newton tries a point with
+# v4 ~ 1e152, where (v2 - v4)^3 overflows
+_FAR_TRIAL = (SystemSpec(0.9460724511932017,
+                         (0.49642769234506934, -0.22299819532769366,
+                          2.4233129008102505, -1.2631391977133124,
+                          -2.106210409495327),
+                         (1.504749966827686, 1.6376868244332188,
+                          2.6327128534887874, 1.3649988752255569,
+                          0.5746180706011068)),
+              15.803847773167758,
+              [1.000003511890233, 6.662787992716847, 9.908669549842767e+151])
+
+
+def _random_species(rng, n):
+    return SystemSpec(float(rng.uniform(0.2, 3.0)), rng.uniform(-3.0, 3.0, n),
+                      rng.uniform(0.2, 3.0, n))
+
+
+class TestCompiledCollinearSystem:
+    """``_nbody_system`` is straight-line code compiled once per n, with the
+    floats of the list walk it replaced (``oracles.walk_nbody_system``)."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_seeded_points_match_the_walk(self, n):
+        rng = np.random.default_rng(2300 + n)
+        for _ in range(2000):
+            spec = _random_species(rng, n)
+            vn = float(rng.uniform(1.5, 20.0))
+            if rng.random() < 0.5:
+                # ordered speeds, as from the seeds
+                inner = np.sort(rng.uniform(1.05, vn, n - 3))
+            else:
+                inner = rng.uniform(0.05, 2.0 * vn, n - 3)
+            u = [float(rng.uniform(0.05, 1.5)), *inner.tolist()]
+            _assert_kernel_is_walk(spec, vn, u)
+
+    @pytest.mark.parametrize("u", [[1.0, 2.0], [0.5, 3.0], [0.5, 0.5]],
+                             ids=["v1=v2", "v3=v4", "v1=v3"])
+    def test_coincident_speeds_give_the_nan_triple(self, four, u):
+        _assert_kernel_is_walk(four, 3.0, u)
+        F, J, scale = solvers._nbody_system(four, 3.0)[0](u)
+        assert all(map(math.isnan, [*F, *scale, *(x for row in J for x in row)]))
+
+    @pytest.mark.parametrize("charges, u", [
+        ((1.0, -1.0, 1.0, -1.0), [0.5, 2.5]),   # sum e_i v_i = 0: kappa = 0
+        ((1.0, 1.0, 1.0, 0.0), [0.5, 1.5]),     # Coulomb bracket -4 + 4 = 0
+        ((1.0, 0.0, 1.0, 1.0), [0.5, 1.5]),     # e2 = 0
+    ], ids=["kappa", "bracket", "e2"])
+    def test_degenerate_points_raise_as_the_walk(self, charges, u):
+        spec = SystemSpec(1.0, charges, (1.0, 2.0, 1.0, 3.0))
+        with pytest.raises(DegenerateError):
+            solvers._nbody_system(spec, 2.0)[0](u)
+        _assert_kernel_is_walk(spec, 2.0, u)
+
+    @pytest.mark.parametrize("case, error", [
+        (_FAR_TRIAL, OverflowError),
+        # two speeds 1e-200 apart: their squared distance underflows to 0
+        ((SystemSpec(1.0, (3.0, -1.0, 1.0, 2.0), (1.0, 1.0, 3.0, 2.0)), 3.0,
+          [1e-200, 2e-200]), ZeroDivisionError),
+        # an infinite field: a balance row holds +inf and -inf
+        ((SystemSpec(1.0, (-3.8153537990765386e-136, 2.511686099073616e+57,
+                           1.0873891322011661e-160, -189642.87232261532),
+                     (5.3939096483535385e-27, 2.0555170504705576e-15,
+                      3.911274521513877e+45, 6.455497179438104e+67)),
+          1.8201440516600993e+96, [8.303195538827091e+72, 8.097513210358506e+86]),
+         ValueError),
+    ], ids=["overflow", "underflow", "inf-inf"])
+    def test_float_failures_give_the_nan_triple(self, case, error):
+        spec, vn, u = case
+        with pytest.raises(error):
+            walk_nbody_system(spec, vn)[0](u)
+        _assert_kernel_is_walk(spec, vn, u)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_searches_match_the_walk(self, n, monkeypatch):
+        # mostly positive charges, so that some searches find rows
+        rng = np.random.default_rng(2400 + n)
+        species = [SystemSpec(float(rng.uniform(0.2, 3.0)), rng.uniform(-1.0, 3.0, n),
+                              rng.uniform(0.2, 3.0, n)) for _ in range(10)]
+        grid = np.geomspace(1.5, 20.0, 5)
+
+        def rows(spec):
+            try:
+                sols = solve_nbody_II(spec, grid, require_certified=False)
+            except (NoSolution, DegenerateError) as ex:
+                return type(ex)
+            return [(s.v, s.omega, s.B, s.certified) for s in sols]
+
+        compiled = [rows(spec) for spec in species]
+        assert any(isinstance(r, list) for r in compiled)
+        monkeypatch.setattr(solvers, "_nbody_system", walk_nbody_system)
+        assert [rows(spec) for spec in species] == compiled
+
+    def test_one_code_object_per_particle_count(self):
+        rng = np.random.default_rng(2500)
+        a, b = _random_species(rng, 5), _random_species(rng, 5)
+        sa, sb = solvers._nbody_system(a, 3.0)[0], solvers._nbody_system(b, 7.5)[0]
+        assert sa is not sb
+        assert sa.__code__ is sb.__code__
+
+    def test_another_particle_count_has_its_own_code(self):
+        rng = np.random.default_rng(2501)
+        four, six = (solvers._nbody_system(_random_species(rng, n), 3.0)[0]
+                     for n in (4, 6))
+        assert four.__code__ is not six.__code__
+
+    def test_nothing_compiles_at_import(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(solvers.__file__)))
+        code = ("import magnetotrio.cli\n"
+                "from magnetotrio import solvers\n"
+                "print(solvers._nbody_factory.cache_info().currsize)\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"
 
 
 class TestConservedForms:
