@@ -32,8 +32,8 @@ from .jacobi import (JacobiState, JacobiWeights, apply_cc, from_jacobi,
 from .solvers import (ConfigSolution, build_initial_state,
                       conserved_closed_forms, helium_closed_forms,
                       helium_cubic_root, helium_quartic_coefficients,
-                      newton_balance, p6_coefficients, pair_distance_min,
-                      residuals_config_I, residuals_nbody_II, solve_config_I,
+                      p6_coefficients, pair_distance_min, residuals_config_I,
+                      residuals_nbody_II, solve_config_I,
                       solve_config_I_identical, solve_config_I_v3zero,
                       solve_config_II, solve_config_III, solve_nbody_II,
                       write_catalog)

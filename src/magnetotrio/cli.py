@@ -296,7 +296,7 @@ def _build_parser():
                         version=f"magnetotrio {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[],
+    p = sub.add_parser("simulate",
                        help="integrate a system file; write trajectory and "
                             "invariant CSVs plus a manifest")
     p.add_argument("system", help="system file with full initial state")

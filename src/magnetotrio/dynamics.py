@@ -8,8 +8,8 @@ i.e. the magnetic force in the plane plus pairwise Coulomb forces.  Their
 right-hand side is straight-line code compiled once per particle count n
 (:func:`_rhs_factory`) and bound to a spec's constants; every pair is
 spelled out, and the floats are those of a scalar walk over the pair table
-``SystemSpec.pairs``.  :func:`accelerations` is a view of it; the stepper
-stores the list of the kernel's twin ``rows`` straight into a stage row.
+``SystemSpec.pairs``.  It returns a list, which the stepper stores
+straight into a stage row; :func:`accelerations` is its second half.
 :func:`integrate` can also run in a frame that turns at a given frequency,
 where a rigid rotation at that frequency is a constant solution; its
 kernel is the same template plus the frame term.
@@ -86,13 +86,13 @@ def _rhs_factory(n, rotating=False):
 
     Returns ``make(B, e0.., m0.., c0..)``, which binds a field, the n
     charges and masses and the pair products ``c_k = e_I e_J`` of
-    :func:`pair_index` order, and returns ``f(t, y)``, the array of the
-    list ``f.rows(t, y)``.  ``rows`` unpacks ``y`` into locals and spells
-    out every pair, with no list indexing or loop overhead.  The source is
-    built from n alone (fixed templates), never from a value of a spec.
+    :func:`pair_index` order, and returns ``f(t, y)``, which unpacks ``y``
+    into locals, spells out every pair, with no list indexing or loop
+    overhead, and returns the derivatives as a list.  The source is built
+    from n alone (fixed templates), never from a value of a spec.
 
     With ``rotating``, ``make`` takes one more argument, the frame
-    frequency w, and ``rows`` adds w (I_2n x J) y to each derivative, with
+    frequency w, and ``f`` adds w (I_2n x J) y to each derivative, with
     J = [[0, -1], [1, 0]]: per charge, x' = vx - w y, y' = vy + w x,
     vx' = ax - w vy and vy' = ay + w vx.  That is the field of
     :func:`integrate`'s rotating frame; the inertial source is unchanged.
@@ -103,7 +103,7 @@ def _rhs_factory(n, rotating=False):
     state = ([f"{v}{i}" for i in range(n) for v in ("x", "y")]
              + [f"{v}{i}" for i in range(n) for v in ("vx", "vy")])
     lines = [f"def make(B, {', '.join(e + m + c + ['w'] * rotating)}):",
-             "    def rows(t, y):",
+             "    def f(t, y):",
              f"        {', '.join(state)} = y.tolist()"]
     for k, (i, j) in enumerate(pairs):
         lines += [f"        dx = x{i} - x{j}",
@@ -128,18 +128,16 @@ def _rhs_factory(n, rotating=False):
         # the x-like partner of a y-like one
         out = [f"{d} - w * {state[k + 1]}" if k % 2 == 0
                else f"{d} + w * {state[k - 1]}" for k, d in enumerate(out)]
-    lines += [f"        return [{', '.join(out)}]",
-              "    def f(t, y):", "        return array(rows(t, y))",
-              "    f.rows = rows", "    return f"]
-    scope = {"array": np.array}
+    lines += [f"        return [{', '.join(out)}]", "    return f"]
+    scope = {}
     name = "rotating" if rotating else "newton"
     exec(compile("\n".join(lines), f"<{name} rhs, n = {n}>", "exec"), scope)
     return scope["make"]
 
 
 def _rhs(spec, w=0.0):
-    """The Newton right-hand side ``f(t, y)`` for ``y`` = (positions,
-    velocities), each flattened row by row: the kernel that
+    """The Newton right-hand side ``f(t, y)``, a list, for ``y`` =
+    (positions, velocities), each flattened row by row: the kernel that
     :func:`_rhs_factory` compiled for ``spec.n``, bound to the spec's field,
     charges, masses and pair products.  A nonzero ``w`` binds the rotating
     kernel instead, the field ``g(t, y) = f(t, y) + w (I_2n x J) y`` of the
@@ -163,7 +161,8 @@ def accelerations(spec, positions, velocities):
     if not pos.size == vel.size == 2 * spec.n:
         raise DomainError(f"positions and velocities must hold {spec.n} "
                           "planar vectors each")
-    return _rhs(spec)(0.0, np.concatenate([pos, vel]))[2 * spec.n:].reshape(spec.n, 2)
+    acc = _rhs(spec)(0.0, np.concatenate([pos, vel]))[2 * spec.n:]
+    return np.array(acc).reshape(spec.n, 2)
 
 
 def _checked_grid(settings, t0):
@@ -222,7 +221,6 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
     ``settings.t_end``, sampled on ``t_eval``, the grid that
     :func:`_checked_grid` returned for ``settings``.
 
-    The stepper calls the list twin ``rhs.rows`` where ``rhs`` has one.
     ``positions_of(y)`` maps a solver vector to the flat list ``x0, y0, x1,
     y1, ...`` of the positions the collision watch reads.  The watch checks
     the start state, which raises at ``t0`` before any RHS call, and every
@@ -265,9 +263,8 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
         # a runaway charge overflows the stepper's numpy arithmetic
         # first; its warnings give way to the DomainError below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # a stand-in for a compiled RHS has no list twin
-            stepper = DOP853(getattr(rhs, "rows", rhs), t0, y0, t1,
-                             settings.rel_tol, settings.abs_tol)
+            stepper = DOP853(rhs, t0, y0, t1, settings.rel_tol,
+                             settings.abs_tol)
             while stepper.t < t1:
                 stepper.step()
                 t, y, dense = stepper.t, stepper.y, None

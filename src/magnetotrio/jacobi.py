@@ -256,8 +256,8 @@ def rhs_jacobi(spec):
     ``g1``, ``g2`` its gradients in ``A(tau1)``, ``A(tau2)``, which
     ``A(r) = B/2 (-r_y, r_x)`` maps back to ``tau1``, ``tau2``, and the
     Coulomb pairs (1,2), (1,3), (2,3) lie along ``tau1``, ``nu2 tau1 + tau2``
-    and ``tau2 - nu1 tau1``.  ``f`` is the array of the list ``f.rows(t, z)``,
-    which the stepper stores straight into a stage row.
+    and ``tau2 - nu1 tau1``.  ``f`` returns a list, which the stepper
+    stores straight into a stage row.
     """
     w = jacobi_weights(spec)
     hB = 0.5 * spec.B
@@ -270,7 +270,7 @@ def rhs_jacobi(spec):
     k22 = k2q1 * ec1 * mu3                    # twice that of |A(tau2)|^2
     c12, c13, c23 = spec.pairs[2].tolist()
 
-    def rows(t, z):
+    def f(t, z):
         Rx, Ry, t1x, t1y, t2x, t2y, Px, Py, q1x, q1y, q2x, q2y = z.tolist()
         a1x, a1y = -hB * t1y, hB * t1x
         a2x, a2y = -hB * t2y, hB * t2x
@@ -295,10 +295,6 @@ def rhs_jacobi(spec):
                 s13 * d13x + s23 * d23x - hB * g2y,
                 s13 * d13y + s23 * d23y + hB * g2x]
 
-    def f(t, z):
-        return np.array(rows(t, z))
-
-    f.rows = rows
     return f
 
 

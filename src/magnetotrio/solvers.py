@@ -20,12 +20,15 @@ III : as II but charge 3 sits on the opposite side of the center
 
 The collinear equations generalize to n charges (solve_nbody_II).
 
-Configuration III is Configuration II with the third speed reflected, and
-n-body II generalizes both, so the three collinear solvers share one
-sweep: each supplies only the candidate speeds at a swept value of the
-last speed (the real roots of the elimination sextic, or damped Newton
-from seeds), and one routine assembles the field (_collinear_field),
-the frequency omega = kappa*B and the certification.  The second speed is
+Every one of them is one collinear layout (:func:`_layout`) turning about
+a center: Configuration I is (v1, -v2, 0) about charge 3, III reflects the
+third speed of II, and n-body II generalizes both.  One set of balance
+rows (_collinear_terms) and one state builder serve all four, and the
+three collinear solvers share one sweep: each supplies only the candidate
+speeds at a swept value of the last speed (the real roots of the
+elimination sextic, or damped Newton from seeds), and one routine
+assembles the field (_collinear_field), the frequency omega = kappa*B and
+the certification.  The second speed is
 fixed at 1 (the systems are scale-covariant).  Every search, Configuration
 I's included, runs one sweep over the values :func:`sweep_grid` decides.
 The sextic is rooted in v1 by the eigenvalues of its companion matrix, so
@@ -33,12 +36,12 @@ every positive real root is found, at any distance from the second speed.
 
 Sign conventions and certification
 ----------------------------------
-The force-balance equations below hard-code the sign pattern of the
-Coulomb terms for their nominal speed ordering and rotation sense
-(omega > 0).  A root of the equations is therefore only a genuine
-Newtonian motion inside that sector; every solver here re-checks the
-instantaneous Newton balance of the built state, and the n-body solver
-also integrates the state over a quarter period and measures rigidity.
+The force-balance equations take the sign pattern of the Coulomb terms
+from the layout's nominal order and rotation sense (omega > 0).  A root
+of the equations is therefore only a genuine Newtonian motion inside
+that sector; every solver here re-checks the instantaneous Newton balance
+of the built state, and the n-body solver also integrates the state over
+a quarter period and measures rigidity.
 That integration runs in the frame turning at the rotation's own signed
 frequency, where a rigid rotation is an equilibrium (a relative
 equilibrium; Meyer, Hall and Offin, Introduction to Hamiltonian Dynamical
@@ -74,9 +77,9 @@ __all__ = [
     "helium_quartic_coefficients", "helium_closed_forms",
     "solve_config_I_v3zero", "solve_config_I_identical", "solve_config_I",
     "solve_config_II", "solve_config_III", "solve_nbody_II",
-    "build_initial_state", "newton_balance", "conserved_closed_forms",
-    "pair_distance_min", "write_catalog", "catalog_header", "sweep_grid",
-    "DEFAULT_GRID_POINTS",
+    "build_initial_state", "conserved_closed_forms", "pair_distance_min",
+    "write_catalog", "catalog_header", "sweep_grid", "DEFAULT_GRID_POINTS",
+    "MAX_GRID_POINTS",
 ]
 
 _RESIDUAL_TOL = 1e-10     # relative residual gate for certification
@@ -99,6 +102,8 @@ _RIGIDITY_PERIODS = 0.25
 
 _COLLINEAR_BOUNDS = {"II": (1.5, 20.0), "III": (0.05, 0.8), "nbody-II": (1.5, 20.0)}
 DEFAULT_GRID_POINTS = 12
+# Largest grid sweep_grid builds; every point is a root search.
+MAX_GRID_POINTS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -139,21 +144,28 @@ class ConfigSolution:
 # residual systems (raw, as printed; term-split for relative norms)
 # ---------------------------------------------------------------------------
 
+def _layout(config, v):
+    """(u, order): the signed speeds u of a rotation at speeds ``v``, charge i
+    at u_i / omega from the center, and the charges' nominal order along
+    the line, toward increasing u.  I: (v1, -v2, 0), charges 2, 3, 1;
+    III: (v1, v2, -v3), reverse order; II and n-body II: v, index order."""
+    if config == "I":
+        return (v[0], -v[1], 0.0), (1, 2, 0)
+    if config == "III":
+        return (v[0], v[1], -v[2]), (2, 1, 0)
+    if config in ("II", "nbody-II"):
+        return tuple(v), tuple(range(len(v)))
+    raise DomainError(f"unknown configuration tag {config!r}")
+
+
 def _config_I_terms(spec, v1, v2, v3, omega, omega3):
-    e1, e2, e3 = spec.charges
-    m1, m2, m3 = spec.masses
-    B = spec.B
-    s = v1 + v2
-    return [
-        [v3 * B * e1, -v3 * m1 * omega3],
-        [v3 * B * e2, -v3 * m2 * omega3],
-        [v3 * B * e3, -v3 * m3 * omega3],
-        [e3 * e1 * omega**2 / v1**2, -e3 * e2 * omega**2 / v2**2],
-        [B * e1 * v1, -m1 * v1 * omega,
-         -e1 * e2 * omega**2 / s**2, -e1 * e3 * omega**2 / v1**2],
-        [B * e2 * v2, -m2 * v2 * omega,
-         -e2 * e1 * omega**2 / s**2, -e2 * e3 * omega**2 / v2**2],
-    ]
+    # the third charge's own circle, then the collinear rows of the layout
+    # (radius compatibility, pair balances; the second one's sign flipped)
+    e, m, B = spec.charges.tolist(), spec.masses.tolist(), spec.B
+    u, order = _layout("I", (v1, v2))
+    pair1, pair2, third = _collinear_terms(spec, u, omega, B, order)
+    return [*([v3 * B * e[i], -v3 * m[i] * omega3] for i in range(3)),
+            third, pair1, [-t for t in pair2]]
 
 
 def residuals_config_I(spec, v1, v2, v3, omega, omega3):
@@ -161,9 +173,10 @@ def residuals_config_I(spec, v1, v2, v3, omega, omega3):
 
     Rows: the three third-charge frequency conditions v3*(B e_i - m_i w3),
     the radius-compatibility condition e3*(e1/v1^2 - e2/v2^2)*w^2, and the
-    two pair force balances.  ``spec.B`` supplies the field.  A zero v1 or
-    v2 puts a pair charge on the third, v1 + v2 = 0 the pair on one point:
-    DegenerateError.
+    two pair force balances, the rows of charges 3, 1 and (negated) 2 of
+    the collinear system at (v1, -v2, 0).  ``spec.B`` supplies the field.
+    A zero v1 or v2 puts a pair charge on the third, v1 + v2 = 0 the pair
+    on one point: DegenerateError.
     """
     if spec.n != 3:
         raise DomainError("Configuration I is a three-charge system")
@@ -173,20 +186,15 @@ def residuals_config_I(spec, v1, v2, v3, omega, omega3):
                      _config_I_terms(spec, v1, v2, v3, omega, omega3)])
 
 
-def _collinear_terms(spec, v, omega, B, s=1):
-    # balance rows at signed speeds v; the (i, j) Coulomb term carries the
-    # sign s for j > i and -s for j < i (s = 1: the ordering v1 < ... < vn)
-    n, charges, masses = len(v), spec.charges.tolist(), spec.masses.tolist()
-    rows = []
-    for i in range(n):
-        row = [B * charges[i] * v[i], -masses[i] * v[i] * omega]
-        for j in range(n):
-            if j == i:
-                continue
-            row.append((s if j > i else -s) * charges[i] * charges[j] * omega**2
-                       / (v[i] - v[j])**2)
-        rows.append(row)
-    return rows
+def _collinear_terms(spec, u, omega, B, order):
+    # balance rows at signed speeds u; the (i, j) Coulomb term carries the
+    # sign +1 when charge j lies beyond charge i along ``order``, else -1
+    n, charges, masses = len(u), spec.charges.tolist(), spec.masses.tolist()
+    rank = {k: r for r, k in enumerate(order)}
+    return [[B * charges[i] * u[i], -masses[i] * u[i] * omega,
+             *((1 if rank[j] > rank[i] else -1) * charges[i] * charges[j]
+               * omega**2 / (u[i] - u[j])**2 for j in range(n) if j != i)]
+            for i in range(n)]
 
 
 def residuals_nbody_II(spec, v, omega, B):
@@ -194,10 +202,8 @@ def residuals_nbody_II(spec, v, omega, B):
 
     The sign in front of the (i, j) Coulomb term is +1 for j > i and -1
     for j < i, matching the nominal speed ordering v1 < ... < vn.  For
-    n = 3 this is exactly the Configuration-II system; Configuration III's
-    rows are those of ``_collinear_terms`` at (v1, v2, -v3) with the
-    Coulomb signs reversed.  Two equal speeds put two charges on one point,
-    which is DegenerateError.
+    n = 3 this is exactly the Configuration-II system.  Two equal speeds
+    put two charges on one point, which is DegenerateError.
     """
     v = list(map(float, v))
     if spec.n != len(v):
@@ -206,14 +212,8 @@ def residuals_nbody_II(spec, v, omega, B):
         raise DomainError("collinear rigid rotations need at least 3 charges")
     if len(set(v)) < len(v):
         raise DegenerateError("collinear residuals: two speeds coincide")
-    rows = _collinear_terms(spec, v, omega, B)
+    rows = _collinear_terms(spec, v, omega, B, range(len(v)))
     return np.array([math.fsum(r) for r in rows])
-
-
-def _signed_speeds(config, v):
-    """Collinear speeds with signs: Configuration III puts charge 3 on the
-    other side of the center, which reflects its speed."""
-    return (v[0], v[1], -v[2]) if config == "III" else tuple(v)
 
 
 def _relative_norm(term_rows):
@@ -222,7 +222,7 @@ def _relative_norm(term_rows):
         scale = max(abs(t) for t in row)
         if scale == 0.0:
             continue
-        worst = max(worst, abs(math.fsum(row)) / scale)
+        worst = max(worst, abs(math.fsum(row)) / float(scale))
     return worst
 
 
@@ -240,11 +240,13 @@ def collinear_kappa(spec, v):
     return num / den
 
 
-def _collinear_field(spec, v):
-    """(kappa, C, B) at speeds ``v``, as Python floats: B = v2 (m2 kappa -
-    e2) / (e2 kappa^2 C) solves the second collinear balance row, where
-    C = sum_j s_2j e_j / (v2 - v_j)^2 is its Coulomb bracket.  Two equal
-    speeds put two charges on one point, which is DegenerateError."""
+def _collinear_field(spec, v, order):
+    """(kappa, C, B) at signed speeds ``v`` with the charges in ``order``
+    along the line, as Python floats: B = v2 (m2 kappa - e2) / (e2 kappa^2
+    C) solves the second collinear balance row, where C = sum_j s_2j e_j /
+    (v2 - v_j)^2 is its Coulomb bracket (signs as in _collinear_terms).
+    Two equal speeds put two charges on one point, which is
+    DegenerateError."""
     v = np.asarray(v, float)
     kap = collinear_kappa(spec, v)
     e, m, v = spec.charges.tolist(), spec.masses.tolist(), v.tolist()
@@ -252,8 +254,9 @@ def _collinear_field(spec, v):
         raise DegenerateError("collinear field closed form needs e2 != 0, kappa != 0")
     if len(set(v)) < len(v):
         raise DegenerateError("collinear field closed form: two speeds coincide")
+    rank = {k: r for r, k in enumerate(order)}
     bracket = math.fsum(
-        (1 if j > 1 else -1) * e[j] / (v[1] - v[j])**2
+        (1 if rank[j] > rank[1] else -1) * e[j] / (v[1] - v[j])**2
         for j in range(spec.n) if j != 1)
     if bracket == 0.0:
         raise DegenerateError("collinear field closed form: Coulomb bracket vanishes")
@@ -409,42 +412,34 @@ def build_initial_state(solution, spec):
     """Phase-space snapshot of a solution at t = 0.
 
     Returns ``(spec_b, state)`` where ``spec_b`` is ``spec`` with the
-    solution's field value installed.  The parametrization puts every
-    rotation center at the origin and its phase at angle 0, so all
-    charges start on the x-axis with tangential (y) velocities.
+    solution's field value installed.  The parametrization puts the phase
+    at angle 0: with the signed frequency w and the signed speeds u of the
+    solution's layout (:func:`_layout`), charge i starts at c + (u_i / w, 0)
+    with velocity c' + (0, -u_i).  The center c and its velocity c' are 0
+    except in Configuration I with v3 != 0, whose center, charge 3, runs
+    its own circle about the origin at omega3.
     """
     if tuple(spec.charges.shape) != (len(solution.v),):
         raise DomainError("solution and spec have different particle counts")
     sigma = 1.0 if solution.sense == "cw" else -1.0
     w = _frame_omega(solution)
-    cfg = solution.config
-    v = [sigma * vi for vi in _signed_speeds(cfg, solution.v)]
-    if cfg in ("II", "III", "nbody-II"):
-        pos = [[vi / w, 0.0] for vi in v]
-        vel = [[0.0, -vi] for vi in v]
-    elif cfg == "I":
-        if solution.v[2] == 0.0:
-            center = np.zeros(2)
-            cvel = np.zeros(2)
-        else:
-            w3 = sigma * solution.omega3
-            if w3 == 0.0:
-                raise DomainError("Configuration I with v3 != 0 needs omega3")
-            center = np.array([v[2] / w3, 0.0])
-            cvel = np.array([0.0, -v[2]])
-        pos = [center + [v[0] / w, 0.0],
-               center - [v[1] / w, 0.0],
-               center]
-        vel = [cvel + [0.0, -v[0]], cvel + [0.0, v[1]], cvel]
-    else:
-        raise DomainError(f"unknown configuration tag {solution.config!r}")
+    u, _ = _layout(solution.config, solution.v)
+    c = cvel = 0.0
+    if solution.config == "I" and solution.v[2] != 0.0:
+        w3 = sigma * solution.omega3
+        if w3 == 0.0:
+            raise DomainError("Configuration I with v3 != 0 needs omega3")
+        c, cvel = sigma * solution.v[2] / w3, -sigma * solution.v[2]
+    pos = [[c + sigma * ui / w, 0.0] for ui in u]
+    vel = [[0.0, cvel - sigma * ui] for ui in u]
     spec_b = replace(spec, B=solution.B)
     return spec_b, PhaseState(np.array(pos, float), np.array(vel, float))
 
 
-def newton_balance(solution, spec):
+def _newton_balance(solution, spec_b, state):
     """Relative mismatch between the exact Newtonian accelerations of the
-    built state and the rigid-rotation kinematics it claims.
+    state built from ``solution`` and the rigid-rotation kinematics it
+    claims.
 
     Each charge turns at omega about a center c (the third charge in
     Configuration I, else the origin) that turns at omega3, so it should
@@ -452,11 +447,6 @@ def newton_balance(solution, spec):
     solution is a genuine trajectory; far above the 1e-6 gate for
     algebra-only roots whose sign sector does not match.
     """
-    return _newton_balance(solution, *build_initial_state(solution, spec))
-
-
-def _newton_balance(solution, spec_b, state):
-    """:func:`newton_balance` of the state built from ``solution``."""
     acc = accelerations(spec_b, state.positions, state.velocities)
     c = state.positions[2] if solution.config == "I" else 0.0
     expected = (-solution.omega**2 * (state.positions - c)
@@ -487,8 +477,7 @@ def _certify(sol, spec, terms, gates=()):
     notes = tuple(note for ok, note in gates if not ok)
     if not notes and sol.config == "nbody-II":
         t_end = _RIGIDITY_PERIODS * (2 * math.pi / sol.omega)
-        settings = IntegratorSettings(t_end=t_end, rel_tol=1e-10, abs_tol=1e-10,
-                                      sample_interval=t_end / 200.0)
+        settings = IntegratorSettings(t_end=t_end, sample_interval=t_end / 200.0)
         # looked up at call time, so bench/spans.py traces these integrations
         sol.rigidity = rigidity_report(dynamics.integrate(
             spec_b, state, settings, frame_omega=_frame_omega(sol))).worst
@@ -510,7 +499,10 @@ def sweep_grid(spec, config, grid_min=None, grid_max=None,
     by default over the last speed's [1.5, 20] (II, n-body II) or [0.05, 0.8]
     (III), over an identical pair's [rho_min, 4 rho_min] or [0.5, 4], or else
     v1's [0.5, 2] (I), each distinct value once, ascending.  DomainError
-    unless 0 < min <= max < inf."""
+    unless 0 < min <= max < inf and ``points`` <= ``MAX_GRID_POINTS``."""
+    if points > MAX_GRID_POINTS:
+        raise DomainError(f"{points} grid points exceed the ceiling of "
+                          f"{MAX_GRID_POINTS}")
     if config != "I":
         bounds = _COLLINEAR_BOUNDS[config]
     elif spec.n == 3 and _identical_pair(spec):
@@ -761,16 +753,14 @@ def _p6_roots_v1(c, v2, v3):
 def _collinear_solution(spec, v, config, branch):
     """Assemble + certify one collinear root (positive speed tuple ``v``);
     its own gates are the speed ordering and the rotation sense."""
-    vs = _signed_speeds(config, v)
-    s = -1 if config == "III" else 1
-    # the second balance row solved for B; s = -1 flips its Coulomb terms
-    kap, _, B = _collinear_field(spec, vs)
-    B *= s
+    u, order = _layout(config, v)
+    # the second balance row solved for B
+    kap, _, B = _collinear_field(spec, u, order)
     omega_signed = kap * B
     # with kappa != 0, a zero or non-finite B makes omega so as well
     if omega_signed == 0.0 or not math.isfinite(omega_signed):
         raise DegenerateError("frequency or field closed form degenerates")
-    terms = _collinear_terms(spec, vs, omega_signed, B, s)
+    terms = _collinear_terms(spec, u, omega_signed, B, order)
     sol = ConfigSolution(
         config=config, branch=branch, v=tuple(abs(x) for x in v),
         omega=abs(omega_signed), B=B,
@@ -792,8 +782,8 @@ def _sextic_speeds(spec, config):
     c = p6_coefficients(spec)
 
     def speeds_at(v3):
-        s3 = _signed_speeds(config, (_V2, _V2, v3))[2]
-        return [(v1, _V2, v3) for v1 in _p6_roots_v1(c, _V2, s3)]
+        u3 = _layout(config, (_V2, _V2, v3))[0][2]
+        return [(v1, _V2, v3) for v1 in _p6_roots_v1(c, _V2, u3)]
 
     return speeds_at
 
@@ -851,9 +841,9 @@ def solve_config_II(spec, v3_values=None, require_certified=True):
 def solve_config_III(spec, v3_values=None, require_certified=True):
     """Sweep the third speed for anti-phase collinear rotations.
 
-    Works through the sign map v3 -> -v3 of the Configuration-II algebra:
-    roots of the sextic at (v1, 1, -v3), field -B_II(v1, 1, -v3),
-    frequency from the signed speed sum.  Ordering sector: v1 > v2 > v3.
+    Works through the layout (v1, 1, -v3) in reverse order: roots of the
+    sextic at (v1, 1, -v3), field -B_II(v1, 1, -v3), frequency from the
+    signed speed sum.  Ordering sector: v1 > v2 > v3.
     ``v3_values`` defaults to :func:`sweep_grid`; certification and
     NoSolution as for :func:`solve_config_II`.
     """
@@ -1155,7 +1145,7 @@ def conserved_closed_forms(spec, solution):
             out["k3x"] = 0.0
         return out
     if cfg in ("II", "III", "nbody-II"):
-        v = np.array(_signed_speeds(cfg, solution.v), float) * sigma
+        v = np.array(_layout(cfg, solution.v)[0], float) * sigma
         e = spec.charges
         m = spec.masses
         B = solution.B

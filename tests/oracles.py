@@ -3,15 +3,20 @@
 Closed-form fields of the three-charge collinear rotations, written out.
 
 The solvers take the field of every collinear root from one n-charge form
-(``solvers._collinear_field``: the second balance row solved for B, sign
-flipped for Configuration III).  These two expressions are independent of
-it and of each other, so the tests compare the sweep's fields and the sign
-map B_III(v1, v2, v3) = -B_II(v1, v2, -v3) against them.
+(``solvers._collinear_field``: the second balance row solved for B, the
+charges in reverse order for Configuration III).  These two expressions
+are independent of it and of each other, so the tests compare the sweep's
+fields and the sign map B_III(v1, v2, v3) = -B_II(v1, v2, -v3) against
+them.
 
 ``walk_nbody_system`` is the reduced n-body collinear system as a walk
 over lists, the form :func:`magnetotrio.solvers._nbody_system` compiles
 to straight-line code; the compiled kernel must return its floats to the
 bit.
+
+``config_I_terms`` is the Configuration-I balance system written out by
+hand; the solvers take its radius and pair rows from the collinear layout
+(v1, -v2, 0), and the terms must agree to the bit.
 """
 
 import math
@@ -75,7 +80,7 @@ def walk_nbody_system(spec, vn):
         if len(set(x)) < n:
             # two speeds coincide: no residual, no derivative, no iterate
             return nan, (nan,) * (n - 2), nan
-        kap, C, B = _collinear_field(spec, x)
+        kap, C, B = _collinear_field(spec, x, range(n))
         w = kap * B
         # d kappa, dB and d omega along each free speed; dB is B d ln B
         # written without the factor 1 / (m2 kappa - e2)
@@ -105,3 +110,23 @@ def walk_nbody_system(spec, vn):
         return F, J, scale
 
     return system, assemble
+
+
+def config_I_terms(spec, v1, v2, v3, omega, omega3):
+    """The six Configuration-I rows of ``residuals_config_I``, each term
+    written out: the third charge's frequency conditions, the radius
+    compatibility and the two pair force balances."""
+    e1, e2, e3 = spec.charges
+    m1, m2, m3 = spec.masses
+    B = spec.B
+    s = v1 + v2
+    return [
+        [v3 * B * e1, -v3 * m1 * omega3],
+        [v3 * B * e2, -v3 * m2 * omega3],
+        [v3 * B * e3, -v3 * m3 * omega3],
+        [e3 * e1 * omega**2 / v1**2, -e3 * e2 * omega**2 / v2**2],
+        [B * e1 * v1, -m1 * v1 * omega,
+         -e1 * e2 * omega**2 / s**2, -e1 * e3 * omega**2 / v1**2],
+        [B * e2 * v2, -m2 * v2 * omega,
+         -e2 * e1 * omega**2 / s**2, -e2 * e3 * omega**2 / v2**2],
+    ]

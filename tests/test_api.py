@@ -3,11 +3,12 @@
 import magnetotrio
 from magnetotrio import jacobi, model, solvers
 
-# three-charge copies of the collinear system and written-out oracles that
-# left the API, each for its one remaining path (CHANGES.md)
+# three-charge copies of the collinear system, written-out oracles and a
+# value every solution row carries, which left the API, each for its one
+# remaining path (CHANGES.md)
 REMOVED = ("residuals_config_II", "residuals_config_III", "closed_form_B_nbody",
            "evaluate_p6", "pseudomomentum_jacobi", "apply_symmetry",
-           "closed_form_B_II", "closed_form_B_III")
+           "closed_form_B_II", "closed_form_B_III", "newton_balance")
 
 
 def test_solver_exports_resolve_and_removed_names_are_gone():

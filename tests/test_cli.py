@@ -402,6 +402,15 @@ class TestFindAndVerify:
         assert message in err
         assert "Traceback" not in err
 
+    def test_grid_points_ceiling(self, tmp_path, capsys):
+        # past numpy's own size check, which raises before it allocates
+        rc = main(["find", _spec4_system(tmp_path), "--config", "II",
+                   "--grid-points", "100000000000000000000"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "magnetotrio: error: 100000000000000000000 grid points exceed the "
+            "ceiling of 1000000\n")
+
     @pytest.mark.parametrize("text, message", [
         ("B 0\nparticle -1 1\nparticle -1 1\nparticle -1 1\n",
          "Configuration I of an identical pair needs a nonzero field"),

@@ -136,7 +136,7 @@ def test_rejections_and_dense_output_count_every_call():
     def counted(t, y):
         nonlocal calls
         calls += 1
-        return f.rows(t, y)
+        return f(t, y)
 
     stepper = _dop853.DOP853(counted, 0.0, y0, t_end, 1e-10, 1e-10)
     ts = [0.0]

@@ -218,9 +218,8 @@ class TestExactGradient:
         f = rhs_jacobi(spec)
         for _ in range(20):
             z = _shifted_vector(spec, *separated_state(rng, 3))
-            rows = f.rows(0.0, z)
+            rows = f(0.0, z)
             assert all(type(x) is float for x in rows)
-            assert np.array_equal(f(0.0, z), rows)
             by_steps, coulomb_scale = _complex_step_rhs(spec, z)
             by_matrix, quadratic_scale = _matrix_rhs(spec, z)
             scale = quadratic_scale + coulomb_scale
@@ -236,7 +235,8 @@ class TestExactGradient:
             g = _richardson_gradient(spec, z)
             # Hamilton's map: (dH/dp, -dH/dq)
             fd = np.concatenate([g[6:], -g[:6]])
-            assert np.all(np.abs(f(0.0, z) - fd) <= 1e-8 * np.maximum(1.0, np.abs(fd)))
+            assert np.all(np.abs(np.array(f(0.0, z)) - fd)
+                          <= 1e-8 * np.maximum(1.0, np.abs(fd)))
 
 
 class TestIntegration:

@@ -15,9 +15,9 @@ from magnetotrio import (ConfigSolution, DegenerateError, DomainError,
                          NonConvergence, NoSolution, SystemSpec, ValidityError,
                          build_initial_state, conserved_closed_forms,
                          helium_closed_forms, helium_cubic_root,
-                         helium_quartic_coefficients, newton_balance,
-                         p6_coefficients, pair_distance_min,
-                         residuals_config_I, residuals_nbody_II,
+                         helium_quartic_coefficients, p6_coefficients,
+                         pair_distance_min, residuals_config_I,
+                         residuals_nbody_II, solve_config_I,
                          solve_config_I_identical, solve_config_I_v3zero,
                          solve_config_II, solve_config_III, solve_nbody_II,
                          write_catalog)
@@ -26,7 +26,8 @@ from magnetotrio.dynamics import rigidity_report
 from magnetotrio.solvers import (_collinear_field, _collinear_terms,
                                  _evaluate_p6, catalog_header, collinear_kappa,
                                  helium_pattern, sweep_grid)
-from oracles import closed_form_B_II, closed_form_B_III, walk_nbody_system
+from oracles import (closed_form_B_II, closed_form_B_III, config_I_terms,
+                     walk_nbody_system)
 
 CBRT_5_4 = (5.0 / 4.0) ** (1.0 / 3.0)       # 1.0772173450159419
 CBRT_10 = 10.0 ** (1.0 / 3.0)               # 2.1544346900318838
@@ -55,7 +56,7 @@ class TestClosedFormFields:
         # a speed equal to v2 puts two charges on one point: the Coulomb
         # bracket divides by zero, which is DegenerateError, not a float error
         with pytest.raises(DegenerateError, match="two speeds coincide"):
-            _collinear_field(spec4 if len(v) == 3 else four, v)
+            _collinear_field(spec4 if len(v) == 3 else four, v, range(len(v)))
 
     @pytest.mark.parametrize("solve", [solve_config_II, solve_nbody_II])
     @pytest.mark.parametrize("require_certified", [True, False])
@@ -151,6 +152,30 @@ class TestResidualSystems:
         # pair on one point
         with pytest.raises(DegenerateError, match="two charges coincide"):
             residuals_config_I(spec4, v1, v2, 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("branch", ["third-at-rest", "identical-pair"])
+    def test_config_I_rows_are_the_hand_written_ones(self, branch):
+        # the radius and pair rows come from the collinear layout (v1, -v2,
+        # 0): term by term, bit for bit, the hand-written rows, after the
+        # radius row's two zero terms (charge 3 at the center)
+        rng = np.random.default_rng(4100 if branch == "third-at-rest" else 4101)
+        hexed = lambda rows: [[float(t).hex() for t in row] for row in rows]
+        for _ in range(200):
+            spec = _random_species(rng, 3)
+            sign, omega = rng.choice([-1.0, 1.0], 2), rng.uniform(0.1, 5.0)
+            if branch == "third-at-rest":
+                (v1, v2), v3, omega3 = rng.uniform(0.1, 5.0, 2), 0.0, 0.0
+            else:
+                v1 = v2 = sign[0] * rng.uniform(0.1, 5.0)
+                v3, omega3 = rng.uniform(-3.0, 3.0, 2)
+            got = solvers._config_I_terms(spec, v1, v2, v3, sign[1] * omega, omega3)
+            want = config_I_terms(spec, v1, v2, v3, sign[1] * omega, omega3)
+            assert got[3][:2] == [0.0, 0.0]
+            assert hexed(got[:3] + [got[3][2:]] + got[4:]) == hexed(want)
+            # the second pair row is charge 2's collinear row negated
+            u, order = solvers._layout("I", (v1, v2))
+            charge2 = _collinear_terms(spec, u, sign[1] * omega, spec.B, order)[1]
+            assert hexed([[-t for t in charge2]]) == hexed(want[5:])
 
 
 class TestNeutralPairWindow:
@@ -360,10 +385,10 @@ class TestConfigIII:
     def test_raw_residuals_at_reference_row(self, spec4):
         sol = solve_config_III(spec4, v3_values=[0.6])[0]
         sigma = 1.0 if sol.sense == "cw" else -1.0
-        # the anti-phase rows: third speed reflected, Coulomb signs reversed
+        # the anti-phase rows: third speed reflected, charges in reverse order
         v1, v2, v3 = sol.v
         res = np.array([math.fsum(row) for row in _collinear_terms(
-            spec4, (v1, v2, -v3), sigma * sol.omega, sol.B, -1)])
+            spec4, (v1, v2, -v3), sigma * sol.omega, sol.B, (2, 1, 0))])
         scale = abs(sol.B) * max(sol.v)
         assert np.abs(res).max() < 1e-10 * scale
 
@@ -434,7 +459,7 @@ class TestNbodyCollinear:
             assert np.abs(J - oracle).max() <= 1e-7 * np.abs(oracle).max()
             # the residual rows {1, 3, ..., n-1} of the full system, unchanged
             v = assemble(u)
-            B = _collinear_field(spec, v)[2]
+            B = _collinear_field(spec, v, range(n))[2]
             kept = [0, *range(2, n - 1)]
             assert F.tolist() == residuals_nbody_II(
                 spec, v, collinear_kappa(spec, v) * B, B)[kept].tolist()
@@ -805,12 +830,82 @@ class TestCertification:
 
     def test_newton_balance_flat_on_true_solution(self, spec4):
         sol = solve_config_II(spec4, v3_values=[1.5])[0]
-        assert newton_balance(sol, spec4) < 1e-10
+        assert sol.newton_balance < 1e-10
 
     def test_newton_balance_large_on_false_root(self, helium):
         sol = solve_config_II(helium, v3_values=[150.0],
                               require_certified=False)[0]
-        assert newton_balance(sol, helium) > 0.01
+        assert sol.newton_balance > 0.01
+
+
+def _layout_speeds(config, v):
+    """The signed speeds of a row's layout, written out: charge i sits at
+    u_i / omega from the center."""
+    if config == "I":
+        return np.array([v[0], -v[1], 0.0])
+    if config == "III":
+        return np.array([v[0], v[1], -v[2]])
+    return np.array(v)
+
+
+def _in_sector(row):
+    v = row.v
+    if row.config == "I":
+        return v[0] > 0 and v[1] > 0
+    if row.config == "III":
+        return v[0] > v[1] > v[2] > 0
+    return v[0] > 0 and all(a < b for a, b in zip(v, v[1:]))
+
+
+class TestBuiltRows:
+    """Every row the four solvers return, certified or not: its built state
+    is its layout, and it carries that state's Newton balance."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_of_seeded_species(self, seed):
+        rng = np.random.default_rng(5200 + seed)
+        three = _random_species(rng, 3)
+        # the ``four`` species perturbed by up to 10%: random four-charge
+        # species rarely rotate on a four-point grid
+        four = SystemSpec(1.0, rng.uniform(0.9, 1.1, 4) * [3.0, -1.0, 1.0, 2.0],
+                          rng.uniform(0.9, 1.1, 4) * [1.0, 1.0, 3.0, 2.0])
+        (e1, e3), (m, m3) = rng.uniform(-3.0, 3.0, 2), rng.uniform(0.2, 3.0, 2)
+        runs = [(solve_config_I, "I", SystemSpec(three.B, (e1, e1, e3), (m, m, m3))),
+                (solve_config_I, "I",
+                 SystemSpec(-three.B, (e1, e1, e1 / m * m3), (m, m, m3))),
+                (solve_config_I, "I",
+                 SystemSpec(three.B, np.abs(three.charges) * [1, 1, np.sign(e3)],
+                            three.masses)),
+                (solve_config_II, "II", three), (solve_config_III, "III", three),
+                (solve_nbody_II, "nbody-II", three), (solve_nbody_II, "nbody-II", four)]
+        rows = []
+        for solve, config, spec in runs:
+            try:
+                rows += [(spec, row) for row in solve(
+                    spec, sweep_grid(spec, config, points=4), require_certified=False)]
+            except NoSolution:
+                continue
+        assert rows
+        for spec, row in rows:
+            assert row.certified == (not row.notes), row
+            spec_b, state = build_initial_state(row, spec)
+            pos, vel = state.positions, state.velocities
+            assert not pos[:, 1].any() and not vel[:, 0].any()
+            sigma = 1.0 if row.sense == "cw" else -1.0
+            c = row.v[2] / row.omega3 if row.config == "I" and row.v[2] else 0.0
+            if row.config == "I":
+                assert pos[2, 0] == c            # charge 3 is the center
+            u = _layout_speeds(row.config, row.v)
+            scale = np.abs(pos).max() + np.abs(vel).max()
+            assert np.abs(pos[:, 0] - (c + u / row.omega)).max() <= 1e-14 * scale
+            cvel = -sigma * row.v[2] if row.config == "I" else 0.0
+            assert np.abs(vel[:, 1] - (cvel - sigma * u)).max() <= 1e-14 * scale
+            balance = solvers._newton_balance(row, spec_b, state)
+            assert balance.hex() == row.newton_balance.hex()
+            if row.certified:
+                assert _in_sector(row) and row.newton_balance < 1e-6, row
+                if row.config == "nbody-II":
+                    assert row.rigidity < 1e-6
 
 
 def _gate_drifts(sol, spec_b, state):
