@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 from .errors import (CollisionError, DegenerateError, DomainError,
                      MagnetotrioError, NonConvergence, NoSolution,
-                     SpecParseError, StepUnderflow, ValidityError)
+                     SpecParseError, StepUnderflow)
 from .model import (Classification, PhaseState, SystemSpec, classify_system,
                     format_system, load_system, parse_system, save_system)
 from .dynamics import (IntegratorSettings, RigidityReport, Trajectory,

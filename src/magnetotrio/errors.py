@@ -41,11 +41,6 @@ class DomainError(MagnetotrioError):
     (wrong charge signs, coincident speeds, missing pattern, ...)."""
 
 
-class ValidityError(MagnetotrioError):
-    """A closed-form result exists algebraically but violates a validity
-    constraint (e.g. a frequency that must be positive comes out negative)."""
-
-
 class DegenerateError(MagnetotrioError):
     """The requested formula degenerates for this parameter combination and a
     different solver branch must be used instead."""

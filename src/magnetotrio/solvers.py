@@ -23,16 +23,15 @@ The collinear equations generalize to n charges (solve_nbody_II).
 Every one of them is one collinear layout (:func:`_layout`) turning about
 a center: Configuration I is (v1, -v2, 0) about charge 3, III reflects the
 third speed of II, and n-body II generalizes both.  One set of balance
-rows (_collinear_terms) and one state builder serve all four, and the
-three collinear solvers share one sweep: each supplies only the candidate
-speeds at a swept value of the last speed (the real roots of the
-elimination sextic, or damped Newton from seeds), and one routine
-assembles the field (_collinear_field), the frequency omega = kappa*B and
-the certification.  The second speed is
-fixed at 1 (the systems are scale-covariant).  Every search, Configuration
-I's included, runs one sweep over the values :func:`sweep_grid` decides.
-The sextic is rooted in v1 by the eigenvalues of its companion matrix, so
-every positive real root is found, at any distance from the second speed.
+rows (_collinear_terms) and one state builder serve all four; one routine
+(_collinear_solution) takes the field (_collinear_field), the frequency
+omega = kappa*B and the gates of every root but Configuration I's
+identical pair, whose speeds solve a quadratic at the spec's field.
+Every search runs one sweep over the values :func:`sweep_grid` decides;
+the collinear ones take the candidate speeds at each value of the last
+speed, the second fixed at 1 (the systems are scale-covariant), from the
+elimination sextic, rooted in v1 by the eigenvalues of its companion
+matrix so that every positive real root is found, or damped Newton.
 
 Sign conventions and certification
 ----------------------------------
@@ -67,8 +66,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import IntegratorSettings, accelerations, rigidity_report
-from .errors import (DegenerateError, DomainError, NonConvergence,
-                     NoSolution, ValidityError)
+from .errors import DegenerateError, DomainError, NonConvergence, NoSolution
 from .model import PhaseState, classify_system
 
 __all__ = [
@@ -499,7 +497,10 @@ def sweep_grid(spec, config, grid_min=None, grid_max=None,
     by default over the last speed's [1.5, 20] (II, n-body II) or [0.05, 0.8]
     (III), over an identical pair's [rho_min, 4 rho_min] or [0.5, 4], or else
     v1's [0.5, 2] (I), each distinct value once, ascending.  DomainError
-    unless 0 < min <= max < inf and ``points`` <= ``MAX_GRID_POINTS``."""
+    unless 0 < min <= max < inf and ``points`` is an integer in [1, MAX_GRID_POINTS]."""
+    if not isinstance(points, (int, np.integer)) or points < 1:
+        raise DomainError(f"grid points must be an integer of at least 1, "
+                          f"got {points!r}")
     if points > MAX_GRID_POINTS:
         raise DomainError(f"{points} grid points exceed the ceiling of "
                           f"{MAX_GRID_POINTS}")
@@ -520,9 +521,9 @@ def sweep_grid(spec, config, grid_min=None, grid_max=None,
 
 def _sweep(spec, config, values, point, require_certified):
     """The sorted solutions ``point(x)`` over the positive finite ``values``
-    (default :func:`sweep_grid`); a point may raise only NoSolution,
-    ValidityError or DegenerateError.  NoSolution, naming the first such
-    error and up to four uncertified roots, when none is (certified)."""
+    (default :func:`sweep_grid`); a point may raise only NoSolution or
+    DegenerateError.  NoSolution, naming the first such error and up to four
+    uncertified roots, when none is (certified)."""
     if values is None:
         values = sweep_grid(spec, config)
     out, rejected, reason = [], [], None
@@ -531,7 +532,7 @@ def _sweep(spec, config, values, point, require_certified):
             continue
         try:
             sols = point(float(x))
-        except (NoSolution, ValidityError, DegenerateError) as ex:
+        except (NoSolution, DegenerateError) as ex:
             reason = reason or str(ex)
             continue
         for sol in sols:
@@ -570,42 +571,25 @@ def _pair_ratio(spec):
 
 
 def solve_config_I_v3zero(spec, v1=1.0):
-    """Closed-form Configuration-I solution with the third charge at rest.
+    """Configuration I with the third charge at rest: the collinear root
+    (v1, -v2, 0) about charge 3, with v2 = v1 sqrt(e2/e1) (needs e1*e2 > 0).
 
-    Needs e1*e2 > 0 (the radius-compatibility condition fixes
-    v2 = v1 * sqrt(e2/e1)).  The rotation frequency and the field that
-    support the motion follow in closed form; the spec's own field value
-    is ignored (B is an output here).  Raises ValidityError when the
-    closed forms give omega <= 0 or a vanishing/infinite field.
+    B (an output; the spec's field is ignored) and omega = kappa*B come from
+    :func:`_collinear_field`, and the collinear gates apply, so a negative
+    frequency is an uncertified "ccw" row.  An equal pair (e1 = e2) or a
+    vanishing Coulomb bracket is DegenerateError.
     """
     if spec.n != 3:
         raise DomainError("Configuration I is a three-charge system")
-    e1, e2, e3 = spec.charges
-    m1, m2, m3 = spec.masses
     if v1 <= 0:
         raise DomainError("v1 must be positive")
-    r = _pair_ratio(spec)
-    v2 = r * v1
-    d1 = e1 - r * e2
-    d2 = e2 + e3 * (1 + r)**2
-    if d1 == 0.0:
+    v2 = _pair_ratio(spec) * v1
+    if spec.charges[0] == spec.charges[1]:      # then kappa = 0
         raise DegenerateError(
             "a pair of equal charges (e1 = e2) rotates about a resting third "
             "charge only as an identical pair, with equal masses; the "
             "frequency closed form degenerates")
-    if d2 == 0.0:
-        raise DegenerateError("charge combination e2 + e3(1+r)^2 vanishes")
-    omega = (e2*m1 - e1*m2) * r * (1 + r)**2 * v1**3 / (e1 * d1 * d2)
-    B = omega * (m1 - m2 * r) / d1
-    if omega <= 0:
-        raise ValidityError(f"closed-form frequency omega = {omega:.6g} <= 0; "
-                            "no rigid rotation in this sector")
-    if B == 0.0 or not math.isfinite(B):
-        raise ValidityError(f"closed-form field B = {B:.6g} is degenerate")
-    terms = _config_I_terms(replace(spec, B=B), v1, v2, 0.0, omega, 0.0)
-    sol = ConfigSolution(config="I", branch="v3=0", v=(v1, v2, 0.0),
-                         omega=omega, B=B)
-    return [_certify(sol, spec, terms)]
+    return [_collinear_solution(spec, (v1, v2, 0.0), "I", "v3=0")]
 
 
 def _pair_quadratic(spec, B):
@@ -643,10 +627,10 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
     Returns the two quadratic branches ("+" and "-"); at the critical
     separation they coincide (the discriminant is clamped to zero when
     |disc| < 1e-12 to keep the coincidence exact in floats).  Raises
-    DomainError for a zero field or an uncharged pair, NoSolution below the
-    critical separation.  A nonzero third speed requires a common
-    charge-to-mass ratio alpha; the third charge then runs its own circle at
-    omega3 = alpha*B and any v3 > 0 works (the returned row is the
+    DomainError for a zero field, an uncharged pair, or a nonzero third
+    speed without a common charge-to-mass ratio alpha; NoSolution below the
+    critical separation.  With alpha, the third charge runs its own circle
+    at omega3 = alpha*B and any v3 > 0 works (the returned row is the
     representative for the requested v3).
     """
     if spec.n != 3:
@@ -663,7 +647,7 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
         if v3 < 0:
             raise DomainError("v3 must be nonnegative")
         if not cls.equal_larmor:
-            raise ValidityError(
+            raise DomainError(
                 "a moving third charge needs a common charge-to-mass ratio")
         omega3_signed = cls.alpha * spec.B
     if disc < 0:
@@ -696,9 +680,10 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
 
 def solve_config_I(spec, values=None, require_certified=True):
     """Sweep an identical pair's separation (:func:`solve_config_I_identical`,
-    v3 = 1 when every charge-to-mass ratio agrees, else 0) or else v1
-    (:func:`solve_config_I_v3zero`).  A spec the branch refuses raises
-    DomainError before the sweep; NoSolution as for :func:`solve_config_II`."""
+    v3 = 1 when every charge-to-mass ratio agrees, else 0) or else v1 of the
+    collinear root about a resting third charge (:func:`solve_config_I_v3zero`).
+    A spec the branch refuses raises DomainError before the sweep; NoSolution
+    as for :func:`solve_config_II`, naming roots that fail the gates."""
     if spec.n != 3:
         raise DomainError("Configuration I is a three-charge system")
     if _identical_pair(spec):
@@ -771,6 +756,8 @@ def _collinear_solution(spec, v, config, branch):
 
 
 def _ordering_ok(config, v):
+    if config == "I":
+        return v[0] > 0 and v[1] > 0
     if config == "III":
         return v[0] > v[1] > v[2] > 0
     return all(a < b for a, b in zip(v, v[1:])) and v[0] > 0
@@ -1006,8 +993,8 @@ def _damped_newton(system, u0):
     The step solves J step = -F with the exact Jacobian and is halved until
     |F| decreases (or the stop holds) at a point with positive speeds.  The
     iteration stops when every row satisfies |F_i| <= 1e-12 max(1, scale_i),
-    a root when also |F_i| <= 1e-12 scale_i.  Raises NonConvergence
-    otherwise, as where the field vanishes with a speed meeting v2.
+    a root when also |F_i| <= 1e-12 scale_i and scale_i > 0.  Raises
+    NonConvergence otherwise, as where the field vanishes.
     """
     def converged(f, scale):
         return all(abs(fi) <= _POLISH_TOL * max(1.0, si) for fi, si in zip(f, scale))
@@ -1039,6 +1026,8 @@ def _damped_newton(system, u0):
     if any(abs(fi) > _POLISH_TOL * si for fi, si in zip(fu, scale)):
         raise NonConvergence(f"stopped on the absolute floor (|F| = {norm:.3g}): "
                              "not a root")
+    if not all(si > 0 for si in scale):
+        raise NonConvergence("every term is zero where the field vanishes: not a root")
     return u
 
 

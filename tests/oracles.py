@@ -17,6 +17,11 @@ bit.
 ``config_I_terms`` is the Configuration-I balance system written out by
 hand; the solvers take its radius and pair rows from the collinear layout
 (v1, -v2, 0), and the terms must agree to the bit.
+
+``config_I_v3zero_closed_form`` is the frequency and field of
+Configuration I with the third charge at rest, solved by hand from those
+rows; the solver takes both from the collinear field formula at the
+layout (v1, -v2, 0), and the two must agree to round-off.
 """
 
 import math
@@ -130,3 +135,23 @@ def config_I_terms(spec, v1, v2, v3, omega, omega3):
         [B * e2 * v2, -m2 * v2 * omega,
          -e2 * e1 * omega**2 / s**2, -e2 * e3 * omega**2 / v2**2],
     ]
+
+
+def config_I_v3zero_closed_form(spec, v1):
+    """(omega, B) of Configuration I with the third charge at rest, at
+    v2 = v1 sqrt(e2/e1); omega may come out negative."""
+    e1, e2, e3 = spec.charges
+    m1, m2, m3 = spec.masses
+    r = math.sqrt(e2 / e1)
+    d1 = e1 - r * e2
+    d2 = e2 + e3 * (1 + r)**2
+    if d1 == 0.0:
+        raise DegenerateError(
+            "a pair of equal charges (e1 = e2) rotates about a resting third "
+            "charge only as an identical pair, with equal masses; the "
+            "frequency closed form degenerates")
+    if d2 == 0.0:
+        raise DegenerateError("charge combination e2 + e3(1+r)^2 vanishes")
+    omega = (e2*m1 - e1*m2) * r * (1 + r)**2 * v1**3 / (e1 * d1 * d2)
+    B = omega * (m1 - m2 * r) / d1
+    return omega, B

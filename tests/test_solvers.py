@@ -12,7 +12,7 @@ from mpmath import findroot, mp, mpf
 
 from conftest import table_value
 from magnetotrio import (ConfigSolution, DegenerateError, DomainError,
-                         NonConvergence, NoSolution, SystemSpec, ValidityError,
+                         NonConvergence, NoSolution, SystemSpec,
                          build_initial_state, conserved_closed_forms,
                          helium_closed_forms, helium_cubic_root,
                          helium_quartic_coefficients, p6_coefficients,
@@ -27,7 +27,7 @@ from magnetotrio.solvers import (_collinear_field, _collinear_terms,
                                  _evaluate_p6, catalog_header, collinear_kappa,
                                  helium_pattern, sweep_grid)
 from oracles import (closed_form_B_II, closed_form_B_III, config_I_terms,
-                     walk_nbody_system)
+                     config_I_v3zero_closed_form, walk_nbody_system)
 
 CBRT_5_4 = (5.0 / 4.0) ** (1.0 / 3.0)       # 1.0772173450159419
 CBRT_10 = 10.0 ** (1.0 / 3.0)               # 2.1544346900318838
@@ -258,11 +258,40 @@ class TestConfigIThirdAtRest:
         assert np.abs(res).max() < 1e-12
 
     def test_heavy_first_charge_has_no_rotation(self):
-        # moving the heavy mass onto the first charge flips the closed-form
-        # frequency to omega = -342/91: algebra, but not a rotation
+        # moving the heavy mass onto the first charge flips the frequency
+        # to omega = -342/91: an uncertified mirror-sense row, algebra but
+        # not a rotation
         swapped = SystemSpec(1.0, (1.0, 4.0, 1.0), (5.0, 1.0, 1.0))
-        with pytest.raises(ValidityError, match="-3.75824"):
-            solve_config_I_v3zero(swapped)
+        (sol,) = solve_config_I_v3zero(swapped)
+        assert sol.sense == "ccw" and not sol.certified
+        assert sol.omega == pytest.approx(342 / 91, rel=1e-15)
+        assert sol.notes[0] == "mirror rotation sense"
+        assert sol.notes[1].startswith("Newton imbalance ")
+        assert len(sol.notes) == 2
+        with pytest.raises(NoSolution, match=r"v1=1 \(mirror rotation sense, "
+                                             r"Newton imbalance"):
+            solve_config_I(swapped, [1.0])
+
+    def test_field_and_frequency_match_the_closed_form(self, rng):
+        # the collinear field formula at (v1, -v2, 0) against the frequency
+        # and field solved by hand from the Configuration-I rows
+        checked = 0
+        for _ in range(200):
+            sign = rng.choice((-1.0, 1.0))
+            charges = (sign * rng.uniform(0.05, 3.0), sign * rng.uniform(0.05, 3.0),
+                       rng.uniform(-3.0, 3.0))
+            spec = SystemSpec(1.0, charges, tuple(rng.uniform(0.2, 3.0, 3)))
+            v1 = float(rng.uniform(0.5, 2.0))
+            try:
+                (sol,) = solve_config_I_v3zero(spec, v1)
+            except DegenerateError:
+                continue
+            omega, B = config_I_v3zero_closed_form(spec, v1)
+            assert sol.omega == pytest.approx(abs(omega), rel=1e-10)
+            assert sol.B == pytest.approx(B, rel=1e-10)
+            assert sol.sense == ("cw" if omega > 0 else "ccw")
+            checked += 1
+        assert checked > 190
 
     def test_opposite_sign_pair_rejected(self):
         with pytest.raises(DomainError):
@@ -311,7 +340,7 @@ class TestConfigIIdenticalPair:
     def test_moving_third_charge_needs_common_ratio(self):
         spec = SystemSpec(2.0, (-1.0, -1.0, -2.0), (1.0, 1.0, 1.0))
         solve_config_I_identical(spec, 3.0)  # at rest: fine
-        with pytest.raises(ValidityError, match="charge-to-mass"):
+        with pytest.raises(DomainError, match="charge-to-mass"):
             solve_config_I_identical(spec, 3.0, v3=1.0)
 
     def test_built_state_geometry(self, electrons):
@@ -522,6 +551,15 @@ class TestNbodyCollinear:
             return np.array([1e-13]), np.eye(1), [1e-13]
 
         with pytest.raises(NonConvergence, match="absolute floor"):
+            solvers._damped_newton(system, [1.0])
+
+    def test_zero_scale_row_is_no_root(self):
+        # where B = 0 exactly every balance term vanishes: F = 0 meets
+        # both gates to the letter, but no term balances another
+        def system(u):
+            return (0.0,), ((1.0,),), (0.0,)
+
+        with pytest.raises(NonConvergence, match="the field vanishes: not a root"):
             solvers._damped_newton(system, [1.0])
 
     def test_small_n_rejected(self):
@@ -805,7 +843,7 @@ class TestCertification:
         for solve in solves:
             try:
                 rows += solve()
-            except (DomainError, DegenerateError, NoSolution, ValidityError):
+            except (DomainError, DegenerateError, NoSolution):
                 pass
         assert rows
         for row in rows:
@@ -855,6 +893,19 @@ def _in_sector(row):
     if row.config == "III":
         return v[0] > v[1] > v[2] > 0
     return v[0] > 0 and all(a < b for a, b in zip(v, v[1:]))
+
+
+@pytest.mark.parametrize("points", [-3, 0, 2.5, "4", np.float64(4.0)])
+def test_sweep_grid_needs_a_whole_number_of_points(spec4, points):
+    # numpy would raise its own ValueError or TypeError, or build an empty
+    # grid that every search reports as "no solution"
+    with pytest.raises(DomainError, match="grid points must be an integer of "
+                                          "at least 1"):
+        sweep_grid(spec4, "II", points=points)
+
+
+def test_sweep_grid_of_one_point(spec4):
+    assert sweep_grid(spec4, "II", points=np.int64(1)).tolist() == [1.5]
 
 
 class TestBuiltRows:
