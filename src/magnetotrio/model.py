@@ -144,20 +144,25 @@ _CLASSIFY_TOL = 1e-12
 def classify_system(spec):
     """Detect the structural cases that admit special treatment.
 
-    * ``neutral``            -- total charge vanishes; the two pseudomomentum
+    * ``neutral``            -- total charge vanishes (within 1e-12 of the sum
+                                of |charges|); the two pseudomomentum
                                 components then commute and the center of mass
                                 pseudo-separates.
     * ``equal_larmor``       -- all charge-to-mass ratios agree (within 1e-12
                                 relative spread); the center of mass separates
                                 exactly and circles with frequency ``alpha B``.
+
+    Both tests are relative at every scale: the problem is covariant under
+    scaling the charges, so a species and its charges times 1e-13 get the
+    same tags.
     """
     e, m = spec.charges, spec.masses
     Q = spec.total_charge
-    neutral = abs(Q) <= _CLASSIFY_TOL * max(1.0, np.abs(e).sum())
+    neutral = abs(Q) <= _CLASSIFY_TOL * np.abs(e).sum()
 
     ratios = e / m
     spread = ratios.max() - ratios.min()
-    equal_larmor = spread <= _CLASSIFY_TOL * max(1.0, np.abs(ratios).max())
+    equal_larmor = spread <= _CLASSIFY_TOL * np.abs(ratios).max()
     alpha = float(ratios.mean()) if equal_larmor else None
     return Classification(neutral, equal_larmor, alpha)
 

@@ -63,6 +63,7 @@ from dataclasses import dataclass, field, replace
 from functools import cache, partial
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import dynamics
 from .dynamics import IntegratorSettings, accelerations, rigidity_report
@@ -94,6 +95,8 @@ _V2 = 1.0
 _POLISH_TOL = 1e-12
 # n > 3 Newton seeds: v1 at these multiples of _V2
 _SEEDS_V1 = (0.25, 0.5, 0.8)
+# the LAPACK dgesv gufunc that np.linalg.solve runs for one right-hand side
+_solve1 = _umath_linalg.solve1
 # horizon of the n-body rigidity check, in rotation periods (the reason
 # for a quarter period is in solve_nbody_II)
 _RIGIDITY_PERIODS = 0.25
@@ -475,7 +478,10 @@ def _certify(sol, spec, terms, gates=()):
     notes = tuple(note for ok, note in gates if not ok)
     if not notes and sol.config == "nbody-II":
         t_end = _RIGIDITY_PERIODS * (2 * math.pi / sol.omega)
-        settings = IntegratorSettings(t_end=t_end, sample_interval=t_end / 200.0)
+        # the gate is relative, so the collision watch's absolute 1e-9 must
+        # not refuse a root because of its scale
+        settings = IntegratorSettings(t_end=t_end, sample_interval=t_end / 200.0,
+                                      collision_threshold=0.0)
         # looked up at call time, so bench/spans.py traces these integrations
         sol.rigidity = rigidity_report(dynamics.integrate(
             spec_b, state, settings, frame_omega=_frame_omega(sol))).worst
@@ -987,6 +993,20 @@ def _nbody_system(spec, vn):
     return _nbody_factory(spec.n)(spec.charges, spec.masses, float(vn), *e, *m)
 
 
+def _norm(f):
+    """|f|, the float ``np.linalg.norm(f)`` gives: the same ``x.dot(x)``
+    (BLAS ddot), then sqrt."""
+    x = np.array(f, float)
+    return math.sqrt(x.dot(x))
+
+
+def _newton_step(J, f):
+    """The solution of J step = -f, the floats ``np.linalg.solve`` gives,
+    as a list; FloatingPointError where J is singular, under the error
+    state :func:`_damped_newton` sets."""
+    return _solve1(J, [-fi for fi in f], signature="dd->d").tolist()
+
+
 def _damped_newton(system, u0):
     """Damped Newton iteration on ``system(u) -> (F, J, scale)`` from ``u0``.
 
@@ -994,33 +1014,44 @@ def _damped_newton(system, u0):
     |F| decreases (or the stop holds) at a point with positive speeds.  The
     iteration stops when every row satisfies |F_i| <= 1e-12 max(1, scale_i),
     a root when also |F_i| <= 1e-12 scale_i and scale_i > 0.  Raises
-    NonConvergence otherwise, as where the field vanishes.
+    NonConvergence otherwise, as where the field vanishes or J is singular.
+
+    The step and |F| are the floats ``np.linalg.solve`` and
+    ``np.linalg.norm`` give, without their Python wrapping, which costs
+    more than LAPACK's dgesv itself on these small systems:
+    :func:`_newton_step` calls dgesv through the gufunc ``np.linalg.solve``
+    runs, under the error state it sets, so a singular pivot (dgesv's
+    invalid flag, which ``np.linalg.solve`` turns into LinAlgError) raises
+    FloatingPointError here, and a NaN J gives a NaN step and no error.
+    Root verdicts turn on the last bit of F, so neither float is re-derived
+    in Python arithmetic, whose rounding differs from the BLAS kernels'.
     """
     def converged(f, scale):
         return all(abs(fi) <= _POLISH_TOL * max(1.0, si) for fi, si in zip(f, scale))
 
     u = np.asarray(u0, float).tolist()
     fu, J, scale = system(u)
-    norm = np.linalg.norm(fu)
-    for _ in range(_NEWTON_MAX_ITER):
-        if converged(fu, scale):
-            break
-        try:
-            step = np.linalg.solve(J, np.negative(fu)).tolist()
-        except np.linalg.LinAlgError:
-            raise NonConvergence("singular Jacobian in the collinear solver")
-        lam = 1.0
-        for _ in range(30):
-            trial = [ui + lam * si for ui, si in zip(u, step)]
-            if all(t > 0 for t in trial):
-                ft, Jt, st = system(trial)
-                nt = np.linalg.norm(ft)
-                if nt < norm * (1 - 1e-4 * lam) or converged(ft, st):
-                    u, fu, J, scale, norm = trial, ft, Jt, st, nt
-                    break
-            lam *= 0.5
-        else:
-            raise NonConvergence("backtracking stalled in the collinear solver")
+    norm = _norm(fu)
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        for _ in range(_NEWTON_MAX_ITER):
+            if converged(fu, scale):
+                break
+            try:
+                step = _newton_step(J, fu)
+            except FloatingPointError:
+                raise NonConvergence("singular Jacobian in the collinear solver") from None
+            lam = 1.0
+            for _ in range(30):
+                trial = [ui + lam * si for ui, si in zip(u, step)]
+                if all(t > 0 for t in trial):
+                    ft, Jt, st = system(trial)
+                    nt = _norm(ft)
+                    if nt < norm * (1 - 1e-4 * lam) or converged(ft, st):
+                        u, fu, J, scale, norm = trial, ft, Jt, st, nt
+                        break
+                lam *= 0.5
+            else:
+                raise NonConvergence("backtracking stalled in the collinear solver")
     if not converged(fu, scale):
         raise NonConvergence(f"no convergence (|F| = {norm:.3g})")
     if any(abs(fi) > _POLISH_TOL * si for fi, si in zip(fu, scale)):

@@ -353,6 +353,25 @@ class TestFindAndVerify:
         assert main(["find", sys_path, "--config", config, *flags]) == 0
         assert (tmp_path / f"species.{config}.catalog.csv").read_text() == catalog
 
+    def test_small_charges_certify_without_a_collision(self, tmp_path, capsys):
+        # FOUR's charges times 1e-6 start the root's charges 3 and 4 about
+        # 2e-12 apart, which an absolute 1e-9 collision watch calls a
+        # collision (exit 2); the rigidity gate is relative, and the row is
+        # FOUR's with omega times 1e12 and B times 1e18
+        sys_path = _write(tmp_path, "small.system",
+                          "B 1\nparticle 3e-6 1\nparticle -1e-6 1\n"
+                          "particle 1e-6 3\nparticle 2e-6 2\n")
+        assert main(["find", sys_path, "--config", "nbody-II", "--grid-points",
+                     "4", "--grid-min", "1.5", "--grid-max", "6"]) == 0
+        assert capsys.readouterr().err == ""
+        small = (tmp_path / "small.nbody-II.catalog.csv").read_text().splitlines()
+        unit = _FROZEN_CATALOGS[-1][3].splitlines()
+        assert small[0] == unit[0] and len(small) == len(unit) == 2
+        row, ref = small[1].split(","), unit[1].split(",")
+        assert row[:2] == ref[:2]
+        for k, factor in ((2, 1.0), (3, 1.0), (4, 1.0), (5, 1e12), (7, 1e18)):
+            assert float(row[k]) == pytest.approx(factor * float(ref[k]), rel=1e-12)
+
     def test_degenerate_grid_solves_each_value_once(self, tmp_path, capsys):
         sys_path = _spec4_system(tmp_path)
         rc = main(["find", sys_path, "--config", "II", "--grid-min", "2",

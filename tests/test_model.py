@@ -52,6 +52,21 @@ class TestClassification:
         assert cls.neutral
         assert not classify_system(SystemSpec(1.0, (1.0, 1.0), (1.0, 1.0))).neutral
 
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_tags_are_relative_at_every_scale(self, scale):
+        # scaling every charge changes no tag: a 1e-6 relative mismatch is
+        # no agreement at 1e-13 either, and an exact one stays exact
+        def tags(charges, masses):
+            cls = classify_system(SystemSpec(1.0, [scale * e for e in charges],
+                                             masses))
+            return bool(cls.neutral), bool(cls.equal_larmor)
+
+        assert tags((-2.0, 1.0, 1.0), (4.0, 1.0, 1.0)) == (True, False)
+        assert tags((-2.0, 1.0, 1.000001), (4.0, 1.0, 1.0)) == (False, False)
+        assert tags((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)) == (False, True)
+        assert tags((-1.0, -1.0, -1.000001), (1.0, 1.0, 1.0)) == (False, False)
+        assert tags((3.0, -1.0, 1.0), (1.0, 1.0, 3.0)) == (False, False)
+
 
 class TestParsing:
     def test_round_trip_exact(self, rng):

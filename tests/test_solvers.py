@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -380,6 +381,18 @@ class TestConfigII:
         with pytest.raises(NoSolution, match="charge-to-mass"):
             solve_config_II(electrons)
 
+    def test_small_charges_are_no_equal_ratio(self, spec4):
+        # SPEC4 with every charge times 1e-13: the same speeds at B times
+        # 1e39 and omega times 1e26, not the equal-ratio refusal
+        small = SystemSpec(1.0, spec4.charges * 1e-13, spec4.masses)
+        sols, ref = solve_config_II(small), solve_config_II(spec4)
+        assert len(sols) == len(ref) == 12
+        for sol, r in zip(sols, ref):
+            assert sol.certified
+            np.testing.assert_allclose(sol.v, r.v, rtol=1e-12)
+            assert sol.omega == pytest.approx(1e26 * r.omega, rel=1e-12)
+            assert sol.B == pytest.approx(1e39 * r.B, rel=1e-12)
+
     def test_root_far_below_v2(self):
         # a certified rotation at v1 ~ 0.0076, more than 1.5 decades below
         # the scale speed v2 = 1
@@ -561,6 +574,84 @@ class TestNbodyCollinear:
 
         with pytest.raises(NonConvergence, match="the field vanishes: not a root"):
             solvers._damped_newton(system, [1.0])
+
+    def test_singular_jacobian_is_no_root(self):
+        # dgesv meets a zero pivot, where np.linalg.solve raises
+        # LinAlgError; no warning on the way (nor under -W error)
+        J = ((1.0, 1.0), (1.0, 1.0))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(J, (-1.0, -1.0))
+
+        def system(u):
+            return (1.0, 1.0), J, (1.0, 1.0)
+
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match="singular Jacobian"):
+                solvers._damped_newton(system, [1.0, 1.0])
+        assert np.geterr() == before
+
+    def test_nan_jacobian_ends_as_numpys_nan_step(self):
+        # np.linalg.solve gives a NaN step, no error, so every trial point
+        # fails the positivity test and backtracking stalls
+        J = ((math.nan, math.nan), (math.nan, math.nan))
+        assert np.isnan(np.linalg.solve(J, (-1.0, -1.0))).all()
+
+        def system(u):
+            return (1.0, 1.0), J, (1.0, 1.0)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match="backtracking stalled"):
+                solvers._damped_newton(system, [1.0, 1.0])
+
+    @pytest.mark.parametrize("name", ["four", "five"])
+    def test_steps_and_merits_are_numpys_to_the_bit(self, name, request,
+                                                    monkeypatch):
+        # the Newton loop calls LAPACK's solve gufunc and ddot without
+        # numpy's wrapping; on the default grid every step must be the
+        # float np.linalg.solve(J, -F) gives, and every |F| the float
+        # np.linalg.norm(F) gives, for each (F, J) the system returned
+        spec = request.getfixturevalue(name)
+        factory, newton_step, norm = (solvers._nbody_system, solvers._newton_step,
+                                      solvers._norm)
+        returned = {}     # id(J) -> F, each J kept alive by its key's value
+        calls = steps = merits = 0
+
+        def wrapped(spec, vn):
+            system, assemble = factory(spec, vn)
+
+            def spy(u):
+                nonlocal calls
+                calls += 1
+                out = system(u)
+                returned[id(out[1])] = out[0], out[1]
+                return out
+
+            return spy, assemble
+
+        def step_spy(J, f):
+            nonlocal steps
+            steps += 1
+            assert f is returned[id(J)][0]
+            got = newton_step(J, f)
+            assert _same_floats(got, np.linalg.solve(J, np.negative(f)).tolist())
+            return got
+
+        def norm_spy(f):
+            nonlocal merits
+            merits += 1
+            got = norm(f)
+            assert type(got) is float and _same_floats(got, float(np.linalg.norm(f)))
+            return got
+
+        monkeypatch.setattr(solvers, "_nbody_system", wrapped)
+        monkeypatch.setattr(solvers, "_newton_step", step_spy)
+        monkeypatch.setattr(solvers, "_norm", norm_spy)
+        solve_nbody_II(spec)
+        assert merits == calls == {"four": 735, "five": 748}[name]
+        assert steps == {"four": 676, "five": 697}[name]
 
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
