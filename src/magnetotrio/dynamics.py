@@ -26,7 +26,9 @@ output, and it records the closest approach in ``Trajectory.stats``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -405,7 +407,10 @@ def read_trajectory_csv(path, spec):
     """Read a trajectory written by :func:`write_trajectory_csv`.
 
     Raises :class:`SpecParseError` (with the line number) on malformed,
-    truncated or non-finite rows and on times that do not increase.
+    truncated or non-finite rows, on times that do not increase and on a
+    row where two charges share a point.  Blank lines are skipped.  The
+    rows are parsed in one pass by Python's own float parser; only a file
+    that fails a check is walked row by row, to name its first faulty line.
     """
     n = spec.n
     expected = 1 + 4 * n
@@ -418,27 +423,50 @@ def read_trajectory_csv(path, spec):
         raise SpecParseError(
             f"unexpected header for an n={n} system: {lines[0]!r}", line=1
         )
+    rows = list(filter(str.strip, lines[1:]))
+    if not rows:
+        raise SpecParseError("trajectory file has a header but no rows")
+    data = None
+    # commas are counted per row: a short and a long row can leave the cell
+    # count a multiple of the width
+    if set(map(str.count, rows, itertools.repeat(","))) == {expected - 1}:
+        with contextlib.suppress(ValueError):
+            data = np.array(",".join(rows).split(","), dtype=float).reshape(-1, expected)
+    if data is None or not (np.isfinite(data).all()
+                            and (data[1:, 0] > data[:-1, 0]).all()):
+        data = _walk_rows(lines, expected)
+    state = data[:, 1:].reshape(-1, n, 4)
+    I, J, _ = spec.pairs
+    shared = (state[:, I, 0:2] == state[:, J, 0:2]).all(axis=-1)
+    if shared.any():
+        row, pair = np.unravel_index(shared.argmax(), shared.shape)
+        line_no = [k for k, line in enumerate(lines[1:], start=2) if line.strip()][row]
+        raise SpecParseError(f"particles {I[pair] + 1} and {J[pair] + 1} "
+                             "share a point", line=line_no)
+    return Trajectory(spec, data[:, 0], state[..., 0:2], state[..., 2:4])
+
+
+def _walk_rows(lines, width):
+    """Walk the rows after the header in file order and raise
+    :class:`SpecParseError` at the first faulty one; the rows as an array
+    when none is."""
     rows = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != expected:
+        if len(parts) != width:
             raise SpecParseError(
-                f"expected {expected} columns, got {len(parts)} (truncated row?)",
+                f"expected {width} columns, got {len(parts)} (truncated row?)",
                 line=line_no,
             )
         try:
             vals = [float(p) for p in parts]
         except ValueError:
-            raise SpecParseError(f"non-numeric value in row", line=line_no) from None
+            raise SpecParseError("non-numeric value in row", line=line_no) from None
         if not all(map(math.isfinite, vals)):
             raise SpecParseError("non-finite value in row", line=line_no)
         if rows and vals[0] <= rows[-1][0]:
             raise SpecParseError(f"t = {vals[0]!r} does not increase", line=line_no)
         rows.append(vals)
-    if not rows:
-        raise SpecParseError("trajectory file has a header but no rows")
-    data = np.array(rows)
-    state = data[:, 1:].reshape(-1, n, 4)
-    return Trajectory(spec, data[:, 0], state[..., 0:2], state[..., 2:4])
+    return np.array(rows)

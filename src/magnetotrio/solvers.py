@@ -67,7 +67,8 @@ from numpy.linalg import _umath_linalg
 
 from . import dynamics
 from .dynamics import IntegratorSettings, accelerations, rigidity_report
-from .errors import DegenerateError, DomainError, NonConvergence, NoSolution
+from .errors import (DegenerateError, DomainError, NonConvergence, NoSolution,
+                     StepUnderflow)
 from .model import PhaseState, classify_system
 
 __all__ = [
@@ -459,8 +460,9 @@ def _newton_balance(solution, spec_b, state):
 def _certify(sol, spec, terms, gates=()):
     """Certify ``sol``: the caller's ``(ok, note)`` gates, then the relative
     residual of its balance ``terms`` and its Newton balance; an n-body root
-    that passed them all must also stay rigid over a quarter period.  Each
-    failed gate leaves a note; ``sol`` is certified when none failed.
+    that passed them all must also stay rigid over a quarter period (an
+    integration the stepper cannot finish fails that gate).  Each failed
+    gate leaves a note; ``sol`` is certified when none failed.
 
     The rigidity integration runs in the frame that turns with the
     rotation (``dynamics.integrate``'s ``frame_omega``), where the rotation
@@ -482,12 +484,16 @@ def _certify(sol, spec, terms, gates=()):
         # not refuse a root because of its scale
         settings = IntegratorSettings(t_end=t_end, sample_interval=t_end / 200.0,
                                       collision_threshold=0.0)
-        # looked up at call time, so bench/spans.py traces these integrations
-        sol.rigidity = rigidity_report(dynamics.integrate(
-            spec_b, state, settings, frame_omega=_frame_omega(sol))).worst
-        if not sol.rigidity < _RIGIDITY_TOL:
-            notes = (f"pair distances drift {sol.rigidity:.3g} within "
-                     f"{_RIGIDITY_PERIODS:g} period",)
+        try:
+            # looked up at call time, so bench/spans.py traces these integrations
+            sol.rigidity = rigidity_report(dynamics.integrate(
+                spec_b, state, settings, frame_omega=_frame_omega(sol))).worst
+        except StepUnderflow as err:
+            notes = (f"rigidity integration stopped: {err}",)
+        else:
+            if not sol.rigidity < _RIGIDITY_TOL:
+                notes = (f"pair distances drift {sol.rigidity:.3g} within "
+                         f"{_RIGIDITY_PERIODS:g} period",)
     sol.notes = notes
     sol.certified = not notes
     return sol

@@ -22,11 +22,20 @@ hand; the solvers take its radius and pair rows from the collinear layout
 Configuration I with the third charge at rest, solved by hand from those
 rows; the solver takes both from the collinear field formula at the
 layout (v1, -v2, 0), and the two must agree to round-off.
+
+``read_trajectory_csv`` is the trajectory-CSV reader as a walk over rows,
+the reference for :func:`magnetotrio.read_trajectory_csv`, which parses
+every cell in one pass: on each file both return bit-identical arrays or
+raise the same message at the same line (the package reader also refuses
+a row where two charges share a point, which this walk accepts).
 """
 
 import math
 
-from magnetotrio import DegenerateError
+import numpy as np
+
+from magnetotrio import DegenerateError, SpecParseError, Trajectory
+from magnetotrio.dynamics import trajectory_header
 from magnetotrio.solvers import _V2, _collinear_field
 
 
@@ -155,3 +164,46 @@ def config_I_v3zero_closed_form(spec, v1):
     omega = (e2*m1 - e1*m2) * r * (1 + r)**2 * v1**3 / (e1 * d1 * d2)
     B = omega * (m1 - m2 * r) / d1
     return omega, B
+
+
+def read_trajectory_csv(path, spec):
+    """Read a trajectory written by :func:`write_trajectory_csv`.
+
+    Raises :class:`SpecParseError` (with the line number) on malformed,
+    truncated or non-finite rows and on times that do not increase.
+    """
+    n = spec.n
+    expected = 1 + 4 * n
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise SpecParseError("empty trajectory file")
+    header = lines[0].split(",")
+    if header != trajectory_header(n):
+        raise SpecParseError(
+            f"unexpected header for an n={n} system: {lines[0]!r}", line=1
+        )
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != expected:
+            raise SpecParseError(
+                f"expected {expected} columns, got {len(parts)} (truncated row?)",
+                line=line_no,
+            )
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError:
+            raise SpecParseError(f"non-numeric value in row", line=line_no) from None
+        if not all(map(math.isfinite, vals)):
+            raise SpecParseError("non-finite value in row", line=line_no)
+        if rows and vals[0] <= rows[-1][0]:
+            raise SpecParseError(f"t = {vals[0]!r} does not increase", line=line_no)
+        rows.append(vals)
+    if not rows:
+        raise SpecParseError("trajectory file has a header but no rows")
+    data = np.array(rows)
+    state = data[:, 1:].reshape(-1, n, 4)
+    return Trajectory(spec, data[:, 0], state[..., 0:2], state[..., 2:4])

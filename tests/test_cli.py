@@ -51,6 +51,12 @@ _SPEC4 = "B 1\nparticle 3 1\nparticle -1 1\nparticle 1 3\n"
 _FOUR = "B 1\nparticle 3 1\nparticle -1 1\nparticle 1 3\nparticle 2 2\n"
 _WORKED = "B 1\nparticle 1 1\nparticle 4 5\nparticle 1 1\n"
 _ELECTRONS_B2 = "B 2\nparticle -1 1\nparticle -1 1\nparticle -1 1\n"
+_UNDERFLOW_FIVE = ("B 1.193836183348518\n"
+                   "particle 1.8442306089407223 0.4058653462752546\n"
+                   "particle -0.5743882417054373 0.5741059363996943\n"
+                   "particle 1.8577095351189534 1.344651595690686\n"
+                   "particle -1.1105559812805688 2.7669483720771604\n"
+                   "particle 0.7380447836349893 2.1935673938083875\n")
 _SOLVERS = {"I": solve_config_I, "II": solve_config_II, "III": solve_config_III,
             "nbody-II": solve_nbody_II}
 _HEADER = "config,branch,v1,v2,v3,omega,omega3,B,residual_norm\n"
@@ -87,6 +93,13 @@ _FROZEN_CATALOGS = [
      + "nbody-II,0;v4=2.381101577952299,0.62365873196861055,1,2.0742469567831643,"
        "0.1368129732875201,0,0.22381277008517336,3.0923673258729039e-16\n"),
 ]
+
+
+def _coincide(line):
+    """A trajectory row with charge 2 moved onto charge 1."""
+    parts = line.split(",")
+    parts[5:7] = parts[1:3]
+    return ",".join(parts)
 
 
 def _spec4_system(tmp_path):
@@ -372,6 +385,15 @@ class TestFindAndVerify:
         for k, factor in ((2, 1.0), (3, 1.0), (4, 1.0), (5, 1e12), (7, 1e18)):
             assert float(row[k]) == pytest.approx(factor * float(ref[k]), rel=1e-12)
 
+    def test_stepper_underflow_is_a_rejected_root(self, tmp_path, capsys):
+        # one default-grid root of this five-charge species stops the
+        # rigidity integration on a step underflow: a rejected root (the
+        # search then finds no certified row, exit 4), not an error (exit 1)
+        sys_path = _write(tmp_path, "five.system", _UNDERFLOW_FIVE)
+        assert main(["find", sys_path, "--config", "nbody-II"]) == 4
+        err = capsys.readouterr().err
+        assert "v5=2.40229: v1=0.9519600853 (rigidity integration stopped" in err
+
     def test_degenerate_grid_solves_each_value_once(self, tmp_path, capsys):
         sys_path = _spec4_system(tmp_path)
         rc = main(["find", sys_path, "--config", "II", "--grid-min", "2",
@@ -573,7 +595,9 @@ class TestFindAndVerify:
         (lambda lines: lines.__setitem__(2, "nan" + lines[2][lines[2].index(","):]),
          "line 3: non-finite"),
         (lambda lines: lines.__setitem__(3, lines[2]), "line 4: t ="),
-    ], ids=["nan-cell", "repeated-t"])
+        (lambda lines: lines.__setitem__(3, _coincide(lines[3])),
+         "line 4: particles 1 and 2 share a point"),
+    ], ids=["nan-cell", "repeated-t", "coincident-pair"])
     def test_verify_rejects_bad_rows(self, tmp_path, capsys, tamper, message):
         sys_path = _orbit_system(tmp_path)
         assert main(["simulate", sys_path, "--t-end", "2",

@@ -1,6 +1,12 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from conftest import electron_orbit, separated_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import read_trajectory_csv as oracle_read_trajectory_csv
 
 from magnetotrio import (CollisionError, DomainError, IntegratorSettings,
                          PhaseState, SpecParseError, SystemSpec, Trajectory,
@@ -283,7 +289,9 @@ class TestTrajectoryCsv:
         with pytest.raises(SpecParseError) as err:
             read_trajectory_csv(path, spec)
         assert err.value.line == 5
-        assert "does not increase" in str(err.value)
+        # a Python float's repr, not numpy's "np.float64(...)"
+        t = float(lines[4].split(",")[0])
+        assert str(err.value) == f"line 5: t = {t!r} does not increase"
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "orbit.csv"
@@ -291,6 +299,124 @@ class TestTrajectoryCsv:
         spec = SystemSpec(B=1.0, charges=(1.0,), masses=(1.0,))
         with pytest.raises(SpecParseError):
             read_trajectory_csv(path, spec)
+
+    @pytest.mark.parametrize("faults, line, message", [
+        # a short and a long row leave the cell count a multiple of the
+        # width; each row's own count must still name the short one
+        ({4: "short", 5: "long"}, 4, "expected 9 columns, got 8 (truncated row?)"),
+        ({4: "nan", 6: "short"}, 4, "non-finite value in row"),
+        ({4: "short", 6: "nan"}, 4, "expected 9 columns, got 8 (truncated row?)"),
+        ({3: "abc", 5: "repeat-t"}, 3, "non-numeric value in row"),
+    ], ids=["short-then-long", "nan-then-short", "short-then-nan",
+            "word-then-repeat"])
+    def test_first_faulty_line_is_reported(self, tmp_path, faults, line, message):
+        spec, traj = self._short_trajectory()
+        path = tmp_path / "orbit.csv"
+        write_trajectory_csv(traj, path)
+        lines = path.read_text().splitlines()
+        for no, fault in faults.items():
+            parts = lines[no - 1].split(",")
+            if fault == "short":
+                parts.pop()
+            elif fault == "long":
+                parts.append("0")
+            elif fault == "repeat-t":
+                parts[0] = lines[no - 2].split(",")[0]
+            else:
+                parts[2] = fault
+            lines[no - 1] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpecParseError) as err:
+            read_trajectory_csv(path, spec)
+        assert str(err.value) == f"line {line}: {message}"
+        with pytest.raises(SpecParseError) as ref:
+            oracle_read_trajectory_csv(path, spec)
+        assert str(ref.value) == str(err.value)
+
+    def test_coincident_charges_are_refused(self, tmp_path):
+        # two charges on one point make the Coulomb energy infinite, and
+        # every drift NaN; the reader names the first such row
+        spec = SystemSpec(B=1.0, charges=(1.0, 1.0, 1.0), masses=(1.0, 1.0, 1.0))
+        path = tmp_path / "orbit.csv"
+        path.write_text(",".join(dynamics.trajectory_header(3)) + "\n"
+                        "0,0,0,0,1,1,0,0,1,2,0,0,1\n\n"
+                        "1,0,1,0,1,0,1,1,0,2,1,0,1\n")
+        with pytest.raises(SpecParseError) as err:
+            read_trajectory_csv(path, spec)
+        assert str(err.value) == "line 4: particles 1 and 2 share a point"
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_tampered_files_match_the_row_walk(self, data):
+        # the package reader against the reference row walk on short files
+        # with one to three faults: the same arrays to the bit, or the same
+        # message at the same line; a file the walk accepts is refused only
+        # at its first row with two charges on one point
+        n = data.draw(st.integers(1, 3), label="n")
+        spec = SystemSpec(B=1.0, charges=(1.0,) * n, masses=(1.0,) * n)
+        cell = st.floats(-1e3, 1e3).map(repr)
+        times = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1,
+                                   max_size=5, unique=True), label="t")
+        rows = [[repr(t), *data.draw(st.lists(cell, min_size=4 * n,
+                                              max_size=4 * n))]
+                for t in sorted(times)]
+        lines = [",".join(row) for row in rows]
+        for _ in range(data.draw(st.integers(0, 3), label="faults")):
+            k = data.draw(st.integers(0, len(lines) - 1))
+            parts = lines[k].split(",")
+            fault = data.draw(st.sampled_from(
+                ["drop", "add", "token", "swap-t", "repeat-t", "blank", "cr",
+                 "coincide"]), label="fault")
+            j = data.draw(st.integers(0, len(lines) - 1))
+            if fault == "drop" and len(parts) > 1:
+                parts.pop(data.draw(st.integers(0, len(parts) - 1)))
+            elif fault == "add":
+                parts.insert(data.draw(st.integers(0, len(parts))), "0.5")
+            elif fault == "token":
+                parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(
+                    st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", "",
+                                     " ", "1_0", " 2.5 "]))
+            elif fault in ("swap-t", "repeat-t"):
+                other = lines[j].split(",")
+                parts[0], other[0] = other[0], (other[0] if fault == "repeat-t"
+                                                else parts[0])
+                lines[j] = ",".join(other)
+            elif fault == "cr":
+                parts[-1] += "\r"
+            elif fault == "coincide" and len(parts) == 1 + 4 * n and n > 1:
+                parts[5:7] = parts[1:3]
+            lines[k] = ",".join(parts)
+            if fault == "blank":
+                lines.insert(j, data.draw(st.sampled_from(["", "  ", "\t"])))
+        text = ",".join(dynamics.trajectory_header(n)) + "\n" + "\n".join(lines)
+        with tempfile.TemporaryDirectory() as out:
+            path = os.path.join(out, "orbit.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            try:
+                ref = oracle_read_trajectory_csv(path, spec)
+            except SpecParseError as err:
+                with pytest.raises(SpecParseError) as ours:
+                    read_trajectory_csv(path, spec)
+                assert (str(ours.value), ours.value.line) == (str(err), err.line)
+                return
+            shared = [no for no, line in enumerate(text.splitlines(), start=1)
+                      if no > 1 and line.strip()]
+            for row, pos in zip(shared, ref.positions.tolist()):
+                pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if pos[i] == pos[j]]
+                if pairs:
+                    with pytest.raises(SpecParseError) as ours:
+                        read_trajectory_csv(path, spec)
+                    i, j = pairs[0]
+                    assert str(ours.value) == (f"line {row}: particles {i + 1} "
+                                               f"and {j + 1} share a point")
+                    return
+            got = read_trajectory_csv(path, spec)
+        for a, b in ((got.t, ref.t), (got.positions, ref.positions),
+                     (got.velocities, ref.velocities)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 def _walk_rhs(spec, w=0.0):

@@ -32,6 +32,14 @@ from oracles import (closed_form_B_II, closed_form_B_III, config_I_terms,
 
 CBRT_5_4 = (5.0 / 4.0) ** (1.0 / 3.0)       # 1.0772173450159419
 CBRT_10 = 10.0 ** (1.0 / 3.0)               # 2.1544346900318838
+# a five-charge species whose n-body II root at vn = 2.4022907818493007
+# stops the rigidity integration on a step underflow
+UNDERFLOW_FIVE = SystemSpec(
+    B=1.193836183348518,
+    charges=(1.8442306089407223, -0.5743882417054373, 1.8577095351189534,
+             -1.1105559812805688, 0.7380447836349893),
+    masses=(0.4058653462752546, 0.5741059363996943, 1.344651595690686,
+            2.7669483720771604, 2.1935673938083875))
 
 
 class TestClosedFormFields:
@@ -903,6 +911,19 @@ class TestCertification:
         assert not row.certified
         assert row.notes == (f"pair distances drift {row.rigidity:.3g} "
                              "within 0.25 period",)
+
+    def test_stepper_underflow_rejects_the_root(self):
+        # species 107 of default_rng(2026): at this vn the quarter-period
+        # integration needs a step below the float spacing, which fails the
+        # rigidity gate instead of ending the search
+        rows = solve_nbody_II(UNDERFLOW_FIVE, [2.4022907818493007],
+                              require_certified=False)
+        [row] = rows
+        assert not row.certified and math.isnan(row.rigidity)
+        assert row.notes == ("rigidity integration stopped: Required step size "
+                             "is less than spacing between numbers.",)
+        with pytest.raises(NoSolution, match="rigidity integration stopped"):
+            solve_nbody_II(UNDERFLOW_FIVE, [2.4022907818493007])
 
     @pytest.mark.parametrize("name, solve", [
         ("electrons_b2", lambda spec: solve_config_I_identical(spec, 2 * CBRT_10)),
