@@ -16,14 +16,17 @@ II  : all three charges rotate collinearly with one frequency omega on
       the same side of the center, radii v_i / omega, speeds ordered
       v1 < v2 < v3.
 III : as II but charge 3 sits on the opposite side of the center
-      (anti-phase), ordering v1 > v2 > v3.
+      (anti-phase): charges 3, 2, 1 along the line, v1 > v2 with any
+      v3 > 0.
 
 The collinear equations generalize to n charges (solve_nbody_II).
 
 Every one of them is one collinear layout (:func:`_layout`) turning about
 a center: Configuration I is (v1, -v2, 0) about charge 3, III reflects the
 third speed of II, and n-body II generalizes both.  One set of balance
-rows (_collinear_terms) and one state builder serve all four; one routine
+rows (_collinear_terms) and one set of t = 0 line coordinates (_line),
+which the state builder, the Newton balance and the closed conserved
+forms read, serve all four; one routine
 (_collinear_solution) takes the field (_collinear_field), the frequency
 omega = kappa*B and the gates of every root but Configuration I's
 identical pair, whose speeds solve a quadratic at the spec's field.
@@ -38,9 +41,10 @@ Sign conventions and certification
 The force-balance equations take the sign pattern of the Coulomb terms
 from the layout's nominal order and rotation sense (omega > 0).  A root
 of the equations is therefore only a genuine Newtonian motion inside
-that sector; every solver here re-checks the instantaneous Newton balance
-of the built state, and the n-body solver also integrates the state over
-a quarter period and measures rigidity.
+that sector, where the signed speeds increase strictly along the order
+and no speed is negative; every solver here re-checks the instantaneous
+Newton balance of the built state, and the n-body solver also integrates
+the state over a quarter period and measures rigidity.
 That integration runs in the frame turning at the rotation's own signed
 frequency, where a rigid rotation is an equilibrium (a relative
 equilibrium; Meyer, Hall and Offin, Introduction to Hamiltonian Dynamical
@@ -410,17 +414,15 @@ def _frame_omega(sol):
     return sol.omega if sol.sense == "cw" else -sol.omega
 
 
-def build_initial_state(solution, spec):
-    """Phase-space snapshot of a solution at t = 0.
-
-    Returns ``(spec_b, state)`` where ``spec_b`` is ``spec`` with the
-    solution's field value installed.  The parametrization puts the phase
-    at angle 0: with the signed frequency w and the signed speeds u of the
-    solution's layout (:func:`_layout`), charge i starts at c + (u_i / w, 0)
-    with velocity c' + (0, -u_i).  The center c and its velocity c' are 0
-    except in Configuration I with v3 != 0, whose center, charge 3, runs
-    its own circle about the origin at omega3.
-    """
+def _line(solution, spec):
+    """(c, x, vy): the t = 0 line coordinates of ``solution``'s rotation of
+    the charges of ``spec`` (DomainError if their counts differ).
+    With the signed frequency w and the signed speeds u of its layout
+    (:func:`_layout`), charge i starts at x_i = c + sigma u_i / w with
+    velocity vy_i = c' - sigma u_i along the line's normal, sigma = +1 for
+    "cw" and -1 for "ccw".  The center c and its velocity c' are 0 except
+    in Configuration I with v3 != 0, whose center, charge 3, runs its own
+    circle about the origin at omega3."""
     if tuple(spec.charges.shape) != (len(solution.v),):
         raise DomainError("solution and spec have different particle counts")
     sigma = 1.0 if solution.sense == "cw" else -1.0
@@ -432,10 +434,21 @@ def build_initial_state(solution, spec):
         if w3 == 0.0:
             raise DomainError("Configuration I with v3 != 0 needs omega3")
         c, cvel = sigma * solution.v[2] / w3, -sigma * solution.v[2]
-    pos = [[c + sigma * ui / w, 0.0] for ui in u]
-    vel = [[0.0, cvel - sigma * ui] for ui in u]
-    spec_b = replace(spec, B=solution.B)
-    return spec_b, PhaseState(np.array(pos, float), np.array(vel, float))
+    return c, [c + sigma * ui / w for ui in u], [cvel - sigma * ui for ui in u]
+
+
+def build_initial_state(solution, spec):
+    """Phase-space snapshot of a solution at t = 0.
+
+    Returns ``(spec_b, state)`` where ``spec_b`` is ``spec`` with the
+    solution's field value installed.  The parametrization puts the phase
+    at angle 0: charge i starts at (x_i, 0) with velocity (0, vy_i), the
+    line coordinates of :func:`_line`.
+    """
+    _, x, vy = _line(solution, spec)
+    state = PhaseState(np.array([[xi, 0.0] for xi in x], float),
+                       np.array([[0.0, vi] for vi in vy], float))
+    return replace(spec, B=solution.B), state
 
 
 def _newton_balance(solution, spec_b, state):
@@ -443,14 +456,14 @@ def _newton_balance(solution, spec_b, state):
     state built from ``solution`` and the rigid-rotation kinematics it
     claims.
 
-    Each charge turns at omega about a center c (the third charge in
-    Configuration I, else the origin) that turns at omega3, so it should
-    accelerate at -omega^2 (x - c) - omega3^2 c.  Zero (to rounding) iff the
-    solution is a genuine trajectory; far above the 1e-6 gate for
-    algebra-only roots whose sign sector does not match.
+    Each charge turns at omega about the center c of :func:`_line`, which
+    turns at omega3, so it should accelerate at -omega^2 (x - c) -
+    omega3^2 c.  Zero (to rounding) iff the solution is a genuine
+    trajectory; far above the 1e-6 gate for algebra-only roots whose sign
+    sector does not match.
     """
     acc = accelerations(spec_b, state.positions, state.velocities)
-    c = state.positions[2] if solution.config == "I" else 0.0
+    c = np.array([_line(solution, spec_b)[0], 0.0])
     expected = (-solution.omega**2 * (state.positions - c)
                 - solution.omega3**2 * c)
     scale = max(1.0, float(np.abs(acc).max()))
@@ -762,17 +775,12 @@ def _collinear_solution(spec, v, config, branch):
         config=config, branch=branch, v=tuple(abs(x) for x in v),
         omega=abs(omega_signed), B=B,
         sense="cw" if omega_signed > 0 else "ccw")
+    # the Coulomb signs of the terms hold while the charges lie along the
+    # line in ``order``: the signed speeds increase along it
+    in_sector = min(v) >= 0 and all(u[i] < u[j] for i, j in zip(order, order[1:]))
     return _certify(sol, spec, terms, (
-        (_ordering_ok(config, v), "speed ordering outside the sector"),
+        (in_sector, "speed ordering outside the sector"),
         (omega_signed > 0, "mirror rotation sense")))
-
-
-def _ordering_ok(config, v):
-    if config == "I":
-        return v[0] > 0 and v[1] > 0
-    if config == "III":
-        return v[0] > v[1] > v[2] > 0
-    return all(a < b for a, b in zip(v, v[1:])) and v[0] > 0
 
 
 def _sextic_speeds(spec, config):
@@ -842,7 +850,8 @@ def solve_config_III(spec, v3_values=None, require_certified=True):
 
     Works through the layout (v1, 1, -v3) in reverse order: roots of the
     sextic at (v1, 1, -v3), field -B_II(v1, 1, -v3), frequency from the
-    signed speed sum.  Ordering sector: v1 > v2 > v3.
+    signed speed sum.  Sector: v1 > v2 with any v3 > 0 (charge 3, then 2,
+    then 1 along the line).
     ``v3_values`` defaults to :func:`sweep_grid`; certification and
     NoSolution as for :func:`solve_config_II`.
     """
@@ -1124,74 +1133,31 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
 def conserved_closed_forms(spec, solution):
     """Closed-form values of the conserved set along a special trajectory.
 
-    Returns a dict of quantity name -> value for the solution's
-    configuration.  The forms are algebraic in the solution data only
-    (no state evaluation); tests compare them against direct evaluation
-    on the built state.
+    Every configuration gets the same keys: H, K2, Lz, l1..ln and T1..Tn,
+    and at n = 3 also k3x and I (both 0), a superset of each of
+    ``invariants.SPECIAL_SETS``.  They are algebraic in the solution data
+    (no state evaluation), read from the t = 0 line coordinates x_i, vy_i
+    of :func:`_line`: T_i = m_i vy_i^2 / 2, l_i = x_i (m_i vy_i + e_i B x_i
+    / 2), Lz = sum l_i, K2 = Ky^2 with Ky = sum (m_i vy_i + e_i B x_i), and
+    H = sum T_i + omega sum_{i<j} e_i e_j / |u_i - u_j| at the layout's
+    signed speeds u.  Tests compare them against direct evaluation on the
+    built state.
     """
-    cfg = solution.config
-    if cfg == "I":   # a three-charge configuration
-        (e1, _, e3), (m1, m2, m3) = spec.charges, spec.masses
-    sigma = 1.0 if solution.sense == "cw" else -1.0
-    if cfg == "I" and solution.v[2] == 0.0 and solution.branch == "v3=0":
-        r = solution.v[1] / solution.v[0]
-        v1 = solution.v[0] * sigma
-        B = solution.B
-        D = abs(e1 * (r**3 - 1) * (e1 * r**2 + e3 * (1 + r)**2))
-        bracket = (m1 + m2 * r**2
-                   + 2*e1*r**2*(1 + r) * abs(m2 - m1*r**2)
-                   * (e1*r + e3*(1 + r)) / D
-                   + 2*e1*e3*(1 + r)**2 * abs(m2*r - m1*r**3) / D)
-        H = 0.5 * v1**2 * bracket
-        BI = (r*(1 + r)**2*(m1 - m2*r)*(m1*r**2 - m2)*v1**3
-              / (e1**2*(r**3 - 1)**2*(e1*r**2 + e3*(1 + r)**2)))
-        Lz = (e1*(r**3 - 1)*(e1*r**2 + e3*(1 + r)**2)
-              * (BI*e1**2*(r**3 - 1 - r**4 + r**7)*(e1*r**2 + e3*(1 + r)**2)
-                 + 2*r*(1 + r)**2*v1**3*(m1*r**2 - m2)*(m2*r**2 + m1))
-              / (2*r**2*(1 + r)**4*v1**4*(m2 - m1*r**2)**2))
-        return {"H": H, "K2": 0.0, "Lz": Lz, "l3": 0.0,
-                "T1": 0.5*m1*v1**2, "T2": 0.5*m2*r**2*v1**2,
-                "I": 0.0, "B_check": BI}
-    if cfg == "I":
-        # identical pair at separation rho12 = 2 v1 / omega
-        e, m = e1, m1
-        B = solution.B
-        rho = 2 * solution.v[0] / solution.omega
-        v3 = solution.v[2] * sigma
-        s = 1.0 if solution.branch == "+" else -1.0
-        root = 1.0 + s * math.sqrt(_pair_discriminant(spec, B, rho))
-        H = (0.5*m3*v3**2 + e**2*B**2*rho**2/(16*m) * root**2
-             + e*(e + 4*e3)/(4*rho))
-        out = {"H": H, "K2": 0.0,
-               "l3": (-m3**2*v3**2/(2*e3*B)) if v3 != 0.0 else 0.0,
-               "T3": 0.5*m3*v3**2, "I": 0.0}
-        if v3 != 0.0:
-            out["Lz"] = (e*B*rho**2/4 - (2*m + m3)*m3*v3**2/(2*e3*B)
-                         - e*B*rho**2/4 * root)
-            out["k3x"] = 0.0
-        return out
-    if cfg in ("II", "III", "nbody-II"):
-        v = np.array(_layout(cfg, solution.v)[0], float) * sigma
-        e = spec.charges
-        m = spec.masses
-        B = solution.B
-        Sev = float(np.dot(e, v))
-        Smv = float(np.dot(m, v))
-        X = math.fsum(e[i]*e[j]/(v[i] - v[j])
-                      for i, j in itertools.combinations(range(spec.n), 2))
-        H = 0.5 * (2*B*X*Sev/Smv + float(np.dot(m, v**2)))
-        out = {"H": H, "K2": 0.0}
-        if spec.n == 3:
-            out["I"] = 0.0
-            out["Lz"] = (Smv**2/(2*B*Sev**2)
-                         * (float(np.dot(e, v**2))
-                            - 2*Sev*float(np.dot(m, v**2))/Smv))
-            out["l2"] = (v[1]**2*Smv
-                         * (e[1]*(m[0]*v[0] - m[1]*v[1] + m[2]*v[2])
-                            - 2*m[1]*(e[0]*v[0] + e[2]*v[2]))
-                         / (2*B*Sev**2))
-        return out
-    raise DomainError(f"no closed-form table for configuration {cfg!r}")
+    u, _ = _layout(solution.config, solution.v)
+    _, x, vy = _line(solution, spec)
+    e, m, B = spec.charges.tolist(), spec.masses.tolist(), solution.B
+    T = [0.5 * mi * vi**2 for mi, vi in zip(m, vy)]
+    l = [xi * (mi * vi + ei * B * xi / 2) for xi, vi, ei, mi in zip(x, vy, e, m)]
+    Ky = math.fsum(mi * vi + ei * B * xi for xi, vi, ei, mi in zip(x, vy, e, m))
+    coulomb = math.fsum(e[i] * e[j] / abs(u[i] - u[j])
+                        for i, j in itertools.combinations(range(len(u)), 2))
+    out = {"H": math.fsum(T) + solution.omega * coulomb, "K2": Ky**2,
+           "Lz": math.fsum(l),
+           **{f"l{i + 1}": li for i, li in enumerate(l)},
+           **{f"T{i + 1}": Ti for i, Ti in enumerate(T)}}
+    if len(u) == 3:
+        out.update(k3x=0.0, I=0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------

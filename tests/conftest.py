@@ -83,11 +83,15 @@ def separated_state(rng, n, box=2.0, min_sep=0.5):
     return pos, vel
 
 
-def table_value(spec, state, name):
-    """The named quantity at ``state``, read from one invariant table by
-    its column name; K2 = Kx^2 + Ky^2 is built from the Kx and Ky columns."""
+def table_values(spec, state):
+    """Every quantity at ``state`` by name, read from one invariant table by
+    its column names; K2 = Kx^2 + Ky^2 is built from the Kx and Ky columns."""
     row = invariant_table(spec, state.positions, state.velocities).tolist()
     value = dict(zip(invariant_columns(spec.n)[1:], row))
-    if name == "K2":
-        return value["Kx"] ** 2 + value["Ky"] ** 2
-    return value[name]
+    value["K2"] = value["Kx"] ** 2 + value["Ky"] ** 2
+    return value
+
+
+def table_value(spec, state, name):
+    """The named quantity at ``state`` (see :func:`table_values`)."""
+    return table_values(spec, state)[name]

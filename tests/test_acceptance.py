@@ -27,7 +27,8 @@ from magnetotrio import (DegenerateError, IntegratorSettings, NoSolution,
                          solve_config_I_identical, solve_config_I_v3zero,
                          solve_config_II, solve_nbody_II, to_jacobi)
 from magnetotrio.solvers import _evaluate_p6
-from oracles import closed_form_B_II, closed_form_B_III
+from oracles import (closed_form_B_II, closed_form_B_III,
+                     config_I_v3zero_closed_form)
 
 SPEC4 = SystemSpec(B=1.0, charges=(3.0, -1.0, 1.0), masses=(1.0, 1.0, 3.0))
 WORKED = SystemSpec(B=1.0, charges=(1.0, 4.0, 1.0), masses=(1.0, 5.0, 1.0))
@@ -310,8 +311,9 @@ def test_08_worked_rotation_closed_forms():
     assert np.max(np.abs(residuals)) < 1e-12
 
     spec_b, state = build_initial_state(sol, WORKED)
+    assert sol.B == pytest.approx(config_I_v3zero_closed_form(WORKED, 1.0)[1],
+                                  rel=1e-12)
     forms = conserved_closed_forms(WORKED, sol)
-    assert forms.pop("B_check") == pytest.approx(sol.B, rel=1e-12)
     for name, value in sorted(forms.items()):
         direct = table_value(spec_b, state, name)
         print(f"{name}: closed form {value:.12g}  direct {direct:.12g}  "
