@@ -14,6 +14,8 @@ operands are sliced once per stepper; stage points share one buffer, which
 ``fun`` must not keep; its array or list goes straight into its row of ``K``;
 ``nfev`` is counted per batch of stages.  The coefficients are the published
 ones, each written as the shortest decimal that rounds to the same double.
+:func:`interpolate` evaluates the dense output of many steps in one batched
+pass, to the bit of each step's own Horner scheme.
 """
 
 import math
@@ -143,7 +145,8 @@ class DOP853:
                           f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
                           stacklevel=4)
             rtol = np.maximum(rtol, 100 * EPS)
-        self.fun, self.rtol, self.atol = fun, rtol, atol
+        # 0-d arrays: numpy converts a Python float at every use
+        self.fun, self.rtol, self.atol = fun, np.array(rtol), np.array(atol)
         self.t, self.y, self.t_bound = t0, y0, t_bound
         self.t_old = self.y_old = self.h = None
         self.f = np.asarray(fun(t0, y0), float)
@@ -174,10 +177,10 @@ class DOP853:
 
     def _stages(self, plan, t, y, h):
         """Fill the stages of ``plan`` at ``(t, y)`` with step ``h``."""
-        fun, buf = self.fun, self._buf
+        fun, buf, h_arr = self.fun, self._buf, np.array(h)
         for KT, a, c, row in plan:
             KT.dot(a, out=buf)
-            buf *= h
+            buf *= h_arr
             buf += y
             row[:] = fun(t + c * h, buf)
         self.nfev += len(plan)
@@ -231,31 +234,39 @@ class DOP853:
         self.t_old, self.y_old = t, y
         self.t, self.y, self.f = t_new, y_new, K[N_STAGES].copy()
 
+    def dense_step(self):
+        """What :func:`interpolate` needs of the last step: ``(t_old, t, h,
+        y_old, y, f_old, f, D K)``; its three extra stages call ``fun``."""
+        K, h = self.K, self.h
+        self._stages(self._dense_plan, self.t_old, self.y_old, h)
+        return (self.t_old, self.t, h, self.y_old, self.y, K[0].copy(), self.f,
+                D.dot(K))
+
     def dense_output(self):
         """The 7th-order interpolant over the last step, as a function of a
-        1-D array of times that returns one solution row per time.
+        1-D array of times that returns one solution row per time."""
+        step = self.dense_step()
+        return lambda t: interpolate(t, [step], [len(t)])
 
-        Evaluates the three extra stages, so it costs three calls of ``fun``.
-        """
-        K, h, t_old, y_old = self.K, self.h, self.t_old, self.y_old
-        self._stages(self._dense_plan, t_old, y_old, h)
-        F = np.empty((7, y_old.size))
-        f_old = K[0]
-        delta_y = self.y - y_old
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * D.dot(K)
-        span = self.t - t_old
 
-        def interpolate(t):
-            x = ((t - t_old) / span)[:, None]
-            factors = (x, 1 - x)
-            y = np.zeros((len(x), len(y_old)))
-            for i, f in enumerate(reversed(F)):
-                y += f
-                y *= factors[i % 2]
-            y += y_old
-            return y
-
-        return interpolate
+def interpolate(t, steps, counts):
+    """One solution row per time of the 1-D array ``t``, which holds
+    ``counts[k]`` times of step ``k`` of ``steps`` (:meth:`DOP853.dense_step`
+    tuples) in turn.  Every element takes the operations of its step's own
+    Horner scheme, from a start at zero, with F built for all steps at once.
+    """
+    t_old, t_new, h, y_old, y, f_old, f, DK = map(np.array, zip(*steps))
+    at = np.repeat(np.arange(len(steps)), counts)
+    h = h[:, None]
+    delta_y = y - y_old
+    hDK = h[:, None] * DK
+    F = [delta_y, h * f_old - delta_y, 2 * delta_y - h * (f + f_old),
+         *(hDK[:, k] for k in range(4))]
+    x = ((t - t_old[at]) / (t_new - t_old)[at])[:, None]
+    factors = (x, 1 - x)
+    out = np.zeros((len(at), y_old.shape[1]))
+    for i, row in enumerate(reversed(F)):
+        out += row[at]
+        out *= factors[i % 2]
+    out += y_old[at]
+    return out

@@ -16,9 +16,10 @@ that ``find``'s solver refuses before it sweeps a grid point.
 Every simulate/find run drops a JSON manifest next to its outputs
 recording the inputs, the settings actually used, the tool version and
 the wall time, so a run can be reproduced exactly; a simulate manifest
-also carries the solver stats (``nfev``, ``min_pair_distance``).  All CSV
-numbers are written with 17 significant digits and searches are
-deterministic.
+also carries the solver stats (``nfev``, ``min_pair_distance``) and the
+wall time of each phase (``phase_s``: integrate, write_trajectory,
+write_invariants).  All CSV numbers are written with 17 significant digits
+and searches are deterministic.
 """
 
 import argparse
@@ -60,7 +61,7 @@ def _stem(input_path, out_dir):
 
 
 def _write_manifest(path, command, inputs, settings, outputs, wall_time,
-                    stats=None):
+                    stats=None, phases=None):
     doc = {
         "tool": "magnetotrio",
         "version": __version__,
@@ -72,6 +73,8 @@ def _write_manifest(path, command, inputs, settings, outputs, wall_time,
     }
     if stats is not None:
         doc["stats"] = stats
+    if phases is not None:
+        doc["phase_s"] = {k: round(v, 6) for k, v in phases.items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -98,12 +101,16 @@ def _cmd_simulate(args):
         traj = integrate(spec, state, settings)
     else:
         traj = integrate_jacobi(spec, state, settings)
-    wall = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    wall = t1 - t0
 
     traj_path = stem + ".trajectory.csv"
     inv_path = stem + ".invariants.csv"
     write_trajectory_csv(traj, traj_path)
+    t2 = time.perf_counter()
     drifts = table_drifts(write_invariant_csv(traj, inv_path), spec.n)
+    phases = {"integrate": wall, "write_trajectory": t2 - t1,
+              "write_invariants": time.perf_counter() - t2}
     print(f"integrated n={spec.n} system to t={args.t_end:g} "
           f"({traj.n_samples} samples, {wall:.2f} s)")
     print(f"  H drift {drifts['H']:.3e}, Lz drift {drifts['Lz']:.3e}")
@@ -118,7 +125,8 @@ def _cmd_simulate(args):
         {"t_end": args.t_end, "rel_tol": args.rel_tol,
          "abs_tol": args.abs_tol, "sample_every": args.sample_every,
          "mode": args.mode},
-        {"trajectory": traj_path, "invariants": inv_path}, wall, traj.stats)
+        {"trajectory": traj_path, "invariants": inv_path}, wall, traj.stats,
+        phases)
     print(f"  wrote {manifest}")
     return 0
 

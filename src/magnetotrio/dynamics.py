@@ -18,7 +18,8 @@ in-package stepper ``_dop853``, with tight default tolerances; it takes
 the steps and returns the floats of ``scipy.integrate.solve_ivp`` without
 importing scipy.  Trajectories are sampled on a uniform grid, through the
 stepper's dense output, when a sample interval is given, otherwise at the
-solver's natural steps.  A collision watch keeps its own walk over the
+solver's natural steps; the sampled rows of a run come from one batched
+interpolation pass.  A collision watch keeps its own walk over the
 pairs and runs it at every accepted step: when a pair comes closer than
 the threshold it stops the run at the crossing, located on the dense
 output, and it records the closest approach in ``Trajectory.stats``.
@@ -35,13 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dop853 import DOP853, EPS
+from ._dop853 import DOP853, EPS, interpolate
 from .errors import CollisionError, DomainError, SpecParseError
 from .model import pair_index
 
 # Largest sampling grid :func:`integrate` accepts; each sample of an
 # n-charge run holds 4n + 1 floats in several copies.
 MAX_SAMPLES = 10**6
+# Steps per interpolation pass; each holds seven solver vectors until then.
+INTERPOLATION_BATCH = 256
 
 
 @dataclass
@@ -229,8 +232,10 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
     accepted step; when the closest pair distance falls to the threshold,
     the crossing is located on the step's dense output.  With the watch off,
     a start state with two charges on one point still raises at ``t0``.
-    Returns the sample times, the solver vectors at those times as rows, and
-    the solver counters: ``nfev`` and, while the watch is on,
+    The sampled rows come from one batched interpolation pass over the
+    steps that reach grid points, or one per ``INTERPOLATION_BATCH`` of
+    them.  Returns the sample times, the solver vectors at those times as
+    rows, and the solver counters: ``nfev`` and, while the watch is on,
     ``min_pair_distance``, the closest approach over the start and every
     accepted step.  A pair distance whose cube overflows the float range
     raises :class:`DomainError`, naming the last accepted time.
@@ -259,7 +264,8 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
             raise CollisionError(float(t0), pair, math.sqrt(closest))
     ts, rows = ([t0], [y0]) if t_eval is None else ([], [])
     grid = None if t_eval is None else t_eval.tolist()
-    sampled = 0   # grid points written so far
+    sampled = 0   # grid points due so far
+    steps, counts = [], []   # the steps with due points, and how many each
     t = t0        # the last accepted time
     try:
         # a runaway charge overflows the stepper's numpy arithmetic
@@ -269,7 +275,7 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
                              settings.abs_tol)
             while stepper.t < t1:
                 stepper.step()
-                t, y, dense = stepper.t, stepper.y, None
+                t, y = stepper.t, stepper.y
                 if watched:
                     d2 = nearest(y)[1]
                     closest = min(closest, d2)
@@ -291,10 +297,13 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
                     continue
                 due = bisect_right(grid, t)
                 if due > sampled:
-                    if dense is None:
-                        dense = stepper.dense_output()
-                    rows.append(dense(t_eval[sampled:due]))
+                    steps.append(stepper.dense_step())
+                    counts.append(due - sampled)
                     sampled = due
+                    if len(steps) == INTERPOLATION_BATCH or due == len(grid):
+                        rows.append(interpolate(t_eval[due - sum(counts):due],
+                                                steps, counts))
+                        steps, counts = [], []
     except OverflowError:
         # a float ``** 1.5`` past 1.8e308 raises instead of giving inf
         raise DomainError("the cube of a pair distance overflows the float "

@@ -28,13 +28,21 @@ the reference for :func:`magnetotrio.read_trajectory_csv`, which parses
 every cell in one pass: on each file both return bit-identical arrays or
 raise the same message at the same line (the package reader also refuses
 a row where two charges share a point, which this walk accepts).
+
+``step_interpolant`` is DOP853's 7th-order dense output built and
+evaluated for one step at a time, and ``sampled_walk`` samples a run
+through it step by step: the reference for
+:func:`magnetotrio._dop853.interpolate`, which evaluates the recorded steps
+of a run in one batched pass; the rows must agree to the bit.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from magnetotrio import DegenerateError, SpecParseError, Trajectory
+from magnetotrio._dop853 import D, DOP853
 from magnetotrio.dynamics import trajectory_header
 from magnetotrio.solvers import _V2, _collinear_field
 
@@ -207,3 +215,59 @@ def read_trajectory_csv(path, spec):
     data = np.array(rows)
     state = data[:, 1:].reshape(-1, n, 4)
     return Trajectory(spec, data[:, 0], state[..., 0:2], state[..., 2:4])
+
+
+def step_interpolant(stepper):
+    """The interpolant over ``stepper``'s last step, as a function of a 1-D
+    array of times that returns one solution row per time.  Runs the three
+    extra stages."""
+    K, h, t_old, y_old = stepper.K, stepper.h, stepper.t_old, stepper.y_old
+    stepper._stages(stepper._dense_plan, t_old, y_old, h)
+    F = np.empty((7, y_old.size))
+    f_old = K[0]
+    delta_y = stepper.y - y_old
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (stepper.f + f_old)
+    F[3:] = h * D.dot(K)
+    span = stepper.t - t_old
+
+    def interpolate(t):
+        x = ((t - t_old) / span)[:, None]
+        factors = (x, 1 - x)
+        y = np.zeros((len(x), len(y_old)))
+        for i, f in enumerate(reversed(F)):
+            y += f
+            y *= factors[i % 2]
+        y += y_old
+        return y
+
+    return interpolate
+
+
+def sampled_walk(rhs, y0, t0, t_eval, settings, positions_of):
+    """Integrate ``y' = rhs(t, y)`` from ``(t0, y0)`` and evaluate each
+    accepted step's own interpolant at the points of ``t_eval`` it reaches.
+
+    Returns the rows and the counters of ``dynamics._solve`` with the
+    collision watch on: ``nfev`` and ``min_pair_distance``, the closest
+    approach over the start and every accepted step.
+    """
+    def closest(y):
+        p = positions_of(y)
+        return min((p[a] - p[b]) * (p[a] - p[b])
+                   + (p[a + 1] - p[b + 1]) * (p[a + 1] - p[b + 1])
+                   for a, b in itertools.combinations(range(0, len(p), 2), 2))
+
+    stepper = DOP853(rhs, t0, y0, settings.t_end, settings.rel_tol,
+                     settings.abs_tol)
+    rows, sampled, d2 = [], 0, closest(y0)
+    while stepper.t < settings.t_end:
+        stepper.step()
+        d2 = min(d2, closest(stepper.y))
+        due = int(np.searchsorted(t_eval, stepper.t, side="right"))
+        if due > sampled:
+            rows.append(step_interpolant(stepper)(t_eval[sampled:due]))
+            sampled = due
+    return np.vstack(rows), {"nfev": stepper.nfev,
+                             "min_pair_distance": math.sqrt(d2)}

@@ -134,6 +134,17 @@ class TestSimulate:
         # the electron orbit is rigid: its closest pair stays at 1.0772...
         assert stats["min_pair_distance"] == pytest.approx(1.0772173450159419, rel=1e-9)
 
+    def test_manifest_carries_the_phase_wall_times(self, tmp_path):
+        sys_path = _orbit_system(tmp_path)
+        assert main(["simulate", sys_path, "--t-end", "2",
+                     "--sample-every", "0.5"]) == 0
+        with open(tmp_path / "orbit.manifest.json") as fh:
+            doc = json.load(fh)
+        phases = doc["phase_s"]
+        assert set(phases) == {"integrate", "write_trajectory", "write_invariants"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
+        assert phases["integrate"] == doc["wall_time_s"]
+
     def test_out_dir_is_created(self, tmp_path):
         sys_path = _orbit_system(tmp_path)
         rc = main(["simulate", sys_path, "--t-end", "1",
@@ -187,32 +198,43 @@ class TestSimulate:
             "magnetotrio: error: Required step size is less than spacing "
             "between numbers.\n")
 
-    def test_overflowing_pair_distance_exits_1(self, tmp_path, capsys):
+    # sampled runs interpolate their rows in batched passes, which must not
+    # add a warning line either
+    @pytest.mark.parametrize("sampling", [[], ["--sample-every", "0.01"]],
+                             ids=["steps", "sampled"])
+    def test_overflowing_pair_distance_exits_1(self, tmp_path, capsys, sampling):
         # a charge of mass 1e-300 flies off until the cube of its distance
         # overflows the float range; that is a usage error, not a traceback
         sys_path = _write(tmp_path, "light.system",
                           "B 0\nparticle 1 1e-300\nposition 0 0\n"
                           "particle 1 1\nposition 1 0\n")
-        rc = main(["simulate", sys_path, "--t-end", "1"])
+        rc = main(["simulate", sys_path, "--t-end", "1", *sampling])
         assert rc == 1
         err = capsys.readouterr().err
         head, _, t = err.partition(" after t = ")
         assert head == ("magnetotrio: error: the cube of a pair distance "
                         "overflows the float range in the step")
         assert t.endswith("\n") and 0.0 <= float(t) < 1.0
+        assert err.count("\n") == 1
 
-    def test_overflowing_pair_distance_exits_1_derived(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sampling", [[], ["--sample-every", "0.01"]],
+                             ids=["steps", "sampled"])
+    def test_overflowing_pair_distance_exits_1_derived(self, tmp_path, capsys,
+                                                       sampling):
         # the same runaway with a third charge: the Jacobi route refuses it
         # as the Newton route does, not with samples 1e150 away
         sys_path = _write(tmp_path, "light.system",
                           "B 0\nparticle 1 1e-300\nposition 0 0\n"
                           "particle 1 1\nposition 1 0\n"
                           "particle 1 1\nposition 0 1\n")
-        rc = main(["simulate", sys_path, "--t-end", "1", "--mode", "derived"])
+        rc = main(["simulate", sys_path, "--t-end", "1", "--mode", "derived",
+                   *sampling])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(
+        err = capsys.readouterr().err
+        assert err.startswith(
             "magnetotrio: error: the cube of a pair distance overflows the "
             "float range in the step after t = ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("mode", ["newton", "derived"])
     @pytest.mark.parametrize("dt", ["0", "-1", "nan"])

@@ -114,7 +114,13 @@ def test_tableau_is_scipy_bit_for_bit():
      IntegratorSettings(t_end=8.0, rel_tol=1e-12, abs_tol=1e-12, sample_interval=0.25)),
     (integrate_jacobi, _readme_orbit,
      IntegratorSettings(t_end=20.0, sample_interval=0.5)),
-], ids=["orbit", "orbit-sampled", "repelling-4", "repelling-6", "orbit-derived"])
+    # the grid ends in an appended t_end, and many steps carry no point
+    (integrate, lambda: _repelling(3),
+     IntegratorSettings(t_end=8.0, sample_interval=1.5)),
+    (integrate_jacobi, _readme_orbit,
+     IntegratorSettings(t_end=20.0, sample_interval=0.01)),
+], ids=["orbit", "orbit-sampled", "repelling-4", "repelling-6", "orbit-derived",
+        "repelling-3-sparse", "orbit-derived-dense"])
 def test_matches_solve_ivp(run, case, settings, oracle):
     spec, state = case()
     ours = run(spec, state, settings)

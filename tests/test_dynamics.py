@@ -1,5 +1,6 @@
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import electron_orbit, separated_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import read_trajectory_csv as oracle_read_trajectory_csv
+from oracles import sampled_walk
 
 from magnetotrio import (CollisionError, DomainError, IntegratorSettings,
                          PhaseState, SpecParseError, SystemSpec, Trajectory,
@@ -131,6 +133,38 @@ class TestSampling:
         state = PhaseState(np.zeros((1, 2)), np.array([[1.0, 0.0]]))
         traj = integrate(spec, state, IntegratorSettings(t_end=1.0, sample_interval=0.3))
         assert traj.t[-1] == pytest.approx(1.0, abs=1e-12)
+
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
+           log_dt=st.floats(-3.0, 0.5),
+           batch=st.sampled_from([1, 2, 3, dynamics.INTERPOLATION_BATCH]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_batched_rows_match_the_per_step_interpolant(self, n, seed, tol,
+                                                         log_dt, batch):
+        # sample intervals from far below the step size to above most steps,
+        # so some steps carry many points and some none; small batches put
+        # pass boundaries inside the run
+        rng = np.random.default_rng(seed)
+        spec = SystemSpec(B=rng.uniform(0.5, 2.0), charges=rng.uniform(0.5, 2.0, n),
+                          masses=rng.uniform(0.5, 2.0, n))
+        pos, vel = separated_state(rng, n, box=3.0, min_sep=1.0)
+        y0 = np.concatenate([pos.ravel(), vel.ravel()])
+        run = IntegratorSettings(t_end=3.0, rel_tol=tol, abs_tol=tol,
+                                 sample_interval=10.0 ** log_dt)
+        t_eval = dynamics._checked_grid(run, 0.0)
+
+        def positions_of(y):
+            return y[: 2 * n].tolist()
+
+        with mock.patch.object(dynamics, "INTERPOLATION_BATCH", batch):
+            t, rows, stats = dynamics._solve(spec, _rhs(spec), y0, 0.0, t_eval,
+                                             run, positions_of)
+        ref, ref_stats = sampled_walk(_rhs(spec), y0, 0.0, t_eval, run,
+                                      positions_of)
+        assert t is t_eval
+        # tobytes: a -0.0 against 0.0 shows
+        assert rows.tobytes() == ref.tobytes()
+        assert stats == ref_stats
 
     def test_grid_above_the_ceiling_is_rejected(self):
         spec = larmor_spec()
