@@ -140,13 +140,13 @@ def _rhs_factory(n, rotating=False):
     return scope["make"]
 
 
-def _rhs(spec, w=0.0):
+def _rhs(spec, w=0.0, B=None):
     """The Newton right-hand side ``f(t, y)``, a list, for ``y`` =
     (positions, velocities), each flattened row by row: the kernel that
-    :func:`_rhs_factory` compiled for ``spec.n``, bound to the spec's field,
-    charges, masses and pair products.  A nonzero ``w`` binds the rotating
-    kernel instead, the field ``g(t, y) = f(t, y) + w (I_2n x J) y`` of the
-    frame that turns at ``w`` (see :func:`integrate`).
+    :func:`_rhs_factory` compiled for ``spec.n``, bound to the spec's field
+    (or ``B``), charges, masses and pair products.  A nonzero ``w`` binds
+    the rotating kernel instead, the field ``g(t, y) = f(t, y) + w (I_2n x
+    J) y`` of the frame that turns at ``w`` (see :func:`integrate`).
 
     It does the floating-point operations of a scalar walk over the pair
     table, in its order: the magnetic force ``(vy B) e``, ``((-vx) B) e``;
@@ -155,8 +155,9 @@ def _rhs(spec, w=0.0):
     order; then the division by the mass.
     """
     make = _rhs_factory(spec.n, rotating=bool(w))
-    return make(spec.B, *spec.charges.tolist(), *spec.masses.tolist(),
-                *spec.pairs[2].tolist(), *((float(w),) if w else ()))
+    return make(spec.B if B is None else B, *spec.charges.tolist(),
+                *spec.masses.tolist(), *spec.pairs[2].tolist(),
+                *((float(w),) if w else ()))
 
 
 def accelerations(spec, positions, velocities):

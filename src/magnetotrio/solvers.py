@@ -34,7 +34,8 @@ Every search runs one sweep over the values :func:`sweep_grid` decides;
 the collinear ones take the candidate speeds at each value of the last
 speed, the second fixed at 1 (the systems are scale-covariant), from the
 elimination sextic, rooted in v1 by the eigenvalues of its companion
-matrix so that every positive real root is found, or damped Newton.
+matrix (LAPACK's, called directly) so that every positive real root is
+found, or damped Newton; the sextic is straight-line code compiled once.
 
 Sign conventions and certification
 ----------------------------------
@@ -43,8 +44,9 @@ from the layout's nominal order and rotation sense (omega > 0).  A root
 of the equations is therefore only a genuine Newtonian motion inside
 that sector, where the signed speeds increase strictly along the order
 and no speed is negative; every solver here re-checks the instantaneous
-Newton balance of the built state, and the n-body solver also integrates
-the state over a quarter period and measures rigidity.
+Newton balance, in floats at the t = 0 line coordinates, and the n-body
+solver also builds the state, integrates it over a quarter period and
+measures rigidity.
 That integration runs in the frame turning at the rotation's own signed
 frequency, where a rigid rotation is an equilibrium (a relative
 equilibrium; Meyer, Hall and Offin, Introduction to Hamiltonian Dynamical
@@ -70,7 +72,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import dynamics
-from .dynamics import IntegratorSettings, accelerations, rigidity_report
+from .dynamics import IntegratorSettings, rigidity_report
 from .errors import (DegenerateError, DomainError, NonConvergence, NoSolution,
                      StepUnderflow)
 from .model import PhaseState, classify_system
@@ -100,8 +102,9 @@ _V2 = 1.0
 _POLISH_TOL = 1e-12
 # n > 3 Newton seeds: v1 at these multiples of _V2
 _SEEDS_V1 = (0.25, 0.5, 0.8)
-# the LAPACK dgesv gufunc that np.linalg.solve runs for one right-hand side
-_solve1 = _umath_linalg.solve1
+# the LAPACK gufuncs np.linalg.solve (dgesv, one right-hand side) and
+# np.linalg.eigvals (dgeev) run
+_solve1, _eigvals = _umath_linalg.solve1, _umath_linalg.eigvals
 # horizon of the n-body rigidity check, in rotation periods (the reason
 # for a quarter period is in solve_nbody_II)
 _RIGIDITY_PERIODS = 0.25
@@ -321,13 +324,44 @@ def p6_coefficients(spec):
     }
 
 
-def _evaluate_p6(c, v1, v2, v3):
-    return math.fsum(a * v1**i * v2**j * v3**k for (i, j, k), a in c.items())
+@cache
+def _p6_factory(keys):
+    """Compile the sextic of the monomials ``keys`` (those of
+    :func:`p6_coefficients`) once.  ``make(a0, ..)`` binds the coefficients
+    and returns ``at(v2, v3) -> (coeffs, f, df)``: the descending
+    coefficients in v1, and the sextic and its v1-derivative in v1, each
+    the ``math.fsum`` of a walk over the keys, term by term
+    ``((a * v1**i) * v2**j) * v3**k`` (``i * a`` for the derivative), with
+    each power computed once per point or v1."""
+    def total(term, pick):
+        return "fsum((" + "".join(term.format(k=k, i=i, h=i - 1, j=j, l=l) + ", "
+                                  for k, (i, j, l) in enumerate(keys) if pick(i)) + "))"
 
+    def powers(var, base, exps):
+        exps = sorted(set(exps))
+        return (", ".join(f"{var}{e}" for e in exps) + ", = "
+                + ", ".join(f"{base}**{e}" for e in exps))
 
-def _evaluate_p6_dv1(c, v1, v2, v3):
-    return math.fsum(i * a * v1**(i - 1) * v2**j * v3**k
-                     for (i, j, k), a in c.items() if i > 0)
+    # one sum per degree in v1, sextic first
+    coeffs = ", ".join(total("a{k} * s{j} * t{l}", d.__eq__)
+                       for d in range(6, -1, -1))
+    source = f"""\
+def make({", ".join(f"a{k}" for k in range(len(keys)))}):
+    def at(v2, v3):
+        {powers("s", "v2", [j for _, j, _ in keys])}
+        {powers("t", "v3", [l for _, _, l in keys])}
+        coeffs = [{coeffs}]
+        def f(v1):
+            {powers("p", "v1", [i for i, _, _ in keys])}
+            return {total("a{k} * p{i} * s{j} * t{l}", lambda i: True)}
+        def df(v1):
+            {powers("p", "v1", [i - 1 for i, _, _ in keys if i])}
+            return {total("{i} * a{k} * p{h} * s{j} * t{l}", bool)}
+        return coeffs, f, df
+    return at"""
+    scope = {"fsum": math.fsum}
+    exec(compile(source, "<elimination sextic>", "exec"), scope)
+    return scope["make"]
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +485,32 @@ def build_initial_state(solution, spec):
     return replace(spec, B=solution.B), state
 
 
-def _newton_balance(solution, spec_b, state):
-    """Relative mismatch between the exact Newtonian accelerations of the
-    state built from ``solution`` and the rigid-rotation kinematics it
-    claims.
+def _newton_balance(solution, spec):
+    """Relative mismatch between the exact Newtonian accelerations of
+    ``solution``'s rotation of the charges of ``spec`` and the rigid-rotation
+    kinematics it claims.
 
     Each charge turns at omega about the center c of :func:`_line`, which
     turns at omega3, so it should accelerate at -omega^2 (x - c) -
     omega3^2 c.  Zero (to rounding) iff the solution is a genuine
     trajectory; far above the 1e-6 gate for algebra-only roots whose sign
-    sector does not match.
+    sector does not match.  The floats, a NaN included, are those of
+    ``accelerations`` on the built state, from its kernel at the line
+    coordinates (a non-finite one is the state's DomainError).
     """
-    acc = accelerations(spec_b, state.positions, state.velocities)
-    c = np.array([_line(solution, spec_b)[0], 0.0])
-    expected = (-solution.omega**2 * (state.positions - c)
-                - solution.omega3**2 * c)
-    scale = max(1.0, float(np.abs(acc).max()))
-    return float(np.abs(acc - expected).max()) / scale
+    c, x, vy = _line(solution, spec)
+    if not all(map(math.isfinite, x + vy)):
+        raise DomainError("positions, velocities and t must be finite")
+    y = [q for xi in x for q in (xi, 0.0)] + [q for vi in vy for q in (0.0, vi)]
+    acc = dynamics._rhs(spec, B=solution.B)(0.0, np.array(y))[2 * len(x):]
+    w2, w3 = -solution.omega**2, solution.omega3**2
+    # the charges' y and the center's are 0
+    expected = [q for xi in x
+                for q in (w2 * (xi - c) - w3 * c, w2 * 0.0 - w3 * 0.0)]
+    off = [abs(a - e) for a, e in zip(acc, expected)]
+    # a NaN is the worst, as ndarray.max takes it (a NaN in acc is one in off)
+    return ((math.nan if math.isnan(sum(off)) else max(off))
+            / max(1.0, *map(abs, acc)))
 
 
 def _certify(sol, spec, terms, gates=()):
@@ -483,8 +526,7 @@ def _certify(sol, spec, terms, gates=()):
     gate measures the same flow, but DOP853 takes few steps on a constant
     solution and its truncation error no longer grows with the rotation."""
     sol.residual_norm = _relative_norm(terms)
-    spec_b, state = build_initial_state(sol, spec)
-    sol.newton_balance = _newton_balance(sol, spec_b, state)
+    sol.newton_balance = _newton_balance(sol, spec)
     gates = (*gates,
              (sol.residual_norm < _RESIDUAL_TOL,
               f"relative residual {sol.residual_norm:.3g}"),
@@ -492,6 +534,7 @@ def _certify(sol, spec, terms, gates=()):
               f"Newton imbalance {sol.newton_balance:.3g}"))
     notes = tuple(note for ok, note in gates if not ok)
     if not notes and sol.config == "nbody-II":
+        spec_b, state = build_initial_state(sol, spec)
         t_end = _RIGIDITY_PERIODS * (2 * math.pi / sol.omega)
         # the gate is relative, so the collision watch's absolute 1e-9 must
         # not refuse a root because of its scale
@@ -738,25 +781,45 @@ def _polish(f, df, x):
     return x
 
 
-def _p6_roots_v1(c, v2, v3):
-    """Positive real roots in v1 of the elimination sextic (coefficients
-    ``c``) at (v2, v3): the eigenvalues of its companion matrix, each
-    Newton-polished on the exact sum."""
-    coeffs = [math.fsum(a * v2**j * v3**k for (i, j, k), a in c.items() if i == d)
-              for d in range(6, -1, -1)]
-    f = partial(_evaluate_p6, c, v2=v2, v3=v3)
-    df = partial(_evaluate_p6_dv1, c, v2=v2, v3=v3)
-    roots = []
-    for r in np.roots(coeffs):
-        if abs(r.imag) > 1e-9 * max(1.0, abs(r)):
-            continue
-        x = _polish(f, df, float(r.real))
-        # spurious factor zeros of the elimination (coincident speeds)
-        if min(abs(x - v2), abs(x - v3)) < 1e-9 * max(1.0, abs(v2), abs(v3)):
-            continue
-        if x > 0 and not any(abs(x - rr) < _DEDUP_TOL * max(1.0, rr)
-                             for rr in roots):
-            roots.append(x)
+def _p6_roots_v1(at, v2, v3):
+    """Positive real roots in v1 of the elimination sextic (``at`` of
+    :func:`_p6_factory`) at (v2, v3): the eigenvalues of the companion
+    matrix ``np.roots`` builds, from the gufunc and error state of
+    ``np.linalg.eigvals``, each Newton-polished on the exact sum.
+    DegenerateError where the floats overflow."""
+    try:
+        coeffs, f, df = at(v2, v3)
+        # np.roots strips the zeros at both ends; a trailing one is a root
+        # at v1 = 0, which polishing keeps at 0 (f(0) is that zero) and the
+        # positivity gate drops
+        nonzero = [d for d, a in enumerate(coeffs) if a] or [6]
+        p = coeffs[nonzero[0]:nonzero[-1] + 1]
+        row = [-a / p[0] for a in p[1:]]
+        if not all(map(math.isfinite, coeffs + row)):
+            raise OverflowError("non-finite companion matrix")
+        candidates = []
+        if row:
+            companion = np.eye(len(row), k=-1)
+            companion[0] = row
+            with np.errstate(invalid="raise", over="ignore", divide="ignore",
+                             under="ignore"):
+                candidates = _eigvals(companion, signature="d->D").tolist()
+        roots = []
+        for r in candidates:
+            if abs(r.imag) > 1e-9 * max(1.0, abs(r)):
+                continue
+            x = _polish(f, df, float(r.real))
+            # spurious factor zeros of the elimination (coincident speeds)
+            if min(abs(x - v2), abs(x - v3)) < 1e-9 * max(1.0, abs(v2), abs(v3)):
+                continue
+            if x > 0 and not any(abs(x - rr) < _DEDUP_TOL * max(1.0, rr)
+                                 for rr in roots):
+                roots.append(x)
+    # OverflowError, LAPACK's FloatingPointError, and fsum's ValueError on
+    # +inf and -inf
+    except (ArithmeticError, ValueError):
+        raise DegenerateError(f"the elimination sextic overflows at (v2, v3) = "
+                              f"({v2:.6g}, {v3:.6g})") from None
     return sorted(roots)
 
 
@@ -787,10 +850,11 @@ def _sextic_speeds(spec, config):
     """``speeds_at`` of the three-charge sweeps: the positive speeds
     (v1, 1, v3) whose signed form roots the elimination sextic."""
     c = p6_coefficients(spec)
+    at = _p6_factory(tuple(c))(*c.values())
 
     def speeds_at(v3):
         u3 = _layout(config, (_V2, _V2, v3))[0][2]
-        return [(v1, _V2, v3) for v1 in _p6_roots_v1(c, _V2, u3)]
+        return [(v1, _V2, v3) for v1 in _p6_roots_v1(at, _V2, u3)]
 
     return speeds_at
 

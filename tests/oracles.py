@@ -23,6 +23,14 @@ Configuration I with the third charge at rest, solved by hand from those
 rows; the solver takes both from the collinear field formula at the
 layout (v1, -v2, 0), and the two must agree to round-off.
 
+``evaluate_p6`` and ``evaluate_p6_dv1`` are the elimination sextic and
+its v1-derivative as a walk over the coefficient dict, ``p6_roots_v1``
+roots it with ``np.roots`` and polishes each real root on that walk, and
+``newton_balance`` measures the Newton balance on the built state with
+numpy arrays: the references for the compiled sextic kernel, its direct
+LAPACK companion roots and the state-free balance of
+:mod:`magnetotrio.solvers`, which must return their floats to the bit.
+
 ``read_trajectory_csv`` is the trajectory-CSV reader as a walk over rows,
 the reference for :func:`magnetotrio.read_trajectory_csv`, which parses
 every cell in one pass: on each file both return bit-identical arrays or
@@ -36,6 +44,7 @@ through it step by step: the reference for
 of a run in one batched pass; the rows must agree to the bit.
 """
 
+import functools
 import itertools
 import math
 
@@ -44,7 +53,8 @@ import numpy as np
 from magnetotrio import DegenerateError, SpecParseError, Trajectory
 from magnetotrio._dop853 import D, DOP853
 from magnetotrio.dynamics import trajectory_header
-from magnetotrio.solvers import _V2, _collinear_field
+from magnetotrio.dynamics import accelerations
+from magnetotrio.solvers import _DEDUP_TOL, _V2, _collinear_field, _line, _polish
 
 
 def closed_form_B_II(spec, v1, v2, v3):
@@ -132,6 +142,55 @@ def walk_nbody_system(spec, vn):
         return F, J, scale
 
     return system, assemble
+
+
+def evaluate_p6(c, v1, v2, v3):
+    return math.fsum(a * v1**i * v2**j * v3**k for (i, j, k), a in c.items())
+
+
+def evaluate_p6_dv1(c, v1, v2, v3):
+    return math.fsum(i * a * v1**(i - 1) * v2**j * v3**k
+                     for (i, j, k), a in c.items() if i > 0)
+
+
+def p6_descending(c, v2, v3):
+    """The elimination sextic's coefficients in v1 at (v2, v3), sextic first."""
+    return [math.fsum(a * v2**j * v3**k for (i, j, k), a in c.items() if i == d)
+            for d in range(6, -1, -1)]
+
+
+def p6_roots_v1(c, v2, v3):
+    """Positive real roots in v1 of the elimination sextic (coefficients
+    ``c``) at (v2, v3): the eigenvalues of its companion matrix, each
+    Newton-polished on the exact sum."""
+    coeffs = p6_descending(c, v2, v3)
+    f = functools.partial(evaluate_p6, c, v2=v2, v3=v3)
+    df = functools.partial(evaluate_p6_dv1, c, v2=v2, v3=v3)
+    roots = []
+    for r in np.roots(coeffs):
+        if abs(r.imag) > 1e-9 * max(1.0, abs(r)):
+            continue
+        x = _polish(f, df, float(r.real))
+        # spurious factor zeros of the elimination (coincident speeds)
+        if min(abs(x - v2), abs(x - v3)) < 1e-9 * max(1.0, abs(v2), abs(v3)):
+            continue
+        if x > 0 and not any(abs(x - rr) < _DEDUP_TOL * max(1.0, rr)
+                             for rr in roots):
+            roots.append(x)
+    return sorted(roots)
+
+
+def newton_balance(solution, spec_b, state):
+    """Relative mismatch between the exact Newtonian accelerations of the
+    state built from ``solution`` and the rigid-rotation kinematics it
+    claims: each charge should accelerate at -omega^2 (x - c) - omega3^2 c
+    about the center c of the solution's line."""
+    acc = accelerations(spec_b, state.positions, state.velocities)
+    c = np.array([_line(solution, spec_b)[0], 0.0])
+    expected = (-solution.omega**2 * (state.positions - c)
+                - solution.omega3**2 * c)
+    scale = max(1.0, float(np.abs(acc).max()))
+    return float(np.abs(acc - expected).max()) / scale
 
 
 def config_I_terms(spec, v1, v2, v3, omega, omega3):

@@ -26,9 +26,8 @@ from magnetotrio import (DegenerateError, IntegratorSettings, NoSolution,
                          residuals_config_I, rigidity_report,
                          solve_config_I_identical, solve_config_I_v3zero,
                          solve_config_II, solve_nbody_II, to_jacobi)
-from magnetotrio.solvers import _evaluate_p6
 from oracles import (closed_form_B_II, closed_form_B_III,
-                     config_I_v3zero_closed_form)
+                     config_I_v3zero_closed_form, evaluate_p6)
 
 SPEC4 = SystemSpec(B=1.0, charges=(3.0, -1.0, 1.0), masses=(1.0, 1.0, 3.0))
 WORKED = SystemSpec(B=1.0, charges=(1.0, 4.0, 1.0), masses=(1.0, 5.0, 1.0))
@@ -173,7 +172,7 @@ def test_06_equal_larmor_no_go():
             solve_config_II(spec)
         coeffs = p6_coefficients(spec)
         scale = max(abs(a) for a in coeffs.values())
-        worst = max(abs(_evaluate_p6(coeffs, a, b, c))
+        worst = max(abs(evaluate_p6(coeffs, a, b, c))
                     for a in grid for b in grid for c in grid)
         assert worst <= 1e-14 * scale
 

@@ -562,6 +562,22 @@ class TestFindAndVerify:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("magnetotrio: no solution: no ")
 
+    @pytest.mark.parametrize("value", ["1e52", "1e200"])
+    @pytest.mark.parametrize("config, name, sign", [
+        ("II", "Configuration-II", ""), ("III", "Configuration-III", "-"),
+        ("nbody-II", "collinear rigid", "")])
+    def test_overflowing_sextic_is_a_skipped_point(self, tmp_path, capsys,
+                                                   config, name, sign, value):
+        # at 1e52 the sextic's terms overflow to +inf and -inf, at 1e200 a
+        # power of v3 overflows; the point is degenerate, not a traceback
+        sys_path = _spec4_system(tmp_path)
+        assert main(["find", sys_path, "--config", config, "--grid-min", value,
+                     "--grid-max", value, "--grid-points", "1"]) == 4
+        assert capsys.readouterr().err == (
+            f"magnetotrio: no solution: no {name} rotation on the sampled "
+            "grid: the elimination sextic overflows at (v2, v3) = "
+            f"(1, {sign}{float(value):.6g})\n")
+
     def test_overflowing_newton_trial_is_no_traceback(self, tmp_path):
         # a damped-Newton step on this species tries v4 ~ 1e152, where
         # (v2 - v4)^3 overflows; backtracking halves such a step
@@ -674,6 +690,16 @@ class TestBrackets:
 
 
 class TestParser:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        sys_path = _spec4_system(tmp_path)
+        done = subprocess.run(
+            [sys.executable, "-m", "magnetotrio", "find", sys_path, "--config",
+             "II", "--grid-points", "1", "--out-dir", str(tmp_path)],
+            env=_env_with_src(), timeout=60, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("found 1 solution(s) on 1 grid point(s)")
+        assert (tmp_path / "mixed.II.catalog.csv").exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["--version"])

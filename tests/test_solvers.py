@@ -25,10 +25,12 @@ from magnetotrio import (ConfigSolution, DegenerateError, DomainError,
 from magnetotrio import IntegratorSettings, PhaseState, dynamics, solvers
 from magnetotrio.dynamics import rigidity_report
 from magnetotrio.solvers import (_collinear_field, _collinear_terms,
-                                 _evaluate_p6, catalog_header, collinear_kappa,
+                                 catalog_header, collinear_kappa,
                                  helium_pattern, sweep_grid)
 from oracles import (closed_form_B_II, closed_form_B_III, config_I_terms,
-                     config_I_v3zero_closed_form, walk_nbody_system)
+                     config_I_v3zero_closed_form, evaluate_p6,
+                     evaluate_p6_dv1, newton_balance, p6_descending,
+                     p6_roots_v1, walk_nbody_system)
 
 CBRT_5_4 = (5.0 / 4.0) ** (1.0 / 3.0)       # 1.0772173450159419
 CBRT_10 = 10.0 ** (1.0 / 3.0)               # 2.1544346900318838
@@ -114,19 +116,93 @@ class TestEliminationSextic:
         for _ in range(10):
             v1, v2, v3 = rng.uniform(0.5, 5.0, 3)
             q = np.polyval(helium_quartic_coefficients(v2, v3), v1)
-            assert _evaluate_p6(c, v1, v2, v3) == pytest.approx(6.0 * v1 * q, rel=1e-9)
+            assert evaluate_p6(c, v1, v2, v3) == pytest.approx(6.0 * v1 * q, rel=1e-9)
 
     @given(s=st.floats(0.25, 4.0), v1=st.floats(0.2, 5.0),
            v2=st.floats(0.2, 5.0), v3=st.floats(0.2, 5.0))
     @settings(max_examples=50, deadline=None)
     def test_degree_six_homogeneity(self, s, v1, v2, v3):
         c = p6_coefficients(SystemSpec(1.0, (3.0, -1.0, 1.0), (1.0, 1.0, 3.0)))
-        base = _evaluate_p6(c, v1, v2, v3)
-        scaled = _evaluate_p6(c, s * v1, s * v2, s * v3)
+        base = evaluate_p6(c, v1, v2, v3)
+        scaled = evaluate_p6(c, s * v1, s * v2, s * v3)
         # round-off floor from the summed-term magnitude at the scaled point
         floor = (sum(abs(a) for a in c.values())
                  * (s * max(v1, v2, v3)) ** 6 * 1e-12)
         assert scaled == pytest.approx(s ** 6 * base, rel=1e-9, abs=floor)
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+def _whole_or_any(lo, hi):
+    # whole values make sextic coefficients vanish exactly, so the companion
+    # matrix loses leading and trailing zeros; tiny nonzero magnitudes are
+    # left out (at a charge of 1e-180, omega**2 in the balance rows
+    # overflows)
+    return st.one_of(st.integers(lo, hi).map(float),
+                     st.floats(lo, hi).filter(lambda x: abs(x) >= 0.05))
+
+
+class TestCompiledSextic:
+    """The sextic kernel compiled from the key tuple, its direct LAPACK
+    companion roots and the state-free Newton balance return the floats of
+    the walk, ``np.roots`` and the built-state balance they replaced."""
+
+    @given(charges=st.lists(_whole_or_any(-3, 3), min_size=3, max_size=3),
+           masses=st.lists(_whole_or_any(1, 3), min_size=3, max_size=3),
+           v3=st.floats(0.01, 100.0), v2=st.sampled_from([1.0, 0.3, 2.7]),
+           v1s=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=3))
+    @example(charges=[3.0, -1.0, 1.0], masses=[1.0, 1.0, 3.0], v3=1.5, v2=1.0,
+             v1s=[0.5])
+    @example(charges=[-2.0, 1.0, 1.0], masses=[4.0, 1.0, 1.0], v3=150.0, v2=1.0,
+             v1s=[3.0])
+    # e1 = 0: a root at 0; e3 = 0: the three leading coefficients vanish
+    @example(charges=[0.0, 1.0, 2.0], masses=[1.0, 2.0, 3.0], v3=2.0, v2=1.0,
+             v1s=[0.5])
+    @example(charges=[1.0, 2.0, 0.0], masses=[1.0, 2.0, 3.0], v3=2.0, v2=1.0,
+             v1s=[0.5])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_kernel_roots_and_balance_match_the_oracles(self, charges, masses,
+                                                        v3, v2, v1s):
+        spec = SystemSpec(1.0, charges, masses)
+        c = p6_coefficients(spec)
+        at = solvers._p6_factory(tuple(c))(*c.values())
+        # III roots the sextic at (v1, v2, -v3); the searches fix v2 = 1
+        for u3 in (v3, -v3):
+            coeffs, f, df = at(v2, u3)
+            assert _hex(coeffs) == _hex(p6_descending(c, v2, u3))
+            for v1 in v1s:
+                assert f(v1).hex() == evaluate_p6(c, v1, v2, u3).hex()
+                assert df(v1).hex() == evaluate_p6_dv1(c, v1, v2, u3).hex()
+            assert (_hex(solvers._p6_roots_v1(at, v2, u3))
+                    == _hex(p6_roots_v1(c, v2, u3)))
+        for solve in (solve_config_II, solve_config_III):
+            try:
+                rows = solve(spec, [v3], require_certified=False)
+            except (DomainError, NoSolution):
+                continue
+            for row in rows:
+                balance = newton_balance(row, *build_initial_state(row, spec))
+                assert row.newton_balance.hex() == balance.hex()
+
+
+    def test_balance_keeps_the_nan_and_the_state_refusal(self):
+        # the uncharged second particle's Lorentz force is inf * 0, so its
+        # acceleration is NaN: the balance is NaN, as ndarray.max makes it,
+        # not the largest finite entry
+        spec = SystemSpec(1.0, (3.0, 0.0, 1.0), (1.0, 1.0, 3.0))
+        row = ConfigSolution("II", "0", (1.0, 1e10, 2.0), omega=1.0, B=1e300)
+        balance = solvers._newton_balance(row, spec)
+        assert math.isnan(balance)
+        assert balance.hex() == newton_balance(
+            row, *build_initial_state(row, spec)).hex()
+        # a line coordinate past the float range: the built state's refusal
+        far = ConfigSolution("II", "0", (0.5, 1.0, 1.5), omega=1e-320, B=1.0)
+        for check in (lambda: build_initial_state(far, spec),
+                      lambda: solvers._newton_balance(far, spec)):
+            with pytest.raises(DomainError, match="must be finite"):
+                check()
 
 
 class TestResidualSystems:
@@ -992,21 +1068,28 @@ class TestCertification:
             assert row.certified == (not row.notes), row
 
     @pytest.mark.parametrize("name", ["spec4", "four"])
-    def test_one_state_build_per_root(self, name, request, monkeypatch):
-        # the Newton balance and the rigidity integration share one state
+    def test_states_built_only_for_integrated_rows(self, name, request,
+                                                   monkeypatch):
+        # the Newton balance reads the line coordinates; only a root that
+        # reaches the rigidity integration has its state built, once
         spec = request.getfixturevalue(name)
-        builds = 0
-        build = solvers.build_initial_state
+        counts = {"build": 0, "integrate": 0}
 
-        def counted(sol, spec):
-            nonlocal builds
-            builds += 1
-            return build(sol, spec)
+        def counted(key, fn):
+            def call(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(solvers, "build_initial_state", counted)
+        monkeypatch.setattr(solvers, "build_initial_state",
+                            counted("build", solvers.build_initial_state))
+        monkeypatch.setattr(dynamics, "integrate",
+                            counted("integrate", dynamics.integrate))
         rows = solve_nbody_II(spec, require_certified=False)
         assert any(r.certified and r.rigidity < 1e-6 for r in rows)
-        assert builds == len(rows)
+        integrated = sum(not math.isnan(r.rigidity) for r in rows)
+        assert counts["build"] == counts["integrate"] == integrated
+        assert integrated < len(rows)
 
     def test_newton_balance_flat_on_true_solution(self, spec4):
         sol = solve_config_II(spec4, v3_values=[1.5])[0]
@@ -1105,7 +1188,7 @@ class TestBuiltRows:
             assert np.abs(pos[:, 0] - (c + u / row.omega)).max() <= 1e-14 * scale
             cvel = -sigma * row.v[2] if row.config == "I" else 0.0
             assert np.abs(vel[:, 1] - (cvel - sigma * u)).max() <= 1e-14 * scale
-            balance = solvers._newton_balance(row, spec_b, state)
+            balance = newton_balance(row, spec_b, state)
             assert balance.hex() == row.newton_balance.hex()
             _assert_forms_are_direct(spec, row)
             if row.certified:
