@@ -24,16 +24,13 @@ from .dynamics import (IntegratorSettings, RigidityReport, Trajectory,
 from .invariants import (GLOBAL_INVARIANTS, SPECIAL_SETS, algebra_check,
                          angular_momentum, casimir, drift_report, hamiltonian,
                          invariant_table, involution_check, pair_virial,
-                         poisson_bracket, pseudomomentum,
-                         third_pseudomomentum_x, write_invariant_csv)
+                         pseudomomentum, third_pseudomomentum_x,
+                         write_invariant_csv)
 from .jacobi import (JacobiState, JacobiWeights, apply_cc, from_jacobi,
-                     hamiltonian_jacobi, integrate_jacobi, invert_cc,
-                     jacobi_weights, to_jacobi)
+                     integrate_jacobi, invert_cc, jacobi_weights, to_jacobi)
 from .solvers import (ConfigSolution, build_initial_state,
-                      conserved_closed_forms, helium_closed_forms,
-                      helium_cubic_root, helium_quartic_coefficients,
-                      p6_coefficients, pair_distance_min, residuals_config_I,
-                      residuals_nbody_II, solve_config_I,
+                      conserved_closed_forms, p6_coefficients,
+                      pair_distance_min, solve_config_I,
                       solve_config_I_identical, solve_config_I_v3zero,
                       solve_config_II, solve_config_III, solve_nbody_II,
                       write_catalog)

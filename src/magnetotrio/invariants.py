@@ -211,14 +211,6 @@ def _bracket(spec, gf, gg):
     return float(gf[:n2] @ gg[n2:] - gf[n2:] @ gg[:n2])
 
 
-def poisson_bracket(f, g, spec, positions, velocities):
-    """Canonical Poisson bracket {f, g} at one phase point, of complex-analytic
-    callables ``(spec, positions, velocities)`` that take (..., n, 2) stacks
-    and return one value per leading index."""
-    z0 = _pack(spec, positions, velocities)
-    return _bracket(spec, _gradient(f, spec, z0), _gradient(g, spec, z0))
-
-
 def _gradients(spec, positions, velocities, names):
     """Complex-step gradients of the named quantities at one state, from one
     :func:`_gradient` call of :func:`invariant_table`: one contiguous row

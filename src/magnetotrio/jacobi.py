@@ -32,13 +32,14 @@ It moves no coordinate, so ``_positions``, the position half of the inverse
 map, and its float twin ``_flat_positions``, the collision watch of
 ``integrate_jacobi``, read shifted data as well.
 
-``hamiltonian_jacobi`` evaluates the reduced Hamiltonian in the shifted
-variables; it agrees with the Cartesian Hamiltonian to rounding, which the
-test-suite pins down.  The equations of motion are Hamilton's equations of
-the reduced Hamiltonian with its exact gradient, straight-line code in
-Python floats (``rhs_jacobi``): the chain rule through the momentum and
-field part, a quadratic form whose constants are fields of
-``JacobiWeights``, and the three Coulomb forces, each written out.
+The equations of motion are Hamilton's equations of the reduced
+Hamiltonian in the shifted variables with its exact gradient, straight-line
+code in Python floats (``rhs_jacobi``): the chain rule through the momentum
+and field part, a quadratic form whose constants are fields of
+``JacobiWeights``, and the three Coulomb forces, each written out.  The
+package never evaluates the reduced Hamiltonian itself; the test suite
+writes it out, checks that it equals the Cartesian Hamiltonian to rounding
+and that ``rhs_jacobi`` is its Hamiltonian vector field.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import numpy as np
 
 from .dynamics import Trajectory, _checked_grid, _solve
 from .errors import DomainError
-from .invariants import coulomb_energy
 from .model import _velocities_from_momenta, canonical_momenta, vector_potential
 
 
@@ -197,51 +197,8 @@ def invert_cc(spec, js):
     return _shift(spec, js, -1.0)
 
 
-# ---------------------------------------------------------------------------
-# reduced Hamiltonian (shifted momenta)
-# ---------------------------------------------------------------------------
-
-def _hc_quadratic(w, B, z):
-    """Momentum and field part of the reduced Hamiltonian on the flat shifted
-    phase vector ``z = (Rx, Ry, t1x, t1y, t2x, t2y, Px, Py, q1x, q1y, q2x, q2y)``,
-    where the q's are the shifted internal momenta: a homogeneous quadratic
-    form in ``z``, evaluated elementwise on ``z`` of shape (12, ...).
-    """
-    M, Q, mt1, mt2, nu1, nu2, mu3 = w.M, w.Q, w.mt1, w.mt2, w.nu1, w.nu2, w.mu[2]
-    ec1, ec2, e1eff, e2eff, m12, cross_tt = w.ec1, w.ec2, w.e1eff, w.e2eff, w.m12, w.cross_tt
-    Rx, Ry, t1x, t1y, t2x, t2y, Px, Py, q1x, q1y, q2x, q2y = z
-    half_B = 0.5 * B
-    # A(r) = half_B * (-ry, rx)
-    aRx, aRy = -half_B * Ry, half_B * Rx
-    a1x, a1y = -half_B * t1y, half_B * t1x
-    a2x, a2y = -half_B * t2y, half_B * t2x
-
-    cmx = Px - Q * aRx + 2.0 * ec1 * a1x + 2.0 * ec2 * a2x
-    cmy = Py - Q * aRy + 2.0 * ec1 * a1y + 2.0 * ec2 * a2y
-    H = (cmx * cmx + cmy * cmy) / (2.0 * M)
-
-    b1x, b1y = q1x - e1eff * a1x, q1y - e1eff * a1y
-    b2x, b2y = q2x - e2eff * a2x, q2y - e2eff * a2y
-    H += (b1x * b1x + b1y * b1y) / (2.0 * mt1)
-    H += (b2x * b2x + b2y * b2y) / (2.0 * mt2)
-
-    H += ec1 * ec1 * (a1x * a1x + a1y * a1y) * mu3 / (2.0 * m12)
-    H += ec1 * ec1 * (a2x * a2x + a2y * a2y) * mu3 * mu3 / (2.0 * nu1 * nu2 * m12)
-    H -= (ec1 / m12) * (a1x * q2x + a1y * q2y)
-    H -= (ec1 * mu3 / (nu1 * nu2 * m12)) * (a2x * q1x + a2y * q1y)
-    H += cross_tt * (a1x * a2x + a1y * a2y)
-    return H
-
-
 def _flatten(js):
     return np.concatenate([js.R, js.tau1, js.tau2, js.P, js.ptau1, js.ptau2])
-
-
-def hamiltonian_jacobi(spec, js):
-    """Reduced Hamiltonian evaluated on a shifted-momentum Jacobi state."""
-    w = jacobi_weights(spec)
-    return float(_hc_quadratic(w, spec.B, _flatten(js))
-                 + coulomb_energy(spec, _positions(w, js)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +209,8 @@ def rhs_jacobi(spec):
     """Right-hand side ``f(t, z)`` on the flat shifted Jacobi vector ``z``.
 
     Hamilton's equations of the reduced Hamiltonian in floats: ``u``, ``v1``,
-    ``v2`` are the velocities of the squared terms of :func:`_hc_quadratic`,
-    ``g1``, ``g2`` its gradients in ``A(tau1)``, ``A(tau2)``, which
+    ``v2`` are the velocities of the squared terms of the momentum and field
+    part, ``g1``, ``g2`` its gradients in ``A(tau1)``, ``A(tau2)``, which
     ``A(r) = B/2 (-r_y, r_x)`` maps back to ``tau1``, ``tau2``, and the
     Coulomb pairs (1,2), (1,3), (2,3) lie along ``tau1``, ``nu2 tau1 + tau2``
     and ``tau2 - nu1 tau1``.  ``f`` returns a list, which the stepper

@@ -76,7 +76,8 @@ class SystemSpec:
         if not np.all(np.isfinite(self.masses)) or np.any(self.masses <= 0.0):
             raise DomainError("masses must be finite and positive")
         I, J = pair_index(self.n)
-        self.pairs = (I, J, self.charges[I] * self.charges[J])
+        with np.errstate(over="ignore"):    # a product past the float range is inf
+            self.pairs = (I, J, self.charges[I] * self.charges[J])
 
     @property
     def n(self):
@@ -85,10 +86,6 @@ class SystemSpec:
     @property
     def total_charge(self):
         return float(self.charges.sum())
-
-    @property
-    def total_mass(self):
-        return float(self.masses.sum())
 
 
 @dataclass

@@ -78,9 +78,7 @@ from .errors import (DegenerateError, DomainError, NonConvergence, NoSolution,
 from .model import PhaseState, classify_system
 
 __all__ = [
-    "ConfigSolution", "residuals_config_I", "residuals_nbody_II",
-    "collinear_kappa", "p6_coefficients", "helium_pattern", "helium_cubic_root",
-    "helium_quartic_coefficients", "helium_closed_forms",
+    "ConfigSolution", "collinear_kappa", "p6_coefficients",
     "solve_config_I_v3zero", "solve_config_I_identical", "solve_config_I",
     "solve_config_II", "solve_config_III", "solve_nbody_II",
     "build_initial_state", "conserved_closed_forms", "pair_distance_min",
@@ -93,7 +91,6 @@ _BALANCE_TOL = 1e-6       # Newton-balance gate (relative)
 _RIGIDITY_TOL = 1e-6      # integrated pair-distance gate (relative)
 _DEDUP_TOL = 1e-9
 _DISC_CLAMP = 1e-12       # identical-pair discriminants below this are 0
-_PATTERN_TOL = 1e-12      # relative tolerance of helium_pattern's matches
 _NEWTON_MAX_ITER = 60     # damped-Newton iterations per seed
 
 # The collinear systems are scale-covariant, so the second speed fixes the
@@ -150,7 +147,7 @@ class ConfigSolution:
 
 
 # ---------------------------------------------------------------------------
-# residual systems (raw, as printed; term-split for relative norms)
+# balance rows (term-split for relative norms)
 # ---------------------------------------------------------------------------
 
 def _layout(config, v):
@@ -177,24 +174,6 @@ def _config_I_terms(spec, v1, v2, v3, omega, omega3):
             third, pair1, [-t for t in pair2]]
 
 
-def residuals_config_I(spec, v1, v2, v3, omega, omega3):
-    """Raw residuals (length 6) of the Configuration-I balance system.
-
-    Rows: the three third-charge frequency conditions v3*(B e_i - m_i w3),
-    the radius-compatibility condition e3*(e1/v1^2 - e2/v2^2)*w^2, and the
-    two pair force balances, the rows of charges 3, 1 and (negated) 2 of
-    the collinear system at (v1, -v2, 0).  ``spec.B`` supplies the field.
-    A zero v1 or v2 puts a pair charge on the third, v1 + v2 = 0 the pair
-    on one point: DegenerateError.
-    """
-    if spec.n != 3:
-        raise DomainError("Configuration I is a three-charge system")
-    if v1 == 0.0 or v2 == 0.0 or v1 + v2 == 0.0:
-        raise DegenerateError("Configuration-I residuals: two charges coincide")
-    return np.array([math.fsum(t) for t in
-                     _config_I_terms(spec, v1, v2, v3, omega, omega3)])
-
-
 def _collinear_terms(spec, u, omega, B, order):
     # balance rows at signed speeds u; the (i, j) Coulomb term carries the
     # sign +1 when charge j lies beyond charge i along ``order``, else -1
@@ -206,32 +185,17 @@ def _collinear_terms(spec, u, omega, B, order):
             for i in range(n)]
 
 
-def residuals_nbody_II(spec, v, omega, B):
-    """Raw residuals (length n) of the collinear rigid-rotation system.
-
-    The sign in front of the (i, j) Coulomb term is +1 for j > i and -1
-    for j < i, matching the nominal speed ordering v1 < ... < vn.  For
-    n = 3 this is exactly the Configuration-II system.  Two equal speeds
-    put two charges on one point, which is DegenerateError.
-    """
-    v = list(map(float, v))
-    if spec.n != len(v):
-        raise DomainError("speed vector length must equal the particle count")
-    if spec.n < 3:
-        raise DomainError("collinear rigid rotations need at least 3 charges")
-    if len(set(v)) < len(v):
-        raise DegenerateError("collinear residuals: two speeds coincide")
-    rows = _collinear_terms(spec, v, omega, B, range(len(v)))
-    return np.array([math.fsum(r) for r in rows])
-
-
-def _relative_norm(term_rows):
+def _relative_norm(terms):
+    # the worst |sum| / max |term| of the rows terms(); inf where they overflow
     worst = 0.0
-    for row in term_rows:
-        scale = max(abs(t) for t in row)
-        if scale == 0.0:
-            continue
-        worst = max(worst, abs(math.fsum(row)) / float(scale))
+    try:
+        for row in terms():
+            scale = max(abs(t) for t in row)
+            if scale == 0.0:
+                continue
+            worst = max(worst, abs(math.fsum(row)) / float(scale))
+    except (OverflowError, ValueError):
+        return math.inf
     return worst
 
 
@@ -255,21 +219,23 @@ def _collinear_field(spec, v, order):
     C) solves the second collinear balance row, where C = sum_j s_2j e_j /
     (v2 - v_j)^2 is its Coulomb bracket (signs as in _collinear_terms).
     Two equal speeds put two charges on one point, which is
-    DegenerateError."""
-    v = np.asarray(v, float)
+    DegenerateError, as is a float that leaves the range."""
     kap = collinear_kappa(spec, v)
-    e, m, v = spec.charges.tolist(), spec.masses.tolist(), v.tolist()
+    e, m, v = spec.charges.tolist(), spec.masses.tolist(), list(map(float, v))
     if e[1] == 0.0 or kap == 0.0:
         raise DegenerateError("collinear field closed form needs e2 != 0, kappa != 0")
     if len(set(v)) < len(v):
         raise DegenerateError("collinear field closed form: two speeds coincide")
     rank = {k: r for r, k in enumerate(order)}
-    bracket = math.fsum(
-        (1 if rank[j] > rank[1] else -1) * e[j] / (v[1] - v[j])**2
-        for j in range(spec.n) if j != 1)
-    if bracket == 0.0:
-        raise DegenerateError("collinear field closed form: Coulomb bracket vanishes")
-    return kap, bracket, v[1] * (m[1] * kap - e[1]) / (e[1] * kap**2 * bracket)
+    try:
+        bracket = math.fsum(
+            (1 if rank[j] > rank[1] else -1) * e[j] / (v[1] - v[j])**2
+            for j in range(spec.n) if j != 1)
+        if bracket == 0.0:
+            raise DegenerateError("collinear field closed form: Coulomb bracket vanishes")
+        return kap, bracket, v[1] * (m[1] * kap - e[1]) / (e[1] * kap**2 * bracket)
+    except (ArithmeticError, ValueError):   # fsum's ValueError: +inf and -inf
+        raise DegenerateError("collinear field closed form leaves the float range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -280,48 +246,51 @@ def p6_coefficients(spec):
     """Coefficients {(i, j, k): c} of the sextic whose roots in v1 (given
     v2, v3) are the Configuration-II speed triples with omega and B
     eliminated.  Vanishes identically iff all charge-to-mass ratios
-    coincide (the collinear no-go)."""
+    coincide (the collinear no-go); DomainError where one overflows."""
     if spec.n != 3:
         raise DomainError("the elimination sextic is a three-charge object")
     e1, e2, e3 = spec.charges.tolist()
     m1, m2, m3 = spec.masses.tolist()
-    return {
-        (5, 1, 0): e2*e3*(e2*m1 - e1*m2),
-        (5, 0, 1): e2*e3*(e3*m1 - e1*m3),
-        (4, 2, 0): 2*e2*e3*(e1*m2 - e2*m1),
-        (4, 0, 2): 2*e2*e3*(e1*m3 - e3*m1),
-        (4, 1, 1): 2*e2*e3*(e1*(m2 + m3) - e2*m1 - e3*m1),
-        (3, 3, 0): -(e1 + e2)*e3*(e1*m2 - e2*m1),
-        (3, 0, 3): e2*(e1 - e3)*(e1*m3 - e3*m1),
-        (3, 1, 2): (e2*e3*(3*m1 - m2 - 4*m3)*e1 - (e3*m2 + 2*e2*m3)*e1**2
-                    + e2*e3*(e2 + 4*e3)*m1),
-        (3, 2, 1): ((2*e3*m2 + e2*m3)*e1**2 - e2*e3*(3*m1 + 4*m2 + m3)*e1
-                    + e2*e3*(4*e2 + e3)*m1),
-        (2, 4, 0): 2*e1*e3*(e1*m2 - e2*m1),
-        (2, 0, 4): 2*e1*e2*(e3*m1 - e1*m3),
-        (2, 1, 3): (4*e2*m3*e1**2
-                    + (m3*e2**2 - e3*(4*m1 + m2 - 3*m3)*e2 - e3**2*m2)*e1
-                    - 2*e2*e3**2*m1),
-        (2, 2, 2): -2*((e3*m1 + e1*m3)*e2**2
-                       + (m3*e1**2 - 2*e3*m2*e1 + e3**2*m1)*e2
-                       - e1*e3*(e1 + e3)*m2),
-        (2, 3, 1): ((m3*e2**2 + e3*(4*m1 + m2 + m3)*e2 - e3**2*m2)*e1
-                    - 4*e3*m2*e1**2 - 2*e2**2*e3*m1),
-        (1, 5, 0): e1*e3*(e2*m1 - e1*m2),
-        (1, 0, 5): e1*e2*(e1*m3 - e3*m1),
-        (1, 1, 4): 2*e1*e2*(e3*(m1 + m2) - (e1 + e2)*m3),
-        (1, 2, 3): (e2*m3*e1**2
-                    + (4*m3*e2**2 - e3*(m1 + 4*m2 + 3*m3)*e2 + 2*e3**2*m2)*e1
-                    + e2*e3**2*m1),
-        (1, 3, 2): ((e3*(m1 + m2 + 4*m3)*e2 - 2*m3*e2**2 - 4*e3**2*m2)*e1
-                    - e3*m2*e1**2 + e2**2*e3*m1),
-        (1, 4, 1): 2*e1*e3*((e1 + e3)*m2 - e2*(m1 + m3)),
-        (0, 1, 5): e1*e2*(e2*m3 - e3*m2),
-        (0, 2, 4): 2*e1*e2*(e3*m2 - e2*m3),
-        (0, 3, 3): e1*(e2 + e3)*(e2*m3 - e3*m2),
-        (0, 4, 2): 2*e1*e3*(e3*m2 - e2*m3),
-        (0, 5, 1): e1*e3*(e2*m3 - e3*m2),
-    }
+    try:
+        return {
+            (5, 1, 0): e2*e3*(e2*m1 - e1*m2),
+            (5, 0, 1): e2*e3*(e3*m1 - e1*m3),
+            (4, 2, 0): 2*e2*e3*(e1*m2 - e2*m1),
+            (4, 0, 2): 2*e2*e3*(e1*m3 - e3*m1),
+            (4, 1, 1): 2*e2*e3*(e1*(m2 + m3) - e2*m1 - e3*m1),
+            (3, 3, 0): -(e1 + e2)*e3*(e1*m2 - e2*m1),
+            (3, 0, 3): e2*(e1 - e3)*(e1*m3 - e3*m1),
+            (3, 1, 2): (e2*e3*(3*m1 - m2 - 4*m3)*e1 - (e3*m2 + 2*e2*m3)*e1**2
+                        + e2*e3*(e2 + 4*e3)*m1),
+            (3, 2, 1): ((2*e3*m2 + e2*m3)*e1**2 - e2*e3*(3*m1 + 4*m2 + m3)*e1
+                        + e2*e3*(4*e2 + e3)*m1),
+            (2, 4, 0): 2*e1*e3*(e1*m2 - e2*m1),
+            (2, 0, 4): 2*e1*e2*(e3*m1 - e1*m3),
+            (2, 1, 3): (4*e2*m3*e1**2
+                        + (m3*e2**2 - e3*(4*m1 + m2 - 3*m3)*e2 - e3**2*m2)*e1
+                        - 2*e2*e3**2*m1),
+            (2, 2, 2): -2*((e3*m1 + e1*m3)*e2**2
+                           + (m3*e1**2 - 2*e3*m2*e1 + e3**2*m1)*e2
+                           - e1*e3*(e1 + e3)*m2),
+            (2, 3, 1): ((m3*e2**2 + e3*(4*m1 + m2 + m3)*e2 - e3**2*m2)*e1
+                        - 4*e3*m2*e1**2 - 2*e2**2*e3*m1),
+            (1, 5, 0): e1*e3*(e2*m1 - e1*m2),
+            (1, 0, 5): e1*e2*(e1*m3 - e3*m1),
+            (1, 1, 4): 2*e1*e2*(e3*(m1 + m2) - (e1 + e2)*m3),
+            (1, 2, 3): (e2*m3*e1**2
+                        + (4*m3*e2**2 - e3*(m1 + 4*m2 + 3*m3)*e2 + 2*e3**2*m2)*e1
+                        + e2*e3**2*m1),
+            (1, 3, 2): ((e3*(m1 + m2 + 4*m3)*e2 - 2*m3*e2**2 - 4*e3**2*m2)*e1
+                        - e3*m2*e1**2 + e2**2*e3*m1),
+            (1, 4, 1): 2*e1*e3*((e1 + e3)*m2 - e2*(m1 + m3)),
+            (0, 1, 5): e1*e2*(e2*m3 - e3*m2),
+            (0, 2, 4): 2*e1*e2*(e3*m2 - e2*m3),
+            (0, 3, 3): e1*(e2 + e3)*(e2*m3 - e3*m2),
+            (0, 4, 2): 2*e1*e3*(e3*m2 - e2*m3),
+            (0, 5, 1): e1*e3*(e2*m3 - e3*m2),
+        }
+    except OverflowError:
+        raise DomainError("the elimination sextic's coefficients overflow") from None
 
 
 @cache
@@ -362,79 +331,6 @@ def make({", ".join(f"a{k}" for k in range(len(keys)))}):
     scope = {"fsum": math.fsum}
     exec(compile(source, "<elimination sextic>", "exec"), scope)
     return scope["make"]
-
-
-# ---------------------------------------------------------------------------
-# two-identical-particles neutral pattern and its closed forms
-# ---------------------------------------------------------------------------
-
-def helium_pattern(spec):
-    """Detect the neutral two-identical-particles pattern
-    e2 = e3 = e, m2 = m3 = m, e1 = -2e, e1/m1 != e/m (each to 1e-12
-    relative).  Returns (e, m1, m) or None."""
-    if spec.n != 3:
-        return None
-    e1, e2, e3 = spec.charges
-    m1, m2, m3 = spec.masses
-    if e2 == 0.0 or abs(e2 - e3) > _PATTERN_TOL * abs(e2):
-        return None
-    if abs(m2 - m3) > _PATTERN_TOL * abs(m2):
-        return None
-    if abs(e1 + 2*e2) > _PATTERN_TOL * max(abs(e1), abs(e2)):
-        return None
-    if abs(e1/m1 - e2/m2) <= _PATTERN_TOL * max(abs(e1/m1), abs(e2/m2)):
-        return None
-    return e2, m1, m2
-
-
-def helium_cubic_root(v2=1.0):
-    """The positive root, about 117.69 v2, of L^3 - 117 v2 L^2 - 81 v2^2 L - 27 v2^3.
-
-    It is not where the neutral pattern's quartic roots begin: at v2 = 1 the
-    quartic has two real, uncertified roots at v3 = 5, 20, 60 and 110 alike.
-    What the cubic bounds is not established."""
-    if v2 <= 0:
-        raise DomainError("v2 must be positive")
-    x = float(max(r.real for r in np.roots([1.0, -117*v2, -81*v2**2, -27*v2**3])
-                  if r.imag == 0))
-    return _polish(lambda L: L**3 - 117*v2*L**2 - 81*v2**2*L - 27*v2**3,
-                   lambda L: 3*L**2 - 234*v2*L - 81*v2**2, x)
-
-
-def helium_quartic_coefficients(v2, v3):
-    """Descending coefficients of the quartic satisfied by v1 for the
-    neutral two-identical-particles pattern (a factor of the elimination
-    sextic: P6 = e^3 (2m + m1) v1 * quartic)."""
-    return np.array([
-        v3 + v2,
-        -2*(v3**2 + 2*v3*v2 + v2**2),
-        3*v3**3 - v3**2*v2 + 11*v3*v2**2 - v2**3,
-        2*(3*v3**3*v2 - 2*v3**2*v2**2 - 5*v3*v2**3 + 2*v2**4 - 2*v3**4),
-        2*v3**5 - 4*v3**4*v2 + 3*v3**3*v2**2 - v3**2*v2**3 + 4*v3*v2**4 - 2*v2**5,
-    ])
-
-
-def helium_closed_forms(spec, v1, v2, v3):
-    """(omega, B) for the neutral two-identical-particles pattern at a
-    quartic root.
-
-    The B returned here carries the sign required by omega = kappa * B
-    (it equals the general Configuration-II field restricted to the pattern);
-    the magnitude-matching expression with the opposite overall sign is
-    not consistent with the frequency relation and is rejected.
-    """
-    pat = helium_pattern(spec)
-    if pat is None:
-        raise DomainError("spec does not match the neutral identical-pair pattern")
-    e, m1, m = pat
-    q = 2*v1 - v2 - v3
-    p = v1**2 - 2*v2*v1 + 3*v2**2 + 2*v3**2 - 4*v2*v3
-    if q == 0.0 or p == 0.0:
-        raise DegenerateError("closed-form denominator vanishes")
-    B = -((2*m + m1) * v1 * v2 * (v1 - v2)**2 * (v2 - v3)**2
-          * (m1*v1 + m*(v2 + v3))) / (e**3 * q**2 * p)
-    omega = ((2*m + m1) * v1 * (v1 - v2)**2 * v2 * (v2 - v3)**2) / (e**2 * q * p)
-    return omega, B
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +392,18 @@ def _newton_balance(solution, spec):
     trajectory; far above the 1e-6 gate for algebra-only roots whose sign
     sector does not match.  The floats, a NaN included, are those of
     ``accelerations`` on the built state, from its kernel at the line
-    coordinates (a non-finite one is the state's DomainError).
+    coordinates (a non-finite one is the state's DomainError); inf where a
+    power overflows or a pair distance underflows to 0.
     """
     c, x, vy = _line(solution, spec)
     if not all(map(math.isfinite, x + vy)):
         raise DomainError("positions, velocities and t must be finite")
     y = [q for xi in x for q in (xi, 0.0)] + [q for vi in vy for q in (0.0, vi)]
-    acc = dynamics._rhs(spec, B=solution.B)(0.0, np.array(y))[2 * len(x):]
-    w2, w3 = -solution.omega**2, solution.omega3**2
+    try:
+        acc = dynamics._rhs(spec, B=solution.B)(0.0, np.array(y))[2 * len(x):]
+        w2, w3 = -solution.omega**2, solution.omega3**2
+    except ArithmeticError:
+        return math.inf
     # the charges' y and the center's are 0
     expected = [q for xi in x
                 for q in (w2 * (xi - c) - w3 * c, w2 * 0.0 - w3 * 0.0)]
@@ -515,7 +415,7 @@ def _newton_balance(solution, spec):
 
 def _certify(sol, spec, terms, gates=()):
     """Certify ``sol``: the caller's ``(ok, note)`` gates, then the relative
-    residual of its balance ``terms`` and its Newton balance; an n-body root
+    residual of its balance rows ``terms()`` and its Newton balance; an n-body root
     that passed them all must also stay rigid over a quarter period (an
     integration the stepper cannot finish fails that gate).  Each failed
     gate leaves a note; ``sol`` is certified when none failed.
@@ -631,7 +531,7 @@ def _identical_pair(spec):
 
 def _pair_ratio(spec):
     """v2/v1 = sqrt(e2/e1) of a pair rotating about a resting third charge."""
-    e1, e2, _ = spec.charges
+    e1, e2, _ = spec.charges.tolist()
     if e1 * e2 <= 0:
         raise DomainError("the rotating pair needs same-sign charges "
                           "(v2^2 = v1^2 e2/e1)")
@@ -672,13 +572,6 @@ def _pair_quadratic(spec, B):
     return 8 * m * (e + 4*e3), e * B**2
 
 
-def _pair_discriminant(spec, B, rho):
-    """The identical-pair discriminant at ``rho``, clamped to 0 within 1e-12."""
-    a, b = _pair_quadratic(spec, B)
-    disc = 1.0 - a / (b * rho**3)
-    return 0.0 if abs(disc) < _DISC_CLAMP else disc
-
-
 def pair_distance_min(spec):
     """Smallest pair separation admitting the identical-pair rotation at
     the spec's field, or None when every separation works.  Raises
@@ -705,10 +598,12 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
         raise DomainError("Configuration I is a three-charge system")
     if not _identical_pair(spec):
         raise DomainError("identical-pair branch needs e1 = e2 and m1 = m2")
-    e1, m1 = spec.charges[0], spec.masses[0]
+    e1, m1 = float(spec.charges[0]), float(spec.masses[0])
     if rho12 <= 0:
         raise DomainError("pair separation must be positive")
-    disc = _pair_discriminant(spec, spec.B, rho12)
+    a, b = _pair_quadratic(spec, spec.B)
+    disc = 1.0 - a / (b * rho12**3)
+    disc = 0.0 if abs(disc) < _DISC_CLAMP else disc
     omega3_signed = 0.0
     if v3 != 0.0:
         cls = classify_system(spec)
@@ -733,9 +628,9 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
             # opposite senses cannot share the rigid frame
             continue
         # the printed balance equations hold at the signed speeds
-        terms = _config_I_terms(spec, v_signed, v_signed,
-                                math.copysign(v3, omega_signed) if v3 else 0.0,
-                                omega_signed, omega3_signed)
+        terms = partial(_config_I_terms, spec, v_signed, v_signed,
+                        math.copysign(v3, omega_signed) if v3 else 0.0,
+                        omega_signed, omega3_signed)
         sol = ConfigSolution(
             config="I", branch=tag, v=(abs(v_signed),) * 2 + (float(v3),),
             omega=abs(omega_signed), B=spec.B, omega3=abs(omega3_signed),
@@ -833,7 +728,7 @@ def _collinear_solution(spec, v, config, branch):
     # with kappa != 0, a zero or non-finite B makes omega so as well
     if omega_signed == 0.0 or not math.isfinite(omega_signed):
         raise DegenerateError("frequency or field closed form degenerates")
-    terms = _collinear_terms(spec, u, omega_signed, B, order)
+    terms = partial(_collinear_terms, spec, u, omega_signed, B, order)
     sol = ConfigSolution(
         config=config, branch=branch, v=tuple(abs(x) for x in v),
         omega=abs(omega_signed), B=B,
@@ -894,10 +789,10 @@ def solve_config_II(spec, v3_values=None, require_certified=True):
     certified against ordering, rotation sense, and the Newtonian balance
     of the built state.  ``v3_values`` defaults to :func:`sweep_grid`.
 
-    For the neutral identical-pair pattern the sextic is
-    e^3 (2m + m1) v1 times helium_quartic_coefficients, so its roots
-    (v1 ~ v3, never in the speed ordering) come back -- with residuals --
-    only when ``require_certified`` is False.
+    For the neutral identical-pair pattern (e1 = -2e, e2 = e3 = e,
+    m2 = m3 = m) the sextic is e^3 (2m + m1) v1 times a quartic in v1,
+    whose roots (v1 ~ v3, never in the speed ordering) come back -- with
+    residuals -- only when ``require_certified`` is False.
 
     Raises NoSolution when no (certified) solution exists, including the
     equal charge-to-mass no-go; the message names up to four roots that

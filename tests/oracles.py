@@ -42,6 +42,29 @@ evaluated for one step at a time, and ``sampled_walk`` samples a run
 through it step by step: the reference for
 :func:`magnetotrio._dop853.interpolate`, which evaluates the recorded steps
 of a run in one batched pass; the rows must agree to the bit.
+
+``residuals_config_I`` and ``residuals_nbody_II`` sum the Configuration-I
+and collinear balance rows of :mod:`magnetotrio.solvers` into raw residual
+vectors: the references the tests hold the printed equations, their
+scaling covariance and the sweeps' roots against.
+
+``helium_pattern``, ``helium_cubic_root``, ``helium_quartic_coefficients``
+and ``helium_closed_forms`` are the closed forms of the neutral pattern
+e1 = -2e, e2 = e3 = e, m2 = m3 = m: its quartic factor of the elimination
+sextic, the cubic root 117.69 v2 and the field and frequency at a quartic
+root, the references for what Configuration II's sextic search returns on
+that pattern.
+
+``hamiltonian_jacobi`` (with its momentum and field part ``_hc_quadratic``)
+is the reduced Hamiltonian on a shifted Jacobi state: the reference for
+the Cartesian Hamiltonian, which it equals to rounding, and for
+:func:`magnetotrio.jacobi.rhs_jacobi`, which must be its gradient flow.
+
+``poisson_bracket`` is the canonical bracket {f, g} of two callables from
+complex-step gradients at one state: the reference for the complex-step
+engine (a fundamental bracket, a non-analytic quantity refused) and for
+:func:`magnetotrio.algebra_check`, which builds its table from one
+gradient call of the invariant table and must return the same floats.
 """
 
 import functools
@@ -50,11 +73,15 @@ import math
 
 import numpy as np
 
-from magnetotrio import DegenerateError, SpecParseError, Trajectory
+from magnetotrio import DegenerateError, DomainError, SpecParseError, Trajectory
 from magnetotrio._dop853 import D, DOP853
 from magnetotrio.dynamics import trajectory_header
 from magnetotrio.dynamics import accelerations
-from magnetotrio.solvers import _DEDUP_TOL, _V2, _collinear_field, _line, _polish
+from magnetotrio.invariants import _bracket, _gradient, _pack, coulomb_energy
+from magnetotrio.jacobi import _flatten, _positions, jacobi_weights
+from magnetotrio.solvers import (_DEDUP_TOL, _V2, _collinear_field,
+                                 _collinear_terms, _config_I_terms, _line,
+                                 _polish)
 
 
 def closed_form_B_II(spec, v1, v2, v3):
@@ -330,3 +357,159 @@ def sampled_walk(rhs, y0, t0, t_eval, settings, positions_of):
             sampled = due
     return np.vstack(rows), {"nfev": stepper.nfev,
                              "min_pair_distance": math.sqrt(d2)}
+
+
+def residuals_config_I(spec, v1, v2, v3, omega, omega3):
+    """Raw residuals (length 6) of the Configuration-I balance system.
+
+    Rows: the three third-charge frequency conditions v3*(B e_i - m_i w3),
+    the radius-compatibility condition e3*(e1/v1^2 - e2/v2^2)*w^2, and the
+    two pair force balances, the rows of charges 3, 1 and (negated) 2 of
+    the collinear system at (v1, -v2, 0).  ``spec.B`` supplies the field.
+    A zero v1 or v2 puts a pair charge on the third, v1 + v2 = 0 the pair
+    on one point: DegenerateError.
+    """
+    if spec.n != 3:
+        raise DomainError("Configuration I is a three-charge system")
+    if v1 == 0.0 or v2 == 0.0 or v1 + v2 == 0.0:
+        raise DegenerateError("Configuration-I residuals: two charges coincide")
+    return np.array([math.fsum(t) for t in
+                     _config_I_terms(spec, v1, v2, v3, omega, omega3)])
+
+
+def residuals_nbody_II(spec, v, omega, B):
+    """Raw residuals (length n) of the collinear rigid-rotation system.
+
+    The sign in front of the (i, j) Coulomb term is +1 for j > i and -1
+    for j < i, matching the nominal speed ordering v1 < ... < vn.  For
+    n = 3 this is exactly the Configuration-II system.  Two equal speeds
+    put two charges on one point, which is DegenerateError.
+    """
+    v = list(map(float, v))
+    if spec.n != len(v):
+        raise DomainError("speed vector length must equal the particle count")
+    if spec.n < 3:
+        raise DomainError("collinear rigid rotations need at least 3 charges")
+    if len(set(v)) < len(v):
+        raise DegenerateError("collinear residuals: two speeds coincide")
+    rows = _collinear_terms(spec, v, omega, B, range(len(v)))
+    return np.array([math.fsum(r) for r in rows])
+
+
+_PATTERN_TOL = 1e-12      # relative tolerance of helium_pattern's matches
+
+
+def helium_pattern(spec):
+    """Detect the neutral two-identical-particles pattern
+    e2 = e3 = e, m2 = m3 = m, e1 = -2e, e1/m1 != e/m (each to 1e-12
+    relative).  Returns (e, m1, m) or None."""
+    if spec.n != 3:
+        return None
+    e1, e2, e3 = spec.charges
+    m1, m2, m3 = spec.masses
+    if e2 == 0.0 or abs(e2 - e3) > _PATTERN_TOL * abs(e2):
+        return None
+    if abs(m2 - m3) > _PATTERN_TOL * abs(m2):
+        return None
+    if abs(e1 + 2*e2) > _PATTERN_TOL * max(abs(e1), abs(e2)):
+        return None
+    if abs(e1/m1 - e2/m2) <= _PATTERN_TOL * max(abs(e1/m1), abs(e2/m2)):
+        return None
+    return e2, m1, m2
+
+
+def helium_cubic_root(v2=1.0):
+    """The positive root, about 117.69 v2, of L^3 - 117 v2 L^2 - 81 v2^2 L - 27 v2^3.
+
+    It is not where the neutral pattern's quartic roots begin: at v2 = 1 the
+    quartic has two real, uncertified roots at v3 = 5, 20, 60 and 110 alike.
+    What the cubic bounds is not established."""
+    if v2 <= 0:
+        raise DomainError("v2 must be positive")
+    x = float(max(r.real for r in np.roots([1.0, -117*v2, -81*v2**2, -27*v2**3])
+                  if r.imag == 0))
+    return _polish(lambda L: L**3 - 117*v2*L**2 - 81*v2**2*L - 27*v2**3,
+                   lambda L: 3*L**2 - 234*v2*L - 81*v2**2, x)
+
+
+def helium_quartic_coefficients(v2, v3):
+    """Descending coefficients of the quartic satisfied by v1 for the
+    neutral two-identical-particles pattern (a factor of the elimination
+    sextic: P6 = e^3 (2m + m1) v1 * quartic)."""
+    return np.array([
+        v3 + v2,
+        -2*(v3**2 + 2*v3*v2 + v2**2),
+        3*v3**3 - v3**2*v2 + 11*v3*v2**2 - v2**3,
+        2*(3*v3**3*v2 - 2*v3**2*v2**2 - 5*v3*v2**3 + 2*v2**4 - 2*v3**4),
+        2*v3**5 - 4*v3**4*v2 + 3*v3**3*v2**2 - v3**2*v2**3 + 4*v3*v2**4 - 2*v2**5,
+    ])
+
+
+def helium_closed_forms(spec, v1, v2, v3):
+    """(omega, B) for the neutral two-identical-particles pattern at a
+    quartic root.
+
+    The B returned here carries the sign required by omega = kappa * B
+    (it equals the general Configuration-II field restricted to the pattern);
+    the magnitude-matching expression with the opposite overall sign is
+    not consistent with the frequency relation and is rejected.
+    """
+    pat = helium_pattern(spec)
+    if pat is None:
+        raise DomainError("spec does not match the neutral identical-pair pattern")
+    e, m1, m = pat
+    q = 2*v1 - v2 - v3
+    p = v1**2 - 2*v2*v1 + 3*v2**2 + 2*v3**2 - 4*v2*v3
+    if q == 0.0 or p == 0.0:
+        raise DegenerateError("closed-form denominator vanishes")
+    B = -((2*m + m1) * v1 * v2 * (v1 - v2)**2 * (v2 - v3)**2
+          * (m1*v1 + m*(v2 + v3))) / (e**3 * q**2 * p)
+    omega = ((2*m + m1) * v1 * (v1 - v2)**2 * v2 * (v2 - v3)**2) / (e**2 * q * p)
+    return omega, B
+
+
+def _hc_quadratic(w, B, z):
+    """Momentum and field part of the reduced Hamiltonian on the flat shifted
+    phase vector ``z = (Rx, Ry, t1x, t1y, t2x, t2y, Px, Py, q1x, q1y, q2x, q2y)``,
+    where the q's are the shifted internal momenta: a homogeneous quadratic
+    form in ``z``, evaluated elementwise on ``z`` of shape (12, ...).
+    """
+    M, Q, mt1, mt2, nu1, nu2, mu3 = w.M, w.Q, w.mt1, w.mt2, w.nu1, w.nu2, w.mu[2]
+    ec1, ec2, e1eff, e2eff, m12, cross_tt = w.ec1, w.ec2, w.e1eff, w.e2eff, w.m12, w.cross_tt
+    Rx, Ry, t1x, t1y, t2x, t2y, Px, Py, q1x, q1y, q2x, q2y = z
+    half_B = 0.5 * B
+    # A(r) = half_B * (-ry, rx)
+    aRx, aRy = -half_B * Ry, half_B * Rx
+    a1x, a1y = -half_B * t1y, half_B * t1x
+    a2x, a2y = -half_B * t2y, half_B * t2x
+
+    cmx = Px - Q * aRx + 2.0 * ec1 * a1x + 2.0 * ec2 * a2x
+    cmy = Py - Q * aRy + 2.0 * ec1 * a1y + 2.0 * ec2 * a2y
+    H = (cmx * cmx + cmy * cmy) / (2.0 * M)
+
+    b1x, b1y = q1x - e1eff * a1x, q1y - e1eff * a1y
+    b2x, b2y = q2x - e2eff * a2x, q2y - e2eff * a2y
+    H += (b1x * b1x + b1y * b1y) / (2.0 * mt1)
+    H += (b2x * b2x + b2y * b2y) / (2.0 * mt2)
+
+    H += ec1 * ec1 * (a1x * a1x + a1y * a1y) * mu3 / (2.0 * m12)
+    H += ec1 * ec1 * (a2x * a2x + a2y * a2y) * mu3 * mu3 / (2.0 * nu1 * nu2 * m12)
+    H -= (ec1 / m12) * (a1x * q2x + a1y * q2y)
+    H -= (ec1 * mu3 / (nu1 * nu2 * m12)) * (a2x * q1x + a2y * q1y)
+    H += cross_tt * (a1x * a2x + a1y * a2y)
+    return H
+
+
+def hamiltonian_jacobi(spec, js):
+    """Reduced Hamiltonian evaluated on a shifted-momentum Jacobi state."""
+    w = jacobi_weights(spec)
+    return float(_hc_quadratic(w, spec.B, _flatten(js))
+                 + coulomb_energy(spec, _positions(w, js)))
+
+
+def poisson_bracket(f, g, spec, positions, velocities):
+    """Canonical Poisson bracket {f, g} at one phase point, of complex-analytic
+    callables ``(spec, positions, velocities)`` that take (..., n, 2) stacks
+    and return one value per leading index."""
+    z0 = _pack(spec, positions, velocities)
+    return _bracket(spec, _gradient(f, spec, z0), _gradient(g, spec, z0))

@@ -20,14 +20,14 @@ from conftest import electron_orbit, separated_state, table_value
 from magnetotrio import (DegenerateError, IntegratorSettings, NoSolution,
                          PhaseState, SystemSpec, algebra_check, apply_cc,
                          build_initial_state, conserved_closed_forms,
-                         drift_report, hamiltonian, hamiltonian_jacobi,
-                         helium_cubic_root, integrate, integrate_jacobi,
-                         p6_coefficients, pair_distance_min,
-                         residuals_config_I, rigidity_report,
-                         solve_config_I_identical, solve_config_I_v3zero,
-                         solve_config_II, solve_nbody_II, to_jacobi)
+                         drift_report, hamiltonian, integrate,
+                         integrate_jacobi, p6_coefficients, pair_distance_min,
+                         rigidity_report, solve_config_I_identical,
+                         solve_config_I_v3zero, solve_config_II,
+                         solve_nbody_II, to_jacobi)
 from oracles import (closed_form_B_II, closed_form_B_III,
-                     config_I_v3zero_closed_form, evaluate_p6)
+                     config_I_v3zero_closed_form, evaluate_p6,
+                     hamiltonian_jacobi, helium_cubic_root, residuals_config_I)
 
 SPEC4 = SystemSpec(B=1.0, charges=(3.0, -1.0, 1.0), masses=(1.0, 1.0, 3.0))
 WORKED = SystemSpec(B=1.0, charges=(1.0, 4.0, 1.0), masses=(1.0, 5.0, 1.0))

@@ -1,20 +1,30 @@
 """The public surface: each collinear concept has one public entry."""
 
 import magnetotrio
-from magnetotrio import errors, jacobi, model, solvers
+from magnetotrio import errors, invariants, jacobi, model, solvers
 
 # three-charge copies of the collinear system, written-out oracles, a
 # value every solution row carries and an error class whose refusals are
 # now DomainError or uncertified rows, which left the API, each for its
-# one remaining path (CHANGES.md)
+# one remaining path; then the neutral pattern's closed forms, the raw
+# residual vectors, the reduced Jacobi Hamiltonian and the generic
+# bracket, which no runtime path calls and which the tests keep as
+# oracles, and the unread total mass (CHANGES.md)
 REMOVED = ("residuals_config_II", "residuals_config_III", "closed_form_B_nbody",
            "evaluate_p6", "pseudomomentum_jacobi", "apply_symmetry",
            "closed_form_B_II", "closed_form_B_III", "newton_balance",
-           "ValidityError")
+           "ValidityError", "helium_pattern", "helium_cubic_root",
+           "helium_quartic_coefficients", "helium_closed_forms",
+           "residuals_config_I", "residuals_nbody_II", "hamiltonian_jacobi",
+           "poisson_bracket", "total_mass")
 
 
 def test_solver_exports_resolve_and_removed_names_are_gone():
     # a stale __all__ entry would break ``from magnetotrio.solvers import *``
     assert [n for n in solvers.__all__ if not hasattr(solvers, n)] == []
-    for module in (magnetotrio, errors, solvers, model, jacobi):
+    for module in (magnetotrio, errors, solvers, model, jacobi, invariants,
+                   model.SystemSpec):
         assert [n for n in REMOVED if hasattr(module, n)] == [], module.__name__
+    # the closed conserved forms and the involution check stay public
+    for name in ("conserved_closed_forms", "involution_check"):
+        assert hasattr(magnetotrio, name), name

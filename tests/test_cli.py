@@ -578,6 +578,48 @@ class TestFindAndVerify:
             "grid: the elimination sextic overflows at (v2, v3) = "
             f"(1, {sign}{float(value):.6g})\n")
 
+    @pytest.mark.parametrize("charges, flags, code, message", [
+        # omega**2 in the balance rows of the III roots at v1 ~ v2 overflows:
+        # uncertified roots
+        ("0 1 1.2602551660980934e-180",
+         ["--config", "III", "--grid-min", "1", "--grid-max", "1",
+          "--grid-points", "1"],
+         4, "no solution: no Configuration-III rotation on the sampled grid. "
+         "Algebraic roots exist but fail certification: v3=1: v1=0.9999999984 "
+         "(speed ordering outside the sector, mirror rotation sense, relative "
+         "residual inf, Newton imbalance inf); v3=1: v1=1.000000007 (relative "
+         "residual inf, Newton imbalance inf)\n"),
+        # kappa**2 of the field closed form overflows: a degenerate point
+        ("1e200 2e200 1", ["--config", "I", "--grid-points", "2"], 4,
+         "no solution: no Configuration-I rotation on the sampled grid: "
+         "collinear field closed form leaves the float range\n"),
+        # the sextic's coefficients overflow: refused before the sweep
+        *(("1e200 2e200 1", ["--config", config], 1,
+           "error: the elimination sextic's coefficients overflow\n")
+          for config in ("II", "III", "nbody-II")),
+        # the identical pair's balance rows overflow: uncertified roots
+        ("1e200 1e200 1", ["--config", "I", "--grid-points", "2"], 4,
+         "no solution: no Configuration-I rotation on the sampled grid. "
+         "Algebraic roots exist but fail certification: v3=0: v1=5e+199 "
+         "(relative residual inf, Newton imbalance inf)"),
+    ], ids=["III-tiny-third", "I-huge", "II-huge", "III-huge", "nbody-II-huge",
+            "I-huge-pair"])
+    def test_overflowing_closed_forms_exit_with_a_code(self, tmp_path, charges,
+                                                       flags, code, message):
+        # in a subprocess with warnings as errors, so a traceback or a numpy
+        # RuntimeWarning would reach stderr
+        sys_path = _write(tmp_path, "huge.system", "B 1\n" + "".join(
+            f"particle {e} 1\n" for e in charges.split()))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "magnetotrio", "find", sys_path,
+             "--out-dir", str(tmp_path), *flags],
+            env=_env_with_src(), timeout=60, capture_output=True, text=True)
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        assert "Warning" not in done.stderr
+        assert done.stderr.startswith("magnetotrio: " + message)
+        assert done.stderr.count("\n") == 1
+
     def test_overflowing_newton_trial_is_no_traceback(self, tmp_path):
         # a damped-Newton step on this species tries v4 ~ 1e152, where
         # (v2 - v4)^3 overflows; backtracking halves such a step

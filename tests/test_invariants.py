@@ -7,8 +7,7 @@ from magnetotrio import (GLOBAL_INVARIANTS, SPECIAL_SETS, DomainError,
                          algebra_check, angular_momentum, casimir,
                          classify_system, drift_report, hamiltonian, integrate,
                          invariant_table, involution_check, pair_virial,
-                         poisson_bracket, pseudomomentum,
-                         third_pseudomomentum_x)
+                         pseudomomentum, third_pseudomomentum_x)
 from magnetotrio import invariants
 from magnetotrio.invariants import (_eval_on_z, _gradients, _pack,
                                     coulomb_energy, individual_angular_momenta,
@@ -16,6 +15,7 @@ from magnetotrio.invariants import (_eval_on_z, _gradients, _pack,
                                     kinetic_energies, particle_pseudomomenta,
                                     table_drifts, write_invariant_csv)
 from magnetotrio.model import canonical_momenta
+from oracles import poisson_bracket
 
 
 @pytest.fixture(scope="module")

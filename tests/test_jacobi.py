@@ -7,11 +7,11 @@ from conftest import electron_orbit, separated_state
 
 from magnetotrio import (CollisionError, DomainError, IntegratorSettings,
                          JacobiState, PhaseState, SystemSpec, apply_cc,
-                         from_jacobi, hamiltonian, hamiltonian_jacobi,
-                         integrate, integrate_jacobi, invert_cc,
-                         jacobi_weights, pseudomomentum, to_jacobi)
-from magnetotrio.jacobi import _flat_positions, _hc_quadratic, _positions, rhs_jacobi
+                         from_jacobi, hamiltonian, integrate, integrate_jacobi,
+                         invert_cc, jacobi_weights, pseudomomentum, to_jacobi)
+from magnetotrio.jacobi import _flat_positions, _positions, rhs_jacobi
 from magnetotrio.model import vector_potential
+from oracles import _hc_quadratic, hamiltonian_jacobi
 
 FIELDS = ("R", "tau1", "tau2", "P", "ptau1", "ptau2")
 

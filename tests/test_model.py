@@ -35,7 +35,6 @@ class TestSystemSpec:
 
     def test_totals(self, spec4):
         assert spec4.total_charge == 3.0
-        assert spec4.total_mass == 5.0
 
 
 class TestClassification:
