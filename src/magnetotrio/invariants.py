@@ -17,14 +17,19 @@ trajectories; along generic trajectories they drift at O(1).
 Every quantity takes positions and velocities of shape (..., n, 2) and
 returns one value per leading index (per particle where it is per-particle),
 so one state gives a scalar and a stack of samples is evaluated in one pass.
-:func:`invariant_table` evaluates every column of :func:`invariant_columns`;
-the sampled reports, the bracket algebra and ``SPECIAL_SETS`` read it by name.
+:func:`invariant_table` evaluates every column of :func:`invariant_columns`
+in one pass over the shared pieces (``A(rho_i)``, the momenta ``p_i`` and
+``k_i``, ``T_i`` and ``l_i``, each computed once); H, L_z and the Casimir
+are read from it, and the sampled reports, the bracket algebra and
+``SPECIAL_SETS`` read it by name.
 
 Poisson brackets are evaluated in canonical coordinates ``(rho, p)`` from
 complex-step gradients ``df/dz_k = Im f(z + i h e_k) / h``, for which every
 quantity accepts complex input.  With no difference taken, one table call on
-the stack of the 4n perturbed points gives every named gradient exact to
-rounding.  A quantity that is not complex-analytic (``abs``, ``hypot``,
+the 4n perturbed points of every state gives every named gradient exact to
+rounding.  :func:`algebra_check` and :func:`involution_check` take a stack of
+states, which goes through one table call; only the bracket dot products run
+state by state.  A quantity that is not complex-analytic (``abs``, ``hypot``,
 ``float()``) raises :class:`TypeError` instead of returning a wrong derivative.
 """
 
@@ -34,7 +39,7 @@ import numpy as np
 
 from .dynamics import _write_csv
 from .errors import DomainError
-from .model import _velocities_from_momenta, canonical_momenta, vector_potential
+from .model import _momenta, _velocities_from_momenta, canonical_momenta
 
 
 # ---------------------------------------------------------------------------
@@ -55,36 +60,18 @@ def coulomb_energy(spec, positions):
     return (ee / np.sqrt(dx * dx + dy * dy)).sum(axis=-1)
 
 
-def hamiltonian(spec, positions, velocities):
-    return kinetic_energies(spec, velocities).sum(axis=-1) + coulomb_energy(spec, positions)
-
-
-def particle_pseudomomenta(spec, positions, velocities):
-    """Individual ``k_i = p_i + e_i A(rho_i) = m_i v_i + 2 e_i A(rho_i)``."""
-    A = vector_potential(positions, spec.B)
-    v = np.asarray(velocities)
-    return spec.masses[:, None] * v + 2.0 * spec.charges[:, None] * A
-
-
 def pseudomomentum(spec, positions, velocities):
-    return particle_pseudomomenta(spec, positions, velocities).sum(axis=-2)
+    """``K = sum k_i``, ``k_i = p_i + e_i A(rho_i) = m_i v_i + 2 e_i A(rho_i)``:
+    shape (..., 2)."""
+    return _momenta(spec, positions, velocities)[1].sum(axis=-2)
 
 
-def individual_angular_momenta(spec, positions, velocities):
-    """Canonical ``l_zi = (rho_i x p_i)_z`` per particle."""
-    pos = np.asarray(positions)
-    p = canonical_momenta(spec, pos, velocities)
-    return pos[..., 0] * p[..., 1] - pos[..., 1] * p[..., 0]
-
-
-def angular_momentum(spec, positions, velocities):
-    return individual_angular_momenta(spec, positions, velocities).sum(axis=-1)
-
-
-def casimir(spec, positions, velocities):
-    K = pseudomomentum(spec, positions, velocities)
-    Lz = angular_momentum(spec, positions, velocities)
-    return K[..., 0] ** 2 + K[..., 1] ** 2 - 2.0 * spec.total_charge * spec.B * Lz
+def _pair_virial(spec, q, p):
+    m1, m2 = spec.masses[0], spec.masses[1]
+    nu1, nu2 = m1 / (m1 + m2), m2 / (m1 + m2)
+    tau1 = q[..., 1, :] - q[..., 0, :]
+    ptau1 = nu1 * p[..., 1, :] - nu2 * p[..., 0, :]
+    return (tau1 * ptau1).sum(axis=-1)
 
 
 def pair_virial(spec, positions, velocities):
@@ -96,13 +83,8 @@ def pair_virial(spec, positions, velocities):
     """
     if spec.n < 2:
         raise DomainError("pair_virial needs at least two particles")
-    pos = np.asarray(positions)
-    p = canonical_momenta(spec, pos, velocities)
-    m1, m2 = spec.masses[0], spec.masses[1]
-    nu1, nu2 = m1 / (m1 + m2), m2 / (m1 + m2)
-    tau1 = pos[..., 1, :] - pos[..., 0, :]
-    ptau1 = nu1 * p[..., 1, :] - nu2 * p[..., 0, :]
-    return (tau1 * ptau1).sum(axis=-1)
+    q = np.asarray(positions)
+    return _pair_virial(spec, q, canonical_momenta(spec, q, velocities))
 
 
 def third_pseudomomentum_x(spec, positions, velocities):
@@ -110,7 +92,27 @@ def third_pseudomomentum_x(spec, positions, velocities):
     if spec.n < 3:
         raise DomainError("third_pseudomomentum_x needs three particles")
     # [()] turns the 0-d array of a single state into a scalar
-    return particle_pseudomomenta(spec, positions, velocities)[..., 2, 0][()]
+    return _momenta(spec, positions, velocities)[1][..., 2, 0][()]
+
+
+def _column(spec, positions, velocities, name):
+    """The table's column ``name``: a scalar at one state."""
+    return invariant_table(spec, positions, velocities)[..., GLOBAL_INVARIANTS.index(name)][()]
+
+
+def hamiltonian(spec, positions, velocities):
+    """``H``, the table's column."""
+    return _column(spec, positions, velocities, "H")
+
+
+def angular_momentum(spec, positions, velocities):
+    """The total canonical ``L_z = sum (rho_i x p_i)_z``, the table's column."""
+    return _column(spec, positions, velocities, "Lz")
+
+
+def casimir(spec, positions, velocities):
+    """``C = K_x^2 + K_y^2 - 2 Q B L_z``, the table's column."""
+    return _column(spec, positions, velocities, "Casimir")
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +141,22 @@ def invariant_columns(n):
 
 def invariant_table(spec, positions, velocities):
     """The quantities of :func:`invariant_columns` after ``t``, in its
-    order, at a real or complex (..., n, 2) stack: shape (..., ncols)."""
-    q, v = positions, velocities
-    K = pseudomomentum(spec, q, v)
-    cols = [hamiltonian(spec, q, v), K[..., 0], K[..., 1],
-            angular_momentum(spec, q, v), casimir(spec, q, v),
-            *np.moveaxis(individual_angular_momenta(spec, q, v), -1, 0),
-            *np.moveaxis(kinetic_energies(spec, v), -1, 0)]
+    order, at a real or complex (..., n, 2) stack: shape (..., ncols).
+
+    One pass: ``A(rho_i)``, the momenta ``p_i`` and ``k_i``, the kinetic
+    energies ``T_i`` and the angular momenta ``l_i = (rho_i x p_i)_z`` are
+    computed once, and every column is read from them."""
+    q = np.asarray(positions)
+    p, k = _momenta(spec, q, velocities)
+    T = kinetic_energies(spec, velocities)
+    l = q[..., 0] * p[..., 1] - q[..., 1] * p[..., 0]
+    K, Lz = k.sum(axis=-2), l.sum(axis=-1)
+    H = T.sum(axis=-1) + coulomb_energy(spec, q)
+    C = K[..., 0] ** 2 + K[..., 1] ** 2 - 2.0 * spec.total_charge * spec.B * Lz
+    cols = [H[..., None], K, Lz[..., None], C[..., None], l, T]
     if spec.n == 3:
-        cols += [third_pseudomomentum_x(spec, q, v), pair_virial(spec, q, v)]
-    return np.stack(cols, axis=-1)
+        cols += [k[..., 2, :1], _pair_virial(spec, q, p)[..., None]]
+    return np.concatenate(cols, axis=-1)
 
 
 def invariant_samples(traj):
@@ -181,8 +189,11 @@ def drift_report(traj):
 # ---------------------------------------------------------------------------
 
 def _pack(spec, positions, velocities):
-    p = canonical_momenta(spec, positions, velocities)
-    return np.concatenate([np.asarray(positions, float).ravel(), p.ravel()])
+    """Canonical points ``z = (rho, p)`` of a (..., n, 2) stack: (..., 4n)."""
+    q = np.asarray(positions, float)
+    p = canonical_momenta(spec, q, velocities)
+    flat = (*q.shape[:-2], 2 * spec.n)
+    return np.concatenate([q.reshape(flat), p.reshape(flat)], axis=-1)
 
 
 STEP = 1e-100   # the imaginary step of :func:`_gradient`; it loses no digits
@@ -196,9 +207,11 @@ def _eval_on_z(func, spec, z):
 
 
 def _gradient(func, spec, z0):
-    """Complex-step gradient of ``func`` at ``z0``, one call on the 4n points
-    ``z0 + i STEP e_k``; a real value (a non-analytic ``func``) raises."""
-    f = _eval_on_z(func, spec, z0 + 1j * STEP * np.eye(len(z0)))
+    """Complex-step gradient of ``func`` at the points ``z0`` (..., 4n), one
+    call on the 4n points ``z0 + i STEP e_k`` of every point: shape
+    (..., 4n) plus ``func``'s own axes.  A real value (a non-analytic
+    ``func``) raises."""
+    f = _eval_on_z(func, spec, z0[..., None, :] + 1j * STEP * np.eye(z0.shape[-1]))
     if not np.iscomplexobj(f):
         raise TypeError(f"quantity {getattr(func, '__name__', func)} is not "
                         "complex-analytic: it returned a real value")
@@ -206,26 +219,41 @@ def _gradient(func, spec, z0):
 
 
 def _bracket(spec, gf, gg):
-    """The bracket of two quantities from their :func:`_gradient`."""
+    """The brackets of pairs of quantities from their :func:`_gradient` rows
+    ``gf``, ``gg`` of shape (..., 4n): shape (...).  Each bracket is two dot
+    products, each a row times a column, which matmul evaluates as ``@`` of
+    the two rows would, one state and pair at a time; the rows must be
+    contiguous (a strided row would change how the dot rounds)."""
     n2 = 2 * spec.n
-    return float(gf[:n2] @ gg[n2:] - gf[n2:] @ gg[:n2])
+    f, g = gf[..., None, :], gg[..., :, None]
+    return (f[..., :n2] @ g[..., n2:, :] - f[..., n2:] @ g[..., :n2, :])[..., 0, 0]
 
 
 def _gradients(spec, positions, velocities, names):
-    """Complex-step gradients of the named quantities at one state, from one
-    :func:`_gradient` call of :func:`invariant_table`: one contiguous row
-    per name (a strided row would change how ``@`` rounds in
-    :func:`_bracket`).  ``K2`` is the row 2 Kx grad Kx + 2 Ky grad Ky."""
+    """Complex-step gradients of the named quantities at a (..., n, 2) stack
+    of states, from one :func:`_gradient` call of :func:`invariant_table`:
+    shape (..., len(names), 4n), each row contiguous.  ``K2`` is the row
+    2 Kx grad Kx + 2 Ky grad Ky."""
     g = _gradient(invariant_table, spec, _pack(spec, positions, velocities))
-    rows = dict(zip(invariant_columns(spec.n)[1:], g.T))
+    rows = dict(zip(invariant_columns(spec.n)[1:], np.moveaxis(g, -1, 0)))
     if "K2" in names:
-        kx, ky = pseudomomentum(spec, positions, velocities)
-        rows["K2"] = 2.0 * kx * rows["Kx"] + 2.0 * ky * rows["Ky"]
-    return np.array([rows[name] for name in names])
+        K = pseudomomentum(spec, positions, velocities)[..., None]
+        rows["K2"] = 2.0 * K[..., 0, :] * rows["Kx"] + 2.0 * K[..., 1, :] * rows["Ky"]
+    return np.stack([rows[name] for name in names], axis=-2)
+
+
+# The brackets of :func:`algebra_check`, in the order of its labels.
+_ALGEBRA_PAIRS = (("Kx", "Ky"), ("Lz", "Kx"), ("Lz", "Ky"), ("H", "Kx"),
+                  ("H", "Ky"), ("H", "Lz"), ("Casimir", "H"), ("Casimir", "Kx"),
+                  ("Casimir", "Ky"), ("Casimir", "Lz"))
+_ALGEBRA_LABELS = ("{Kx,Ky}+QB", "{Lz,Kx}-Ky", "{Lz,Ky}+Kx", "{H,Kx}", "{H,Ky}",
+                   "{H,Lz}", "{C,H}", "{C,Kx}", "{C,Ky}", "{C,Lz}")
 
 
 def algebra_check(spec, positions, velocities):
-    """Errors of the expected bracket table at one state.
+    """Errors of the expected bracket table at a (..., n, 2) stack of
+    states, from one table call: a float per label at one state, an array
+    of shape (...) at a stack.
 
     Returns a dict mapping a label to the *error* (computed minus expected):
 
@@ -233,40 +261,33 @@ def algebra_check(spec, positions, velocities):
         {H,Kx} = {H,Ky} = {H,Lz} = 0,
         {Casimir, each of H,Kx,Ky,Lz} = 0.
     """
-    H, Kx, Ky, Lz, C = _gradients(spec, positions, velocities, GLOBAL_INVARIANTS)
+    g = _gradients(spec, positions, velocities, GLOBAL_INVARIANTS)
+    a, b = zip(*[map(GLOBAL_INVARIANTS.index, pair) for pair in _ALGEBRA_PAIRS])
+    pb = np.moveaxis(_bracket(spec, g[..., a, :], g[..., b, :]), -1, 0)
+    K = pseudomomentum(spec, positions, velocities)
     QB = spec.total_charge * spec.B
-    kx, ky = pseudomomentum(spec, positions, velocities)
-    pb = lambda a, b: _bracket(spec, a, b)
-    return {
-        "{Kx,Ky}+QB": pb(Kx, Ky) + QB,
-        "{Lz,Kx}-Ky": pb(Lz, Kx) - ky,
-        "{Lz,Ky}+Kx": pb(Lz, Ky) + kx,
-        "{H,Kx}": pb(H, Kx),
-        "{H,Ky}": pb(H, Ky),
-        "{H,Lz}": pb(H, Lz),
-        "{C,H}": pb(C, H),
-        "{C,Kx}": pb(C, Kx),
-        "{C,Ky}": pb(C, Ky),
-        "{C,Lz}": pb(C, Lz),
-    }
+    return dict(zip(_ALGEBRA_LABELS, [pb[0] + QB, pb[1] - K[..., 1], pb[2] + K[..., 0],
+                                      *pb[3:]]))
 
 
-def involution_check(spec, states, variant):
-    """Max |{q_a, q_b}| over the pairs of ``SPECIAL_SETS[variant]`` and all
-    supplied states, for a three-charge ``spec``.
+def involution_check(spec, positions, velocities, variant):
+    """Max |{q_a, q_b}| over the pairs of ``SPECIAL_SETS[variant]`` and a
+    (..., 3, 2) stack of states, from one table call, for a three-charge
+    ``spec``.
 
-    ``states`` is an iterable of (positions, velocities) pairs.  Returns
-    ``(worst, table)`` where ``table[(name_a, name_b)]`` is the worst bracket
-    magnitude for that pair.
+    Returns ``(worst, table)`` where ``table[(name_a, name_b)]`` is the worst
+    bracket magnitude for that pair; a NaN bracket makes its entry NaN, and
+    an empty stack reads 0.
     """
     if spec.n != 3:
         raise DomainError("special-trajectory sets are defined for n = 3")
     if variant not in SPECIAL_SETS:
         raise DomainError(f"unknown involution-set variant {variant!r}")
     names = SPECIAL_SETS[variant]
-    table = {}
-    for pos, vel in states:
-        grads = _gradients(spec, pos, vel, names)
-        for (a, ga), (b, gb) in itertools.combinations(zip(names, grads), 2):
-            table[a, b] = max(table.get((a, b), 0.0), abs(_bracket(spec, ga, gb)))
-    return max(table.values(), default=0.0), table
+    pairs = list(itertools.combinations(range(len(names)), 2))
+    a, b = zip(*pairs)
+    g = _gradients(spec, positions, velocities, names)
+    worst = np.abs(_bracket(spec, g[..., a, :], g[..., b, :])).reshape(
+        -1, len(pairs)).max(axis=0, initial=0.0)
+    table = {(names[i], names[j]): float(w) for (i, j), w in zip(pairs, worst)}
+    return float(worst.max()), table

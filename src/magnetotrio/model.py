@@ -17,6 +17,7 @@ with no extra prefactor.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,8 +117,15 @@ class PhaseState:
 
 def canonical_momenta(spec, positions, velocities):
     """Canonical momenta ``p_i = m_i v_i + e_i A(rho_i)``, shape (..., n, 2)."""
+    return _momenta(spec, positions, velocities)[0]
+
+
+def _momenta(spec, positions, velocities):
+    """The canonical momenta ``p_i`` and the pseudomomenta
+    ``k_i = p_i + e_i A(rho_i) = m_i v_i + 2 e_i A(rho_i)`` from one ``A``."""
     A = vector_potential(positions, spec.B)
-    return spec.masses[:, None] * np.asarray(velocities) + spec.charges[:, None] * A
+    mv = spec.masses[:, None] * np.asarray(velocities)
+    return mv + spec.charges[:, None] * A, mv + 2.0 * spec.charges[:, None] * A
 
 
 def _velocities_from_momenta(spec, positions, momenta):
@@ -184,7 +192,7 @@ def _parse_floats(parts, count, line_no):
         vals = [float(p) for p in parts]
     except ValueError:
         raise SpecParseError(f"could not parse number in {parts!r}", line_no) from None
-    if not np.all(np.isfinite(vals)):
+    if not all(map(math.isfinite, vals)):
         raise SpecParseError(f"non-finite number in {parts!r}", line_no)
     return vals
 

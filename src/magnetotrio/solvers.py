@@ -561,15 +561,27 @@ def solve_config_I_v3zero(spec, v1=1.0):
 
 
 def _pair_quadratic(spec, B):
-    """(a, b) = (8 m (e + 4 e3), e B^2): an identical pair (e, m) at field B
-    and separation rho has the speed discriminant 1 - a / (b rho^3)."""
-    e, e3, m = spec.charges[0], spec.charges[2], spec.masses[0]
+    """(a, b) = (8 m (e + 4 e3), e B^2) in floats: an identical pair (e, m)
+    at field B and separation rho has the speed discriminant
+    1 - a / (b rho^3).  DomainError for a zero field, an uncharged pair,
+    or a field whose b or critical cube a / b leaves the float range."""
+    e, e3, m = float(spec.charges[0]), float(spec.charges[2]), float(spec.masses[0])
     if e == 0.0:
         raise DomainError("Configuration I needs a charged pair")
     if B == 0.0:
         raise DomainError("Configuration I of an identical pair needs a "
                           "nonzero field")
-    return 8 * m * (e + 4*e3), e * B**2
+    a = 8 * m * (e + 4*e3)
+    try:
+        b = e * B**2
+        in_range = abs(b) < math.inf and math.isfinite(a / b)
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        raise DomainError(f"Configuration I of an identical pair at B = {B:g}: "
+                          "e B^2 or the critical cube 8 m (e + 4 e3) / (e B^2) "
+                          "leaves the float range")
+    return a, b
 
 
 def pair_distance_min(spec):
@@ -588,9 +600,11 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
     Returns the two quadratic branches ("+" and "-"); at the critical
     separation they coincide (the discriminant is clamped to zero when
     |disc| < 1e-12 to keep the coincidence exact in floats).  Raises
-    DomainError for a zero field, an uncharged pair, or a nonzero third
-    speed without a common charge-to-mass ratio alpha; NoSolution below the
-    critical separation.  With alpha, the third charge runs its own circle
+    DomainError for a zero field, an uncharged pair, a field out of float
+    range (:func:`_pair_quadratic`), or a nonzero third speed without a
+    common charge-to-mass ratio alpha; NoSolution below the critical
+    separation; DegenerateError where rho12**3 overflows or underflows to 0.
+    With alpha, the third charge runs its own circle
     at omega3 = alpha*B and any v3 > 0 works (the returned row is the
     representative for the requested v3).
     """
@@ -602,7 +616,11 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
     if rho12 <= 0:
         raise DomainError("pair separation must be positive")
     a, b = _pair_quadratic(spec, spec.B)
-    disc = 1.0 - a / (b * rho12**3)
+    try:
+        disc = 1.0 - a / (b * rho12**3)
+    except (OverflowError, ZeroDivisionError):
+        raise DegenerateError(f"separation {rho12:g} leaves the float range "
+                              "of the pair discriminant") from None
     disc = 0.0 if abs(disc) < _DISC_CLAMP else disc
     omega3_signed = 0.0
     if v3 != 0.0:

@@ -61,10 +61,19 @@ the Cartesian Hamiltonian, which it equals to rounding, and for
 :func:`magnetotrio.jacobi.rhs_jacobi`, which must be its gradient flow.
 
 ``poisson_bracket`` is the canonical bracket {f, g} of two callables from
-complex-step gradients at one state: the reference for the complex-step
-engine (a fundamental bracket, a non-analytic quantity refused) and for
-:func:`magnetotrio.algebra_check`, which builds its table from one
-gradient call of the invariant table and must return the same floats.
+complex-step gradients at one state, one dot product each: the reference
+for the complex-step engine (a fundamental bracket, a non-analytic
+quantity refused) and for :func:`magnetotrio.algebra_check`, which builds
+its table from one gradient call of the invariant table on a stack of
+states and must return the same floats.
+
+``particle_pseudomomenta``, ``individual_angular_momenta`` and the
+``separate_`` quantities (H, K, L_z, the Casimir, the pair virial and
+particle 3's k_x) each evaluate one quantity on its own, recomputing the
+vector potential and the momenta they need, and ``separate_invariant_table``
+stacks them into the columns of :func:`magnetotrio.invariant_table`: the
+references for the one-pass table and the public quantities read from it,
+which must return their floats to the bit, real or complex.
 """
 
 import functools
@@ -77,8 +86,10 @@ from magnetotrio import DegenerateError, DomainError, SpecParseError, Trajectory
 from magnetotrio._dop853 import D, DOP853
 from magnetotrio.dynamics import trajectory_header
 from magnetotrio.dynamics import accelerations
-from magnetotrio.invariants import _bracket, _gradient, _pack, coulomb_energy
+from magnetotrio.invariants import (_gradient, _pack, coulomb_energy,
+                                    invariant_columns, kinetic_energies)
 from magnetotrio.jacobi import _flatten, _positions, jacobi_weights
+from magnetotrio.model import canonical_momenta, vector_potential
 from magnetotrio.solvers import (_DEDUP_TOL, _V2, _collinear_field,
                                  _collinear_terms, _config_I_terms, _line,
                                  _polish)
@@ -512,4 +523,67 @@ def poisson_bracket(f, g, spec, positions, velocities):
     callables ``(spec, positions, velocities)`` that take (..., n, 2) stacks
     and return one value per leading index."""
     z0 = _pack(spec, positions, velocities)
-    return _bracket(spec, _gradient(f, spec, z0), _gradient(g, spec, z0))
+    gf, gg, n2 = _gradient(f, spec, z0), _gradient(g, spec, z0), 2 * spec.n
+    return float(gf[:n2] @ gg[n2:] - gf[n2:] @ gg[:n2])
+
+
+def particle_pseudomomenta(spec, positions, velocities):
+    """Individual ``k_i = p_i + e_i A(rho_i) = m_i v_i + 2 e_i A(rho_i)``."""
+    A = vector_potential(positions, spec.B)
+    v = np.asarray(velocities)
+    return spec.masses[:, None] * v + 2.0 * spec.charges[:, None] * A
+
+
+def individual_angular_momenta(spec, positions, velocities):
+    """Canonical ``l_zi = (rho_i x p_i)_z`` per particle."""
+    pos = np.asarray(positions)
+    p = canonical_momenta(spec, pos, velocities)
+    return pos[..., 0] * p[..., 1] - pos[..., 1] * p[..., 0]
+
+
+def separate_hamiltonian(spec, positions, velocities):
+    return kinetic_energies(spec, velocities).sum(axis=-1) + coulomb_energy(spec, positions)
+
+
+def separate_pseudomomentum(spec, positions, velocities):
+    return particle_pseudomomenta(spec, positions, velocities).sum(axis=-2)
+
+
+def separate_angular_momentum(spec, positions, velocities):
+    return individual_angular_momenta(spec, positions, velocities).sum(axis=-1)
+
+
+def separate_casimir(spec, positions, velocities):
+    K = separate_pseudomomentum(spec, positions, velocities)
+    Lz = separate_angular_momentum(spec, positions, velocities)
+    return K[..., 0] ** 2 + K[..., 1] ** 2 - 2.0 * spec.total_charge * spec.B * Lz
+
+
+def separate_pair_virial(spec, positions, velocities):
+    pos = np.asarray(positions)
+    p = canonical_momenta(spec, pos, velocities)
+    m1, m2 = spec.masses[0], spec.masses[1]
+    nu1, nu2 = m1 / (m1 + m2), m2 / (m1 + m2)
+    tau1 = pos[..., 1, :] - pos[..., 0, :]
+    ptau1 = nu1 * p[..., 1, :] - nu2 * p[..., 0, :]
+    return (tau1 * ptau1).sum(axis=-1)
+
+
+def separate_third_pseudomomentum_x(spec, positions, velocities):
+    return particle_pseudomomenta(spec, positions, velocities)[..., 2, 0][()]
+
+
+def separate_invariant_table(spec, positions, velocities):
+    """The columns of :func:`magnetotrio.invariant_table`, each quantity
+    evaluated on its own."""
+    q, v = positions, velocities
+    K = separate_pseudomomentum(spec, q, v)
+    cols = [separate_hamiltonian(spec, q, v), K[..., 0], K[..., 1],
+            separate_angular_momentum(spec, q, v), separate_casimir(spec, q, v),
+            *np.moveaxis(individual_angular_momenta(spec, q, v), -1, 0),
+            *np.moveaxis(kinetic_energies(spec, v), -1, 0)]
+    if spec.n == 3:
+        cols += [separate_third_pseudomomentum_x(spec, q, v),
+                 separate_pair_virial(spec, q, v)]
+    assert len(cols) == len(invariant_columns(spec.n)) - 1
+    return np.stack(cols, axis=-1)

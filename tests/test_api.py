@@ -9,14 +9,16 @@ from magnetotrio import errors, invariants, jacobi, model, solvers
 # one remaining path; then the neutral pattern's closed forms, the raw
 # residual vectors, the reduced Jacobi Hamiltonian and the generic
 # bracket, which no runtime path calls and which the tests keep as
-# oracles, and the unread total mass (CHANGES.md)
+# oracles, the unread total mass, and the per-particle momenta that the
+# one-pass invariant table computes in place (CHANGES.md)
 REMOVED = ("residuals_config_II", "residuals_config_III", "closed_form_B_nbody",
            "evaluate_p6", "pseudomomentum_jacobi", "apply_symmetry",
            "closed_form_B_II", "closed_form_B_III", "newton_balance",
            "ValidityError", "helium_pattern", "helium_cubic_root",
            "helium_quartic_coefficients", "helium_closed_forms",
            "residuals_config_I", "residuals_nbody_II", "hamiltonian_jacobi",
-           "poisson_bracket", "total_mass")
+           "poisson_bracket", "total_mass", "particle_pseudomomenta",
+           "individual_angular_momenta")
 
 
 def test_solver_exports_resolve_and_removed_names_are_gone():

@@ -620,6 +620,31 @@ class TestFindAndVerify:
         assert done.stderr.startswith("magnetotrio: " + message)
         assert done.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("B, flags, code, message", [
+        ("1e200", [], 1, "error: Configuration I of an identical pair at "
+         "B = 1e+200: e B^2 or the critical cube"),
+        ("1e-200", [], 1, "error: Configuration I of an identical pair at "
+         "B = 1e-200: e B^2 or the critical cube"),
+        ("1", ["--grid-min", "1e200", "--grid-max", "1e200"], 4,
+         "no solution: no Configuration-I rotation on the sampled grid: "
+         "separation 1e+200 leaves the float range of the pair discriminant"),
+        ("1", ["--grid-min", "1e-200", "--grid-max", "1e-200"], 4,
+         "no solution: no Configuration-I rotation on the sampled grid: "
+         "separation 1e-200 leaves the float range of the pair discriminant"),
+    ], ids=["huge-field", "tiny-field", "huge-separation", "tiny-separation"])
+    def test_identical_pair_out_of_float_range_exits_with_a_code(
+            self, tmp_path, capsys, B, flags, code, message):
+        # in process, where the suite turns a numpy RuntimeWarning into an
+        # error; an OverflowError would escape main as a traceback
+        sys_path = _write(tmp_path, "pair.system",
+                          f"B {B}\nparticle 1 1\nparticle 1 1\nparticle 2 1\n")
+        rc = main(["find", sys_path, "--config", "I", "--grid-points", "1",
+                   "--out-dir", str(tmp_path), *flags])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (code, "")
+        assert err.startswith("magnetotrio: " + message)
+        assert err.count("\n") == 1
+
     def test_overflowing_newton_trial_is_no_traceback(self, tmp_path):
         # a damped-Newton step on this species tries v4 ~ 1e152, where
         # (v2 - v4)^3 overflows; backtracking halves such a step
@@ -718,6 +743,23 @@ class TestBrackets:
         rc = main(["brackets", sys_path, "--samples", "3", "--seed", "0"])
         assert rc == 0
         assert "algebra satisfied" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("B, charge, nan_rows", [
+        ("1e200", "1e200", "{"), ("1", "1e160", "{H,|{C,")])
+    def test_non_finite_deviations_fail_the_gate(self, tmp_path, capsys, B,
+                                                 charge, nan_rows):
+        # the products of these charges overflow, so some errors are NaN;
+        # they are printed as NaN and fail the gate, with no warning
+        sys_path = _write(tmp_path, "huge.system", f"B {B}\nparticle {charge} 1\n"
+                          f"particle -{charge} 1\nparticle {charge} 3\n")
+        rc = main(["brackets", sys_path, "--samples", "2", "--seed", "0"])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (5, "")
+        devs = dict(re.findall(r"^  ({\S+)\s+max deviation (\S+)$", out, re.M))
+        assert len(devs) == 10
+        for label, dev in devs.items():
+            assert (dev == "nan") == bool(re.match(nan_rows, label)), label
+        assert "overall max deviation nan\nFAILED: deviation exceeds 1e-06\n" in out
 
     def test_crowded_system_exits_1(self, tmp_path):
         # thirty charges 0.5 apart in [-2, 2]^2 are never drawn at once, so

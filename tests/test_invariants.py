@@ -8,14 +8,15 @@ from magnetotrio import (GLOBAL_INVARIANTS, SPECIAL_SETS, DomainError,
                          classify_system, drift_report, hamiltonian, integrate,
                          invariant_table, involution_check, pair_virial,
                          pseudomomentum, third_pseudomomentum_x)
-from magnetotrio import invariants
-from magnetotrio.invariants import (_eval_on_z, _gradients, _pack,
-                                    coulomb_energy, individual_angular_momenta,
-                                    invariant_columns, invariant_samples,
-                                    kinetic_energies, particle_pseudomomenta,
+from magnetotrio import cli, invariants, save_system
+from magnetotrio.invariants import (_bracket, _eval_on_z, _gradients, _pack,
+                                    coulomb_energy, invariant_columns,
+                                    invariant_samples, kinetic_energies,
                                     table_drifts, write_invariant_csv)
 from magnetotrio.model import canonical_momenta
-from oracles import poisson_bracket
+import oracles
+from oracles import (individual_angular_momenta, particle_pseudomomenta,
+                     poisson_bracket)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,85 @@ class TestBatchEvaluation:
         traj = integrate(spec, PhaseState(pos, vel),
                          IntegratorSettings(t_end=2.0, sample_interval=0.25))
         assert _close(invariant_samples(traj), _rows_one_by_one(traj))
+
+
+class TestOnePassTable:
+    """The table and the public quantities read from one pass return the
+    floats of each quantity evaluated on its own, to the bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("kind", ["real", "complex", "step"])
+    def test_matches_the_separate_quantities(self, n, lead, kind, rng):
+        spec = SystemSpec(B=rng.uniform(-2.0, 2.0), charges=rng.uniform(-2.0, 2.0, n),
+                          masses=rng.uniform(0.5, 2.0, n))
+        pos = rng.uniform(-2.0, 2.0, (*lead, n, 2))
+        vel = rng.uniform(-1.5, 1.5, (*lead, n, 2))
+        if kind == "complex":
+            pos = pos + 1j * rng.uniform(-1e-3, 1e-3, pos.shape)
+            vel = vel + 1j * rng.uniform(-1e-3, 1e-3, vel.shape)
+        elif kind == "step":    # the complex step: one coordinate moved by i 1e-100
+            pos, vel = pos.astype(complex), vel.astype(complex)
+            (pos, vel)[rng.integers(2)].reshape(-1, 2 * n)[:, rng.integers(2 * n)] += 1e-100j
+        pairs = [(invariant_table, oracles.separate_invariant_table),
+                 (hamiltonian, oracles.separate_hamiltonian),
+                 (pseudomomentum, oracles.separate_pseudomomentum),
+                 (angular_momentum, oracles.separate_angular_momentum),
+                 (casimir, oracles.separate_casimir)]
+        if n >= 2:
+            pairs.append((pair_virial, oracles.separate_pair_virial))
+        if n >= 3:
+            pairs.append((third_pseudomomentum_x,
+                          oracles.separate_third_pseudomomentum_x))
+        for func, oracle in pairs:
+            got, want = func(spec, pos, vel), oracle(spec, pos, vel)
+            assert type(got) is type(want), func.__name__
+            assert np.shape(got) == np.shape(want), func.__name__
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), func.__name__
+
+
+class TestStackedChecks:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bracket_rounds_as_one_dot_per_state(self, n, rng):
+        # the row-times-column matmul of a stack must give, state by state,
+        # the float of ``@`` of the two rows (n >= 8 reaches BLAS's kernel)
+        spec = SystemSpec(B=1.0, charges=np.ones(n), masses=np.ones(n))
+        g = rng.normal(size=(7, 3, 4 * n)) * rng.choice([1e-3, 1.0, 1e5], (7, 3, 1))
+        n2 = 2 * n
+        want = np.array([f[:n2] @ h[n2:] - f[n2:] @ h[:n2]
+                         for f, h in zip(g[:, 0], g[:, 2])])
+        assert _bracket(spec, g[:, 0], g[:, 2]).tobytes() == want.tobytes()
+        assert _bracket(spec, g[0, 0], g[0, 2]) == want[0]
+
+    @pytest.mark.parametrize("name", ["spec4", "four", "n1", "n6"])
+    def test_algebra_check_of_a_stack_is_the_per_state_loop(self, name, request, rng):
+        if name.startswith("n"):
+            n = int(name[1:])
+            spec = SystemSpec(B=0.9, charges=rng.uniform(-2.0, 2.0, n),
+                              masses=rng.uniform(0.5, 2.0, n))
+        else:
+            spec = request.getfixturevalue(name)
+        pos, vel = map(np.array, zip(*[separated_state(rng, spec.n) for _ in range(6)]))
+        loop = [algebra_check(spec, q, v) for q, v in zip(pos, vel)]
+        for shape in [(6,), (2, 3)]:
+            stacked = algebra_check(spec, pos.reshape(*shape, spec.n, 2),
+                                    vel.reshape(*shape, spec.n, 2))
+            assert list(stacked) == list(loop[0])
+            for label, errs in stacked.items():
+                assert errs.shape == shape
+                assert errs.ravel().tolist() == [row[label] for row in loop]
+
+    @pytest.mark.parametrize("variant", sorted(SPECIAL_SETS))
+    def test_involution_check_of_a_stack_is_the_per_state_loop(self, electrons,
+                                                                variant, rng):
+        pos, vel = map(np.array, zip(*[separated_state(rng, 3) for _ in range(5)]))
+        loop = [involution_check(electrons, q, v, variant) for q, v in zip(pos, vel)]
+        worst, table = involution_check(electrons, pos, vel, variant)
+        assert worst == max(w for w, _ in loop)
+        assert table == {pair: max(t[pair] for _, t in loop) for pair in table}
+        assert all(type(x) is float for x in [worst, *table.values()])
+        assert involution_check(electrons, pos.reshape(5, 1, 3, 2),
+                                vel.reshape(5, 1, 3, 2), variant) == (worst, table)
 
 
 class TestConservation:
@@ -268,33 +348,37 @@ class TestInvolutionSets:
         }
         state = separated_state(np.random.default_rng(0), 3)
         for variant, names in SPECIAL_SETS.items():
-            _, table = involution_check(electrons, [state], variant)
+            _, table = involution_check(electrons, *state, variant)
             assert list(table) == [(a, b) for k, a in enumerate(names)
                                    for b in names[k + 1:]]
 
     def test_rejects_unknown_variant(self, electrons):
+        none = np.zeros((0, 3, 2))
         with pytest.raises(DomainError):
-            involution_check(electrons, [], "IV")
+            involution_check(electrons, none, none, "IV")
         two = SystemSpec(B=1.0, charges=(1.0, 1.0), masses=(1.0, 1.0))
         with pytest.raises(DomainError):
-            involution_check(two, [], "I-rest")
+            involution_check(two, none[..., :2, :], none[..., :2, :], "I-rest")
+        # an empty stack reads 0 for every pair
+        worst, table = involution_check(electrons, none, none, "II")
+        assert worst == 0.0 and set(table.values()) == {0.0}
 
     def test_orbit_set_in_involution_along_orbit(self, orbit_trajectory):
         spec, traj = orbit_trajectory
-        states = [(traj.positions[k], traj.velocities[k])
-                  for k in range(0, traj.n_samples, 5)]
-        worst, _ = involution_check(spec, states, "I-orbit")
+        worst, _ = involution_check(spec, traj.positions[::5],
+                                    traj.velocities[::5], "I-orbit")
         assert worst < 1e-8
 
     def test_rest_set_in_involution(self, worked):
         from magnetotrio import build_initial_state
         from magnetotrio.solvers import solve_config_I_v3zero
         spec_b, st = build_initial_state(solve_config_I_v3zero(worked)[0], worked)
-        worst, _ = involution_check(spec_b, [(st.positions, st.velocities)],
+        worst, _ = involution_check(spec_b, st.positions, st.velocities,
                                     "I-rest")
         assert worst < 1e-10
 
-    def test_one_table_evaluation_per_state(self, electrons, monkeypatch, rng):
+    def test_one_table_evaluation_per_chunk(self, electrons, monkeypatch, rng,
+                                            tmp_path, capsys):
         calls, table = [], invariants.invariant_table
 
         def counted(*args):
@@ -302,13 +386,19 @@ class TestInvolutionSets:
             return table(*args)
 
         monkeypatch.setattr(invariants, "invariant_table", counted)
-        states = [separated_state(rng, 3) for _ in range(4)]
-        for pos, vel in states:
-            algebra_check(electrons, pos, vel)
-        assert len(calls) == len(states)
-        calls.clear()
-        involution_check(electrons, states, "I-orbit")
-        assert len(calls) == len(states)
+        pos, vel = map(np.array, zip(*[separated_state(rng, 3) for _ in range(4)]))
+        algebra_check(electrons, pos, vel)
+        involution_check(electrons, pos, vel, "I-orbit")
+        assert len(calls) == 2
+        # a brackets op evaluates its states BRACKET_BATCH at a time
+        path = tmp_path / "electrons.system"
+        save_system(path, electrons)
+        batch = cli.BRACKET_BATCH
+        for samples in (1, batch, batch + 1, 2 * batch + 3):
+            calls.clear()
+            assert cli.main(["brackets", str(path), "--samples", str(samples)]) == 0
+            assert len(calls) == -(-samples // batch)
+        capsys.readouterr()
 
 
 def test_invariant_csv(tmp_path, orbit_trajectory):

@@ -9,7 +9,9 @@ from magnetotrio import (CollisionError, DomainError, IntegratorSettings,
                          JacobiState, PhaseState, SystemSpec, apply_cc,
                          from_jacobi, hamiltonian, integrate, integrate_jacobi,
                          invert_cc, jacobi_weights, pseudomomentum, to_jacobi)
-from magnetotrio.jacobi import _flat_positions, _positions, rhs_jacobi
+from magnetotrio import jacobi
+from magnetotrio.dynamics import _checked_grid, _solve
+from magnetotrio.jacobi import _flat_positions, _flatten, _positions, rhs_jacobi
 from magnetotrio.model import vector_potential
 from oracles import _hc_quadratic, hamiltonian_jacobi
 
@@ -270,6 +272,26 @@ class TestIntegration:
                                 IntegratorSettings(t_end=0.5, sample_interval=0.25))
         assert traj.positions.shape == (3, 3, 2)
         assert traj.velocities.shape == (3, 3, 2)
+
+    @SPECIES_AND_ELECTRONS
+    def test_weights_built_once_per_run(self, spec, rng, monkeypatch):
+        state = PhaseState(*separated_state(rng, 3, min_sep=1.0))
+        settings = IntegratorSettings(t_end=0.5, sample_interval=0.125)
+        calls, weights = [], jacobi.jacobi_weights
+        monkeypatch.setattr(jacobi, "jacobi_weights",
+                            lambda s: calls.append(1) or weights(s))
+        traj = integrate_jacobi(spec, state, settings)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # the same run through the public maps, each building its weights
+        z0 = _flatten(apply_cc(spec, to_jacobi(spec, state.positions, state.velocities)))
+        t, z, _ = _solve(spec, rhs_jacobi(spec), z0, state.t,
+                         _checked_grid(settings, state.t), settings,
+                         _flat_positions(jacobi_weights(spec)))
+        pos, vel = from_jacobi(spec, invert_cc(spec, JacobiState(*np.split(z, 6, axis=-1))))
+        assert traj.t.tobytes() == t.tobytes()
+        assert traj.positions.tobytes() == pos.tobytes()
+        assert traj.velocities.tobytes() == vel.tobytes()
 
     def test_collision_matches_cartesian(self):
         # the +1, -1 pair of the CLI collision case falls in from rest
