@@ -45,8 +45,9 @@ of the equations is therefore only a genuine Newtonian motion inside
 that sector, where the signed speeds increase strictly along the order
 and no speed is negative; every solver here re-checks the instantaneous
 Newton balance, in floats at the t = 0 line coordinates, and the n-body
-solver also builds the state, integrates it over a quarter period and
-measures rigidity.
+solver also checks rigidity over a quarter period: by the rotation's
+spectrum where that bounds the drift far below the gate, else by building
+the state, integrating it and measuring the drift.
 That integration runs in the frame turning at the rotation's own signed
 frequency, where a rigid rotation is an equilibrium (a relative
 equilibrium; Meyer, Hall and Offin, Introduction to Hamiltonian Dynamical
@@ -105,6 +106,15 @@ _solve1, _eigvals = _umath_linalg.solve1, _umath_linalg.eigvals
 # horizon of the n-body rigidity check, in rotation periods (the reason
 # for a quarter period is in solve_nbody_II)
 _RIGIDITY_PERIODS = 0.25
+# the spectral screen of that check (see _certify): a row skips the
+# integration when its linear growth over the horizon stays below
+# _SCREEN_GROWTH and its Newton balance, so amplified, below
+# _SCREEN_MARGIN of the gate
+_SCREEN_GROWTH = 10.0
+_SCREEN_MARGIN = 1e-2
+# complex step of _linearization, relative to the largest |entry| of the
+# position or velocity half of the state
+_JACOBIAN_STEP = 1e-20
 
 _COLLINEAR_BOUNDS = {"II": (1.5, 20.0), "III": (0.05, 0.8), "nbody-II": (1.5, 20.0)}
 DEFAULT_GRID_POINTS = 12
@@ -126,7 +136,11 @@ class ConfigSolution:
     additive term).  ``newton_balance`` is the relative imbalance of the
     exact Newtonian acceleration on the built state; ``rigidity`` is the
     integrated relative pair-distance deviation when certification ran an
-    integration (NaN otherwise).
+    integration (NaN otherwise, as for a row the spectral screen passed).
+    ``growth`` is lambda t_q, the largest real part lambda of the
+    rotation's Floquet exponents times the rigidity horizon t_q, for an
+    n-body II row that reached the screen (NaN where no spectrum was
+    formed).
     """
 
     config: str
@@ -140,6 +154,7 @@ class ConfigSolution:
     certified: bool = False
     newton_balance: float = math.nan
     rigidity: float = math.nan
+    growth: float = math.nan
     notes: tuple = field(default_factory=tuple)
 
     def sort_key(self):
@@ -367,6 +382,12 @@ def _line(solution, spec):
     return c, [c + sigma * ui / w for ui in u], [cvel - sigma * ui for ui in u]
 
 
+def _line_point(x, vy):
+    """The solver vector (positions, velocities) of the line coordinates:
+    charge i at (x_i, 0) with velocity (0, vy_i)."""
+    return [q for xi in x for q in (xi, 0.0)] + [q for vi in vy for q in (0.0, vi)]
+
+
 def build_initial_state(solution, spec):
     """Phase-space snapshot of a solution at t = 0.
 
@@ -398,7 +419,7 @@ def _newton_balance(solution, spec):
     c, x, vy = _line(solution, spec)
     if not all(map(math.isfinite, x + vy)):
         raise DomainError("positions, velocities and t must be finite")
-    y = [q for xi in x for q in (xi, 0.0)] + [q for vi in vy for q in (0.0, vi)]
+    y = _line_point(x, vy)
     try:
         acc = dynamics._rhs(spec, B=solution.B)(0.0, np.array(y))[2 * len(x):]
         w2, w3 = -solution.omega**2, solution.omega3**2
@@ -413,12 +434,54 @@ def _newton_balance(solution, spec):
             / max(1.0, *map(abs, acc)))
 
 
+def _linearization(sol, spec):
+    """A = Dg(y*): the Jacobian of the field g of ``sol``'s rotating frame,
+    the kernel ``dynamics._rhs(spec, w, B=sol.B)``, at the rotation's t = 0
+    line coordinates y* (:func:`_line`), where g vanishes.  Column k is
+    Im g(y* + i h_k e_k) / h_k, a complex step that subtracts nothing, with
+    h_k = _JACOBIAN_STEP times the largest |entry| of the half of y* (the
+    positions or the velocities) that holds k.  ArithmeticError where the
+    kernel's floats overflow."""
+    _, x, vy = _line(sol, spec)
+    h = np.repeat([max(map(abs, x)), max(map(abs, vy))], 2 * len(x)) * _JACOBIAN_STEP
+    g = dynamics._rhs(spec, _frame_omega(sol), B=sol.B)
+    rows = [g(0.0, yk) for yk in np.array(_line_point(x, vy)) + 1j * np.diag(h)]
+    return (np.array(rows, complex).imag / h[:, None]).T
+
+
+def _growth(sol, spec, horizon):
+    """lambda * ``horizon``, lambda the largest real part of the eigenvalues
+    of :func:`_linearization` (the ``eigvals`` gufunc): the rotation's
+    Floquet exponents (Meyer, Hall and Offin, 2009; Moeckel, J. Dyn. Diff.
+    Eq. 6 (1994) 37), so e^(lambda t) bounds the linear growth of a
+    deviation over t.  NaN where the spectrum cannot be formed: the kernel
+    overflows, an entry of A is not finite, or LAPACK fails."""
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore",
+                         under="ignore"):
+            A = _linearization(sol, spec)
+            if not np.isfinite(A).all():
+                return math.nan
+            lam = _eigvals(A, signature="d->D").real.max()
+    except ArithmeticError:
+        return math.nan
+    return float(lam) * horizon
+
+
 def _certify(sol, spec, terms, gates=()):
     """Certify ``sol``: the caller's ``(ok, note)`` gates, then the relative
     residual of its balance rows ``terms()`` and its Newton balance; an n-body root
     that passed them all must also stay rigid over a quarter period (an
     integration the stepper cannot finish fails that gate).  Each failed
     gate leaves a note; ``sol`` is certified when none failed.
+
+    That rigidity gate is screened first by the rotation's spectrum
+    (:func:`_growth`, recorded as ``sol.growth``): a root passes it without
+    integrating when its growth over the horizon t_q is below
+    _SCREEN_GROWTH and its Newton balance times e^growth is at most
+    _SCREEN_MARGIN of the gate's tolerance, since no linear amplification
+    of that imbalance then reaches the gate.  Every other root, one whose
+    spectrum cannot be formed included, is integrated.
 
     The rigidity integration runs in the frame that turns with the
     rotation (``dynamics.integrate``'s ``frame_omega``), where the rotation
@@ -434,22 +497,25 @@ def _certify(sol, spec, terms, gates=()):
               f"Newton imbalance {sol.newton_balance:.3g}"))
     notes = tuple(note for ok, note in gates if not ok)
     if not notes and sol.config == "nbody-II":
-        spec_b, state = build_initial_state(sol, spec)
         t_end = _RIGIDITY_PERIODS * (2 * math.pi / sol.omega)
-        # the gate is relative, so the collision watch's absolute 1e-9 must
-        # not refuse a root because of its scale
-        settings = IntegratorSettings(t_end=t_end, sample_interval=t_end / 200.0,
-                                      collision_threshold=0.0)
-        try:
-            # looked up at call time, so bench/spans.py traces these integrations
-            sol.rigidity = rigidity_report(dynamics.integrate(
-                spec_b, state, settings, frame_omega=_frame_omega(sol))).worst
-        except StepUnderflow as err:
-            notes = (f"rigidity integration stopped: {err}",)
-        else:
-            if not sol.rigidity < _RIGIDITY_TOL:
-                notes = (f"pair distances drift {sol.rigidity:.3g} within "
-                         f"{_RIGIDITY_PERIODS:g} period",)
+        sol.growth = _growth(sol, spec, t_end)
+        if not (sol.growth < _SCREEN_GROWTH and sol.newton_balance
+                * math.exp(sol.growth) <= _SCREEN_MARGIN * _RIGIDITY_TOL):
+            spec_b, state = build_initial_state(sol, spec)
+            # the gate is relative, so the collision watch's absolute 1e-9
+            # must not refuse a root because of its scale
+            settings = IntegratorSettings(t_end=t_end, sample_interval=t_end / 200.0,
+                                          collision_threshold=0.0)
+            try:
+                # looked up at call time, so bench/spans.py traces these integrations
+                sol.rigidity = rigidity_report(dynamics.integrate(
+                    spec_b, state, settings, frame_omega=_frame_omega(sol))).worst
+            except StepUnderflow as err:
+                notes = (f"rigidity integration stopped: {err}",)
+            else:
+                if not sol.rigidity < _RIGIDITY_TOL:
+                    notes = (f"pair distances drift {sol.rigidity:.3g} within "
+                             f"{_RIGIDITY_PERIODS:g} period",)
     sol.notes = notes
     sol.certified = not notes
     return sol
@@ -1067,14 +1133,19 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
     the balance rows and admits a root to round-off of each row's largest
     |term|.
     Certification = relative residuals, ordering, rotation sense, Newton
-    balance, and an integration over a quarter rotation period with
-    relative pair-distance deviation < 1e-6.  The integration runs in the
+    balance, and relative pair-distance deviation < 1e-6 over a quarter
+    rotation period.  An integration measures that deviation in the
     co-rotating frame, where the rotation is an equilibrium, so only
     round-off and the stepper's small error on a near-constant solution
     seed a deviation.  A linearly unstable rotation amplifies such seeds
     in either frame (mixed-sign charges can amplify perturbations by ~e^25
     per full period), and the quarter-period horizon keeps them below the
-    gate.  NoSolution as for :func:`solve_config_II`.
+    gate.  The rotation's spectrum screens that integration first (see
+    :func:`_certify`): a root whose growth lambda t_q over the horizon is
+    below 10, and whose Newton balance times e^(lambda t_q) is at most 1e-2
+    of the gate, passes without integrating; any other root, or one whose
+    spectrum cannot be formed, is integrated.  NoSolution as for
+    :func:`solve_config_II`.
     """
     n = spec.n
     if n < 3:

@@ -31,6 +31,14 @@ numpy arrays: the references for the compiled sextic kernel, its direct
 LAPACK companion roots and the state-free balance of
 :mod:`magnetotrio.solvers`, which must return their floats to the bit.
 
+``gate_drifts`` integrates a rotation's built state over the rigidity
+gate's quarter period in the inertial frame and in the rotation's own,
+and ``gate_drift`` is the drift the gate measures on a row: its
+``rigidity`` where certification integrated it, else the gate's own
+integration run here.  They are the references for the spectral screen of
+:func:`magnetotrio.solvers._certify`, which passes rows without
+integrating them.
+
 ``read_trajectory_csv`` is the trajectory-CSV reader as a walk over rows,
 the reference for :func:`magnetotrio.read_trajectory_csv`, which parses
 every cell in one pass: on each file both return bit-identical arrays or
@@ -82,17 +90,18 @@ import math
 
 import numpy as np
 
-from magnetotrio import DegenerateError, DomainError, SpecParseError, Trajectory
+from magnetotrio import (DegenerateError, DomainError, IntegratorSettings,
+                         SpecParseError, Trajectory, build_initial_state, dynamics)
 from magnetotrio._dop853 import D, DOP853
 from magnetotrio.dynamics import trajectory_header
-from magnetotrio.dynamics import accelerations
+from magnetotrio.dynamics import accelerations, rigidity_report
 from magnetotrio.invariants import (_gradient, _pack, coulomb_energy,
                                     invariant_columns, kinetic_energies)
 from magnetotrio.jacobi import _flatten, _positions, jacobi_weights
 from magnetotrio.model import canonical_momenta, vector_potential
 from magnetotrio.solvers import (_DEDUP_TOL, _V2, _collinear_field,
-                                 _collinear_terms, _config_I_terms, _line,
-                                 _polish)
+                                 _collinear_terms, _config_I_terms, _frame_omega,
+                                 _line, _polish)
 
 
 def closed_form_B_II(spec, v1, v2, v3):
@@ -229,6 +238,30 @@ def newton_balance(solution, spec_b, state):
                 - solution.omega3**2 * c)
     scale = max(1.0, float(np.abs(acc).max()))
     return float(np.abs(acc - expected).max()) / scale
+
+
+def gate_drifts(sol, spec_b, state, inertial=True):
+    """The worst relative pair-distance drift of ``state`` over the
+    certification's quarter period and 200 samples, integrated in the
+    inertial frame (the oracle; left out unless ``inertial``) and in the
+    rotation's own frame (the gate)."""
+    t_end = 0.25 * 2.0 * math.pi / sol.omega
+    settings = IntegratorSettings(t_end=t_end, rel_tol=1e-10, abs_tol=1e-10,
+                                  sample_interval=t_end / 200.0)
+    frames = (0.0,) * inertial + (_frame_omega(sol),)
+    return tuple(rigidity_report(dynamics.integrate(spec_b, state, settings,
+                                                    frame_omega=w)).worst
+                 for w in frames)
+
+
+def gate_drift(sol, spec):
+    """The drift the rigidity gate measures on the row ``sol`` of ``spec``:
+    ``sol.rigidity`` where certification integrated it, else the gate's
+    integration of its built state in its own frame."""
+    if not math.isnan(sol.rigidity):
+        return sol.rigidity
+    [drift] = gate_drifts(sol, *build_initial_state(sol, spec), inertial=False)
+    return drift
 
 
 def config_I_terms(spec, v1, v2, v3, omega, omega3):

@@ -26,7 +26,7 @@ from magnetotrio import (DegenerateError, IntegratorSettings, NoSolution,
                          solve_config_I_v3zero, solve_config_II,
                          solve_nbody_II, to_jacobi)
 from oracles import (closed_form_B_II, closed_form_B_III,
-                     config_I_v3zero_closed_form, evaluate_p6,
+                     config_I_v3zero_closed_form, evaluate_p6, gate_drift,
                      hamiltonian_jacobi, helium_cubic_root, residuals_config_I)
 
 SPEC4 = SystemSpec(B=1.0, charges=(3.0, -1.0, 1.0), masses=(1.0, 1.0, 3.0))
@@ -380,7 +380,7 @@ def test_10_many_charge_solver_consistency():
     rows = solve_nbody_II(four, vn_values=np.geomspace(1.5, 6.0, 5))
     assert rows and all(r.certified for r in rows)
     for r in rows:
-        assert r.rigidity < 1e-6
+        assert gate_drift(r, four) < 1e-6
         spec_b, state = build_initial_state(r, four)
         period = 2.0 * math.pi / r.omega
         check = integrate(spec_b, state, _tight(0.25 * period, period / 400.0))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnetotrio import (IntegratorSettings, PhaseState, cli, format_system,
-                         load_system, pair_distance_min, solve_config_I,
+                         load_system, pair_distance_min, solvers, solve_config_I,
                          solve_config_II, solve_config_III, solve_nbody_II,
                          write_catalog)
 from magnetotrio.cli import main
@@ -416,6 +416,29 @@ class TestFindAndVerify:
         err = capsys.readouterr().err
         assert "v5=2.40229: v1=0.9519600853 (rigidity integration stopped" in err
 
+    @pytest.mark.parametrize("screen", ["on", "off"])
+    def test_manifest_counts_how_the_rigidity_gate_decided(self, tmp_path,
+                                                           monkeypatch, screen):
+        # each n-body II row passed the rigidity gate on the spectral screen
+        # or by integrating; the manifest counts both, with the largest growth
+        if screen == "off":
+            monkeypatch.setattr(solvers, "_SCREEN_GROWTH", 0.0)
+        sys_path = _write(tmp_path, "four.system", _FOUR)
+        assert main(["find", sys_path, "--config", "nbody-II", "--grid-points",
+                     "4", "--grid-min", "1.5", "--grid-max", "6"]) == 0
+        rows = (tmp_path / "four.nbody-II.catalog.csv").read_text().splitlines()[1:]
+        with open(tmp_path / "four.nbody-II.manifest.json") as fh:
+            stats = json.load(fh)["stats"]
+        assert set(stats) == {"rigidity_screened", "rigidity_integrated", "max_growth"}
+        assert stats["rigidity_screened"] + stats["rigidity_integrated"] == len(rows) > 0
+        assert stats["rigidity_integrated"] == (0 if screen == "on" else len(rows))
+        assert 0.0 < stats["max_growth"] < 10.0
+        # the other searches run no rigidity gate
+        assert main(["find", _spec4_system(tmp_path), "--config", "II",
+                     "--grid-points", "2"]) == 0
+        with open(tmp_path / "mixed.II.manifest.json") as fh:
+            assert "stats" not in json.load(fh)
+
     def test_degenerate_grid_solves_each_value_once(self, tmp_path, capsys):
         sys_path = _spec4_system(tmp_path)
         rc = main(["find", sys_path, "--config", "II", "--grid-min", "2",
@@ -714,6 +737,23 @@ class TestFindAndVerify:
         rc = main(["verify", str(traj), sys_path])
         assert rc == 3
         assert message in capsys.readouterr().err
+
+
+    def test_verify_fails_overflowing_invariants(self, tmp_path, capsys):
+        # a stored three-charge trajectory checked against charges whose
+        # invariants overflow: the drifts print as nan or inf and fail the
+        # gate, with no warning (which this suite turns into an error)
+        sys_path = _orbit_system(tmp_path)
+        assert main(["simulate", sys_path, "--t-end", "2",
+                     "--sample-every", "0.5"]) == 0
+        capsys.readouterr()
+        huge = _write(tmp_path, "huge.system", "B 1\n" + "particle 1e160 1\n" * 3)
+        rc = main(["verify", str(tmp_path / "orbit.trajectory.csv"), huge])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (5, "")
+        failed = dict(re.findall(r"^  (\S+)\s+max drift (\S+)  FAIL$", out, re.M))
+        assert failed["H"] == failed["Casimir"] == "nan"
+        assert out.endswith("FAILED: H, Kx, Ky, Lz, Casimir\n")
 
 
 class TestBrackets:

@@ -25,7 +25,8 @@ from magnetotrio.solvers import (_collinear_field, _collinear_terms,
                                  catalog_header, collinear_kappa, sweep_grid)
 from oracles import (closed_form_B_II, closed_form_B_III, config_I_terms,
                      config_I_v3zero_closed_form, evaluate_p6,
-                     evaluate_p6_dv1, helium_closed_forms, helium_cubic_root,
+                     evaluate_p6_dv1, gate_drift, gate_drifts,
+                     helium_closed_forms, helium_cubic_root,
                      helium_pattern, helium_quartic_coefficients,
                      newton_balance, p6_descending, p6_roots_v1,
                      residuals_config_I, residuals_nbody_II,
@@ -622,7 +623,7 @@ class TestNbodyCollinear:
         assert sol.omega == pytest.approx(0.11431830587065503, rel=1e-9)
         assert sol.B == pytest.approx(0.18764170434225977, rel=1e-9)
         assert sol.certified
-        assert sol.rigidity < 1e-6
+        assert gate_drift(sol, spec) < 1e-6
 
     def test_four_charge_residuals_at_row(self):
         spec = SystemSpec(1.0, (3.0, -1.0, 1.0, 2.0), (1.0, 1.0, 3.0, 2.0))
@@ -1021,6 +1022,7 @@ class TestCertification:
             solve(helium)
 
     def test_rigidity_rejection_is_noted(self, four, monkeypatch):
+        monkeypatch.setattr(solvers, "_SCREEN_GROWTH", 0.0)
         monkeypatch.setattr(solvers, "_RIGIDITY_TOL", 0.0)
         with pytest.raises(NoSolution, match="pair distances drift"):
             solve_nbody_II(four, vn_values=[3.0])
@@ -1083,10 +1085,11 @@ class TestCertification:
     @pytest.mark.parametrize("name", ["spec4", "four"])
     def test_states_built_only_for_integrated_rows(self, name, request,
                                                    monkeypatch):
-        # the Newton balance reads the line coordinates; only a root that
-        # reaches the rigidity integration has its state built, once
+        # the Newton balance and the spectral screen read the line
+        # coordinates; only a root that reaches the rigidity integration has
+        # its state built, once, with the screen on and with it forced off
         spec = request.getfixturevalue(name)
-        counts = {"build": 0, "integrate": 0}
+        counts = {}
 
         def counted(key, fn):
             def call(*args, **kwargs):
@@ -1098,11 +1101,14 @@ class TestCertification:
                             counted("build", solvers.build_initial_state))
         monkeypatch.setattr(dynamics, "integrate",
                             counted("integrate", dynamics.integrate))
-        rows = solve_nbody_II(spec, require_certified=False)
-        assert any(r.certified and r.rigidity < 1e-6 for r in rows)
-        integrated = sum(not math.isnan(r.rigidity) for r in rows)
-        assert counts["build"] == counts["integrate"] == integrated
-        assert integrated < len(rows)
+        for screen in (solvers._SCREEN_GROWTH, 0.0):
+            monkeypatch.setattr(solvers, "_SCREEN_GROWTH", screen)
+            counts.update(build=0, integrate=0)
+            rows = solve_nbody_II(spec, require_certified=False)
+            integrated = sum(not math.isnan(r.rigidity) for r in rows)
+            assert counts["build"] == counts["integrate"] == integrated
+            assert integrated < len(rows)
+            assert any(r.certified and gate_drift(r, spec) < 1e-6 for r in rows)
 
     def test_newton_balance_flat_on_true_solution(self, spec4):
         sol = solve_config_II(spec4, v3_values=[1.5])[0]
@@ -1207,19 +1213,7 @@ class TestBuiltRows:
             if row.certified:
                 assert _in_sector(row) and row.newton_balance < 1e-6, row
                 if row.config == "nbody-II":
-                    assert row.rigidity < 1e-6
-
-
-def _gate_drifts(sol, spec_b, state):
-    """The worst relative pair-distance drift of ``state`` over the
-    certification's quarter period and 200 samples, integrated in the
-    inertial frame (the oracle) and in the rotation's own frame (the gate)."""
-    t_end = 0.25 * 2.0 * math.pi / sol.omega
-    settings = IntegratorSettings(t_end=t_end, rel_tol=1e-10, abs_tol=1e-10,
-                                  sample_interval=t_end / 200.0)
-    return tuple(rigidity_report(dynamics.integrate(spec_b, state, settings,
-                                                    frame_omega=w)).worst
-                 for w in (0.0, solvers._frame_omega(sol)))
+                    assert gate_drift(row, spec) < 1e-6
 
 
 class TestCoRotatingCertification:
@@ -1247,22 +1241,24 @@ class TestCoRotatingCertification:
 
     @pytest.mark.parametrize("name, vn", [("spec4", 1.5), ("four", 3.0)])
     def test_both_frames_agree_on_rigid_and_kicked_states(self, name, vn,
-                                                          request):
+                                                          request, monkeypatch):
+        monkeypatch.setattr(solvers, "_SCREEN_GROWTH", 0.0)
         spec = request.getfixturevalue(name)
         [sol] = solve_nbody_II(spec, [vn])
         spec_b, state = build_initial_state(sol, spec)
-        inertial, rotating = _gate_drifts(sol, spec_b, state)
+        inertial, rotating = gate_drifts(sol, spec_b, state)
         assert rotating == sol.rigidity
         assert max(inertial, rotating) < solvers._RIGIDITY_TOL
         # v1 kicked by 1e-3 along its own direction: no longer a rotation
         vel = state.velocities.copy()
         vel[0] *= 1.0 + 1e-3 / sol.v[0]
         kicked = PhaseState(state.positions, vel)
-        assert min(_gate_drifts(sol, spec_b, kicked)) > solvers._RIGIDITY_TOL
+        assert min(gate_drifts(sol, spec_b, kicked)) > solvers._RIGIDITY_TOL
 
     def test_certification_integrates_in_the_frame(self, spec4, monkeypatch):
         # the inertial runs took 422-467 nfev per root on this grid; a
         # return to the inertial frame would show here
+        monkeypatch.setattr(solvers, "_SCREEN_GROWTH", 0.0)
         runs = []
         integrate = dynamics.integrate
 
@@ -1280,6 +1276,107 @@ class TestCoRotatingCertification:
         assert (sorted(w for w, _ in runs)
                 == sorted(solvers._frame_omega(r) for r in integrated))
         assert all(w != 0.0 and nfev <= 150 for w, nfev in runs), runs
+
+
+def _central_linearization(sol, spec, rel=1e-6):
+    """The per-coordinate central difference of the rotating kernel at the
+    rotation's line coordinates: steps of ``rel`` times the closest pair's
+    gap along positions, of the fastest speed along velocities."""
+    _, x, vy = solvers._line(sol, spec)
+    y = np.array(solvers._line_point(x, vy))
+    g = dynamics._rhs(spec, solvers._frame_omega(sol), B=sol.B)
+    gap = min(abs(a - b) for a in x for b in x if a != b)
+    A = np.empty((len(y), len(y)))
+    for k in range(len(y)):
+        h = rel * (gap if k < 2 * spec.n else max(map(abs, vy)))
+        up, um = y.copy(), y.copy()
+        up[k] += h
+        um[k] -= h
+        A[:, k] = (np.array(g(0.0, up)) - g(0.0, um)) / (2.0 * h)
+    return A
+
+
+class TestSpectralScreen:
+    """The n-body rigidity gate integrates only rows whose rotating-frame
+    spectrum lets the stepper's error grow toward the gate."""
+
+    @pytest.mark.parametrize("name", ["spec4", "four"])
+    def test_complex_step_matches_central_differences(self, name, request):
+        spec = request.getfixturevalue(name)
+        for row in solve_nbody_II(spec):
+            A = solvers._linearization(row, spec)
+            oracle = _central_linearization(row, spec)
+            assert np.abs(A - oracle).max() <= 1e-8 * np.abs(oracle).max(), row
+
+    @pytest.mark.parametrize("name", ["spec4", "four"])
+    def test_spectrum_is_hamiltonian(self, name, request):
+        # a rigid rotation is an equilibrium of a Hamiltonian field, so its
+        # exponents come as lambda, -lambda, conj(lambda)
+        spec = request.getfixturevalue(name)
+        for row in solve_nbody_II(spec):
+            ev = np.linalg.eigvals(solvers._linearization(row, spec))
+            tol = 1e-10 * np.abs(ev).max()
+            for lam in ev:
+                assert np.abs(ev + lam).min() <= tol, (row, lam)
+                assert np.abs(ev - lam.conjugate()).min() <= tol, (row, lam)
+            t_q = 0.25 * 2.0 * math.pi / row.omega
+            assert row.growth == ev.real.max() * t_q
+
+    @pytest.mark.parametrize("name", ["spec4", "four"])
+    def test_default_grids_integrate_nothing(self, name, request, monkeypatch):
+        spec = request.getfixturevalue(name)
+        calls = []
+        monkeypatch.setattr(dynamics, "integrate",
+                            lambda *args, **kwargs: calls.append(args))
+        rows = solve_nbody_II(spec)
+        assert len(calls) == 0
+        assert rows and all(r.growth < solvers._SCREEN_GROWTH
+                            and math.isnan(r.rigidity) for r in rows)
+
+    @pytest.mark.parametrize("fault", ["overflow", "non-finite"])
+    def test_unformed_spectrum_integrates(self, spec4, monkeypatch, fault):
+        # an overflowing kernel or a non-finite entry leaves no spectrum:
+        # the row is integrated as without the screen
+        def linearization(sol, spec):
+            if fault == "overflow":
+                raise OverflowError("(34, 'Numerical result out of range')")
+            return np.full((12, 12), np.inf)
+
+        monkeypatch.setattr(solvers, "_linearization", linearization)
+        [row] = solve_nbody_II(spec4, [1.5])
+        assert row.certified and math.isnan(row.growth)
+        assert row.rigidity < solvers._RIGIDITY_TOL
+
+    def test_seeded_study_against_the_integration(self):
+        # every tenth species of the 300-species study, and the three whose
+        # II rows the integration rejects (FOUND line 58 of CHANGES.md):
+        # each row the screen passes stays below the gate when integrated,
+        # and each rejected row lies above the screen
+        rng = np.random.default_rng(300)
+        species = [SystemSpec(1.0, rng.uniform(-3.0, 3.0, 3), rng.uniform(0.2, 3.0, 3))
+                   for _ in range(300)]
+        grid = np.geomspace(1.5, 20.0, 24)
+        screened, integrated, drifting = [], 0, []
+        for k in sorted({*range(0, 300, 10), 125, 212, 246}):
+            try:
+                rows = solve_nbody_II(species[k], grid, require_certified=False)
+            except NoSolution:
+                continue
+            for row in rows:
+                if row.certified and math.isnan(row.rigidity):
+                    screened.append((species[k], row))
+                elif row.certified:
+                    integrated += 1
+                elif any(note.startswith("pair distances drift") for note in row.notes):
+                    drifting.append((k, row))
+        assert (len(screened), integrated) == (22, 25)
+        for spec, row in screened:
+            assert row.growth < solvers._SCREEN_GROWTH
+            assert gate_drift(row, spec) < solvers._RIGIDITY_TOL, row
+        assert sorted(k for k, _ in drifting) == [125, 212, 212, 212, 212, 246]
+        for _, row in drifting:
+            assert not row.certified and row.growth >= solvers._SCREEN_GROWTH
+            assert row.rigidity >= solvers._RIGIDITY_TOL
 
 
 class TestPythonFloats:
