@@ -242,12 +242,6 @@ class DOP853:
         return (self.t_old, self.t, h, self.y_old, self.y, K[0].copy(), self.f,
                 D.dot(K))
 
-    def dense_output(self):
-        """The 7th-order interpolant over the last step, as a function of a
-        1-D array of times that returns one solution row per time."""
-        step = self.dense_step()
-        return lambda t: interpolate(t, [step], [len(t)])
-
 
 def interpolate(t, steps, counts):
     """One solution row per time of the 1-D array ``t``, which holds

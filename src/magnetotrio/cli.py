@@ -205,23 +205,17 @@ def _cmd_verify(args):
     # printed and fail the gate, as in brackets
     with np.errstate(all="ignore"):
         drifts = drift_report(traj)
-        rigidity = rigidity_report(traj).worst if spec.n >= 2 else None
+        gated = [(name, "max drift", drifts[name]) for name in GLOBAL_INVARIANTS]
+        if spec.n >= 2:
+            gated.append(("rigidity", "max rel pair-distance deviation",
+                          rigidity_report(traj).worst))
 
     print(f"verify {args.trajectory}  (n={spec.n}, {traj.n_samples} samples, "
           f"t in [{traj.t[0]:g}, {traj.t[-1]:g}], tol {args.tol:g})")
-    failed = []
-    for name in GLOBAL_INVARIANTS:
-        ok = drifts[name] < args.tol
-        if not ok:
-            failed.append(name)
-        print(f"  {name:<8s} max drift {drifts[name]:.3e}  "
-              f"{'pass' if ok else 'FAIL'}")
-    if spec.n >= 2:
-        ok = rigidity < args.tol
-        if not ok:
-            failed.append("rigidity")
-        print(f"  {'rigidity':<8s} max rel pair-distance deviation "
-              f"{rigidity:.3e}  {'pass' if ok else 'FAIL'}")
+    failed = [name for name, _, value in gated if not value < args.tol]
+    for name, label, value in gated:
+        print(f"  {name:<8s} {label} {value:.3e}  "
+              f"{'FAIL' if name in failed else 'pass'}")
     # Per-particle quantities and the pairwise-virial checks are constants
     # only on special trajectories of matching shape, so they are reported
     # without being gated.

@@ -231,11 +231,11 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
     y1, ...`` of the positions the collision watch reads.  The watch checks
     the start state, which raises at ``t0`` before any RHS call, and every
     accepted step; when the closest pair distance falls to the threshold,
-    the crossing is located on the step's dense output.  With the watch off,
+    the crossing is found on the step's interpolant.  With the watch off,
     a start state with two charges on one point still raises at ``t0``.
-    The sampled rows come from one batched interpolation pass over the
-    steps that reach grid points, or one per ``INTERPOLATION_BATCH`` of
-    them.  Returns the sample times, the solver vectors at those times as
+    The sampled rows come from the same interpolant, in one batched pass
+    over the steps that reach grid points, or one per ``INTERPOLATION_BATCH``
+    of them.  Returns the sample times, the solver vectors at those times as
     rows, and the solver counters: ``nfev`` and, while the watch is on,
     ``min_pair_distance``, the closest approach over the start and every
     accepted step.  A pair distance whose cube overflows the float range
@@ -282,10 +282,10 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
                     closest = min(closest, d2)
                     new_gap = math.sqrt(d2) - threshold
                     if gap >= 0 >= new_gap:
-                        dense = stepper.dense_output()
+                        step = [stepper.dense_step()]
 
                         def at(s):
-                            return dense(np.array([s]))[0]
+                            return interpolate(np.array([s]), step, [1])[0]
 
                         tc = _crossing(lambda s: math.sqrt(nearest(at(s))[1]) - threshold,
                                        stepper.t_old, t)

@@ -199,12 +199,8 @@ def _parse_floats(parts, count, line_no):
 
 def parse_system(text):
     """Parse system-spec text into ``(SystemSpec, PhaseState | None)``."""
-    B = None
-    charges, masses = [], []
-    positions, velocities = [], []
-    seen_pos, seen_vel = [], []
-    any_state = False
-
+    # one record per particle: the values of its lines so far, by keyword
+    B, particles = None, []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -219,33 +215,27 @@ def parse_system(text):
             charge, mass = _parse_floats(rest, 2, line_no)
             if mass <= 0:
                 raise SpecParseError(f"mass must be positive, got {mass}", line_no)
-            charges.append(charge)
-            masses.append(mass)
-            positions.append([0.0, 0.0])
-            velocities.append([0.0, 0.0])
-            seen_pos.append(False)
-            seen_vel.append(False)
+            particles.append({"particle": (charge, mass)})
         elif key in ("position", "velocity"):
-            if not charges:
+            if not particles:
                 raise SpecParseError(f"{key} line before any particle line", line_no)
-            x, y = _parse_floats(rest, 2, line_no)
-            seen = seen_pos if key == "position" else seen_vel
-            if seen[-1]:
-                raise SpecParseError(f"duplicate {key} line for particle {len(charges)}", line_no)
-            seen[-1] = True
-            any_state = True
-            target = positions if key == "position" else velocities
-            target[-1] = [x, y]
+            xy = _parse_floats(rest, 2, line_no)
+            if key in particles[-1]:
+                raise SpecParseError(f"duplicate {key} line for particle {len(particles)}", line_no)
+            particles[-1][key] = xy
         else:
             raise SpecParseError(f"unknown keyword {key!r}", line_no)
 
     if B is None:
         raise SpecParseError("missing 'B <field>' line")
-    if not charges:
+    if not particles:
         raise SpecParseError("no particle lines found")
 
+    charges, masses = zip(*(p["particle"] for p in particles))
     spec = SystemSpec(B, np.array(charges), np.array(masses))
-    state = PhaseState(np.array(positions), np.array(velocities)) if any_state else None
+    state = (PhaseState(*(np.array([p.get(k, [0.0, 0.0]) for p in particles])
+                          for k in ("position", "velocity")))
+             if any(len(p) > 1 for p in particles) else None)
     return spec, state
 
 

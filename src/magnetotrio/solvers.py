@@ -24,7 +24,7 @@ The collinear equations generalize to n charges (solve_nbody_II).
 Every one of them is one collinear layout (:func:`_layout`) turning about
 a center: Configuration I is (v1, -v2, 0) about charge 3, III reflects the
 third speed of II, and n-body II generalizes both.  One set of balance
-rows (_collinear_terms) and one set of t = 0 line coordinates (_line),
+rows (_collinear_terms) and one t = 0 solver vector on the line (_line),
 which the state builder, the Newton balance and the closed conserved
 forms read, serve all four; one routine
 (_collinear_solution) takes the field (_collinear_field), the frequency
@@ -116,7 +116,7 @@ _SCREEN_MARGIN = 1e-2
 # position or velocity half of the state
 _JACOBIAN_STEP = 1e-20
 
-_COLLINEAR_BOUNDS = {"II": (1.5, 20.0), "III": (0.05, 0.8), "nbody-II": (1.5, 20.0)}
+_GRID_BOUNDS = {"I": (0.5, 2.0), "II": (1.5, 20.0), "III": (0.05, 0.8), "nbody-II": (1.5, 20.0)}
 DEFAULT_GRID_POINTS = 12
 # Largest grid sweep_grid builds; every point is a root search.
 MAX_GRID_POINTS = 10**6
@@ -360,14 +360,14 @@ def _frame_omega(sol):
 
 
 def _line(solution, spec):
-    """(c, x, vy): the t = 0 line coordinates of ``solution``'s rotation of
-    the charges of ``spec`` (DomainError if their counts differ).
-    With the signed frequency w and the signed speeds u of its layout
-    (:func:`_layout`), charge i starts at x_i = c + sigma u_i / w with
-    velocity vy_i = c' - sigma u_i along the line's normal, sigma = +1 for
-    "cw" and -1 for "ccw".  The center c and its velocity c' are 0 except
-    in Configuration I with v3 != 0, whose center, charge 3, runs its own
-    circle about the origin at omega3."""
+    """(c, y): the center c and the t = 0 solver vector y (positions, then
+    velocities) of ``solution``'s rotation of the charges of ``spec``
+    (DomainError if their counts differ).  With the signed frequency w and
+    the signed speeds u of its layout (:func:`_layout`), charge i starts at
+    (x_i, 0), x_i = c + sigma u_i / w, with velocity (0, vy_i), vy_i = c' -
+    sigma u_i, sigma = +1 for "cw" and -1 for "ccw".  The center c and its
+    velocity c' are 0 except in Configuration I with v3 != 0, whose center,
+    charge 3, runs its own circle about the origin at omega3."""
     if tuple(spec.charges.shape) != (len(solution.v),):
         raise DomainError("solution and spec have different particle counts")
     sigma = 1.0 if solution.sense == "cw" else -1.0
@@ -379,13 +379,8 @@ def _line(solution, spec):
         if w3 == 0.0:
             raise DomainError("Configuration I with v3 != 0 needs omega3")
         c, cvel = sigma * solution.v[2] / w3, -sigma * solution.v[2]
-    return c, [c + sigma * ui / w for ui in u], [cvel - sigma * ui for ui in u]
-
-
-def _line_point(x, vy):
-    """The solver vector (positions, velocities) of the line coordinates:
-    charge i at (x_i, 0) with velocity (0, vy_i)."""
-    return [q for xi in x for q in (xi, 0.0)] + [q for vi in vy for q in (0.0, vi)]
+    return c, ([q for ui in u for q in (c + sigma * ui / w, 0.0)]
+               + [q for ui in u for q in (0.0, cvel - sigma * ui)])
 
 
 def build_initial_state(solution, spec):
@@ -393,13 +388,11 @@ def build_initial_state(solution, spec):
 
     Returns ``(spec_b, state)`` where ``spec_b`` is ``spec`` with the
     solution's field value installed.  The parametrization puts the phase
-    at angle 0: charge i starts at (x_i, 0) with velocity (0, vy_i), the
-    line coordinates of :func:`_line`.
+    at angle 0: the state is the solver vector of :func:`_line`, each
+    charge i at (x_i, 0) with velocity (0, vy_i).
     """
-    _, x, vy = _line(solution, spec)
-    state = PhaseState(np.array([[xi, 0.0] for xi in x], float),
-                       np.array([[0.0, vi] for vi in vy], float))
-    return replace(spec, B=solution.B), state
+    _, y = _line(solution, spec)
+    return replace(spec, B=solution.B), PhaseState(*np.reshape(y, (2, -1)))
 
 
 def _newton_balance(solution, spec):
@@ -416,19 +409,17 @@ def _newton_balance(solution, spec):
     coordinates (a non-finite one is the state's DomainError); inf where a
     power overflows or a pair distance underflows to 0.
     """
-    c, x, vy = _line(solution, spec)
-    if not all(map(math.isfinite, x + vy)):
+    c, y = _line(solution, spec)
+    if not all(map(math.isfinite, y)):
         raise DomainError("positions, velocities and t must be finite")
-    y = _line_point(x, vy)
     try:
-        acc = dynamics._rhs(spec, B=solution.B)(0.0, np.array(y))[2 * len(x):]
+        acc = dynamics._rhs(spec, B=solution.B)(0.0, np.array(y))[len(y) // 2:]
         w2, w3 = -solution.omega**2, solution.omega3**2
     except ArithmeticError:
         return math.inf
-    # the charges' y and the center's are 0
-    expected = [q for xi in x
-                for q in (w2 * (xi - c) - w3 * c, w2 * 0.0 - w3 * 0.0)]
-    off = [abs(a - e) for a, e in zip(acc, expected)]
+    # the positions lead y; the center is (c, 0)
+    off = [abs(a - (w2 * (q - ck) - w3 * ck))
+           for a, q, ck in zip(acc, y, itertools.cycle((c, 0.0)))]
     # a NaN is the worst, as ndarray.max takes it (a NaN in acc is one in off)
     return ((math.nan if math.isnan(sum(off)) else max(off))
             / max(1.0, *map(abs, acc)))
@@ -437,15 +428,15 @@ def _newton_balance(solution, spec):
 def _linearization(sol, spec):
     """A = Dg(y*): the Jacobian of the field g of ``sol``'s rotating frame,
     the kernel ``dynamics._rhs(spec, w, B=sol.B)``, at the rotation's t = 0
-    line coordinates y* (:func:`_line`), where g vanishes.  Column k is
+    solver vector y* (:func:`_line`), where g vanishes.  Column k is
     Im g(y* + i h_k e_k) / h_k, a complex step that subtracts nothing, with
     h_k = _JACOBIAN_STEP times the largest |entry| of the half of y* (the
     positions or the velocities) that holds k.  ArithmeticError where the
     kernel's floats overflow."""
-    _, x, vy = _line(sol, spec)
-    h = np.repeat([max(map(abs, x)), max(map(abs, vy))], 2 * len(x)) * _JACOBIAN_STEP
+    _, y = _line(sol, spec)
+    h = np.repeat(np.abs(np.reshape(y, (2, -1))).max(axis=1), len(y) // 2) * _JACOBIAN_STEP
     g = dynamics._rhs(spec, _frame_omega(sol), B=sol.B)
-    rows = [g(0.0, yk) for yk in np.array(_line_point(x, vy)) + 1j * np.diag(h)]
+    rows = [g(0.0, yk) for yk in np.array(y) + 1j * np.diag(h)]
     return (np.array(rows, complex).imag / h[:, None]).T
 
 
@@ -531,20 +522,21 @@ def sweep_grid(spec, config, grid_min=None, grid_max=None,
     by default over the last speed's [1.5, 20] (II, n-body II) or [0.05, 0.8]
     (III), over an identical pair's [rho_min, 4 rho_min] or [0.5, 4], or else
     v1's [0.5, 2] (I), each distinct value once, ascending.  DomainError
-    unless 0 < min <= max < inf and ``points`` is an integer in [1, MAX_GRID_POINTS]."""
+    for an unknown ``config`` tag, and unless 0 < min <= max < inf and
+    ``points`` is an integer in [1, MAX_GRID_POINTS]."""
     if not isinstance(points, (int, np.integer)) or points < 1:
         raise DomainError(f"grid points must be an integer of at least 1, "
                           f"got {points!r}")
     if points > MAX_GRID_POINTS:
         raise DomainError(f"{points} grid points exceed the ceiling of "
                           f"{MAX_GRID_POINTS}")
-    if config != "I":
-        bounds = _COLLINEAR_BOUNDS[config]
-    elif spec.n == 3 and _identical_pair(spec):
+    if config == "I" and spec.n == 3 and _identical_pair(spec):
         rmin = pair_distance_min(spec)
         bounds = (rmin, 4 * rmin) if rmin else (0.5, 4.0)
+    elif config in _GRID_BOUNDS:
+        bounds = _GRID_BOUNDS[config]
     else:
-        bounds = (0.5, 2.0)
+        raise DomainError(f"unknown configuration tag {config!r}")
     lo = bounds[0] if grid_min is None else grid_min
     hi = bounds[1] if grid_max is None else grid_max
     if not 0 < lo <= hi < math.inf:
@@ -651,9 +643,11 @@ def _pair_quadratic(spec, B):
 
 
 def pair_distance_min(spec):
-    """Smallest pair separation admitting the identical-pair rotation at
-    the spec's field, or None when every separation works.  Raises
-    DomainError for a zero field or an uncharged pair."""
+    """Smallest pair separation admitting the identical-pair rotation of
+    three charges at the spec's field, or None when every separation works.
+    DomainError for other than three charges, a zero field or an uncharged pair."""
+    if spec.n != 3:
+        raise DomainError("Configuration I is a three-charge system")
     a, b = _pair_quadratic(spec, spec.B)
     cube = a / b
     return cube ** (1.0 / 3.0) if cube > 0 else None
@@ -1185,14 +1179,15 @@ def conserved_closed_forms(spec, solution):
     and at n = 3 also k3x and I (both 0), a superset of each of
     ``invariants.SPECIAL_SETS``.  They are algebraic in the solution data
     (no state evaluation), read from the t = 0 line coordinates x_i, vy_i
-    of :func:`_line`: T_i = m_i vy_i^2 / 2, l_i = x_i (m_i vy_i + e_i B x_i
-    / 2), Lz = sum l_i, K2 = Ky^2 with Ky = sum (m_i vy_i + e_i B x_i), and
-    H = sum T_i + omega sum_{i<j} e_i e_j / |u_i - u_j| at the layout's
-    signed speeds u.  Tests compare them against direct evaluation on the
-    built state.
+    in the solver vector of :func:`_line`: T_i = m_i vy_i^2 / 2, l_i = x_i
+    (m_i vy_i + e_i B x_i / 2), Lz = sum l_i, K2 = Ky^2 with Ky = sum (m_i
+    vy_i + e_i B x_i), and H = sum T_i + omega sum_{i<j} e_i e_j / |u_i -
+    u_j| at the layout's signed speeds u.  Tests compare them against
+    direct evaluation on the built state.
     """
     u, _ = _layout(solution.config, solution.v)
-    _, x, vy = _line(solution, spec)
+    _, y = _line(solution, spec)
+    x, vy = y[:len(u) * 2:2], y[len(u) * 2 + 1::2]
     e, m, B = spec.charges.tolist(), spec.masses.tolist(), solution.B
     T = [0.5 * mi * vi**2 for mi, vi in zip(m, vy)]
     l = [xi * (mi * vi + ei * B * xi / 2) for xi, vi, ei, mi in zip(x, vy, e, m)]

@@ -148,7 +148,7 @@ def test_rejections_and_dense_output_count_every_call():
     ts = [0.0]
     while stepper.t < t_end:
         stepper.step()
-        stepper.dense_output()
+        stepper.dense_step()
         ts.append(stepper.t)
     assert calls == stepper.nfev
     # two calls pick the first step, each try costs 12, each dense output 3

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnetotrio import (PhaseState, SpecParseError, SystemSpec,
                          classify_system, format_system, parse_system)
@@ -113,6 +115,70 @@ class TestParsing:
         text = "# header\n\nB 2  # field\nparticle -1 1\n"
         spec, _ = parse_system(text)
         assert spec.B == 2.0 and spec.n == 1
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("B 1\nB 2\nparticle 1 1\n", 2, "field B given twice"),
+        ("B 1 2\nparticle 1 1\n", 1, "expected 1 numeric value(s), got 2"),
+        ("B 1\nparticle 1\n", 2, "expected 2 numeric value(s), got 1"),
+        ("B x\nparticle 1 1\n", 1, "could not parse number in ['x']"),
+        ("B 1\nparticle 1 nan\n", 2, "non-finite number in ['1', 'nan']"),
+        ("B 1\nparticle 1 0\n", 2, "mass must be positive, got 0.0"),
+        ("B 1\nparticle 1 -2\n", 2, "mass must be positive, got -2.0"),
+        ("B 1\nvelocity 0 0\nparticle 1 1\n", 2,
+         "velocity line before any particle line"),
+        ("B 1\nparticle 1 1\nposition 0 0\nvelocity 1 1\nposition 2 2\n", 5,
+         "duplicate position line for particle 1"),
+        ("B 1\nparticle 1 1\nparticle 2 1\nvelocity 0 1\n# c\nvelocity 0 1\n", 6,
+         "duplicate velocity line for particle 2"),
+        # the number is checked before the duplicate
+        ("B 1\nparticle 1 1\nposition 0 0\nposition 0 oops\n", 4,
+         "could not parse number in ['0', 'oops']"),
+        ("B 1\nparticle 1 1\nvelocity 0 0\nvelocity 0 0 0\n", 4,
+         "expected 2 numeric value(s), got 3"),
+        ("B 1\nparticle 1 1\nwobble 1 2\n", 3, "unknown keyword 'wobble'"),
+        ("particle 1 1\nposition 0 0\n", None, "missing 'B <field>' line"),
+        ("# only a field\nB 1\n\n", None, "no particle lines found"),
+    ], ids=["B-twice", "B-count", "particle-count", "bad-number", "non-finite",
+            "zero-mass", "negative-mass", "state-before-particle",
+            "duplicate-position", "duplicate-velocity", "bad-number-on-duplicate",
+            "count-on-duplicate", "unknown-keyword", "no-field", "no-particles"])
+    def test_every_error_names_its_line(self, text, line, message):
+        with pytest.raises(SpecParseError) as err:
+            parse_system(text)
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None
+                                  else f"line {line}: {message}")
+
+    def test_partial_state_defaults_to_zeros(self):
+        spec, state = parse_system("B 1\nparticle 1 1\nparticle 2 1\n"
+                                   "velocity 3 4\nparticle 3 1\nposition 5 6\n")
+        assert spec.n == 3
+        assert state.positions.tolist() == [[0.0, 0.0], [0.0, 0.0], [5.0, 6.0]]
+        assert state.velocities.tolist() == [[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]]
+        assert state.t == 0.0
+
+    @given(data=st.data(), n=st.integers(1, 6), with_state=st.booleans(),
+           comment=st.one_of(st.none(), st.text()))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_format_then_parse_returns_every_bit(self, data, n, with_state,
+                                                 comment):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        floats = st.lists(finite, min_size=n, max_size=n)
+        spec = SystemSpec(data.draw(finite), data.draw(floats), data.draw(
+            st.lists(st.floats(0.0, allow_infinity=False, exclude_min=True),
+                     min_size=n, max_size=n)))
+        state = (PhaseState(data.draw(st.lists(finite, min_size=2 * n, max_size=2 * n)),
+                            data.draw(st.lists(finite, min_size=2 * n, max_size=2 * n)))
+                 if with_state else None)
+        spec2, state2 = parse_system(format_system(spec, state, comment))
+        assert np.array(spec2.B).tobytes() == np.array(spec.B).tobytes()
+        assert spec2.charges.tobytes() == spec.charges.tobytes()
+        assert spec2.masses.tobytes() == spec.masses.tobytes()
+        if state is None:
+            assert state2 is None
+        else:
+            assert state2.positions.tobytes() == state.positions.tobytes()
+            assert state2.velocities.tobytes() == state.velocities.tobytes()
 
 
 class TestSymmetry:

@@ -411,6 +411,14 @@ class TestConfigIIdenticalPair:
         spec = SystemSpec(2.0, (-1.0, -1.0, 1.0), (1.0, 1.0, 1.0))
         assert pair_distance_min(spec) is None
 
+    @pytest.mark.parametrize("charges", [(1.0, 1.0), (1.0, 1.0, 2.0, 3.0)],
+                             ids=["two", "four"])
+    def test_minimum_needs_three_charges(self, charges):
+        # two charges have no third to index; four would read charges 1 and 3
+        spec = SystemSpec(1.0, charges, (1.0,) * len(charges))
+        with pytest.raises(DomainError, match="three-charge system"):
+            pair_distance_min(spec)
+
     def test_branches_coincide_at_critical_separation(self, electrons_b2):
         sols = solve_config_I_identical(electrons_b2, CBRT_10)
         assert len(sols) == 2
@@ -1155,6 +1163,31 @@ def test_sweep_grid_of_one_point(spec4):
     assert sweep_grid(spec4, "II", points=np.int64(1)).tolist() == [1.5]
 
 
+@pytest.mark.parametrize("config", ["nbody", "IV", "ii", ""])
+def test_sweep_grid_refuses_an_unknown_tag(spec4, config):
+    with pytest.raises(DomainError, match=f"unknown configuration tag {config!r}"):
+        sweep_grid(spec4, config)
+
+
+@pytest.mark.parametrize("name, solve", [
+    ("worked", solve_config_I_v3zero),
+    ("electrons", lambda spec: solve_config_I_identical(
+        spec, pair_distance_min(spec), v3=1.0)),
+    ("spec4", lambda spec: solve_config_II(spec, v3_values=[1.5])),
+    ("spec4", lambda spec: solve_config_III(spec, v3_values=[0.6])),
+    ("four", lambda spec: solve_nbody_II(spec, vn_values=[3.0])),
+], ids=["I-rest", "I-orbit", "II", "III", "nbody-II"])
+def test_built_state_is_the_line_vector(request, name, solve):
+    # build_initial_state reshapes _line's solver vector, bit for bit
+    spec = request.getfixturevalue(name)
+    sol = solve(spec)[0]
+    spec_b, state = build_initial_state(sol, spec)
+    _, y = solvers._line(sol, spec)
+    assert spec_b.B == sol.B
+    assert (np.concatenate([state.positions.ravel(), state.velocities.ravel()])
+            .tobytes() == np.array(y).tobytes())
+
+
 class TestBuiltRows:
     """Every row the four solvers return, certified or not: its built state
     is its layout, it carries that state's Newton balance, and its closed
@@ -1282,8 +1315,8 @@ def _central_linearization(sol, spec, rel=1e-6):
     """The per-coordinate central difference of the rotating kernel at the
     rotation's line coordinates: steps of ``rel`` times the closest pair's
     gap along positions, of the fastest speed along velocities."""
-    _, x, vy = solvers._line(sol, spec)
-    y = np.array(solvers._line_point(x, vy))
+    y = np.array(solvers._line(sol, spec)[1])
+    x, vy = y[:2 * spec.n:2], y[2 * spec.n + 1::2]
     g = dynamics._rhs(spec, solvers._frame_omega(sol), B=sol.B)
     gap = min(abs(a - b) for a in x for b in x if a != b)
     A = np.empty((len(y), len(y)))
