@@ -116,15 +116,17 @@ def _cmd_simulate(args):
     inv_path = stem + ".invariants.csv"
     write_trajectory_csv(traj, traj_path)
     t2 = time.perf_counter()
-    drifts = table_drifts(write_invariant_csv(traj, inv_path), spec.n)
-    phases = {"integrate": wall, "write_trajectory": t2 - t1,
-              "write_invariants": time.perf_counter() - t2}
-    print(f"integrated n={spec.n} system to t={args.t_end:g} "
-          f"({traj.n_samples} samples, {wall:.2f} s)")
-    print(f"  H drift {drifts['H']:.3e}, Lz drift {drifts['Lz']:.3e}")
-    if spec.n >= 2:
-        print(f"  max relative pair-distance deviation "
-              f"{rigidity_report(traj).worst:.3e}")
+    # invariants that overflow print as inf and NaN drifts, as in verify
+    with np.errstate(all="ignore"):
+        drifts = table_drifts(write_invariant_csv(traj, inv_path), spec.n)
+        phases = {"integrate": wall, "write_trajectory": t2 - t1,
+                  "write_invariants": time.perf_counter() - t2}
+        print(f"integrated n={spec.n} system to t={args.t_end:g} "
+              f"({traj.n_samples} samples, {wall:.2f} s)")
+        print(f"  H drift {drifts['H']:.3e}, Lz drift {drifts['Lz']:.3e}")
+        if spec.n >= 2:
+            print(f"  max relative pair-distance deviation "
+                  f"{rigidity_report(traj).worst:.3e}")
     print(f"  wrote {traj_path}")
     print(f"  wrote {inv_path}")
 

@@ -21,8 +21,9 @@ stepper's dense output, when a sample interval is given, otherwise at the
 solver's natural steps; the sampled rows of a run come from one batched
 interpolation pass.  A collision watch keeps its own walk over the
 pairs and runs it at every accepted step: when a pair comes closer than
-the threshold it stops the run at the crossing, located on the dense
-output, and it records the closest approach in ``Trajectory.stats``.
+``COLLISION_FRACTION`` of the start state's closest pair distance it stops
+the run at the crossing, located on the dense output, and it records the
+closest approach in ``Trajectory.stats``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ from .model import pair_index
 MAX_SAMPLES = 10**6
 # Steps per interpolation pass; each holds seven solver vectors until then.
 INTERPOLATION_BATCH = 256
+# A run collides when its closest pair distance falls to this fraction of
+# that of its start state.
+COLLISION_FRACTION = 1e-9
 
 
 @dataclass
@@ -52,18 +56,14 @@ class IntegratorSettings:
     """Knobs for :func:`integrate`.
 
     ``sample_interval=None`` keeps the solver's own accepted steps; a
-    sampling grid may hold at most ``MAX_SAMPLES`` points.  The collision
-    threshold terminates integration when any pair distance drops below it;
-    it must be finite and non-negative, and 0 switches the watch off (a
-    start state with two charges on one point is still a collision).  A
-    ``rel_tol`` below 100 eps is raised to 100 eps with a warning.
+    sampling grid may hold at most ``MAX_SAMPLES`` points.  A ``rel_tol``
+    below 100 eps is raised to 100 eps with a warning.
     """
 
     t_end: float
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
     sample_interval: float | None = None
-    collision_threshold: float = 1e-9
 
 
 @dataclass
@@ -71,7 +71,7 @@ class Trajectory:
     """Sampled solution of the Newton equations.
 
     ``stats`` holds the solver counters of :func:`integrate`: ``nfev``, and
-    ``min_pair_distance`` for n >= 2 while the collision watch is on.
+    ``min_pair_distance`` for n >= 2.
     """
 
     spec: object
@@ -187,10 +187,6 @@ def _checked_grid(settings, t0):
         tol = getattr(settings, name)
         if not (math.isfinite(tol) and tol > 0):
             raise DomainError(f"{name} must be finite and positive, got {tol!r}")
-    threshold = settings.collision_threshold
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise DomainError("collision_threshold must be finite and non-negative "
-                          f"(0 switches the watch off), got {threshold!r}")
     if settings.sample_interval is None:
         return None
     dt = float(settings.sample_interval)
@@ -202,7 +198,8 @@ def _checked_grid(settings, t0):
                           f"exceeds {MAX_SAMPLES} samples")
     m = int(np.floor(steps + 1e-9))
     t_eval = t0 + dt * np.arange(m + 1)
-    if t_eval[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
+    # in units of the interval, so the same at every time scale
+    if steps - m > 1e-9:
         t_eval = np.append(t_eval, t1)
     else:
         t_eval[-1] = t1
@@ -228,24 +225,23 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
     :func:`_checked_grid` returned for ``settings``.
 
     ``positions_of(y)`` maps a solver vector to the flat list ``x0, y0, x1,
-    y1, ...`` of the positions the collision watch reads.  The watch checks
-    the start state, which raises at ``t0`` before any RHS call, and every
-    accepted step; when the closest pair distance falls to the threshold,
-    the crossing is found on the step's interpolant.  With the watch off,
-    a start state with two charges on one point still raises at ``t0``.
+    y1, ...`` of the positions the collision watch reads.  The watch runs
+    for n >= 2 on the start state and every accepted step; when the closest
+    pair distance falls to ``COLLISION_FRACTION`` times that of the start
+    state, the crossing is found on the step's interpolant.  A start state
+    with two charges on one point raises at ``t0``, before any RHS call.
     The sampled rows come from the same interpolant, in one batched pass
     over the steps that reach grid points, or one per ``INTERPOLATION_BATCH``
     of them.  Returns the sample times, the solver vectors at those times as
-    rows, and the solver counters: ``nfev`` and, while the watch is on,
+    rows, and the solver counters: ``nfev`` and, for n >= 2,
     ``min_pair_distance``, the closest approach over the start and every
     accepted step.  A pair distance whose cube overflows the float range
     raises :class:`DomainError`, naming the last accepted time.
     """
-    t1, threshold = settings.t_end, settings.collision_threshold
+    t1 = settings.t_end
     I, J, _ = spec.pairs
     # each pair with the offsets of its x coordinates in positions_of(y)
     pairs = [((i, j), 2 * i, 2 * j) for i, j in zip(I.tolist(), J.tolist())]
-    watched = bool(pairs) and threshold > 0
 
     def nearest(y):
         """The closest pair and its squared distance."""
@@ -260,6 +256,7 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
 
     if pairs:
         pair, closest = nearest(y0)
+        threshold = COLLISION_FRACTION * math.sqrt(closest)
         gap = math.sqrt(closest) - threshold
         if gap <= 0:
             raise CollisionError(float(t0), pair, math.sqrt(closest))
@@ -277,7 +274,7 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
             while stepper.t < t1:
                 stepper.step()
                 t, y = stepper.t, stepper.y
-                if watched:
+                if pairs:
                     d2 = nearest(y)[1]
                     closest = min(closest, d2)
                     new_gap = math.sqrt(d2) - threshold
@@ -311,7 +308,7 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
                           f"range in the step after t = {t:.6g}") from None
 
     stats = {"nfev": stepper.nfev}
-    if watched:
+    if pairs:
         stats["min_pair_distance"] = math.sqrt(closest)
     return (np.array(ts) if t_eval is None else t_eval), np.vstack(rows), stats
 
@@ -331,10 +328,10 @@ def integrate(spec, state, settings, *, frame_omega=0.0):
     :func:`rigidity_report`, are the same in both frames, and a rigid
     rotation at w is a constant solution there.
 
-    Raises :class:`CollisionError` if a pair distance crosses the collision
-    threshold, :class:`StepUnderflow` if the stepper cannot proceed, and
-    :class:`DomainError` if a pair distance outgrows the float range or
-    ``frame_omega`` is not finite.
+    Raises :class:`CollisionError` if the closest pair distance falls to
+    ``COLLISION_FRACTION`` of the start state's, :class:`StepUnderflow` if
+    the stepper cannot proceed, and :class:`DomainError` if a pair distance
+    outgrows the float range or ``frame_omega`` is not finite.
     """
     t_eval = _checked_grid(settings, state.t)
     if state.n != spec.n:

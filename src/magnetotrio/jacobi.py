@@ -44,6 +44,7 @@ and that ``rhs_jacobi`` is its Hamiltonian vector field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,6 +81,10 @@ def jacobi_weights(spec):
     m12 = m1 + m2
     mu = (m1 / M, m2 / M, m3 / M)
     nu1, nu2 = m1 / m12, m2 / m12
+    # the frame divides by these, so none may round to 0 or inf
+    if not all(0.0 < p < math.inf for p in (m1 * m2, m12 * m3, nu1 * nu2)):
+        raise DomainError("the masses' products leave the float range of "
+                          "the Jacobi frame")
     ec1 = (m2 * e1 - m1 * e2) / m12
     return JacobiWeights(
         M=M,
@@ -268,9 +273,8 @@ def integrate_jacobi(spec, state, settings):
 
     This is a validation path: the Cartesian integrator in
     :mod:`magnetotrio.dynamics` is the authoritative one.  It shares that
-    integrator's sampling grid and collision event, at the same threshold;
-    the event reads the positions alone, which the momentum shift leaves as
-    they are.
+    integrator's sampling grid and collision watch; the watch reads the
+    positions alone, which the momentum shift leaves as they are.
     """
     t_eval = _checked_grid(settings, state.t)
     w = jacobi_weights(spec)    # built once for every map of the run

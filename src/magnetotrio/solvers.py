@@ -74,8 +74,8 @@ from numpy.linalg import _umath_linalg
 
 from . import dynamics
 from .dynamics import IntegratorSettings, rigidity_report
-from .errors import (DegenerateError, DomainError, NonConvergence, NoSolution,
-                     StepUnderflow)
+from .errors import (CollisionError, DegenerateError, DomainError,
+                     NonConvergence, NoSolution, StepUnderflow)
 from .model import PhaseState, classify_system
 
 __all__ = [
@@ -463,8 +463,9 @@ def _certify(sol, spec, terms, gates=()):
     """Certify ``sol``: the caller's ``(ok, note)`` gates, then the relative
     residual of its balance rows ``terms()`` and its Newton balance; an n-body root
     that passed them all must also stay rigid over a quarter period (an
-    integration the stepper cannot finish fails that gate).  Each failed
-    gate leaves a note; ``sol`` is certified when none failed.
+    integration that collides or that the stepper cannot finish fails that
+    gate).  Each failed gate leaves a note; ``sol`` is certified when none
+    failed.
 
     That rigidity gate is screened first by the rotation's spectrum
     (:func:`_growth`, recorded as ``sol.growth``): a root passes it without
@@ -493,15 +494,12 @@ def _certify(sol, spec, terms, gates=()):
         if not (sol.growth < _SCREEN_GROWTH and sol.newton_balance
                 * math.exp(sol.growth) <= _SCREEN_MARGIN * _RIGIDITY_TOL):
             spec_b, state = build_initial_state(sol, spec)
-            # the gate is relative, so the collision watch's absolute 1e-9
-            # must not refuse a root because of its scale
-            settings = IntegratorSettings(t_end=t_end, sample_interval=t_end / 200.0,
-                                          collision_threshold=0.0)
+            settings = IntegratorSettings(t_end=t_end, sample_interval=t_end / 200.0)
             try:
                 # looked up at call time, so bench/spans.py traces these integrations
                 sol.rigidity = rigidity_report(dynamics.integrate(
                     spec_b, state, settings, frame_omega=_frame_omega(sol))).worst
-            except StepUnderflow as err:
+            except (CollisionError, StepUnderflow) as err:
                 notes = (f"rigidity integration stopped: {err}",)
             else:
                 if not sol.rigidity < _RIGIDITY_TOL:

@@ -1,7 +1,9 @@
 """The public surface: each collinear concept has one public entry."""
 
+import dataclasses
+
 import magnetotrio
-from magnetotrio import errors, invariants, jacobi, model, solvers
+from magnetotrio import dynamics, errors, invariants, jacobi, model, solvers
 
 # three-charge copies of the collinear system, written-out oracles, a
 # value every solution row carries and an error class whose refusals are
@@ -10,7 +12,8 @@ from magnetotrio import errors, invariants, jacobi, model, solvers
 # residual vectors, the reduced Jacobi Hamiltonian and the generic
 # bracket, which no runtime path calls and which the tests keep as
 # oracles, the unread total mass, and the per-particle momenta that the
-# one-pass invariant table computes in place (CHANGES.md)
+# one-pass invariant table computes in place, and the absolute collision
+# threshold, which the watch now takes from the start state (CHANGES.md)
 REMOVED = ("residuals_config_II", "residuals_config_III", "closed_form_B_nbody",
            "evaluate_p6", "pseudomomentum_jacobi", "apply_symmetry",
            "closed_form_B_II", "closed_form_B_III", "newton_balance",
@@ -18,15 +21,22 @@ REMOVED = ("residuals_config_II", "residuals_config_III", "closed_form_B_nbody",
            "helium_quartic_coefficients", "helium_closed_forms",
            "residuals_config_I", "residuals_nbody_II", "hamiltonian_jacobi",
            "poisson_bracket", "total_mass", "particle_pseudomomenta",
-           "individual_angular_momenta")
+           "individual_angular_momenta", "collision_threshold")
 
 
 def test_solver_exports_resolve_and_removed_names_are_gone():
     # a stale __all__ entry would break ``from magnetotrio.solvers import *``
     assert [n for n in solvers.__all__ if not hasattr(solvers, n)] == []
     for module in (magnetotrio, errors, solvers, model, jacobi, invariants,
-                   model.SystemSpec):
+                   dynamics, model.SystemSpec, dynamics.IntegratorSettings):
         assert [n for n in REMOVED if hasattr(module, n)] == [], module.__name__
     # the closed conserved forms and the involution check stay public
     for name in ("conserved_closed_forms", "involution_check"):
         assert hasattr(magnetotrio, name), name
+
+
+def test_integrator_settings_are_pinned():
+    # the collision watch scales with the start state, so no length is a
+    # setting
+    assert [f.name for f in dataclasses.fields(dynamics.IntegratorSettings)] == [
+        "t_end", "rel_tol", "abs_tol", "sample_interval"]

@@ -1,8 +1,9 @@
 import contextlib
-import functools
+import csv
 import glob
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,7 +16,7 @@ from conftest import electron_orbit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnetotrio import (IntegratorSettings, PhaseState, cli, format_system,
+from magnetotrio import (PhaseState, cli, dynamics, format_system,
                          load_system, pair_distance_min, solvers, solve_config_I,
                          solve_config_II, solve_config_III, solve_nbody_II,
                          write_catalog)
@@ -185,12 +186,40 @@ class TestSimulate:
             "magnetotrio: collision: particles 1 and 2 within 0.000e+00 of "
             "each other at t = 0\n")
 
+    def test_overflowing_invariants_print_without_warnings(self, tmp_path,
+                                                           capsys):
+        # the invariant table of this charge overflows: its drifts print as
+        # nan, as in verify, with no warning (which this suite turns into an
+        # error)
+        sys_path = _write(tmp_path, "big.system",
+                          "B 1e300\nparticle 2 0.5\nposition 1e154 1\n")
+        rc = main(["simulate", sys_path, "--t-end", "0.5",
+                   "--sample-every", "0.5"])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert "  H drift 0.000e+00, Lz drift nan\n" in out
+
+    @pytest.mark.parametrize("masses", [("1e-200", "1e-200", "1"),
+                                        ("1e-200", "1e200", "1")],
+                             ids=["m1-m2-underflows", "nu1-nu2-underflows"])
+    def test_derived_route_refuses_masses_out_of_range(self, tmp_path, capsys,
+                                                       masses):
+        # a product of masses past the float range would end the run in a
+        # ZeroDivisionError; the species is refused before any step
+        sys_path = _write(tmp_path, "w.system", "B 1\n" + "".join(
+            f"particle 1 {m}\nposition {x} {y}\n"
+            for m, (x, y) in zip(masses, ((0, 0), (1, 0), (0, 1)))))
+        rc = main(["simulate", sys_path, "--mode", "derived"])
+        assert (rc, capsys.readouterr().err) == (
+            1, "magnetotrio: error: the masses' products leave the float "
+               "range of the Jacobi frame\n")
+        assert not (tmp_path / "w.trajectory.csv").exists()
+
     @pytest.mark.parametrize("mode", ["newton", "derived"])
     def test_step_underflow_exits_1(self, tmp_path, capsys, monkeypatch, mode):
-        # with the collision watch off the pair of the trio falls into
+        # with a collision fraction of 0 the pair of the trio falls into
         # itself, and the stepper cannot shrink its step any further
-        monkeypatch.setattr(cli, "IntegratorSettings", functools.partial(
-            IntegratorSettings, collision_threshold=0.0))
+        monkeypatch.setattr(dynamics, "COLLISION_FRACTION", 0.0)
         sys_path = _write(tmp_path, "trio.system", _TRIO)
         rc = main(["simulate", sys_path, "--t-end", "2", "--mode", mode])
         assert rc == 1
@@ -344,6 +373,26 @@ class TestFindAndVerify:
             rc = main(["verify", traj, state_file])
             assert rc == 0
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0])
+    def test_emitted_rotations_replay_at_every_scale(self, tmp_path, scale):
+        # FOUR's charges times 1e-6 emit a rotation whose charges start about
+        # 2e-12 apart, with a period near 5e-11; the collision watch is
+        # relative, so it replays over a quarter period as FOUR's does
+        sys_path = _write(tmp_path, "four.system", "B 1\n" + "".join(
+            f"particle {scale * e!r} {m}\n" for e, m in ((3, 1), (-1, 1), (1, 3), (2, 2))))
+        assert main(["find", sys_path, "--config", "nbody-II", "--grid-min", "1.5",
+                     "--grid-max", "6", "--grid-points", "4", "--emit-states"]) == 0
+        with open(tmp_path / "four.nbody-II.catalog.csv") as fh:
+            omegas = [float(row["omega"]) for row in csv.DictReader(fh)]
+        assert omegas
+        for k, omega in enumerate(omegas):
+            state_file = str(tmp_path / f"four.nbody-II-{k:03d}.system")
+            t_end = 0.25 * 2.0 * math.pi / omega
+            assert main(["simulate", state_file, "--t-end", repr(t_end),
+                         "--sample-every", repr(t_end / 50)]) == 0
+            traj = state_file[:-len(".system")] + ".trajectory.csv"
+            assert main(["verify", traj, state_file, "--tol", "1e-6"]) == 0
+
     def test_root_far_below_the_scale_speed(self, tmp_path):
         # the certified rotation at v1 ~ 0.0076 of the solver tests
         sys_path = _write(tmp_path, "far.system",
@@ -390,9 +439,9 @@ class TestFindAndVerify:
 
     def test_small_charges_certify_without_a_collision(self, tmp_path, capsys):
         # FOUR's charges times 1e-6 start the root's charges 3 and 4 about
-        # 2e-12 apart, which an absolute 1e-9 collision watch calls a
-        # collision (exit 2); the rigidity gate is relative, and the row is
-        # FOUR's with omega times 1e12 and B times 1e18
+        # 2e-12 apart; the collision watch and the rigidity gate are both
+        # relative, and the row is FOUR's with omega times 1e12 and B times
+        # 1e18
         sys_path = _write(tmp_path, "small.system",
                           "B 1\nparticle 3e-6 1\nparticle -1e-6 1\n"
                           "particle 1e-6 3\nparticle 2e-6 2\n")
@@ -725,7 +774,9 @@ class TestFindAndVerify:
         (lambda lines: lines.__setitem__(3, lines[2]), "line 4: t ="),
         (lambda lines: lines.__setitem__(3, _coincide(lines[3])),
          "line 4: particles 1 and 2 share a point"),
-    ], ids=["nan-cell", "repeated-t", "coincident-pair"])
+        (lambda lines: lines.__delitem__(slice(1, None)),
+         "trajectory file has a header but no rows"),
+    ], ids=["nan-cell", "repeated-t", "coincident-pair", "header-only"])
     def test_verify_rejects_bad_rows(self, tmp_path, capsys, tamper, message):
         sys_path = _orbit_system(tmp_path)
         assert main(["simulate", sys_path, "--t-end", "2",

@@ -29,11 +29,12 @@ def _closest_pair(pos):
 
 
 def _scipy_solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
-    threshold = settings.collision_threshold
     events = None
     closest = [math.inf]
-    if spec.n > 1 and threshold > 0:
+    if spec.n > 1:
         I, J, _ = spec.pairs
+        threshold = dynamics.COLLISION_FRACTION * _closest_pair(
+            np.reshape(positions_of(y0), (-1, 2)))[1]
 
         def collision(t, y):
             p = np.reshape(positions_of(y), (-1, 2))
@@ -178,18 +179,20 @@ def test_collision_time_matches_solve_ivp(run, case, t_end, oracle):
     assert ours.value.pair == ref.value.pair
     assert abs(ours.value.t - ref.value.t) <= 1e-12 * ref.value.t
     # the reported time is at or just past the crossing
-    assert ours.value.distance <= settings.collision_threshold
+    start = _closest_pair(state.positions)[1]
+    assert ours.value.distance <= dynamics.COLLISION_FRACTION * start
 
 
 @pytest.mark.parametrize("run, case", [
     (integrate, _attracting_pair),
     (integrate_jacobi, _falling_trio),
 ], ids=["pair", "trio-derived"])
-def test_step_underflow_where_solve_ivp_fails(run, case, oracle):
-    # with the watch off the pair falls into itself, and the step the error
-    # allows drops below 10 ulp(t)
+def test_step_underflow_where_solve_ivp_fails(run, case, oracle, monkeypatch):
+    # with a collision fraction of 0 the pair falls into itself, and the
+    # step the error allows drops below 10 ulp(t)
+    monkeypatch.setattr(dynamics, "COLLISION_FRACTION", 0.0)
     spec, state = case()
-    settings = IntegratorSettings(t_end=5.0, collision_threshold=0.0)
+    settings = IntegratorSettings(t_end=5.0)
     with pytest.raises(StepUnderflow) as ours:
         run(spec, state, settings)
     oracle()

@@ -1,3 +1,4 @@
+import math
 import os
 import tempfile
 from unittest import mock
@@ -77,24 +78,6 @@ class TestAccelerations:
 
 
 class TestCollision:
-    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
-    def test_bad_threshold_is_rejected(self, threshold):
-        # an attracting pair from rest: without the watch the run would end
-        # in StepUnderflow at the collision instead of a CollisionError
-        spec = SystemSpec(B=0.1, charges=(1.0, -1.0), masses=(1.0, 1.0))
-        state = PhaseState(np.array([[-0.5, 0.0], [0.5, 0.0]]), np.zeros((2, 2)))
-        with pytest.raises(DomainError, match="collision_threshold"):
-            integrate(spec, state, IntegratorSettings(
-                t_end=5.0, collision_threshold=threshold))
-
-    def test_zero_threshold_switches_the_watch_off(self):
-        spec = SystemSpec(B=0.1, charges=(1.0, 1.0), masses=(1.0, 1.0))
-        state = PhaseState(np.array([[-0.5, 0.0], [0.5, 0.0]]), np.zeros((2, 2)))
-        traj = integrate(spec, state, IntegratorSettings(
-            t_end=2.0, collision_threshold=0.0))
-        assert traj.t[-1] == pytest.approx(2.0)
-        assert set(traj.stats) == {"nfev"}
-
     @pytest.mark.parametrize("route", [integrate, integrate_jacobi])
     def test_coincident_start_collides_with_the_watch_off(self, route):
         # the first RHS call would divide by the zero pair distance
@@ -102,7 +85,7 @@ class TestCollision:
         state = PhaseState(np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0]]),
                            np.zeros((3, 2)))
         with pytest.raises(CollisionError) as err:
-            route(spec, state, IntegratorSettings(t_end=1.0, collision_threshold=0.0))
+            route(spec, state, IntegratorSettings(t_end=1.0))
         assert (err.value.t, err.value.pair, err.value.distance) == (0.0, (0, 1), 0.0)
 
     def test_attracting_pair_terminates(self):
@@ -113,6 +96,22 @@ class TestCollision:
         assert err.value.pair == (0, 1)
         assert 0.0 < err.value.t < 5.0
         assert err.value.distance < 1e-6
+
+    @pytest.mark.parametrize("w", [0.0, 1.5])
+    @pytest.mark.parametrize("d0", [1.0, 1e-3, 1e-6])
+    def test_attracting_pair_collides_at_every_scale(self, d0, w):
+        # unit masses of charges +-1 from rest fall into each other in the
+        # free-fall time pi/4 d0^1.5; the watch stops the run at the same
+        # fraction of d0 at every scale, in either frame
+        spec = SystemSpec(B=0.0, charges=(1.0, -1.0), masses=(1.0, 1.0))
+        state = PhaseState(np.array([[-0.5 * d0, 0.0], [0.5 * d0, 0.0]]),
+                           np.zeros((2, 2)))
+        with pytest.raises(CollisionError) as err:
+            integrate(spec, state, IntegratorSettings(t_end=d0 ** 1.5),
+                      frame_omega=w)
+        assert err.value.pair == (0, 1)
+        assert err.value.distance <= dynamics.COLLISION_FRACTION * d0
+        assert abs(err.value.t / d0 ** 1.5 - math.pi / 4) <= 1e-8
 
     def test_repelling_pair_runs_to_the_end(self):
         spec = SystemSpec(B=0.1, charges=(1.0, 1.0), masses=(1.0, 1.0))
@@ -166,6 +165,18 @@ class TestSampling:
         assert rows.tobytes() == ref.tobytes()
         assert stats == ref_stats
 
+    @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-12, 1e6])
+    def test_end_point_at_every_time_scale(self, s):
+        # a t_end half an interval past the last grid point gets a sample
+        # of its own at every scale; a t_end on a grid point is that point
+        grid = dynamics._checked_grid(
+            IntegratorSettings(t_end=10.5 * s, sample_interval=s), 0.0)
+        assert len(grid) == 12 and grid[-1] == 10.5 * s
+        assert grid[-2] == pytest.approx(10.0 * s, rel=1e-15)
+        grid = dynamics._checked_grid(
+            IntegratorSettings(t_end=10.0 * s, sample_interval=s), 0.0)
+        assert len(grid) == 11 and grid[-1] == 10.0 * s
+
     def test_grid_above_the_ceiling_is_rejected(self):
         spec = larmor_spec()
         state = PhaseState(np.zeros((1, 2)), np.array([[1.0, 0.0]]))
@@ -177,9 +188,9 @@ class TestSampling:
 class TestSettingsFirst:
     @pytest.mark.parametrize("bad", [
         {"t_end": np.nan}, {"t_end": -1.0}, {"rel_tol": 0.0}, {"abs_tol": np.inf},
-        {"collision_threshold": -1.0}, {"sample_interval": 0.0},
+        {"sample_interval": 0.0},
     ], ids=["t_end-nan", "t_end-before-start", "rel_tol-zero", "abs_tol-inf",
-            "threshold-negative", "interval-zero"])
+            "interval-zero"])
     def test_rejected_before_either_route_builds_anything(self, bad, monkeypatch):
         def build(*args):
             raise AssertionError("built before the settings were checked")
@@ -191,6 +202,24 @@ class TestSettingsFirst:
         for run in (integrate, integrate_jacobi):
             with pytest.raises(DomainError):
                 run(spec, PhaseState(pos, vel), settings)
+
+
+def _header_only(tmp_path):
+    path = tmp_path / "header-only.csv"
+    path.write_text(",".join(dynamics.trajectory_header(1)) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp_path: integrate(larmor_spec(), PhaseState(np.eye(2), np.zeros((2, 2))),
+                                IntegratorSettings(t_end=1.0)),
+     DomainError, "state and spec have different particle counts"),
+    (lambda tmp_path: read_trajectory_csv(_header_only(tmp_path), larmor_spec()),
+     SpecParseError, "trajectory file has a header but no rows"),
+], ids=["integrate-particle-count", "csv-header-only"])
+def test_public_guards(call, error, message, tmp_path):
+    with pytest.raises(error, match=message):
+        call(tmp_path)
 
 
 def test_pair_distances_index_order():
@@ -689,7 +718,7 @@ class TestRotatingFrame:
         # an attracting pair at rest falls into itself in either frame
         spec = SystemSpec(B=0.0, charges=(1.0, -1.0), masses=(1.0, 1.0))
         state = PhaseState(np.array([[-0.5, 0.0], [0.5, 0.0]]), np.zeros((2, 2)))
-        settings = IntegratorSettings(t_end=5.0, collision_threshold=1e-3)
+        settings = IntegratorSettings(t_end=5.0)
         times = []
         for w in (0.0, 1.5):
             with pytest.raises(CollisionError) as info:

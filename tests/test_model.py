@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnetotrio import (PhaseState, SpecParseError, SystemSpec,
+from magnetotrio import (DomainError, PhaseState, SpecParseError, SystemSpec,
                          classify_system, format_system, parse_system)
 from magnetotrio.model import canonical_momenta, vector_potential
 
@@ -193,6 +193,19 @@ class TestSymmetry:
                            accelerations(spec_f, pos, vel), rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SystemSpec(1.0, (), ()), "a system needs at least one particle"),
+    (lambda: SystemSpec(np.inf, (1.0,), (1.0,)), "charges and field must be finite"),
+    (lambda: SystemSpec(1.0, (1.0, np.nan), (1.0, 1.0)),
+     "charges and field must be finite"),
+    (lambda: PhaseState(np.zeros((3, 2)), np.zeros((2, 2))),
+     "positions and velocities must have matching shapes"),
+], ids=["no-particles", "field-inf", "charge-nan", "state-3-positions-2-velocities"])
+def test_public_guards(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
 def test_phase_state_copy_is_independent():
     state = PhaseState(np.zeros((2, 2)), np.ones((2, 2)))
     clone = state.copy()
@@ -203,7 +216,6 @@ def test_phase_state_copy_is_independent():
 @pytest.mark.parametrize("field", ["positions", "velocities", "t"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_phase_state_rejects_non_finite(field, bad):
-    from magnetotrio import DomainError
     values = {"positions": np.eye(3, 2), "velocities": np.zeros((3, 2)), "t": 0.0}
     if field == "t":
         values["t"] = bad

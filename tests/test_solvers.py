@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -585,8 +586,7 @@ class TestConfigIII:
         for spec, row in admitted[::10]:
             spec_b, state = build_initial_state(row, spec)
             t_end = 0.25 * 2.0 * math.pi / row.omega
-            settings = IntegratorSettings(t_end=t_end, sample_interval=t_end / 200.0,
-                                          collision_threshold=0.0)
+            settings = IntegratorSettings(t_end=t_end, sample_interval=t_end / 200.0)
             traj = dynamics.integrate(spec_b, state, settings,
                                       frame_omega=solvers._frame_omega(row))
             assert rigidity_report(traj).worst < 1e-6, row
@@ -1054,6 +1054,24 @@ class TestCertification:
         with pytest.raises(NoSolution, match="rigidity integration stopped"):
             solve_nbody_II(UNDERFLOW_FIVE, [2.4022907818493007])
 
+    def test_collision_rejects_the_root(self, four, monkeypatch):
+        # a collision fraction just below 1 stops a quarter-period
+        # integration at the first dip of its closest pair distance, which
+        # fails the rigidity gate instead of ending the search
+        monkeypatch.setattr(solvers, "_SCREEN_GROWTH", 0.0)
+        monkeypatch.setattr(dynamics, "COLLISION_FRACTION", 1.0 - 1e-15)
+        rows = solve_nbody_II(four, require_certified=False)
+        stopped = [r for r in rows if r.notes
+                   and r.notes[0].startswith("rigidity integration stopped")]
+        assert stopped and not any(r.certified for r in rows)
+        for row in stopped:
+            assert math.isnan(row.rigidity) and len(row.notes) == 1
+            assert re.fullmatch(r"rigidity integration stopped: particles \d and "
+                                r"\d within \S+ of each other at t = \S+",
+                                row.notes[0])
+        with pytest.raises(NoSolution, match="rigidity integration stopped"):
+            solve_nbody_II(four)
+
     @pytest.mark.parametrize("name, solve", [
         ("electrons_b2", lambda spec: solve_config_I_identical(spec, 2 * CBRT_10)),
         ("worked", solve_config_I_v3zero),
@@ -1157,6 +1175,24 @@ def test_sweep_grid_needs_a_whole_number_of_points(spec4, points):
     with pytest.raises(DomainError, match="grid points must be an integer of "
                                           "at least 1"):
         sweep_grid(spec4, "II", points=points)
+
+
+@pytest.mark.parametrize("name, solve, message", [
+    ("electrons", lambda spec: solve_config_I_identical(spec, 3.0, v3=-1.0),
+     "v3 must be nonnegative"),
+    ("electrons", lambda spec: solve_config_I_identical(spec, 0.0),
+     "pair separation must be positive"),
+    ("electrons", lambda spec: solve_config_I_identical(spec, -1.0),
+     "pair separation must be positive"),
+    ("spec4", lambda spec: solve_config_I_identical(spec, 1.0),
+     "identical-pair branch needs e1 = e2 and m1 = m2"),
+    ("worked", lambda spec: solve_config_I_v3zero(spec, v1=0.0), "v1 must be positive"),
+    ("worked", lambda spec: solve_config_I_v3zero(spec, v1=-1.0), "v1 must be positive"),
+], ids=["identical-v3-negative", "identical-rho12-zero", "identical-rho12-negative",
+        "identical-pair-not-identical", "v3zero-v1-zero", "v3zero-v1-negative"])
+def test_public_guards(request, name, solve, message):
+    with pytest.raises(DomainError, match=message):
+        solve(request.getfixturevalue(name))
 
 
 def test_sweep_grid_of_one_point(spec4):
