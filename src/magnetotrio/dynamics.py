@@ -39,7 +39,7 @@ import numpy as np
 
 from ._dop853 import DOP853, EPS, interpolate
 from .errors import CollisionError, DomainError, SpecParseError
-from .model import pair_index
+from .model import output_file, pair_index
 
 # Largest sampling grid :func:`integrate` accepts; each sample of an
 # n-charge run holds 4n + 1 floats in several copies.
@@ -398,7 +398,7 @@ def trajectory_header(n):
 def _write_csv(path, header, data):
     """Write the columns ``header`` and the rows of the 2-D array ``data``."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         fh.write(",".join(header) + "\n")
         fh.write((line * len(data)) % tuple(data.ravel().tolist()))
 

@@ -16,8 +16,11 @@ with no extra prefactor.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,6 +268,25 @@ def format_system(spec, state=None, comment=None):
     return "\n".join(lines) + "\n"
 
 
+@contextlib.contextmanager
+def output_file(path):
+    """Open ``path`` for writing UTF-8 text, overwriting it in place.
+
+    Leaves what ``open(path, "w")`` leaves (bytes, mode, inode, symlink
+    target), also when the block raises, but cuts the old tail after the
+    new bytes: a truncate to zero before them makes ext4
+    (``auto_da_alloc``) write the file back when it is closed.  A FIFO
+    or a device, which ``O_TRUNC`` ignores, is not truncated.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+              encoding="utf-8") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def save_system(path, spec, state=None, comment=None):
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         fh.write(format_system(spec, state, comment))

@@ -477,16 +477,23 @@ class TestFindAndVerify:
                      "4", "--grid-min", "1.5", "--grid-max", "6"]) == 0
         rows = (tmp_path / "four.nbody-II.catalog.csv").read_text().splitlines()[1:]
         with open(tmp_path / "four.nbody-II.manifest.json") as fh:
-            stats = json.load(fh)["stats"]
+            doc = json.load(fh)
+        stats = doc["stats"]
         assert set(stats) == {"rigidity_screened", "rigidity_integrated", "max_growth"}
         assert stats["rigidity_screened"] + stats["rigidity_integrated"] == len(rows) > 0
         assert stats["rigidity_integrated"] == (0 if screen == "on" else len(rows))
         assert 0.0 < stats["max_growth"] < 10.0
-        # the other searches run no rigidity gate
+        # the other searches run no rigidity gate; every find times its phases
         assert main(["find", _spec4_system(tmp_path), "--config", "II",
-                     "--grid-points", "2"]) == 0
+                     "--grid-points", "2", "--emit-states"]) == 0
         with open(tmp_path / "mixed.II.manifest.json") as fh:
-            assert "stats" not in json.load(fh)
+            mixed = json.load(fh)
+        assert "stats" not in mixed
+        for doc in (doc, mixed):
+            phases = doc["phase_s"]
+            assert set(phases) == {"solve", "write_catalog", "write_states"}
+            assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
+            assert phases["solve"] == doc["wall_time_s"]
 
     def test_degenerate_grid_solves_each_value_once(self, tmp_path, capsys):
         sys_path = _spec4_system(tmp_path)
@@ -805,6 +812,50 @@ class TestFindAndVerify:
         failed = dict(re.findall(r"^  (\S+)\s+max drift (\S+)  FAIL$", out, re.M))
         assert failed["H"] == failed["Casimir"] == "nan"
         assert out.endswith("FAILED: H, Kx, Ky, Lz, Casimir\n")
+
+
+class TestRerun:
+    """A rerun into a directory that holds longer outputs leaves the bytes
+    of a fresh run, in the same files: outputs are overwritten in place."""
+
+    def _rerun(self, tmp_path, argv, first_flags, flags):
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        assert main(argv + first_flags + ["--out-dir", str(rerun)]) == 0
+        before = {p: os.stat(p) for p in glob.glob(str(rerun / "*"))}
+        assert main(argv + flags + ["--out-dir", str(rerun)]) == 0
+        assert main(argv + flags + ["--out-dir", str(fresh)]) == 0
+        docs = []
+        for out_dir in (rerun, fresh):
+            (manifest,) = glob.glob(str(out_dir / "*.manifest.json"))
+            with open(manifest) as fh:
+                doc = json.load(fh)
+            for key in ("wall_time_s", "phase_s"):
+                del doc[key]
+            doc["outputs"] = {k: os.path.relpath(v, out_dir)
+                              for k, v in doc["outputs"].items()}
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        shrank = 0
+        for name in docs[1]["outputs"].values():
+            new = os.stat(rerun / name)
+            old = before[str(rerun / name)]
+            assert new.st_ino == old.st_ino
+            assert (rerun / name).read_bytes() == (fresh / name).read_bytes()
+            shrank += new.st_size < old.st_size
+        assert shrank > 0
+        return docs[1]["outputs"]
+
+    def test_simulate_with_a_shorter_end_time(self, tmp_path):
+        outputs = self._rerun(tmp_path, ["simulate", _orbit_system(tmp_path),
+                                         "--sample-every", "0.25"],
+                              ["--t-end", "6"], ["--t-end", "2"])
+        assert set(outputs) == {"trajectory", "invariants"}
+
+    def test_find_with_fewer_grid_points(self, tmp_path):
+        outputs = self._rerun(tmp_path, ["find", _spec4_system(tmp_path),
+                                         "--config", "II", "--emit-states"],
+                              ["--grid-points", "6"], ["--grid-points", "2"])
+        assert set(outputs) == {"catalog", "state-000", "state-001"}
 
 
 class TestBrackets:

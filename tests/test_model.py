@@ -1,3 +1,7 @@
+import ast
+import glob
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +9,7 @@ from hypothesis import strategies as st
 
 from magnetotrio import (DomainError, PhaseState, SpecParseError, SystemSpec,
                          classify_system, format_system, parse_system)
-from magnetotrio.model import canonical_momenta, vector_potential
+from magnetotrio.model import canonical_momenta, output_file, vector_potential
 
 
 def test_vector_potential_symmetric_gauge():
@@ -223,3 +227,132 @@ def test_phase_state_rejects_non_finite(field, bad):
         values[field][1, 0] = bad
     with pytest.raises(DomainError, match="finite"):
         PhaseState(**values)
+
+
+def _plain(path):
+    return open(path, "w", encoding="utf-8")
+
+
+class TestOutputFile:
+    """``output_file`` leaves what ``open(path, "w")`` leaves, in place."""
+
+    def test_shorter_rewrite_leaves_only_the_new_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("t,x\n" + "0.5,1.25\n" * 1000)
+        with output_file(path) as fh:
+            fh.write("t,x\n1,2\n")
+        assert path.read_bytes() == b"t,x\n1,2\n"
+
+    @pytest.mark.parametrize("opener", [output_file, _plain], ids=["in-place", "open-w"])
+    @pytest.mark.parametrize("written", ["", "partial row"],
+                             ids=["before-any-write", "after-a-write"])
+    def test_a_raise_leaves_the_bytes_written_before_it(self, tmp_path, opener,
+                                                        written):
+        path = tmp_path / "out.csv"
+        path.write_text("old content, longer than the new\n" * 100)
+        with pytest.raises(ZeroDivisionError):
+            with opener(path) as fh:
+                if written:
+                    fh.write(written)
+                1 / 0
+        assert path.read_text() == written
+
+    def test_an_existing_file_keeps_its_inode(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n" * 50)
+        inode = os.stat(path).st_ino
+        with output_file(path) as fh:
+            fh.write("new\n")
+        assert os.stat(path).st_ino == inode and path.read_text() == "new\n"
+
+    def test_a_symlink_updates_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n" * 50)
+        link.symlink_to(target.name)
+        with output_file(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text() == "new\n"
+
+    def test_a_link_to_a_device_is_written_without_a_truncate(self, tmp_path):
+        # O_TRUNC leaves a character device alone, and ftruncate refuses it
+        link = tmp_path / "discard.csv"
+        link.symlink_to(os.devnull)
+        with output_file(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_a_new_file_gets_the_mode_of_open_w(self, tmp_path, umask):
+        saved = os.umask(umask)
+        try:
+            with output_file(tmp_path / "a.csv") as fh:
+                fh.write("x")
+            with _plain(tmp_path / "b.csv") as fh:
+                fh.write("x")
+        finally:
+            os.umask(saved)
+        mode = os.stat(tmp_path / "b.csv").st_mode
+        assert os.stat(tmp_path / "a.csv").st_mode == mode == 0o100666 & ~umask
+
+
+def _file_writers(source):
+    """``(function, line)`` of each call in ``source`` that opens a file
+    for writing: ``open``-like calls with a write mode (or a mode that is
+    not a literal), ``os.open`` with write flags, and ``write_text`` or
+    ``write_bytes``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "open" and ast.unparse(func) == "os.open":
+                writes = any(flag in ast.unparse(node)
+                             for flag in ("O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND"))
+            elif name in ("open", "fdopen"):
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), None)
+                writes = mode is not None and not (
+                    isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+"))
+            else:
+                writes = name in ("write_text", "write_bytes")
+            if writes:
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("source, writers", [
+    ('def f(p):\n    return open(p, "w")\n', [("f", 2)]),
+    ('def f(p):\n    return open(p, mode="a", encoding="utf-8")\n', [("f", 2)]),
+    ('def f(p, m):\n    return io.open(p, m)\n', [("f", 2)]),
+    ('def f(p):\n    return open(p, "r+b")\n', [("f", 2)]),
+    ('def f(p):\n    return os.open(p, os.O_WRONLY | os.O_CREAT)\n', [("f", 2)]),
+    ('def f(p):\n    pathlib.Path(p).write_text("x")\n', [("f", 2)]),
+    ('open(p, "x")\n', [(None, 1)]),
+    ('def f(p):\n    return open(p), open(p, "rb"), open(p, "r", encoding="utf-8")\n', []),
+    ('def f(p):\n    return os.open(p, os.O_RDONLY)\n', []),
+], ids=["w", "mode-a", "mode-variable", "r-plus", "os-open", "write-text",
+        "module-level", "readers", "os-open-read"])
+def test_the_writer_scan_finds_each_form(source, writers):
+    assert _file_writers(source) == writers
+
+
+def test_output_file_is_the_one_opener_for_writing():
+    # one opener per concept: every output of the package goes through
+    # model.output_file, which alone may open a file for writing
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src", "magnetotrio")
+    found = set()
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            found |= {(os.path.basename(path), function)
+                      for function, _ in _file_writers(fh.read())}
+    assert found == {("model.py", "output_file")}
