@@ -19,11 +19,13 @@ the wall time, so a run can be reproduced exactly; a simulate manifest
 also carries the solver stats (``nfev``, ``min_pair_distance``), and
 both carry the wall time of each phase (``phase_s``: integrate,
 write_trajectory and write_invariants for simulate; solve, write_catalog
-and write_states for find).  An n-body II find manifest also counts how
-many rows the rigidity gate passed on the spectral screen and how many by
+and write_states for find).  A find manifest also counts how many rows
+the rigidity gate passed on the spectral screen and how many by
 integrating, with the largest growth ``max_growth`` (see
-``solvers._certify``).  All CSV numbers are written with 17 significant
-digits and searches are deterministic.
+``solvers._certify``).  ``find --emit-states`` writes one numbered
+``<stem>.<config>-NNN.system`` per row and removes the higher-numbered
+ones an earlier run into the same directory left.  All CSV numbers are
+written with 17 significant digits and searches are deterministic.
 
 Every output is overwritten in place by ``model.output_file``: the new
 bytes go over the old ones and the tail is cut after them, which skips
@@ -78,7 +80,7 @@ def _stem(input_path, out_dir):
 
 
 def _write_manifest(path, command, inputs, settings, outputs, wall_time,
-                    stats=None, phases=None):
+                    stats, phases):
     doc = {
         "tool": "magnetotrio",
         "version": __version__,
@@ -87,11 +89,9 @@ def _write_manifest(path, command, inputs, settings, outputs, wall_time,
         "settings": settings,
         "outputs": {k: os.path.abspath(v) for k, v in outputs.items()},
         "wall_time_s": round(wall_time, 6),
+        "stats": stats,
+        "phase_s": {k: round(v, 6) for k, v in phases.items()},
     }
-    if stats is not None:
-        doc["stats"] = stats
-    if phases is not None:
-        doc["phase_s"] = {k: round(v, 6) for k, v in phases.items()}
     with output_file(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -186,18 +186,22 @@ def _cmd_find(args):
                                  f"omega {sol.omega:.17g} sense {sol.sense}"))
             outputs[f"state-{k:03d}"] = path
             print(f"  wrote {path}")
+        # the numbered states an earlier run with more rows left behind
+        k = len(rows)
+        while os.path.exists(path := f"{stem}.{args.config}-{k:03d}.system"):
+            os.remove(path)
+            print(f"  removed {path}")
+            k += 1
     phases = {"solve": wall, "write_catalog": t2 - t1,
               "write_states": time.perf_counter() - t2}
 
-    stats = None
-    if args.config == "nbody-II":
-        # which part of the rigidity gate decided each row: the spectral
-        # screen, or the integration that records ``rigidity``
-        integrated = sum(not math.isnan(r.rigidity) for r in rows)
-        stats = {"rigidity_screened": len(rows) - integrated,
-                 "rigidity_integrated": integrated,
-                 "max_growth": max((r.growth for r in rows
-                                    if not math.isnan(r.growth)), default=None)}
+    # which part of the rigidity gate decided each row: the spectral
+    # screen, or the integration that records ``rigidity``
+    integrated = sum(not math.isnan(r.rigidity) for r in rows)
+    stats = {"rigidity_screened": len(rows) - integrated,
+             "rigidity_integrated": integrated,
+             "max_growth": max((r.growth for r in rows
+                                if not math.isnan(r.growth)), default=None)}
     manifest = _write_manifest(
         f"{stem}.{args.config}.manifest.json", "find",
         {"system": args.system},

@@ -44,10 +44,10 @@ from the layout's nominal order and rotation sense (omega > 0).  A root
 of the equations is therefore only a genuine Newtonian motion inside
 that sector, where the signed speeds increase strictly along the order
 and no speed is negative; every solver here re-checks the instantaneous
-Newton balance, in floats at the t = 0 line coordinates, and the n-body
-solver also checks rigidity over a quarter period: by the rotation's
-spectrum where that bounds the drift far below the gate, else by building
-the state, integrating it and measuring the drift.
+Newton balance, in floats at the t = 0 line coordinates, and then, one
+certificate for every configuration, rigidity over a quarter period: by
+the rotation's spectrum where that bounds the drift far below the gate,
+else by building the state, integrating it and measuring the drift.
 That integration runs in the frame turning at the rotation's own signed
 frequency, where a rigid rotation is an equilibrium (a relative
 equilibrium; Meyer, Hall and Offin, Introduction to Hamiltonian Dynamical
@@ -103,8 +103,8 @@ _SEEDS_V1 = (0.25, 0.5, 0.8)
 # the LAPACK gufuncs np.linalg.solve (dgesv, one right-hand side) and
 # np.linalg.eigvals (dgeev) run
 _solve1, _eigvals = _umath_linalg.solve1, _umath_linalg.eigvals
-# horizon of the n-body rigidity check, in rotation periods (the reason
-# for a quarter period is in solve_nbody_II)
+# horizon of the rigidity check, in rotation periods (the reason for a
+# quarter period is in _certify)
 _RIGIDITY_PERIODS = 0.25
 # the spectral screen of that check (see _certify): a row skips the
 # integration when its linear growth over the horizon stays below
@@ -112,9 +112,6 @@ _RIGIDITY_PERIODS = 0.25
 # _SCREEN_MARGIN of the gate
 _SCREEN_GROWTH = 10.0
 _SCREEN_MARGIN = 1e-2
-# complex step of _linearization, relative to the largest |entry| of the
-# position or velocity half of the state
-_JACOBIAN_STEP = 1e-20
 
 _GRID_BOUNDS = {"I": (0.5, 2.0), "II": (1.5, 20.0), "III": (0.05, 0.8), "nbody-II": (1.5, 20.0)}
 DEFAULT_GRID_POINTS = 12
@@ -138,9 +135,9 @@ class ConfigSolution:
     integrated relative pair-distance deviation when certification ran an
     integration (NaN otherwise, as for a row the spectral screen passed).
     ``growth`` is lambda t_q, the largest real part lambda of the
-    rotation's Floquet exponents times the rigidity horizon t_q, for an
-    n-body II row that reached the screen (NaN where no spectrum was
-    formed).
+    rotation's Floquet exponents times the rigidity horizon t_q, for a row
+    of any configuration that reached the screen (NaN where no spectrum
+    was formed, or for a row an earlier gate rejected).
     """
 
     config: str
@@ -366,19 +363,17 @@ def _line(solution, spec):
     the signed speeds u of its layout (:func:`_layout`), charge i starts at
     (x_i, 0), x_i = c + sigma u_i / w, with velocity (0, vy_i), vy_i = c' -
     sigma u_i, sigma = +1 for "cw" and -1 for "ccw".  The center c and its
-    velocity c' are 0 except in Configuration I with v3 != 0, whose center,
-    charge 3, runs its own circle about the origin at omega3."""
+    velocity c' are 0 except for a row with a second frequency omega3
+    (Configuration I with v3 != 0), whose center, charge 3, runs its own
+    circle about the origin at omega3 and speed v3."""
     if tuple(spec.charges.shape) != (len(solution.v),):
         raise DomainError("solution and spec have different particle counts")
     sigma = 1.0 if solution.sense == "cw" else -1.0
     w = _frame_omega(solution)
     u, _ = _layout(solution.config, solution.v)
     c = cvel = 0.0
-    if solution.config == "I" and solution.v[2] != 0.0:
-        w3 = sigma * solution.omega3
-        if w3 == 0.0:
-            raise DomainError("Configuration I with v3 != 0 needs omega3")
-        c, cvel = sigma * solution.v[2] / w3, -sigma * solution.v[2]
+    if solution.omega3:
+        c, cvel = solution.v[2] / solution.omega3, -sigma * solution.v[2]
     return c, ([q for ui in u for q in (c + sigma * ui / w, 0.0)]
                + [q for ui in u for q in (0.0, cvel - sigma * ui)])
 
@@ -428,16 +423,36 @@ def _newton_balance(solution, spec):
 def _linearization(sol, spec):
     """A = Dg(y*): the Jacobian of the field g of ``sol``'s rotating frame,
     the kernel ``dynamics._rhs(spec, w, B=sol.B)``, at the rotation's t = 0
-    solver vector y* (:func:`_line`), where g vanishes.  Column k is
-    Im g(y* + i h_k e_k) / h_k, a complex step that subtracts nothing, with
-    h_k = _JACOBIAN_STEP times the largest |entry| of the half of y* (the
-    positions or the velocities) that holds k.  ArithmeticError where the
-    kernel's floats overflow."""
-    _, y = _line(sol, spec)
-    h = np.repeat(np.abs(np.reshape(y, (2, -1))).max(axis=1), len(y) // 2) * _JACOBIAN_STEP
-    g = dynamics._rhs(spec, _frame_omega(sol), B=sol.B)
-    rows = [g(0.0, yk) for yk in np.array(y) + 1j * np.diag(h)]
-    return (np.array(rows, complex).imag / h[:, None]).T
+    solver vector y* (:func:`_line`), where g vanishes; in closed form, in
+    Python floats.  Over the 2-blocks of positions and velocities it holds
+    the identity that maps each velocity onto its position, the frame's
+    w (I_2n x J) with J = [[0, -1], [1, 0]], the Lorentz block e_i B / m_i
+    [[0, 1], [-1, 0]] of each charge, and the Coulomb pair blocks
+    c_ij (I / r^3 - 3 d d^T / r^5) / m_i of the force on charge i per unit
+    of x_i (minus that per unit of x_j), with d = x_i - x_j, r = |d| and
+    c_ij = e_i e_j: c_ij / r^3 diag(-2, 1) / m_i on the line, where d lies
+    along the x axis.  ArithmeticError where a float overflows or a pair
+    distance is 0."""
+    n, (_, y), w, B = spec.n, _line(sol, spec), _frame_omega(sol), sol.B
+    e, m = spec.charges.tolist(), spec.masses.tolist()
+    A = [[0.0] * (4 * n) for _ in range(4 * n)]
+    for k in range(2 * n):
+        A[k][2 * n + k] = 1.0
+    for k in range(0, 4 * n, 2):
+        A[k][k + 1], A[k + 1][k] = -w, w
+    for i in range(n):
+        a, lorentz = 2 * n + 2 * i, e[i] * B / m[i]
+        A[a][a + 1] += lorentz
+        A[a + 1][a] -= lorentz
+    for i, j, c in zip(*(p.tolist() for p in spec.pairs)):
+        cr3 = c / abs(y[2 * i] - y[2 * j]) ** 3
+        for a, b in ((i, j), (j, i)):
+            ax, ay = A[2 * n + 2 * a], A[2 * n + 2 * a + 1]
+            ax[2 * a] -= 2.0 * cr3 / m[a]
+            ax[2 * b] += 2.0 * cr3 / m[a]
+            ay[2 * a + 1] += cr3 / m[a]
+            ay[2 * b + 1] -= cr3 / m[a]
+    return np.array(A)
 
 
 def _growth(sol, spec, horizon):
@@ -445,8 +460,8 @@ def _growth(sol, spec, horizon):
     of :func:`_linearization` (the ``eigvals`` gufunc): the rotation's
     Floquet exponents (Meyer, Hall and Offin, 2009; Moeckel, J. Dyn. Diff.
     Eq. 6 (1994) 37), so e^(lambda t) bounds the linear growth of a
-    deviation over t.  NaN where the spectrum cannot be formed: the kernel
-    overflows, an entry of A is not finite, or LAPACK fails."""
+    deviation over t.  NaN where the spectrum cannot be formed: a float of
+    A overflows, an entry of A is not finite, or LAPACK fails."""
     try:
         with np.errstate(invalid="raise", over="ignore", divide="ignore",
                          under="ignore"):
@@ -461,11 +476,19 @@ def _growth(sol, spec, horizon):
 
 def _certify(sol, spec, terms, gates=()):
     """Certify ``sol``: the caller's ``(ok, note)`` gates, then the relative
-    residual of its balance rows ``terms()`` and its Newton balance; an n-body root
+    residual of its balance rows ``terms()`` and its Newton balance; a root
     that passed them all must also stay rigid over a quarter period (an
     integration that collides or that the stepper cannot finish fails that
     gate).  Each failed gate leaves a note; ``sol`` is certified when none
     failed.
+
+    The rigidity gate reads a single-frequency rotation.  The one row with
+    a second frequency, Configuration I's third charge on its own circle
+    at omega3 (which needs one common charge-to-mass ratio), is that circle
+    added to every charge of its twin with the third charge at rest: with a
+    common e/m, a cyclotron circle added to every charge still solves the
+    equations of motion, so the orbit and its twin keep the same pair
+    distances at all times, and the gate reads the twin.
 
     That rigidity gate is screened first by the rotation's spectrum
     (:func:`_growth`, recorded as ``sol.growth``): a root passes it without
@@ -479,7 +502,11 @@ def _certify(sol, spec, terms, gates=()):
     rotation (``dynamics.integrate``'s ``frame_omega``), where the rotation
     is an equilibrium: pair distances are the same in either frame, so the
     gate measures the same flow, but DOP853 takes few steps on a constant
-    solution and its truncation error no longer grows with the rotation."""
+    solution and its truncation error no longer grows with the rotation.
+    Round-off and that small error still seed a deviation, and a linearly
+    unstable rotation amplifies it in either frame (mixed-sign charges can
+    amplify perturbations by ~e^25 per full period): the quarter-period
+    horizon keeps such seeds below the gate."""
     sol.residual_norm = _relative_norm(terms)
     sol.newton_balance = _newton_balance(sol, spec)
     gates = (*gates,
@@ -488,17 +515,18 @@ def _certify(sol, spec, terms, gates=()):
              (sol.newton_balance < _BALANCE_TOL,
               f"Newton imbalance {sol.newton_balance:.3g}"))
     notes = tuple(note for ok, note in gates if not ok)
-    if not notes and sol.config == "nbody-II":
+    if not notes:
+        rigid = replace(sol, v=(*sol.v[:2], 0.0), omega3=0.0) if sol.omega3 else sol
         t_end = _RIGIDITY_PERIODS * (2 * math.pi / sol.omega)
-        sol.growth = _growth(sol, spec, t_end)
+        sol.growth = _growth(rigid, spec, t_end)
         if not (sol.growth < _SCREEN_GROWTH and sol.newton_balance
                 * math.exp(sol.growth) <= _SCREEN_MARGIN * _RIGIDITY_TOL):
-            spec_b, state = build_initial_state(sol, spec)
+            spec_b, state = build_initial_state(rigid, spec)
             settings = IntegratorSettings(t_end=t_end, sample_interval=t_end / 200.0)
             try:
                 # looked up at call time, so bench/spans.py traces these integrations
                 sol.rigidity = rigidity_report(dynamics.integrate(
-                    spec_b, state, settings, frame_omega=_frame_omega(sol))).worst
+                    spec_b, state, settings, frame_omega=_frame_omega(rigid))).worst
             except (CollisionError, StepUnderflow) as err:
                 notes = (f"rigidity integration stopped: {err}",)
             else:
@@ -664,7 +692,8 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
     separation; DegenerateError where rho12**3 overflows or underflows to 0.
     With alpha, the third charge runs its own circle
     at omega3 = alpha*B and any v3 > 0 works (the returned row is the
-    representative for the requested v3).
+    representative for the requested v3); its rigidity is that of its twin
+    with the third charge at rest (see :func:`_certify`).
     """
     if spec.n != 3:
         raise DomainError("Configuration I is a three-charge system")
@@ -862,8 +891,9 @@ def solve_config_II(spec, v3_values=None, require_certified=True):
     each v3 the candidate v1 are all positive real roots of the
     elimination sextic (companion-matrix eigenvalues, Newton-polished).
     The field and frequency follow from the closed forms; roots are
-    certified against ordering, rotation sense, and the Newtonian balance
-    of the built state.  ``v3_values`` defaults to :func:`sweep_grid`.
+    certified against ordering, rotation sense, the Newtonian balance of
+    the built state and the rigidity gate of :func:`_certify`.
+    ``v3_values`` defaults to :func:`sweep_grid`.
 
     For the neutral identical-pair pattern (e1 = -2e, e2 = e3 = e,
     m2 = m3 = m) the sextic is e^3 (2m + m1) v1 times a quartic in v1,
@@ -1126,18 +1156,9 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
     |term|.
     Certification = relative residuals, ordering, rotation sense, Newton
     balance, and relative pair-distance deviation < 1e-6 over a quarter
-    rotation period.  An integration measures that deviation in the
-    co-rotating frame, where the rotation is an equilibrium, so only
-    round-off and the stepper's small error on a near-constant solution
-    seed a deviation.  A linearly unstable rotation amplifies such seeds
-    in either frame (mixed-sign charges can amplify perturbations by ~e^25
-    per full period), and the quarter-period horizon keeps them below the
-    gate.  The rotation's spectrum screens that integration first (see
-    :func:`_certify`): a root whose growth lambda t_q over the horizon is
-    below 10, and whose Newton balance times e^(lambda t_q) is at most 1e-2
-    of the gate, passes without integrating; any other root, or one whose
-    spectrum cannot be formed, is integrated.  NoSolution as for
-    :func:`solve_config_II`.
+    rotation period, the gates of every configuration (see
+    :func:`_certify`), so at n = 3 a root gets the verdict it gets from
+    :func:`solve_config_II`.  NoSolution as for :func:`solve_config_II`.
     """
     n = spec.n
     if n < 3:

@@ -39,6 +39,12 @@ integration run here.  They are the references for the spectral screen of
 :func:`magnetotrio.solvers._certify`, which passes rows without
 integrating them.
 
+``complex_step_linearization`` is A = Dg(y*), the Jacobian of a
+rotation's co-rotating field at its t = 0 line coordinates, from 4n
+complex-step columns of the compiled rotating kernel: the reference for
+the closed-form blocks of :func:`magnetotrio.solvers._linearization`,
+which must agree to 1e-13 relative.
+
 ``read_trajectory_csv`` is the trajectory-CSV reader as a walk over rows,
 the reference for :func:`magnetotrio.read_trajectory_csv`, which parses
 every cell in one pass: on each file both return bit-identical arrays or
@@ -262,6 +268,19 @@ def gate_drift(sol, spec):
         return sol.rigidity
     [drift] = gate_drifts(sol, *build_initial_state(sol, spec), inertial=False)
     return drift
+
+
+def complex_step_linearization(sol, spec, step=1e-20):
+    """A = Dg(y*) of the rotating kernel ``dynamics._rhs(spec, w, B=sol.B)``
+    at ``sol``'s t = 0 solver vector y*: column k is Im g(y* + i h_k e_k) /
+    h_k, a complex step that subtracts nothing, with h_k = ``step`` times
+    the largest |entry| of the half of y* (positions or velocities) that
+    holds k."""
+    _, y = _line(sol, spec)
+    h = np.repeat(np.abs(np.reshape(y, (2, -1))).max(axis=1), len(y) // 2) * step
+    g = dynamics._rhs(spec, _frame_omega(sol), B=sol.B)
+    rows = [g(0.0, yk) for yk in np.array(y) + 1j * np.diag(h)]
+    return (np.array(rows, complex).imag / h[:, None]).T
 
 
 def config_I_terms(spec, v1, v2, v3, omega, omega3):

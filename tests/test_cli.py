@@ -468,28 +468,26 @@ class TestFindAndVerify:
     @pytest.mark.parametrize("screen", ["on", "off"])
     def test_manifest_counts_how_the_rigidity_gate_decided(self, tmp_path,
                                                            monkeypatch, screen):
-        # each n-body II row passed the rigidity gate on the spectral screen
-        # or by integrating; the manifest counts both, with the largest growth
+        # each row of every search passed the rigidity gate on the spectral
+        # screen or by integrating; the manifest counts both, with the
+        # largest growth, and times the find's phases
         if screen == "off":
             monkeypatch.setattr(solvers, "_SCREEN_GROWTH", 0.0)
         sys_path = _write(tmp_path, "four.system", _FOUR)
         assert main(["find", sys_path, "--config", "nbody-II", "--grid-points",
                      "4", "--grid-min", "1.5", "--grid-max", "6"]) == 0
-        rows = (tmp_path / "four.nbody-II.catalog.csv").read_text().splitlines()[1:]
-        with open(tmp_path / "four.nbody-II.manifest.json") as fh:
-            doc = json.load(fh)
-        stats = doc["stats"]
-        assert set(stats) == {"rigidity_screened", "rigidity_integrated", "max_growth"}
-        assert stats["rigidity_screened"] + stats["rigidity_integrated"] == len(rows) > 0
-        assert stats["rigidity_integrated"] == (0 if screen == "on" else len(rows))
-        assert 0.0 < stats["max_growth"] < 10.0
-        # the other searches run no rigidity gate; every find times its phases
         assert main(["find", _spec4_system(tmp_path), "--config", "II",
                      "--grid-points", "2", "--emit-states"]) == 0
-        with open(tmp_path / "mixed.II.manifest.json") as fh:
-            mixed = json.load(fh)
-        assert "stats" not in mixed
-        for doc in (doc, mixed):
+        for stem in ("four.nbody-II", "mixed.II"):
+            rows = (tmp_path / f"{stem}.catalog.csv").read_text().splitlines()[1:]
+            with open(tmp_path / f"{stem}.manifest.json") as fh:
+                doc = json.load(fh)
+            stats = doc["stats"]
+            assert set(stats) == {"rigidity_screened", "rigidity_integrated",
+                                  "max_growth"}
+            assert stats["rigidity_screened"] + stats["rigidity_integrated"] == len(rows) > 0
+            assert stats["rigidity_integrated"] == (0 if screen == "on" else len(rows))
+            assert 0.0 < stats["max_growth"] < 10.0
             phases = doc["phase_s"]
             assert set(phases) == {"solve", "write_catalog", "write_states"}
             assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
@@ -856,6 +854,21 @@ class TestRerun:
                                          "--config", "II", "--emit-states"],
                               ["--grid-points", "6"], ["--grid-points", "2"])
         assert set(outputs) == {"catalog", "state-000", "state-001"}
+
+    def test_find_removes_the_states_of_an_earlier_run(self, tmp_path, capsys):
+        # the numbered states past this run's rows belong to no catalog row
+        argv = ["find", _spec4_system(tmp_path), "--config", "II", "--emit-states",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv + ["--grid-points", "6"]) == 0
+        assert len(glob.glob(str(tmp_path / "out" / "mixed.II-*.system"))) == 6
+        capsys.readouterr()
+        assert main(argv + ["--grid-points", "2"]) == 0
+        stale = [str(tmp_path / "out" / f"mixed.II-{k:03d}.system") for k in range(2, 6)]
+        assert [line for line in capsys.readouterr().out.splitlines()
+                if "removed" in line] == [f"  removed {path}" for path in stale]
+        assert sorted(os.listdir(tmp_path / "out")) == [
+            "mixed.II-000.system", "mixed.II-001.system", "mixed.II.catalog.csv",
+            "mixed.II.manifest.json"]
 
 
 class TestBrackets:

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from magnetotrio import IntegratorSettings, PhaseState, dynamics, solvers
 from magnetotrio.dynamics import rigidity_report
 from magnetotrio.solvers import (_collinear_field, _collinear_terms,
                                  catalog_header, collinear_kappa, sweep_grid)
-from oracles import (closed_form_B_II, closed_form_B_III, config_I_terms,
+from oracles import (closed_form_B_II, closed_form_B_III,
+                     complex_step_linearization, config_I_terms,
                      config_I_v3zero_closed_form, evaluate_p6,
                      evaluate_p6_dv1, gate_drift, gate_drifts,
                      helium_closed_forms, helium_cubic_root,
@@ -352,7 +354,6 @@ class TestConfigIThirdAtRest:
         assert sol.residual_norm < 1e-12
 
     def test_raw_residuals_at_solution(self, worked):
-        from dataclasses import replace
         spec_b = replace(worked, B=162 / 637)
         res = residuals_config_I(spec_b, 1.0, 2.0, 0.0, 18 / 91, 0.0)
         assert np.abs(res).max() < 1e-12
@@ -616,10 +617,12 @@ class TestNbodyCollinear:
             assert sa.omega == pytest.approx(sb.omega, rel=1e-10)
 
     def test_three_charges_keep_every_sextic_root(self, spec4):
-        # uncertified roots included: none is lost to a Newton pass
+        # uncertified roots included: none is lost to a Newton pass, and
+        # one certificate gives each root the same fields, verdict and notes
         a = solve_config_II(spec4, require_certified=False)
         b = solve_nbody_II(spec4, require_certified=False)
-        assert [(s.v, s.B, s.omega) for s in b] == [(s.v, s.B, s.omega) for s in a]
+        assert [repr(replace(s, config="II")) for s in b] == list(map(repr, a))
+        assert any(s.certified for s in a) and any(s.notes for s in a)
 
     def test_four_charge_row(self):
         spec = SystemSpec(1.0, (3.0, -1.0, 1.0, 2.0), (1.0, 1.0, 3.0, 2.0))
@@ -1281,6 +1284,7 @@ class TestBuiltRows:
             _assert_forms_are_direct(spec, row)
             if row.certified:
                 assert _in_sector(row) and row.newton_balance < 1e-6, row
+                assert math.isfinite(row.growth), row
                 if row.config == "nbody-II":
                     assert gate_drift(row, spec) < 1e-6
 
@@ -1365,25 +1369,51 @@ def _central_linearization(sol, spec, rel=1e-6):
     return A
 
 
-class TestSpectralScreen:
-    """The n-body rigidity gate integrates only rows whose rotating-frame
-    spectrum lets the stepper's error grow toward the gate."""
+def _rigid(row):
+    """The single-frequency rotation the rigidity gate reads for ``row``:
+    a Configuration-I row whose third charge runs its own circle, with that
+    circle taken off every charge, else the row itself."""
+    return replace(row, v=(*row.v[:2], 0.0), omega3=0.0) if row.omega3 else row
 
-    @pytest.mark.parametrize("name", ["spec4", "four"])
-    def test_complex_step_matches_central_differences(self, name, request):
+
+# (fixture, search) pairs of every configuration; an identical pair with a
+# common charge-to-mass ratio sweeps with its third charge on its circle
+_SPECTRUM_CASES = {
+    "spec4": ("spec4", solve_nbody_II), "four": ("four", solve_nbody_II),
+    "five": ("five", solve_nbody_II), "spec4-II": ("spec4", solve_config_II),
+    "spec4-III": ("spec4", solve_config_III), "worked-III": ("worked", solve_config_III),
+    "worked-I": ("worked", solve_config_I), "electrons-I": ("electrons", solve_config_I)}
+
+
+class TestSpectralScreen:
+    """The rigidity gate of every configuration integrates only rows whose
+    rotating-frame spectrum lets the stepper's error grow toward the gate."""
+
+    @pytest.mark.parametrize("case", list(_SPECTRUM_CASES))
+    def test_closed_form_matches_the_oracles(self, case, request):
+        name, solve = _SPECTRUM_CASES[case]
         spec = request.getfixturevalue(name)
-        for row in solve_nbody_II(spec):
+        rows = [_rigid(row) for row in solve(spec, require_certified=False)]
+        assert rows
+        for row in rows:
             A = solvers._linearization(row, spec)
+            assert type(A) is np.ndarray and A.dtype == float
+            oracle = complex_step_linearization(row, spec)
+            assert np.abs(A - oracle).max() <= 1e-13 * np.abs(oracle).max(), row
             oracle = _central_linearization(row, spec)
             assert np.abs(A - oracle).max() <= 1e-8 * np.abs(oracle).max(), row
 
-    @pytest.mark.parametrize("name", ["spec4", "four"])
-    def test_spectrum_is_hamiltonian(self, name, request):
+    @pytest.mark.parametrize("case", ["spec4", "four", "spec4-II", "spec4-III",
+                                      "worked-I", "electrons-I"])
+    def test_spectrum_is_hamiltonian(self, case, request):
         # a rigid rotation is an equilibrium of a Hamiltonian field, so its
         # exponents come as lambda, -lambda, conj(lambda)
+        name, solve = _SPECTRUM_CASES[case]
         spec = request.getfixturevalue(name)
-        for row in solve_nbody_II(spec):
-            ev = np.linalg.eigvals(solvers._linearization(row, spec))
+        rows = solve(spec)
+        assert rows
+        for row in rows:
+            ev = np.linalg.eigvals(solvers._linearization(_rigid(row), spec))
             tol = 1e-10 * np.abs(ev).max()
             for lam in ev:
                 assert np.abs(ev + lam).min() <= tol, (row, lam)
@@ -1391,13 +1421,15 @@ class TestSpectralScreen:
             t_q = 0.25 * 2.0 * math.pi / row.omega
             assert row.growth == ev.real.max() * t_q
 
-    @pytest.mark.parametrize("name", ["spec4", "four"])
-    def test_default_grids_integrate_nothing(self, name, request, monkeypatch):
+    @pytest.mark.parametrize("case", ["spec4", "four", "spec4-II", "spec4-III",
+                                      "worked-III"])
+    def test_default_grids_integrate_nothing(self, case, request, monkeypatch):
+        name, solve = _SPECTRUM_CASES[case]
         spec = request.getfixturevalue(name)
         calls = []
         monkeypatch.setattr(dynamics, "integrate",
                             lambda *args, **kwargs: calls.append(args))
-        rows = solve_nbody_II(spec)
+        rows = solve(spec)
         assert len(calls) == 0
         assert rows and all(r.growth < solvers._SCREEN_GROWTH
                             and math.isnan(r.rigidity) for r in rows)
@@ -1417,35 +1449,106 @@ class TestSpectralScreen:
         assert row.rigidity < solvers._RIGIDITY_TOL
 
     def test_seeded_study_against_the_integration(self):
-        # every tenth species of the 300-species study, and the three whose
-        # II rows the integration rejects (FOUND line 58 of CHANGES.md):
-        # each row the screen passes stays below the gate when integrated,
-        # and each rejected row lies above the screen
+        # every tenth species of the 300-species study, and the four whose
+        # II or III rows the integration rejects: each row the screen passes
+        # stays below the gate when integrated, each rejected row lies
+        # above the screen, and II and n-body II give every root one verdict
         rng = np.random.default_rng(300)
         species = [SystemSpec(1.0, rng.uniform(-3.0, 3.0, 3), rng.uniform(0.2, 3.0, 3))
                    for _ in range(300)]
         grid = np.geomspace(1.5, 20.0, 24)
-        screened, integrated, drifting = [], 0, []
-        for k in sorted({*range(0, 300, 10), 125, 212, 246}):
-            try:
-                rows = solve_nbody_II(species[k], grid, require_certified=False)
-            except NoSolution:
-                continue
-            for row in rows:
-                if row.certified and math.isnan(row.rigidity):
-                    screened.append((species[k], row))
-                elif row.certified:
-                    integrated += 1
-                elif any(note.startswith("pair distances drift") for note in row.notes):
-                    drifting.append((k, row))
-        assert (len(screened), integrated) == (22, 25)
+        counts = {}
+        screened, drifting = [], {"nbody-II": [], "II": [], "III": []}
+        for k in sorted({*range(0, 300, 10), 125, 212, 223, 246}):
+            runs = {}
+            for solve in (solve_nbody_II, solve_config_II, solve_config_III):
+                try:
+                    rows = runs[solve] = solve(species[k], grid, require_certified=False)
+                except NoSolution:
+                    continue
+                for row in rows:
+                    if row.certified:
+                        how = "screened" if math.isnan(row.rigidity) else "integrated"
+                        counts[row.config, how] = counts.get((row.config, how), 0) + 1
+                        if how == "screened":
+                            screened.append((species[k], row))
+                    elif any(note.startswith("pair distances drift") for note in row.notes):
+                        drifting[row.config].append((k, round(row.v[2], 3), row))
+            if solve_config_II in runs:
+                assert ([repr(replace(r, config="II")) for r in runs[solve_nbody_II]]
+                        == list(map(repr, runs[solve_config_II])))
+        assert (counts["nbody-II", "screened"], counts["nbody-II", "integrated"]) == (22, 25)
+        assert counts["II", "screened"] == 22 and counts["III", "screened"] > 0
         for spec, row in screened:
             assert row.growth < solvers._SCREEN_GROWTH
             assert gate_drift(row, spec) < solvers._RIGIDITY_TOL, row
-        assert sorted(k for k, _ in drifting) == [125, 212, 212, 212, 212, 246]
-        for _, row in drifting:
-            assert not row.certified and row.growth >= solvers._SCREEN_GROWTH
-            assert row.rigidity >= solvers._RIGIDITY_TOL
+        rejected = [(125, 1.5), (212, 1.879), (212, 5.177), (212, 10.176),
+                    (212, 12.746), (246, 1.5)]
+        assert [(k, v3) for k, v3, _ in drifting["nbody-II"]] == rejected
+        assert [(k, v3) for k, v3, _ in drifting["II"]] == rejected
+        assert [(k, v3) for k, v3, _ in drifting["III"]] == [
+            (223, v3) for v3 in (9.092, 10.176, 11.389, 12.746, 14.266, 15.966,
+                                 17.87, 20.0)]
+        for rows in drifting.values():
+            for _, _, row in rows:
+                assert not row.certified and row.growth >= solvers._SCREEN_GROWTH
+                assert row.rigidity >= solvers._RIGIDITY_TOL
+                assert row.notes == (f"pair distances drift {row.rigidity:.3g} "
+                                     "within 0.25 period",)
+
+    def test_unstable_identical_pair_rows_are_rejected(self):
+        # a light opposite third charge: two slow "-" branch rows of the
+        # default grid drift past the gate within a quarter period
+        spec = SystemSpec(1.0, (1.0, 1.0, -0.1), (1.0, 1.0, 1.0))
+        rows = solve_config_I(spec, require_certified=False)
+        assert len(rows) == 24 and all(math.isfinite(r.growth) for r in rows)
+        drifting = [r for r in rows if not r.certified]
+        assert [r.branch for r in drifting] == ["-", "-"]
+        assert [r.v[0] for r in drifting] == pytest.approx([0.017054, 0.013231], rel=1e-4)
+        for row in drifting:
+            assert row.notes == (f"pair distances drift {row.rigidity:.3g} "
+                                 "within 0.25 period",)
+            assert row.rigidity > solvers._RIGIDITY_TOL
+            assert gate_drifts(row, *build_initial_state(row, spec))[0] > 1e-6
+        assert [r.v for r in solve_config_I(spec)] == [r.v for r in rows if r.certified]
+
+    @pytest.mark.parametrize("species", [
+        SystemSpec(-2.0, (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
+        SystemSpec(1.0, (1.0, 1.0, 2.0), (1.0, 1.0, 2.0))],
+        ids=["electrons", "common-ratio"])
+    def test_twin_verdict_holds_for_the_orbit(self, species):
+        # with one charge-to-mass ratio the third charge runs its own
+        # circle; the gate reads the twin with that circle removed, and an
+        # inertial integration of the orbit itself gives the same verdict
+        rows = solve_config_I(species, require_certified=False)
+        assert rows and all(r.omega3 > 0.0 and r.v[2] == 1.0 for r in rows)
+        for row in rows:
+            assert math.isfinite(row.growth)
+            inertial, _ = gate_drifts(row, *build_initial_state(row, species))
+            assert row.certified == (inertial < solvers._RIGIDITY_TOL), row
+            twin = _rigid(row)
+            assert gate_drift(twin, species) < solvers._RIGIDITY_TOL
+
+    def test_orbit_integrates_its_twin(self, electrons, monkeypatch):
+        # with the screen off every row is integrated, from the twin's state
+        # (the third charge at rest at the center) in the twin's own frame,
+        # where it is an equilibrium
+        monkeypatch.setattr(solvers, "_SCREEN_GROWTH", 0.0)
+        states = []
+        integrate = dynamics.integrate
+
+        def recorded(spec, state, settings, frame_omega):
+            states.append(state)
+            return integrate(spec, state, settings, frame_omega=frame_omega)
+
+        monkeypatch.setattr(dynamics, "integrate", recorded)
+        rows = solve_config_I(electrons)
+        assert len(states) == len(rows) > 0
+        for state in states:
+            assert not state.positions[2].any() and not state.velocities[2].any()
+        for row in rows:
+            assert row.v[2] == 1.0 and not math.isnan(row.rigidity)
+            assert row.rigidity == gate_drift(_rigid(row), electrons)
 
 
 class TestPythonFloats:
