@@ -98,6 +98,9 @@ _NEWTON_MAX_ITER = 60     # damped-Newton iterations per seed
 # scale (_V2).
 _V2 = 1.0
 _POLISH_TOL = 1e-12
+# Newton's coincidence stop: this many consecutive full steps, each taking
+# the gap min_k |u_k - _V2| below _COINCIDENCE_GAP by a ratio in this range
+_COINCIDENCE_STEPS, _COINCIDENCE_GAP, _COINCIDENCE_RATIO = 3, 0.05, (0.45, 0.55)
 # n > 3 Newton seeds: v1 at these multiples of _V2
 _SEEDS_V1 = (0.25, 0.5, 0.8)
 # the LAPACK gufuncs np.linalg.solve (dgesv, one right-hand side) and
@@ -1094,7 +1097,10 @@ def _damped_newton(system, u0):
     |F| decreases (or the stop holds) at a point with positive speeds.  The
     iteration stops when every row satisfies |F_i| <= 1e-12 max(1, scale_i),
     a root when also |F_i| <= 1e-12 scale_i and scale_i > 0.  Raises
-    NonConvergence otherwise, as where the field vanishes or J is singular.
+    NonConvergence otherwise, as where the field vanishes or J is singular,
+    and once three full steps in a row about halve a gap min_k |u_k - v2|
+    below 0.05: a speed coincidence, where every row shrinks as the gap
+    squared, a double zero Newton only nears linearly.
 
     The step and |F| are the floats ``np.linalg.solve`` and
     ``np.linalg.norm`` give, without their Python wrapping, which costs
@@ -1111,11 +1117,15 @@ def _damped_newton(system, u0):
 
     u = np.asarray(u0, float).tolist()
     fu, J, scale = system(u)
-    norm = _norm(fu)
+    norm, halvings = _norm(fu), 0
+    lo, hi = _COINCIDENCE_RATIO
     with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
         for _ in range(_NEWTON_MAX_ITER):
             if converged(fu, scale):
                 break
+            if halvings == _COINCIDENCE_STEPS:
+                raise NonConvergence(f"Newton falls onto a speed coincidence (|F| = "
+                                     f"{norm:.3g}): not a root")
             try:
                 step = _newton_step(J, fu)
             except FloatingPointError:
@@ -1127,6 +1137,9 @@ def _damped_newton(system, u0):
                     ft, Jt, st = system(trial)
                     nt = _norm(ft)
                     if nt < norm * (1 - 1e-4 * lam) or converged(ft, st):
+                        g, g0 = (min(abs(x - _V2) for x in v) for v in (trial, u))
+                        halvings = (halvings + 1 if lam == 1.0 and 0 < g < _COINCIDENCE_GAP
+                                    and lo * g0 <= g <= hi * g0 else 0)
                         u, fu, J, scale, norm = trial, ft, Jt, st, nt
                         break
                 lam *= 0.5
@@ -1152,8 +1165,8 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
     balance system by damped Newton iteration from deterministic seeds: v1
     runs over 0.25, 0.5 and 0.8 times v2, with interior speeds geometrically
     interpolated between v2 and vn.  Newton steps with the exact Jacobian of
-    the balance rows and admits a root to round-off of each row's largest
-    |term|.
+    the balance rows, admits a root to round-off of each row's largest
+    |term|, and ends a run early where a speed falls onto v2.
     Certification = relative residuals, ordering, rotation sense, Newton
     balance, and relative pair-distance deviation < 1e-6 over a quarter
     rotation period, the gates of every configuration (see

@@ -57,6 +57,12 @@ through it step by step: the reference for
 :func:`magnetotrio._dop853.interpolate`, which evaluates the recorded steps
 of a run in one batched pass; the rows must agree to the bit.
 
+``damped_newton_to_the_floor`` is the n-body damped-Newton loop without
+its coincidence stop, which runs every seed until its iterate meets the
+absolute floor: the reference for :func:`magnetotrio.solvers._damped_newton`,
+which must end each run where it ends a root, to the bit, with the same
+verdict, and may end early only a run this loop ends as no root.
+
 ``residuals_config_I`` and ``residuals_nbody_II`` sum the Configuration-I
 and collinear balance rows of :mod:`magnetotrio.solvers` into raw residual
 vectors: the references the tests hold the printed equations, their
@@ -97,7 +103,8 @@ import math
 import numpy as np
 
 from magnetotrio import (DegenerateError, DomainError, IntegratorSettings,
-                         SpecParseError, Trajectory, build_initial_state, dynamics)
+                         NonConvergence, SpecParseError, Trajectory,
+                         build_initial_state, dynamics, solvers)
 from magnetotrio._dop853 import D, DOP853
 from magnetotrio.dynamics import trajectory_header
 from magnetotrio.dynamics import accelerations, rigidity_report
@@ -420,6 +427,47 @@ def sampled_walk(rhs, y0, t0, t_eval, settings, positions_of):
             sampled = due
     return np.vstack(rows), {"nfev": stepper.nfev,
                              "min_pair_distance": math.sqrt(d2)}
+
+
+def damped_newton_to_the_floor(system, u0):
+    """Damped Newton on ``system(u) -> (F, J, scale)`` from ``u0``, stopped
+    only by the absolute floor |F_i| <= 1e-12 max(1, scale_i), the iteration
+    cap or a failed step: the solver's loop without the coincidence stop."""
+    def converged(f, scale):
+        return all(abs(fi) <= solvers._POLISH_TOL * max(1.0, si)
+                   for fi, si in zip(f, scale))
+
+    u = np.asarray(u0, float).tolist()
+    fu, J, scale = system(u)
+    norm = solvers._norm(fu)
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        for _ in range(solvers._NEWTON_MAX_ITER):
+            if converged(fu, scale):
+                break
+            try:
+                step = solvers._newton_step(J, fu)
+            except FloatingPointError:
+                raise NonConvergence("singular Jacobian in the collinear solver") from None
+            lam = 1.0
+            for _ in range(30):
+                trial = [ui + lam * si for ui, si in zip(u, step)]
+                if all(t > 0 for t in trial):
+                    ft, Jt, st = system(trial)
+                    nt = solvers._norm(ft)
+                    if nt < norm * (1 - 1e-4 * lam) or converged(ft, st):
+                        u, fu, J, scale, norm = trial, ft, Jt, st, nt
+                        break
+                lam *= 0.5
+            else:
+                raise NonConvergence("backtracking stalled in the collinear solver")
+    if not converged(fu, scale):
+        raise NonConvergence(f"no convergence (|F| = {norm:.3g})")
+    if any(abs(fi) > solvers._POLISH_TOL * si for fi, si in zip(fu, scale)):
+        raise NonConvergence(f"stopped on the absolute floor (|F| = {norm:.3g}): "
+                             "not a root")
+    if not all(si > 0 for si in scale):
+        raise NonConvergence("every term is zero where the field vanishes: not a root")
+    return u
 
 
 def residuals_config_I(spec, v1, v2, v3, omega, omega3):

@@ -32,8 +32,8 @@ from oracles import (closed_form_B_II, closed_form_B_III,
                      helium_closed_forms, helium_cubic_root,
                      helium_pattern, helium_quartic_coefficients,
                      newton_balance, p6_descending, p6_roots_v1,
-                     residuals_config_I, residuals_nbody_II,
-                     walk_nbody_system)
+                     damped_newton_to_the_floor, residuals_config_I,
+                     residuals_nbody_II, walk_nbody_system)
 
 CBRT_5_4 = (5.0 / 4.0) ** (1.0 / 3.0)       # 1.0772173450159419
 CBRT_10 = 10.0 ** (1.0 / 3.0)               # 2.1544346900318838
@@ -682,7 +682,8 @@ class TestNbodyCollinear:
         # rows frozen from the central-difference Newton solve, which made
         # 6066 (four) and 4949 (five) residual evaluations on this grid; the
         # exact count of the exact-Jacobian solve pins Newton's path, so a
-        # kernel whose floats move it fails here
+        # kernel whose floats move it fails here (735 and 748 before the
+        # coincidence stop ended the runs that fall onto v2)
         spec = request.getfixturevalue(name)
         calls = 0
         factory = solvers._nbody_system
@@ -700,7 +701,7 @@ class TestNbodyCollinear:
         monkeypatch.setattr(solvers, "_nbody_system", counted)
         sols = solve_nbody_II(spec)
         assert calls <= 1000
-        assert calls == {"four": 735, "five": 748}[name]
+        assert calls == {"four": 357, "five": 378}[name]
         assert len(sols) == len(rows)
         for sol, (v, omega, B) in zip(sols, rows):
             np.testing.assert_allclose(sol.v, v, rtol=1e-12)
@@ -710,7 +711,8 @@ class TestNbodyCollinear:
     @pytest.mark.parametrize("name", ["four", "five"])
     def test_uncertified_rows_are_roots(self, name, request):
         # where a speed meets v2 the field and every balance term tend to 0;
-        # Newton stops there on its absolute floor, which is not a root
+        # Newton stops there on a speed coincidence or on its absolute
+        # floor, neither of which is a root
         sols = solve_nbody_II(request.getfixturevalue(name), require_certified=False)
         assert max(s.residual_norm for s in sols) < 1e-10
 
@@ -762,6 +764,99 @@ class TestNbodyCollinear:
             with pytest.raises(NonConvergence, match="backtracking stalled"):
                 solvers._damped_newton(system, [1.0, 1.0])
 
+    def test_run_falling_onto_v2_ends_on_a_speed_coincidence(self, four):
+        # from v1 = 0.25 at vn = 1.5 Newton halves v3's gap to v2 step by
+        # step, a double zero where every balance row shrinks as the gap
+        # squared; run to the floor, it takes 23 system calls
+        calls = 0
+        system, _ = solvers._nbody_system(four, 1.5)
+
+        def count(u):
+            nonlocal calls
+            calls += 1
+            return system(u)
+
+        u0 = [0.25, float(np.geomspace(1.0, 1.5, 4)[2])]
+        with pytest.raises(NonConvergence, match="speed coincidence"):
+            solvers._damped_newton(count, u0)
+        assert calls <= 8
+        calls = 0
+        with pytest.raises(NonConvergence, match="absolute floor"):
+            damped_newton_to_the_floor(count, u0)
+        assert calls == 23
+
+    def test_coincidence_stop_needs_full_steps_and_yields_to_a_root(self):
+        # F = (u - 1)^2: a full Newton step halves the gap to v2 = 1
+        def halving(scale):
+            return lambda u: (((u[0] - 1.0) ** 2,), ((2.0 * (u[0] - 1.0),),), (scale,))
+
+        with pytest.raises(NonConvergence, match="speed coincidence"):
+            solvers._damped_newton(halving(1.0), [1.04])
+        # the third halving lands where |F| <= 1e-12 scale: a root, kept
+        assert solvers._damped_newton(halving(5e7), [1.04]) == [1.005]
+
+        # each full step lands on v2, where F is NaN, so every accepted step
+        # is a halved one and the run goes on to the floor's root
+        def overshooting(u):
+            g = u[0] - 1.0
+            return ((g * g,), ((g,),), (1.0,)) if g else ((math.nan,),) * 3
+
+        assert abs(solvers._damped_newton(overshooting, [1.04])[0] - 1.0) <= 1e-6
+
+    def test_root_near_v2_is_kept(self):
+        # species 117 of default_rng(45), e2 = -1.15e-3: its root at
+        # vn = 1.5 lies 2.8e-3 from v2, well inside the stop's 0.05 band
+        rng = np.random.default_rng(45)
+        for _ in range(118):
+            n = int(rng.integers(4, 7))
+            e, m = rng.uniform(-3.0, 3.0, n), rng.uniform(0.2, 3.0, n)
+            spec = SystemSpec(float(rng.uniform(0.5, 2.0)), e, m)
+        assert spec.n == 5 and spec.charges[1] == pytest.approx(-1.15e-3, rel=1e-2)
+        rows = [r for r in solve_nbody_II(spec, require_certified=False)
+                if r.v[-1] == 1.5]
+        assert [round(r.v[0], 5) for r in rows] == [0.99719]
+        assert 1.0 - rows[0].v[0] == pytest.approx(2.8e-3, rel=1e-2)
+
+    def test_coincidence_stop_ends_only_runs_that_are_no_root(self, four, five,
+                                                              monkeypatch):
+        # the reference runs every seed to the absolute floor: each run it
+        # ends at a root ends at the same root to the bit, every other run
+        # ends with the same message or on a speed coincidence, and every
+        # catalog (or NoSolution message) is the same
+        loop = solvers._damped_newton
+        early = 0
+
+        def both(system, u0):
+            nonlocal early
+            try:
+                root = damped_newton_to_the_floor(system, u0)
+            except NonConvergence as ex:
+                with pytest.raises(NonConvergence) as got:
+                    loop(system, u0)
+                stopped = "speed coincidence" in str(got.value)
+                early += stopped
+                assert stopped or str(got.value) == str(ex)
+                raise
+            assert _same_floats(loop(system, u0), root)
+            return root
+
+        def rows(spec):
+            try:
+                return repr(solve_nbody_II(spec, require_certified=False))
+            except NoSolution as ex:
+                return str(ex)
+
+        rng = np.random.default_rng(2026)
+        species = [replace(four, charges=four.charges * k) for k in (1e-6, 1.0, 1e6)]
+        species += [five] + [_random_species(rng, int(rng.integers(4, 7)))
+                             for _ in range(20)]
+        for spec in species:
+            monkeypatch.setattr(solvers, "_damped_newton", both)
+            reference = rows(spec)
+            monkeypatch.setattr(solvers, "_damped_newton", loop)
+            assert rows(spec) == reference
+        assert early > 0
+
     @pytest.mark.parametrize("name", ["four", "five"])
     def test_steps_and_merits_are_numpys_to_the_bit(self, name, request,
                                                     monkeypatch):
@@ -806,8 +901,8 @@ class TestNbodyCollinear:
         monkeypatch.setattr(solvers, "_newton_step", step_spy)
         monkeypatch.setattr(solvers, "_norm", norm_spy)
         solve_nbody_II(spec)
-        assert merits == calls == {"four": 735, "five": 748}[name]
-        assert steps == {"four": 676, "five": 697}[name]
+        assert merits == calls == {"four": 357, "five": 378}[name]
+        assert steps == {"four": 298, "five": 327}[name]
 
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
