@@ -17,15 +17,12 @@ from .errors import (CollisionError, DegenerateError, DomainError,
                      SpecParseError, StepUnderflow)
 from .model import (Classification, PhaseState, SystemSpec, classify_system,
                     format_system, load_system, parse_system, save_system)
-from .dynamics import (IntegratorSettings, RigidityReport, Trajectory,
-                       accelerations, integrate, pair_distances,
-                       read_trajectory_csv, rigidity_report,
-                       write_trajectory_csv)
+from .dynamics import (IntegratorSettings, Trajectory, accelerations,
+                       integrate, pair_distances, read_trajectory_csv,
+                       rigidity_report, write_trajectory_csv)
 from .invariants import (GLOBAL_INVARIANTS, SPECIAL_SETS, algebra_check,
-                         angular_momentum, casimir, drift_report, hamiltonian,
-                         invariant_table, involution_check, pair_virial,
-                         pseudomomentum, third_pseudomomentum_x,
-                         write_invariant_csv)
+                         drift_report, invariant_table, involution_check,
+                         pseudomomentum, write_invariant_csv)
 from .jacobi import (JacobiState, JacobiWeights, apply_cc, from_jacobi,
                      integrate_jacobi, invert_cc, jacobi_weights, to_jacobi)
 from .solvers import (ConfigSolution, build_initial_state,

@@ -135,7 +135,7 @@ def _cmd_simulate(args):
         print(f"  H drift {drifts['H']:.3e}, Lz drift {drifts['Lz']:.3e}")
         if spec.n >= 2:
             print(f"  max relative pair-distance deviation "
-                  f"{rigidity_report(traj).worst:.3e}")
+                  f"{rigidity_report(traj):.3e}")
     print(f"  wrote {traj_path}")
     print(f"  wrote {inv_path}")
 
@@ -227,7 +227,7 @@ def _cmd_verify(args):
         gated = [(name, "max drift", drifts[name]) for name in GLOBAL_INVARIANTS]
         if spec.n >= 2:
             gated.append(("rigidity", "max rel pair-distance deviation",
-                          rigidity_report(traj).worst))
+                          rigidity_report(traj)))
 
     print(f"verify {args.trajectory}  (n={spec.n}, {traj.n_samples} samples, "
           f"t in [{traj.t[0]:g}, {traj.t[-1]:g}], tol {args.tol:g})")

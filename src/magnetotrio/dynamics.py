@@ -324,9 +324,9 @@ def integrate(spec, state, settings, *, frame_omega=0.0):
     Coulomb and magnetic forces commute with rotations.  Positions and
     velocities come back in that rotating basis: the inertial vectors
     turned by R(wt), so the velocities are not those relative to the
-    frame.  Pair distances, and so the collision watch and
-    :func:`rigidity_report`, are the same in both frames, and a rigid
-    rotation at w is a constant solution there.
+    frame.  Pair distances, and so the collision watch and the deviation
+    that :func:`rigidity_report` returns, are the same in both frames, and
+    a rigid rotation at w is a constant solution there.
 
     Raises :class:`CollisionError` if the closest pair distance falls to
     ``COLLISION_FRACTION`` of the start state's, :class:`StepUnderflow` if
@@ -359,29 +359,13 @@ def pair_distances(positions):
     return np.hypot(d[..., 0], d[..., 1])
 
 
-@dataclass
-class RigidityReport:
-    """How far each pair distance wandered from its initial value."""
-
-    pairs: list              # [(i, j), ...]
-    initial: np.ndarray      # (npairs,)
-    max_deviation: np.ndarray  # (npairs,) max_t |d_ij(t) - d_ij(0)| / d_ij(0)
-
-    @property
-    def worst(self):
-        return float(self.max_deviation.max()) if len(self.max_deviation) else 0.0
-
-
 def rigidity_report(traj):
-    """Per-pair maximum relative deviation of the inter-particle distances.
-
-    On a rigid (special) trajectory every entry of ``max_deviation`` is zero
-    up to integration error; a generic trajectory shows O(1) values.
-    """
-    I, J = pair_index(traj.positions.shape[1])
+    """The worst relative deviation ``max |d_ij(t) - d_ij(0)| / d_ij(0)`` of
+    the inter-particle distances over the pairs and samples, a float: zero
+    up to integration error on a rigid (special) trajectory, O(1) on a
+    generic one, and 0 with fewer than two charges."""
     d = pair_distances(traj.positions)
-    dev = (np.abs(d - d[0]) / d[0]).max(axis=0)
-    return RigidityReport(list(zip(I.tolist(), J.tolist())), d[0], dev)
+    return float(np.max(np.abs(d - d[0]) / d[0], initial=0.0))
 
 
 # ---------------------------------------------------------------------------

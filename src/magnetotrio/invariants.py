@@ -9,19 +9,20 @@ Global integrals (conserved for any initial data):
   ``K_x, K_y, L_z`` (it is built here directly from K and L_z, so the identity
   defining it holds to rounding by construction).
 
-The remaining quantities handled here (individual angular momenta, individual
-kinetic energies, one pseudomomentum component of particle 3, and the radial
-pairing ``tau1 . p_tau1``) are constants only along the special rigid-rotation
-trajectories; along generic trajectories they drift at O(1).
+The remaining quantities handled here (the individual angular momenta
+``l_i``, the individual kinetic energies ``T_i``, particle 3's pseudomomentum
+component ``k3x`` and the radial pairing ``I = tau1 . p_tau1``) are constants
+only along the special rigid-rotation trajectories; along generic
+trajectories they drift at O(1).
 
 Every quantity takes positions and velocities of shape (..., n, 2) and
 returns one value per leading index (per particle where it is per-particle),
-so one state gives a scalar and a stack of samples is evaluated in one pass.
-:func:`invariant_table` evaluates every column of :func:`invariant_columns`
-in one pass over the shared pieces (``A(rho_i)``, the momenta ``p_i`` and
-``k_i``, ``T_i`` and ``l_i``, each computed once); H, L_z and the Casimir
-are read from it, and the sampled reports, the bracket algebra and
-``SPECIAL_SETS`` read it by name.
+so a stack of samples is evaluated in one pass.  :func:`invariant_table`
+evaluates every column of :func:`invariant_columns` in one pass over the
+shared pieces (``A(rho_i)``, the momenta ``p_i`` and ``k_i``, ``T_i`` and
+``l_i``, each computed once).  Its columns are the one implementation of
+H, L_z, the Casimir, l_i, k3x and I, and the sampled reports, the bracket
+algebra and ``SPECIAL_SETS`` read them by name.
 
 Poisson brackets are evaluated in canonical coordinates ``(rho, p)`` from
 complex-step gradients ``df/dz_k = Im f(z + i h e_k) / h``, for which every
@@ -67,52 +68,15 @@ def pseudomomentum(spec, positions, velocities):
 
 
 def _pair_virial(spec, q, p):
+    """The table's column ``I = tau1 . p_tau1`` at positions ``q`` and
+    canonical momenta ``p``: ``tau1 = rho_2 - rho_1`` and ``p_tau1 = nu_1 p_2
+    - nu_2 p_1`` with ``nu_i = m_i / (m_1 + m_2)``.  Vanishes identically
+    along the rigid circular trajectories."""
     m1, m2 = spec.masses[0], spec.masses[1]
     nu1, nu2 = m1 / (m1 + m2), m2 / (m1 + m2)
     tau1 = q[..., 1, :] - q[..., 0, :]
     ptau1 = nu1 * p[..., 1, :] - nu2 * p[..., 0, :]
     return (tau1 * ptau1).sum(axis=-1)
-
-
-def pair_virial(spec, positions, velocities):
-    """``tau1 . p_tau1`` for the first relative pair (particles 1, 2).
-
-    ``tau1 = rho_2 - rho_1`` and ``p_tau1 = nu_1 p_2 - nu_2 p_1`` with
-    ``nu_i = m_i / (m_1 + m_2)``.  Vanishes identically along the rigid
-    circular trajectories.
-    """
-    if spec.n < 2:
-        raise DomainError("pair_virial needs at least two particles")
-    q = np.asarray(positions)
-    return _pair_virial(spec, q, canonical_momenta(spec, q, velocities))
-
-
-def third_pseudomomentum_x(spec, positions, velocities):
-    """x-component of particle 3's individual pseudomomentum."""
-    if spec.n < 3:
-        raise DomainError("third_pseudomomentum_x needs three particles")
-    # [()] turns the 0-d array of a single state into a scalar
-    return _momenta(spec, positions, velocities)[1][..., 2, 0][()]
-
-
-def _column(spec, positions, velocities, name):
-    """The table's column ``name``: a scalar at one state."""
-    return invariant_table(spec, positions, velocities)[..., GLOBAL_INVARIANTS.index(name)][()]
-
-
-def hamiltonian(spec, positions, velocities):
-    """``H``, the table's column."""
-    return _column(spec, positions, velocities, "H")
-
-
-def angular_momentum(spec, positions, velocities):
-    """The total canonical ``L_z = sum (rho_i x p_i)_z``, the table's column."""
-    return _column(spec, positions, velocities, "Lz")
-
-
-def casimir(spec, positions, velocities):
-    """``C = K_x^2 + K_y^2 - 2 Q B L_z``, the table's column."""
-    return _column(spec, positions, velocities, "Casimir")
 
 
 # ---------------------------------------------------------------------------

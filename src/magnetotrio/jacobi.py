@@ -32,6 +32,11 @@ It moves no coordinate, so ``_positions``, the position half of the inverse
 map, and its float twin ``_flat_positions``, the collision watch of
 ``integrate_jacobi``, read shifted data as well.
 
+Each map is one public function of the spec (``to_jacobi``, ``apply_cc``,
+``rhs_jacobi``, ``invert_cc``, ``from_jacobi``) that builds the weights it
+needs with ``jacobi_weights``, and ``integrate_jacobi`` calls them in that
+order; the weights cost microseconds against milliseconds per run.
+
 The equations of motion are Hamilton's equations of the reduced
 Hamiltonian in the shifted variables with its exact gradient, straight-line
 code in Python floats (``rhs_jacobi``): the chain rule through the momentum
@@ -123,10 +128,7 @@ class JacobiState:
 
 def to_jacobi(spec, positions, velocities):
     """Map Cartesian phase data to Jacobi coordinates (unshifted momenta)."""
-    return _to_jacobi(spec, jacobi_weights(spec), positions, velocities)
-
-
-def _to_jacobi(spec, w, positions, velocities):
+    w = jacobi_weights(spec)
     pos = np.asarray(positions, float).reshape(3, 2)
     p = canonical_momenta(spec, pos, velocities)
     R = w.mu[0] * pos[0] + w.mu[1] * pos[1] + w.mu[2] * pos[2]
@@ -170,10 +172,7 @@ def from_jacobi(spec, js):
     The fields of ``js`` may carry a leading sample axis, shape (..., 2);
     the results then have shape (..., 3, 2).
     """
-    return _from_jacobi(spec, jacobi_weights(spec), js)
-
-
-def _from_jacobi(spec, w, js):
+    w = jacobi_weights(spec)
     pos = _positions(w, js)
     p3 = w.mu[2] * js.P + js.ptau2
     p12 = js.P - p3
@@ -185,9 +184,9 @@ def _from_jacobi(spec, w, js):
     return pos, _velocities_from_momenta(spec, pos, p)
 
 
-def _shift(spec, w, js, sign):
+def _shift(spec, js, sign):
     """The momentum shift (``sign = 1``) or its inverse (``sign = -1``)."""
-    B = spec.B
+    w, B = jacobi_weights(spec), spec.B
     c1, c2 = sign * w.ec1, sign * w.ec2
     AR = vector_potential(js.R, B)
     return replace(js,
@@ -199,12 +198,12 @@ def _shift(spec, w, js, sign):
 def apply_cc(spec, js):
     """Shift momenta: (P, ptau1, ptau2) -> (P', ptau1', ptau2').  The
     coordinate arrays of the result are those of ``js``, not copies."""
-    return _shift(spec, jacobi_weights(spec), js, 1.0)
+    return _shift(spec, js, 1.0)
 
 
 def invert_cc(spec, js):
     """Undo :func:`apply_cc`."""
-    return _shift(spec, jacobi_weights(spec), js, -1.0)
+    return _shift(spec, js, -1.0)
 
 
 def _flatten(js):
@@ -226,10 +225,7 @@ def rhs_jacobi(spec):
     and ``tau2 - nu1 tau1``.  ``f`` returns a list, which the stepper
     stores straight into a stage row.
     """
-    return _rhs_jacobi(spec, jacobi_weights(spec))
-
-
-def _rhs_jacobi(spec, w):
+    w = jacobi_weights(spec)
     hB = 0.5 * spec.B
     M, mt1, mt2, nu1, nu2, mu3 = w.M, w.mt1, w.mt2, w.nu1, w.nu2, w.mu[2]
     ec1, e1eff, e2eff, cross_tt = w.ec1, w.e1eff, w.e2eff, w.cross_tt
@@ -277,10 +273,8 @@ def integrate_jacobi(spec, state, settings):
     positions alone, which the momentum shift leaves as they are.
     """
     t_eval = _checked_grid(settings, state.t)
-    w = jacobi_weights(spec)    # built once for every map of the run
-    z0 = _flatten(_shift(spec, w, _to_jacobi(spec, w, state.positions,
-                                             state.velocities), 1.0))
-    t, z, stats = _solve(spec, _rhs_jacobi(spec, w), z0, state.t, t_eval,
-                         settings, _flat_positions(w))
-    js = _shift(spec, w, JacobiState(*np.split(z, 6, axis=-1)), -1.0)
-    return Trajectory(spec, t, *_from_jacobi(spec, w, js), stats)
+    z0 = _flatten(apply_cc(spec, to_jacobi(spec, state.positions, state.velocities)))
+    t, z, stats = _solve(spec, rhs_jacobi(spec), z0, state.t, t_eval, settings,
+                         _flat_positions(jacobi_weights(spec)))
+    js = invert_cc(spec, JacobiState(*np.split(z, 6, axis=-1)))
+    return Trajectory(spec, t, *from_jacobi(spec, js), stats)

@@ -529,7 +529,7 @@ def _certify(sol, spec, terms, gates=()):
             try:
                 # looked up at call time, so bench/spans.py traces these integrations
                 sol.rigidity = rigidity_report(dynamics.integrate(
-                    spec_b, state, settings, frame_omega=_frame_omega(rigid))).worst
+                    spec_b, state, settings, frame_omega=_frame_omega(rigid)))
             except (CollisionError, StepUnderflow) as err:
                 notes = (f"rigidity integration stopped: {err}",)
             else:

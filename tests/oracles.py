@@ -92,7 +92,7 @@ states and must return the same floats.
 particle 3's k_x) each evaluate one quantity on its own, recomputing the
 vector potential and the momenta they need, and ``separate_invariant_table``
 stacks them into the columns of :func:`magnetotrio.invariant_table`: the
-references for the one-pass table and the public quantities read from it,
+references for the one-pass table, the one implementation of each column,
 which must return their floats to the bit, real or complex.
 """
 
@@ -263,7 +263,7 @@ def gate_drifts(sol, spec_b, state, inertial=True):
                                   sample_interval=t_end / 200.0)
     frames = (0.0,) * inertial + (_frame_omega(sol),)
     return tuple(rigidity_report(dynamics.integrate(spec_b, state, settings,
-                                                    frame_omega=w)).worst
+                                                    frame_omega=w))
                  for w in frames)
 
 

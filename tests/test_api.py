@@ -13,7 +13,13 @@ from magnetotrio import dynamics, errors, invariants, jacobi, model, solvers
 # bracket, which no runtime path calls and which the tests keep as
 # oracles, the unread total mass, and the per-particle momenta that the
 # one-pass invariant table computes in place, and the absolute collision
-# threshold, which the watch now takes from the start state (CHANGES.md)
+# threshold, which the watch now takes from the start state (CHANGES.md);
+# then the single-quantity readers and their helper, whose quantities are
+# read as the columns H, Lz, Casimir, I and k3x of ``invariant_table``
+# (``invariant_columns`` names them), the per-pair rigidity record, whose
+# worst deviation ``rigidity_report`` now returns as a float, and the
+# Jacobi maps' weight-threading twins, whose work the public ``to_jacobi``,
+# ``from_jacobi`` and ``rhs_jacobi`` now do themselves
 REMOVED = ("residuals_config_II", "residuals_config_III", "closed_form_B_nbody",
            "evaluate_p6", "pseudomomentum_jacobi", "apply_symmetry",
            "closed_form_B_II", "closed_form_B_III", "newton_balance",
@@ -21,7 +27,10 @@ REMOVED = ("residuals_config_II", "residuals_config_III", "closed_form_B_nbody",
            "helium_quartic_coefficients", "helium_closed_forms",
            "residuals_config_I", "residuals_nbody_II", "hamiltonian_jacobi",
            "poisson_bracket", "total_mass", "particle_pseudomomenta",
-           "individual_angular_momenta", "collision_threshold")
+           "individual_angular_momenta", "collision_threshold", "hamiltonian",
+           "angular_momentum", "casimir", "_column", "pair_virial",
+           "third_pseudomomentum_x", "RigidityReport", "_to_jacobi",
+           "_from_jacobi", "_rhs_jacobi")
 
 
 def test_solver_exports_resolve_and_removed_names_are_gone():

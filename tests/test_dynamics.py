@@ -264,8 +264,7 @@ def test_pair_table_matches_double_loop(n):
     d0 = refs[0][1]
     dev = np.max([np.abs(dist - d0) / d0 for _, dist, _ in refs], axis=0)
     rep = rigidity_report(Trajectory(spec, np.arange(6.0), positions, velocities))
-    np.testing.assert_allclose(rep.max_deviation, dev, rtol=1e-13)
-    assert len(rep.pairs) == n * (n - 1) // 2
+    assert rep == pytest.approx(dev.max(initial=0.0), rel=1e-13)
 
 
 class TestRigidity:
@@ -281,14 +280,12 @@ class TestRigidity:
         return Trajectory(None, t, pos, np.zeros_like(pos))
 
     def test_rigid_rotation_scores_zero(self):
-        rep = rigidity_report(self._rotating_triangle())
-        assert rep.worst < 1e-14
-        assert rep.pairs == [(0, 1), (0, 2), (1, 2)]
+        assert rigidity_report(self._rotating_triangle()) < 1e-14
 
     def test_relative_deviation(self):
-        # uniform 10% stretch by the final frame -> each pair reports 0.1
+        # uniform 10% stretch by the final frame -> every pair deviates 0.1
         rep = rigidity_report(self._rotating_triangle(stretch=1.1))
-        assert np.allclose(rep.max_deviation, 0.1, rtol=1e-12)
+        assert type(rep) is float and rep == pytest.approx(0.1, rel=1e-12)
 
 
 class TestTrajectoryCsv:
@@ -710,7 +707,7 @@ class TestRotatingFrame:
         traj = integrate(spec_b, state, settings, frame_omega=sol.omega)
         assert np.abs(traj.positions - state.positions).max() < 1e-8
         assert np.abs(traj.velocities - state.velocities).max() < 1e-8
-        assert rigidity_report(traj).worst < 1e-9
+        assert rigidity_report(traj) < 1e-9
         inertial = integrate(spec_b, state, settings)
         assert traj.stats["nfev"] < inertial.stats["nfev"] / 3
 

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from conftest import electron_orbit, separated_state
+from conftest import electron_orbit, separated_state, table_value
 
 from magnetotrio import (GLOBAL_INVARIANTS, SPECIAL_SETS, DomainError,
                          IntegratorSettings, PhaseState, SystemSpec,
-                         algebra_check, angular_momentum, casimir,
-                         classify_system, drift_report, hamiltonian, integrate,
-                         invariant_table, involution_check, pair_virial,
-                         pseudomomentum, third_pseudomomentum_x)
+                         algebra_check, classify_system, drift_report,
+                         integrate, invariant_table, involution_check,
+                         pseudomomentum)
 from magnetotrio import cli, invariants, save_system
 from magnetotrio.invariants import (_bracket, _eval_on_z, _gradients, _pack,
                                     coulomb_energy, invariant_columns,
@@ -33,7 +32,7 @@ class TestDefinitions:
         pos = np.array([[0.0, 0.0], [2.0, 0.0]])
         vel = np.array([[1.0, 0.0], [0.0, 2.0]])
         expected = 0.5 * 3.0 * 1.0 + 0.5 * 1.0 * 4.0 + (1.0 * -2.0) / 2.0
-        assert hamiltonian(spec, pos, vel) == pytest.approx(expected, rel=1e-15)
+        assert table_value(spec, PhaseState(pos, vel), "H") == pytest.approx(expected, rel=1e-15)
         assert coulomb_energy(spec, pos) == pytest.approx(-1.0)
         assert np.allclose(kinetic_energies(spec, vel), [1.5, 2.0])
 
@@ -41,49 +40,38 @@ class TestDefinitions:
         # Casimir = K.K - 2 Q B Lz at any state
         for _ in range(5):
             pos, vel = separated_state(rng, 3)
+            state = PhaseState(pos, vel)
             K = pseudomomentum(spec4, pos, vel)
-            expected = K @ K - 2.0 * spec4.total_charge * spec4.B * angular_momentum(spec4, pos, vel)
-            assert casimir(spec4, pos, vel) == pytest.approx(expected, rel=1e-13)
+            expected = K @ K - 2.0 * spec4.total_charge * spec4.B * table_value(spec4, state, "Lz")
+            assert table_value(spec4, state, "Casimir") == pytest.approx(expected, rel=1e-13)
 
     def test_small_n_guards(self):
-        one = SystemSpec(B=1.0, charges=(1.0,), masses=(1.0,))
-        two = SystemSpec(B=1.0, charges=(1.0, 1.0), masses=(1.0, 1.0))
-        with pytest.raises(DomainError):
-            pair_virial(one, np.zeros((1, 2)), np.zeros((1, 2)))
-        with pytest.raises(DomainError):
-            third_pseudomomentum_x(two, np.zeros((2, 2)), np.zeros((2, 2)))
+        # the pair virial I and particle 3's k3x are columns of the n = 3
+        # table alone, so no smaller table reads an absent charge
+        for n in (1, 2):
+            spec = SystemSpec(B=1.0, charges=np.ones(n), masses=np.ones(n))
+            cols = invariant_columns(n)
+            assert "I" not in cols and "k3x" not in cols
+            pos = np.arange(2.0 * n).reshape(n, 2)
+            assert invariant_table(spec, pos, pos).shape == (len(cols) - 1,)
 
 
-# (quantity, smallest n it is defined for, returns one scalar per state)
+# (quantity, returns one scalar per state)
 _QUANTITIES = [
-    (lambda s, q, v: kinetic_energies(s, v), 1, False),
-    (lambda s, q, v: coulomb_energy(s, q), 1, True),
-    (hamiltonian, 1, True),
-    (particle_pseudomomenta, 1, False),
-    (pseudomomentum, 1, False),
-    (individual_angular_momenta, 1, False),
-    (angular_momentum, 1, True),
-    (casimir, 1, True),
-    (pair_virial, 2, True),
-    (third_pseudomomentum_x, 3, True),
-    (invariant_table, 1, False),
+    (lambda s, q, v: kinetic_energies(s, v), False),
+    (lambda s, q, v: coulomb_energy(s, q), True),
+    (particle_pseudomomenta, False),
+    (pseudomomentum, False),
+    (individual_angular_momenta, False),
+    (invariant_table, False),
 ]
 
 
 def _rows_one_by_one(traj):
-    """Invariant rows assembled sample by sample, one state per call."""
-    spec, rows = traj.spec, []
-    for k in range(traj.n_samples):
-        pos, vel = traj.positions[k], traj.velocities[k]
-        K = pseudomomentum(spec, pos, vel)
-        row = [traj.t[k], hamiltonian(spec, pos, vel), K[0], K[1],
-               angular_momentum(spec, pos, vel), casimir(spec, pos, vel)]
-        row += list(individual_angular_momenta(spec, pos, vel))
-        row += list(kinetic_energies(spec, vel))
-        if spec.n == 3:
-            row += [third_pseudomomentum_x(spec, pos, vel), pair_virial(spec, pos, vel)]
-        rows.append(row)
-    return np.array(rows)
+    """Invariant rows assembled sample by sample, one state per call, each
+    quantity evaluated on its own."""
+    return np.array([[t, *oracles.separate_invariant_table(traj.spec, q, v)]
+                     for t, q, v in zip(traj.t, traj.positions, traj.velocities)])
 
 
 def _close(a, b):
@@ -98,9 +86,7 @@ class TestBatchEvaluation:
         states = [separated_state(rng, n) for _ in range(7)]
         pos = np.array([q for q, _ in states])
         vel = np.array([v for _, v in states])
-        for func, n_min, scalar in _QUANTITIES:
-            if n < n_min:
-                continue
+        for func, scalar in _QUANTITIES:
             one = [func(spec, q, v) for q, v in states]
             if scalar:
                 assert all(isinstance(x, float) for x in one)
@@ -121,8 +107,8 @@ class TestBatchEvaluation:
 
 
 class TestOnePassTable:
-    """The table and the public quantities read from one pass return the
-    floats of each quantity evaluated on its own, to the bit."""
+    """The table's columns and the pseudomomentum are the floats of each
+    quantity evaluated on its own, to the bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
@@ -139,15 +125,7 @@ class TestOnePassTable:
             pos, vel = pos.astype(complex), vel.astype(complex)
             (pos, vel)[rng.integers(2)].reshape(-1, 2 * n)[:, rng.integers(2 * n)] += 1e-100j
         pairs = [(invariant_table, oracles.separate_invariant_table),
-                 (hamiltonian, oracles.separate_hamiltonian),
-                 (pseudomomentum, oracles.separate_pseudomomentum),
-                 (angular_momentum, oracles.separate_angular_momentum),
-                 (casimir, oracles.separate_casimir)]
-        if n >= 2:
-            pairs.append((pair_virial, oracles.separate_pair_virial))
-        if n >= 3:
-            pairs.append((third_pseudomomentum_x,
-                          oracles.separate_third_pseudomomentum_x))
+                 (pseudomomentum, oracles.separate_pseudomomentum)]
         for func, oracle in pairs:
             got, want = func(spec, pos, vel), oracle(spec, pos, vel)
             assert type(got) is type(want), func.__name__
@@ -223,8 +201,8 @@ class TestConservation:
         from magnetotrio.solvers import solve_config_I_v3zero
         sol = solve_config_I_v3zero(worked)[0]
         spec_b, st = build_initial_state(sol, worked)
-        assert hamiltonian(spec_b, st.positions, st.velocities) == pytest.approx(159 / 14, rel=1e-12)
-        assert angular_momentum(spec_b, st.positions, st.velocities) == pytest.approx(-611 / 12, rel=1e-12)
+        assert table_value(spec_b, st, "H") == pytest.approx(159 / 14, rel=1e-12)
+        assert table_value(spec_b, st, "Lz") == pytest.approx(-611 / 12, rel=1e-12)
         assert kinetic_energies(spec_b, st.velocities)[1] == pytest.approx(10.0, rel=1e-12)
 
 
@@ -323,7 +301,8 @@ class TestBatchedGradient:
     @pytest.mark.parametrize("name", ["spec4", "four"])
     def test_algebra_check_equals_pairwise_brackets(self, name, request, rng):
         spec = request.getfixturevalue(name)
-        H, Kx, Ky, Lz, C = hamiltonian, _Kx, _Ky, angular_momentum, casimir
+        H, Lz, C = map(_table_column, ("H", "Lz", "Casimir"))
+        Kx, Ky = _Kx, _Ky
         QB = spec.total_charge * spec.B
         for _ in range(3):
             pos, vel = separated_state(rng, spec.n)

@@ -3,13 +3,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import electron_orbit, separated_state
+from conftest import electron_orbit, separated_state, table_value
 
 from magnetotrio import (CollisionError, DomainError, IntegratorSettings,
                          JacobiState, PhaseState, SystemSpec, apply_cc,
-                         from_jacobi, hamiltonian, integrate, integrate_jacobi,
+                         from_jacobi, integrate, integrate_jacobi,
                          invert_cc, jacobi_weights, pseudomomentum, to_jacobi)
-from magnetotrio import jacobi
 from magnetotrio.dynamics import _checked_grid, _solve
 from magnetotrio.jacobi import _flat_positions, _flatten, _positions, rhs_jacobi
 from magnetotrio.model import vector_potential
@@ -197,7 +196,7 @@ class TestReducedHamiltonian:
                 pos, vel = separated_state(rng, 3)
                 js = apply_cc(spec, to_jacobi(spec, pos, vel))
                 hc = hamiltonian_jacobi(spec, js)
-                h = hamiltonian(spec, pos, vel)
+                h = table_value(spec, PhaseState(pos, vel), "H")
                 assert hc == pytest.approx(h, rel=1e-12)
 
     def test_pseudomomentum_matches(self, spec4, rng):
@@ -274,15 +273,10 @@ class TestIntegration:
         assert traj.velocities.shape == (3, 3, 2)
 
     @SPECIES_AND_ELECTRONS
-    def test_weights_built_once_per_run(self, spec, rng, monkeypatch):
+    def test_run_is_the_public_maps(self, spec, rng):
         state = PhaseState(*separated_state(rng, 3, min_sep=1.0))
         settings = IntegratorSettings(t_end=0.5, sample_interval=0.125)
-        calls, weights = [], jacobi.jacobi_weights
-        monkeypatch.setattr(jacobi, "jacobi_weights",
-                            lambda s: calls.append(1) or weights(s))
         traj = integrate_jacobi(spec, state, settings)
-        assert len(calls) == 1
-        monkeypatch.undo()
         # the same run through the public maps, each building its weights
         z0 = _flatten(apply_cc(spec, to_jacobi(spec, state.positions, state.velocities)))
         t, z, _ = _solve(spec, rhs_jacobi(spec), z0, state.t,
