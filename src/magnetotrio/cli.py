@@ -8,24 +8,26 @@ Four subcommands tie the library together into a file-based pipeline::
     magnetotrio brackets fig2.system --samples 100 --seed 7
 
 Exit codes discriminate failure classes so scripts can branch on them:
-0 success, 2 collision during integration, 3 unparseable input (with the
-line number), 4 no solution found by a search, 5 a verification or
-bracket check failed.  Anything else unexpected exits 1, as does a system
-that ``find``'s solver refuses before it sweeps a grid point.
+0 success, 2 collision during integration, 3 unparseable input, bytes
+that are not UTF-8 included (with the line number), 4 no solution found
+by a search, 5 a verification or bracket check failed.  Anything else
+unexpected exits 1, as does a system that ``find``'s solver refuses
+before it sweeps a grid point.
 
 Every simulate/find run drops a JSON manifest next to its outputs
-recording the inputs, the settings actually used, the tool version and
-the wall time, so a run can be reproduced exactly; a simulate manifest
-also carries the solver stats (``nfev``, ``min_pair_distance``), and
-both carry the wall time of each phase (``phase_s``: integrate,
-write_trajectory and write_invariants for simulate; solve, write_catalog
-and write_states for find).  A find manifest also counts how many rows
-the rigidity gate passed on the spectral screen and how many by
-integrating, with the largest growth ``max_growth`` (see
-``solvers._certify``).  ``find --emit-states`` writes one numbered
-``<stem>.<config>-NNN.system`` per row and removes the higher-numbered
-ones an earlier run into the same directory left.  All CSV numbers are
-written with 17 significant digits and searches are deterministic.
+recording the inputs, the settings actually used, the tool version, the
+Python and numpy versions (``versions``) and the wall time, so a run can
+be reproduced exactly; a simulate manifest also carries the solver stats
+(``nfev``, ``min_pair_distance``), and both carry the wall time of each
+phase (``phase_s``: integrate, write_trajectory and write_invariants for
+simulate; solve, write_catalog and write_states for find).  A find
+manifest also counts how many rows the rigidity gate passed on the
+spectral screen and how many by integrating, with the largest growth
+``max_growth`` (see ``solvers._certify``).  ``find --emit-states``
+writes one numbered ``<stem>.<config>-NNN.system`` per row and removes
+the higher-numbered ones an earlier run into the same directory left.
+All CSV numbers are written with 17 significant digits and searches are
+deterministic.
 
 Every output is overwritten in place by ``model.output_file``: the new
 bytes go over the old ones and the tail is cut after them, which skips
@@ -84,6 +86,8 @@ def _write_manifest(path, command, inputs, settings, outputs, wall_time,
     doc = {
         "tool": "magnetotrio",
         "version": __version__,
+        "versions": {"python": ".".join(map(str, sys.version_info[:3])),
+                     "numpy": np.__version__},
         "command": command,
         "inputs": {k: os.path.abspath(v) for k, v in inputs.items()},
         "settings": settings,

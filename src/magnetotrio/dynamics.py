@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ import numpy as np
 
 from ._dop853 import DOP853, EPS, interpolate
 from .errors import CollisionError, DomainError, SpecParseError
-from .model import output_file, pair_index
+from .model import output_file, pair_index, read_text
 
 # Largest sampling grid :func:`integrate` accepts; each sample of an
 # n-charge run holds 4n + 1 floats in several copies.
@@ -397,16 +396,23 @@ def write_trajectory_csv(traj, path):
 def read_trajectory_csv(path, spec):
     """Read a trajectory written by :func:`write_trajectory_csv`.
 
-    Raises :class:`SpecParseError` (with the line number) on malformed,
-    truncated or non-finite rows, on times that do not increase and on a
-    row where two charges share a point.  Blank lines are skipped.  The
-    rows are parsed in one pass by Python's own float parser; only a file
-    that fails a check is walked row by row, to name its first faulty line.
+    Raises :class:`SpecParseError` (with the line number) on bytes that
+    are not UTF-8, on malformed, truncated or non-finite rows, on times that
+    do not increase and on a row where two charges share a point.  Blank
+    lines are skipped.  The rows are parsed in one pass by ``np.loadtxt``'s
+    C tokenizer, whose cells go through CPython's correctly rounded
+    ``PyOS_string_to_double``.  Its array is kept only when it has
+    ``1 + 4n`` columns, every value is finite and t strictly increases;
+    any other outcome, a ``ValueError`` of numpy's included, walks the rows
+    one by one with ``float()`` (:func:`_walk_rows`), which names the
+    first faulty line.  A file whose text holds U+001F goes to the walk
+    at once: numpy strips that unit separator around a cell as whitespace,
+    where ``float()`` refuses it.
     """
     n = spec.n
     expected = 1 + 4 * n
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    text = read_text(path)
+    lines = text.splitlines()
     if not lines:
         raise SpecParseError("empty trajectory file")
     header = lines[0].split(",")
@@ -418,12 +424,13 @@ def read_trajectory_csv(path, spec):
     if not rows:
         raise SpecParseError("trajectory file has a header but no rows")
     data = None
-    # commas are counted per row: a short and a long row can leave the cell
-    # count a multiple of the width
-    if set(map(str.count, rows, itertools.repeat(","))) == {expected - 1}:
+    # numpy strips U+001F as whitespace, where float() refuses it
+    if "\x1f" not in text:
+        # numpy's default comments="#" would cut a last cell "1#" to "1"
         with contextlib.suppress(ValueError):
-            data = np.array(",".join(rows).split(","), dtype=float).reshape(-1, expected)
-    if data is None or not (np.isfinite(data).all()
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    if data is None or not (data.shape[1] == expected
+                            and np.isfinite(data).all()
                             and (data[1:, 0] > data[:-1, 0]).all()):
         data = _walk_rows(lines, expected)
     state = data[:, 1:].reshape(-1, n, 4)

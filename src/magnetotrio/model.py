@@ -242,9 +242,27 @@ def parse_system(text):
     return spec, state
 
 
+def read_text(path):
+    """The UTF-8 text of the file ``path``.
+
+    Raises :class:`SpecParseError` at the first undecodable byte, naming
+    its line as the readers number theirs: by :meth:`str.splitlines`,
+    starting at 1.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[:err.start].decode("utf-8")
+        # the "x" stands for the byte, which starts a line after a break
+        raise SpecParseError(
+            f"byte 0x{data[err.start]:02x} is not UTF-8 ({err.reason})",
+            line=len((head + "x").splitlines())) from None
+
+
 def load_system(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_system(fh.read())
+    return parse_system(read_text(path))
 
 
 def format_system(spec, state=None, comment=None):

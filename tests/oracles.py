@@ -45,11 +45,13 @@ complex-step columns of the compiled rotating kernel: the reference for
 the closed-form blocks of :func:`magnetotrio.solvers._linearization`,
 which must agree to 1e-13 relative.
 
-``read_trajectory_csv`` is the trajectory-CSV reader as a walk over rows,
-the reference for :func:`magnetotrio.read_trajectory_csv`, which parses
-every cell in one pass: on each file both return bit-identical arrays or
-raise the same message at the same line (the package reader also refuses
-a row where two charges share a point, which this walk accepts).
+``read_trajectory_csv`` is the trajectory-CSV reader as a walk over rows
+with ``float()``, the reference for
+:func:`magnetotrio.read_trajectory_csv`, which parses every row in one
+``np.loadtxt`` call and walks only a file that fails a check or holds
+U+001F: on each UTF-8 file both return bit-identical arrays or raise the
+same message at the same line (the package reader also refuses a row
+where two charges share a point, which this walk accepts).
 
 ``step_interpolant`` is DOP853's 7th-order dense output built and
 evaluated for one step at a time, and ``sampled_walk`` samples a run

@@ -146,6 +146,14 @@ class TestSimulate:
         assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
         assert phases["integrate"] == doc["wall_time_s"]
 
+    def test_a_byte_that_is_not_utf8_exits_3(self, tmp_path, capsys):
+        sys_path = tmp_path / "bad.system"
+        sys_path.write_bytes(b"B 1\nparticle 1 1\nposition 0 \xff\n")
+        rc = main(["simulate", str(sys_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == ("magnetotrio: parse error: line 3: byte "
+                                           "0xff is not UTF-8 (invalid start byte)\n")
+
     def test_out_dir_is_created(self, tmp_path):
         sys_path = _orbit_system(tmp_path)
         rc = main(["simulate", sys_path, "--t-end", "1",
@@ -773,6 +781,20 @@ class TestFindAndVerify:
         assert rc == 3
         assert "truncated" in capsys.readouterr().err
 
+    def test_verify_a_byte_that_is_not_utf8_exits_3(self, tmp_path, capsys):
+        sys_path = _orbit_system(tmp_path)
+        assert main(["simulate", sys_path, "--t-end", "2",
+                     "--sample-every", "0.5"]) == 0
+        capsys.readouterr()
+        traj = tmp_path / "orbit.trajectory.csv"
+        data = traj.read_bytes().split(b"\n")
+        data[2] = b"\xff" + data[2]
+        traj.write_bytes(b"\n".join(data))
+        rc = main(["verify", str(traj), sys_path])
+        assert rc == 3
+        assert capsys.readouterr().err == ("magnetotrio: parse error: line 3: byte "
+                                           "0xff is not UTF-8 (invalid start byte)\n")
+
     @pytest.mark.parametrize("tamper, message", [
         (lambda lines: lines.__setitem__(2, "nan" + lines[2][lines[2].index(","):]),
          "line 3: non-finite"),
@@ -810,6 +832,20 @@ class TestFindAndVerify:
         failed = dict(re.findall(r"^  (\S+)\s+max drift (\S+)  FAIL$", out, re.M))
         assert failed["H"] == failed["Casimir"] == "nan"
         assert out.endswith("FAILED: H, Kx, Ky, Lz, Casimir\n")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--t-end", "1"], "orbit.manifest.json"),
+    (["find", "--config", "I"], "orbit.I.manifest.json"),
+], ids=["simulate", "find"])
+def test_manifest_keys_and_library_versions(tmp_path, argv, name):
+    assert main([argv[0], _orbit_system(tmp_path), *argv[1:]]) == 0
+    with open(tmp_path / name) as fh:
+        doc = json.load(fh)
+    assert set(doc) == {"tool", "version", "versions", "command", "inputs",
+                        "settings", "outputs", "wall_time_s", "stats", "phase_s"}
+    assert doc["versions"] == {"python": "%d.%d.%d" % sys.version_info[:3],
+                               "numpy": np.__version__}
 
 
 class TestRerun:

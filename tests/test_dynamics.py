@@ -435,7 +435,8 @@ class TestTrajectoryCsv:
             elif fault == "token":
                 parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(
                     st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", "",
-                                     " ", "1_0", " 2.5 "]))
+                                     " ", "1_0", " 2.5 ", "1\x1f", "\x1f1",
+                                     "1#", "1\x1c", "\u0661"]))
             elif fault in ("swap-t", "repeat-t"):
                 other = lines[j].split(",")
                 parts[0], other[0] = other[0], (other[0] if fault == "repeat-t"
@@ -472,11 +473,70 @@ class TestTrajectoryCsv:
                     assert str(ours.value) == (f"line {row}: particles {i + 1} "
                                                f"and {j + 1} share a point")
                     return
-            got = read_trajectory_csv(path, spec)
-        for a, b in ((got.t, ref.t), (got.positions, ref.positions),
-                     (got.velocities, ref.velocities)):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+            _assert_same_bits(read_trajectory_csv(path, spec), ref)
+
+    @pytest.mark.parametrize("cell", [2, -1], ids=["inner", "last"])
+    @pytest.mark.parametrize("token", ["1\x1f", "\x1f1", "1#", "1\x1c", "1_0",
+                                       "\u0661"],
+                             ids=["unit-separator-after", "unit-separator-before",
+                                  "hash", "file-separator", "underscore",
+                                  "arabic-indic-one"])
+    def test_cells_where_numpy_and_float_may_differ(self, tmp_path, token, cell):
+        # numpy's parse and float(), or numpy's tokenizer and str.splitlines,
+        # could read these cells apart: the reader must still give the row
+        # walk's arrays, or its message at its line
+        spec, traj = self._short_trajectory()
+        path = tmp_path / "orbit.csv"
+        write_trajectory_csv(traj, path)
+        lines = path.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[cell] = token
+        lines[2] = ",".join(parts)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+        try:
+            ref = oracle_read_trajectory_csv(path, spec)
+        except SpecParseError as err:
+            with pytest.raises(SpecParseError) as ours:
+                read_trajectory_csv(path, spec)
+            assert (str(ours.value), ours.value.line) == (str(err), err.line)
+        else:
+            _assert_same_bits(read_trajectory_csv(path, spec), ref)
+
+    def test_a_bench_sized_file_reads_back_to_the_bit(self, tmp_path):
+        # the tampered-file test draws at most five rows; this reads a
+        # 350-sample run of three charges, the largest file verify replays
+        # in the check workload
+        spec, pos, vel = electron_orbit()
+        traj = integrate(spec, PhaseState(pos, vel),
+                         IntegratorSettings(t_end=3.49, sample_interval=0.01))
+        assert traj.n_samples == 350
+        path = tmp_path / "orbit.csv"
+        write_trajectory_csv(traj, path)
+        got = read_trajectory_csv(path, spec)
+        _assert_same_bits(got, oracle_read_trajectory_csv(path, spec))
+        _assert_same_bits(got, traj)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, newline):
+        spec, traj = self._short_trajectory()
+        path = tmp_path / "orbit.csv"
+        write_trajectory_csv(traj, path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3][:5] + "\udcff" + lines[3][5:]
+        path.write_bytes(newline.join(lines).encode("utf-8", "surrogateescape"))
+        with pytest.raises(SpecParseError) as err:
+            read_trajectory_csv(path, spec)
+        assert str(err.value) == "line 4: byte 0xff is not UTF-8 (invalid start byte)"
+
+
+def _assert_same_bits(got, ref):
+    """Two trajectories hold the same arrays, dtype and shape included."""
+    for a, b in ((got.t, ref.t), (got.positions, ref.positions),
+                 (got.velocities, ref.velocities)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def _walk_rhs(spec, w=0.0):

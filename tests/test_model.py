@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnetotrio import (DomainError, PhaseState, SpecParseError, SystemSpec,
-                         classify_system, format_system, parse_system)
+                         classify_system, format_system, load_system,
+                         parse_system)
 from magnetotrio.model import canonical_momenta, output_file, vector_potential
 
 
@@ -152,6 +153,23 @@ class TestParsing:
         assert err.value.line == line
         assert str(err.value) == (message if line is None
                                   else f"line {line}: {message}")
+
+    @pytest.mark.parametrize("data, line, message", [
+        (b"B 1\nparticle 1 1\nposition 0 \xff\n", 3,
+         "byte 0xff is not UTF-8 (invalid start byte)"),
+        (b"# r\xc3\xa9sum\xc3\xa9\r\nB 1\r\n\r\nparticle 1 \xc3(\r\n", 4,
+         "byte 0xc3 is not UTF-8 (invalid continuation byte)"),
+        (b"B 1\rparticle 1 1\r\xe2\x82", 3,
+         "byte 0xe2 is not UTF-8 (unexpected end of data)"),
+        (b"\xffB 1\n", 1, "byte 0xff is not UTF-8 (invalid start byte)"),
+    ], ids=["lf", "crlf", "cr-truncated", "first-byte"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, data, line,
+                                                     message):
+        path = tmp_path / "bad.system"
+        path.write_bytes(data)
+        with pytest.raises(SpecParseError) as err:
+            load_system(path)
+        assert str(err.value) == f"line {line}: {message}"
 
     def test_partial_state_defaults_to_zeros(self):
         spec, state = parse_system("B 1\nparticle 1 1\nparticle 2 1\n"
