@@ -109,11 +109,8 @@ _solve1, _eigvals = _umath_linalg.solve1, _umath_linalg.eigvals
 # horizon of the rigidity check, in rotation periods (the reason for a
 # quarter period is in _certify)
 _RIGIDITY_PERIODS = 0.25
-# the spectral screen of that check (see _certify): a row skips the
-# integration when its linear growth over the horizon stays below
-# _SCREEN_GROWTH and its Newton balance, so amplified, below
-# _SCREEN_MARGIN of the gate
-_SCREEN_GROWTH = 10.0
+# a row skips that check's integration when its imbalance, amplified over
+# the horizon, stays below this fraction of the gate (see _certify)
 _SCREEN_MARGIN = 1e-2
 
 _GRID_BOUNDS = {"I": (0.5, 2.0), "II": (1.5, 20.0), "III": (0.05, 0.8), "nbody-II": (1.5, 20.0)}
@@ -267,7 +264,7 @@ def p6_coefficients(spec):
     e1, e2, e3 = spec.charges.tolist()
     m1, m2, m3 = spec.masses.tolist()
     try:
-        return {
+        coeffs = {
             (5, 1, 0): e2*e3*(e2*m1 - e1*m2),
             (5, 0, 1): e2*e3*(e3*m1 - e1*m3),
             (4, 2, 0): 2*e2*e3*(e1*m2 - e2*m1),
@@ -304,8 +301,11 @@ def p6_coefficients(spec):
             (0, 4, 2): 2*e1*e3*(e3*m2 - e2*m3),
             (0, 5, 1): e1*e3*(e2*m3 - e3*m2),
         }
+        if all(map(math.isfinite, coeffs.values())):
+            return coeffs
     except OverflowError:
-        raise DomainError("the elimination sextic's coefficients overflow") from None
+        pass
+    raise DomainError("the elimination sextic's coefficients overflow")
 
 
 @cache
@@ -495,11 +495,13 @@ def _certify(sol, spec, terms, gates=()):
 
     That rigidity gate is screened first by the rotation's spectrum
     (:func:`_growth`, recorded as ``sol.growth``): a root passes it without
-    integrating when its growth over the horizon t_q is below
-    _SCREEN_GROWTH and its Newton balance times e^growth is at most
-    _SCREEN_MARGIN of the gate's tolerance, since no linear amplification
-    of that imbalance then reaches the gate.  Every other root, one whose
-    spectrum cannot be formed included, is integrated.
+    integrating when max(balance, eps) e^growth, balance its Newton balance
+    and eps = ulp(1) the float state's own rounding, is at most
+    _SCREEN_MARGIN of the gate's tolerance: no linear amplification of that
+    seed over the horizon t_q then reaches the gate, and no root above
+    growth ln(1e-8 / eps) ~ 17.6 is screened.  The bound is compared in
+    logarithms, which no growth overflows; every other root, NaN growth
+    included, is integrated.
 
     The rigidity integration runs in the frame that turns with the
     rotation (``dynamics.integrate``'s ``frame_omega``), where the rotation
@@ -522,8 +524,8 @@ def _certify(sol, spec, terms, gates=()):
         rigid = replace(sol, v=(*sol.v[:2], 0.0), omega3=0.0) if sol.omega3 else sol
         t_end = _RIGIDITY_PERIODS * (2 * math.pi / sol.omega)
         sol.growth = _growth(rigid, spec, t_end)
-        if not (sol.growth < _SCREEN_GROWTH and sol.newton_balance
-                * math.exp(sol.growth) <= _SCREEN_MARGIN * _RIGIDITY_TOL):
+        if not sol.growth <= math.log(_SCREEN_MARGIN * _RIGIDITY_TOL / max(
+                sol.newton_balance, math.ulp(1.0))):
             spec_b, state = build_initial_state(rigid, spec)
             settings = IntegratorSettings(t_end=t_end, sample_interval=t_end / 200.0)
             try:
@@ -693,10 +695,10 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
     range (:func:`_pair_quadratic`), or a nonzero third speed without a
     common charge-to-mass ratio alpha; NoSolution below the critical
     separation; DegenerateError where rho12**3 overflows or underflows to 0.
-    With alpha, the third charge runs its own circle
-    at omega3 = alpha*B and any v3 > 0 works (the returned row is the
-    representative for the requested v3); its rigidity is that of its twin
-    with the third charge at rest (see :func:`_certify`).
+    With alpha, the third charge runs its own circle at omega3 = alpha*B,
+    in the sense of both branches (that of e B), and any v3 > 0 works (the
+    returned row is the representative for the requested v3); its rigidity
+    is that of its twin with the third charge at rest (see :func:`_certify`).
     """
     if spec.n != 3:
         raise DomainError("Configuration I is a three-charge system")
@@ -732,9 +734,6 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
         if v_signed == 0.0:
             continue
         omega_signed = 2.0 * v_signed / rho12
-        if omega3_signed * omega_signed < 0:
-            # opposite senses cannot share the rigid frame
-            continue
         # the printed balance equations hold at the signed speeds
         terms = partial(_config_I_terms, spec, v_signed, v_signed,
                         math.copysign(v3, omega_signed) if v3 else 0.0,

@@ -480,7 +480,8 @@ class TestFindAndVerify:
         # screen or by integrating; the manifest counts both, with the
         # largest growth, and times the find's phases
         if screen == "off":
-            monkeypatch.setattr(solvers, "_SCREEN_GROWTH", 0.0)
+            # a margin this small leaves every row to the integration
+            monkeypatch.setattr(solvers, "_SCREEN_MARGIN", 1e-300)
         sys_path = _write(tmp_path, "four.system", _FOUR)
         assert main(["find", sys_path, "--config", "nbody-II", "--grid-points",
                      "4", "--grid-min", "1.5", "--grid-max", "6"]) == 0
@@ -584,8 +585,14 @@ class TestFindAndVerify:
         (text, "I", "the rotating pair needs same-sign charges (v2^2 = v1^2 e2/e1)")
         for text in ("B 1\nparticle 0 1\nparticle 1 1\nparticle 1 1\n",
                      "B 1\nparticle 1 1\nparticle -1 1\nparticle 1 1\n")
+    ] + [
+        # products of these charges overflow the sextic's coefficients to inf
+        ("B 1\nparticle 1e103 1\nparticle -1e103 1\nparticle 1e103 3\n", config,
+         "the elimination sextic's coefficients overflow")
+        for config in ("II", "III", "nbody-II")
     ], ids=["II-uncharged-second", "III-uncharged-second",
-            "nbody-II-uncharged-second", "I-uncharged-first", "I-opposite-pair"])
+            "nbody-II-uncharged-second", "I-uncharged-first", "I-opposite-pair",
+            "II-sextic-overflow", "III-sextic-overflow", "nbody-II-sextic-overflow"])
     def test_spec_no_grid_point_serves_exits_1(self, tmp_path, capsys, text,
                                                config, message):
         # refused before the sweep, not reported as "no solution" (exit 4)

@@ -113,6 +113,14 @@ class TestEliminationSextic:
         with pytest.raises(DomainError):
             p6_coefficients(SystemSpec(1.0, (1.0, 1.0), (1.0, 1.0)))
 
+    @pytest.mark.parametrize("scale", [1e103, 1e160], ids=["product", "power"])
+    def test_overflowing_coefficients_are_refused(self, scale):
+        # at 1e103 a product of charges overflows to inf; at 1e160 the
+        # square e1**2 raises OverflowError: both are the same DomainError
+        spec = SystemSpec(1.0, (scale, -scale, scale), (1.0, 1.0, 3.0))
+        with pytest.raises(DomainError, match="coefficients overflow"):
+            p6_coefficients(spec)
+
     def test_neutral_pair_factorization(self, helium, rng):
         # P6 = e^3 (2m + m1) * v1 * quartic = 6 v1 q(v1) for (-2,1,1)/(4,1,1)
         c = p6_coefficients(helium)
@@ -445,6 +453,31 @@ class TestConfigIIdenticalPair:
             assert s.sense == "ccw"
         for s in solve_config_I_identical(electrons, 2 * CBRT_10):
             assert s.sense == "cw"
+
+    def test_common_ratio_rows_turn_with_the_third_charge(self):
+        # with e_i = alpha m_i both branch speeds carry the sign of alpha B,
+        # the third charge's own frequency: every point returns both
+        # branches, each in the sense of that circle
+        rng = np.random.default_rng(4141)
+        points = solvers.DEFAULT_GRID_POINTS
+        for _ in range(40):
+            alpha = float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]))
+            B = float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]))
+            m, m3 = (float(x) for x in rng.uniform(0.2, 3.0, 2))
+            spec = SystemSpec(B, (alpha * m, alpha * m, alpha * m3), (m, m, m3))
+            rows = solve_config_I(spec, require_certified=False)
+            branches = [r.branch for r in rows]
+            assert branches.count("+") == branches.count("-") == points
+            for row in rows:
+                assert row.v[2] == 1.0 and row.omega3 == pytest.approx(abs(alpha * B))
+                assert row.sense == ("cw" if alpha * B > 0 else "ccw"), row
+
+    def test_zero_speed_branch_is_skipped(self):
+        # e + 4 e3 = 0 puts every "-" speed at 0, which is no rotation
+        spec = SystemSpec(1.0, (4.0, 4.0, -1.0), (1.0, 1.0, 1.0))
+        rows = solve_config_I(spec, require_certified=False)
+        assert len(rows) == solvers.DEFAULT_GRID_POINTS
+        assert all(r.branch == "+" and r.v[0] > 0.0 for r in rows)
 
     def test_moving_third_charge_needs_common_ratio(self):
         spec = SystemSpec(2.0, (-1.0, -1.0, -2.0), (1.0, 1.0, 1.0))
@@ -1128,8 +1161,9 @@ class TestCertification:
             solve(helium)
 
     def test_rigidity_rejection_is_noted(self, four, monkeypatch):
-        monkeypatch.setattr(solvers, "_SCREEN_GROWTH", 0.0)
-        monkeypatch.setattr(solvers, "_RIGIDITY_TOL", 0.0)
+        # a gate this tight leaves no row to the screen and fails every
+        # integration (a gate of 0 has no logarithm)
+        monkeypatch.setattr(solvers, "_RIGIDITY_TOL", 1e-300)
         with pytest.raises(NoSolution, match="pair distances drift"):
             solve_nbody_II(four, vn_values=[3.0])
         rows = solve_nbody_II(four, vn_values=[3.0], require_certified=False)
@@ -1156,7 +1190,7 @@ class TestCertification:
         # a collision fraction just below 1 stops a quarter-period
         # integration at the first dip of its closest pair distance, which
         # fails the rigidity gate instead of ending the search
-        monkeypatch.setattr(solvers, "_SCREEN_GROWTH", 0.0)
+        monkeypatch.setattr(solvers, "_SCREEN_MARGIN", _NO_SCREEN)
         monkeypatch.setattr(dynamics, "COLLISION_FRACTION", 1.0 - 1e-15)
         rows = solve_nbody_II(four, require_certified=False)
         stopped = [r for r in rows if r.notes
@@ -1225,8 +1259,8 @@ class TestCertification:
                             counted("build", solvers.build_initial_state))
         monkeypatch.setattr(dynamics, "integrate",
                             counted("integrate", dynamics.integrate))
-        for screen in (solvers._SCREEN_GROWTH, 0.0):
-            monkeypatch.setattr(solvers, "_SCREEN_GROWTH", screen)
+        for margin in (solvers._SCREEN_MARGIN, _NO_SCREEN):
+            monkeypatch.setattr(solvers, "_SCREEN_MARGIN", margin)
             counts.update(build=0, integrate=0)
             rows = solve_nbody_II(spec, require_certified=False)
             integrated = sum(not math.isnan(r.rigidity) for r in rows)
@@ -1410,7 +1444,7 @@ class TestCoRotatingCertification:
     @pytest.mark.parametrize("name, vn", [("spec4", 1.5), ("four", 3.0)])
     def test_both_frames_agree_on_rigid_and_kicked_states(self, name, vn,
                                                           request, monkeypatch):
-        monkeypatch.setattr(solvers, "_SCREEN_GROWTH", 0.0)
+        monkeypatch.setattr(solvers, "_SCREEN_MARGIN", _NO_SCREEN)
         spec = request.getfixturevalue(name)
         [sol] = solve_nbody_II(spec, [vn])
         spec_b, state = build_initial_state(sol, spec)
@@ -1426,7 +1460,7 @@ class TestCoRotatingCertification:
     def test_certification_integrates_in_the_frame(self, spec4, monkeypatch):
         # the inertial runs took 422-467 nfev per root on this grid; a
         # return to the inertial frame would show here
-        monkeypatch.setattr(solvers, "_SCREEN_GROWTH", 0.0)
+        monkeypatch.setattr(solvers, "_SCREEN_MARGIN", _NO_SCREEN)
         runs = []
         integrate = dynamics.integrate
 
@@ -1462,6 +1496,26 @@ def _central_linearization(sol, spec, rel=1e-6):
         um[k] -= h
         A[:, k] = (np.array(g(0.0, up)) - g(0.0, um)) / (2.0 * h)
     return A
+
+
+# a screen margin this small leaves every row to the rigidity integration
+# (a margin of 0 has no logarithm)
+_NO_SCREEN = 1e-300
+
+
+def _screen_clears(row):
+    """The spectral screen written out: the Newton balance, or machine
+    epsilon where that is larger, times e^growth at most 1e-2 of the 1e-6
+    rigidity gate."""
+    return (max(row.newton_balance, sys.float_info.epsilon) * math.exp(row.growth)
+            <= 1e-8)
+
+
+def _old_screen_clears(row):
+    """The screen before it took machine epsilon as the balance's floor: a
+    growth cap of 10 and the balance times e^growth at most 1e-2 of the
+    gate."""
+    return row.growth < 10.0 and row.newton_balance * math.exp(row.growth) <= 1e-8
 
 
 def _rigid(row):
@@ -1526,8 +1580,8 @@ class TestSpectralScreen:
                             lambda *args, **kwargs: calls.append(args))
         rows = solve(spec)
         assert len(calls) == 0
-        assert rows and all(r.growth < solvers._SCREEN_GROWTH
-                            and math.isnan(r.rigidity) for r in rows)
+        assert rows and all(_screen_clears(r) and math.isnan(r.rigidity)
+                            for r in rows)
 
     @pytest.mark.parametrize("fault", ["overflow", "non-finite"])
     def test_unformed_spectrum_integrates(self, spec4, monkeypatch, fault):
@@ -1541,6 +1595,15 @@ class TestSpectralScreen:
         monkeypatch.setattr(solvers, "_linearization", linearization)
         [row] = solve_nbody_II(spec4, [1.5])
         assert row.certified and math.isnan(row.growth)
+        assert row.rigidity < solvers._RIGIDITY_TOL
+
+    def test_growth_past_the_exp_range_integrates(self, spec4, monkeypatch):
+        # the bound is compared in logarithms, so a growth above 709.8,
+        # where math.exp overflows, integrates the row instead of raising
+        monkeypatch.setattr(solvers, "_linearization",
+                            lambda sol, spec: 1e300 * np.eye(12))
+        [row] = solve_nbody_II(spec4, [1.5])
+        assert row.growth > 1e3 and row.certified
         assert row.rigidity < solvers._RIGIDITY_TOL
 
     def test_seeded_study_against_the_integration(self):
@@ -1572,11 +1635,13 @@ class TestSpectralScreen:
             if solve_config_II in runs:
                 assert ([repr(replace(r, config="II")) for r in runs[solve_nbody_II]]
                         == list(map(repr, runs[solve_config_II])))
-        assert (counts["nbody-II", "screened"], counts["nbody-II", "integrated"]) == (22, 25)
-        assert counts["II", "screened"] == 22 and counts["III", "screened"] > 0
+        assert (counts["nbody-II", "screened"], counts["nbody-II", "integrated"]) == (25, 22)
+        assert counts["II", "screened"] == 25 and counts["III", "screened"] > 0
         for spec, row in screened:
-            assert row.growth < solvers._SCREEN_GROWTH
+            assert _screen_clears(row)
             assert gate_drift(row, spec) < solvers._RIGIDITY_TOL, row
+        # the rows the screen clears only since eps floors the balance
+        assert sum(not _old_screen_clears(row) for _, row in screened) == 17
         rejected = [(125, 1.5), (212, 1.879), (212, 5.177), (212, 10.176),
                     (212, 12.746), (246, 1.5)]
         assert [(k, v3) for k, v3, _ in drifting["nbody-II"]] == rejected
@@ -1586,10 +1651,54 @@ class TestSpectralScreen:
                                  17.87, 20.0)]
         for rows in drifting.values():
             for _, _, row in rows:
-                assert not row.certified and row.growth >= solvers._SCREEN_GROWTH
+                assert not row.certified and not _screen_clears(row)
                 assert row.rigidity >= solvers._RIGIDITY_TOL
                 assert row.notes == (f"pair distances drift {row.rigidity:.3g} "
                                      "within 0.25 period",)
+
+    def test_config_I_study_against_the_integration(self):
+        # every other of 600 seeded Configuration-I species of three
+        # kinds: an identical pair with its third charge at rest, one with a
+        # common charge-to-mass ratio (the third charge on its own circle)
+        # and a non-identical pair of one sign about a resting third charge.
+        # Each row the screen clears but the growth cap of 10 did not stays
+        # below the gate when its twin is integrated
+        rng = np.random.default_rng(41)
+        species = []
+        for k in range(600):
+            B = float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]))
+            if k % 3 == 0:
+                e = float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]))
+                m = float(rng.uniform(0.2, 3.0))
+                species.append(SystemSpec(B, (e, e, float(rng.uniform(-3.0, 3.0))),
+                                          (m, m, float(rng.uniform(0.2, 3.0)))))
+            elif k % 3 == 1:
+                alpha = float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]))
+                m, m3 = (float(x) for x in rng.uniform(0.2, 3.0, 2))
+                species.append(SystemSpec(B, (alpha * m, alpha * m, alpha * m3),
+                                          (m, m, m3)))
+            else:
+                e12 = rng.uniform(0.2, 3.0, 2) * rng.choice([-1.0, 1.0])
+                species.append(SystemSpec(B, (*e12, float(rng.uniform(-3.0, 3.0))),
+                                          rng.uniform(0.2, 3.0, 3)))
+        counts, newly = {}, {0: 0, 1: 0, 2: 0}
+        for k in range(0, 600, 2):
+            for row in solve_config_I(species[k], require_certified=False):
+                if not math.isnan(row.rigidity):
+                    how = "integrated" if row.certified else "rejected"
+                    assert not _screen_clears(row)
+                elif row.certified:
+                    how = "screened"
+                    assert _screen_clears(row)
+                    if not _old_screen_clears(row):
+                        newly[k % 3] += 1
+                        assert (gate_drift(_rigid(row), species[k])
+                                < solvers._RIGIDITY_TOL), row
+                else:
+                    continue
+                counts[how] = counts.get(how, 0) + 1
+        assert counts == {"screened": 5259, "integrated": 6, "rejected": 15}
+        assert newly == {0: 78, 1: 30, 2: 24}
 
     def test_unstable_identical_pair_rows_are_rejected(self):
         # a light opposite third charge: two slow "-" branch rows of the
@@ -1621,7 +1730,7 @@ class TestSpectralScreen:
         [row] = [r for r in rows if r.branch == "-" and r.v[0] == 0.027644934678936785]
         assert row.certified and row.omega == pytest.approx(1.3215e-3, rel=1e-4)
         assert row.growth == pytest.approx(1.4509, rel=1e-4)
-        assert row.growth < solvers._SCREEN_GROWTH and math.isnan(row.rigidity)
+        assert _screen_clears(row) and math.isnan(row.rigidity)
         assert calls == []
 
     @pytest.mark.parametrize("species", [
@@ -1645,7 +1754,7 @@ class TestSpectralScreen:
         # with the screen off every row is integrated, from the twin's state
         # (the third charge at rest at the center) in the twin's own frame,
         # where it is an equilibrium
-        monkeypatch.setattr(solvers, "_SCREEN_GROWTH", 0.0)
+        monkeypatch.setattr(solvers, "_SCREEN_MARGIN", _NO_SCREEN)
         states = []
         integrate = dynamics.integrate
 
