@@ -97,8 +97,7 @@ def _write_manifest(path, command, inputs, settings, outputs, wall_time,
         "phase_s": {k: round(v, 6) for k, v in phases.items()},
     }
     with output_file(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -24,38 +24,30 @@ The collinear equations generalize to n charges (solve_nbody_II).
 Every one of them is one collinear layout (:func:`_layout`) turning about
 a center: Configuration I is (v1, -v2, 0) about charge 3, III reflects the
 third speed of II, and n-body II generalizes both.  One set of balance
-rows (_collinear_terms) and one t = 0 solver vector on the line (_line),
-which the state builder, the Newton balance and the closed conserved
-forms read, serve all four; one routine
-(_collinear_solution) takes the field (_collinear_field), the frequency
-omega = kappa*B and the gates of every root but Configuration I's
-identical pair, whose speeds solve a quadratic at the spec's field.
-Every search runs one sweep over the values :func:`sweep_grid` decides;
-the collinear ones take the candidate speeds at each value of the last
-speed, the second fixed at 1 (the systems are scale-covariant), from the
-elimination sextic, rooted in v1 by the eigenvalues of its companion
-matrix (LAPACK's, called directly) so that every positive real root is
-found, or damped Newton; the sextic is straight-line code compiled once.
+rows (_collinear_terms) and one t = 0 solver vector on the line (_line)
+serve all four; one routine (_collinear_solution) takes the field
+(_collinear_field), omega = kappa*B and the gates of every root but
+Configuration I's identical pair, whose speeds solve a quadratic at the
+spec's field.  Every search sweeps the values :func:`sweep_grid` decides;
+the collinear ones take the speeds at each value of the last speed, the
+second fixed at 1 (the systems are scale-covariant), from the roots in v1
+of the compiled elimination sextic (the eigenvalues of its companion
+matrix, by LAPACK, so every positive real root is found), or by Newton.
 
 Sign conventions and certification
 ----------------------------------
 The force-balance equations take the sign pattern of the Coulomb terms
-from the layout's nominal order and rotation sense (omega > 0).  A root
-of the equations is therefore only a genuine Newtonian motion inside
-that sector, where the signed speeds increase strictly along the order
-and no speed is negative; every solver here re-checks the instantaneous
-Newton balance, in floats at the t = 0 line coordinates, and then, one
-certificate for every configuration, rigidity over a quarter period: by
-the rotation's spectrum where that bounds the drift far below the gate,
-else by building the state, integrating it and measuring the drift.
-That integration runs in the frame turning at the rotation's own signed
-frequency, where a rigid rotation is an equilibrium (a relative
-equilibrium; Meyer, Hall and Offin, Introduction to Hamiltonian Dynamical
-Systems and the N-Body Problem, 2nd ed., 2009): pair distances are the
-same in both frames, and a constant solution costs the stepper few steps.
-Solutions carry ``certified`` accordingly, and ``notes`` name each gate
-an uncertified root failed -- uncertified roots are algebra, not
-trajectories.
+from the layout's nominal order and rotation sense (omega > 0), so a root
+is a genuine Newtonian motion only inside that sector, where the signed
+speeds increase strictly along the order and none is negative.  Every
+root is certified the same way (:func:`_certify`): the Newton balance in
+floats at the t = 0 line coordinates, then rigidity over a quarter
+period, by the rotation's spectrum where that bounds the drift far below
+the gate, else by integrating the state in the frame turning with it,
+where it is a relative equilibrium (Meyer, Hall and Offin, Introduction
+to Hamiltonian Dynamical Systems and the N-Body Problem, 2nd ed., 2009).
+``notes`` name each gate an uncertified root failed: uncertified roots
+are algebra, not trajectories.
 
 Speeds and frequencies are reported positive; ``sense`` records the
 actual rotation sense ("cw" for the parametrization
@@ -76,7 +68,7 @@ from . import dynamics
 from .dynamics import IntegratorSettings, rigidity_report
 from .errors import (CollisionError, DegenerateError, DomainError,
                      NonConvergence, NoSolution, StepUnderflow)
-from .model import PhaseState, classify_system
+from .model import PhaseState, classify_system, pair_index
 
 __all__ = [
     "ConfigSolution", "collinear_kappa", "p6_coefficients",
@@ -190,10 +182,10 @@ def _collinear_terms(spec, u, omega, B, order):
     # balance rows at signed speeds u; the (i, j) Coulomb term carries the
     # sign +1 when charge j lies beyond charge i along ``order``, else -1
     n, charges, masses = len(u), spec.charges.tolist(), spec.masses.tolist()
-    rank = {k: r for r, k in enumerate(order)}
-    return [[B * charges[i] * u[i], -masses[i] * u[i] * omega,
-             *((1 if rank[j] > rank[i] else -1) * charges[i] * charges[j]
-               * omega**2 / (u[i] - u[j])**2 for j in range(n) if j != i)]
+    rank, w2 = {k: r for r, k in enumerate(order)}, omega**2
+    return [[B * charges[i] * u[i], -masses[i] * u[i] * omega]
+            + [(1 if rank[j] > rank[i] else -1) * charges[i] * charges[j]
+               * w2 / (u[i] - u[j])**2 for j in range(n) if j != i]
             for i in range(n)]
 
 
@@ -202,10 +194,8 @@ def _relative_norm(terms):
     worst = 0.0
     try:
         for row in terms():
-            scale = max(abs(t) for t in row)
-            if scale == 0.0:
-                continue
-            worst = max(worst, abs(math.fsum(row)) / float(scale))
+            if (scale := max(map(abs, row))) != 0.0:
+                worst = max(worst, abs(math.fsum(row)) / float(scale))
     except (OverflowError, ValueError):
         return math.inf
     return worst
@@ -240,9 +230,8 @@ def _collinear_field(spec, v, order):
         raise DegenerateError("collinear field closed form: two speeds coincide")
     rank = {k: r for r, k in enumerate(order)}
     try:
-        bracket = math.fsum(
-            (1 if rank[j] > rank[1] else -1) * e[j] / (v[1] - v[j])**2
-            for j in range(spec.n) if j != 1)
+        bracket = math.fsum([(1 if rank[j] > rank[1] else -1) * e[j] / (v[1] - v[j])**2
+                             for j in range(spec.n) if j != 1])
         if bracket == 0.0:
             raise DegenerateError("collinear field closed form: Coulomb bracket vanishes")
         return kap, bracket, v[1] * (m[1] * kap - e[1]) / (e[1] * kap**2 * bracket)
@@ -393,21 +382,19 @@ def build_initial_state(solution, spec):
     return replace(spec, B=solution.B), PhaseState(*np.reshape(y, (2, -1)))
 
 
-def _newton_balance(solution, spec):
+def _newton_balance(solution, spec, line=None):
     """Relative mismatch between the exact Newtonian accelerations of
     ``solution``'s rotation of the charges of ``spec`` and the rigid-rotation
-    kinematics it claims.
-
-    Each charge turns at omega about the center c of :func:`_line`, which
-    turns at omega3, so it should accelerate at -omega^2 (x - c) -
-    omega3^2 c.  Zero (to rounding) iff the solution is a genuine
-    trajectory; far above the 1e-6 gate for algebra-only roots whose sign
-    sector does not match.  The floats, a NaN included, are those of
-    ``accelerations`` on the built state, from its kernel at the line
-    coordinates (a non-finite one is the state's DomainError); inf where a
-    power overflows or a pair distance underflows to 0.
-    """
-    c, y = _line(solution, spec)
+    kinematics it claims.  Each charge turns at omega about the center c of
+    :func:`_line` (or ``line``), which turns at omega3, so it should
+    accelerate at -omega^2 (x - c) - omega3^2 c.  Zero (to rounding) iff the
+    solution is a genuine trajectory; far above the 1e-6 gate for
+    algebra-only roots whose sign sector does not match.  The floats, a NaN
+    included, are those of ``accelerations`` on the built state, from its
+    kernel at the line coordinates (a non-finite one is the state's
+    DomainError); inf where a power overflows or a pair distance underflows
+    to 0."""
+    c, y = _line(solution, spec) if line is None else line
     if not all(map(math.isfinite, y)):
         raise DomainError("positions, velocities and t must be finite")
     try:
@@ -423,52 +410,62 @@ def _newton_balance(solution, spec):
             / max(1.0, *map(abs, acc)))
 
 
-def _linearization(sol, spec):
+@cache
+def _linearization_slots(n):
+    """(identity block, flat indices) of :func:`_linearization`'s 4n x 4n A,
+    the indices in the order of the values it computes."""
+    N, (I, J) = 4 * n, (p.tolist() for p in pair_index(n))
+    cells = [rc for k in range(0, N, 2) for rc in ((k, k + 1), (k + 1, k))]
+    cells += [(2 * n + 2 * a + xy, 2 * b + xy) for i, j in zip(I, J)
+              for a, b in ((i, j), (j, i)) for xy in (0, 1)]
+    cells += [(2 * n + 2 * a + xy, 2 * a + xy) for a in range(n) for xy in (0, 1)]
+    return np.eye(N, k=2 * n), np.array([r * N + c for r, c in cells])
+
+
+def _linearization(sol, spec, line=None):
     """A = Dg(y*): the Jacobian of the field g of ``sol``'s rotating frame,
     the kernel ``dynamics._rhs(spec, w, B=sol.B)``, at the rotation's t = 0
-    solver vector y* (:func:`_line`), where g vanishes; in closed form, in
-    Python floats.  Over the 2-blocks of positions and velocities it holds
-    the identity that maps each velocity onto its position, the frame's
-    w (I_2n x J) with J = [[0, -1], [1, 0]], the Lorentz block e_i B / m_i
-    [[0, 1], [-1, 0]] of each charge, and the Coulomb pair blocks
-    c_ij (I / r^3 - 3 d d^T / r^5) / m_i of the force on charge i per unit
-    of x_i (minus that per unit of x_j), with d = x_i - x_j, r = |d| and
-    c_ij = e_i e_j: c_ij / r^3 diag(-2, 1) / m_i on the line, where d lies
-    along the x axis.  ArithmeticError where a float overflows or a pair
-    distance is 0."""
-    n, (_, y), w, B = spec.n, _line(sol, spec), _frame_omega(sol), sol.B
+    solver vector y* (:func:`_line`, or ``line``), where g vanishes; in
+    closed form, in Python floats.  Over the 2-blocks of positions and
+    velocities it holds the identity that maps each velocity onto its
+    position, the frame's w (I_2n x J) with J = [[0, -1], [1, 0]], the
+    Lorentz block e_i B / m_i [[0, 1], [-1, 0]] of each charge, and the
+    Coulomb pair blocks c_ij (I / r^3 - 3 d d^T / r^5) / m_i of the force on
+    charge i per unit of x_i (minus that per unit of x_j), with d = x_i -
+    x_j, r = |d| and c_ij = e_i e_j: c_ij / r^3 diag(-2, 1) / m_i on the
+    line, where d lies along the x axis.  The values go into a copy of the
+    identity block at indices cached per n, each sum in the pair order of an
+    entry-by-entry fill onto 0.0, whose floats they are.  ArithmeticError
+    where a float overflows or a pair distance is 0."""
+    n, w, B = spec.n, _frame_omega(sol), sol.B
+    _, y = _line(sol, spec) if line is None else line
     e, m = spec.charges.tolist(), spec.masses.tolist()
-    A = [[0.0] * (4 * n) for _ in range(4 * n)]
-    for k in range(2 * n):
-        A[k][2 * n + k] = 1.0
-    for k in range(0, 4 * n, 2):
-        A[k][k + 1], A[k + 1][k] = -w, w
-    for i in range(n):
-        a, lorentz = 2 * n + 2 * i, e[i] * B / m[i]
-        A[a][a + 1] += lorentz
-        A[a + 1][a] -= lorentz
+    lorentz = [ei * B / mi for ei, mi in zip(e, m)]
+    values = [-w, w] * n + [q for L in lorentz for q in (-w + L, w - L)]
+    diagonal = [0.0] * (2 * n)
     for i, j, c in zip(*(p.tolist() for p in spec.pairs)):
         cr3 = c / abs(y[2 * i] - y[2 * j]) ** 3
-        for a, b in ((i, j), (j, i)):
-            ax, ay = A[2 * n + 2 * a], A[2 * n + 2 * a + 1]
-            ax[2 * a] -= 2.0 * cr3 / m[a]
-            ax[2 * b] += 2.0 * cr3 / m[a]
-            ay[2 * a + 1] += cr3 / m[a]
-            ay[2 * b + 1] -= cr3 / m[a]
-    return np.array(A)
+        for a in (i, j):
+            cx, cy = 2.0 * cr3 / m[a], cr3 / m[a]
+            diagonal[2 * a] -= cx
+            diagonal[2 * a + 1] += cy
+            values += (0.0 + cx, 0.0 - cy)
+    A0, slots = _linearization_slots(n)
+    A = A0.copy()
+    A.put(slots, values + diagonal)
+    return A
 
 
-def _growth(sol, spec, horizon):
+def _growth(sol, spec, horizon, line):
     """lambda * ``horizon``, lambda the largest real part of the eigenvalues
-    of :func:`_linearization` (the ``eigvals`` gufunc): the rotation's
+    of :func:`_linearization` at ``line`` (the ``eigvals`` gufunc): the rotation's
     Floquet exponents (Meyer, Hall and Offin, 2009; Moeckel, J. Dyn. Diff.
     Eq. 6 (1994) 37), so e^(lambda t) bounds the linear growth of a
     deviation over t.  NaN where the spectrum cannot be formed: a float of
     A overflows, an entry of A is not finite, or LAPACK fails."""
     try:
-        with np.errstate(invalid="raise", over="ignore", divide="ignore",
-                         under="ignore"):
-            A = _linearization(sol, spec)
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            A = _linearization(sol, spec, line)
             if not np.isfinite(A).all():
                 return math.nan
             lam = _eigvals(A, signature="d->D").real.max()
@@ -482,48 +479,42 @@ def _certify(sol, spec, terms, gates=()):
     residual of its balance rows ``terms()`` and its Newton balance; a root
     that passed them all must also stay rigid over a quarter period (an
     integration that collides or that the stepper cannot finish fails that
-    gate).  Each failed gate leaves a note; ``sol`` is certified when none
-    failed.
+    gate).  Each failed gate leaves a note, formatted only then; ``sol`` is
+    certified when none failed.  The t = 0 line (:func:`_line`) is built
+    once and handed to the balance and the linearization.
 
-    The rigidity gate reads a single-frequency rotation.  The one row with
-    a second frequency, Configuration I's third charge on its own circle
-    at omega3 (which needs one common charge-to-mass ratio), is that circle
-    added to every charge of its twin with the third charge at rest: with a
-    common e/m, a cyclotron circle added to every charge still solves the
-    equations of motion, so the orbit and its twin keep the same pair
+    The rigidity gate reads a single-frequency rotation.  Configuration I's
+    row with the third charge on its own circle at omega3 (one common
+    charge-to-mass ratio) is that circle added to every charge of its twin
+    with the third charge at rest; a cyclotron circle added to every charge
+    still solves the equations of motion, so the two keep the same pair
     distances at all times, and the gate reads the twin.
 
-    That rigidity gate is screened first by the rotation's spectrum
-    (:func:`_growth`, recorded as ``sol.growth``): a root passes it without
-    integrating when max(balance, eps) e^growth, balance its Newton balance
-    and eps = ulp(1) the float state's own rounding, is at most
-    _SCREEN_MARGIN of the gate's tolerance: no linear amplification of that
-    seed over the horizon t_q then reaches the gate, and no root above
-    growth ln(1e-8 / eps) ~ 17.6 is screened.  The bound is compared in
-    logarithms, which no growth overflows; every other root, NaN growth
-    included, is integrated.
-
-    The rigidity integration runs in the frame that turns with the
-    rotation (``dynamics.integrate``'s ``frame_omega``), where the rotation
-    is an equilibrium: pair distances are the same in either frame, so the
-    gate measures the same flow, but DOP853 takes few steps on a constant
-    solution and its truncation error no longer grows with the rotation.
-    Round-off and that small error still seed a deviation, and a linearly
-    unstable rotation amplifies it in either frame (mixed-sign charges can
-    amplify perturbations by ~e^25 per full period): the quarter-period
-    horizon keeps such seeds below the gate."""
+    The gate is screened first by the rotation's spectrum (:func:`_growth`,
+    recorded as ``sol.growth``): a root passes without integrating when
+    max(balance, eps) e^growth, eps = ulp(1) the float state's own rounding,
+    is at most _SCREEN_MARGIN of the gate's tolerance, so no linear
+    amplification of that seed over the horizon reaches the gate (and no
+    root above growth ln(1e-8 / eps) ~ 17.6 is screened).  The bound is
+    compared in logarithms, which no growth overflows.  Every other root,
+    NaN growth included, is integrated in the frame that turns with the
+    rotation (``frame_omega``), where it is an equilibrium: pair distances
+    are those of the inertial frame, but DOP853 takes few steps on a
+    constant solution.  Round-off and truncation still seed a deviation that
+    an unstable rotation amplifies (mixed-sign charges by ~e^25 per period):
+    the quarter-period horizon keeps such seeds below the gate."""
     sol.residual_norm = _relative_norm(terms)
-    sol.newton_balance = _newton_balance(sol, spec)
-    gates = (*gates,
-             (sol.residual_norm < _RESIDUAL_TOL,
-              f"relative residual {sol.residual_norm:.3g}"),
-             (sol.newton_balance < _BALANCE_TOL,
-              f"Newton imbalance {sol.newton_balance:.3g}"))
-    notes = tuple(note for ok, note in gates if not ok)
+    line = _line(sol, spec)
+    sol.newton_balance = _newton_balance(sol, spec, line)
+    notes = [note for ok, note in gates if not ok]
+    if not sol.residual_norm < _RESIDUAL_TOL:
+        notes.append(f"relative residual {sol.residual_norm:.3g}")
+    if not sol.newton_balance < _BALANCE_TOL:
+        notes.append(f"Newton imbalance {sol.newton_balance:.3g}")
     if not notes:
         rigid = replace(sol, v=(*sol.v[:2], 0.0), omega3=0.0) if sol.omega3 else sol
         t_end = _RIGIDITY_PERIODS * (2 * math.pi / sol.omega)
-        sol.growth = _growth(rigid, spec, t_end)
+        sol.growth = _growth(rigid, spec, t_end, None if sol.omega3 else line)
         if not sol.growth <= math.log(_SCREEN_MARGIN * _RIGIDITY_TOL / max(
                 sol.newton_balance, math.ulp(1.0))):
             spec_b, state = build_initial_state(rigid, spec)
@@ -538,7 +529,7 @@ def _certify(sol, spec, terms, gates=()):
                 if not sol.rigidity < _RIGIDITY_TOL:
                     notes = (f"pair distances drift {sol.rigidity:.3g} within "
                              f"{_RIGIDITY_PERIODS:g} period",)
-    sol.notes = notes
+    sol.notes = tuple(notes)
     sol.certified = not notes
     return sol
 
@@ -837,7 +828,7 @@ def _collinear_solution(spec, v, config, branch):
         raise DegenerateError("frequency or field closed form degenerates")
     terms = partial(_collinear_terms, spec, u, omega_signed, B, order)
     sol = ConfigSolution(
-        config=config, branch=branch, v=tuple(abs(x) for x in v),
+        config=config, branch=branch, v=tuple(map(abs, v)),
         omega=abs(omega_signed), B=B,
         sense="cw" if omega_signed > 0 else "ccw")
     # the Coulomb signs of the terms hold while the charges lie along the
@@ -1057,36 +1048,47 @@ def _nbody_system(spec, vn):
     omega = kappa*B and B from the second balance equation, the equation
     sum vanishes identically; only the kept rows {1, 3, ..., n-1} are
     evaluated.  ``system(u)`` returns, from one evaluation, the residuals
-    F(u), their Jacobian dF/du and each row's scale (its largest |term|).
-    The Jacobian is the chain rule through kappa, B (by d ln B) and the
-    Coulomb sums T_i = sum_j s_ij e_i e_j / (v_i - v_j)^2, whose derivatives
-    are dT_i/dv_k = 2 s_ik e_i e_k / (v_i - v_k)^3 for k != i.
-
-    ``system`` is the straight-line code :func:`_nbody_factory` compiled
-    for ``spec.n``, bound to the spec's charges, masses and pair products
-    s_ij e_i e_j and to ``vn``.  Two coincident speeds, or a point where
-    the floats overflow, give NaN residuals, Jacobian and scales, which
-    Newton's backtracking treats as no decrease, so it halves the step;
-    non-finite residuals give a NaN Jacobian.  DegenerateError where
-    kappa = 0, e2 = 0 or the Coulomb bracket of the field vanishes (see
-    :func:`_collinear_field`).
+    F(u), their Jacobian dF/du (the chain rule through kappa, B by d ln B,
+    and the Coulomb sums T_i = sum_j s_ij e_i e_j / (v_i - v_j)^2) and each
+    row's scale (its largest |term|).  ``system`` is the straight-line code
+    :func:`_nbody_factory` compiled for ``spec.n``, bound to the spec and
+    ``vn``.  Two coincident speeds, or a point where the floats overflow,
+    give NaN residuals, Jacobian and scales, which Newton's backtracking
+    treats as no decrease; non-finite residuals give a NaN Jacobian.
+    DegenerateError where kappa = 0, e2 = 0 or the Coulomb bracket of the
+    field vanishes (see :func:`_collinear_field`).
     """
     e, m = spec.charges.tolist(), spec.masses.tolist()
     return _nbody_factory(spec.n)(spec.charges, spec.masses, float(vn), *e, *m)
 
 
 def _norm(f):
-    """|f|, the float ``np.linalg.norm(f)`` gives: the same ``x.dot(x)``
-    (BLAS ddot), then sqrt."""
+    """|f| as ``np.linalg.norm(f)`` gives it: ``x.dot(x)`` (BLAS ddot), then sqrt."""
     x = np.array(f, float)
     return math.sqrt(x.dot(x))
 
 
 def _newton_step(J, f):
-    """The solution of J step = -f, the floats ``np.linalg.solve`` gives,
-    as a list; FloatingPointError where J is singular, under the error
-    state :func:`_damped_newton` sets."""
+    """The list solving J step = -f as ``np.linalg.solve`` does (dgesv);
+    FloatingPointError where J is singular, under :func:`_damped_newton`'s error state."""
     return _solve1(J, [-fi for fi in f], signature="dd->d").tolist()
+
+
+def _converged(f, scale):
+    """Newton's stop: |F_i| <= 1e-12 max(1, scale_i) on every row."""
+    for fi, si in zip(f, scale):
+        if not abs(fi) <= _POLISH_TOL * (si if si > 1.0 else 1.0):
+            return False
+    return True
+
+
+def _gap(v):
+    """min_k |v_k - v2|, the first smallest as ``min`` takes it."""
+    g = abs(v[0] - _V2)
+    for x in v:
+        if (d := abs(x - _V2)) < g:
+            g = d
+    return g
 
 
 def _damped_newton(system, u0):
@@ -1094,33 +1096,29 @@ def _damped_newton(system, u0):
 
     The step solves J step = -F with the exact Jacobian and is halved until
     |F| decreases (or the stop holds) at a point with positive speeds.  The
-    iteration stops when every row satisfies |F_i| <= 1e-12 max(1, scale_i),
-    a root when also |F_i| <= 1e-12 scale_i and scale_i > 0.  Raises
-    NonConvergence otherwise, as where the field vanishes or J is singular,
-    and once three full steps in a row about halve a gap min_k |u_k - v2|
-    below 0.05: a speed coincidence, where every row shrinks as the gap
-    squared, a double zero Newton only nears linearly.
+    iteration stops when every row satisfies |F_i| <= 1e-12 max(1, scale_i)
+    (:func:`_converged`), a root when also |F_i| <= 1e-12 scale_i and
+    scale_i > 0.  Raises NonConvergence otherwise, as where the field
+    vanishes or J is singular, and once three full steps in a row about
+    halve the gap (:func:`_gap`) below 0.05: a speed coincidence, where
+    every row shrinks as the gap squared, a double zero Newton only nears
+    linearly.
 
-    The step and |F| are the floats ``np.linalg.solve`` and
-    ``np.linalg.norm`` give, without their Python wrapping, which costs
-    more than LAPACK's dgesv itself on these small systems:
-    :func:`_newton_step` calls dgesv through the gufunc ``np.linalg.solve``
-    runs, under the error state it sets, so a singular pivot (dgesv's
-    invalid flag, which ``np.linalg.solve`` turns into LinAlgError) raises
-    FloatingPointError here, and a NaN J gives a NaN step and no error.
-    Root verdicts turn on the last bit of F, so neither float is re-derived
-    in Python arithmetic, whose rounding differs from the BLAS kernels'.
+    The step and |F| are the floats of ``np.linalg.solve`` and
+    ``np.linalg.norm``, by dgesv and ddot without numpy's wrapping, which
+    costs more than dgesv on these small systems (:func:`_newton_step`,
+    :func:`_norm`); a singular pivot raises FloatingPointError under the
+    error state set here, a NaN J gives a NaN step.  Root verdicts turn on
+    the last bit of F, so neither float is re-derived in Python arithmetic.
+    Each iteration runs plain loops and carries the last accepted gap.
     """
-    def converged(f, scale):
-        return all(abs(fi) <= _POLISH_TOL * max(1.0, si) for fi, si in zip(f, scale))
-
     u = np.asarray(u0, float).tolist()
     fu, J, scale = system(u)
-    norm, halvings = _norm(fu), 0
+    norm, halvings, g0 = _norm(fu), 0, _gap(u)
     lo, hi = _COINCIDENCE_RATIO
     with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
         for _ in range(_NEWTON_MAX_ITER):
-            if converged(fu, scale):
+            if _converged(fu, scale):
                 break
             if halvings == _COINCIDENCE_STEPS:
                 raise NonConvergence(f"Newton falls onto a speed coincidence (|F| = "
@@ -1132,19 +1130,22 @@ def _damped_newton(system, u0):
             lam = 1.0
             for _ in range(30):
                 trial = [ui + lam * si for ui, si in zip(u, step)]
-                if all(t > 0 for t in trial):
+                for t in trial:
+                    if not t > 0:
+                        break
+                else:
                     ft, Jt, st = system(trial)
                     nt = _norm(ft)
-                    if nt < norm * (1 - 1e-4 * lam) or converged(ft, st):
-                        g, g0 = (min(abs(x - _V2) for x in v) for v in (trial, u))
+                    if nt < norm * (1 - 1e-4 * lam) or _converged(ft, st):
+                        g = _gap(trial)
                         halvings = (halvings + 1 if lam == 1.0 and 0 < g < _COINCIDENCE_GAP
                                     and lo * g0 <= g <= hi * g0 else 0)
-                        u, fu, J, scale, norm = trial, ft, Jt, st, nt
+                        u, fu, J, scale, norm, g0 = trial, ft, Jt, st, nt, g
                         break
                 lam *= 0.5
             else:
                 raise NonConvergence("backtracking stalled in the collinear solver")
-    if not converged(fu, scale):
+    if not _converged(fu, scale):
         raise NonConvergence(f"no convergence (|F| = {norm:.3g})")
     if any(abs(fi) > _POLISH_TOL * si for fi, si in zip(fu, scale)):
         raise NonConvergence(f"stopped on the absolute floor (|F| = {norm:.3g}): "
@@ -1161,11 +1162,9 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
     over :func:`sweep_grid`.  For n = 3 the candidates are the
     real roots of the elimination sextic, as in solve_config_II, so the two
     return the same roots.  For n > 3 the remaining speeds solve the reduced
-    balance system by damped Newton iteration from deterministic seeds: v1
-    runs over 0.25, 0.5 and 0.8 times v2, with interior speeds geometrically
-    interpolated between v2 and vn.  Newton steps with the exact Jacobian of
-    the balance rows, admits a root to round-off of each row's largest
-    |term|, and ends a run early where a speed falls onto v2.
+    balance system by damped Newton iteration (:func:`_damped_newton`) from
+    deterministic seeds: v1 runs over 0.25, 0.5 and 0.8 times v2, with
+    interior speeds geometrically interpolated between v2 and vn.
     Certification = relative residuals, ordering, rotation sense, Newton
     balance, and relative pair-distance deviation < 1e-6 over a quarter
     rotation period, the gates of every configuration (see
@@ -1183,15 +1182,17 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
         if vn <= _V2:
             return []
         system, assemble = _nbody_system(spec, vn)
-        interior = np.geomspace(_V2, vn, n)[2:n - 1]
-        seeds = [np.concatenate(([s1 * _V2], interior)) for s1 in _SEEDS_V1]
-        roots = []
-        for u0 in seeds:
+        # np.geomspace(_V2, vn, n)[2:n - 1]: its log10, step and power
+        lo = np.log10(_V2)
+        y = np.arange(n) * ((np.log10(vn) - lo) / (n - 1)) + lo
+        interior, roots = np.power(10.0, y)[2:n - 1].tolist(), []
+        for s1 in _SEEDS_V1:
             try:
-                u = _damped_newton(system, u0)
+                u = _damped_newton(system, [s1 * _V2, *interior])
             except NonConvergence:
                 continue
-            if not any(np.allclose(u, r, rtol=1e-8, atol=0) for r in roots):
+            # np.allclose(u, r, rtol=1e-8, atol=0) on finite speeds
+            if not any(all(abs(a - b) <= 1e-8 * abs(b) for a, b in zip(u, r)) for r in roots):
                 roots.append(u)
         return [tuple(assemble(u)) for u in sorted(roots, key=lambda x: x[0])]
 

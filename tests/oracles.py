@@ -65,6 +65,13 @@ absolute floor: the reference for :func:`magnetotrio.solvers._damped_newton`,
 which must end each run where it ends a root, to the bit, with the same
 verdict, and may end early only a run this loop ends as no root.
 
+``damped_newton_walk`` is that loop with its coincidence stop, iterated
+through generator passes, and ``linearization_walk`` fills A = Dg(y*) entry
+by entry into nested lists: the references for
+:func:`magnetotrio.solvers._damped_newton` and
+:func:`magnetotrio.solvers._linearization`, which must return the same
+floats (or raise the same message) and the same bytes of A.
+
 ``residuals_config_I`` and ``residuals_nbody_II`` sum the Configuration-I
 and collinear balance rows of :mod:`magnetotrio.solvers` into raw residual
 vectors: the references the tests hold the printed equations, their
@@ -470,6 +477,82 @@ def damped_newton_to_the_floor(system, u0):
     if not all(si > 0 for si in scale):
         raise NonConvergence("every term is zero where the field vanishes: not a root")
     return u
+
+
+def damped_newton_walk(system, u0):
+    """The n-body damped-Newton loop with its coincidence stop, written with
+    generator passes and two gap scans per accepted step: the steps, merits
+    and messages the solver's plain loops must reproduce."""
+    def converged(f, scale):
+        return all(abs(fi) <= solvers._POLISH_TOL * max(1.0, si)
+                   for fi, si in zip(f, scale))
+
+    u = np.asarray(u0, float).tolist()
+    fu, J, scale = system(u)
+    norm, halvings = solvers._norm(fu), 0
+    lo, hi = solvers._COINCIDENCE_RATIO
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        for _ in range(solvers._NEWTON_MAX_ITER):
+            if converged(fu, scale):
+                break
+            if halvings == solvers._COINCIDENCE_STEPS:
+                raise NonConvergence(f"Newton falls onto a speed coincidence (|F| = "
+                                     f"{norm:.3g}): not a root")
+            try:
+                step = solvers._newton_step(J, fu)
+            except FloatingPointError:
+                raise NonConvergence("singular Jacobian in the collinear solver") from None
+            lam = 1.0
+            for _ in range(30):
+                trial = [ui + lam * si for ui, si in zip(u, step)]
+                if all(t > 0 for t in trial):
+                    ft, Jt, st = system(trial)
+                    nt = solvers._norm(ft)
+                    if nt < norm * (1 - 1e-4 * lam) or converged(ft, st):
+                        g, g0 = (min(abs(x - _V2) for x in v) for v in (trial, u))
+                        halvings = (halvings + 1 if lam == 1.0
+                                    and 0 < g < solvers._COINCIDENCE_GAP
+                                    and lo * g0 <= g <= hi * g0 else 0)
+                        u, fu, J, scale, norm = trial, ft, Jt, st, nt
+                        break
+                lam *= 0.5
+            else:
+                raise NonConvergence("backtracking stalled in the collinear solver")
+    if not converged(fu, scale):
+        raise NonConvergence(f"no convergence (|F| = {norm:.3g})")
+    if any(abs(fi) > solvers._POLISH_TOL * si for fi, si in zip(fu, scale)):
+        raise NonConvergence(f"stopped on the absolute floor (|F| = {norm:.3g}): "
+                             "not a root")
+    if not all(si > 0 for si in scale):
+        raise NonConvergence("every term is zero where the field vanishes: not a root")
+    return u
+
+
+def linearization_walk(sol, spec):
+    """A = Dg(y*) of a rotation's co-rotating field at its t = 0 line
+    coordinates, filled entry by entry into 4n x 4n nested lists, in
+    Python floats: the identity, the frame's w (I_2n x J), each charge's
+    Lorentz block, then the Coulomb pair blocks in pair order."""
+    n, (_, y), w, B = spec.n, _line(sol, spec), _frame_omega(sol), sol.B
+    e, m = spec.charges.tolist(), spec.masses.tolist()
+    A = [[0.0] * (4 * n) for _ in range(4 * n)]
+    for k in range(2 * n):
+        A[k][2 * n + k] = 1.0
+    for k in range(0, 4 * n, 2):
+        A[k][k + 1], A[k + 1][k] = -w, w
+    for i in range(n):
+        a, lorentz = 2 * n + 2 * i, e[i] * B / m[i]
+        A[a][a + 1] += lorentz
+        A[a + 1][a] -= lorentz
+    for i, j, c in zip(*(p.tolist() for p in spec.pairs)):
+        cr3 = c / abs(y[2 * i] - y[2 * j]) ** 3
+        for a, b in ((i, j), (j, i)):
+            ax, ay = A[2 * n + 2 * a], A[2 * n + 2 * a + 1]
+            ax[2 * a] -= 2.0 * cr3 / m[a]
+            ax[2 * b] += 2.0 * cr3 / m[a]
+            ay[2 * a + 1] += cr3 / m[a]
+            ay[2 * b + 1] -= cr3 / m[a]
+    return np.array(A)
 
 
 def residuals_config_I(spec, v1, v2, v3, omega, omega3):

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import glob
+import hashlib
 import io
 import json
 import math
@@ -853,6 +854,47 @@ def test_manifest_keys_and_library_versions(tmp_path, argv, name):
                         "settings", "outputs", "wall_time_s", "stats", "phase_s"}
     assert doc["versions"] == {"python": "%d.%d.%d" % sys.version_info[:3],
                                "numpy": np.__version__}
+
+
+_HELIUM = "B 1\nparticle -2 4\nparticle 1 1\nparticle 1 1\n"
+
+# sha256 of every file a search writes but its manifest, and of its
+# standard error, as recorded at commit 1eb95bb; HELIUM's standard error
+# names the gates its uncertified roots fail
+_FIND_DIGESTS = {
+    "spec4": (0, {
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "spec4.II-000.system": "9ed40207e10309166ad779a6ab608504f7b83b3989f7bf41388a90fe83d65dc2",
+        "spec4.II-001.system": "30727c70b54d73b7b2e70aeda4dd36662642c6a9cfbda500d92a29a216bbe2da",
+        "spec4.II-002.system": "bed3ecdef672be0b55cbb7268a3bb72c6cbcd2fd055160519eddf97862e2faa6",
+        "spec4.II-003.system": "b1bf4a442e322c216544b3c075427988d3d36cae1e84a606cb620415ae47ed80",
+        "spec4.II-004.system": "77aceced138e73f56d516b7dd8e00d69dbb064fc0ddf69ce853264b59d721617",
+        "spec4.II-005.system": "38ec0030bdd2f01ea8273df5bcaa9380623e800ff75434604b038e932aea8af4",
+        "spec4.II.catalog.csv": "a39ed9db8bb9234168f16e97785294512fb0ebe2c2522e83dc1b56ffe0035d1b"}),
+    "four": (0, {
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "four.nbody-II-000.system": "bd30929653885135f8678fe828c14f1882d7d5fc4286caf388c42e5291e54a41",
+        "four.nbody-II.catalog.csv": "1323728a46356491f1189439ce6547656948537c22e9bc28bad36c3bdf767bed"}),
+    "helium": (4, {
+        "stderr": "c4d2866845c71becd415d58b5cde51fb2bf27532627c167d423976c8e96cbbb0"}),
+}
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("spec4", _SPEC4, ["--config", "II", "--grid-points", "6", "--emit-states"]),
+    ("four", _FOUR, ["--config", "nbody-II", "--grid-min", "1.5", "--grid-max", "6",
+                     "--grid-points", "4", "--emit-states"]),
+    ("helium", _HELIUM, ["--config", "II"]),
+])
+def test_find_writes_the_pinned_bytes(tmp_path, capsys, name, text, argv):
+    out_dir = tmp_path / "out"
+    rc = main(["find", _write(tmp_path, f"{name}.system", text), *argv,
+               "--out-dir", str(out_dir)])
+    got = {"stderr": hashlib.sha256(capsys.readouterr().err.encode()).hexdigest()}
+    for path in sorted(out_dir.glob("*")):
+        if not path.name.endswith(".manifest.json"):
+            got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert (rc, got) == _FIND_DIGESTS[name]
 
 
 class TestRerun:

@@ -32,7 +32,8 @@ from oracles import (closed_form_B_II, closed_form_B_III,
                      helium_closed_forms, helium_cubic_root,
                      helium_pattern, helium_quartic_coefficients,
                      newton_balance, p6_descending, p6_roots_v1,
-                     damped_newton_to_the_floor, residuals_config_I,
+                     damped_newton_to_the_floor, damped_newton_walk,
+                     linearization_walk, residuals_config_I,
                      residuals_nbody_II, walk_nbody_system)
 
 CBRT_5_4 = (5.0 / 4.0) ** (1.0 / 3.0)       # 1.0772173450159419
@@ -890,6 +891,58 @@ class TestNbodyCollinear:
             assert rows(spec) == reference
         assert early > 0
 
+    def test_loop_returns_the_walks_floats(self, four, five, monkeypatch):
+        # every run of the species of the coincidence-stop test returns the
+        # floats of the generator walk, or raises its message
+        loop = solvers._damped_newton
+        runs = {"root": 0, "raised": 0}
+
+        def both(system, u0):
+            try:
+                want = damped_newton_walk(system, u0)
+            except NonConvergence as ex:
+                with pytest.raises(NonConvergence) as got:
+                    loop(system, u0)
+                assert str(got.value) == str(ex)
+                runs["raised"] += 1
+                raise
+            got = loop(system, u0)
+            assert _same_floats(got, want)
+            runs["root"] += 1
+            return got
+
+        monkeypatch.setattr(solvers, "_damped_newton", both)
+        rng = np.random.default_rng(2026)
+        species = [replace(four, charges=four.charges * k) for k in (1e-6, 1.0, 1e6)]
+        species += [five] + [_random_species(rng, int(rng.integers(4, 7)))
+                             for _ in range(20)]
+        for spec in species:
+            try:
+                solve_nbody_II(spec, require_certified=False)
+            except NoSolution:
+                pass
+        assert runs["root"] > 0 and runs["raised"] > 0
+
+    def test_seeds_are_geomspaces_to_the_bit(self, monkeypatch):
+        # the interior speeds of every seed are np.geomspace(v2, vn, n)[2:n-1]
+        seeds = []
+
+        def record(system, u0):
+            seeds.append(u0)
+            raise NonConvergence("recorded")
+
+        monkeypatch.setattr(solvers, "_damped_newton", record)
+        rng = np.random.default_rng(42)
+        values = sorted({*rng.uniform(1.0, 30.0, 300), *np.exp(rng.uniform(0.0, 40.0, 300)),
+                         math.nextafter(1.0, 2.0), *np.geomspace(1.5, 20.0, 12)})
+        for n in range(4, 9):
+            seeds.clear()
+            with pytest.raises(NoSolution):
+                solve_nbody_II(_random_species(rng, n), values)
+            want = [[s1 * solvers._V2, *np.geomspace(solvers._V2, vn, n)[2:n - 1].tolist()]
+                    for vn in values for s1 in solvers._SEEDS_V1]
+            assert _same_floats(seeds, want), n
+
     @pytest.mark.parametrize("name", ["four", "five"])
     def test_steps_and_merits_are_numpys_to_the_bit(self, name, request,
                                                     monkeypatch):
@@ -1552,6 +1605,33 @@ class TestSpectralScreen:
             oracle = _central_linearization(row, spec)
             assert np.abs(A - oracle).max() <= 1e-8 * np.abs(oracle).max(), row
 
+    def test_bytes_match_the_walk(self, spec4, worked, four, five, electrons,
+                                  monkeypatch):
+        # A of every row that reaches the screen on the default grids holds
+        # the bytes of the nested-list fill (the electrons' rows are twins
+        # of rows with a second frequency, whose line is built anew)
+        linearization, seen = solvers._linearization, []
+
+        def spy(sol, spec, line):
+            A = linearization(sol, spec, line)
+            assert A.tobytes() == linearization_walk(sol, spec).tobytes(), sol
+            seen.append(sol)
+            return A
+
+        monkeypatch.setattr(solvers, "_linearization", spy)
+        searches = [(spec4, solve_config_II), (spec4, solve_config_III),
+                    (spec4, solve_nbody_II), (worked, solve_config_I),
+                    (worked, solve_config_II), (worked, solve_config_III),
+                    (worked, solve_nbody_II), (four, solve_nbody_II),
+                    (five, solve_nbody_II), (electrons, solve_config_I)]
+        for spec, solve in searches:
+            try:
+                solve(spec, require_certified=False)
+            except NoSolution:
+                pass
+        assert {len(sol.v) for sol in seen} == {3, 4, 5}
+        assert {sol.config for sol in seen} == {"I", "II", "III", "nbody-II"}
+
     @pytest.mark.parametrize("case", ["spec4", "four", "spec4-II", "spec4-III",
                                       "worked-I", "electrons-I"])
     def test_spectrum_is_hamiltonian(self, case, request):
@@ -1587,7 +1667,7 @@ class TestSpectralScreen:
     def test_unformed_spectrum_integrates(self, spec4, monkeypatch, fault):
         # an overflowing kernel or a non-finite entry leaves no spectrum:
         # the row is integrated as without the screen
-        def linearization(sol, spec):
+        def linearization(sol, spec, line):
             if fault == "overflow":
                 raise OverflowError("(34, 'Numerical result out of range')")
             return np.full((12, 12), np.inf)
@@ -1601,7 +1681,7 @@ class TestSpectralScreen:
         # the bound is compared in logarithms, so a growth above 709.8,
         # where math.exp overflows, integrates the row instead of raising
         monkeypatch.setattr(solvers, "_linearization",
-                            lambda sol, spec: 1e300 * np.eye(12))
+                            lambda sol, spec, line: 1e300 * np.eye(12))
         [row] = solve_nbody_II(spec4, [1.5])
         assert row.growth > 1e3 and row.certified
         assert row.rigidity < solvers._RIGIDITY_TOL
