@@ -47,7 +47,9 @@ the gate, else by integrating the state in the frame turning with it,
 where it is a relative equilibrium (Meyer, Hall and Offin, Introduction
 to Hamiltonian Dynamical Systems and the N-Body Problem, 2nd ed., 2009).
 ``notes`` name each gate an uncertified root failed: uncertified roots
-are algebra, not trajectories.
+are algebra, not trajectories.  A collinear root outside its sector or
+sense (most are) is only gated until it leaves the package: see
+:func:`_sweep`.
 
 Speeds and frequencies are reported positive; ``sense`` records the
 actual rotation sense ("cw" for the parametrization
@@ -129,7 +131,9 @@ class ConfigSolution:
     ``growth`` is lambda t_q, the largest real part lambda of the
     rotation's Floquet exponents times the rigidity horizon t_q, for a row
     of any configuration that reached the screen (NaN where no spectrum
-    was formed, or for a row an earlier gate rejected).
+    was formed, or for a row an earlier gate rejected).  Every returned row
+    is certified in full; a gated root is finished on its way out
+    (:func:`_sweep`).
     """
 
     config: str
@@ -382,6 +386,13 @@ def build_initial_state(solution, spec):
     return replace(spec, B=solution.B), PhaseState(*np.reshape(y, (2, -1)))
 
 
+def _checked(line):
+    # the line of _line, or the built state's DomainError where not finite
+    if not all(map(math.isfinite, line[1])):
+        raise DomainError("positions, velocities and t must be finite")
+    return line
+
+
 def _newton_balance(solution, spec, line=None):
     """Relative mismatch between the exact Newtonian accelerations of
     ``solution``'s rotation of the charges of ``spec`` and the rigid-rotation
@@ -394,9 +405,7 @@ def _newton_balance(solution, spec, line=None):
     kernel at the line coordinates (a non-finite one is the state's
     DomainError); inf where a power overflows or a pair distance underflows
     to 0."""
-    c, y = _line(solution, spec) if line is None else line
-    if not all(map(math.isfinite, y)):
-        raise DomainError("positions, velocities and t must be finite")
+    c, y = _checked(_line(solution, spec) if line is None else line)
     try:
         acc = dynamics._rhs(spec, B=solution.B)(0.0, np.array(y))[len(y) // 2:]
         w2, w3 = -solution.omega**2, solution.omega3**2
@@ -474,14 +483,17 @@ def _growth(sol, spec, horizon, line):
     return float(lam) * horizon
 
 
-def _certify(sol, spec, terms, gates=()):
+def _certify(sol, spec, terms, gates=(), line=None):
     """Certify ``sol``: the caller's ``(ok, note)`` gates, then the relative
     residual of its balance rows ``terms()`` and its Newton balance; a root
     that passed them all must also stay rigid over a quarter period (an
     integration that collides or that the stepper cannot finish fails that
     gate).  Each failed gate leaves a note, formatted only then; ``sol`` is
-    certified when none failed.  The t = 0 line (:func:`_line`) is built
-    once and handed to the balance and the linearization.
+    certified when none failed.  The t = 0 line (:func:`_line`, or
+    ``line``) is built once and handed to the balance and the
+    linearization.  A collinear root its sector or sense gate rejected
+    comes here only on its way out of the package (:func:`_sweep`), and
+    stops after the balance.
 
     The rigidity gate reads a single-frequency rotation.  Configuration I's
     row with the third charge on its own circle at omega3 (one common
@@ -504,7 +516,7 @@ def _certify(sol, spec, terms, gates=()):
     an unstable rotation amplifies (mixed-sign charges by ~e^25 per period):
     the quarter-period horizon keeps such seeds below the gate."""
     sol.residual_norm = _relative_norm(terms)
-    line = _line(sol, spec)
+    line = _line(sol, spec) if line is None else line
     sol.newton_balance = _newton_balance(sol, spec, line)
     notes = [note for ok, note in gates if not ok]
     if not sol.residual_norm < _RESIDUAL_TOL:
@@ -564,14 +576,39 @@ def sweep_grid(spec, config, grid_min=None, grid_max=None,
     if not 0 < lo <= hi < math.inf:
         raise DomainError(f"grid bounds must satisfy 0 < min <= max < inf, "
                           f"got [{lo:g}, {hi:g}]")
-    return np.array(sorted(set(np.geomspace(lo, hi, points).tolist())))
+    return np.array(sorted(set(_geomspace(lo, hi, points))))
+
+
+def _geomspace(lo, hi, num):
+    """``np.geomspace(lo, hi, num).tolist()`` to the bit, for 0 < lo <= hi
+    < inf and an integer num >= 1, without numpy's wrapping: ``linspace``'s
+    exponents between the bounds' ``np.log10`` (its zero-step and
+    single-point cases included), ``np.power``, and the pinned bounds."""
+    if num == 1:
+        return [float(lo)]
+    start = np.log10(float(lo))
+    span, y = np.log10(float(hi)) - start, np.arange(num, dtype=float)
+    step = span / (num - 1)
+    out = np.power(10.0, (y * step if step else y / (num - 1) * span) + start)
+    out[0], out[-1] = lo, hi
+    return out.tolist()
+
+
+def _finished(row):
+    sol, rest = row
+    return sol if rest is None else rest()
 
 
 def _sweep(spec, config, values, point, require_certified):
-    """The sorted solutions ``point(x)`` over the positive finite ``values``
-    (default :func:`sweep_grid`); a point may raise only NoSolution or
+    """The sorted solutions over the positive finite ``values`` (default
+    :func:`sweep_grid`), from the ``(sol, rest)`` pairs ``point(x)`` gives
+    (see :func:`_collinear_solution`); a point may raise only NoSolution or
     DegenerateError.  NoSolution, naming the first such error and up to four
-    uncertified roots, when none is (certified)."""
+    uncertified roots, when none is (certified).
+
+    A root its caller's gate rejected holds only the gate's notes until it
+    leaves: ``rest()`` finishes it for every row when ``require_certified``
+    is False and for the four a NoSolution message names, for no other."""
     if values is None:
         values = sweep_grid(spec, config)
     out, rejected, reason = [], [], None
@@ -579,12 +616,15 @@ def _sweep(spec, config, values, point, require_certified):
         if not 0.0 < x < math.inf:
             continue
         try:
-            sols = point(float(x))
+            rows = point(float(x))
         except (NoSolution, DegenerateError) as ex:
             reason = reason or str(ex)
             continue
-        for sol in sols:
-            (out if sol.certified or not require_certified else rejected).append(sol)
+        for row in rows:
+            if row[0].certified or not require_certified:
+                out.append(_finished(row))
+            else:
+                rejected.append(row)
     if not out:
         name = "collinear rigid" if config == "nbody-II" else f"Configuration-{config}"
         msg = f"no {name} rotation on the sampled grid"
@@ -593,7 +633,7 @@ def _sweep(spec, config, values, point, require_certified):
         if rejected:
             msg += ". Algebraic roots exist but fail certification: " + "; ".join(
                 f"v{len(s.v)}={s.v[-1]:.6g}: v1={s.v[0]:.10g} ({', '.join(s.notes)})"
-                for s in rejected[:4])
+                for s in map(_finished, rejected[:4]))
         raise NoSolution(msg)
     out.sort(key=ConfigSolution.sort_key)
     return out
@@ -627,6 +667,11 @@ def solve_config_I_v3zero(spec, v1=1.0):
     frequency is an uncertified "ccw" row.  An equal pair (e1 = e2) or a
     vanishing Coulomb bracket is DegenerateError.
     """
+    return [_finished(row) for row in _config_I_v3zero_rows(spec, v1)]
+
+
+def _config_I_v3zero_rows(spec, v1):
+    # solve_config_I_v3zero's (sol, rest) pair: the point of its sweep
     if spec.n != 3:
         raise DomainError("Configuration I is a three-charge system")
     if v1 <= 0:
@@ -750,10 +795,12 @@ def solve_config_I(spec, values=None, require_certified=True):
     if _identical_pair(spec):
         _pair_quadratic(spec, spec.B)     # refuses a zero field, an uncharged pair
         v3 = 1.0 if classify_system(spec).equal_larmor else 0.0
-        point = partial(solve_config_I_identical, spec, v3=v3)
+
+        def point(rho):
+            return [(sol, None) for sol in solve_config_I_identical(spec, rho, v3=v3)]
     else:
         _pair_ratio(spec)                 # refuses a pair not of one sign
-        point = partial(solve_config_I_v3zero, spec)
+        point = partial(_config_I_v3zero_rows, spec)
     return _sweep(spec, "I", values, point, require_certified)
 
 
@@ -817,8 +864,11 @@ def _p6_roots_v1(at, v2, v3):
 
 
 def _collinear_solution(spec, v, config, branch):
-    """Assemble + certify one collinear root (positive speed tuple ``v``);
-    its own gates are the speed ordering and the rotation sense."""
+    """The ``(sol, rest)`` pair of :func:`_sweep` of one collinear root
+    (positive speed tuple ``v``); its own gates are the speed ordering and
+    the rotation sense.  A root inside both is certified at once (rest
+    None); one outside keeps their notes and its t = 0 line, checked finite
+    at once, for ``rest()``, the rest of :func:`_certify`."""
     u, order = _layout(config, v)
     # the second balance row solved for B
     kap, _, B = _collinear_field(spec, u, order)
@@ -834,9 +884,13 @@ def _collinear_solution(spec, v, config, branch):
     # the Coulomb signs of the terms hold while the charges lie along the
     # line in ``order``: the signed speeds increase along it
     in_sector = min(v) >= 0 and all(u[i] < u[j] for i, j in zip(order, order[1:]))
-    return _certify(sol, spec, terms, (
-        (in_sector, "speed ordering outside the sector"),
-        (omega_signed > 0, "mirror rotation sense")))
+    if in_sector and omega_signed > 0:
+        return _certify(sol, spec, terms), None
+    gates = ((in_sector, "speed ordering outside the sector"),
+             (omega_signed > 0, "mirror rotation sense"))
+    line = _checked(_line(sol, spec))
+    sol.notes = tuple(note for ok, note in gates if not ok)
+    return sol, partial(_certify, sol, spec, terms, gates, line)
 
 
 def _sextic_speeds(spec, config):
@@ -866,13 +920,13 @@ def _collinear_sweep(spec, config, values, speeds_at, require_certified):
             "identically, so no collinear rigid rotation exists")
 
     def point(x):
-        sols = []
+        rows = []
         for k, v in enumerate(speeds_at(x)):
             try:
-                sols.append(_collinear_solution(spec, v, config, branch=str(k)))
+                rows.append(_collinear_solution(spec, v, config, branch=str(k)))
             except DegenerateError:
                 continue
-        return sols
+        return rows
 
     return _sweep(spec, config, values, point, require_certified)
 
@@ -1182,10 +1236,7 @@ def solve_nbody_II(spec, vn_values=None, require_certified=True):
         if vn <= _V2:
             return []
         system, assemble = _nbody_system(spec, vn)
-        # np.geomspace(_V2, vn, n)[2:n - 1]: its log10, step and power
-        lo = np.log10(_V2)
-        y = np.arange(n) * ((np.log10(vn) - lo) / (n - 1)) + lo
-        interior, roots = np.power(10.0, y)[2:n - 1].tolist(), []
+        interior, roots = _geomspace(_V2, vn, n)[2:n - 1], []
         for s1 in _SEEDS_V1:
             try:
                 u = _damped_newton(system, [s1 * _V2, *interior])

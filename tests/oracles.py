@@ -39,6 +39,12 @@ integration run here.  They are the references for the spectral screen of
 :func:`magnetotrio.solvers._certify`, which passes rows without
 integrating them.
 
+``eager_collinear_solution`` assembles one collinear root and certifies
+it in full, inside its sector and sense gates or not: swapped in for
+:func:`magnetotrio.solvers._collinear_solution`, which finishes a gated
+root only when it leaves the package, it is the reference each sweep's
+returned rows and NoSolution text must equal field by field.
+
 ``complex_step_linearization`` is A = Dg(y*), the Jacobian of a
 rotation's co-rotating field at its t = 0 line coordinates, from 4n
 complex-step columns of the compiled rotating kernel: the reference for
@@ -111,7 +117,8 @@ import math
 
 import numpy as np
 
-from magnetotrio import (DegenerateError, DomainError, IntegratorSettings,
+from magnetotrio import (ConfigSolution, DegenerateError, DomainError,
+                         IntegratorSettings,
                          NonConvergence, SpecParseError, Trajectory,
                          build_initial_state, dynamics, solvers)
 from magnetotrio._dop853 import D, DOP853
@@ -284,6 +291,27 @@ def gate_drift(sol, spec):
         return sol.rigidity
     [drift] = gate_drifts(sol, *build_initial_state(sol, spec), inertial=False)
     return drift
+
+
+def eager_collinear_solution(spec, v, config, branch):
+    """The ``(sol, None)`` pair of one collinear root (positive speeds
+    ``v``) of ``config``, certified at once in full: its sector and sense
+    gates, then the residual, the balance and, if those pass, rigidity, by
+    ``solvers._certify``."""
+    u, order = solvers._layout(config, v)
+    kap, _, B = _collinear_field(spec, u, order)
+    omega_signed = kap * B
+    if omega_signed == 0.0 or not math.isfinite(omega_signed):
+        raise DegenerateError("frequency or field closed form degenerates")
+    terms = functools.partial(_collinear_terms, spec, u, omega_signed, B, order)
+    sol = ConfigSolution(
+        config=config, branch=branch, v=tuple(map(abs, v)),
+        omega=abs(omega_signed), B=B,
+        sense="cw" if omega_signed > 0 else "ccw")
+    in_sector = min(v) >= 0 and all(u[i] < u[j] for i, j in zip(order, order[1:]))
+    return solvers._certify(sol, spec, terms, (
+        (in_sector, "speed ordering outside the sector"),
+        (omega_signed > 0, "mirror rotation sense"))), None
 
 
 def complex_step_linearization(sol, spec, step=1e-20):
