@@ -10,9 +10,9 @@ right-hand side is straight-line code compiled once per particle count n
 spelled out, and the floats are those of a scalar walk over the pair table
 ``SystemSpec.pairs``.  It returns a list, which the stepper stores
 straight into a stage row; :func:`accelerations` is its second half.
-:func:`integrate` can also run in a frame that turns at a given frequency,
-where a rigid rotation at that frequency is a constant solution; its
-kernel is the same template plus the frame term.
+The same template plus a frame term (:func:`_rhs`) is the field in which
+a rigid rotation is constant; the solvers' rigidity certification
+integrates it on :func:`_solve`, the stepper loop under :func:`integrate`.
 Integration uses DOP853, the adaptive 8(5,3) Dormand-Prince pair of the
 in-package stepper ``_dop853``, with tight default tolerances; it takes
 the steps and returns the floats of ``scipy.integrate.solve_ivp`` without
@@ -98,8 +98,8 @@ def _rhs_factory(n, rotating=False):
     With ``rotating``, ``make`` takes one more argument, the frame
     frequency w, and ``f`` adds w (I_2n x J) y to each derivative, with
     J = [[0, -1], [1, 0]]: per charge, x' = vx - w y, y' = vy + w x,
-    vx' = ax - w vy and vy' = ay + w vx.  That is the field of
-    :func:`integrate`'s rotating frame; the inertial source is unchanged.
+    vx' = ax - w vy and vy' = ay + w vx (the frame of :func:`_rhs`); the
+    inertial source is unchanged.
     """
     pairs = list(zip(*(a.tolist() for a in pair_index(n))))
     e, m = [f"e{i}" for i in range(n)], [f"m{i}" for i in range(n)]
@@ -145,7 +145,9 @@ def _rhs(spec, w=0.0, B=None):
     :func:`_rhs_factory` compiled for ``spec.n``, bound to the spec's field
     (or ``B``), charges, masses and pair products.  A nonzero ``w`` binds
     the rotating kernel instead, the field ``g(t, y) = f(t, y) + w (I_2n x
-    J) y`` of the frame that turns at ``w`` (see :func:`integrate`).
+    J) y`` of R(wt) rho and R(wt) rho', R(a) the counterclockwise rotation
+    by a (the forces commute with rotations): a rigid rotation at w,
+    clockwise for w > 0, is constant there, at the inertial pair distances.
 
     It does the floating-point operations of a scalar walk over the pair
     table, in its order: the magnetic force ``(vy B) e``, ``((-vx) B) e``;
@@ -312,35 +314,20 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
     return (np.array(ts) if t_eval is None else t_eval), np.vstack(rows), stats
 
 
-def integrate(spec, state, settings, *, frame_omega=0.0):
+def integrate(spec, state, settings):
     """Integrate the Newton equations from ``state`` up to ``settings.t_end``.
-
-    A nonzero ``frame_omega`` = w integrates in the frame that turns at w
-    in the sense of the solvers' parametrization rho(t) = r (cos wt,
-    -sin wt) (clockwise for w > 0).  The variables are R(wt) rho and
-    R(wt) rho', with R(a) the counterclockwise rotation by a, and their
-    field is f(y) + w (I_2n x J) y with J = [[0, -1], [1, 0]], because the
-    Coulomb and magnetic forces commute with rotations.  Positions and
-    velocities come back in that rotating basis: the inertial vectors
-    turned by R(wt), so the velocities are not those relative to the
-    frame.  Pair distances, and so the collision watch and the deviation
-    that :func:`rigidity_report` returns, are the same in both frames, and
-    a rigid rotation at w is a constant solution there.
 
     Raises :class:`CollisionError` if the closest pair distance falls to
     ``COLLISION_FRACTION`` of the start state's, :class:`StepUnderflow` if
     the stepper cannot proceed, and :class:`DomainError` if a pair distance
-    outgrows the float range or ``frame_omega`` is not finite.
+    outgrows the float range.
     """
     t_eval = _checked_grid(settings, state.t)
     if state.n != spec.n:
         raise DomainError("state and spec have different particle counts")
-    if not math.isfinite(frame_omega):
-        raise DomainError(f"frame_omega must be finite, got {frame_omega!r}")
     n = spec.n
     y0 = np.concatenate([state.positions.ravel(), state.velocities.ravel()])
-    rhs = _rhs(spec, frame_omega)
-    t, y, stats = _solve(spec, rhs, y0, state.t, t_eval, settings,
+    t, y, stats = _solve(spec, _rhs(spec), y0, state.t, t_eval, settings,
                          lambda y: y[: 2 * n].tolist())
     pos = y[:, : 2 * n].reshape(-1, n, 2).copy()
     vel = y[:, 2 * n:].reshape(-1, n, 2).copy()

@@ -43,9 +43,9 @@ speeds increase strictly along the order and none is negative.  Every
 root is certified the same way (:func:`_certify`): the Newton balance in
 floats at the t = 0 line coordinates, then rigidity over a quarter
 period, by the rotation's spectrum where that bounds the drift far below
-the gate, else by integrating the state in the frame turning with it,
-where it is a relative equilibrium (Meyer, Hall and Offin, Introduction
-to Hamiltonian Dynamical Systems and the N-Body Problem, 2nd ed., 2009).
+the gate, else by integrating them in the frame turning with it, where
+it is a relative equilibrium (Meyer, Hall and Offin, Introduction to
+Hamiltonian Dynamical Systems and the N-Body Problem, 2nd ed., 2009).
 ``notes`` name each gate an uncertified root failed: uncertified roots
 are algebra, not trajectories.  A collinear root outside its sector or
 sense (most are) is only gated until it leaves the package: see
@@ -125,7 +125,7 @@ class ConfigSolution:
     rotation sense.  ``residual_norm`` is the worst *relative* residual of
     the defining algebraic system (each equation normalized by its largest
     additive term).  ``newton_balance`` is the relative imbalance of the
-    exact Newtonian acceleration on the built state; ``rigidity`` is the
+    exact Newtonian acceleration at its t = 0 line; ``rigidity`` is the
     integrated relative pair-distance deviation when certification ran an
     integration (NaN otherwise, as for a row the spectral screen passed).
     ``growth`` is lambda t_q, the largest real part lambda of the
@@ -347,8 +347,8 @@ def make({", ".join(f"a{k}" for k in range(len(keys)))}):
 
 def _frame_omega(sol):
     """The signed frequency w of ``sol``'s rotation: each collinear charge
-    runs rho(t) = r (cos wt, -sin wt), as :func:`build_initial_state`
-    builds it."""
+    runs rho(t) = r (cos wt, -sin wt) from its :func:`_line` (clockwise for
+    w > 0), constant in the frame of the kernel ``dynamics._rhs(spec, w)``."""
     return sol.omega if sol.sense == "cw" else -sol.omega
 
 
@@ -393,11 +393,11 @@ def _checked(line):
     return line
 
 
-def _newton_balance(solution, spec, line=None):
+def _newton_balance(solution, spec, line):
     """Relative mismatch between the exact Newtonian accelerations of
     ``solution``'s rotation of the charges of ``spec`` and the rigid-rotation
     kinematics it claims.  Each charge turns at omega about the center c of
-    :func:`_line` (or ``line``), which turns at omega3, so it should
+    its :func:`_line` ``line``, which turns at omega3, so it should
     accelerate at -omega^2 (x - c) - omega3^2 c.  Zero (to rounding) iff the
     solution is a genuine trajectory; far above the 1e-6 gate for
     algebra-only roots whose sign sector does not match.  The floats, a NaN
@@ -405,7 +405,7 @@ def _newton_balance(solution, spec, line=None):
     kernel at the line coordinates (a non-finite one is the state's
     DomainError); inf where a power overflows or a pair distance underflows
     to 0."""
-    c, y = _checked(_line(solution, spec) if line is None else line)
+    c, y = _checked(line)
     try:
         acc = dynamics._rhs(spec, B=solution.B)(0.0, np.array(y))[len(y) // 2:]
         w2, w3 = -solution.omega**2, solution.omega3**2
@@ -431,10 +431,10 @@ def _linearization_slots(n):
     return np.eye(N, k=2 * n), np.array([r * N + c for r, c in cells])
 
 
-def _linearization(sol, spec, line=None):
+def _linearization(sol, spec, line):
     """A = Dg(y*): the Jacobian of the field g of ``sol``'s rotating frame,
     the kernel ``dynamics._rhs(spec, w, B=sol.B)``, at the rotation's t = 0
-    solver vector y* (:func:`_line`, or ``line``), where g vanishes; in
+    solver vector y* (of its :func:`_line` ``line``), where g vanishes; in
     closed form, in Python floats.  Over the 2-blocks of positions and
     velocities it holds the identity that maps each velocity onto its
     position, the frame's w (I_2n x J) with J = [[0, -1], [1, 0]], the
@@ -447,7 +447,7 @@ def _linearization(sol, spec, line=None):
     entry-by-entry fill onto 0.0, whose floats they are.  ArithmeticError
     where a float overflows or a pair distance is 0."""
     n, w, B = spec.n, _frame_omega(sol), sol.B
-    _, y = _line(sol, spec) if line is None else line
+    _, y = line
     e, m = spec.charges.tolist(), spec.masses.tolist()
     lorentz = [ei * B / mi for ei, mi in zip(e, m)]
     values = [-w, w] * n + [q for L in lorentz for q in (-w + L, w - L)]
@@ -490,10 +490,10 @@ def _certify(sol, spec, terms, gates=(), line=None):
     integration that collides or that the stepper cannot finish fails that
     gate).  Each failed gate leaves a note, formatted only then; ``sol`` is
     certified when none failed.  The t = 0 line (:func:`_line`, or
-    ``line``) is built once and handed to the balance and the
-    linearization.  A collinear root its sector or sense gate rejected
-    comes here only on its way out of the package (:func:`_sweep`), and
-    stops after the balance.
+    ``line``) is built once and handed to the balance, the linearization
+    and the rigidity integration; no state is built.  A collinear root its
+    sector or sense gate rejected comes here only on its way out of the
+    package (:func:`_sweep`), and stops after the balance.
 
     The rigidity gate reads a single-frequency rotation.  Configuration I's
     row with the third charge on its own circle at omega3 (one common
@@ -509,11 +509,12 @@ def _certify(sol, spec, terms, gates=(), line=None):
     amplification of that seed over the horizon reaches the gate (and no
     root above growth ln(1e-8 / eps) ~ 17.6 is screened).  The bound is
     compared in logarithms, which no growth overflows.  Every other root,
-    NaN growth included, is integrated in the frame that turns with the
-    rotation (``frame_omega``), where it is an equilibrium: pair distances
-    are those of the inertial frame, but DOP853 takes few steps on a
-    constant solution.  Round-off and truncation still seed a deviation that
-    an unstable rotation amplifies (mixed-sign charges by ~e^25 per period):
+    NaN growth included, integrates its line with the kernel of the frame
+    that turns with the rotation (``dynamics._rhs`` at :func:`_frame_omega`)
+    on ``dynamics._solve``, where it is an equilibrium: pair distances are
+    those of the inertial frame, but DOP853 takes few steps on a constant
+    solution.  Round-off and truncation still seed a deviation that an
+    unstable rotation amplifies (mixed-sign charges by ~e^25 per period):
     the quarter-period horizon keeps such seeds below the gate."""
     sol.residual_norm = _relative_norm(terms)
     line = _line(sol, spec) if line is None else line
@@ -524,20 +525,28 @@ def _certify(sol, spec, terms, gates=(), line=None):
     if not sol.newton_balance < _BALANCE_TOL:
         notes.append(f"Newton imbalance {sol.newton_balance:.3g}")
     if not notes:
-        rigid = replace(sol, v=(*sol.v[:2], 0.0), omega3=0.0) if sol.omega3 else sol
+        rigid, twin = sol, line
+        if sol.omega3:
+            rigid = replace(sol, v=(*sol.v[:2], 0.0), omega3=0.0)
+            twin = _line(rigid, spec)
         t_end = _RIGIDITY_PERIODS * (2 * math.pi / sol.omega)
-        sol.growth = _growth(rigid, spec, t_end, None if sol.omega3 else line)
+        sol.growth = _growth(rigid, spec, t_end, twin)
         if not sol.growth <= math.log(_SCREEN_MARGIN * _RIGIDITY_TOL / max(
                 sol.newton_balance, math.ulp(1.0))):
-            spec_b, state = build_initial_state(rigid, spec)
             settings = IntegratorSettings(t_end=t_end, sample_interval=t_end / 200.0)
+            n = spec.n
             try:
-                # looked up at call time, so bench/spans.py traces these integrations
-                sol.rigidity = rigidity_report(dynamics.integrate(
-                    spec_b, state, settings, frame_omega=_frame_omega(rigid)))
+                # looked up at call time, so a caller can watch these runs
+                t, y, _ = dynamics._solve(
+                    spec, dynamics._rhs(spec, _frame_omega(rigid), B=rigid.B),
+                    np.array(twin[1]), 0.0, dynamics._checked_grid(settings, 0.0),
+                    settings, lambda y: y[:2 * n].tolist())
             except (CollisionError, StepUnderflow) as err:
                 notes = (f"rigidity integration stopped: {err}",)
             else:
+                sol.rigidity = rigidity_report(dynamics.Trajectory(
+                    spec, t, y[:, :2 * n].reshape(-1, n, 2),
+                    y[:, 2 * n:].reshape(-1, n, 2)))
                 if not sol.rigidity < _RIGIDITY_TOL:
                     notes = (f"pair distances drift {sol.rigidity:.3g} within "
                              f"{_RIGIDITY_PERIODS:g} period",)

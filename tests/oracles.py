@@ -31,13 +31,16 @@ numpy arrays: the references for the compiled sextic kernel, its direct
 LAPACK companion roots and the state-free balance of
 :mod:`magnetotrio.solvers`, which must return their floats to the bit.
 
-``gate_drifts`` integrates a rotation's built state over the rigidity
-gate's quarter period in the inertial frame and in the rotation's own,
-and ``gate_drift`` is the drift the gate measures on a row: its
-``rigidity`` where certification integrated it, else the gate's own
-integration run here.  They are the references for the spectral screen of
-:func:`magnetotrio.solvers._certify`, which passes rows without
-integrating them.
+``integrate_in_frame`` is :func:`magnetotrio.dynamics.integrate` in a
+frame that turns at a given frequency: the rotating kernel of
+``dynamics._rhs`` on the stepper loop ``dynamics._solve``.
+``gate_drifts`` integrates a rotation's built state over the rigidity gate's quarter
+period in the inertial frame and in the rotation's own (by
+``integrate_in_frame``), and ``gate_drift`` is the drift the gate
+measures on a row: its ``rigidity`` where certification integrated it,
+else the gate's own integration run here.  They are the references for
+the spectral screen of :func:`magnetotrio.solvers._certify`, which passes
+rows without integrating them.
 
 ``eager_collinear_solution`` assembles one collinear root and certifies
 it in full, inside its sector and sense gates or not: swapped in for
@@ -269,6 +272,21 @@ def newton_balance(solution, spec_b, state):
     return float(np.abs(acc - expected).max()) / scale
 
 
+def integrate_in_frame(spec, state, settings, w):
+    """The trajectory of ``state`` integrated with the field
+    ``dynamics._rhs(spec, w)`` of the frame that turns at ``w`` (the
+    inertial one at w = 0), on ``dynamics._solve`` and the grid of
+    ``dynamics._checked_grid``: positions and velocities in the turning
+    basis, with the solver counters."""
+    n = spec.n
+    y0 = np.concatenate([state.positions.ravel(), state.velocities.ravel()])
+    t, y, stats = dynamics._solve(spec, dynamics._rhs(spec, w), y0, state.t,
+                                  dynamics._checked_grid(settings, state.t),
+                                  settings, lambda y: y[:2 * n].tolist())
+    return Trajectory(spec, t, y[:, :2 * n].reshape(-1, n, 2),
+                      y[:, 2 * n:].reshape(-1, n, 2), stats)
+
+
 def gate_drifts(sol, spec_b, state, inertial=True):
     """The worst relative pair-distance drift of ``state`` over the
     certification's quarter period and 200 samples, integrated in the
@@ -277,10 +295,10 @@ def gate_drifts(sol, spec_b, state, inertial=True):
     t_end = 0.25 * 2.0 * math.pi / sol.omega
     settings = IntegratorSettings(t_end=t_end, rel_tol=1e-10, abs_tol=1e-10,
                                   sample_interval=t_end / 200.0)
-    frames = (0.0,) * inertial + (_frame_omega(sol),)
-    return tuple(rigidity_report(dynamics.integrate(spec_b, state, settings,
-                                                    frame_omega=w))
-                 for w in frames)
+    runs = [integrate_in_frame(spec_b, state, settings, _frame_omega(sol))]
+    if inertial:
+        runs.insert(0, dynamics.integrate(spec_b, state, settings))
+    return tuple(map(rigidity_report, runs))
 
 
 def gate_drift(sol, spec):

@@ -1,9 +1,16 @@
 """The public surface: each collinear concept has one public entry."""
 
+import ast
 import dataclasses
+import inspect
+from pathlib import Path
+
+import pytest
 
 import magnetotrio
 from magnetotrio import dynamics, errors, invariants, jacobi, model, solvers
+
+SRC = Path(magnetotrio.__file__).parent
 
 # three-charge copies of the collinear system, written-out oracles, a
 # value every solution row carries and an error class whose refusals are
@@ -49,3 +56,39 @@ def test_integrator_settings_are_pinned():
     # setting
     assert [f.name for f in dataclasses.fields(dynamics.IntegratorSettings)] == [
         "t_end", "rel_tol", "abs_tol", "sample_interval"]
+
+
+def test_integrate_takes_no_frame():
+    # the rotating frame is the kernel ``dynamics._rhs(spec, w)``, which the
+    # solvers' rigidity gate runs on ``dynamics._solve`` itself
+    assert list(inspect.signature(dynamics.integrate).parameters) == [
+        "spec", "state", "settings"]
+
+
+def _unused_imports(path):
+    """The names ``path`` imports at any depth and never reads, except
+    those its ``__all__`` lists."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            exported = set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used | exported)
+
+
+# every import of the package's __init__ is a re-export
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

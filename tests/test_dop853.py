@@ -17,7 +17,8 @@ from scipy.integrate._ivp import dop853_coefficients
 
 from magnetotrio import (CollisionError, IntegratorSettings, PhaseState,
                          StepUnderflow, SystemSpec, _dop853, dynamics,
-                         integrate, integrate_jacobi, jacobi, pair_distances)
+                         integrate, integrate_jacobi, jacobi, pair_distances,
+                         solve_nbody_II, solvers)
 from magnetotrio.model import pair_index
 
 
@@ -62,7 +63,9 @@ def _scipy_solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
 
 @pytest.fixture
 def oracle(monkeypatch):
-    """Switch both integration routes to ``_scipy_solve``."""
+    """Switch the three integration routes to ``_scipy_solve``:
+    ``integrate`` and the solvers' rigidity integration, which both look up
+    ``dynamics._solve`` at call time, and ``integrate_jacobi``."""
     def use():
         monkeypatch.setattr(dynamics, "_solve", _scipy_solve)
         monkeypatch.setattr(jacobi, "_solve", _scipy_solve)
@@ -131,6 +134,20 @@ def test_matches_solve_ivp(run, case, settings, oracle):
     assert np.array_equal(ours.t, ref.t)
     assert np.array_equal(ours.positions, ref.positions)
     assert np.array_equal(ours.velocities, ref.velocities)
+
+
+def test_rigidity_gate_matches_solve_ivp(spec4, oracle, monkeypatch):
+    # the gate integrates every row with the screen off, in each row's
+    # own frame, through the third route
+    monkeypatch.setattr(solvers, "_SCREEN_MARGIN", 1e-300)
+    ours = solve_nbody_II(spec4, [1.5, 3.0])
+    oracle()
+    calls, solve = [], dynamics._solve
+    monkeypatch.setattr(dynamics, "_solve",
+                        lambda *args: calls.append(args) or solve(*args))
+    ref = solve_nbody_II(spec4, [1.5, 3.0])
+    assert len(ours) == len(calls) == 2 and all(r.rigidity > 0.0 for r in ours)
+    assert repr(ours) == repr(ref)
 
 
 def test_rejections_and_dense_output_count_every_call():

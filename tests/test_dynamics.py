@@ -8,6 +8,7 @@ import pytest
 from conftest import electron_orbit, separated_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import integrate_in_frame
 from oracles import read_trajectory_csv as oracle_read_trajectory_csv
 from oracles import sampled_walk
 
@@ -106,9 +107,12 @@ class TestCollision:
         spec = SystemSpec(B=0.0, charges=(1.0, -1.0), masses=(1.0, 1.0))
         state = PhaseState(np.array([[-0.5 * d0, 0.0], [0.5 * d0, 0.0]]),
                            np.zeros((2, 2)))
+        settings = IntegratorSettings(t_end=d0 ** 1.5)
         with pytest.raises(CollisionError) as err:
-            integrate(spec, state, IntegratorSettings(t_end=d0 ** 1.5),
-                      frame_omega=w)
+            if w:
+                integrate_in_frame(spec, state, settings, w)
+            else:
+                integrate(spec, state, settings)
         assert err.value.pair == (0, 1)
         assert err.value.distance <= dynamics.COLLISION_FRACTION * d0
         assert abs(err.value.t / d0 ** 1.5 - math.pi / 4) <= 1e-8
@@ -723,8 +727,9 @@ def _turned(a, angle):
 
 
 class TestRotatingFrame:
-    """``integrate(..., frame_omega=w)``: the field f(y) + w (I x J) y and
-    its samples, against the inertial run turned into the frame."""
+    """The rotating kernel ``_rhs(spec, w)`` on the stepper loop ``_solve``
+    (``oracles.integrate_in_frame``): the field f(y) + w (I x J) y and its
+    samples, against the inertial run turned into the frame."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_kernel_is_the_inertial_one_plus_the_frame_term(self, n):
@@ -757,7 +762,7 @@ class TestRotatingFrame:
                                       sample_interval=0.25)
         w = 0.8
         inertial = integrate(spec, state, settings)
-        rotating = integrate(spec, state, settings, frame_omega=w)
+        rotating = integrate_in_frame(spec, state, settings, w)
         assert np.array_equal(rotating.t, inertial.t)
         for a, b in ((rotating.positions, inertial.positions),
                      (rotating.velocities, inertial.velocities)):
@@ -776,7 +781,7 @@ class TestRotatingFrame:
         period = 2.0 * np.pi / sol.omega
         settings = IntegratorSettings(t_end=0.25 * period,
                                       sample_interval=period / 800.0)
-        traj = integrate(spec_b, state, settings, frame_omega=sol.omega)
+        traj = integrate_in_frame(spec_b, state, settings, sol.omega)
         assert np.abs(traj.positions - state.positions).max() < 1e-8
         assert np.abs(traj.velocities - state.velocities).max() < 1e-8
         assert rigidity_report(traj) < 1e-9
@@ -789,18 +794,11 @@ class TestRotatingFrame:
         state = PhaseState(np.array([[-0.5, 0.0], [0.5, 0.0]]), np.zeros((2, 2)))
         settings = IntegratorSettings(t_end=5.0)
         times = []
-        for w in (0.0, 1.5):
+        for run in (integrate, lambda *args: integrate_in_frame(*args, 1.5)):
             with pytest.raises(CollisionError) as info:
-                integrate(spec, state, settings, frame_omega=w)
+                run(spec, state, settings)
             times.append(info.value.t)
         assert times[1] == pytest.approx(times[0], rel=1e-8)
-
-    @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf")])
-    def test_frame_frequency_must_be_finite(self, w):
-        spec, pos, vel = _spec4_state()
-        with pytest.raises(DomainError, match="frame_omega must be finite"):
-            integrate(spec, PhaseState(pos, vel), IntegratorSettings(t_end=1.0),
-                      frame_omega=w)
 
 
 class TestClosestApproach:

@@ -31,7 +31,8 @@ from oracles import (closed_form_B_II, closed_form_B_III,
                      evaluate_p6_dv1, gate_drift, gate_drifts,
                      helium_closed_forms, helium_cubic_root,
                      helium_pattern, helium_quartic_coefficients,
-                     newton_balance, p6_descending, p6_roots_v1,
+                     integrate_in_frame, newton_balance, p6_descending,
+                     p6_roots_v1,
                      damped_newton_to_the_floor, damped_newton_walk,
                      eager_collinear_solution, linearization_walk,
                      residuals_config_I, residuals_nbody_II,
@@ -220,14 +221,15 @@ class TestCompiledSextic:
         # not the largest finite entry
         spec = SystemSpec(1.0, (3.0, 0.0, 1.0), (1.0, 1.0, 3.0))
         row = ConfigSolution("II", "0", (1.0, 1e10, 2.0), omega=1.0, B=1e300)
-        balance = solvers._newton_balance(row, spec)
+        balance = solvers._newton_balance(row, spec, solvers._line(row, spec))
         assert math.isnan(balance)
         assert balance.hex() == newton_balance(
             row, *build_initial_state(row, spec)).hex()
         # a line coordinate past the float range: the built state's refusal
         far = ConfigSolution("II", "0", (0.5, 1.0, 1.5), omega=1e-320, B=1.0)
         for check in (lambda: build_initial_state(far, spec),
-                      lambda: solvers._newton_balance(far, spec)):
+                      lambda: solvers._newton_balance(far, spec,
+                                                      solvers._line(far, spec))):
             with pytest.raises(DomainError, match="must be finite"):
                 check()
 
@@ -623,8 +625,8 @@ class TestConfigIII:
             spec_b, state = build_initial_state(row, spec)
             t_end = 0.25 * 2.0 * math.pi / row.omega
             settings = IntegratorSettings(t_end=t_end, sample_interval=t_end / 200.0)
-            traj = dynamics.integrate(spec_b, state, settings,
-                                      frame_omega=solvers._frame_omega(row))
+            traj = integrate_in_frame(spec_b, state, settings,
+                                      solvers._frame_omega(row))
             assert rigidity_report(traj) < 1e-6, row
 
 
@@ -1297,30 +1299,23 @@ class TestCertification:
     @pytest.mark.parametrize("name", ["spec4", "four"])
     def test_states_built_only_for_integrated_rows(self, name, request,
                                                    monkeypatch):
-        # the Newton balance and the spectral screen read the line
-        # coordinates; only a root that reaches the rigidity integration has
-        # its state built, once, with the screen on and with it forced off
+        # the Newton balance, the spectral screen and the rigidity
+        # integration all read the line coordinates: no root has its state
+        # built, and only a root that reaches the integration runs
+        # ``dynamics._solve``, once, with the screen on and with it forced off
         spec = request.getfixturevalue(name)
-        counts = {}
-
-        def counted(key, fn):
-            def call(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return call
-
+        builds = []
         monkeypatch.setattr(solvers, "build_initial_state",
-                            counted("build", solvers.build_initial_state))
-        monkeypatch.setattr(dynamics, "integrate",
-                            counted("integrate", dynamics.integrate))
+                            lambda *args: builds.append(args))
+        runs = _watched_solves(monkeypatch)
         for margin in (solvers._SCREEN_MARGIN, _NO_SCREEN):
             monkeypatch.setattr(solvers, "_SCREEN_MARGIN", margin)
-            counts.update(build=0, integrate=0)
+            runs.clear()
             rows = solve_nbody_II(spec, require_certified=False)
             integrated = sum(not math.isnan(r.rigidity) for r in rows)
-            assert counts["build"] == counts["integrate"] == integrated
+            assert builds == [] and len(runs) == integrated
             assert integrated < len(rows)
-            assert any(r.certified and gate_drift(r, spec) < 1e-6 for r in rows)
+            assert any(r.certified and _frame_drift(r, spec) < 1e-6 for r in rows)
 
     def test_newton_balance_flat_on_true_solution(self, spec4):
         sol = solve_config_II(spec4, v3_values=[1.5])[0]
@@ -1658,23 +1653,15 @@ class TestCoRotatingCertification:
         # the inertial runs took 422-467 nfev per root on this grid; a
         # return to the inertial frame would show here
         monkeypatch.setattr(solvers, "_SCREEN_MARGIN", _NO_SCREEN)
-        runs = []
-        integrate = dynamics.integrate
-
-        def recorded(*args, **kwargs):
-            traj = integrate(*args, **kwargs)
-            runs.append((kwargs.get("frame_omega", 0.0), traj.stats["nfev"]))
-            return traj
-
-        monkeypatch.setattr(dynamics, "integrate", recorded)
+        runs = _watched_solves(monkeypatch)
         rows = solve_nbody_II(spec4, sweep_grid(spec4, "nbody-II", points=4),
                               require_certified=False)
         integrated = [r for r in rows if not math.isnan(r.rigidity)]
         assert len(integrated) == len(runs) == 4
         assert all(r.certified for r in integrated)
-        assert (sorted(w for w, _ in runs)
+        assert (sorted(run["w"] for run in runs)
                 == sorted(solvers._frame_omega(r) for r in integrated))
-        assert all(w != 0.0 and nfev <= 150 for w, nfev in runs), runs
+        assert all(run["w"] != 0.0 and run["nfev"] <= 150 for run in runs), runs
 
 
 def _central_linearization(sol, spec, rel=1e-6):
@@ -1715,6 +1702,37 @@ def _old_screen_clears(row):
     return row.growth < 10.0 and row.newton_balance * math.exp(row.growth) <= 1e-8
 
 
+def _frame_of(rhs):
+    """The frame frequency w bound into a kernel of ``dynamics._rhs``; 0.0
+    for the inertial kernel, which has no frame term."""
+    cells = dict(zip(rhs.__code__.co_freevars, rhs.__closure__ or ()))
+    return cells["w"].cell_contents if "w" in cells else 0.0
+
+
+def _watched_solves(monkeypatch):
+    """Record each call of ``dynamics._solve``, the stepper loop of every
+    integration, as a dict: the frame ``w`` of its kernel, its start
+    vector ``y0`` and, once it returns, its ``nfev``."""
+    runs, solve = [], dynamics._solve
+
+    def watched(spec, rhs, y0, *args):
+        run = {"w": _frame_of(rhs), "y0": y0}
+        runs.append(run)
+        out = solve(spec, rhs, y0, *args)
+        run["nfev"] = out[2]["nfev"]
+        return out
+
+    monkeypatch.setattr(dynamics, "_solve", watched)
+    return runs
+
+
+def _frame_drift(row, spec):
+    """The drift of ``row``'s built state over the rigidity gate's horizon,
+    integrated in its own frame here, never read back from ``row``."""
+    [drift] = gate_drifts(row, *build_initial_state(row, spec), inertial=False)
+    return drift
+
+
 def _rigid(row):
     """The single-frequency rotation the rigidity gate reads for ``row``:
     a Configuration-I row whose third charge runs its own circle, with that
@@ -1742,7 +1760,7 @@ class TestSpectralScreen:
         rows = [_rigid(row) for row in solve(spec, require_certified=False)]
         assert rows
         for row in rows:
-            A = solvers._linearization(row, spec)
+            A = solvers._linearization(row, spec, solvers._line(row, spec))
             assert type(A) is np.ndarray and A.dtype == float
             oracle = complex_step_linearization(row, spec)
             assert np.abs(A - oracle).max() <= 1e-13 * np.abs(oracle).max(), row
@@ -1786,7 +1804,9 @@ class TestSpectralScreen:
         rows = solve(spec)
         assert rows
         for row in rows:
-            ev = np.linalg.eigvals(solvers._linearization(_rigid(row), spec))
+            twin = _rigid(row)
+            ev = np.linalg.eigvals(solvers._linearization(
+                twin, spec, solvers._line(twin, spec)))
             tol = 1e-10 * np.abs(ev).max()
             for lam in ev:
                 assert np.abs(ev + lam).min() <= tol, (row, lam)
@@ -1799,11 +1819,9 @@ class TestSpectralScreen:
     def test_default_grids_integrate_nothing(self, case, request, monkeypatch):
         name, solve = _SPECTRUM_CASES[case]
         spec = request.getfixturevalue(name)
-        calls = []
-        monkeypatch.setattr(dynamics, "integrate",
-                            lambda *args, **kwargs: calls.append(args))
+        runs = _watched_solves(monkeypatch)
         rows = solve(spec)
-        assert len(calls) == 0
+        assert len(runs) == 0
         assert rows and all(_screen_clears(r) and math.isnan(r.rigidity)
                             for r in rows)
 
@@ -1947,15 +1965,13 @@ class TestSpectralScreen:
         spec = SystemSpec(0.2223314678742986,
                           (0.3816057057714888, 0.3816057057714888, 2.5515454228304666),
                           (1.0193201110428733, 1.0193201110428733, 0.4965205962739579))
-        calls = []
-        monkeypatch.setattr(dynamics, "integrate",
-                            lambda *args, **kwargs: calls.append(args))
+        runs = _watched_solves(monkeypatch)
         rows = solve_config_I(spec, sweep_grid(spec, "I", points=4))
+        assert runs == []
         [row] = [r for r in rows if r.branch == "-" and r.v[0] == 0.027644934678936785]
         assert row.certified and row.omega == pytest.approx(1.3215e-3, rel=1e-4)
         assert row.growth == pytest.approx(1.4509, rel=1e-4)
         assert _screen_clears(row) and math.isnan(row.rigidity)
-        assert calls == []
 
     @pytest.mark.parametrize("species", [
         SystemSpec(-2.0, (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
@@ -1979,21 +1995,44 @@ class TestSpectralScreen:
         # (the third charge at rest at the center) in the twin's own frame,
         # where it is an equilibrium
         monkeypatch.setattr(solvers, "_SCREEN_MARGIN", _NO_SCREEN)
-        states = []
-        integrate = dynamics.integrate
-
-        def recorded(spec, state, settings, frame_omega):
-            states.append(state)
-            return integrate(spec, state, settings, frame_omega=frame_omega)
-
-        monkeypatch.setattr(dynamics, "integrate", recorded)
+        runs = _watched_solves(monkeypatch)
         rows = solve_config_I(electrons)
-        assert len(states) == len(rows) > 0
-        for state in states:
-            assert not state.positions[2].any() and not state.velocities[2].any()
+        assert len(runs) == len(rows) > 0
+        for run in runs:
+            # charge 3's position (x, y), then its velocity, in y0
+            assert not run["y0"][[4, 5, 10, 11]].any()
+        assert (sorted(run["w"] for run in runs)
+                == sorted(solvers._frame_omega(r) for r in rows))
         for row in rows:
             assert row.v[2] == 1.0 and not math.isnan(row.rigidity)
-            assert row.rigidity == gate_drift(_rigid(row), electrons)
+            assert row.rigidity == _frame_drift(_rigid(row), electrons)
+
+    @pytest.mark.parametrize("case", ["II", "nbody-II"])
+    def test_integrated_collinear_row_reads_the_gate_drift(self, case, four):
+        # rows the screen leaves to the integration: species 125 of the
+        # 300-species study at its second v3, and the 22nd FOUR variant of
+        # default_rng(2026) (charges, then masses, times U(0.8, 1.2)) at
+        # vn = 1.5 on its default grid; the built state's own run in the
+        # frame gives the gate's drift to the bit
+        if case == "II":
+            rng = np.random.default_rng(300)
+            for _ in range(126):
+                spec = SystemSpec(1.0, rng.uniform(-3.0, 3.0, 3),
+                                  rng.uniform(0.2, 3.0, 3))
+            rows = solve_config_II(spec, np.geomspace(1.5, 20.0, 24))
+            v_last, rigidity, growth = 1.67881035348026, 4.2525e-8, 15.192
+        else:
+            rng = np.random.default_rng(2026)
+            for _ in range(22):
+                spec = SystemSpec(1.0, four.charges * rng.uniform(0.8, 1.2, 4),
+                                  four.masses * rng.uniform(0.8, 1.2, 4))
+            rows = solve_nbody_II(spec)
+            v_last, rigidity, growth = 1.5, 6.0463e-11, 12.801
+        [row] = [r for r in rows if r.v[-1] == v_last]
+        assert row.certified and not _screen_clears(row)
+        assert row.rigidity == _frame_drift(row, spec)
+        assert row.rigidity == pytest.approx(rigidity, rel=1e-3)
+        assert row.growth == pytest.approx(growth, rel=1e-4)
 
 
 class TestPythonFloats:
