@@ -28,6 +28,5 @@ from .jacobi import (JacobiState, JacobiWeights, apply_cc, from_jacobi,
 from .solvers import (ConfigSolution, build_initial_state,
                       conserved_closed_forms, p6_coefficients,
                       pair_distance_min, solve_config_I,
-                      solve_config_I_identical, solve_config_I_v3zero,
-                      solve_config_II, solve_config_III, solve_nbody_II,
-                      write_catalog)
+                      solve_config_I_identical, solve_config_II,
+                      solve_config_III, solve_nbody_II, write_catalog)

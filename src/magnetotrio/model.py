@@ -114,9 +114,6 @@ class PhaseState:
     def n(self):
         return len(self.positions)
 
-    def copy(self):
-        return PhaseState(self.positions.copy(), self.velocities.copy(), self.t)
-
 
 def canonical_momenta(spec, positions, velocities):
     """Canonical momenta ``p_i = m_i v_i + e_i A(rho_i)``, shape (..., n, 2)."""

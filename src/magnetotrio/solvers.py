@@ -28,11 +28,13 @@ rows (_collinear_terms) and one t = 0 solver vector on the line (_line)
 serve all four; one routine (_collinear_solution) takes the field
 (_collinear_field), omega = kappa*B and the gates of every root but
 Configuration I's identical pair, whose speeds solve a quadratic at the
-spec's field.  Every search sweeps the values :func:`sweep_grid` decides;
-the collinear ones take the speeds at each value of the last speed, the
-second fixed at 1 (the systems are scale-covariant), from the roots in v1
-of the compiled elimination sextic (the eigenvalues of its companion
-matrix, by LAPACK, so every positive real root is found), or by Newton.
+spec's field.  Every search sweeps the values :func:`sweep_grid` decides,
+the collinear ones on one sweep (:func:`_collinear_sweep`) of speed
+tuples: (v1, v1 sqrt(e2/e1), 0) at each v1 for I, else the speeds at each
+value of the last speed, the second fixed at 1 (the systems are
+scale-covariant), from the roots in v1 of the compiled elimination sextic
+(the eigenvalues of its companion matrix, by LAPACK, so every positive
+real root is found), or by Newton.
 
 Sign conventions and certification
 ----------------------------------
@@ -74,7 +76,7 @@ from .model import PhaseState, classify_system, pair_index
 
 __all__ = [
     "ConfigSolution", "collinear_kappa", "p6_coefficients",
-    "solve_config_I_v3zero", "solve_config_I_identical", "solve_config_I",
+    "solve_config_I_identical", "solve_config_I",
     "solve_config_II", "solve_config_III", "solve_nbody_II",
     "build_initial_state", "conserved_closed_forms", "pair_distance_min",
     "write_catalog", "catalog_header", "sweep_grid", "DEFAULT_GRID_POINTS",
@@ -194,12 +196,15 @@ def _collinear_terms(spec, u, omega, B, order):
 
 
 def _relative_norm(terms):
-    # the worst |sum| / max |term| of the rows terms(); inf where they overflow
+    # the worst |sum| / max |term| of the rows terms(); inf where they
+    # overflow or a term is not finite (then the sum is not either)
     worst = 0.0
     try:
         for row in terms():
+            if not math.isfinite(total := math.fsum(row)):
+                return math.inf
             if (scale := max(map(abs, row))) != 0.0:
-                worst = max(worst, abs(math.fsum(row)) / float(scale))
+                worst = max(worst, abs(total) / float(scale))
     except (OverflowError, ValueError):
         return math.inf
     return worst
@@ -658,42 +663,6 @@ def _identical_pair(spec):
     return e1 == e2 and m1 == m2
 
 
-def _pair_ratio(spec):
-    """v2/v1 = sqrt(e2/e1) of a pair rotating about a resting third charge."""
-    e1, e2, _ = spec.charges.tolist()
-    if e1 * e2 <= 0:
-        raise DomainError("the rotating pair needs same-sign charges "
-                          "(v2^2 = v1^2 e2/e1)")
-    return math.sqrt(e2 / e1)
-
-
-def solve_config_I_v3zero(spec, v1=1.0):
-    """Configuration I with the third charge at rest: the collinear root
-    (v1, -v2, 0) about charge 3, with v2 = v1 sqrt(e2/e1) (needs e1*e2 > 0).
-
-    B (an output; the spec's field is ignored) and omega = kappa*B come from
-    :func:`_collinear_field`, and the collinear gates apply, so a negative
-    frequency is an uncertified "ccw" row.  An equal pair (e1 = e2) or a
-    vanishing Coulomb bracket is DegenerateError.
-    """
-    return [_finished(row) for row in _config_I_v3zero_rows(spec, v1)]
-
-
-def _config_I_v3zero_rows(spec, v1):
-    # solve_config_I_v3zero's (sol, rest) pair: the point of its sweep
-    if spec.n != 3:
-        raise DomainError("Configuration I is a three-charge system")
-    if v1 <= 0:
-        raise DomainError("v1 must be positive")
-    v2 = _pair_ratio(spec) * v1
-    if spec.charges[0] == spec.charges[1]:      # then kappa = 0
-        raise DegenerateError(
-            "a pair of equal charges (e1 = e2) rotates about a resting third "
-            "charge only as an identical pair, with equal masses; the "
-            "frequency closed form degenerates")
-    return [_collinear_solution(spec, (v1, v2, 0.0), "I", "v3=0")]
-
-
 def _pair_quadratic(spec, B):
     """(a, b) = (8 m (e + 4 e3), e B^2) in floats: an identical pair (e, m)
     at field B and separation rho has the speed discriminant
@@ -795,10 +764,12 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
 
 def solve_config_I(spec, values=None, require_certified=True):
     """Sweep an identical pair's separation (:func:`solve_config_I_identical`,
-    v3 = 1 when every charge-to-mass ratio agrees, else 0) or else v1 of the
-    collinear root about a resting third charge (:func:`solve_config_I_v3zero`).
-    A spec the branch refuses raises DomainError before the sweep; NoSolution
-    as for :func:`solve_config_II`, naming roots that fail the gates."""
+    v3 = 1 when every charge-to-mass ratio agrees, else 0) or else, on
+    :func:`_collinear_sweep`, v1 of the collinear root (v1, -v2, 0) about a
+    resting third charge, v2 = v1 sqrt(e2/e1): its field is an output, and
+    an equal pair (e1 = e2) degenerates at every point.  A spec the branch
+    refuses raises DomainError before the sweep; NoSolution as for
+    :func:`solve_config_II`, naming roots that fail the gates."""
     if spec.n != 3:
         raise DomainError("Configuration I is a three-charge system")
     if _identical_pair(spec):
@@ -807,14 +778,26 @@ def solve_config_I(spec, values=None, require_certified=True):
 
         def point(rho):
             return [(sol, None) for sol in solve_config_I_identical(spec, rho, v3=v3)]
-    else:
-        _pair_ratio(spec)                 # refuses a pair not of one sign
-        point = partial(_config_I_v3zero_rows, spec)
-    return _sweep(spec, "I", values, point, require_certified)
+        return _sweep(spec, "I", values, point, require_certified)
+    e1, e2, _ = spec.charges.tolist()
+    if e1 * e2 <= 0:
+        raise DomainError("the rotating pair needs same-sign charges "
+                          "(v2^2 = v1^2 e2/e1)")
+    ratio = math.sqrt(e2 / e1)
+
+    def speeds_at(v1):
+        if e1 == e2:      # then kappa = 0
+            raise DegenerateError(
+                "a pair of equal charges (e1 = e2) rotates about a resting third "
+                "charge only as an identical pair, with equal masses; the "
+                "frequency closed form degenerates")
+        return [(v1, ratio * v1, 0.0)]
+
+    return _collinear_sweep(spec, "I", values, speeds_at, require_certified)
 
 
 # ---------------------------------------------------------------------------
-# collinear root search (Configurations II/III share the machinery)
+# collinear root search (I at rest, II, III and n-body II share the machinery)
 # ---------------------------------------------------------------------------
 
 def _polish(f, df, x):
@@ -916,8 +899,11 @@ def _sextic_speeds(spec, config):
 
 
 def _collinear_sweep(spec, config, values, speeds_at, require_certified):
-    """Sweep II, III or n-body II: ``speeds_at(x)`` gives the speed tuples
-    ending in ``x``; each is certified unless its closed forms degenerate."""
+    """Sweep I with the third charge at rest, II, III or n-body II:
+    ``speeds_at(x)`` gives the positive speed tuples at the swept value
+    ``x``; each is certified unless its closed forms degenerate, and a
+    point none of whose tuples survives raises the first DegenerateError
+    among them, so the search's NoSolution can name it."""
     if spec.charges[1] == 0.0:
         raise DomainError("collinear rotations need a charged second particle "
                           "(the field closed form divides by e2)")
@@ -929,12 +915,16 @@ def _collinear_sweep(spec, config, values, speeds_at, require_certified):
             "identically, so no collinear rigid rotation exists")
 
     def point(x):
-        rows = []
+        # the first reason is kept as text: an exception held in a local
+        # would tie its traceback to this frame in a reference cycle
+        rows, reason = [], None
         for k, v in enumerate(speeds_at(x)):
             try:
                 rows.append(_collinear_solution(spec, v, config, branch=str(k)))
-            except DegenerateError:
-                continue
+            except DegenerateError as err:
+                reason = reason or str(err)
+        if reason and not rows:
+            raise DegenerateError(reason)
         return rows
 
     return _sweep(spec, config, values, point, require_certified)

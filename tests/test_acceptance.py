@@ -22,8 +22,8 @@ from magnetotrio import (DegenerateError, IntegratorSettings, NoSolution,
                          build_initial_state, conserved_closed_forms,
                          drift_report, integrate,
                          integrate_jacobi, p6_coefficients, pair_distance_min,
-                         rigidity_report, solve_config_I_identical,
-                         solve_config_I_v3zero, solve_config_II,
+                         rigidity_report, solve_config_I,
+                         solve_config_I_identical, solve_config_II,
                          solve_nbody_II, to_jacobi)
 from oracles import (closed_form_B_II, closed_form_B_III,
                      config_I_v3zero_closed_form, evaluate_p6, gate_drift,
@@ -301,7 +301,7 @@ def test_08_worked_rotation_closed_forms():
     satisfies the rigid-rotation system to 1e-12, and its closed-form
     conserved table matches direct evaluation on the built state to 1e-8
     (each comparison is printed)."""
-    sol = solve_config_I_v3zero(WORKED, v1=1.0)[0]
+    [sol] = solve_config_I(WORKED, [1.0])
     assert sol.omega == pytest.approx(18.0 / 91.0, rel=1e-13)
     assert sol.B == pytest.approx(162.0 / 637.0, rel=1e-13)
 

@@ -198,8 +198,8 @@ class TestConservation:
         # omega = 18/91 rotation of the (1,4,1)/(1,5,1) species: the
         # conserved quantities come out as exact rationals
         from magnetotrio import build_initial_state
-        from magnetotrio.solvers import solve_config_I_v3zero
-        sol = solve_config_I_v3zero(worked)[0]
+        from magnetotrio.solvers import solve_config_I
+        [sol] = solve_config_I(worked, [1.0])
         spec_b, st = build_initial_state(sol, worked)
         assert table_value(spec_b, st, "H") == pytest.approx(159 / 14, rel=1e-12)
         assert table_value(spec_b, st, "Lz") == pytest.approx(-611 / 12, rel=1e-12)
@@ -350,8 +350,9 @@ class TestInvolutionSets:
 
     def test_rest_set_in_involution(self, worked):
         from magnetotrio import build_initial_state
-        from magnetotrio.solvers import solve_config_I_v3zero
-        spec_b, st = build_initial_state(solve_config_I_v3zero(worked)[0], worked)
+        from magnetotrio.solvers import solve_config_I
+        [sol] = solve_config_I(worked, [1.0])
+        spec_b, st = build_initial_state(sol, worked)
         worst, _ = involution_check(spec_b, st.positions, st.velocities,
                                     "I-rest")
         assert worst < 1e-10

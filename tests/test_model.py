@@ -228,13 +228,6 @@ def test_public_guards(build, message):
         build()
 
 
-def test_phase_state_copy_is_independent():
-    state = PhaseState(np.zeros((2, 2)), np.ones((2, 2)))
-    clone = state.copy()
-    clone.positions[0, 0] = 7.0
-    assert state.positions[0, 0] == 0.0
-
-
 @pytest.mark.parametrize("field", ["positions", "velocities", "t"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_phase_state_rejects_non_finite(field, bad):

@@ -18,9 +18,8 @@ from magnetotrio import (ConfigSolution, DegenerateError, DomainError,
                          NonConvergence, NoSolution, SystemSpec,
                          build_initial_state, conserved_closed_forms,
                          p6_coefficients, pair_distance_min, solve_config_I,
-                         solve_config_I_identical, solve_config_I_v3zero,
-                         solve_config_II, solve_config_III, solve_nbody_II,
-                         write_catalog)
+                         solve_config_I_identical, solve_config_II,
+                         solve_config_III, solve_nbody_II, write_catalog)
 from magnetotrio import IntegratorSettings, PhaseState, dynamics, solvers
 from magnetotrio.dynamics import rigidity_report
 from magnetotrio.solvers import (_collinear_field, _collinear_terms,
@@ -79,7 +78,10 @@ class TestClosedFormFields:
     @pytest.mark.parametrize("require_certified", [True, False])
     def test_last_speed_equal_to_v2_is_no_solution(self, spec4, solve,
                                                    require_certified):
-        with pytest.raises(NoSolution, match=r"rotation on the sampled grid$"):
+        # every root of the point degenerates, and the search names why
+        with pytest.raises(NoSolution, match=r"rotation on the sampled grid: "
+                                             r"collinear field closed form: two "
+                                             r"speeds coincide$"):
             solve(spec4, [1.0], require_certified=require_certified)
 
     @pytest.mark.parametrize("species", ["spec4", "worked"])
@@ -356,9 +358,15 @@ class TestNeutralPairWindow:
         assert "quartic" not in str(err.value)
 
 
+def _rest_row(spec, v1=1.0):
+    """Configuration I's one row with the third charge at rest at ``v1``."""
+    (sol,) = solve_config_I(spec, [v1], require_certified=False)
+    return sol
+
+
 class TestConfigIThirdAtRest:
     def test_worked_species(self, worked):
-        sol = solve_config_I_v3zero(worked)[0]
+        sol = _rest_row(worked)
         assert sol.omega == pytest.approx(18 / 91, rel=1e-15)
         assert sol.B == pytest.approx(162 / 637, rel=1e-15)
         assert sol.v[1] == pytest.approx(2.0, rel=1e-15)   # v2 = v1 sqrt(e2/e1)
@@ -375,7 +383,7 @@ class TestConfigIThirdAtRest:
         # to omega = -342/91: an uncertified mirror-sense row, algebra but
         # not a rotation
         swapped = SystemSpec(1.0, (1.0, 4.0, 1.0), (5.0, 1.0, 1.0))
-        (sol,) = solve_config_I_v3zero(swapped)
+        sol = _rest_row(swapped)
         assert sol.sense == "ccw" and not sol.certified
         assert sol.omega == pytest.approx(342 / 91, rel=1e-15)
         assert sol.notes[0] == "mirror rotation sense"
@@ -396,8 +404,8 @@ class TestConfigIThirdAtRest:
             spec = SystemSpec(1.0, charges, tuple(rng.uniform(0.2, 3.0, 3)))
             v1 = float(rng.uniform(0.5, 2.0))
             try:
-                (sol,) = solve_config_I_v3zero(spec, v1)
-            except DegenerateError:
+                sol = _rest_row(spec, v1)
+            except NoSolution:
                 continue
             omega, B = config_I_v3zero_closed_form(spec, v1)
             assert sol.omega == pytest.approx(abs(omega), rel=1e-10)
@@ -407,13 +415,23 @@ class TestConfigIThirdAtRest:
         assert checked > 190
 
     def test_opposite_sign_pair_rejected(self):
-        with pytest.raises(DomainError):
-            solve_config_I_v3zero(SystemSpec(1.0, (1.0, -1.0, 1.0),
-                                             (1.0, 1.0, 1.0)))
+        with pytest.raises(DomainError, match="same-sign charges"):
+            solve_config_I(SystemSpec(1.0, (1.0, -1.0, 1.0), (1.0, 1.0, 1.0)))
 
-    def test_identical_pair_deferred(self, electrons_b2):
-        with pytest.raises(DegenerateError, match="identical"):
-            solve_config_I_v3zero(electrons_b2)
+    def test_equal_charges_of_unequal_masses_degenerate(self):
+        # e1 = e2 makes kappa = 0 at every point
+        with pytest.raises(NoSolution, match="sampled grid: a pair of equal "
+                                             "charges .* only as an identical pair"):
+            solve_config_I(SystemSpec(1.0, (1.0, 1.0, 0.5), (1.0, 2.0, 1.0)))
+
+    def test_pair_of_one_ratio_has_no_field(self):
+        # e1/m1 = e2/m2 = 1/2 with v3 = 0 makes kappa = 1/2 exactly, so the
+        # field closed form gives B = 0: every point's root degenerates
+        spec = SystemSpec(1.0, (0.3, 0.7, -1.1), (0.6, 1.4, 2.2))
+        for require_certified in (True, False):
+            with pytest.raises(NoSolution, match="sampled grid: frequency or "
+                                                 "field closed form degenerates$"):
+                solve_config_I(spec, require_certified=require_certified)
 
 
 class TestConfigIIdenticalPair:
@@ -1169,7 +1187,7 @@ def _assert_forms_are_direct(spec, sol):
 
 class TestConservedForms:
     def test_third_at_rest_table(self, worked):
-        sol = solve_config_I_v3zero(worked)[0]
+        sol = _rest_row(worked)
         assert sol.B == pytest.approx(config_I_v3zero_closed_form(worked, 1.0)[1],
                                       rel=1e-12)
         _assert_forms_are_direct(worked, sol)
@@ -1262,7 +1280,7 @@ class TestCertification:
 
     @pytest.mark.parametrize("name, solve", [
         ("electrons_b2", lambda spec: solve_config_I_identical(spec, 2 * CBRT_10)),
-        ("worked", solve_config_I_v3zero),
+        ("worked", lambda spec: solve_config_I(spec, [1.0], require_certified=False)),
     ], ids=["identical-pair", "third-at-rest"])
     def test_config_I_rows_name_failed_gates(self, name, solve, request,
                                              monkeypatch):
@@ -1283,7 +1301,7 @@ class TestCertification:
             solves += [
                 lambda: solve_config_II(spec, require_certified=False),
                 lambda: solve_config_III(spec, require_certified=False),
-                lambda: solve_config_I_v3zero(spec, 0.7),
+                lambda: solve_config_I(spec, [0.7], require_certified=False),
                 lambda: solve_config_I_identical(spec, 3.0),
                 lambda: solve_config_I_identical(spec, 3.0, v3=1.0)]
         rows = []
@@ -1445,7 +1463,7 @@ class TestDeferredCertification:
         for solve in (lambda: solve_config_II(helium),
                       lambda: solve_config_II(helium, require_certified=False),
                       lambda: solve_config_I(swapped, [1.0]),
-                      lambda: solve_config_I_v3zero(swapped)):
+                      lambda: solve_config_I(swapped, [1.0], require_certified=False)):
             firsts = []
             for collinear in (eager_collinear_solution, solvers._collinear_solution):
                 with monkeypatch.context() as m:
@@ -1499,10 +1517,8 @@ def test_sweep_grid_needs_a_whole_number_of_points(spec4, points):
      "pair separation must be positive"),
     ("spec4", lambda spec: solve_config_I_identical(spec, 1.0),
      "identical-pair branch needs e1 = e2 and m1 = m2"),
-    ("worked", lambda spec: solve_config_I_v3zero(spec, v1=0.0), "v1 must be positive"),
-    ("worked", lambda spec: solve_config_I_v3zero(spec, v1=-1.0), "v1 must be positive"),
 ], ids=["identical-v3-negative", "identical-rho12-zero", "identical-rho12-negative",
-        "identical-pair-not-identical", "v3zero-v1-zero", "v3zero-v1-negative"])
+        "identical-pair-not-identical"])
 def test_public_guards(request, name, solve, message):
     with pytest.raises(DomainError, match=message):
         solve(request.getfixturevalue(name))
@@ -1510,6 +1526,59 @@ def test_public_guards(request, name, solve, message):
 
 def test_sweep_grid_of_one_point(spec4):
     assert sweep_grid(spec4, "II", points=np.int64(1)).tolist() == [1.5]
+
+
+def test_sweep_skips_values_that_are_not_positive_floats(spec4):
+    # a caller's grid may hold NaN, inf, 0 or negative values: no point is
+    # tried there, and no reason from them reaches a message
+    rows = solve_config_II(spec4, [math.nan, -1.0, 0.0, math.inf, 1.5],
+                           require_certified=False)
+    assert rows and (list(map(repr, rows)) == list(map(repr, solve_config_II(
+        spec4, [1.5], require_certified=False))))
+
+
+@pytest.mark.parametrize("name", ["four", "five"])
+def test_nbody_search_at_or_below_v2_runs_no_newton(name, request, monkeypatch):
+    # vn <= v2 puts no speed ordering within reach, so no seed is tried
+    spec, seeds = request.getfixturevalue(name), []
+    newton = solvers._damped_newton
+
+    def spy(system, u0):
+        seeds.append(u0)
+        return newton(system, u0)
+
+    monkeypatch.setattr(solvers, "_damped_newton", spy)
+    with pytest.raises(NoSolution, match="rotation on the sampled grid$"):
+        solve_nbody_II(spec, [0.5, 1.0], require_certified=False)
+    assert seeds == []
+    solve_nbody_II(spec, [3.0], require_certified=False)
+    assert len(seeds) == len(solvers._SEEDS_V1)
+
+
+@pytest.mark.parametrize("rows, worst", [
+    ([[1.0, math.inf], [1.0, -1.0]], math.inf),
+    ([[math.nan, 1.0]], math.inf),
+    ([[1.0, -0.5, 0.25], [0.0, 0.0]], 0.75),
+], ids=["inf-term", "nan-term", "finite"])
+def test_relative_norm_reads_a_non_finite_term_as_unbalanced(rows, worst):
+    # inf / inf and NaN ratios would fall out of the max as balanced rows
+    assert solvers._relative_norm(lambda: rows) == worst
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1.0, math.nan, 0.0, 0.0, 0.0, 0.0, -1.0],
+    [1e-300, 1e300, 0.0, 0.0, 0.0, 0.0, -1.0]], ids=["nan", "inf"])
+def test_sextic_roots_refuse_a_non_finite_companion_row(coeffs, capfd):
+    # LAPACK is never handed the row: a NaN one makes it print an illegal
+    # argument to the terminal, an infinite one gives NaN eigenvalues that
+    # no gate names
+    def at(v2, v3):
+        return coeffs, (lambda v1: 0.0), (lambda v1: 0.0)
+
+    with pytest.raises(DegenerateError, match=r"the elimination sextic overflows "
+                                              r"at \(v2, v3\) = \(1, 2\)"):
+        solvers._p6_roots_v1(at, 1.0, 2.0)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_geomspace_is_numpys_to_the_bit():
@@ -1530,7 +1599,7 @@ def test_sweep_grid_refuses_an_unknown_tag(spec4, config):
 
 
 @pytest.mark.parametrize("name, solve", [
-    ("worked", solve_config_I_v3zero),
+    ("worked", lambda spec: solve_config_I(spec, [1.0])),
     ("electrons", lambda spec: solve_config_I_identical(
         spec, pair_distance_min(spec), v3=1.0)),
     ("spec4", lambda spec: solve_config_II(spec, v3_values=[1.5])),
