@@ -21,20 +21,21 @@ III : as II but charge 3 sits on the opposite side of the center
 
 The collinear equations generalize to n charges (solve_nbody_II).
 
-Every one of them is one collinear layout (:func:`_layout`) turning about
-a center: Configuration I is (v1, -v2, 0) about charge 3, III reflects the
-third speed of II, and n-body II generalizes both.  One set of balance
-rows (_collinear_terms) and one t = 0 solver vector on the line (_line)
-serve all four; one routine (_collinear_solution) takes the field
-(_collinear_field), omega = kappa*B and the gates of every root but
-Configuration I's identical pair, whose speeds solve a quadratic at the
-spec's field.  Every search sweeps the values :func:`sweep_grid` decides,
-the collinear ones on one sweep (:func:`_collinear_sweep`) of speed
-tuples: (v1, v1 sqrt(e2/e1), 0) at each v1 for I, else the speeds at each
-value of the last speed, the second fixed at 1 (the systems are
-scale-covariant), from the roots in v1 of the compiled elimination sextic
-(the eigenvalues of its companion matrix, by LAPACK, so every positive
-real root is found), or by Newton.
+Every one of them is one collinear layout (:func:`_layout`) turning
+about a center: Configuration I is (v1, -v2, 0) about charge 3, III
+reflects the third speed of II, and n-body II generalizes both.  One set
+of balance rows (_collinear_terms, then an identical pair's third-charge
+circle) and one t = 0 solver vector on the line (_line) serve all four;
+one routine (_collinear_solution) takes the field (_collinear_field),
+omega = kappa*B and the gates of every root but Configuration I's
+identical pair, whose speeds solve a quadratic at the spec's field.
+Every search sweeps the values :func:`sweep_grid` decides, the collinear
+ones on one sweep (:func:`_collinear_sweep`) of speed tuples: (v1, v1
+sqrt(e2/e1), 0) at each v1 for I, else the speeds at each value of the
+last speed, the second fixed at 1 (the systems are scale-covariant),
+from the roots in v1 of the compiled elimination sextic (the eigenvalues
+of its companion matrix, by LAPACK, so every positive real root is
+found), or by Newton.
 
 Sign conventions and certification
 ----------------------------------
@@ -50,8 +51,9 @@ it is a relative equilibrium (Meyer, Hall and Offin, Introduction to
 Hamiltonian Dynamical Systems and the N-Body Problem, 2nd ed., 2009).
 ``notes`` name each gate an uncertified root failed: uncertified roots
 are algebra, not trajectories.  A collinear root outside its sector or
-sense (most are) is only gated until it leaves the package: see
-:func:`_sweep`.
+sense (most are) is only gated, with no line built, until it leaves the
+package: see :func:`_sweep`.  A line, a row or a balance past the float
+range keeps its root uncertified (NaN or inf in its note).
 
 Speeds and frequencies are reported positive; ``sense`` records the
 actual rotation sense ("cw" for the parametrization
@@ -174,19 +176,10 @@ def _layout(config, v):
     raise DomainError(f"unknown configuration tag {config!r}")
 
 
-def _config_I_terms(spec, v1, v2, v3, omega, omega3):
-    # the third charge's own circle, then the collinear rows of the layout
-    # (radius compatibility, pair balances; the second one's sign flipped)
-    e, m, B = spec.charges.tolist(), spec.masses.tolist(), spec.B
-    u, order = _layout("I", (v1, v2))
-    pair1, pair2, third = _collinear_terms(spec, u, omega, B, order)
-    return [*([v3 * B * e[i], -v3 * m[i] * omega3] for i in range(3)),
-            third, pair1, [-t for t in pair2]]
-
-
 def _collinear_terms(spec, u, omega, B, order):
-    # balance rows at signed speeds u; the (i, j) Coulomb term carries the
-    # sign +1 when charge j lies beyond charge i along ``order``, else -1
+    # every layout's balance rows at signed speeds u, one per charge; the
+    # (i, j) Coulomb term carries the sign +1 when charge j lies beyond
+    # charge i along ``order``, else -1
     n, charges, masses = len(u), spec.charges.tolist(), spec.masses.tolist()
     rank, w2 = {k: r for r, k in enumerate(order)}, omega**2
     return [[B * charges[i] * u[i], -masses[i] * u[i] * omega]
@@ -360,22 +353,22 @@ def _frame_omega(sol):
 def _line(solution, spec):
     """(c, y): the center c and the t = 0 solver vector y (positions, then
     velocities) of ``solution``'s rotation of the charges of ``spec``
-    (DomainError if their counts differ).  With the signed frequency w and
-    the signed speeds u of its layout (:func:`_layout`), charge i starts at
-    (x_i, 0), x_i = c + sigma u_i / w, with velocity (0, vy_i), vy_i = c' -
-    sigma u_i, sigma = +1 for "cw" and -1 for "ccw".  The center c and its
+    (DomainError if their counts differ).  With the signed speeds u of its
+    layout (:func:`_layout`), charge i starts at (x_i, 0), x_i = c + u_i /
+    omega, with velocity (0, vy_i), vy_i = c' - sigma u_i, sigma = +1 for
+    "cw" and -1 for "ccw": only the velocities read the sense, since
+    sigma u_i / (sigma omega) is the float u_i / omega.  The center c and its
     velocity c' are 0 except for a row with a second frequency omega3
     (Configuration I with v3 != 0), whose center, charge 3, runs its own
     circle about the origin at omega3 and speed v3."""
     if tuple(spec.charges.shape) != (len(solution.v),):
         raise DomainError("solution and spec have different particle counts")
     sigma = 1.0 if solution.sense == "cw" else -1.0
-    w = _frame_omega(solution)
     u, _ = _layout(solution.config, solution.v)
     c = cvel = 0.0
     if solution.omega3:
         c, cvel = solution.v[2] / solution.omega3, -sigma * solution.v[2]
-    return c, ([q for ui in u for q in (c + sigma * ui / w, 0.0)]
+    return c, ([q for ui in u for q in (c + ui / solution.omega, 0.0)]
                + [q for ui in u for q in (0.0, cvel - sigma * ui)])
 
 
@@ -391,13 +384,6 @@ def build_initial_state(solution, spec):
     return replace(spec, B=solution.B), PhaseState(*np.reshape(y, (2, -1)))
 
 
-def _checked(line):
-    # the line of _line, or the built state's DomainError where not finite
-    if not all(map(math.isfinite, line[1])):
-        raise DomainError("positions, velocities and t must be finite")
-    return line
-
-
 def _newton_balance(solution, spec, line):
     """Relative mismatch between the exact Newtonian accelerations of
     ``solution``'s rotation of the charges of ``spec`` and the rigid-rotation
@@ -407,10 +393,12 @@ def _newton_balance(solution, spec, line):
     solution is a genuine trajectory; far above the 1e-6 gate for
     algebra-only roots whose sign sector does not match.  The floats, a NaN
     included, are those of ``accelerations`` on the built state, from its
-    kernel at the line coordinates (a non-finite one is the state's
-    DomainError); inf where a power overflows or a pair distance underflows
-    to 0."""
-    c, y = _checked(line)
+    kernel at the line coordinates; NaN where a coordinate is not finite
+    (the built state refuses that line), inf where a power overflows or a
+    pair distance underflows to 0."""
+    c, y = line
+    if not all(map(math.isfinite, y)):
+        return math.nan
     try:
         acc = dynamics._rhs(spec, B=solution.B)(0.0, np.array(y))[len(y) // 2:]
         w2, w3 = -solution.omega**2, solution.omega3**2
@@ -488,17 +476,18 @@ def _growth(sol, spec, horizon, line):
     return float(lam) * horizon
 
 
-def _certify(sol, spec, terms, gates=(), line=None):
+def _certify(sol, spec, terms, gates=()):
     """Certify ``sol``: the caller's ``(ok, note)`` gates, then the relative
     residual of its balance rows ``terms()`` and its Newton balance; a root
     that passed them all must also stay rigid over a quarter period (an
     integration that collides or that the stepper cannot finish fails that
     gate).  Each failed gate leaves a note, formatted only then; ``sol`` is
-    certified when none failed.  The t = 0 line (:func:`_line`, or
-    ``line``) is built once and handed to the balance, the linearization
-    and the rigidity integration; no state is built.  A collinear root its
-    sector or sense gate rejected comes here only on its way out of the
-    package (:func:`_sweep`), and stops after the balance.
+    certified when none failed.  The t = 0 line (:func:`_line`) is built
+    here, once, and handed to the balance, the linearization and the
+    rigidity integration; no state is built.  A line past the float range
+    reads as Newton imbalance NaN, so its root is kept uncertified.  A
+    collinear root its sector or sense gate rejected comes here only on its
+    way out of the package (:func:`_sweep`), and stops after the balance.
 
     The rigidity gate reads a single-frequency rotation.  Configuration I's
     row with the third charge on its own circle at omega3 (one common
@@ -522,7 +511,7 @@ def _certify(sol, spec, terms, gates=(), line=None):
     unstable rotation amplifies (mixed-sign charges by ~e^25 per period):
     the quarter-period horizon keeps such seeds below the gate."""
     sol.residual_norm = _relative_norm(terms)
-    line = _line(sol, spec) if line is None else line
+    line = _line(sol, spec)
     sol.newton_balance = _newton_balance(sol, spec, line)
     notes = [note for ok, note in gates if not ok]
     if not sol.residual_norm < _RESIDUAL_TOL:
@@ -718,10 +707,10 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
         raise DomainError("Configuration I is a three-charge system")
     if not _identical_pair(spec):
         raise DomainError("identical-pair branch needs e1 = e2 and m1 = m2")
-    e1, m1 = float(spec.charges[0]), float(spec.masses[0])
+    e, m, B = spec.charges.tolist(), spec.masses.tolist(), spec.B
     if rho12 <= 0:
         raise DomainError("pair separation must be positive")
-    a, b = _pair_quadratic(spec, spec.B)
+    a, b = _pair_quadratic(spec, B)
     try:
         disc = 1.0 - a / (b * rho12**3)
     except (OverflowError, ZeroDivisionError):
@@ -736,27 +725,30 @@ def solve_config_I_identical(spec, rho12, v3=0.0):
         if not cls.equal_larmor:
             raise DomainError(
                 "a moving third charge needs a common charge-to-mass ratio")
-        omega3_signed = cls.alpha * spec.B
+        omega3_signed = cls.alpha * B
     if disc < 0:
         rmin = pair_distance_min(spec)
         raise NoSolution(
             f"separation {rho12:.6g} below the critical "
-            f"{rmin:.6g} at B = {spec.B:.6g}: speed branches are complex")
+            f"{rmin:.6g} at B = {B:.6g}: speed branches are complex")
     out = []
     for tag, s in (("+", 1.0), ("-", -1.0)):
-        v_signed = e1 * spec.B * rho12 / (4*m1) * (1.0 + s * math.sqrt(disc))
+        v_signed = e[0] * B * rho12 / (4*m[0]) * (1.0 + s * math.sqrt(disc))
         if v_signed == 0.0:
             continue
         omega_signed = 2.0 * v_signed / rho12
-        # the printed balance equations hold at the signed speeds
-        terms = partial(_config_I_terms, spec, v_signed, v_signed,
-                        math.copysign(v3, omega_signed) if v3 else 0.0,
-                        omega_signed, omega3_signed)
+        # the balance equations hold at the signed speeds: the collinear
+        # rows of the layout (v, -v, 0), then the third charge's own circle
+        v3_signed = math.copysign(v3, omega_signed) if v3 else 0.0
+        circle = [[v3_signed * B * ei, -v3_signed * mi * omega3_signed]
+                  for ei, mi in zip(e, m)]
+        u, order = _layout("I", (v_signed, v_signed))
+        rows = partial(_collinear_terms, spec, u, omega_signed, B, order)
         sol = ConfigSolution(
             config="I", branch=tag, v=(abs(v_signed),) * 2 + (float(v3),),
-            omega=abs(omega_signed), B=spec.B, omega3=abs(omega3_signed),
+            omega=abs(omega_signed), B=B, omega3=abs(omega3_signed),
             sense="cw" if omega_signed > 0 else "ccw")
-        out.append(_certify(sol, spec, terms))
+        out.append(_certify(sol, spec, lambda: rows() + circle))
     if not out:
         raise NoSolution("both speed branches degenerate")
     return out
@@ -859,8 +851,8 @@ def _collinear_solution(spec, v, config, branch):
     """The ``(sol, rest)`` pair of :func:`_sweep` of one collinear root
     (positive speed tuple ``v``); its own gates are the speed ordering and
     the rotation sense.  A root inside both is certified at once (rest
-    None); one outside keeps their notes and its t = 0 line, checked finite
-    at once, for ``rest()``, the rest of :func:`_certify`."""
+    None); one outside keeps only their notes, and ``rest()`` is the rest
+    of :func:`_certify`."""
     u, order = _layout(config, v)
     # the second balance row solved for B
     kap, _, B = _collinear_field(spec, u, order)
@@ -880,9 +872,8 @@ def _collinear_solution(spec, v, config, branch):
         return _certify(sol, spec, terms), None
     gates = ((in_sector, "speed ordering outside the sector"),
              (omega_signed > 0, "mirror rotation sense"))
-    line = _checked(_line(sol, spec))
     sol.notes = tuple(note for ok, note in gates if not ok)
-    return sol, partial(_certify, sol, spec, terms, gates, line)
+    return sol, partial(_certify, sol, spec, terms, gates)
 
 
 def _sextic_speeds(spec, config):
@@ -903,16 +894,21 @@ def _collinear_sweep(spec, config, values, speeds_at, require_certified):
     ``speeds_at(x)`` gives the positive speed tuples at the swept value
     ``x``; each is certified unless its closed forms degenerate, and a
     point none of whose tuples survives raises the first DegenerateError
-    among them, so the search's NoSolution can name it."""
+    among them, so the search's NoSolution can name it.  One common
+    charge-to-mass ratio alpha is NoSolution for every layout: kappa =
+    alpha at any speeds, so the field closed form gives B = 0 (and the
+    three-charge elimination sextic of II and III vanishes identically)."""
     if spec.charges[1] == 0.0:
         raise DomainError("collinear rotations need a charged second particle "
                           "(the field closed form divides by e2)")
     cls = classify_system(spec)
     if cls.equal_larmor:
+        sextic = (" and the elimination polynomial vanishes identically"
+                  if spec.n == 3 and config != "I" else "")
         raise NoSolution(
-            "equal charge-to-mass ratios (alpha = "
-            f"{cls.alpha:.6g}): the elimination polynomial vanishes "
-            "identically, so no collinear rigid rotation exists")
+            f"equal charge-to-mass ratios (alpha = {cls.alpha:.6g}): kappa = "
+            f"alpha at any speeds, so the field closed form gives B = 0{sextic}; "
+            "no collinear rigid rotation exists")
 
     def point(x):
         # the first reason is kept as text: an exception held in a local

@@ -16,7 +16,8 @@ bit.
 
 ``config_I_terms`` is the Configuration-I balance system written out by
 hand; the solvers take its radius and pair rows from the collinear layout
-(v1, -v2, 0), and the terms must agree to the bit.
+(v1, -v2, 0), in another order and with the second pair row negated, and
+the rows must agree to the bit up to each row's sign.
 
 ``config_I_v3zero_closed_form`` is the frequency and field of
 Configuration I with the third charge at rest, solved by hand from those
@@ -82,9 +83,10 @@ by entry into nested lists: the references for
 floats (or raise the same message) and the same bytes of A.
 
 ``residuals_config_I`` and ``residuals_nbody_II`` sum the Configuration-I
-and collinear balance rows of :mod:`magnetotrio.solvers` into raw residual
-vectors: the references the tests hold the printed equations, their
-scaling covariance and the sweeps' roots against.
+rows of ``config_I_terms`` and the collinear balance rows of
+:mod:`magnetotrio.solvers` into raw residual vectors: the references the
+tests hold the printed equations, their scaling covariance and the
+sweeps' roots against.
 
 ``helium_pattern``, ``helium_cubic_root``, ``helium_quartic_coefficients``
 and ``helium_closed_forms`` are the closed forms of the neutral pattern
@@ -132,8 +134,7 @@ from magnetotrio.invariants import (_gradient, _pack, coulomb_energy,
 from magnetotrio.jacobi import _flatten, _positions, jacobi_weights
 from magnetotrio.model import canonical_momenta, vector_potential
 from magnetotrio.solvers import (_DEDUP_TOL, _V2, _collinear_field,
-                                 _collinear_terms, _config_I_terms, _frame_omega,
-                                 _line, _polish)
+                                 _collinear_terms, _frame_omega, _line, _polish)
 
 
 def closed_form_B_II(spec, v1, v2, v3):
@@ -606,8 +607,8 @@ def residuals_config_I(spec, v1, v2, v3, omega, omega3):
 
     Rows: the three third-charge frequency conditions v3*(B e_i - m_i w3),
     the radius-compatibility condition e3*(e1/v1^2 - e2/v2^2)*w^2, and the
-    two pair force balances, the rows of charges 3, 1 and (negated) 2 of
-    the collinear system at (v1, -v2, 0).  ``spec.B`` supplies the field.
+    two pair force balances, each summed from :func:`config_I_terms`.
+    ``spec.B`` supplies the field.
     A zero v1 or v2 puts a pair charge on the third, v1 + v2 = 0 the pair
     on one point: DegenerateError.
     """
@@ -616,7 +617,7 @@ def residuals_config_I(spec, v1, v2, v3, omega, omega3):
     if v1 == 0.0 or v2 == 0.0 or v1 + v2 == 0.0:
         raise DegenerateError("Configuration-I residuals: two charges coincide")
     return np.array([math.fsum(t) for t in
-                     _config_I_terms(spec, v1, v2, v3, omega, omega3)])
+                     config_I_terms(spec, v1, v2, v3, omega, omega3)])
 
 
 def residuals_nbody_II(spec, v, omega, B):

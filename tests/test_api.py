@@ -26,7 +26,10 @@ SRC = Path(magnetotrio.__file__).parent
 # (``invariant_columns`` names them), the per-pair rigidity record, whose
 # worst deviation ``rigidity_report`` now returns as a float, and the
 # Jacobi maps' weight-threading twins, whose work the public ``to_jacobi``,
-# ``from_jacobi`` and ``rhs_jacobi`` now do themselves
+# ``from_jacobi`` and ``rhs_jacobi`` now do themselves; then the eager
+# finiteness check of a root's t = 0 line, which certification replaced
+# by a NaN balance, and Configuration I's own row wrapper, whose rows are
+# now the collinear ones and the third charge's circle
 REMOVED = ("residuals_config_II", "residuals_config_III", "closed_form_B_nbody",
            "evaluate_p6", "pseudomomentum_jacobi", "apply_symmetry",
            "closed_form_B_II", "closed_form_B_III", "newton_balance",
@@ -38,7 +41,8 @@ REMOVED = ("residuals_config_II", "residuals_config_III", "closed_form_B_nbody",
            "angular_momentum", "casimir", "_column", "pair_virial",
            "third_pseudomomentum_x", "RigidityReport", "_to_jacobi",
            "_from_jacobi", "_rhs_jacobi", "solve_config_I_v3zero",
-           "_config_I_v3zero_rows", "_pair_ratio", "copy")
+           "_config_I_v3zero_rows", "_pair_ratio", "copy", "_checked",
+           "_config_I_terms")
 
 
 def test_solver_exports_resolve_and_removed_names_are_gone():

@@ -16,8 +16,9 @@ from mpmath import findroot, mp, mpf
 from conftest import table_values
 from magnetotrio import (ConfigSolution, DegenerateError, DomainError,
                          NonConvergence, NoSolution, SystemSpec,
-                         build_initial_state, conserved_closed_forms,
-                         p6_coefficients, pair_distance_min, solve_config_I,
+                         build_initial_state, classify_system,
+                         conserved_closed_forms, p6_coefficients,
+                         pair_distance_min, solve_config_I,
                          solve_config_I_identical, solve_config_II,
                          solve_config_III, solve_nbody_II, write_catalog)
 from magnetotrio import IntegratorSettings, PhaseState, dynamics, solvers
@@ -227,13 +228,14 @@ class TestCompiledSextic:
         assert math.isnan(balance)
         assert balance.hex() == newton_balance(
             row, *build_initial_state(row, spec)).hex()
-        # a line coordinate past the float range: the built state's refusal
+        # a line coordinate past the float range: the built state refuses
+        # it, the balance reads NaN, and certification keeps the root
         far = ConfigSolution("II", "0", (0.5, 1.0, 1.5), omega=1e-320, B=1.0)
-        for check in (lambda: build_initial_state(far, spec),
-                      lambda: solvers._newton_balance(far, spec,
-                                                      solvers._line(far, spec))):
-            with pytest.raises(DomainError, match="must be finite"):
-                check()
+        with pytest.raises(DomainError, match="must be finite"):
+            build_initial_state(far, spec)
+        assert math.isnan(solvers._newton_balance(far, spec, solvers._line(far, spec)))
+        solvers._certify(far, spec, lambda: [[1.0, -1.0]])
+        assert not far.certified and far.notes == ("Newton imbalance nan",)
 
 
 class TestResidualSystems:
@@ -270,28 +272,70 @@ class TestResidualSystems:
             residuals_config_I(spec4, v1, v2, 0.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("branch", ["third-at-rest", "identical-pair"])
-    def test_config_I_rows_are_the_hand_written_ones(self, branch):
-        # the radius and pair rows come from the collinear layout (v1, -v2,
-        # 0): term by term, bit for bit, the hand-written rows, after the
-        # radius row's two zero terms (charge 3 at the center)
+    def test_config_I_rows_are_the_hand_written_ones(self, branch, monkeypatch):
+        # the rows a Configuration I root certifies, the collinear rows of
+        # the layout (v1, -v2, 0) and, for an identical pair, the third
+        # charge's circle rows, are the hand-written rows as a multiset, up
+        # to each row's sign, bit for bit, so their relative norm is too
         rng = np.random.default_rng(4100 if branch == "third-at-rest" else 4101)
-        hexed = lambda rows: [[float(t).hex() for t in row] for row in rows]
+        certified, certify = [], solvers._certify
+
+        def spied(sol, spec, terms, gates=()):
+            certified.append((sol, terms()))
+            return certify(sol, spec, terms, gates)
+
+        monkeypatch.setattr(solvers, "_certify", spied)
         for _ in range(200):
             spec = _random_species(rng, 3)
-            sign, omega = rng.choice([-1.0, 1.0], 2), rng.uniform(0.1, 5.0)
             if branch == "third-at-rest":
-                (v1, v2), v3, omega3 = rng.uniform(0.1, 5.0, 2), 0.0, 0.0
-            else:
-                v1 = v2 = sign[0] * rng.uniform(0.1, 5.0)
-                v3, omega3 = rng.uniform(-3.0, 3.0, 2)
-            got = solvers._config_I_terms(spec, v1, v2, v3, sign[1] * omega, omega3)
-            want = config_I_terms(spec, v1, v2, v3, sign[1] * omega, omega3)
-            assert got[3][:2] == [0.0, 0.0]
-            assert hexed(got[:3] + [got[3][2:]] + got[4:]) == hexed(want)
-            # the second pair row is charge 2's collinear row negated
-            u, order = solvers._layout("I", (v1, v2))
-            charge2 = _collinear_terms(spec, u, sign[1] * omega, spec.B, order)[1]
-            assert hexed([[-t for t in charge2]]) == hexed(want[5:])
+                sign, omega = rng.choice([-1.0, 1.0], 2), rng.uniform(0.1, 5.0)
+                v1, v2 = rng.uniform(0.1, 5.0, 2)
+                u, order = solvers._layout("I", (v1, v2))
+                got = _collinear_terms(spec, u, sign[1] * omega, spec.B, order)
+                # charge 3 sits at the center: its Lorentz and centripetal
+                # terms are zero
+                assert got[2][:2] == [0.0, 0.0]
+                want = config_I_terms(spec, v1, v2, 0.0, sign[1] * omega, 0.0)[3:]
+                _assert_rows_agree(got, want)
+                continue
+            # an identical pair, every other one of a common charge-to-mass
+            # ratio, whose third charge then runs its own circle
+            (e, e3), (m, m3) = spec.charges[:2], spec.masses[:2]
+            moving = rng.uniform() < 0.5
+            if moving:
+                e3, m3 = math.copysign(e3, e), abs(e3 / e) * m
+            spec = SystemSpec(spec.B, (e, e, e3), (m, m, m3))
+            rho = (pair_distance_min(spec) or 0.5) * rng.uniform(1.0, 4.0)
+            v3 = rng.uniform(0.1, 3.0) if moving else 0.0
+            assert classify_system(spec).equal_larmor == moving
+            omega3 = classify_system(spec).alpha * spec.B if moving else 0.0
+            certified.clear()
+            solve_config_I_identical(spec, rho, v3=v3)
+            assert len(certified) == 2
+            for sol, got in certified:
+                sign = 1.0 if sol.sense == "cw" else -1.0
+                v = sign * sol.v[0]
+                want = config_I_terms(spec, v, v, sign * sol.v[2],
+                                      sign * sol.omega, omega3)
+                _assert_rows_agree(got, want)
+                assert sol.residual_norm.hex() == solvers._relative_norm(
+                    lambda: want).hex()
+
+
+def _assert_rows_agree(got, want):
+    """``got`` and ``want`` hold the same rows, compared by ``float.hex``
+    without their zero terms, each up to its sign, as multisets; their
+    relative norms agree to the bit."""
+    def signless(rows):
+        keyed = []
+        for row in rows:
+            row = [t for t in row if t != 0.0]
+            keyed.append(min(_hex(row), _hex([-t for t in row])))
+        return sorted(keyed)
+
+    assert signless(got) == signless(want)
+    assert (solvers._relative_norm(lambda: got).hex()
+            == solvers._relative_norm(lambda: want).hex())
 
 
 class TestNeutralPairWindow:
@@ -500,6 +544,13 @@ class TestConfigIIdenticalPair:
         rows = solve_config_I(spec, require_certified=False)
         assert len(rows) == solvers.DEFAULT_GRID_POINTS
         assert all(r.branch == "+" and r.v[0] > 0.0 for r in rows)
+
+    def test_both_branches_degenerate(self):
+        # e + 4 e3 = 0 makes the discriminant exactly 1, and e B rho / (4 m)
+        # underflows to 0: neither branch has a nonzero speed
+        spec = SystemSpec(1e-161, (1.0, 1.0, -0.25), (1e200, 1e200, 1.0))
+        with pytest.raises(NoSolution, match="^both speed branches degenerate$"):
+            solve_config_I_identical(spec, 1.0)
 
     def test_moving_third_charge_needs_common_ratio(self):
         spec = SystemSpec(2.0, (-1.0, -1.0, -2.0), (1.0, 1.0, 1.0))
@@ -1447,34 +1498,32 @@ class TestDeferredCertification:
                         outcome.split("fail certification: ")[1].split("; "))
         assert calls[0] == sum(not _gated(r["notes"]) for r in rows) + named
 
-    def test_non_finite_line_of_a_gated_root_raises_at_once(self, helium,
-                                                            monkeypatch):
-        # the DomainError the balance raises on a non-finite line is raised
-        # at the first root, gated or not, with or without the deferral
-        line, seen = solvers._line, []
+    @pytest.mark.parametrize("require_certified", [True, False])
+    def test_non_finite_line_keeps_every_root_uncertified(self, helium,
+                                                          require_certified,
+                                                          monkeypatch):
+        # a line past the float range reads as Newton imbalance NaN: the
+        # search goes on, no root is certified, each one's notes say so, and
+        # the rows or the message are those of the eager certification
+        line = solvers._line
 
         def broken(sol, spec):
-            seen.append(sol.v)
             c, y = line(sol, spec)
             return c, [math.nan, *y[1:]]
 
         swapped = SystemSpec(1.0, (1.0, 4.0, 1.0), (5.0, 1.0, 1.0))
         monkeypatch.setattr(solvers, "_line", broken)
-        for solve in (lambda: solve_config_II(helium),
-                      lambda: solve_config_II(helium, require_certified=False),
-                      lambda: solve_config_I(swapped, [1.0]),
-                      lambda: solve_config_I(swapped, [1.0], require_certified=False)):
-            firsts = []
-            for collinear in (eager_collinear_solution, solvers._collinear_solution):
-                with monkeypatch.context() as m:
-                    m.setattr(solvers, "_collinear_solution", collinear)
-                    seen.clear()
-                    with pytest.raises(DomainError, match="positions, velocities "
-                                                          "and t must be finite"):
-                        solve()
-                    assert len(seen) == 1
-                    firsts.append(seen[0])
-            assert firsts[0] == firsts[1]
+        for spec, solve, kwargs in ((helium, solve_config_II, {}),
+                                    (swapped, solve_config_I, {"values": [1.0]})):
+            kwargs["require_certified"] = require_certified
+            want = self._eager(monkeypatch, solve, spec, **kwargs)
+            assert _sweep_outcome(solve, spec, **kwargs) == want
+            if require_certified:
+                named = want.split("fail certification: ")[1].split("; ")
+                assert all("Newton imbalance nan" in entry for entry in named)
+            else:
+                assert want and all(not r["certified"] and "Newton imbalance nan"
+                                    in r["notes"] for r in want)
 
 
 def _layout_speeds(config, v):
@@ -1517,11 +1566,34 @@ def test_sweep_grid_needs_a_whole_number_of_points(spec4, points):
      "pair separation must be positive"),
     ("spec4", lambda spec: solve_config_I_identical(spec, 1.0),
      "identical-pair branch needs e1 = e2 and m1 = m2"),
+    ("four", lambda spec: solve_config_I_identical(spec, 1.0),
+     "Configuration I is a three-charge system"),
 ], ids=["identical-v3-negative", "identical-rho12-zero", "identical-rho12-negative",
-        "identical-pair-not-identical"])
+        "identical-pair-not-identical", "identical-four-charges"])
 def test_public_guards(request, name, solve, message):
     with pytest.raises(DomainError, match=message):
         solve(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("solve, charges", [
+    (solve_config_I, (1.0, 2.0, 3.0)), (solve_config_II, (1.0, 2.0, 3.0)),
+    (solve_config_III, (1.0, 2.0, 3.0)), (solve_nbody_II, (1.0, 2.0, 3.0)),
+    (solve_nbody_II, (1.0, 2.0, 3.0, 4.0))],
+    ids=["I", "II", "III", "nbody-II-3", "nbody-II-4"])
+def test_equal_ratio_no_go_gives_the_zero_field(solve, charges):
+    # one charge-to-mass ratio alpha makes kappa = alpha at any speeds, and
+    # then the field closed form gives B = 0, in every layout; only the
+    # three-charge sweeps of II, III and n-body II form the elimination
+    # sextic that vanishes identically
+    spec = SystemSpec(1.0, charges, charges)
+    with pytest.raises(NoSolution) as err:
+        solve(spec)
+    sextic = solve is not solve_config_I and len(charges) == 3
+    assert str(err.value) == (
+        "equal charge-to-mass ratios (alpha = 1): kappa = alpha at any speeds, "
+        "so the field closed form gives B = 0"
+        + (" and the elimination polynomial vanishes identically" if sextic else "")
+        + "; no collinear rigid rotation exists")
 
 
 def test_sweep_grid_of_one_point(spec4):
