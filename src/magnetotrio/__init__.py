@@ -23,8 +23,8 @@ from .dynamics import (IntegratorSettings, Trajectory, accelerations,
 from .invariants import (GLOBAL_INVARIANTS, SPECIAL_SETS, algebra_check,
                          drift_report, invariant_table, involution_check,
                          pseudomomentum, write_invariant_csv)
-from .jacobi import (JacobiState, JacobiWeights, apply_cc, from_jacobi,
-                     integrate_jacobi, invert_cc, jacobi_weights, to_jacobi)
+from .jacobi import (JacobiWeights, apply_cc, from_jacobi, integrate_jacobi,
+                     invert_cc, jacobi_weights, to_jacobi)
 from .solvers import (ConfigSolution, build_initial_state,
                       conserved_closed_forms, p6_coefficients,
                       pair_distance_min, solve_config_I,

@@ -37,12 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dop853 import DOP853, EPS, interpolate
-from .errors import CollisionError, DomainError, SpecParseError
+from .errors import CollisionError, DomainError, SpecParseError, StepUnderflow
 from .model import output_file, pair_index, read_text
 
 # Largest sampling grid :func:`integrate` accepts; each sample of an
 # n-charge run holds 4n + 1 floats in several copies.
 MAX_SAMPLES = 10**6
+# Most accepted steps of one run, the step budget of :func:`_solve`.  An
+# unsampled run keeps one row per step, so it stays within MAX_SAMPLES too.
+MAX_STEPS = MAX_SAMPLES
 # Steps per interpolation pass; each holds seven solver vectors until then.
 INTERPOLATION_BATCH = 256
 # A run collides when its closest pair distance falls to this fraction of
@@ -237,7 +240,9 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
     rows, and the solver counters: ``nfev`` and, for n >= 2,
     ``min_pair_distance``, the closest approach over the start and every
     accepted step.  A pair distance whose cube overflows the float range
-    raises :class:`DomainError`, naming the last accepted time.
+    raises :class:`DomainError`, naming the last accepted time.  A run
+    that has not reached ``t_end`` after ``MAX_STEPS`` accepted steps
+    raises :class:`StepUnderflow`, naming the steps and the time reached.
     """
     t1 = settings.t_end
     I, J, _ = spec.pairs
@@ -272,7 +277,9 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             stepper = DOP853(rhs, t0, y0, t1, settings.rel_tol,
                              settings.abs_tol)
-            while stepper.t < t1:
+            for _ in range(MAX_STEPS):   # the step budget
+                if stepper.t >= t1:
+                    break
                 stepper.step()
                 t, y = stepper.t, stepper.y
                 if pairs:
@@ -303,6 +310,10 @@ def _solve(spec, rhs, y0, t0, t_eval, settings, positions_of):
                         rows.append(interpolate(t_eval[due - sum(counts):due],
                                                 steps, counts))
                         steps, counts = [], []
+            if stepper.t < t1:
+                raise StepUnderflow(f"the step budget of {MAX_STEPS} accepted "
+                                    f"steps is spent at t = {stepper.t:.6g}, "
+                                    f"before t_end = {t1:.6g}")
     except OverflowError:
         # a float ``** 1.5`` past 1.8e308 raises instead of giving inf
         raise DomainError("the cube of a pair distance overflows the float "
@@ -319,8 +330,8 @@ def integrate(spec, state, settings):
 
     Raises :class:`CollisionError` if the closest pair distance falls to
     ``COLLISION_FRACTION`` of the start state's, :class:`StepUnderflow` if
-    the stepper cannot proceed, and :class:`DomainError` if a pair distance
-    outgrows the float range.
+    the stepper cannot proceed or spends ``MAX_STEPS`` accepted steps, and
+    :class:`DomainError` if a pair distance outgrows the float range.
     """
     t_eval = _checked_grid(settings, state.t)
     if state.n != spec.n:

@@ -33,7 +33,8 @@ class CollisionError(MagnetotrioError):
 
 class StepUnderflow(MagnetotrioError):
     """The adaptive integrator could not maintain accuracy without shrinking
-    the step below the floating-point spacing."""
+    the step below the floating-point spacing, or spent its step budget
+    (``dynamics.MAX_STEPS`` accepted steps) before the end time."""
 
 
 class DomainError(MagnetotrioError):

@@ -27,10 +27,16 @@ coupling charges and effective charges are
     e_1eff = e_2 nu_1^2 + e_1 nu_2^2
     e_2eff = e_3 (mu_1 + mu_2)^2 + (e_1 + e_2) mu_3^2 .
 
-``apply_cc`` and ``invert_cc`` are the two signs of one map, ``_shift``.
-It moves no coordinate, so ``_positions``, the position half of the inverse
-map, and its float twin ``_flat_positions``, the collision watch of
-``integrate_jacobi``, read shifted data as well.
+State.  A Jacobi state is the flat vector the stepper integrates,
+z = (R, tau1, tau2, P, ptau1, ptau2), x before y in each pair: shape (12,),
+or (..., 12) for a stack of samples.  Columns 0-5 are the coordinates and
+6-11 their momenta, shifted or not: ``to_jacobi`` returns and
+``from_jacobi`` takes unshifted momenta, ``rhs_jacobi`` integrates shifted
+ones.  ``apply_cc`` and ``invert_cc`` are the two signs of one map,
+``_shift``, which returns a shifted copy.  It moves no coordinate, so
+``_positions``, the position half of the inverse map, and its float twin
+``_flat_positions``, the collision watch of ``integrate_jacobi``, read
+shifted vectors as well.
 
 Each map is one public function of the spec (``to_jacobi``, ``apply_cc``,
 ``rhs_jacobi``, ``invert_cc``, ``from_jacobi``) that builds the weights it
@@ -50,7 +56,7 @@ and that ``rhs_jacobi`` is its Hamiltonian vector field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,51 +116,38 @@ def jacobi_weights(spec):
     )
 
 
-@dataclass
-class JacobiState:
-    """Jacobi coordinates with their conjugate momenta.
-
-    The same container is used before and after the momentum shift; each
-    function documents which convention it expects.
-    """
-
-    R: np.ndarray
-    tau1: np.ndarray
-    tau2: np.ndarray
-    P: np.ndarray
-    ptau1: np.ndarray
-    ptau2: np.ndarray
-
-
 def to_jacobi(spec, positions, velocities):
-    """Map Cartesian phase data to Jacobi coordinates (unshifted momenta)."""
+    """Map one Cartesian state to its flat Jacobi vector, shape (12,):
+    ``(R, tau1, tau2, P, ptau1, ptau2)`` with unshifted momenta."""
     w = jacobi_weights(spec)
     pos = np.asarray(positions, float).reshape(3, 2)
     p = canonical_momenta(spec, pos, velocities)
-    R = w.mu[0] * pos[0] + w.mu[1] * pos[1] + w.mu[2] * pos[2]
-    tau1 = pos[1] - pos[0]
-    tau2 = pos[2] - (w.nu1 * pos[0] + w.nu2 * pos[1])
-    P = p.sum(axis=0)
-    ptau1 = w.nu1 * p[1] - w.nu2 * p[0]
-    ptau2 = (w.mu[0] + w.mu[1]) * p[2] - w.mu[2] * (p[0] + p[1])
-    return JacobiState(R, tau1, tau2, P, ptau1, ptau2)
+    return np.concatenate([
+        w.mu[0] * pos[0] + w.mu[1] * pos[1] + w.mu[2] * pos[2],
+        pos[1] - pos[0],
+        pos[2] - (w.nu1 * pos[0] + w.nu2 * pos[1]),
+        p.sum(axis=0),
+        w.nu1 * p[1] - w.nu2 * p[0],
+        (w.mu[0] + w.mu[1]) * p[2] - w.mu[2] * (p[0] + p[1]),
+    ])
 
 
-def _positions(w, js):
-    """Cartesian positions, shape (..., 3, 2), of the Jacobi coordinates of
-    ``js`` (weights ``w``).  The momenta are not read, so the state may be
-    shifted or not."""
-    S = js.R - w.mu[2] * js.tau2
+def _positions(w, z):
+    """Cartesian positions, shape (..., 3, 2), of the coordinate columns of
+    the Jacobi vectors ``z`` (weights ``w``).  The momenta are not read, so
+    ``z`` may be shifted or not."""
+    R, tau1, tau2 = z[..., 0:2], z[..., 2:4], z[..., 4:6]
+    S = R - w.mu[2] * tau2
     return np.stack([
-        S - w.nu2 * js.tau1,
-        S + w.nu1 * js.tau1,
-        js.R + (w.mu[0] + w.mu[1]) * js.tau2,
+        S - w.nu2 * tau1,
+        S + w.nu1 * tau1,
+        R + (w.mu[0] + w.mu[1]) * tau2,
     ], axis=-2)
 
 
 def _flat_positions(w):
     """The float twin of :func:`_positions` for the collision watch: a map
-    from a flat Jacobi vector to the list ``x1, y1, x2, y2, x3, y3``."""
+    from one Jacobi vector to the list ``x1, y1, x2, y2, x3, y3``."""
     nu1, nu2, mu3, mu12 = w.nu1, w.nu2, w.mu[2], w.mu[0] + w.mu[1]
 
     def positions_of(z):
@@ -166,48 +159,45 @@ def _flat_positions(w):
     return positions_of
 
 
-def from_jacobi(spec, js):
-    """Inverse of :func:`to_jacobi`: returns ``(positions, velocities)``.
-
-    The fields of ``js`` may carry a leading sample axis, shape (..., 2);
-    the results then have shape (..., 3, 2).
-    """
-    w = jacobi_weights(spec)
-    pos = _positions(w, js)
-    p3 = w.mu[2] * js.P + js.ptau2
-    p12 = js.P - p3
+def from_jacobi(spec, z):
+    """Inverse of :func:`to_jacobi`: the unshifted Jacobi vectors ``z``,
+    shape (..., 12), to ``(positions, velocities)``, each (..., 3, 2)."""
+    w, z = jacobi_weights(spec), np.asarray(z, dtype=float)
+    pos = _positions(w, z)
+    P, ptau1, ptau2 = z[..., 6:8], z[..., 8:10], z[..., 10:12]
+    p3 = w.mu[2] * P + ptau2
+    p12 = P - p3
     p = np.stack([
-        w.nu1 * p12 - js.ptau1,
-        w.nu2 * p12 + js.ptau1,
+        w.nu1 * p12 - ptau1,
+        w.nu2 * p12 + ptau1,
         p3,
     ], axis=-2)
     return pos, _velocities_from_momenta(spec, pos, p)
 
 
-def _shift(spec, js, sign):
-    """The momentum shift (``sign = 1``) or its inverse (``sign = -1``)."""
+def _shift(spec, z, sign):
+    """A copy of the Jacobi vectors ``z``, shape (..., 12), with the momentum
+    shift (``sign = 1``) or its inverse (``sign = -1``) applied."""
     w, B = jacobi_weights(spec), spec.B
     c1, c2 = sign * w.ec1, sign * w.ec2
-    AR = vector_potential(js.R, B)
-    return replace(js,
-                   P=js.P - c1 * vector_potential(js.tau1, B) - c2 * vector_potential(js.tau2, B),
-                   ptau1=js.ptau1 + c1 * AR,
-                   ptau2=js.ptau2 + c2 * AR)
+    z = np.array(z, dtype=float)
+    AR = vector_potential(z[..., 0:2], B)
+    z[..., 6:8] = (z[..., 6:8] - c1 * vector_potential(z[..., 2:4], B)
+                   - c2 * vector_potential(z[..., 4:6], B))
+    z[..., 8:10] += c1 * AR
+    z[..., 10:12] += c2 * AR
+    return z
 
 
-def apply_cc(spec, js):
-    """Shift momenta: (P, ptau1, ptau2) -> (P', ptau1', ptau2').  The
-    coordinate arrays of the result are those of ``js``, not copies."""
-    return _shift(spec, js, 1.0)
+def apply_cc(spec, z):
+    """Shift the momentum columns of ``z`` on a copy: (P, ptau1, ptau2) ->
+    (P', ptau1', ptau2')."""
+    return _shift(spec, z, 1.0)
 
 
-def invert_cc(spec, js):
-    """Undo :func:`apply_cc`."""
-    return _shift(spec, js, -1.0)
-
-
-def _flatten(js):
-    return np.concatenate([js.R, js.tau1, js.tau2, js.P, js.ptau1, js.ptau2])
+def invert_cc(spec, z):
+    """Undo :func:`apply_cc`, on a copy."""
+    return _shift(spec, z, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +263,7 @@ def integrate_jacobi(spec, state, settings):
     positions alone, which the momentum shift leaves as they are.
     """
     t_eval = _checked_grid(settings, state.t)
-    z0 = _flatten(apply_cc(spec, to_jacobi(spec, state.positions, state.velocities)))
+    z0 = apply_cc(spec, to_jacobi(spec, state.positions, state.velocities))
     t, z, stats = _solve(spec, rhs_jacobi(spec), z0, state.t, t_eval, settings,
                          _flat_positions(jacobi_weights(spec)))
-    js = invert_cc(spec, JacobiState(*np.split(z, 6, axis=-1)))
-    return Trajectory(spec, t, *from_jacobi(spec, js), stats)
+    return Trajectory(spec, t, *from_jacobi(spec, invert_cc(spec, z)), stats)

@@ -96,8 +96,8 @@ root, the references for what Configuration II's sextic search returns on
 that pattern.
 
 ``hamiltonian_jacobi`` (with its momentum and field part ``_hc_quadratic``)
-is the reduced Hamiltonian on a shifted Jacobi state: the reference for
-the Cartesian Hamiltonian, which it equals to rounding, and for
+is the reduced Hamiltonian on a flat shifted Jacobi vector: the reference
+for the Cartesian Hamiltonian, which it equals to rounding, and for
 :func:`magnetotrio.jacobi.rhs_jacobi`, which must be its gradient flow.
 
 ``poisson_bracket`` is the canonical bracket {f, g} of two callables from
@@ -131,7 +131,7 @@ from magnetotrio.dynamics import trajectory_header
 from magnetotrio.dynamics import accelerations, rigidity_report
 from magnetotrio.invariants import (_gradient, _pack, coulomb_energy,
                                     invariant_columns, kinetic_energies)
-from magnetotrio.jacobi import _flatten, _positions, jacobi_weights
+from magnetotrio.jacobi import _positions, jacobi_weights
 from magnetotrio.model import canonical_momenta, vector_potential
 from magnetotrio.solvers import (_DEDUP_TOL, _V2, _collinear_field,
                                  _collinear_terms, _frame_omega, _line, _polish)
@@ -743,11 +743,11 @@ def _hc_quadratic(w, B, z):
     return H
 
 
-def hamiltonian_jacobi(spec, js):
-    """Reduced Hamiltonian evaluated on a shifted-momentum Jacobi state."""
+def hamiltonian_jacobi(spec, z):
+    """Reduced Hamiltonian evaluated on a flat shifted Jacobi vector ``z``,
+    shape (12,)."""
     w = jacobi_weights(spec)
-    return float(_hc_quadratic(w, spec.B, _flatten(js))
-                 + coulomb_energy(spec, _positions(w, js)))
+    return float(_hc_quadratic(w, spec.B, z) + coulomb_energy(spec, _positions(w, z)))
 
 
 def poisson_bracket(f, g, spec, positions, velocities):

@@ -142,9 +142,9 @@ def test_05_center_of_mass_split_matches_cartesian():
     for spec in (SPEC4, _electrons(2.0), WORKED, HELIUM):
         for _ in range(25):
             pos, vel = separated_state(rng, 3)
-            js = apply_cc(spec, to_jacobi(spec, pos, vel))
+            z = apply_cc(spec, to_jacobi(spec, pos, vel))
             direct = table_value(spec, PhaseState(pos, vel), "H")
-            mapped = hamiltonian_jacobi(spec, js)
+            mapped = hamiltonian_jacobi(spec, z)
             assert abs(mapped - direct) / max(1.0, abs(direct)) < 1e-10
 
     spec = _electrons(-2.0)

@@ -29,7 +29,9 @@ SRC = Path(magnetotrio.__file__).parent
 # ``from_jacobi`` and ``rhs_jacobi`` now do themselves; then the eager
 # finiteness check of a root's t = 0 line, which certification replaced
 # by a NaN balance, and Configuration I's own row wrapper, whose rows are
-# now the collinear ones and the third charge's circle
+# now the collinear ones and the third charge's circle; then the six-array
+# Jacobi state and its flattener, since the maps take and return the flat
+# vector the stepper integrates
 REMOVED = ("residuals_config_II", "residuals_config_III", "closed_form_B_nbody",
            "evaluate_p6", "pseudomomentum_jacobi", "apply_symmetry",
            "closed_form_B_II", "closed_form_B_III", "newton_balance",
@@ -42,7 +44,7 @@ REMOVED = ("residuals_config_II", "residuals_config_III", "closed_form_B_nbody",
            "third_pseudomomentum_x", "RigidityReport", "_to_jacobi",
            "_from_jacobi", "_rhs_jacobi", "solve_config_I_v3zero",
            "_config_I_v3zero_rows", "_pair_ratio", "copy", "_checked",
-           "_config_I_terms")
+           "_config_I_terms", "JacobiState", "_flatten")
 
 
 def test_solver_exports_resolve_and_removed_names_are_gone():

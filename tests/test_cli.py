@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tempfile
 
 import numpy as np
@@ -235,6 +236,27 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "magnetotrio: error: Required step size is less than spacing "
             "between numbers.\n")
+
+    def test_spent_step_budget_exits_1(self, tmp_path, capsys, monkeypatch):
+        # masses (1e-200, 1, 1e-200) pass the Jacobi frame's range check, and
+        # the derived stepper crawls on at steps far above 10 ulp(t); only
+        # the step budget ends it.  The Newton route underflows at once.
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 1000)
+        sys_path = _write(tmp_path, "crawl.system", "B 1\n" + "".join(
+            f"particle 1 {m}\nposition {x} {y}\n"
+            for m, (x, y) in zip(("1e-200", "1", "1e-200"), ((0, 0), (1, 0), (0, 1)))))
+        start = time.monotonic()
+        rc = main(["simulate", sys_path, "--mode", "derived", "--t-end", "1"])
+        assert time.monotonic() - start < 30.0
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert re.fullmatch(r"magnetotrio: error: the step budget of 1000 accepted "
+                            r"steps is spent at t = \S+, before t_end = 1\n", err)
+        assert not (tmp_path / "crawl.trajectory.csv").exists()
+        rc = main(["simulate", sys_path, "--mode", "newton", "--t-end", "1"])
+        assert (rc, capsys.readouterr().err) == (
+            1, "magnetotrio: error: Required step size is less than spacing "
+               "between numbers.\n")
 
     # sampled runs interpolate their rows in batched passes, which must not
     # add a warning line either

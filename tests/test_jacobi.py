@@ -6,15 +6,13 @@ import pytest
 from conftest import electron_orbit, separated_state, table_value
 
 from magnetotrio import (CollisionError, DomainError, IntegratorSettings,
-                         JacobiState, PhaseState, SystemSpec, apply_cc,
-                         from_jacobi, integrate, integrate_jacobi,
-                         invert_cc, jacobi_weights, pseudomomentum, to_jacobi)
+                         PhaseState, SystemSpec, apply_cc, from_jacobi,
+                         integrate, integrate_jacobi, invert_cc,
+                         jacobi_weights, pseudomomentum, to_jacobi)
 from magnetotrio.dynamics import _checked_grid, _solve
-from magnetotrio.jacobi import _flat_positions, _flatten, _positions, rhs_jacobi
+from magnetotrio.jacobi import _flat_positions, _positions, rhs_jacobi
 from magnetotrio.model import vector_potential
 from oracles import _hc_quadratic, hamiltonian_jacobi
-
-FIELDS = ("R", "tau1", "tau2", "P", "ptau1", "ptau2")
 
 _COUPLED = {
     "spec4": SystemSpec(B=1.0, charges=(3.0, -1.0, 1.0), masses=(1.0, 1.0, 3.0)),
@@ -29,16 +27,11 @@ SPECIES_AND_ELECTRONS = pytest.mark.parametrize(
     "spec", [*_COUPLED.values(), _ELECTRONS], ids=[*_COUPLED, "electrons"])
 
 
-def _shifted_vector(spec, pos, vel):
-    js = apply_cc(spec, to_jacobi(spec, pos, vel))
-    return np.concatenate([getattr(js, f) for f in FIELDS])
-
-
 def _richardson_gradient(spec, z, step=1e-4):
     """Gradient of the reduced Hamiltonian by central differences at steps
     ``step * max(1, |z_k|)`` and half that, combined by one Richardson step."""
     def H(x):
-        return hamiltonian_jacobi(spec, JacobiState(*x.reshape(6, 2)))
+        return hamiltonian_jacobi(spec, x)
 
     g = np.empty(12)
     for k in range(12):
@@ -91,7 +84,7 @@ def _complex_step_rhs(spec, z, h=1e-20):
     I, J, c = spec.pairs
 
     def terms(x):
-        pos = _positions(w, JacobiState(*x.reshape(6, 2)))
+        pos = _positions(w, x)
         d = pos[I] - pos[J]
         return np.concatenate([[_hc_quadratic(w, spec.B, x)],
                                c / np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])])
@@ -160,33 +153,46 @@ class TestRoundTrips:
 
     def test_momentum_shift_inverse(self, spec4, rng):
         pos, vel = separated_state(rng, 3)
-        js = to_jacobi(spec4, pos, vel)
-        back = invert_cc(spec4, apply_cc(spec4, js))
-        for field in FIELDS:
-            assert np.allclose(getattr(back, field), getattr(js, field),
-                               rtol=0, atol=1e-14)
+        z = to_jacobi(spec4, pos, vel)
+        assert z.shape == (12,)
+        back = invert_cc(spec4, apply_cc(spec4, z))
+        assert np.allclose(back, z, rtol=0, atol=1e-14)
+
+    def test_shift_works_on_a_copy(self, spec4, rng):
+        z = to_jacobi(spec4, *separated_state(rng, 3))
+        start = z.tobytes()
+        for shift in (apply_cc, invert_cc):
+            shifted = shift(spec4, z)
+            assert z.tobytes() == start
+            assert not np.shares_memory(shifted, z)
+            # the coordinates stay, every momentum column moves
+            assert np.array_equal(shifted[:6], z[:6])
+            assert np.all(shifted[6:] != z[6:])
 
     def test_positions_ignore_the_shift(self, spec4, rng):
         w = jacobi_weights(spec4)
         for _ in range(3):
-            js = to_jacobi(spec4, *separated_state(rng, 3))
-            pos = from_jacobi(spec4, js)[0]
-            assert np.array_equal(_positions(w, js), pos)
-            assert np.array_equal(_positions(w, apply_cc(spec4, js)), pos)
-            # the collision watch's float twin, on the flat shifted vector
-            z = np.concatenate([getattr(apply_cc(spec4, js), f) for f in FIELDS])
-            assert _flat_positions(w)(z) == pos.ravel().tolist()
+            z = to_jacobi(spec4, *separated_state(rng, 3))
+            pos = from_jacobi(spec4, z)[0]
+            assert np.array_equal(_positions(w, z), pos)
+            assert np.array_equal(_positions(w, apply_cc(spec4, z)), pos)
+            # the collision watch's float twin, on the shifted vector
+            assert _flat_positions(w)(apply_cc(spec4, z)) == pos.ravel().tolist()
 
     def test_stack_matches_rows_bit_for_bit(self, spec4, rng):
         rows = [to_jacobi(spec4, *separated_state(rng, 3)) for _ in range(6)]
-        stack = JacobiState(*(np.array([getattr(js, f) for js in rows])
-                              for f in FIELDS))
+        stack = np.array(rows)
         pos, vel = from_jacobi(spec4, stack)
         assert pos.shape == vel.shape == (6, 3, 2)
-        for k, js in enumerate(rows):
-            pos_k, vel_k = from_jacobi(spec4, js)
+        shifted = apply_cc(spec4, stack)
+        for k, z in enumerate(rows):
+            pos_k, vel_k = from_jacobi(spec4, z)
             assert np.array_equal(pos[k], pos_k)
             assert np.array_equal(vel[k], vel_k)
+            # the stepper's rows are shifted back as one stack
+            assert np.array_equal(shifted[k], apply_cc(spec4, z))
+            assert np.array_equal(invert_cc(spec4, shifted)[k],
+                                  invert_cc(spec4, shifted[k]))
 
 
 class TestReducedHamiltonian:
@@ -194,16 +200,15 @@ class TestReducedHamiltonian:
         for spec in (spec4, helium):
             for _ in range(10):
                 pos, vel = separated_state(rng, 3)
-                js = apply_cc(spec, to_jacobi(spec, pos, vel))
-                hc = hamiltonian_jacobi(spec, js)
+                hc = hamiltonian_jacobi(spec, apply_cc(spec, to_jacobi(spec, pos, vel)))
                 h = table_value(spec, PhaseState(pos, vel), "H")
                 assert hc == pytest.approx(h, rel=1e-12)
 
     def test_pseudomomentum_matches(self, spec4, rng):
         pos, vel = separated_state(rng, 3)
-        js = apply_cc(spec4, to_jacobi(spec4, pos, vel))
+        z = apply_cc(spec4, to_jacobi(spec4, pos, vel))
         # K = P' + Q A(R) from the shifted Jacobi data
-        K = js.P + jacobi_weights(spec4).Q * vector_potential(js.R, spec4.B)
+        K = z[6:8] + jacobi_weights(spec4).Q * vector_potential(z[0:2], spec4.B)
         assert np.allclose(K, pseudomomentum(spec4, pos, vel), rtol=0, atol=1e-12)
 
 
@@ -218,7 +223,7 @@ class TestExactGradient:
         rng = np.random.default_rng(20261019)
         f = rhs_jacobi(spec)
         for _ in range(20):
-            z = _shifted_vector(spec, *separated_state(rng, 3))
+            z = apply_cc(spec, to_jacobi(spec, *separated_state(rng, 3)))
             rows = f(0.0, z)
             assert all(type(x) is float for x in rows)
             by_steps, coulomb_scale = _complex_step_rhs(spec, z)
@@ -232,7 +237,7 @@ class TestExactGradient:
         rng = np.random.default_rng(20261018)
         f = rhs_jacobi(spec)
         for _ in range(20):
-            z = _shifted_vector(spec, *separated_state(rng, 3))
+            z = apply_cc(spec, to_jacobi(spec, *separated_state(rng, 3)))
             g = _richardson_gradient(spec, z)
             # Hamilton's map: (dH/dp, -dH/dq)
             fd = np.concatenate([g[6:], -g[:6]])
@@ -281,11 +286,11 @@ class TestIntegration:
         settings = IntegratorSettings(t_end=0.5, sample_interval=0.125)
         traj = integrate_jacobi(spec, state, settings)
         # the same run through the public maps, each building its weights
-        z0 = _flatten(apply_cc(spec, to_jacobi(spec, state.positions, state.velocities)))
+        z0 = apply_cc(spec, to_jacobi(spec, state.positions, state.velocities))
         t, z, _ = _solve(spec, rhs_jacobi(spec), z0, state.t,
                          _checked_grid(settings, state.t), settings,
                          _flat_positions(jacobi_weights(spec)))
-        pos, vel = from_jacobi(spec, invert_cc(spec, JacobiState(*np.split(z, 6, axis=-1))))
+        pos, vel = from_jacobi(spec, invert_cc(spec, z))
         assert traj.t.tobytes() == t.tobytes()
         assert traj.positions.tobytes() == pos.tobytes()
         assert traj.velocities.tobytes() == vel.tobytes()
@@ -303,3 +308,61 @@ class TestIntegration:
         assert abs(derived.value.t - newton.value.t) < 1e-8
         assert derived.value.distance < 1e-8
 
+
+
+class TestMetamorphicRelations:
+    """The derived route commutes with the exact symmetries of the three-charge
+    flow: a rotation of the plane, the exchange of charges 1 and 2, and the
+    mirror x -> -x together with B -> -B.  The exchange moves the Jacobi
+    frame itself (tau1 changes sign and nu1, nu2 swap), so it checks the maps
+    against each other and not only the right-hand side."""
+
+    SETTINGS = IntegratorSettings(t_end=2.0, rel_tol=1e-12, abs_tol=1e-12,
+                                  sample_interval=0.25)
+
+    @staticmethod
+    def _runs(spec, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            pos, vel = separated_state(rng, 3, min_sep=1.0)
+            yield rng, pos, vel, integrate_jacobi(spec, PhaseState(pos, vel),
+                                                  TestMetamorphicRelations.SETTINGS)
+
+    @staticmethod
+    def _close(a, b):
+        scale = max(1.0, float(np.max(np.abs(b))))
+        return float(np.max(np.abs(a - b))) <= 1e-9 * scale
+
+    @SPECIES
+    def test_rotation_rotates_every_sample(self, spec):
+        for rng, pos, vel, traj in self._runs(spec, 4810):
+            a = rng.uniform(0.0, 2.0 * np.pi)
+            R = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+            turned = integrate_jacobi(spec, PhaseState(pos @ R.T, vel @ R.T),
+                                      self.SETTINGS)
+            assert np.array_equal(turned.t, traj.t)
+            assert self._close(turned.positions, traj.positions @ R.T)
+            assert self._close(turned.velocities, traj.velocities @ R.T)
+
+    @SPECIES
+    def test_exchange_of_charges_one_and_two_permutes_the_samples(self, spec):
+        swap = [1, 0, 2]
+        swapped = SystemSpec(B=spec.B, charges=spec.charges[swap],
+                             masses=spec.masses[swap])
+        for _, pos, vel, traj in self._runs(spec, 4811):
+            other = integrate_jacobi(swapped, PhaseState(pos[swap], vel[swap]),
+                                     self.SETTINGS)
+            assert np.array_equal(other.t, traj.t)
+            assert self._close(other.positions[:, swap], traj.positions)
+            assert self._close(other.velocities[:, swap], traj.velocities)
+
+    @SPECIES
+    def test_mirror_with_reversed_field_mirrors_to_the_bit(self, spec):
+        flip = np.array([-1.0, 1.0])
+        mirrored = SystemSpec(B=-spec.B, charges=spec.charges, masses=spec.masses)
+        for _, pos, vel, traj in self._runs(spec, 4812):
+            image = integrate_jacobi(mirrored, PhaseState(pos * flip, vel * flip),
+                                     self.SETTINGS)
+            assert np.array_equal(image.t, traj.t)
+            assert np.array_equal(image.positions, traj.positions * flip)
+            assert np.array_equal(image.velocities, traj.velocities * flip)

@@ -1311,6 +1311,20 @@ class TestCertification:
         with pytest.raises(NoSolution, match="rigidity integration stopped"):
             solve_nbody_II(UNDERFLOW_FIVE, [2.4022907818493007])
 
+    def test_spent_step_budget_rejects_the_root(self, four, monkeypatch):
+        # a gate this tight sends the root to the integration, and a budget
+        # of one step ends it before the quarter period: the root is
+        # rejected with the budget's message, the search goes on
+        monkeypatch.setattr(solvers, "_RIGIDITY_TOL", 1e-300)
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 1)
+        rows = solve_nbody_II(four, vn_values=[3.0], require_certified=False)
+        [row] = [r for r in rows if r.notes and "integration" in r.notes[0]]
+        assert not row.certified and math.isnan(row.rigidity)
+        assert re.fullmatch(r"rigidity integration stopped: the step budget of 1 "
+                            r"accepted steps is spent at t = \S+, before "
+                            r"t_end = \S+", row.notes[0])
+        assert len(row.notes) == 1
+
     def test_collision_rejects_the_root(self, four, monkeypatch):
         # a collision fraction just below 1 stops a quarter-period
         # integration at the first dip of its closest pair distance, which
